@@ -2,13 +2,23 @@
 //
 // Component micro-benchmarks (google-benchmark): tokenization, n-gram
 // extraction, token diff, rewrite matching, statistics building, feature
-// extraction, logistic-regression epochs and corpus generation.
+// extraction, logistic-regression epochs and corpus generation. Rewrite
+// matching and feature extraction run against both statistics layouts:
+// the heap map (stats build, train, evaluate) and the mmap'd mbpack
+// (serving).
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "common/random.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
+#include "io/pack_artifacts.h"
 #include "microbrowse/classifier.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
@@ -68,11 +78,27 @@ PairCorpus BenchPairs(int adgroups) {
   return ExtractSignificantPairs(generated->corpus, {});
 }
 
-void BM_MatchRewrites(benchmark::State& state) {
-  const PairCorpus pairs = BenchPairs(200);
-  BuildStatsOptions stats_options;
-  stats_options.matching_passes = 1;
-  const FeatureStatsDb db = BuildFeatureStats(pairs, stats_options);
+/// `db` reloaded from an mbpack file — the mmap-backed layout serving
+/// runs on. The temporary file is unlinked once mapped.
+FeatureStatsDb PackBacked(const FeatureStatsDb& db) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("micro_bench_stats_" + std::to_string(::getpid()) + ".mbpack"))
+                               .string();
+  if (const Status saved = SaveStatsPack(db, path); !saved.ok()) {
+    std::fprintf(stderr, "SaveStatsPack: %s\n", saved.ToString().c_str());
+    std::abort();
+  }
+  auto loaded = LoadStatsPack(path);
+  std::filesystem::remove(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "LoadStatsPack: %s\n", loaded.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(*loaded);
+}
+
+void MatchRewritesLoop(benchmark::State& state, const PairCorpus& pairs,
+                       const FeatureStatsDb& db) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = pairs.pairs[i++ % pairs.pairs.size()];
@@ -80,7 +106,25 @@ void BM_MatchRewrites(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
+
+FeatureStatsDb OnePassStats(const PairCorpus& pairs) {
+  BuildStatsOptions stats_options;
+  stats_options.matching_passes = 1;
+  return BuildFeatureStats(pairs, stats_options);
+}
+
+void BM_MatchRewrites(benchmark::State& state) {
+  const PairCorpus pairs = BenchPairs(200);
+  MatchRewritesLoop(state, pairs, OnePassStats(pairs));
+}
 BENCHMARK(BM_MatchRewrites);
+
+/// BM_MatchRewrites against the same statistics served from an mbpack.
+void BM_MatchRewritesPack(benchmark::State& state) {
+  const PairCorpus pairs = BenchPairs(200);
+  MatchRewritesLoop(state, pairs, PackBacked(OnePassStats(pairs)));
+}
+BENCHMARK(BM_MatchRewritesPack);
 
 void BM_BuildFeatureStats(benchmark::State& state) {
   const PairCorpus pairs = BenchPairs(static_cast<int>(state.range(0)));
@@ -92,9 +136,8 @@ void BM_BuildFeatureStats(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildFeatureStats)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
 
-void BM_ExtractPairOccurrences(benchmark::State& state) {
-  const PairCorpus pairs = BenchPairs(200);
-  const FeatureStatsDb db = BuildFeatureStats(pairs, {});
+void ExtractPairOccurrencesLoop(benchmark::State& state, const PairCorpus& pairs,
+                                const FeatureStatsDb& db) {
   const ClassifierConfig config = ClassifierConfig::M6();
   FeatureRegistry t_registry, p_registry;
   std::vector<CoupledOccurrence> occurrences;
@@ -108,7 +151,20 @@ void BM_ExtractPairOccurrences(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
+
+void BM_ExtractPairOccurrences(benchmark::State& state) {
+  const PairCorpus pairs = BenchPairs(200);
+  ExtractPairOccurrencesLoop(state, pairs, BuildFeatureStats(pairs, {}));
+}
 BENCHMARK(BM_ExtractPairOccurrences);
+
+/// BM_ExtractPairOccurrences against the same statistics served from an
+/// mbpack.
+void BM_ExtractPairOccurrencesPack(benchmark::State& state) {
+  const PairCorpus pairs = BenchPairs(200);
+  ExtractPairOccurrencesLoop(state, pairs, PackBacked(BuildFeatureStats(pairs, {})));
+}
+BENCHMARK(BM_ExtractPairOccurrencesPack);
 
 void BM_LogisticRegressionEpoch(benchmark::State& state) {
   // A synthetic sparse dataset: 20 features per example from a pool of 5k.

@@ -117,11 +117,11 @@ void AccumulatePass(const PairCorpus& corpus, const BuildStatsOptions& options,
                     &chunks[c]);
   });
   const size_t n_shards = std::min<size_t>(static_cast<size_t>(options.num_threads), 16);
-  std::vector<std::unordered_map<std::string, FeatureStat>> shards(n_shards);
+  std::vector<FeatureStatMap> shards(n_shards);
   (void)pool.ParallelFor(n_shards, [&](size_t s) {
     for (const FeatureStatsDb& chunk : chunks) {
       for (const auto& [key, stat] : chunk.stats()) {
-        if (std::hash<std::string>{}(key) % n_shards != s) continue;
+        if (StatsKeyHash{}(key) % n_shards != s) continue;
         FeatureStat& merged = shards[s][key];
         merged.positive += stat.positive;
         merged.total += stat.total;

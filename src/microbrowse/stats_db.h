@@ -65,6 +65,20 @@ inline int StatsKeyClass(std::string_view key) {
   return 1 + spaces;  // 0 spaces = unigram, 1 = bigram, 2+ = trigram+.
 }
 
+/// String hash that also accepts string_views, so the heap layer can be
+/// probed without materialising a std::string key. Hashes exactly as
+/// std::hash<std::string> does, so map iteration order is unchanged.
+struct StatsKeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const noexcept {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+
+/// The heap layer of a FeatureStatsDb: key -> counts, with heterogeneous
+/// (string_view) lookup.
+using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash, std::equal_to<>>;
+
 /// Keyed store of feature statistics. Keys come from feature_keys.h, so
 /// term / rewrite / position statistics share one namespace-prefixed map.
 ///
@@ -108,7 +122,7 @@ class FeatureStatsDb {
   /// object's lifetime).
   const FeatureStat* Find(std::string_view key) const {
     if (!stats_.empty()) {
-      auto it = stats_.find(std::string(key));
+      auto it = stats_.find(key);
       if (it != stats_.end()) return &it->second;
     }
     if (base_total_ > 0) {
@@ -154,10 +168,10 @@ class FeatureStatsDb {
   size_t size() const { return base_total_ + stats_.size(); }
   /// The heap layer only — empty for a pack-backed database. Iterating
   /// callers should prefer ForEach, which sees both layers.
-  const std::unordered_map<std::string, FeatureStat>& stats() const { return stats_; }
+  const FeatureStatMap& stats() const { return stats_; }
   /// Mutable access for bulk splicing (unordered_map::merge) when
   /// assembling a database from disjoint shards.
-  std::unordered_map<std::string, FeatureStat>& mutable_stats() { return stats_; }
+  FeatureStatMap& mutable_stats() { return stats_; }
 
   /// Visits every (key, stat) across both layers, heap entries first, then
   /// base entries class by class in their sorted on-disk order. No
@@ -194,7 +208,7 @@ class FeatureStatsDb {
  private:
   double smoothing_ = 1.0;
   int64_t min_count_ = 0;
-  std::unordered_map<std::string, FeatureStat> stats_;
+  FeatureStatMap stats_;
   std::shared_ptr<const pack::PackReader> pack_;
   std::array<BaseClass, kNumStatsClasses> base_{};
   size_t base_total_ = 0;

@@ -236,7 +236,7 @@ Result<Request> ParseRequest(std::string_view line) {
   if (auto status = ParseRequestInto(line, &request); !status.ok()) {
     return status;
   }
-  return std::move(request);
+  return request;
 }
 
 void JsonEscapeTo(std::string_view text, std::string* out) {

@@ -7,9 +7,8 @@
 
 namespace microbrowse {
 
-std::vector<TermSpan> ExtractNGramsInWindow(const Snippet& snippet, int line, int begin, int count,
-                                            int max_n) {
-  std::vector<TermSpan> spans;
+void AppendNGramsInWindow(const Snippet& snippet, int line, int begin, int count, int max_n,
+                          std::vector<TermSpan>* out) {
   assert(line >= 0 && line < snippet.num_lines());
   const int line_size = static_cast<int>(snippet.line(line).size());
   begin = std::clamp(begin, 0, line_size);
@@ -17,9 +16,15 @@ std::vector<TermSpan> ExtractNGramsInWindow(const Snippet& snippet, int line, in
   for (int pos = begin; pos < end; ++pos) {
     const int max_len = std::min(max_n, end - pos);
     for (int len = 1; len <= max_len; ++len) {
-      spans.push_back(TermSpan{line, pos, len, snippet.SpanText(line, pos, len)});
+      out->push_back(TermSpan{line, pos, len, snippet.SpanText(line, pos, len)});
     }
   }
+}
+
+std::vector<TermSpan> ExtractNGramsInWindow(const Snippet& snippet, int line, int begin, int count,
+                                            int max_n) {
+  std::vector<TermSpan> spans;
+  AppendNGramsInWindow(snippet, line, begin, count, max_n, &spans);
   return spans;
 }
 
@@ -27,8 +32,7 @@ std::vector<TermSpan> ExtractNGrams(const Snippet& snippet, int max_n) {
   std::vector<TermSpan> spans;
   for (int line = 0; line < snippet.num_lines(); ++line) {
     const int line_size = static_cast<int>(snippet.line(line).size());
-    auto line_spans = ExtractNGramsInWindow(snippet, line, 0, line_size, max_n);
-    spans.insert(spans.end(), line_spans.begin(), line_spans.end());
+    AppendNGramsInWindow(snippet, line, 0, line_size, max_n, &spans);
   }
   return spans;
 }

@@ -23,6 +23,11 @@ std::vector<TermSpan> ExtractNGrams(const Snippet& snippet, int max_n = 3);
 std::vector<TermSpan> ExtractNGramsInWindow(const Snippet& snippet, int line, int begin, int count,
                                             int max_n = 3);
 
+/// ExtractNGramsInWindow, appending to `out` instead of returning a fresh
+/// vector — lets callers gather several windows into one buffer.
+void AppendNGramsInWindow(const Snippet& snippet, int line, int begin, int count, int max_n,
+                          std::vector<TermSpan>* out);
+
 }  // namespace microbrowse
 
 #endif  // MICROBROWSE_TEXT_NGRAM_H_

@@ -31,7 +31,11 @@ std::string Snippet::SpanText(int line, int pos, int len) const {
   assert(line >= 0 && line < num_lines());
   const auto& tokens = lines_[line];
   assert(pos >= 0 && len >= 1 && static_cast<size_t>(pos + len) <= tokens.size());
-  std::string out = tokens[pos];
+  size_t size = static_cast<size_t>(len - 1);
+  for (int i = 0; i < len; ++i) size += tokens[pos + i].size();
+  std::string out;
+  out.reserve(size);
+  out.append(tokens[pos]);
   for (int i = 1; i < len; ++i) {
     out.push_back(' ');
     out.append(tokens[pos + i]);

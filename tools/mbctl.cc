@@ -26,14 +26,10 @@
 // silently proceeding.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
-#include <limits>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -53,86 +49,11 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 
+#include "mbctl_flags.h"
+
 using namespace microbrowse;
 
 namespace {
-
-/// Command-line flag parser. Each command declares its recognised flags up
-/// front: unknown flags, missing values and non-numeric integers are hard
-/// errors rather than silently ignored or read as zero.
-class Flags {
- public:
-  /// Parses argv[2..] against the declared flags. `value_flags` always
-  /// consume the next argument (so negative numbers like "--seed -5" are
-  /// values, not flags); `bool_flags` never do.
-  static Result<Flags> Parse(int argc, char** argv,
-                             std::initializer_list<const char*> value_flags,
-                             std::initializer_list<const char*> bool_flags) {
-    const auto contains = [](std::initializer_list<const char*> list,
-                             const std::string& key) {
-      for (const char* entry : list) {
-        if (key == entry) return true;
-      }
-      return false;
-    };
-    Flags flags;
-    for (int i = 2; i < argc; ++i) {
-      const std::string key = argv[i];
-      if (!StartsWith(key, "--")) {
-        return Status::InvalidArgument("unexpected argument '" + key +
-                                       "' (flags start with --)");
-      }
-      if (contains(bool_flags, key)) {
-        flags.values_[key] = "1";
-        continue;
-      }
-      if (contains(value_flags, key)) {
-        if (i + 1 >= argc) {
-          return Status::InvalidArgument("flag " + key + " requires a value");
-        }
-        flags.values_[key] = argv[++i];
-        continue;
-      }
-      return Status::InvalidArgument("unknown flag '" + key + "'");
-    }
-    return flags;
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
-  }
-
-  /// Integer flag with full validation: "ten", "5x" and out-of-range values
-  /// are InvalidArgument, never a silent 0.
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback,
-                         int64_t min = std::numeric_limits<int64_t>::min(),
-                         int64_t max = std::numeric_limits<int64_t>::max()) const {
-    const std::string value = Get(key);
-    if (value.empty()) return fallback;
-    int64_t parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
-      return Status::InvalidArgument("flag " + key + " expects an integer, got '" + value +
-                                     "'");
-    }
-    if (parsed < min || parsed > max) {
-      return Status::InvalidArgument(
-          StrFormat("flag %s out of range: %lld (allowed [%lld, %lld])", key.c_str(),
-                    static_cast<long long>(parsed), static_cast<long long>(min),
-                    static_cast<long long>(max)));
-    }
-    return parsed;
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  Flags() = default;
-
-  std::map<std::string, std::string> values_;
-};
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
