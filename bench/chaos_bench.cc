@@ -21,11 +21,7 @@
 //
 // Environment: MB_CHAOS_SECONDS total soak budget (default 6, split
 // across the phases), MB_CHAOS_CLIENTS fleet size (default 32),
-// MB_CHAOS_SEED, MB_CHAOS_IO_MODEL serving core ("epoll" default,
-// "threads" for the legacy path — the CI chaos job soaks both),
-// MB_CHAOS_EPOLL_MODE reactor triggering ("edge" default, "level" for the
-// baseline mode — ignored by the threads core; the CI matrix soaks both),
-// MB_BENCH_OUT report path (default BENCH_chaos.json). Exits non-zero if
+// MB_CHAOS_SEED, MB_BENCH_OUT report path (default BENCH_chaos.json). Exits non-zero if
 // any invariant fails — the CI chaos job runs this under ASan.
 
 #include <atomic>
@@ -157,20 +153,6 @@ int main() {
   const int total_seconds = static_cast<int>(EnvInt("MB_CHAOS_SECONDS", 6));
   const int fleet = static_cast<int>(EnvInt("MB_CHAOS_CLIENTS", 32));
   const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_CHAOS_SEED", 2026));
-  const char* io_model_env = std::getenv("MB_CHAOS_IO_MODEL");
-  const std::string io_model_name =
-      io_model_env != nullptr && std::string(io_model_env) == "threads" ? "threads"
-                                                                        : "epoll";
-  const serve::IoModel io_model = io_model_name == "threads"
-                                      ? serve::IoModel::kLegacyThreads
-                                      : serve::IoModel::kEpoll;
-  const char* epoll_mode_env = std::getenv("MB_CHAOS_EPOLL_MODE");
-  const std::string epoll_mode_name =
-      epoll_mode_env != nullptr && std::string(epoll_mode_env) == "level" ? "level"
-                                                                          : "edge";
-  const serve::EpollMode epoll_mode = epoll_mode_name == "level"
-                                          ? serve::EpollMode::kLevel
-                                          : serve::EpollMode::kEdge;
   const int phase_ms = total_seconds * 1000 / 2;
   constexpr int kIdleProbes = 4;
   // Tight is chosen below the typical queue wait (a full 8-deep queue at
@@ -228,13 +210,9 @@ int main() {
   });
 
   // ---------------------------------------------------------------- Phase A
-  std::printf(
-      "chaos_bench phase A (accounting): %d clients + %d idle probes, %d ms, "
-      "%s core (%s-triggered)\n",
-      fleet, kIdleProbes, phase_ms, io_model_name.c_str(), epoll_mode_name.c_str());
+  std::printf("chaos_bench phase A (accounting): %d clients + %d idle probes, %d ms\n",
+              fleet, kIdleProbes, phase_ms);
   serve::ServerOptions options_a;
-  options_a.io_model = io_model;
-  options_a.epoll_mode = epoll_mode;
   options_a.port = 0;
   options_a.num_threads = 4;
   options_a.max_queue = 8;  // Small on purpose: overload must actually happen.
@@ -364,8 +342,6 @@ int main() {
               "drain+restart at midpoint\n",
               chaos_fleet, phase_ms);
   serve::ServerOptions options_b;
-  options_b.io_model = io_model;
-  options_b.epoll_mode = epoll_mode;
   options_b.port = 0;
   options_b.num_threads = 4;
   options_b.max_queue = 64;
@@ -472,8 +448,6 @@ int main() {
       env_out != nullptr && *env_out != '\0' ? env_out : "BENCH_chaos.json";
   std::ofstream out(out_path);
   out << "{\n"
-      << "  \"io_model\": \"" << io_model_name << "\",\n"
-      << "  \"epoll_mode\": \"" << epoll_mode_name << "\",\n"
       << "  \"phase_a\": {\"sent\": " << phase_a.sent << ", \"ok\": " << phase_a.ok
       << ", \"deadline_exceeded\": " << phase_a.deadline_exceeded
       << ", \"overloaded\": " << phase_a.overloaded

@@ -30,11 +30,19 @@ class Deadline {
 
   /// Expires `ms` milliseconds from now. Non-positive budgets are already
   /// expired (a request that arrives with a spent budget must be refused,
-  /// not given a free pass through an "infinite" sentinel).
+  /// not given a free pass through an "infinite" sentinel). A budget past
+  /// the end of the clock's range cannot expire, so it saturates to
+  /// Infinite() instead of overflowing into the past.
   static Deadline AfterMillis(int64_t ms) {
+    using std::chrono::milliseconds;
+    const Clock::time_point now = Clock::now();
+    if (ms >= std::chrono::duration_cast<milliseconds>(Clock::time_point::max() - now)
+                  .count()) {
+      return Infinite();
+    }
     Deadline deadline;
     deadline.infinite_ = false;
-    deadline.at_ = Clock::now() + std::chrono::milliseconds(ms);
+    deadline.at_ = now + milliseconds(std::max<int64_t>(ms, 0));
     return deadline;
   }
 

@@ -69,20 +69,6 @@ Result<uint16_t> LocalPort(const Socket& socket) {
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
-Result<Socket> TcpAccept(const Socket& listener) {
-  for (;;) {
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      SetNoDelay(fd);
-      return Socket(fd);
-    }
-    // ECONNABORTED: the peer reset between the handshake and our accept —
-    // a fact about that one connection, not the listener; take the next.
-    if (errno == EINTR || errno == ECONNABORTED) continue;
-    return Errno("accept");
-  }
-}
-
 Result<Socket> TcpConnect(const std::string& host, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -248,7 +234,6 @@ Result<bool> LineReader::ReadLine(std::string* line) {
     const ssize_t n = ::recv(socket_.fd(), chunk, sizeof(chunk), 0);
     if (n > 0) {
       buffer_.append(chunk, static_cast<size_t>(n));
-      total_bytes_read_ += static_cast<uint64_t>(n);
       continue;
     }
     if (n == 0) {

@@ -60,11 +60,6 @@ Result<Socket> TcpListen(uint16_t port, int backlog = 64);
 /// discover a port-0 assignment.
 Result<uint16_t> LocalPort(const Socket& socket);
 
-/// Blocking accept; returns the connection socket. TCP_NODELAY is set (the
-/// protocol is small request/response lines, where Nagle only adds
-/// latency).
-Result<Socket> TcpAccept(const Socket& listener);
-
 /// Connects to `host:port` (IPv4 literal or "localhost"). TCP_NODELAY set.
 Result<Socket> TcpConnect(const std::string& host, uint16_t port);
 
@@ -88,8 +83,7 @@ Status SendAllTimed(const Socket& socket, std::string_view data, int64_t timeout
 Result<size_t> SendSome(const Socket& socket, std::string_view data);
 
 /// Switches O_NONBLOCK on or off. The epoll reactor runs every connection
-/// (and its listener) non-blocking; the thread-per-connection path keeps
-/// blocking sockets.
+/// (and its listener) non-blocking.
 Status SetNonBlocking(const Socket& socket, bool non_blocking);
 
 /// accept(2) that treats an empty backlog as a normal outcome: returns an
@@ -137,17 +131,11 @@ class LineReader {
   /// still usable and the call can simply be repeated.
   Result<bool> ReadLine(std::string* line);
 
-  /// Total bytes ever received from the socket. An idle reaper compares
-  /// this across timeouts: a trickling client (bytes moved, no complete
-  /// line yet) is slow, not idle.
-  uint64_t total_bytes_read() const { return total_bytes_read_; }
-
  private:
   const Socket& socket_;
   size_t max_line_bytes_;
   std::string buffer_;
   size_t start_ = 0;
-  uint64_t total_bytes_read_ = 0;
 };
 
 }  // namespace microbrowse

@@ -1,13 +1,12 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// The connection contract between the server's request queue / worker pool
-// and whichever I/O core owns the transport. Both serving cores — the
-// epoll reactor (serve/reactor.h) and the legacy thread-per-connection
-// path (serve/server.cc) — hand the workers a Conn; the workers neither
-// know nor care whether a Write lands in a reactor outbox flushed on
-// EPOLLOUT or a bounded blocking send on a dedicated reader's socket.
+// The connection contract between the scoring workers and the transport
+// that owns the socket. The epoll reactor (serve/reactor.h) hands the
+// workers a Conn, so the scheduler (serve/scoring_pool.h) and the request
+// path depend only on this interface, not on the reactor: a Write lands
+// in a reactor outbox that is flushed on EPOLLOUT.
 //
-// Lifetime: connections are shared_ptr-owned. The I/O core drops its
+// Lifetime: connections are shared_ptr-owned. The reactor drops its
 // reference when the peer disconnects or is evicted; queued requests keep
 // theirs until answered, so a worker can always Write (the write is
 // silently dropped once `alive` is false — the response's requests were
@@ -41,9 +40,8 @@ class Conn {
   virtual ~Conn() = default;
 
   /// Queues or sends one protocol response line; the '\n' terminator is
-  /// appended by the transport. Never blocks unboundedly: the reactor
-  /// enqueues and flushes on write-readiness, the legacy path sends under
-  /// a wall-clock bound and evicts on expiry. Dropped once !alive.
+  /// appended by the transport. Never blocks: the reactor enqueues and
+  /// flushes on write-readiness. Dropped once !alive.
   virtual void Write(std::string_view response_line) = 0;
 
   /// Queues or sends raw bytes verbatim (the plain-HTTP fast path, where
@@ -64,8 +62,8 @@ class Conn {
   std::atomic<int64_t> inflight{0};
 
   /// Stamps the next response slot. Called only on the intake thread (the
-  /// reactor thread or the legacy per-connection reader), once per line
-  /// that will produce a response, in read order.
+  /// reactor thread), once per line that will produce a response, in read
+  /// order.
   uint64_t AssignSeq() { return next_seq_assign_.fetch_add(1, std::memory_order_acq_rel); }
 
   /// Delivers the response for slot `seq`: written through immediately when
@@ -141,9 +139,9 @@ class Conn {
   static constexpr size_t kMaxSparePayloadBytes = 64 * 1024;
 
   std::atomic<uint64_t> next_seq_assign_{0};
-  /// seq_mu_ guards next_flush_/held_/spare_payloads_ and orders before any
-  /// transport lock (ReactorConn::out_mu_, LegacyConn::write_mu) — never
-  /// acquire seq_mu_ while holding those.
+  /// seq_mu_ guards next_flush_/held_/spare_payloads_ and orders before the
+  /// transport lock (ReactorConn::out_mu_) — never acquire seq_mu_ while
+  /// holding it.
   std::mutex seq_mu_;
   uint64_t next_flush_ = 0;
   std::vector<HeldResponse> held_;

@@ -107,8 +107,7 @@ class ServerMetrics {
   /// may be dropped on such a connection — eviction is connection-scoped,
   /// so this counter sits outside the request accounting invariant.
   Counter* write_timeout;
-  /// Batch-size distribution of the worker drain loop (both the FIFO
-  /// baseline and the work-stealing pool record here).
+  /// Batch-size distribution of the scoring pool's worker drain loop.
   ShardedHistogram* batch_size;
   /// Tasks migrated between workers by the work-stealing scheduler
   /// (steal-half events count every task moved).

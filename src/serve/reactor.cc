@@ -22,6 +22,18 @@ namespace serve {
 
 namespace {
 
+/// recv(2) chunk size per read.
+constexpr size_t kReadChunkBytes = 16 * 1024;
+
+/// The starvation bound: recv calls one connection may consume per wakeup
+/// before being re-queued behind the other ready connections.
+constexpr int kMaxReadsPerEvent = 8;
+
+/// Interest set of an idle connection. Edge-triggered, so a readiness event
+/// must be drained until EAGAIN (the kernel will not re-notify), in return
+/// for fewer epoll_wait wakeups per request at saturation.
+constexpr uint32_t kReadEvents = EPOLLIN | EPOLLET;
+
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
 }
@@ -138,8 +150,8 @@ void Reactor::Run() {
       listener_registered_ = false;
     }
 
-    // Connections still owed an edge-mode read pass must not wait for the
-    // next kernel event (none may come — the edge already fired): poll
+    // Connections still owed a read pass must not wait for the next
+    // kernel event (none may come — the edge already fired): poll
     // without blocking until the backlog clears.
     const int64_t wait_ms =
         pending_reads_.empty()
@@ -178,9 +190,9 @@ void Reactor::Run() {
 
     DrainWakeups();
 
-    // Service the edge-mode read backlog: one more budgeted pass per
-    // connection per loop iteration, interleaved with fresh events so a
-    // drain-until-EAGAIN on one firehose cannot starve the others.
+    // Service the read backlog: one more budgeted pass per connection per
+    // loop iteration, interleaved with fresh events so a drain-until-EAGAIN
+    // on one firehose cannot starve the others.
     if (!pending_reads_.empty()) {
       std::vector<std::shared_ptr<ReactorConn>> again;
       again.swap(pending_reads_);
@@ -268,8 +280,7 @@ void Reactor::HandleAccept() {
     }
 
     epoll_event ev{};
-    ev.events = EPOLLIN;
-    if (options_.edge_triggered) ev.events |= EPOLLET;
+    ev.events = kReadEvents;
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) continue;  // Dtor closes.
     conns_.emplace(fd, std::move(conn));
@@ -280,18 +291,14 @@ void Reactor::HandleAccept() {
 void Reactor::HandleReadable(const std::shared_ptr<ReactorConn>& conn) {
   if (conn->closed_) return;
 
-  // Level mode takes one chunk and relies on epoll re-notification; edge
-  // mode must drain until EAGAIN (the kernel will not re-arm) but stops
-  // after max_reads_per_event recvs so one firehose connection cannot
-  // starve the rest of the set — a budget-exhausted connection is
-  // re-queued via pending_reads_.
-  const int max_reads =
-      options_.edge_triggered ? std::max(1, options_.max_reads_per_event) : 1;
+  // Drain until EAGAIN (the edge will not re-arm), but stop after
+  // kMaxReadsPerEvent recvs so one firehose connection cannot starve the
+  // rest of the set — a budget-exhausted connection is re-queued via
+  // pending_reads_.
   bool maybe_more = false;
-  for (int read_count = 0; read_count < max_reads; ++read_count) {
-    char* tail = conn->in_.ReserveTail(options_.read_chunk_bytes);
-    const ssize_t n =
-        ::recv(conn->socket_.fd(), tail, options_.read_chunk_bytes, 0);
+  for (int read_count = 0; read_count < kMaxReadsPerEvent; ++read_count) {
+    char* tail = conn->in_.ReserveTail(kReadChunkBytes);
+    const ssize_t n = ::recv(conn->socket_.fd(), tail, kReadChunkBytes, 0);
     if (n == 0) {
       CloseConn(conn, conn->in_.pending_bytes() > 0 ? CloseReason::kError
                                                     : CloseReason::kEof);
@@ -312,7 +319,7 @@ void Reactor::HandleReadable(const std::shared_ptr<ReactorConn>& conn) {
     }
     // The budget may expire with bytes still buffered in the kernel; only
     // a short read proves the socket drained at this instant.
-    maybe_more = static_cast<size_t>(n) == options_.read_chunk_bytes;
+    maybe_more = static_cast<size_t>(n) == kReadChunkBytes;
 
     // Dispatch every complete line this chunk finished: pipelined requests
     // already buffered dispatch without further syscalls.
@@ -329,8 +336,7 @@ void Reactor::HandleReadable(const std::shared_ptr<ReactorConn>& conn) {
     }
     if (!maybe_more) break;
   }
-  if (options_.edge_triggered && maybe_more && !conn->closed_ &&
-      !conn->read_pending_) {
+  if (maybe_more && !conn->closed_ && !conn->read_pending_) {
     conn->read_pending_ = true;
     pending_reads_.push_back(conn);
   }
@@ -368,8 +374,6 @@ void Reactor::UpdateWriteInterest(const std::shared_ptr<ReactorConn>& conn) {
     CloseConn(conn, CloseReason::kHandler);
     return;
   }
-  const uint32_t base_events =
-      options_.edge_triggered ? (EPOLLIN | EPOLLET) : EPOLLIN;
   if (pending == 0) {
     // close_after_flush waits for SeqDrained too: an empty outbox with a
     // response still parked in the sequencer (an HTTP close racing owed
@@ -381,14 +385,14 @@ void Reactor::UpdateWriteInterest(const std::shared_ptr<ReactorConn>& conn) {
     }
     if (conn->want_write_) {
       epoll_event ev{};
-      ev.events = base_events;
+      ev.events = kReadEvents;
       ev.data.fd = conn->socket_.fd();
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->socket_.fd(), &ev);
       conn->want_write_ = false;
     }
   } else if (!conn->want_write_) {
     epoll_event ev{};
-    ev.events = base_events | EPOLLOUT;
+    ev.events = kReadEvents | EPOLLOUT;
     ev.data.fd = conn->socket_.fd();
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->socket_.fd(), &ev);
     conn->want_write_ = true;
@@ -441,9 +445,9 @@ void Reactor::HandleTick() {
       }
     }
 
-    // Idle eviction mirrors the legacy reaper: byte movement (not complete
-    // requests) resets the clock, and a connection still owed a response
-    // (inflight > 0 or unflushed output) is busy, not idle.
+    // Idle eviction: byte movement (not complete requests) resets the
+    // clock, and a connection still owed a response (inflight > 0 or
+    // unflushed output) is busy, not idle.
     if (options_.idle_timeout_ms > 0) {
       if (bytes != conn->idle_bytes_mark_) {
         conn->idle_bytes_mark_ = bytes;

@@ -1,19 +1,18 @@
 // Copyright 2026 The Microbrowse Authors
 //
 // The epoll serving core: one reactor thread multiplexes every connection
-// (and the listener) through an epoll set — edge-triggered by default
-// (ReactorOptions.edge_triggered), with level-triggered kept as the
-// baseline — so connection count costs file descriptors and buffer
-// bytes, not threads. In edge mode each readable connection is drained
-// until EAGAIN, bounded by max_reads_per_event recv calls per wakeup; a
-// connection that exhausts its budget with bytes still unread is
-// re-queued and serviced on the next loop pass, so one firehose client
-// cannot starve the rest of the set. The reactor
-// owns all socket I/O — accepting, reading into pooled per-connection
-// buffers (serve/conn_buffer.h), framing request lines, and flushing
-// response outboxes on EPOLLOUT write-readiness. Protocol policy (what a
-// line *means*, admission control, drain refusals) lives in the handler —
-// the Server implements it — so the reactor stays pure transport.
+// (and the listener) through an epoll set, so connection count costs file
+// descriptors and buffer bytes, not threads. Connection sockets are
+// edge-triggered: each readable connection is drained until EAGAIN,
+// bounded by a fixed number of recv calls per wakeup; a connection that
+// exhausts its budget with bytes still unread is re-queued and serviced
+// on the next loop pass, so one firehose client cannot starve the rest of
+// the set. The reactor owns all socket I/O — accepting, reading into
+// pooled per-connection buffers (serve/conn_buffer.h), framing request
+// lines, and flushing response outboxes on EPOLLOUT write-readiness.
+// Protocol policy (what a line *means*, admission control, drain refusals)
+// lives in the handler — the Server implements it — so the reactor stays
+// pure transport.
 //
 // Threading model:
 //   - The reactor thread runs epoll_wait, accepts, reads, frames lines
@@ -94,16 +93,6 @@ struct ReactorOptions {
   /// SO_SNDBUF applied to accepted sockets; 0 keeps the kernel default
   /// (test hook — see ServerOptions.sndbuf_bytes).
   int sndbuf_bytes = 0;
-  /// recv(2) chunk size per read event.
-  size_t read_chunk_bytes = 16 * 1024;
-  /// Edge-triggered epoll (EPOLLET) on connection sockets: each readiness
-  /// event drains the socket until EAGAIN instead of taking one chunk and
-  /// relying on re-notification. Fewer epoll_wait wakeups per request at
-  /// saturation; level-triggered remains the parity baseline.
-  bool edge_triggered = false;
-  /// Edge mode's starvation bound: recv calls one connection may consume
-  /// per wakeup before being re-queued behind the other ready connections.
-  int max_reads_per_event = 8;
 };
 
 /// One reactor-owned connection. Workers interact through the Conn
@@ -165,7 +154,7 @@ class ReactorConn : public Conn, public std::enable_shared_from_this<ReactorConn
   bool closed_ = false;           ///< Left the reactor; skip stale events/wakeups.
   bool want_write_ = false;       ///< EPOLLOUT currently armed.
   bool close_after_flush_ = false;
-  bool read_pending_ = false;     ///< Queued for another edge-mode read pass.
+  bool read_pending_ = false;     ///< Queued for another read pass.
   Deadline idle_ = Deadline::Infinite();
   uint64_t idle_bytes_mark_ = 0;
   uint64_t quiet_bytes_mark_ = 0;
@@ -188,7 +177,7 @@ class ReactorHandler {
 
   /// Tick on which `conn` received no new bytes — the HTTP slow-header
   /// backstop (a GET whose headers never finish is answered after the
-  /// first quiet tick, matching the legacy path).
+  /// first quiet tick).
   virtual void OnQuietTick(const std::shared_ptr<ReactorConn>& conn) = 0;
 };
 
@@ -258,7 +247,7 @@ class Reactor {
   /// Connections closed during the current epoll batch; their fds close
   /// when the batch ends (see file comment on fd reuse).
   std::vector<std::shared_ptr<ReactorConn>> deferred_close_;
-  /// Edge mode: connections that exhausted max_reads_per_event with bytes
+  /// Connections that exhausted their per-wakeup read budget with bytes
   /// (possibly) still unread — serviced again on the next loop pass, which
   /// polls with a zero timeout while this is non-empty.
   std::vector<std::shared_ptr<ReactorConn>> pending_reads_;

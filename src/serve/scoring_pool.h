@@ -4,17 +4,15 @@
 // bounded deque of pending requests; Submit routes round-robin to spread
 // intake, workers drain their own deque from the front in batches, and an
 // idle worker steals the older half of a randomly-ordered victim's deque
-// before sleeping. Compared to the single-mutex FIFO queue this replaces,
-// a saturated server contends on a per-worker mutex instead of one global
-// one, and the common case (worker pops its own deque) never touches
-// another worker's lock.
+// before sleeping. A saturated server contends on a per-worker mutex
+// instead of one global one, and the common case (worker pops its own
+// deque) never touches another worker's lock.
 //
 // Scheduling policy lives here; request policy does not: the server's
-// batch handler still performs the deadline check, scoring, response
-// sequencing and drain accounting, so admission/refusal semantics are
-// identical between schedulers. Stop() drains every queued task through
-// the handler (mirroring ThreadPool::Wait), which is what keeps the chaos
-// soak's exact request accounting invariant true under work stealing.
+// batch handler performs the deadline check, scoring, response sequencing
+// and drain accounting. Stop() drains every queued task through the
+// handler, which is what keeps the chaos soak's exact request accounting
+// invariant true.
 
 #ifndef MICROBROWSE_SERVE_SCORING_POOL_H_
 #define MICROBROWSE_SERVE_SCORING_POOL_H_
@@ -52,8 +50,8 @@ class ScoringPool {
  public:
   struct Options {
     int num_workers = 4;
-    /// Total queued tasks across all deques; Submit refuses beyond it (the
-    /// same admission bound as the FIFO queue's max_queue).
+    /// Total queued tasks across all deques; Submit refuses beyond it
+    /// (ServerOptions.max_queue).
     size_t max_queue = 1024;
     /// Upper bound on tasks a worker takes per drain.
     size_t max_batch = 32;

@@ -16,11 +16,10 @@ namespace serve {
 namespace {
 
 /// Tick cadence for the quiet-connection scans: the reactor's epoll_wait
-/// bound, and the receive timeout armed on every legacy socket. The tick
-/// bounds how long a silent peer goes unexamined, which is what makes
-/// both the idle reaper and Stop() prompt; it must divide the idle
-/// timeout a few times over so eviction lands near the configured bound
-/// rather than up to a tick late.
+/// bound. The tick bounds how long a silent peer goes unexamined, which is
+/// what makes both the idle reaper and Stop() prompt; it must divide the
+/// idle timeout a few times over so eviction lands near the configured
+/// bound rather than up to a tick late.
 int64_t ReadTickMs(int64_t idle_timeout_ms) {
   if (idle_timeout_ms <= 0) return 1000;
   return std::clamp<int64_t>(idle_timeout_ms / 4, 10, 1000);
@@ -69,39 +68,28 @@ Result<uint16_t> Server::Start() {
   health_.retry_after_ms.store(options_.drain_retry_after_ms,
                                std::memory_order_relaxed);
   service_->AttachHealth(&health_);
-  if (options_.scheduler == Scheduler::kWorkStealing) {
-    ScoringPool::Options pool_options;
-    pool_options.num_workers = options_.num_threads;
-    pool_options.max_queue = options_.max_queue;
-    pool_options.max_batch = options_.max_batch;
-    pool_options.batch_size = service_->metrics().batch_size;
-    pool_options.steal_count = service_->metrics().steal_count;
-    steal_pool_ = std::make_unique<ScoringPool>(
-        pool_options,
-        [this](std::vector<ScoringTask>& batch) { ProcessBatch(batch); });
-  } else {
-    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(options_.num_threads));
+  ScoringPool::Options pool_options;
+  pool_options.num_workers = options_.num_threads;
+  pool_options.max_queue = options_.max_queue;
+  pool_options.max_batch = options_.max_batch;
+  pool_options.batch_size = service_->metrics().batch_size;
+  pool_options.steal_count = service_->metrics().steal_count;
+  pool_ = std::make_unique<ScoringPool>(
+      pool_options, [this](std::vector<ScoringTask>& batch) { ProcessBatch(batch); });
+  ReactorOptions reactor_options;
+  reactor_options.tick_ms = ReadTickMs(options_.idle_timeout_ms);
+  reactor_options.max_line_bytes = options_.max_line_bytes;
+  reactor_options.max_outbox_bytes = options_.max_outbox_bytes;
+  reactor_options.write_timeout_ms = options_.write_timeout_ms;
+  reactor_options.idle_timeout_ms = options_.idle_timeout_ms;
+  reactor_options.sndbuf_bytes = options_.sndbuf_bytes;
+  reactor_ = std::make_unique<Reactor>(static_cast<ReactorHandler*>(this), reactor_options);
+  const Status init = reactor_->Init(listener_.fd());
+  if (!init.ok()) {
+    reactor_.reset();
+    return init;
   }
-  if (options_.io_model == IoModel::kEpoll) {
-    ReactorOptions reactor_options;
-    reactor_options.tick_ms = ReadTickMs(options_.idle_timeout_ms);
-    reactor_options.max_line_bytes = options_.max_line_bytes;
-    reactor_options.max_outbox_bytes = options_.max_outbox_bytes;
-    reactor_options.write_timeout_ms = options_.write_timeout_ms;
-    reactor_options.idle_timeout_ms = options_.idle_timeout_ms;
-    reactor_options.sndbuf_bytes = options_.sndbuf_bytes;
-    reactor_options.edge_triggered = options_.epoll_mode == EpollMode::kEdge;
-    reactor_ = std::make_unique<Reactor>(static_cast<ReactorHandler*>(this),
-                                         reactor_options);
-    const Status init = reactor_->Init(listener_.fd());
-    if (!init.ok()) {
-      reactor_.reset();
-      return init;
-    }
-    reactor_thread_ = std::thread([this] { reactor_->Run(); });
-  } else {
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-  }
+  reactor_thread_ = std::thread([this] { reactor_->Run(); });
   started_ = true;
   return port_;
 }
@@ -118,9 +106,8 @@ Status Server::Drain() {
   health_.draining.store(true, std::memory_order_release);
   // Refuse new connections. The reactor stops polling the listener; the
   // shutdown additionally makes in-progress connects fail at the TCP
-  // level (and, on the legacy path, wakes the blocking accept). Only shut
-  // the listener down — the fd stays open until Stop() has joined the
-  // serving threads.
+  // level. Only shut the listener down — the fd stays open until Stop()
+  // has joined the reactor thread.
   if (reactor_ != nullptr) reactor_->StopAccepting();
   listener_.Shutdown();
   MB_LOG(kInfo) << "drain started: waiting for "
@@ -132,10 +119,9 @@ Status Server::Drain() {
                                 : Deadline::Infinite();
   bool drained = false;
   for (;;) {
-    // A drained server has *delivered* its in-flight answers: on the
-    // reactor path a finished request may still sit in a connection
-    // outbox, so wait for those bytes to flush too (the legacy path
-    // delivers synchronously and always reports zero pending).
+    // A drained server has *delivered* its in-flight answers: a finished
+    // request may still sit in a connection outbox, so wait for those
+    // bytes to flush too.
     if (inflight_total_.load(std::memory_order_acquire) == 0 &&
         (reactor_ == nullptr || reactor_->pending_out_bytes() == 0)) {
       drained = true;
@@ -163,47 +149,21 @@ void Server::Stop() {
   if (!started_ || state_.exchange(kStopped, std::memory_order_acq_rel) == kStopped) {
     return;
   }
-  // Shutdown wakes an accept(2) blocked on the listener; the fd itself must
-  // stay open until the serving threads have joined, or the loop could race
-  // the close (and, with fd reuse, accept on an unrelated descriptor).
+  // The listener fd must stay open until the reactor thread has joined,
+  // or the loop could race the close (and, with fd reuse, poll an
+  // unrelated descriptor); the shutdown alone refuses connects meanwhile.
+  // Run() closes every connection before it returns.
   listener_.Shutdown();
   if (reactor_ != nullptr) {
     reactor_->Stop();
     if (reactor_thread_.joinable()) reactor_thread_.join();
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
 
-  // Legacy path: wake every reader blocked in recv, then join them. Taking
-  // ownership of connections_ here means a reader exiting concurrently
-  // finds itself already removed and leaves its thread handle for us to
-  // join via the LegacyConn we hold. (The reactor path keeps both lists
-  // empty; its connections were closed when Run() returned.)
-  std::vector<std::shared_ptr<LegacyConn>> connections;
-  std::vector<std::thread> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections.swap(connections_);
-    finished.swap(finished_readers_);
-  }
-  for (const auto& connection : connections) {
-    connection->alive.store(false, std::memory_order_relaxed);
-    connection->socket.Shutdown();
-  }
-  for (const auto& connection : connections) {
-    if (connection->reader.joinable()) connection->reader.join();
-  }
-  for (std::thread& reader : finished) {
-    if (reader.joinable()) reader.join();
-  }
-  // Drain the scheduler: queued work still runs (its writes drop or fail
-  // fast on the dead connections), then the workers exit.
-  if (steal_pool_ != nullptr) {
-    steal_pool_->Stop();
-    steal_pool_.reset();
-  }
+  // Drain the scheduler: queued work still runs (its writes drop on the
+  // dead connections), then the workers exit.
   if (pool_ != nullptr) {
-    pool_->Wait();
+    pool_->Stop();
     pool_.reset();
   }
   // The workers are gone, so no Conn can reach into the reactor any more;
@@ -212,18 +172,11 @@ void Server::Stop() {
 }
 
 size_t Server::active_connections() {
-  if (reactor_ != nullptr) return reactor_->active_connections();
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  return connections_.size();
-}
-
-size_t Server::finished_reader_handles() {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  return finished_readers_.size();
+  return reactor_ != nullptr ? reactor_->active_connections() : 0;
 }
 
 // ---------------------------------------------------------------------------
-// Request path shared by both serving cores
+// Request path
 // ---------------------------------------------------------------------------
 
 Deadline Server::RequestDeadline(std::string_view line) const {
@@ -281,38 +234,16 @@ void Server::HandleRequestLine(const std::shared_ptr<Conn>& connection,
   }
 
   const Deadline request_deadline = RequestDeadline(line);
-  bool admitted = false;
-  if (steal_pool_ != nullptr) {
-    // Work-stealing path: account the request in flight before Submit so
-    // a worker that claims it instantly still decrements a non-zero
-    // count; undone below when admission refuses it.
-    connection->inflight.fetch_add(1, std::memory_order_acq_rel);
-    inflight_total_.fetch_add(1, std::memory_order_acq_rel);
-    admitted = steal_pool_->Submit(connection, line, request_deadline, seq);
-    if (!admitted) {
-      connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      inflight_total_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  } else {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_.size() < options_.max_queue &&
-        state_.load(std::memory_order_relaxed) == kServing) {
-      // The only copy a served request ever takes: framing handed the
-      // line as a view into the connection's input buffer, and it must
-      // outlive the buffer once queued.
-      queue_.push_back(
-          PendingRequest{connection, std::string(line), request_deadline, seq});
-      connection->inflight.fetch_add(1, std::memory_order_acq_rel);
-      inflight_total_.fetch_add(1, std::memory_order_acq_rel);
-      admitted = true;
-    }
-  }
-  if (admitted) {
-    if (pool_ != nullptr) pool_->Submit([this] { DrainBatch(); });
-    return;
-  }
+  // Account the request in flight before Submit so a worker that claims
+  // it instantly still decrements a non-zero count; undone below when
+  // admission refuses it.
+  connection->inflight.fetch_add(1, std::memory_order_acq_rel);
+  inflight_total_.fetch_add(1, std::memory_order_acq_rel);
+  if (pool_->Submit(connection, line, request_deadline, seq)) return;
+  connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  inflight_total_.fetch_sub(1, std::memory_order_acq_rel);
   if (state_.load(std::memory_order_acquire) == kDraining) {
-    // The drain flipped between the line read and the queue lock.
+    // The drain began after the state check above.
     HandleLineDuringDrain(*connection, line, seq);
     return;
   }
@@ -355,47 +286,14 @@ void Server::WriteRefusal(Conn& connection, std::string_view line,
   connection.WriteSeq(seq, rendered);
 }
 
-void Server::DrainBatch() {
-  std::vector<PendingRequest> batch;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    const size_t take = std::min(options_.max_batch, queue_.size());
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-  }
-  // An earlier drain task may have taken this task's request already — one
-  // task is submitted per enqueue, and each drains up to max_batch.
-  if (batch.empty()) return;
-  service_->metrics().batch_size->Record(static_cast<double>(batch.size()));
-  for (PendingRequest& pending : batch) {
+void Server::ProcessBatch(std::vector<ScoringTask>& batch) {
+  // The pool records batch_size itself.
+  thread_local std::string response;
+  for (ScoringTask& task : batch) {
     // Deadline check sits immediately before scoring: a request whose
     // budget died in the queue is answered without burning a context on
     // it. The deadline covers queue wait, not scoring — a request that
     // starts in time finishes and is delivered.
-    if (pending.deadline.expired()) {
-      service_->metrics().deadline_exceeded->Increment(1);
-      WriteRefusal(*pending.connection, pending.line, "deadline_exceeded", -1,
-                   pending.seq);
-    } else {
-      thread_local std::string response;
-      service_->HandleLineTo(pending.line, &response);
-      pending.connection->WriteSeq(pending.seq, response);
-    }
-    // Deliver before the decrements: when inflight_total_ reaches zero
-    // during a drain, every admitted response has already been handed to
-    // its transport.
-    pending.connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    inflight_total_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void Server::ProcessBatch(std::vector<ScoringTask>& batch) {
-  // The work-stealing scheduler records batch_size itself; everything else
-  // mirrors DrainBatch so the two schedulers answer identically.
-  thread_local std::string response;
-  for (ScoringTask& task : batch) {
     if (task.deadline.expired()) {
       service_->metrics().deadline_exceeded->Increment(1);
       WriteRefusal(*task.connection, task.line, "deadline_exceeded", -1, task.seq);
@@ -403,6 +301,9 @@ void Server::ProcessBatch(std::vector<ScoringTask>& batch) {
       service_->HandleLineTo(task.line, &response);
       task.connection->WriteSeq(task.seq, response);
     }
+    // Deliver before the decrements: when inflight_total_ reaches zero
+    // during a drain, every admitted response has already been handed to
+    // its transport.
     task.connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
     inflight_total_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -455,7 +356,7 @@ std::string Server::BuildHttpResponse(std::string_view request_line) {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor core (ReactorHandler)
+// Reactor callbacks (ReactorHandler)
 // ---------------------------------------------------------------------------
 
 void Server::OnLine(const std::shared_ptr<ReactorConn>& conn, std::string_view line) {
@@ -490,8 +391,7 @@ void Server::FinishHttp(const std::shared_ptr<ReactorConn>& conn) {
 void Server::OnQuietTick(const std::shared_ptr<ReactorConn>& conn) {
   if (conn->http_pending) {
     // Slow-loris backstop: a GET whose headers never finish is answered
-    // after the first quiet tick, matching the legacy receive-timeout
-    // behaviour.
+    // after the first quiet tick.
     FinishHttp(conn);
   }
 }
@@ -508,186 +408,6 @@ void Server::OnClose(const std::shared_ptr<ReactorConn>& conn, CloseReason reaso
     default:
       break;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy thread-per-connection core
-// ---------------------------------------------------------------------------
-
-void Server::LegacyConn::Write(std::string_view response_line) {
-  std::string framed;
-  framed.reserve(response_line.size() + 1);
-  framed.append(response_line);
-  framed.push_back('\n');
-  SendBounded(framed);
-}
-
-void Server::LegacyConn::WriteRaw(std::string_view bytes) { SendBounded(bytes); }
-
-void Server::LegacyConn::SendBounded(std::string_view framed) {
-  if (!alive.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(write_mu);
-  const Status status =
-      SendAllTimed(socket, framed, server->options_.write_timeout_ms);
-  if (status.ok()) return;
-  if (status.code() == StatusCode::kDeadlineExceeded) {
-    // The peer stopped reading: an unbounded send here would pin the
-    // calling worker inside write_mu (and every other worker with a
-    // response for this connection behind it) indefinitely. Evict.
-    server->service_->metrics().write_timeout->Increment(1);
-  }
-  alive.store(false, std::memory_order_relaxed);
-  socket.Shutdown();
-}
-
-void Server::LegacyConn::Kill() {
-  alive.store(false, std::memory_order_relaxed);
-  socket.Shutdown();
-}
-
-void Server::AcceptLoop() {
-  while (state_.load(std::memory_order_acquire) == kServing) {
-    ReapFinishedReaders();
-    auto accepted = TcpAccept(listener_);
-    if (!accepted.ok()) {
-      if (state_.load(std::memory_order_acquire) != kServing) break;
-      // accept() errors are transient from the listener's point of view —
-      // a peer that reset before the handshake finished (ECONNABORTED) or
-      // fd exhaustion (EMFILE/ENFILE, which clears as connections close).
-      // Killing the loop would leave a zombie server that never answers
-      // again; log, back off briefly and keep accepting. Only Drain/Stop
-      // (via the state machine) end the loop.
-      MB_LOG(kWarning) << "accept failed (retrying): "
-                       << accepted.status().ToString();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    auto connection = std::make_shared<LegacyConn>(this);
-    connection->socket = std::move(*accepted);
-    if (options_.sndbuf_bytes > 0) {
-      (void)SetSendBufferBytes(connection->socket, options_.sndbuf_bytes);
-    }
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    if (state_.load(std::memory_order_acquire) != kServing) {
-      connection->socket.Shutdown();
-      break;
-    }
-    connections_.push_back(connection);
-    connection->reader = std::thread([this, connection] { ReadLoop(connection); });
-  }
-}
-
-void Server::ReapFinishedReaders() {
-  std::vector<std::thread> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    finished.swap(finished_readers_);
-  }
-  for (std::thread& reader : finished) {
-    if (reader.joinable()) reader.join();
-  }
-}
-
-void Server::ReadLoop(std::shared_ptr<LegacyConn> connection) {
-  const int64_t idle_timeout_ms = options_.idle_timeout_ms;
-  const int64_t tick_ms = ReadTickMs(idle_timeout_ms);
-  // The receive timeout turns a reader parked in recv(2) into a polling
-  // loop at tick granularity: each timeout surfaces as kDeadlineExceeded,
-  // where we check for shutdown and idleness, then resume. Without it a
-  // silent peer would pin this thread in recv until the process exited.
-  (void)SetRecvTimeoutMs(connection->socket, tick_ms);
-  LineReader reader(connection->socket, options_.max_line_bytes);
-  Deadline idle = idle_timeout_ms > 0 ? Deadline::AfterMillis(idle_timeout_ms)
-                                      : Deadline::Infinite();
-  uint64_t idle_bytes_mark = 0;
-  std::string line;
-  for (;;) {
-    auto got = reader.ReadLine(&line);
-    if (!got.ok()) {
-      if (got.status().code() != StatusCode::kDeadlineExceeded) break;
-      // Tick: no complete line arrived within the receive timeout.
-      if (state_.load(std::memory_order_acquire) == kStopped) break;
-      if (reader.total_bytes_read() != idle_bytes_mark) {
-        // Bytes moved since the last mark — a trickling client is slow,
-        // not idle. Partial lines therefore reset the idle clock; only a
-        // peer moving *nothing* for the whole timeout is evicted.
-        idle_bytes_mark = reader.total_bytes_read();
-        idle = idle_timeout_ms > 0 ? Deadline::AfterMillis(idle_timeout_ms)
-                                   : Deadline::Infinite();
-        continue;
-      }
-      if (idle.expired() &&
-          connection->inflight.load(std::memory_order_acquire) == 0) {
-        // Idle past the bound with no response owed: evict. (A client
-        // silently awaiting a slow response is waiting, not dead.)
-        service_->metrics().idle_evicted->Increment(1);
-        break;
-      }
-      continue;
-    }
-    if (!*got) break;  // EOF.
-    idle_bytes_mark = reader.total_bytes_read();
-    idle = idle_timeout_ms > 0 ? Deadline::AfterMillis(idle_timeout_ms)
-                               : Deadline::Infinite();
-    if (line.empty()) continue;
-    if (StartsWith(line, "GET ")) {
-      HandleHttpGet(*connection, reader, line, connection->AssignSeq());
-      // The HTTP response may be parked behind still-owed pipelined
-      // responses; give the workers a bounded window to deliver them (and
-      // it) before the shutdown below tears the socket down.
-      const int64_t wait_ms =
-          options_.write_timeout_ms > 0 ? options_.write_timeout_ms : 5'000;
-      const Deadline flush_deadline = Deadline::AfterMillis(wait_ms);
-      while (!connection->SeqDrained() &&
-             connection->alive.load(std::memory_order_acquire) &&
-             !flush_deadline.expired()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      break;
-    }
-    HandleRequestLine(connection, line);
-    if (!connection->alive.load(std::memory_order_acquire)) break;
-  }
-  connection->alive.store(false, std::memory_order_relaxed);
-  connection->socket.Shutdown();
-  // Reclaim per-connection resources now, not at Stop(): remove the
-  // connection from connections_ and leave this thread's own handle on the
-  // finished list — after taking over the handles earlier exits left
-  // there, so churn against a quiet listener cannot accumulate unjoined
-  // threads (the accept loop only reaps when a *new* connection arrives).
-  // Joining happens outside the lock; the swap can never hand this thread
-  // its own handle, because that is pushed only after the swap. Queued
-  // requests still hold the shared_ptr; the fd closes when the last
-  // reference drops. If Stop() already emptied connections_, it owns the
-  // join via its snapshot.
-  std::vector<std::thread> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    auto it = std::find(connections_.begin(), connections_.end(), connection);
-    if (it != connections_.end()) {
-      finished.swap(finished_readers_);
-      finished_readers_.push_back(std::move(connection->reader));
-      connections_.erase(it);
-    }
-  }
-  for (std::thread& exited : finished) {
-    if (exited.joinable()) exited.join();
-  }
-}
-
-void Server::HandleHttpGet(LegacyConn& connection, LineReader& reader,
-                           const std::string& request_line, uint64_t seq) {
-  // Drain the request headers up to the blank line; their content is
-  // irrelevant for a scrape. (The receive-timeout tick bounds this loop
-  // too: a slow-loris that sends "GET / HTTP/1.0" and then dribbles
-  // headers forever gets its response after the first quiet tick.)
-  std::string header;
-  while (true) {
-    auto got = reader.ReadLine(&header);
-    if (!got.ok() || !*got) break;
-    if (header.empty() || header == "\r") break;
-  }
-  connection.WriteSeq(seq, BuildHttpResponse(request_line), /*raw=*/true);
 }
 
 }  // namespace serve

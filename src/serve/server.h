@@ -1,47 +1,37 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// The mbserved network front end. Two I/O cores share one request path:
+// The mbserved network front end. One reactor thread multiplexes every
+// connection through an edge-triggered epoll set (serve/reactor.h):
+// non-blocking sockets, pooled zero-copy line framing, responses queued
+// into per-connection outboxes and flushed on write-readiness. 10k
+// connections cost 10k fds and buffers, not 10k threads.
 //
-//   kEpoll (default): a single reactor thread multiplexes every
-//   connection through a level-triggered epoll set (serve/reactor.h) —
-//   non-blocking sockets, pooled zero-copy line framing, responses queued
-//   into per-connection outboxes and flushed on write-readiness. 10k
-//   connections cost 10k fds and buffers, not 10k threads.
-//
-//   kLegacyThreads: the original thread-per-connection path — one reader
-//   thread per socket, blocking reads under a receive-timeout tick,
-//   responses delivered synchronously under a per-connection write lock
-//   (bounded by write_timeout_ms). Kept as an operational escape hatch
-//   (mbserved --io-model=threads) and as the parity baseline for the
-//   reactor test suite.
-//
-// Both cores feed the same bounded request queue; the mb_common thread
-// pool drains it in batches (amortising the queue lock and keeping
-// workers hot under load) and writes each response back through the
-// transport-agnostic Conn interface (serve/conn.h). Admission control is
-// intake-side: when the queue is at capacity (or one connection exceeds
-// its in-flight cap) the request is answered immediately with
-// {"ok":false,"error":"overloaded"} instead of queueing unboundedly —
-// under overload the server sheds load at constant latency rather than
-// building an ever-longer tail.
+// Admitted requests are scheduled on the work-stealing ScoringPool
+// (serve/scoring_pool.h, DESIGN.md §17): per-worker bounded deques,
+// randomized steal-half, near-zero lock contention at saturation. Workers
+// write each response back through the Conn interface (serve/conn.h).
+// Admission control is intake-side: when the pool is at capacity (or one
+// connection exceeds its in-flight cap) the request is answered
+// immediately with {"ok":false,"error":"overloaded"} instead of queueing
+// unboundedly — under overload the server sheds load at constant latency
+// rather than building an ever-longer tail.
 //
 // Every request carries a deadline (its own "deadline_ms" field, or
 // ServerOptions.default_deadline_ms): a queued request whose budget is
 // already spent when a worker reaches it is answered
 // {"ok":false,"error":"deadline_exceeded"} *without* being scored, so an
 // overloaded server burns no work on answers nobody is waiting for.
-// Connections that move no bytes past the idle timeout are evicted (on
-// the reactor's tick, or the legacy reader's receive-timeout tick), and
-// connections whose peer stops *reading* are evicted after
-// write_timeout_ms (the mb.serve.write_timeout counter) — a stalled
+// Connections that move no bytes past the idle timeout are evicted on the
+// reactor's tick, and connections whose peer stops *reading* are evicted
+// after write_timeout_ms (the mb.serve.write_timeout counter) — a stalled
 // consumer can pin neither a worker nor unbounded outbox memory.
 //
 // Shutdown is a state machine: serving -> draining -> stopped. Drain()
 // (SIGTERM in mbserved) closes the listener, refuses new work with
 // {"ok":false,"error":"draining","retry_after_ms":N}, lets in-flight
-// requests finish — and, on the reactor path, their responses flush —
-// up to a drain deadline, then hard-stops. healthz/readyz keep answering
-// through the drain so routers can see the state flip.
+// requests finish and their responses flush up to a drain deadline, then
+// hard-stops. healthz/readyz keep answering through the drain so routers
+// can see the state flip.
 //
 // Responses to a pipelined connection are delivered in request order:
 // every response-bearing line is stamped with a per-connection sequence
@@ -49,22 +39,13 @@
 // holds early completions until their predecessors flush (serve/conn.h,
 // DESIGN.md §17). Clients that pipeline may still tag requests with "id"
 // and match on the echo — mbctl and serve_bench both do — but ordering
-// alone now suffices.
-//
-// Scoring is scheduled by one of two interchangeable schedulers
-// (ServerOptions.scheduler): the work-stealing ScoringPool (default) —
-// per-worker bounded deques, randomized steal-half, near-zero lock
-// contention at saturation — or the original single-mutex FIFO queue
-// drained through the mb_common thread pool, kept as the bench baseline
-// and operational escape hatch. Admission, deadline and refusal
-// semantics are identical between the two.
+// alone suffices.
 
 #ifndef MICROBROWSE_SERVE_SERVER_H_
 #define MICROBROWSE_SERVE_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,7 +56,6 @@
 #include "common/deadline.h"
 #include "common/result.h"
 #include "common/socket.h"
-#include "common/thread_pool.h"
 #include "serve/conn.h"
 #include "serve/health.h"
 #include "serve/reactor.h"
@@ -85,40 +65,10 @@
 namespace microbrowse {
 namespace serve {
 
-/// Which serving core owns the sockets.
-enum class IoModel {
-  kEpoll = 0,          ///< One reactor thread, non-blocking I/O (default).
-  kLegacyThreads = 1,  ///< One blocking reader thread per connection.
-};
-
-/// Reactor epoll triggering discipline (kEpoll only).
-enum class EpollMode {
-  kLevel = 0,  ///< Level-triggered: one recv per readiness event.
-  kEdge = 1,   ///< Edge-triggered: drain until EAGAIN, starvation-bounded
-               ///< per wakeup (default).
-};
-
-/// Which scheduler feeds admitted requests to the scoring workers.
-enum class Scheduler {
-  kFifo = 0,          ///< Single-mutex FIFO queue + mb_common thread pool
-                      ///< (the pre-work-stealing baseline).
-  kWorkStealing = 1,  ///< Per-worker deques with steal-half (default).
-};
-
 /// Server configuration.
 struct ServerOptions {
   uint16_t port = 7077;  ///< 0 = kernel-assigned (tests).
   int num_threads = 4;   ///< Scoring worker threads.
-  /// Serving core; kLegacyThreads is the operational escape hatch should
-  /// the reactor misbehave in some environment.
-  IoModel io_model = IoModel::kEpoll;
-  /// Reactor triggering discipline (mbserved --epoll-mode level|edge).
-  /// Edge-triggered is the throughput default; level-triggered is the
-  /// baseline and escape hatch. Ignored under kLegacyThreads.
-  EpollMode epoll_mode = EpollMode::kEdge;
-  /// Request scheduler. kWorkStealing is the throughput default; kFifo is
-  /// the pre-PR-10 baseline kept for benchmarking and as an escape hatch.
-  Scheduler scheduler = Scheduler::kWorkStealing;
   /// Bounded request queue; requests beyond it are rejected with
   /// "overloaded".
   size_t max_queue = 1024;
@@ -137,13 +87,12 @@ struct ServerOptions {
   /// a slow response is waiting, not dead. 0 disables eviction.
   int64_t idle_timeout_ms = 60'000;
   /// A connection whose peer stops reading our responses is evicted after
-  /// this long without write progress (mb.serve.write_timeout). On the
-  /// legacy path this bounds the blocking send; on the reactor path it
-  /// bounds outbox staleness. 0 disables the bound (legacy sends may then
-  /// block indefinitely — the pre-timeout behaviour).
+  /// this long without write progress (mb.serve.write_timeout): the bound
+  /// on outbox staleness. 0 disables it (the outbox byte cap below still
+  /// applies).
   int64_t write_timeout_ms = 5'000;
-  /// Reactor path only: pending unflushed response bytes beyond which a
-  /// slow consumer is evicted immediately (also mb.serve.write_timeout).
+  /// Pending unflushed response bytes beyond which a slow consumer is
+  /// evicted immediately (also mb.serve.write_timeout).
   size_t max_outbox_bytes = 4 << 20;
   /// Requests one connection may have queued or executing before further
   /// reads on it are refused with "overloaded". 0 = unlimited.
@@ -172,15 +121,15 @@ class Server : private ReactorHandler {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the serving core + worker pool. Returns
-  /// the bound port.
+  /// Binds, listens and starts the reactor + worker pool. Returns the
+  /// bound port.
   Result<uint16_t> Start();
 
   /// Graceful drain: closes the listener, flips healthz/readyz to
   /// "draining", answers new requests on existing connections with
   /// {"error":"draining","retry_after_ms":N}, waits for queued and
-  /// executing requests (and, on the reactor path, unflushed responses)
-  /// up to options.drain_deadline_ms, then Stop()s. Returns OK when
+  /// executing requests and unflushed responses up to
+  /// options.drain_deadline_ms, then Stop()s. Returns OK when
   /// everything in flight completed, kDeadlineExceeded when the hard stop
   /// abandoned work. FailedPrecondition when not serving (never started,
   /// already draining, or stopped).
@@ -192,16 +141,9 @@ class Server : private ReactorHandler {
 
   uint16_t port() const { return port_; }
 
-  /// Live connections (reactor-registered, or with a live legacy reader).
-  /// Drops to zero once every client has disconnected and been reaped
-  /// (test hook).
+  /// Live reactor-registered connections. Drops to zero once every client
+  /// has disconnected and been reaped (test hook).
   size_t active_connections();
-
-  /// Legacy path: reader thread handles awaiting a join. Bounded by the
-  /// exit-path reap — each exiting reader joins its predecessors — so it
-  /// cannot grow with connection churn (test hook; the reactor path has
-  /// no reader threads and always reports 0).
-  size_t finished_reader_handles();
 
   /// True from Drain() (or Stop()) onward — new scoring work is refused.
   bool draining() const {
@@ -217,44 +159,13 @@ class Server : private ReactorHandler {
   /// serving -> draining -> stopped; the only legal transitions.
   enum State : int { kServing = 0, kDraining = 1, kStopped = 2 };
 
-  /// One legacy-path client connection: a blocking socket written under a
-  /// per-connection lock, owned by its reader thread. The reader's handle
-  /// is either joined by Stop() or moved onto the finished-readers list
-  /// when the reader exits on its own.
-  struct LegacyConn : Conn {
-    explicit LegacyConn(Server* server) : server(server) {}
-
-    /// Bounded synchronous delivery: SendAllTimed under write_mu. A send
-    /// that cannot finish within write_timeout_ms evicts the connection
-    /// (mb.serve.write_timeout) instead of pinning the calling worker.
-    void Write(std::string_view response_line) override;
-    void WriteRaw(std::string_view bytes) override;
-    void Kill() override;
-
-    Server* server;
-    Socket socket;
-    std::mutex write_mu;
-    std::thread reader;
-
-   private:
-    void SendBounded(std::string_view framed);
-  };
-
-  struct PendingRequest {
-    std::shared_ptr<Conn> connection;
-    std::string line;
-    Deadline deadline;
-    uint64_t seq = 0;
-  };
-
-  // --- Request path shared by both cores -----------------------------------
+  // --- Request path ---------------------------------------------------------
 
   /// Dispatches one request line from a serving connection: admission
   /// control, deadline stamping, queueing. Refusals are written inline.
   void HandleRequestLine(const std::shared_ptr<Conn>& connection, std::string_view line);
-  void DrainBatch();
-  /// Work-stealing scheduler's batch handler: deadline check, scoring,
-  /// ordered delivery and drain accounting for one claimed batch.
+  /// The scoring pool's batch handler: deadline check, scoring, ordered
+  /// delivery and drain accounting for one claimed batch.
   void ProcessBatch(std::vector<ScoringTask>& batch);
   /// The deadline for one request line: its own "deadline_ms" field when
   /// present and parsable, else the server default.
@@ -271,7 +182,7 @@ class Server : private ReactorHandler {
   /// GET request line — the /metricsz, /healthz and /readyz scrape paths.
   std::string BuildHttpResponse(std::string_view request_line);
 
-  // --- Reactor core (ReactorHandler) ---------------------------------------
+  // --- Reactor callbacks (ReactorHandler) -----------------------------------
 
   void OnLine(const std::shared_ptr<ReactorConn>& conn, std::string_view line) override;
   void OnClose(const std::shared_ptr<ReactorConn>& conn, CloseReason reason) override;
@@ -279,45 +190,19 @@ class Server : private ReactorHandler {
   /// Sends the buffered HTTP response and schedules the close-after-flush.
   void FinishHttp(const std::shared_ptr<ReactorConn>& conn);
 
-  // --- Legacy thread-per-connection core -----------------------------------
-
-  void AcceptLoop();
-  void ReadLoop(std::shared_ptr<LegacyConn> connection);
-  /// Answers one plain-HTTP GET into response slot `seq` and leaves the
-  /// connection to be closed by the caller.
-  void HandleHttpGet(LegacyConn& connection, LineReader& reader,
-                     const std::string& request_line, uint64_t seq);
-  /// Joins reader threads whose connections already ended (the threads
-  /// have exited or are about to).
-  void ReapFinishedReaders();
-
   ScoringService* service_;
   ServerOptions options_;
   Socket listener_;
   uint16_t port_ = 0;
 
-  /// FIFO scheduler only (options.scheduler == kFifo).
-  std::unique_ptr<ThreadPool> pool_;
-  /// Work-stealing scheduler only (options.scheduler == kWorkStealing).
-  std::unique_ptr<ScoringPool> steal_pool_;
+  std::unique_ptr<ScoringPool> pool_;
 
   std::unique_ptr<Reactor> reactor_;
   std::thread reactor_thread_;
 
-  std::thread accept_thread_;
-
-  std::mutex queue_mu_;
-  std::deque<PendingRequest> queue_;
   /// Requests admitted but not yet answered (queued + executing), across
   /// all connections; what Drain() waits on.
   std::atomic<int64_t> inflight_total_{0};
-
-  std::mutex connections_mu_;
-  std::vector<std::shared_ptr<LegacyConn>> connections_;
-  /// Handles of readers that removed themselves from connections_; joined
-  /// by each subsequently-exiting reader (which bounds the list under
-  /// churn), by AcceptLoop before each accept, and by Stop().
-  std::vector<std::thread> finished_readers_;
 
   std::mutex stop_mu_;
   std::atomic<int> state_{kServing};

@@ -357,7 +357,7 @@ Status ScoringService::HandleReadyz(JsonWriter& response) {
 Status ScoringService::HandleMetricsz(JsonWriter& response) {
   // The Prometheus text rides inside the newline-JSON envelope as one
   // escaped string; mbserved additionally answers plain HTTP GET /metricsz
-  // with the raw text (see Server::ReadLoop).
+  // with the raw text (see Server::BuildHttpResponse).
   response.String("metrics", RenderMetricsText())
       .Int("gen", static_cast<int64_t>(registry_->generation()));
   return Status::OK();

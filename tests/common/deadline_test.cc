@@ -32,6 +32,26 @@ TEST(DeadlineTest, NonPositiveBudgetIsAlreadyExpired) {
   EXPECT_FALSE(Deadline::AfterMillis(0).infinite());
 }
 
+TEST(DeadlineTest, UnrepresentableBudgetSaturatesToInfinite) {
+  // steady_clock counts int64 nanoseconds, so ~9.2e12 ms is past its range
+  // however the budget is converted.
+  for (const int64_t ms : {INT64_MAX, int64_t{20'000'000'000'000}}) {
+    const Deadline deadline = Deadline::AfterMillis(ms);
+    EXPECT_TRUE(deadline.infinite()) << ms;
+    EXPECT_FALSE(deadline.expired()) << ms;
+    EXPECT_EQ(deadline.remaining_millis(), INT64_MAX) << ms;
+  }
+  // A budget of decades is still representable and stays finite.
+  const Deadline decades = Deadline::AfterMillis(1'000'000'000'000);
+  EXPECT_FALSE(decades.infinite());
+  EXPECT_FALSE(decades.expired());
+  EXPECT_GT(decades.remaining_millis(), 999'000'000'000);
+  // The most negative budget is expired, not wrapped into the future.
+  const Deadline spent = Deadline::AfterMillis(INT64_MIN);
+  EXPECT_TRUE(spent.expired());
+  EXPECT_EQ(spent.remaining_millis(), 0);
+}
+
 TEST(DeadlineTest, FutureDeadlineCountsDownAndExpires) {
   const Deadline deadline = Deadline::AfterMillis(40);
   EXPECT_FALSE(deadline.infinite());

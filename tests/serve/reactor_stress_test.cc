@@ -52,7 +52,6 @@ TEST(ReactorStressTest, ConcurrentPipelinesScrapesEvictionsAndDrain) {
   ScoringService service(&registry);
   ServerOptions options;
   options.port = 0;
-  options.io_model = IoModel::kEpoll;
   options.num_threads = 4;
   options.idle_timeout_ms = 2000;      // Fast tick (tick = idle/4).
   options.write_timeout_ms = 200;      // Slow consumers die quickly.

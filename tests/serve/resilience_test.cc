@@ -199,6 +199,32 @@ TEST_F(ResilienceTest, DefaultDeadlineAppliesToRequestsWithoutOne) {
   server.Stop();
 }
 
+TEST_F(ResilienceTest, BudgetPastTheClockRangeIsScored) {
+  // A generous budget must not overflow the monotonic clock into an
+  // already-expired deadline: INT64_MAX ms means "no practical deadline".
+  ScoringService service(&registry_);
+  ServerOptions options;
+  options.port = 0;
+  Server server(&service, options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  auto client = TestClient::ConnectTo(*port);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client
+                  ->SendRaw(R"({"type":"score_pair","id":"huge",)"
+                            R"("deadline_ms":"9223372036854775807",)"
+                            R"("a":"cheap flights now|h1","b":"late deals|h1"})"
+                            "\n")
+                  .ok());
+  const Request response = client->ReadResponse();
+  EXPECT_EQ(response.Get("id"), "huge");
+  EXPECT_EQ(response.Get("ok"), "true") << response.Get("error");
+  EXPECT_FALSE(response.Get("margin").empty());
+  EXPECT_EQ(service.metrics().deadline_exceeded->Value(), 0);
+  server.Stop();
+}
+
 // --- Health surface
 
 TEST_F(ResilienceTest, HealthzAndReadyzReportServingWithABundle) {

@@ -2,10 +2,7 @@
 //
 // End-to-end TCP tests for the mbserved front end: real sockets against an
 // ephemeral port, pipelined out-of-order responses matched by id echo, and
-// intake-side admission control shedding load with "overloaded". The whole
-// suite is parameterized over both serving cores (epoll reactor and the
-// legacy thread-per-connection path) — every serving semantic must hold on
-// both.
+// intake-side admission control shedding load with "overloaded".
 
 #include "serve/server.h"
 
@@ -95,7 +92,7 @@ Socket ConnectTinyRcvBuf(uint16_t port) {
   return socket;
 }
 
-class ServerTest : public ::testing::TestWithParam<IoModel> {
+class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // Unique per process: parallel ctest runs each TEST in its own process,
@@ -127,11 +124,10 @@ class ServerTest : public ::testing::TestWithParam<IoModel> {
 
   void SetUp() override { ASSERT_TRUE(registry_.LoadInitial(*paths_).ok()); }
 
-  /// Ephemeral-port options for the serving core under test.
-  ServerOptions BaseOptions() const {
+  /// Default options on an ephemeral port.
+  static ServerOptions BaseOptions() {
     ServerOptions options;
     options.port = 0;
-    options.io_model = GetParam();
     return options;
   }
 
@@ -141,14 +137,7 @@ class ServerTest : public ::testing::TestWithParam<IoModel> {
 
 BundlePaths* ServerTest::paths_ = nullptr;
 
-INSTANTIATE_TEST_SUITE_P(
-    IoModels, ServerTest,
-    ::testing::Values(IoModel::kEpoll, IoModel::kLegacyThreads),
-    [](const ::testing::TestParamInfo<IoModel>& info) {
-      return info.param == IoModel::kEpoll ? "Epoll" : "Threads";
-    });
-
-TEST_P(ServerTest, StartsOnEphemeralPortAndAnswersPing) {
+TEST_F(ServerTest, StartsOnEphemeralPortAndAnswersPing) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   Server server(&service, options);
@@ -166,7 +155,7 @@ TEST_P(ServerTest, StartsOnEphemeralPortAndAnswersPing) {
   server.Stop();
 }
 
-TEST_P(ServerTest, ScoresPairsOverTheWire) {
+TEST_F(ServerTest, ScoresPairsOverTheWire) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   Server server(&service, options);
@@ -187,7 +176,7 @@ TEST_P(ServerTest, ScoresPairsOverTheWire) {
   server.Stop();
 }
 
-TEST_P(ServerTest, PipelinedRequestsMatchedByIdEcho) {
+TEST_F(ServerTest, PipelinedRequestsMatchedByIdEcho) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   options.num_threads = 4;
@@ -225,14 +214,12 @@ TEST_P(ServerTest, PipelinedRequestsMatchedByIdEcho) {
   server.Stop();
 }
 
-TEST_P(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
+TEST_F(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
   // The work-stealing scheduler's observability surface: after traffic has
   // flowed through the steal pool, a /metricsz scrape must expose the
   // batch-size summary and the steal counter under their Prometheus names.
   ScoringService service(&registry_);
-  ServerOptions options = BaseOptions();
-  options.scheduler = Scheduler::kWorkStealing;
-  Server server(&service, options);
+  Server server(&service, BaseOptions());
   auto port = server.Start();
   ASSERT_TRUE(port.ok());
 
@@ -252,7 +239,7 @@ TEST_P(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
   server.Stop();
 }
 
-TEST_P(ServerTest, OverloadShedsWithErrorNotQueueing) {
+TEST_F(ServerTest, OverloadShedsWithErrorNotQueueing) {
   ServiceOptions service_options;
   service_options.allow_debug_sleep = true;
   ScoringService service(&registry_, service_options);
@@ -295,7 +282,7 @@ TEST_P(ServerTest, OverloadShedsWithErrorNotQueueing) {
   server.Stop();
 }
 
-TEST_P(ServerTest, DisconnectedClientsAreReapedWhileRunning) {
+TEST_F(ServerTest, DisconnectedClientsAreReapedWhileRunning) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   Server server(&service, options);
@@ -325,7 +312,7 @@ TEST_P(ServerTest, DisconnectedClientsAreReapedWhileRunning) {
   server.Stop();
 }
 
-TEST_P(ServerTest, OverlongLineFailsTheConnection) {
+TEST_F(ServerTest, OverlongLineFailsTheConnection) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   options.max_line_bytes = 1024;
@@ -356,7 +343,7 @@ TEST_P(ServerTest, OverlongLineFailsTheConnection) {
   server.Stop();
 }
 
-TEST_P(ServerTest, StopReturnsPromptlyWithSilentConnectedClient) {
+TEST_F(ServerTest, StopReturnsPromptlyWithSilentConnectedClient) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   // Eviction is an hour away: Stop's promptness must come from waking the
@@ -385,7 +372,7 @@ TEST_P(ServerTest, StopReturnsPromptlyWithSilentConnectedClient) {
   EXPECT_LT(elapsed.count(), 5000) << "Stop() blocked on a silent client";
 }
 
-TEST_P(ServerTest, StopWhileClientsConnectedIsClean) {
+TEST_F(ServerTest, StopWhileClientsConnectedIsClean) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   Server server(&service, options);
@@ -399,7 +386,7 @@ TEST_P(ServerTest, StopWhileClientsConnectedIsClean) {
   server.Stop();   // Idempotent.
 }
 
-TEST_P(ServerTest, SlowConsumerIsEvictedNotPinned) {
+TEST_F(ServerTest, SlowConsumerIsEvictedNotPinned) {
   // Regression test: a client that sends requests and then stops *reading*
   // used to pin a worker (and the reader writing refusals) inside an
   // unbounded send forever. Both cores must instead evict the connection
@@ -445,39 +432,6 @@ TEST_P(ServerTest, SlowConsumerIsEvictedNotPinned) {
   ASSERT_NE(next, nullptr);
   ASSERT_TRUE(next->Send(R"({"type":"ping","id":"after"})").ok());
   EXPECT_EQ(next->ReadResponse().Get("id"), "after");
-  server.Stop();
-}
-
-TEST_P(ServerTest, ChurnedConnectionsLeaveNoUnjoinedReaders) {
-  // Regression test: on the legacy path, exited reader threads were only
-  // joined from the accept loop *before* the next accept — churn followed
-  // by a quiet listener accumulated unjoined thread handles without bound.
-  // Each exiting reader now joins its predecessors, so after any amount of
-  // churn at most one handle awaits a join. (The reactor path has no
-  // reader threads and must always report zero.)
-  ScoringService service(&registry_);
-  Server server(&service, BaseOptions());
-  auto port = server.Start();
-  ASSERT_TRUE(port.ok());
-
-  constexpr int kChurn = 8;
-  for (int i = 0; i < kChurn; ++i) {
-    auto client = TestClient::ConnectTo(*port);
-    ASSERT_NE(client, nullptr);
-    ASSERT_TRUE(client->Send(R"({"type":"ping"})").ok());
-    EXPECT_EQ(client->ReadResponse().Get("ok"), "true");
-    client->Close();
-    // Wait for the disconnect to be fully processed (connection removed)
-    // so every reader exit lands on the finished list before the next
-    // round — the exact sequence that used to accumulate handles.
-    for (int j = 0; j < 500 && server.active_connections() > 0; ++j) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_EQ(server.active_connections(), 0u) << "round " << i;
-  }
-  // The listener has been quiet the whole time, so the accept loop never
-  // reaped: the bound must come from the readers' own exit path.
-  EXPECT_LE(server.finished_reader_handles(), 1u);
   server.Stop();
 }
 

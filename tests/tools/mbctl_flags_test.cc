@@ -1,8 +1,9 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Tests for mbctl's flag parser: both value spellings ("--flag value" and
-// "--flag=value"), and the hard errors for unknown flags, missing values
-// and values given to boolean flags.
+// Tests for the flag parser of mbctl and mbserved: both value spellings
+// ("--flag value" and "--flag=value"), the first-flag index, and the hard
+// errors for unknown flags, missing values, values given to boolean flags
+// and integers past int64.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,7 @@ Result<Flags> ParseArgs(std::vector<std::string> args) {
   args.insert(args.begin(), {"mbctl", "generate"});
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
-  return Flags::Parse(static_cast<int>(argv.size()), argv.data(),
+  return Flags::Parse(static_cast<int>(argv.size()), argv.data(), 2,
                       {"--out", "--seed", "--trace-out"}, {"--rhs"});
 }
 
@@ -68,6 +69,32 @@ TEST(MbctlFlagsTest, BooleanFlagTakesNoInlineValue) {
 
 TEST(MbctlFlagsTest, BareArgumentIsRejected) {
   EXPECT_FALSE(ParseArgs({"corpus.tsv"}).ok());
+}
+
+TEST(MbctlFlagsTest, ParsingStartsAtTheGivenIndex) {
+  // mbserved has no command word, so its flags start at argv[1].
+  std::vector<std::string> args = {"mbserved", "--out=x.tsv", "--rhs"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  auto from_one = Flags::Parse(3, argv.data(), 1, {"--out"}, {"--rhs"});
+  ASSERT_TRUE(from_one.ok()) << from_one.status().ToString();
+  EXPECT_EQ(from_one->Get("--out"), "x.tsv");
+  EXPECT_TRUE(from_one->Has("--rhs"));
+  // From index 2, argv[1] is taken for a command word and never parsed.
+  auto from_two = Flags::Parse(3, argv.data(), 2, {"--out"}, {"--rhs"});
+  ASSERT_TRUE(from_two.ok()) << from_two.status().ToString();
+  EXPECT_FALSE(from_two->Has("--out"));
+  EXPECT_TRUE(from_two->Has("--rhs"));
+}
+
+TEST(MbctlFlagsTest, IntegerPastInt64IsARangeError) {
+  auto flags = ParseArgs({"--seed", "99999999999999999999"});
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  auto seed = flags->GetInt("--seed", 0, 0, 1000);
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(seed.status().message().find("out of range"), std::string::npos)
+      << seed.status().ToString();
 }
 
 }  // namespace

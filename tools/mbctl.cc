@@ -630,43 +630,44 @@ void PrintUsage() {
 /// accepts --trace-out=FILE (handled in main) so any stage can be traced.
 Result<Flags> ParseCommandFlags(const std::string& command, int argc, char** argv) {
   if (command == "generate") {
-    return Flags::Parse(argc, argv,
+    return Flags::Parse(argc, argv, 2,
                         {"--out", "--adgroups", "--seed", "--shards", "--trace-out"},
                         {"--rhs"});
   }
   if (command == "stats") {
-    return Flags::Parse(argc, argv, {"--corpus", "--out", "--recovery", "--trace-out"}, {});
+    return Flags::Parse(argc, argv, 2, {"--corpus", "--out", "--recovery", "--trace-out"},
+                        {});
   }
   if (command == "mine") {
     return Flags::Parse(
-        argc, argv, {"--stats", "--prefix", "--top", "--min-count", "--recovery", "--trace-out"},
-        {});
+        argc, argv, 2,
+        {"--stats", "--prefix", "--top", "--min-count", "--recovery", "--trace-out"}, {});
   }
   if (command == "train") {
-    return Flags::Parse(argc, argv,
+    return Flags::Parse(argc, argv, 2,
                         {"--corpus", "--out", "--model", "--seed", "--train-threads",
                          "--recovery", "--trace-out"},
                         {});
   }
   if (command == "evaluate") {
-    return Flags::Parse(argc, argv,
+    return Flags::Parse(argc, argv, 2,
                         {"--corpus", "--model", "--folds", "--seed", "--checkpoint-dir",
                          "--threads", "--train-threads", "--recovery", "--trace-out"},
                         {});
   }
   if (command == "predict") {
-    return Flags::Parse(argc, argv,
+    return Flags::Parse(argc, argv, 2,
                         {"--model", "--stats", "--a", "--b", "--model-type", "--pairs",
                          "--out", "--server", "--retries", "--deadline-ms", "--recovery",
                          "--trace-out"},
                         {});
   }
   if (command == "pack") {
-    return Flags::Parse(argc, argv, {"--stats", "--model", "--out", "--recovery", "--trace-out"},
-                        {});
+    return Flags::Parse(argc, argv, 2,
+                        {"--stats", "--model", "--out", "--recovery", "--trace-out"}, {});
   }
   if (command == "pack-inspect") {
-    return Flags::Parse(argc, argv, {"--pack", "--trace-out"}, {});
+    return Flags::Parse(argc, argv, 2, {"--pack", "--trace-out"}, {});
   }
   return Status::InvalidArgument("unknown command '" + command + "'");
 }

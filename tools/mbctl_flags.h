@@ -1,9 +1,10 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// mbctl's command-line flag parser. Each command declares its recognised
-// flags up front: unknown flags, missing values and non-numeric integers
-// are hard errors rather than silently ignored or read as zero. A value
-// flag is spelled either "--flag value" or "--flag=value".
+// The command-line flag parser of mbctl and mbserved. Each command
+// declares its recognised flags up front: unknown flags, missing values,
+// non-numeric and out-of-range integers are hard errors rather than
+// silently ignored, read as zero or saturated. A value flag is spelled
+// either "--flag value" or "--flag=value".
 
 #ifndef MICROBROWSE_TOOLS_MBCTL_FLAGS_H_
 #define MICROBROWSE_TOOLS_MBCTL_FLAGS_H_
@@ -23,11 +24,12 @@ namespace microbrowse {
 
 class Flags {
  public:
-  /// Parses argv[2..] against the declared flags. `value_flags` take the
-  /// text after '=' in "--flag=value", and otherwise always consume the
-  /// next argument (so negative numbers like "--seed -5" are values, not
-  /// flags); `bool_flags` never take a value.
-  static Result<Flags> Parse(int argc, char** argv,
+  /// Parses argv[first..] against the declared flags (mbctl's flags follow
+  /// its command word, so it passes 2; mbserved passes 1). `value_flags`
+  /// take the text after '=' in "--flag=value", and otherwise always
+  /// consume the next argument (so negative numbers like "--seed -5" are
+  /// values, not flags); `bool_flags` never take a value.
+  static Result<Flags> Parse(int argc, char** argv, int first,
                              std::initializer_list<const char*> value_flags,
                              std::initializer_list<const char*> bool_flags) {
     const auto contains = [](std::initializer_list<const char*> list,
@@ -38,7 +40,7 @@ class Flags {
       return false;
     };
     Flags flags;
-    for (int i = 2; i < argc; ++i) {
+    for (int i = first; i < argc; ++i) {
       const std::string arg = argv[i];
       if (!StartsWith(arg, "--")) {
         return Status::InvalidArgument("unexpected argument '" + arg +
@@ -80,7 +82,13 @@ class Flags {
     int64_t parsed = 0;
     const auto [ptr, ec] =
         std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
+    const bool whole = ptr == value.data() + value.size();
+    if (whole && ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument(StrFormat(
+          "flag %s out of range: %s (allowed [%lld, %lld])", key.c_str(), value.c_str(),
+          static_cast<long long>(min), static_cast<long long>(max)));
+    }
+    if (ec != std::errc() || !whole) {
       return Status::InvalidArgument("flag " + key + " expects an integer, got '" + value +
                                      "'");
     }

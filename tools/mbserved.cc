@@ -7,18 +7,11 @@
 //            [--cache-capacity N] [--default-deadline-ms N]
 //            [--idle-timeout-ms N] [--write-timeout-ms N]
 //            [--drain-deadline-ms N] [--drain-retry-after-ms N]
-//            [--io-model epoll|threads] [--epoll-mode level|edge]
-//            [--scheduler fifo|steal]
 //
-// --io-model picks the serving core: "epoll" (default) multiplexes every
-// connection through one reactor thread; "threads" is the legacy
-// thread-per-connection escape hatch, should the reactor misbehave in
-// some environment. --epoll-mode picks the reactor's triggering
-// discipline: "edge" (default) drains each readable socket until EAGAIN
-// with a per-wakeup starvation bound, "level" is the one-chunk-per-event
-// baseline. --scheduler picks the scoring scheduler: "steal" (default)
-// is the work-stealing per-worker-deque pool, "fifo" the single-mutex
-// queue baseline. --write-timeout-ms bounds how long a peer may stop
+// Flags are spelled "--flag value" or "--flag=value"; unknown flags and
+// out-of-range values exit 1 with usage. One epoll reactor serves every
+// connection and a work-stealing pool of --threads workers scores
+// (serve/server.h). --write-timeout-ms bounds how long a peer may stop
 // reading our responses before its connection is evicted
 // (mb.serve.write_timeout).
 //
@@ -38,18 +31,19 @@
 // {"error":"draining","retry_after_ms":N}, and in-flight work gets
 // --drain-deadline-ms to finish before the hard stop.
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
-
-#include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "mbctl_flags.h"
 #include "serve/server.h"
 
 using namespace microbrowse;
@@ -67,95 +61,80 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Tiny flag parser (mbctl's full one lives in mbctl.cc; mbserved has few
-/// enough flags to keep this local). Every flag takes a value.
-struct Flags {
+int Usage() {
+  std::fprintf(stderr,
+               "usage: mbserved --model model.txt --stats stats.tsv\n"
+               "                [--model-type M1..M6] [--port N] [--threads N]\n"
+               "                [--max-queue N] [--max-batch N] [--cache-capacity N]\n"
+               "                [--default-deadline-ms N] [--idle-timeout-ms N]\n"
+               "                [--write-timeout-ms N] [--drain-deadline-ms N]\n"
+               "                [--drain-retry-after-ms N]\n"
+               "fault injection: MB_FAILPOINTS=name=spec,...\n");
+  return 1;
+}
+
+/// Overwrites `*out` with the integer flag `key` when it is given, after
+/// checking it against [min, max].
+template <typename T>
+Status ReadInt(const Flags& flags, const char* key, int64_t min, int64_t max, T* out) {
+  MB_ASSIGN_OR_RETURN(const int64_t value,
+                      flags.GetInt(key, static_cast<int64_t>(*out), min, max));
+  *out = static_cast<T>(value);
+  return Status::OK();
+}
+
+/// mbserved's configuration, read from its flags.
+struct Config {
   serve::BundlePaths paths;
   serve::ServerOptions server;
   serve::ServiceOptions service;
-
-  static int Usage() {
-    std::fprintf(stderr,
-                 "usage: mbserved --model model.txt --stats stats.tsv\n"
-                 "                [--model-type M1..M6] [--port N] [--threads N]\n"
-                 "                [--max-queue N] [--max-batch N] [--cache-capacity N]\n"
-                 "                [--default-deadline-ms N] [--idle-timeout-ms N]\n"
-                 "                [--write-timeout-ms N] [--drain-deadline-ms N]\n"
-                 "                [--drain-retry-after-ms N] [--io-model epoll|threads]\n"
-                 "                [--epoll-mode level|edge] [--scheduler fifo|steal]\n"
-                 "fault injection: MB_FAILPOINTS=name=spec,...\n");
-    return 1;
-  }
-
-  static bool ParseInt(const std::string& text, long long* out) {
-    char* end = nullptr;
-    *out = std::strtoll(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size() && !text.empty() && *out >= 0;
-  }
-
-  bool Parse(int argc, char** argv) {
-    for (int i = 1; i < argc; i += 2) {
-      const std::string key = argv[i];
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s requires a value\n", key.c_str());
-        return false;
-      }
-      const std::string value = argv[i + 1];
-      long long n = 0;
-      if (key == "--model") {
-        paths.model_path = value;
-      } else if (key == "--stats") {
-        paths.stats_path = value;
-      } else if (key == "--model-type") {
-        paths.model_type = value;
-      } else if (key == "--port" && ParseInt(value, &n) && n <= 65535) {
-        server.port = static_cast<uint16_t>(n);
-      } else if (key == "--threads" && ParseInt(value, &n) && n >= 1 && n <= 256) {
-        server.num_threads = static_cast<int>(n);
-      } else if (key == "--max-queue" && ParseInt(value, &n) && n >= 1) {
-        server.max_queue = static_cast<size_t>(n);
-      } else if (key == "--max-batch" && ParseInt(value, &n) && n >= 1) {
-        server.max_batch = static_cast<size_t>(n);
-      } else if (key == "--cache-capacity" && ParseInt(value, &n)) {
-        service.cache_capacity = static_cast<size_t>(n);
-      } else if (key == "--default-deadline-ms" && ParseInt(value, &n)) {
-        server.default_deadline_ms = n;
-      } else if (key == "--idle-timeout-ms" && ParseInt(value, &n)) {
-        server.idle_timeout_ms = n;
-      } else if (key == "--write-timeout-ms" && ParseInt(value, &n)) {
-        server.write_timeout_ms = n;
-      } else if (key == "--io-model" && (value == "epoll" || value == "threads")) {
-        server.io_model = value == "epoll" ? serve::IoModel::kEpoll
-                                           : serve::IoModel::kLegacyThreads;
-      } else if (key == "--epoll-mode" && (value == "level" || value == "edge")) {
-        server.epoll_mode = value == "edge" ? serve::EpollMode::kEdge
-                                            : serve::EpollMode::kLevel;
-      } else if (key == "--scheduler" && (value == "fifo" || value == "steal")) {
-        server.scheduler = value == "steal" ? serve::Scheduler::kWorkStealing
-                                            : serve::Scheduler::kFifo;
-      } else if (key == "--drain-deadline-ms" && ParseInt(value, &n)) {
-        server.drain_deadline_ms = n;
-      } else if (key == "--drain-retry-after-ms" && ParseInt(value, &n)) {
-        server.drain_retry_after_ms = n;
-      } else {
-        std::fprintf(stderr, "unknown flag or bad value: %s %s\n", key.c_str(),
-                     value.c_str());
-        return false;
-      }
-    }
-    if (paths.model_path.empty() || paths.stats_path.empty()) {
-      std::fprintf(stderr, "--model and --stats are required\n");
-      return false;
-    }
-    return true;
-  }
 };
+
+Result<Config> ParseConfig(int argc, char** argv) {
+  MB_ASSIGN_OR_RETURN(
+      const Flags flags,
+      Flags::Parse(argc, argv, 1,
+                   {"--model", "--stats", "--model-type", "--port", "--threads",
+                    "--max-queue", "--max-batch", "--cache-capacity",
+                    "--default-deadline-ms", "--idle-timeout-ms", "--write-timeout-ms",
+                    "--drain-deadline-ms", "--drain-retry-after-ms"},
+                   {}));
+  Config config;
+  config.paths.model_path = flags.Get("--model");
+  config.paths.stats_path = flags.Get("--stats");
+  if (config.paths.model_path.empty() || config.paths.stats_path.empty()) {
+    return Status::InvalidArgument("--model and --stats are required");
+  }
+  config.paths.model_type = flags.Get("--model-type", config.paths.model_type);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  serve::ServerOptions& server = config.server;
+  MB_RETURN_IF_ERROR(ReadInt(flags, "--port", 0, 65535, &server.port));
+  MB_RETURN_IF_ERROR(ReadInt(flags, "--threads", 1, 256, &server.num_threads));
+  MB_RETURN_IF_ERROR(ReadInt(flags, "--max-queue", 1, kMax, &server.max_queue));
+  MB_RETURN_IF_ERROR(ReadInt(flags, "--max-batch", 1, kMax, &server.max_batch));
+  MB_RETURN_IF_ERROR(
+      ReadInt(flags, "--cache-capacity", 0, kMax, &config.service.cache_capacity));
+  MB_RETURN_IF_ERROR(
+      ReadInt(flags, "--default-deadline-ms", 0, kMax, &server.default_deadline_ms));
+  MB_RETURN_IF_ERROR(ReadInt(flags, "--idle-timeout-ms", 0, kMax, &server.idle_timeout_ms));
+  MB_RETURN_IF_ERROR(
+      ReadInt(flags, "--write-timeout-ms", 0, kMax, &server.write_timeout_ms));
+  MB_RETURN_IF_ERROR(
+      ReadInt(flags, "--drain-deadline-ms", 0, kMax, &server.drain_deadline_ms));
+  MB_RETURN_IF_ERROR(
+      ReadInt(flags, "--drain-retry-after-ms", 0, kMax, &server.drain_retry_after_ms));
+  return config;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!flags.Parse(argc, argv)) return Flags::Usage();
+  auto parsed = ParseConfig(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.status().ToString().c_str());
+    return Usage();
+  }
+  Config& config = *parsed;
 
   if (const char* spec = std::getenv("MB_FAILPOINTS"); spec != nullptr && *spec != '\0') {
     const Status status = failpoint::ActivateFromList(spec);
@@ -165,32 +144,25 @@ int main(int argc, char** argv) {
   }
 
   serve::BundleRegistry registry;
-  if (const Status status = registry.LoadInitial(flags.paths); !status.ok()) {
+  if (const Status status = registry.LoadInitial(config.paths); !status.ok()) {
     return Fail(status);
   }
-  MB_LOG(kInfo) << "loaded " << flags.paths.model_type << " bundle from "
-                << flags.paths.model_path << " + " << flags.paths.stats_path
+  MB_LOG(kInfo) << "loaded " << config.paths.model_type << " bundle from "
+                << config.paths.model_path << " + " << config.paths.stats_path
                 << " (generation 1)";
 
   // Serve metrics live in the process-global registry, alongside the
   // pipeline-stage counters (preregistered so /metricsz exports them at
   // zero even in a pure serving process).
-  flags.service.registry = &MetricRegistry::Global();
+  config.service.registry = &MetricRegistry::Global();
   PreregisterPipelineMetrics(&MetricRegistry::Global());
-  serve::ScoringService service(&registry, flags.service);
-  serve::Server server(&service, flags.server);
+  serve::ScoringService service(&registry, config.service);
+  serve::Server server(&service, config.server);
   auto port = server.Start();
   if (!port.ok()) return Fail(port.status());
-  std::printf(
-      "mbserved listening on port %u (%s core%s, %s scheduler, %d threads, "
-      "queue %zu, batch %zu)\n",
-      static_cast<unsigned>(*port),
-      flags.server.io_model == serve::IoModel::kEpoll ? "epoll" : "threads",
-      flags.server.io_model != serve::IoModel::kEpoll            ? ""
-      : flags.server.epoll_mode == serve::EpollMode::kEdge ? "/edge"
-                                                           : "/level",
-      flags.server.scheduler == serve::Scheduler::kWorkStealing ? "steal" : "fifo",
-      flags.server.num_threads, flags.server.max_queue, flags.server.max_batch);
+  std::printf("mbserved listening on port %u (%d threads, queue %zu, batch %zu)\n",
+              static_cast<unsigned>(*port), config.server.num_threads,
+              config.server.max_queue, config.server.max_batch);
   std::fflush(stdout);
 
   std::signal(SIGHUP, OnSighup);
