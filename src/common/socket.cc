@@ -3,7 +3,6 @@
 #include "common/socket.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -99,19 +98,6 @@ Status SetRecvTimeoutMs(const Socket& socket, int64_t ms) {
   return Status::OK();
 }
 
-Result<bool> WaitReadable(const Socket& socket, int64_t timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = socket.fd();
-  pfd.events = POLLIN;
-  for (;;) {
-    const int n = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    if (n > 0) return true;
-    if (n == 0) return false;
-    if (errno == EINTR) continue;
-    return Errno("poll");
-  }
-}
-
 Status SendAll(const Socket& socket, std::string_view data) {
   size_t sent = 0;
   while (sent < data.size()) {
@@ -175,29 +161,6 @@ Result<size_t> SendSome(const Socket& socket, std::string_view data) {
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
     return Errno("send");
-  }
-}
-
-Status SetNonBlocking(const Socket& socket, bool non_blocking) {
-  const int flags = ::fcntl(socket.fd(), F_GETFL, 0);
-  if (flags < 0) return Errno("fcntl(F_GETFL)");
-  const int wanted = non_blocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (wanted != flags && ::fcntl(socket.fd(), F_SETFL, wanted) != 0) {
-    return Errno("fcntl(F_SETFL)");
-  }
-  return Status::OK();
-}
-
-Result<Socket> AcceptNonBlocking(const Socket& listener) {
-  for (;;) {
-    const int fd = ::accept4(listener.fd(), nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd >= 0) {
-      SetNoDelay(fd);
-      return Socket(fd);
-    }
-    if (errno == EINTR || errno == ECONNABORTED) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return Socket();  // Backlog empty.
-    return Errno("accept");
   }
 }
 

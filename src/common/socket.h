@@ -82,16 +82,6 @@ Status SendAllTimed(const Socket& socket, std::string_view data, int64_t timeout
 /// kIOError covers real failures (EPIPE, ECONNRESET, ...).
 Result<size_t> SendSome(const Socket& socket, std::string_view data);
 
-/// Switches O_NONBLOCK on or off. The epoll reactor runs every connection
-/// (and its listener) non-blocking.
-Status SetNonBlocking(const Socket& socket, bool non_blocking);
-
-/// accept(2) that treats an empty backlog as a normal outcome: returns an
-/// invalid Socket (valid() == false) on EAGAIN/EWOULDBLOCK instead of an
-/// error, for level-triggered accept loops on a non-blocking listener. The
-/// accepted socket is returned non-blocking with TCP_NODELAY set.
-Result<Socket> AcceptNonBlocking(const Socket& listener);
-
 /// Caps the kernel send buffer (SO_SNDBUF). Test hook: a tiny send buffer
 /// makes "peer stopped reading" reproducible in milliseconds.
 Status SetSendBufferBytes(const Socket& socket, int bytes);
@@ -102,10 +92,6 @@ Status SetSendBufferBytes(const Socket& socket, int bytes);
 /// a quiet interval is idle-eviction-worthy or just a slow client. 0
 /// restores fully blocking reads.
 Status SetRecvTimeoutMs(const Socket& socket, int64_t ms);
-
-/// poll(2)s for readability up to `timeout_ms`. Returns true when the fd
-/// has data (or EOF) to read, false on timeout, kIOError on poll failure.
-Result<bool> WaitReadable(const Socket& socket, int64_t timeout_ms);
 
 /// Buffered reader returning one '\n'-terminated line at a time (terminator
 /// stripped, '\r' before it too). Reads from the fd only when the buffer

@@ -207,6 +207,7 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
     base[static_cast<size_t>(c)] = FeatureStatsDb::BaseClass{keys, records};
   }
   db.AttachPackBase(std::move(reader), base);
+  db.BuildRewriteFilter();
   return db;
 }
 

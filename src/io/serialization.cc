@@ -286,22 +286,24 @@ Result<FeatureStatsDb> LoadFeatureStats(const std::string& path, const LoadOptio
                                         LoadReport* report) {
   MB_ASSIGN_OR_RETURN(const ArtifactContent content,
                       ReadArtifactReported(path, options, report));
-  if (content.lines.empty() || !StartsWith(content.lines[0], kStatsHeader)) {
-    return MalformedRow(path, 1, "missing stats header");
+  if (content.lines.empty()) return MalformedRow(path, 1, "missing stats header");
+  // The header is exactly "<magic>\t<smoothing>\t<min_count>": a wrong magic
+  // or a missing setting is an error, never a silent default.
+  const auto header_fields = Split(content.lines[0], '\t');
+  if (header_fields[0] != kStatsHeader) {
+    return MalformedRow(path, 1, "missing stats header (want " + std::string(kStatsHeader) + ")");
   }
+  if (header_fields.size() != 3) {
+    return MalformedRow(path, 1, "stats header needs 3 fields (magic, smoothing, min_count)");
+  }
+  auto smoothing = ParseDouble(header_fields[1]);
+  auto min_count = ParseInt(header_fields[2]);
+  if (!smoothing.ok()) return MalformedRow(path, 1, smoothing.status().message());
+  if (!min_count.ok()) return MalformedRow(path, 1, min_count.status().message());
   RowRecovery recovery(path, options, report);
   FeatureStatsDb db;
-  {
-    const auto header_fields = Split(content.lines[0], '\t');
-    if (header_fields.size() >= 3) {
-      auto smoothing = ParseDouble(header_fields[1]);
-      auto min_count = ParseInt(header_fields[2]);
-      if (!smoothing.ok()) return MalformedRow(path, 1, smoothing.status().message());
-      if (!min_count.ok()) return MalformedRow(path, 1, min_count.status().message());
-      db.set_smoothing(*smoothing);
-      db.set_min_count(*min_count);
-    }
-  }
+  db.set_smoothing(*smoothing);
+  db.set_min_count(*min_count);
   for (size_t i = 1; i < content.lines.size(); ++i) {
     const std::string& line = content.lines[i];
     const int line_number = static_cast<int>(i) + 1;
@@ -328,6 +330,7 @@ Result<FeatureStatsDb> LoadFeatureStats(const std::string& path, const LoadOptio
     db.SetStat(fields[0], *positive, *total);
     recovery.OnGoodRow();
   }
+  db.BuildRewriteFilter();
   return db;
 }
 

@@ -16,13 +16,19 @@
 // to lexicographic order with a sign: a feature occurrence whose raw
 // direction was flipped during canonicalisation carries value -1 instead
 // of +1. The same sign flips the delta-sw observation when building stats.
+//
+// Rewrite keys also have a 64-bit fingerprint (RewriteFingerprint), built
+// from per-gram hashes without materialising the key string; the stats
+// database's rewrite filter is keyed by it.
 
 #ifndef MICROBROWSE_MICROBROWSE_FEATURE_KEYS_H_
 #define MICROBROWSE_MICROBROWSE_FEATURE_KEYS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/hash.h"
 #include "text/snippet.h"
 
 namespace microbrowse {
@@ -76,6 +82,53 @@ std::string TermConjunctionKey(std::string_view text, const PositionKey& positio
 /// the canonical order is the reverse of the raw order. A self-rewrite
 /// (from == to, a pure move) keeps sign +1.
 SignedKey RewriteKey(std::string_view from, std::string_view to);
+
+/// Prefix of every rewrite key ("rw:<lo>=><hi>").
+inline constexpr std::string_view kRewriteKeyPrefix = "rw:";
+
+/// Hash of one side of a rewrite (a gram text), the input to
+/// RewriteFingerprint. Like the fingerprint it is never persisted, so it
+/// carries no stability contract across builds.
+inline uint64_t RewriteSideHash(std::string_view text) { return Mix64(Fnv1a64Wide(text)); }
+
+/// Fingerprint of the canonical rewrite key "rw:<lo>=><hi>" from the side
+/// hashes of `lo` and `hi`, in canonical (lo, hi) order. Equal keys have
+/// equal fingerprints; distinct keys may collide, so a fingerprint can only
+/// rule a key out, never confirm it.
+inline uint64_t RewriteFingerprint(uint64_t lo_hash, uint64_t hi_hash) {
+  return HashCombine(lo_hash, hi_hash);
+}
+
+/// Calls `fn(fingerprint)` once for every way a stats key splits as
+/// "rw:<lo>=><hi>", i.e. once per "=>" after the prefix. A key holding more
+/// than one "=>" ("rw:a=>b=>c") is ambiguous, so every reading is emitted:
+/// whichever (lo, hi) produced the key, its fingerprint is among them.
+/// Calls nothing for keys that are not rewrite keys.
+template <typename Fn>
+void ForEachRewriteFingerprint(std::string_view key, Fn&& fn) {
+  if (key.substr(0, kRewriteKeyPrefix.size()) != kRewriteKeyPrefix) return;
+  const std::string_view body = key.substr(kRewriteKeyPrefix.size());
+  for (size_t split = body.find("=>"); split != std::string_view::npos;
+       split = body.find("=>", split + 1)) {
+    fn(RewriteFingerprint(RewriteSideHash(body.substr(0, split)),
+                          RewriteSideHash(body.substr(split + 2))));
+  }
+}
+
+/// ForEachRewriteFingerprint over every rewrite key of `table`, a table of
+/// keys sorted in byte order with size(), at(i) and LowerBound(key). The
+/// rewrite keys are one contiguous range, from the prefix up to its
+/// successor (the prefix with its last byte incremented), found by binary
+/// search, so no entry outside it is read.
+template <typename SortedTable, typename Fn>
+void ForEachRewriteFingerprintInSorted(const SortedTable& table, Fn&& fn) {
+  std::string successor(kRewriteKeyPrefix);
+  ++successor.back();
+  const size_t end = table.LowerBound(successor);
+  for (size_t i = table.LowerBound(kRewriteKeyPrefix); i < end; ++i) {
+    ForEachRewriteFingerprint(table.at(i), fn);
+  }
+}
 
 /// Ordered position-pair key "pp:<r>=><s>" for a rewrite whose R-side span
 /// sits at `r_pos` and S-side span at `s_pos` — Eq. 8's f(v_p, w_q) with

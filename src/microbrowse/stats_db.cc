@@ -133,6 +133,18 @@ void AccumulatePass(const PairCorpus& corpus, const BuildStatsOptions& options,
 
 }  // namespace
 
+void FeatureStatsDb::BuildRewriteFilter() {
+  std::vector<uint64_t> fingerprints;
+  const auto add = [&fingerprints](uint64_t fingerprint) { fingerprints.push_back(fingerprint); };
+  for (const auto& entry : stats_) ForEachRewriteFingerprint(entry.first, add);
+  // Every rewrite key shares its prefix's class; only that class's sorted
+  // rewrite range is read from the pack.
+  ForEachRewriteFingerprintInSorted(
+      base_[static_cast<size_t>(StatsKeyClass(kRewriteKeyPrefix))].keys, add);
+  rewrite_filter_.emplace(fingerprints.size());
+  for (uint64_t fingerprint : fingerprints) rewrite_filter_->Insert(fingerprint);
+}
+
 void AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
                             const FeatureStatsDb* matching_db, FeatureStatsDb* out) {
   if (out->stats().empty()) {
@@ -163,6 +175,7 @@ FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptio
     next.set_min_count(options.min_count);
     AccumulatePass(corpus, options, pass == 0 ? nullptr : &db, &next);
     db = std::move(next);
+    db.BuildRewriteFilter();
   }
   // Aggregate updates from the (single-threaded) driver, so values are
   // identical for any BuildStatsOptions::num_threads.

@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 
+#include "common/bloom_filter.h"
 #include "common/math_util.h"
 #include "microbrowse/pair.h"
 #include "pack/pack_reader.h"
@@ -89,6 +91,12 @@ using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash
 /// mutating builders (AddObservation & friends) always write the heap map
 /// and are not meant for pack-backed instances — the serving read path
 /// never mutates.
+///
+/// A database may also carry a rewrite filter: a Bloom filter over the
+/// fingerprints (feature_keys.h) of its "rw:" keys, which lets the rewrite
+/// matcher skip the string key and Find for rewrites the database cannot
+/// hold. BuildRewriteFilter builds it; every mutator drops it, and without
+/// one MayContainRewrite answers "maybe" for everything.
 class FeatureStatsDb {
  public:
   FeatureStatsDb() = default;
@@ -96,6 +104,7 @@ class FeatureStatsDb {
   /// Records one observation: `delta_sw` must be +1 or -1; -1 increments
   /// only the total (the feature coincided with a negative difference).
   void AddObservation(const std::string& key, int delta_sw) {
+    rewrite_filter_.reset();
     FeatureStat& stat = stats_[key];
     ++stat.total;
     if (delta_sw > 0) ++stat.positive;
@@ -105,6 +114,7 @@ class FeatureStatsDb {
   /// by deserialization, where counts were already aggregated — going
   /// through AddObservation would cost O(total) per key.
   void SetStat(const std::string& key, int64_t positive, int64_t total) {
+    rewrite_filter_.reset();
     stats_[key] = FeatureStat{positive, total};
   }
 
@@ -112,6 +122,7 @@ class FeatureStatsDb {
   /// merging partial databases accumulated over corpus chunks; integer
   /// counts make the merge order-independent.
   void AddCounts(const std::string& key, int64_t positive, int64_t total) {
+    rewrite_filter_.reset();
     FeatureStat& stat = stats_[key];
     stat.positive += positive;
     stat.total += total;
@@ -170,8 +181,27 @@ class FeatureStatsDb {
   /// callers should prefer ForEach, which sees both layers.
   const FeatureStatMap& stats() const { return stats_; }
   /// Mutable access for bulk splicing (unordered_map::merge) when
-  /// assembling a database from disjoint shards.
-  FeatureStatMap& mutable_stats() { return stats_; }
+  /// assembling a database from disjoint shards. Drops the rewrite filter;
+  /// do not keep the reference across a later BuildRewriteFilter, since
+  /// the filter would not see changes made through it.
+  FeatureStatMap& mutable_stats() {
+    rewrite_filter_.reset();
+    return stats_;
+  }
+
+  /// Builds the rewrite filter from every "rw:" key in both layers. For
+  /// the pack layer only class 0's sorted "rw:" range is read, located by
+  /// binary search, so the rest of the mapping stays untouched.
+  void BuildRewriteFilter();
+
+  /// False only when no "rw:" key of this database has `fingerprint`
+  /// (RewriteFingerprint), so a Find for it would miss. True when a key
+  /// may have it, or when there is no filter.
+  bool MayContainRewrite(uint64_t fingerprint) const {
+    return !rewrite_filter_ || rewrite_filter_->MayContain(fingerprint);
+  }
+  /// Whether a rewrite filter is built (a mutation since drops it).
+  bool has_rewrite_filter() const { return rewrite_filter_.has_value(); }
 
   /// Visits every (key, stat) across both layers, heap entries first, then
   /// base entries class by class in their sorted on-disk order. No
@@ -196,6 +226,7 @@ class FeatureStatsDb {
   /// database, at most once.
   void AttachPackBase(std::shared_ptr<const pack::PackReader> pack,
                       const std::array<BaseClass, kNumStatsClasses>& classes) {
+    rewrite_filter_.reset();
     pack_ = std::move(pack);
     base_ = classes;
     base_total_ = 0;
@@ -212,6 +243,7 @@ class FeatureStatsDb {
   std::shared_ptr<const pack::PackReader> pack_;
   std::array<BaseClass, kNumStatsClasses> base_{};
   size_t base_total_ = 0;
+  std::optional<BlockedBloomFilter> rewrite_filter_;
 };
 
 /// Statistics-builder configuration.

@@ -19,7 +19,7 @@ Status Corrupt(const std::string& path, const std::string& why) {
 
 }  // namespace
 
-size_t StringTable::Find(std::string_view key) const {
+size_t StringTable::LowerBound(std::string_view key) const {
   size_t lo = 0, hi = count_;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
@@ -29,7 +29,12 @@ size_t StringTable::Find(std::string_view key) const {
       hi = mid;
     }
   }
-  return lo < count_ && at(lo) == key ? lo : kNotFound;
+  return lo;
+}
+
+size_t StringTable::Find(std::string_view key) const {
+  const size_t index = LowerBound(key);
+  return index < count_ && at(index) == key ? index : kNotFound;
 }
 
 Result<std::shared_ptr<const PackReader>> PackReader::Open(const std::string& path) {

@@ -55,6 +55,10 @@ class StringTable {
   /// lexicographic order. Returns the index of `key` or kNotFound.
   size_t Find(std::string_view key) const;
 
+  /// Index of the first entry not less than `key` (size() when none), for
+  /// a sorted table.
+  size_t LowerBound(std::string_view key) const;
+
  private:
   const uint64_t* offsets_ = nullptr;  ///< count_ + 1 entries.
   size_t count_ = 0;

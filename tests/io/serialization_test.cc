@@ -187,6 +187,32 @@ TEST(StatsIoTest, InvalidCountsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(StatsIoTest, HeaderMissingSettingsIsTypedError) {
+  // Neither the smoothing nor the min_count may silently default.
+  const std::string path = TempPath("stats_short_header.tsv");
+  for (const char* header : {"#microbrowse-stats-v1", "#microbrowse-stats-v1\t2.0",
+                             "#microbrowse-stats-v1\t2.0\t4\textra"}) {
+    WriteFile(path, std::string(header) + "\nt:x\t1\t2\n");
+    auto loaded = LoadFeatureStats(path);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << header;
+    EXPECT_NE(loaded.status().message().find(":1:"), std::string::npos)
+        << loaded.status().message();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StatsIoTest, HeaderMagicMustMatchExactly) {
+  const std::string path = TempPath("stats_bad_magic.tsv");
+  for (const char* magic : {"#microbrowse-stats-v10", "#microbrowse-stats-v1x", "#other"}) {
+    WriteFile(path, std::string(magic) + "\t1.0\t0\nt:x\t1\t2\n");
+    auto loaded = LoadFeatureStats(path);
+    ASSERT_FALSE(loaded.ok()) << magic;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << magic;
+  }
+  std::remove(path.c_str());
+}
+
 // --- Classifier round trip
 
 TEST(ClassifierIoTest, RoundTrip) {

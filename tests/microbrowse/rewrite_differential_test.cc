@@ -5,13 +5,17 @@
 // (rewrite_reference.h) exactly — rewrites in the same order, identical
 // residue — for every ordered sibling pair of a seeded corpus, under every
 // matching strategy and with no database, a heap-loaded database and an
-// mmap pack-loaded database. Also checks that the two database layers
-// answer Find identically.
+// mmap pack-loaded database. The greedy strategy is also run against the
+// databases of every other construction path (the in-memory build, the
+// sharded build) and against adversarial ones, because the production
+// matcher consults the database's rewrite filter and the reference does
+// not. Also checks that the two database layers answer Find identically.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -19,10 +23,14 @@
 #include <vector>
 
 #include "corpus/generator.h"
+#include "common/metrics.h"
 #include "corpus/pair_extraction.h"
 #include "io/atomic_file.h"
+#include "io/corpus_shards.h"
 #include "io/pack_artifacts.h"
 #include "io/serialization.h"
+#include "microbrowse/checkpoint.h"
+#include "microbrowse/feature_keys.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
 #include "rewrite_reference.h"
@@ -30,14 +38,20 @@
 namespace microbrowse {
 namespace {
 
-enum class DbKind { kNone, kHeap, kPack };
+/// kHeap and kPack are the TSV and pack loads of kBuilt; kNoRewrites is
+/// kHeap with every "rw:" key dropped.
+enum class DbKind { kNone, kHeap, kPack, kBuilt, kSharded, kNoRewrites };
 
 /// A seeded corpus, its ordered sibling pairs and the statistics database
-/// built from it, loaded back through both storage layers.
+/// built from it by every construction path.
 struct MatcherFixture {
   std::vector<std::pair<Snippet, Snippet>> pairs;
   FeatureStatsDb heap_db;
   FeatureStatsDb pack_db;
+  FeatureStatsDb built_db;
+  FeatureStatsDb sharded_db;
+  FeatureStatsDb checkpoint_db;  ///< built_db through a CV checkpoint.
+  FeatureStatsDb no_rewrites_db;
 };
 
 const MatcherFixture& Fixture() {
@@ -58,22 +72,39 @@ const MatcherFixture& Fixture() {
         }
       }
     }
-    const FeatureStatsDb built =
-        BuildFeatureStats(ExtractSignificantPairs(generated->corpus, {}), {});
+    // The final pass's database: the one the pass-2 matching produced.
+    out->built_db = BuildFeatureStats(ExtractSignificantPairs(generated->corpus, {}), {});
     const std::string dir =
         ::testing::TempDir() + "/rewrite_differential_" + std::to_string(::getpid());
     EXPECT_TRUE(CreateDirectories(dir).ok());
-    EXPECT_TRUE(SaveFeatureStats(built, dir + "/stats.tsv").ok());
-    EXPECT_TRUE(SaveStatsPack(built, dir + "/stats.mbpack").ok());
+    EXPECT_TRUE(SaveFeatureStats(out->built_db, dir + "/stats.tsv").ok());
+    EXPECT_TRUE(SaveStatsPack(out->built_db, dir + "/stats.mbpack").ok());
+    EXPECT_TRUE(SaveAdCorpusSharded(generated->corpus, dir + "/corpus.tsv", 3).ok());
     auto heap = LoadFeatureStats(dir + "/stats.tsv");
     auto pack = LoadStatsPack(dir + "/stats.mbpack");
+    auto shards = ResolveCorpusShards(dir + "/corpus.tsv");
+    auto sharded = shards.ok() ? BuildFeatureStatsSharded(*shards, {}, {}, {}, nullptr)
+                               : Result<FeatureStatsDb>(shards.status());
+    auto checkpoint = CvCheckpoint::Open(dir + "/checkpoint", /*fingerprint=*/1);
+    const bool checkpoint_loaded = checkpoint.ok() &&
+                                   checkpoint->SaveStats(out->built_db).ok() &&
+                                   checkpoint->LoadStats(&out->checkpoint_db).value_or(false);
     std::filesystem::remove_all(dir);  // The loaded pack keeps its mapping.
-    if (!heap.ok() || !pack.ok()) {
-      ADD_FAILURE() << "reloading the statistics failed";
+    if (!heap.ok() || !pack.ok() || !sharded.ok() || !checkpoint_loaded) {
+      ADD_FAILURE() << "reloading or re-building the statistics failed";
       return out;
     }
     out->heap_db = std::move(*heap);
     out->pack_db = std::move(*pack);
+    out->sharded_db = std::move(*sharded);
+    out->no_rewrites_db.set_smoothing(out->heap_db.smoothing());
+    out->no_rewrites_db.set_min_count(out->heap_db.min_count());
+    out->heap_db.ForEach([&](std::string_view key, const FeatureStat& stat) {
+      if (key.substr(0, kRewriteKeyPrefix.size()) != kRewriteKeyPrefix) {
+        out->no_rewrites_db.SetStat(std::string(key), stat.positive, stat.total);
+      }
+    });
+    out->no_rewrites_db.BuildRewriteFilter();
     return out;
   }();
   return *fixture;
@@ -84,6 +115,9 @@ const FeatureStatsDb* DbFor(DbKind kind) {
     case DbKind::kNone: return nullptr;
     case DbKind::kHeap: return &Fixture().heap_db;
     case DbKind::kPack: return &Fixture().pack_db;
+    case DbKind::kBuilt: return &Fixture().built_db;
+    case DbKind::kSharded: return &Fixture().sharded_db;
+    case DbKind::kNoRewrites: return &Fixture().no_rewrites_db;
   }
   return nullptr;
 }
@@ -169,7 +203,8 @@ TEST_P(MatcherDifferentialTest, DiffRegionWiderThanSixteenBitIndices) {
 
 std::string ParamName(const ::testing::TestParamInfo<std::tuple<MatchingStrategy, DbKind>>& info) {
   static const char* const kStrategies[] = {"GreedyStats", "FirstMatch", "PositionOnly"};
-  static const char* const kDbs[] = {"NoDb", "HeapDb", "PackDb"};
+  static const char* const kDbs[] = {"NoDb",    "HeapDb",    "PackDb",
+                                     "BuiltDb", "ShardedDb", "NoRewritesDb"};
   return std::string(kStrategies[static_cast<int>(std::get<0>(info.param))]) + "_" +
          kDbs[static_cast<int>(std::get<1>(info.param))];
 }
@@ -180,6 +215,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          MatchingStrategy::kFirstMatch,
                                          MatchingStrategy::kPositionOnly),
                        ::testing::Values(DbKind::kNone, DbKind::kHeap, DbKind::kPack)),
+    ParamName);
+
+// Only kGreedyStats consults the database, so the remaining construction
+// paths and the rewrite-free database run under it alone.
+INSTANTIATE_TEST_SUITE_P(
+    ConstructionPaths, MatcherDifferentialTest,
+    ::testing::Combine(::testing::Values(MatchingStrategy::kGreedyStats),
+                       ::testing::Values(DbKind::kBuilt, DbKind::kSharded,
+                                         DbKind::kNoRewrites)),
     ParamName);
 
 /// Asserts both layers give the same answer for `key`.
@@ -225,6 +269,154 @@ TEST(StatsDbLayersTest, HeapFindHonoursViewLength) {
   EXPECT_NE(db.Find(std::string_view(buffer).substr(0, 7)), nullptr);
   EXPECT_EQ(db.Find(buffer), nullptr);
   EXPECT_EQ(db.Find(std::string_view(buffer).substr(0, 6)), nullptr);
+}
+
+TEST(RewriteFilterTest, EveryConstructionPathBuildsAFilterWithoutFalseNegatives) {
+  const MatcherFixture& fixture = Fixture();
+  const std::pair<const char*, const FeatureStatsDb*> dbs[] = {
+      {"built", &fixture.built_db},
+      {"sharded", &fixture.sharded_db},
+      {"tsv", &fixture.heap_db},
+      {"pack", &fixture.pack_db},
+      {"checkpoint", &fixture.checkpoint_db}};
+  for (const auto& [name, db] : dbs) {
+    ASSERT_TRUE(db->has_rewrite_filter()) << name;
+    size_t rewrite_keys = 0;
+    db->ForEach([&](std::string_view key, const FeatureStat&) {
+      ForEachRewriteFingerprint(key, [&](uint64_t fingerprint) {
+        ASSERT_TRUE(db->MayContainRewrite(fingerprint)) << name << " '" << key << "'";
+        ++rewrite_keys;
+      });
+    });
+    EXPECT_GT(rewrite_keys, 100u) << name;
+  }
+  // The rewrite-free database's filter rules out every rewrite.
+  ASSERT_TRUE(fixture.no_rewrites_db.has_rewrite_filter());
+  fixture.heap_db.ForEach([&](std::string_view key, const FeatureStat&) {
+    ForEachRewriteFingerprint(key, [&](uint64_t fingerprint) {
+      ASSERT_FALSE(fixture.no_rewrites_db.MayContainRewrite(fingerprint)) << key;
+    });
+  });
+}
+
+/// Runs both matchers on the one-line pair (r, s) under kGreedyStats and
+/// returns the production result after checking it equals the reference.
+PairDiff MatchOneLine(const std::vector<std::string>& r, const std::vector<std::string>& s,
+                      const FeatureStatsDb& db) {
+  const Snippet r_snippet = Snippet::FromTokens({r});
+  const Snippet s_snippet = Snippet::FromTokens({s});
+  const PairDiff want = ReferenceMatchRewrites(r_snippet, s_snippet, &db);
+  const PairDiff got = MatchRewrites(r_snippet, s_snippet, &db);
+  EXPECT_EQ(FirstDifference(want, got), "");
+  return got;
+}
+
+int64_t RewriteHits() {
+  return MetricRegistry::Global().GetCounter("mb.rewrite.hits")->Value();
+}
+
+TEST(RewriteFilterTest, KeyWithTwoArrowsIsFoundUnderEitherReading) {
+  // "rw:a=>b=>c" is both ("a", "b=>c") and ("a=>b", "c"). Its count makes
+  // the rewrite outrank the bigram pairing that wins without a database.
+  FeatureStatsDb built;
+  built.SetStat("rw:a=>b=>c", 30, 40);
+  built.SetStat("t:x", 1, 2);
+  built.BuildRewriteFilter();
+  const std::string dir =
+      ::testing::TempDir() + "/rewrite_filter_arrows_" + std::to_string(::getpid());
+  ASSERT_TRUE(CreateDirectories(dir).ok());
+  ASSERT_TRUE(SaveFeatureStats(built, dir + "/stats.tsv").ok());
+  ASSERT_TRUE(SaveStatsPack(built, dir + "/stats.mbpack").ok());
+  auto tsv = LoadFeatureStats(dir + "/stats.tsv");
+  auto pack = LoadStatsPack(dir + "/stats.mbpack");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(tsv.ok() && pack.ok());
+
+  const std::pair<const char*, const FeatureStatsDb*> dbs[] = {
+      {"built", &built}, {"tsv", &*tsv}, {"pack", &*pack}};
+  for (const auto& [name, db] : dbs) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(db->has_rewrite_filter());
+    const int64_t hits_before = RewriteHits();
+    const PairDiff lo_has_arrow = MatchOneLine({"a=>b", "x"}, {"y", "c"}, *db);
+    ASSERT_FALSE(lo_has_arrow.rewrites.empty());
+    EXPECT_EQ(lo_has_arrow.rewrites[0].r_span.text, "a=>b");
+    EXPECT_EQ(lo_has_arrow.rewrites[0].s_span.text, "c");
+    const PairDiff hi_has_arrow = MatchOneLine({"a", "x"}, {"y", "b=>c"}, *db);
+    ASSERT_FALSE(hi_has_arrow.rewrites.empty());
+    EXPECT_EQ(hi_has_arrow.rewrites[0].r_span.text, "a");
+    EXPECT_EQ(hi_has_arrow.rewrites[0].s_span.text, "b=>c");
+    EXPECT_EQ(RewriteHits() - hits_before, 2);
+  }
+}
+
+TEST(RewriteFilterTest, EveryMutatorDropsTheFilter) {
+  // A rewrite added after the filter was built must still be found: each
+  // mutator drops the filter, so the matcher falls back to Find.
+  const std::vector<std::string> r = {"x", "cheap", "y"};
+  const std::vector<std::string> s = {"x", "deals", "z"};
+  const std::pair<const char*, std::function<void(FeatureStatsDb*)>> mutators[] = {
+      {"AddObservation", [](FeatureStatsDb* db) { db->AddObservation("rw:cheap=>deals", +1); }},
+      {"SetStat", [](FeatureStatsDb* db) { db->SetStat("rw:cheap=>deals", 4, 6); }},
+      {"AddCounts", [](FeatureStatsDb* db) { db->AddCounts("rw:cheap=>deals", 4, 6); }},
+      {"mutable_stats",
+       [](FeatureStatsDb* db) {
+         db->mutable_stats().emplace("rw:cheap=>deals", FeatureStat{4, 6});
+       }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    FeatureStatsDb db;
+    db.SetStat("rw:alpha=>beta", 3, 5);
+    db.SetStat("t:cheap", 1, 2);
+    db.BuildRewriteFilter();
+    ASSERT_TRUE(db.has_rewrite_filter());
+    // Precondition: the filter as built rules the new rewrite out, so a
+    // stale filter would hide it.
+    ASSERT_FALSE(db.MayContainRewrite(
+        RewriteFingerprint(RewriteSideHash("cheap"), RewriteSideHash("deals"))));
+    const PairDiff before = MatchOneLine(r, s, db);
+    ASSERT_FALSE(before.rewrites.empty());
+    EXPECT_EQ(before.rewrites[0].r_span.text, "x cheap y");
+
+    mutate(&db);
+    EXPECT_FALSE(db.has_rewrite_filter());
+    const PairDiff after = MatchOneLine(r, s, db);
+    ASSERT_FALSE(after.rewrites.empty());
+    EXPECT_EQ(after.rewrites[0].r_span.text, "cheap");
+    EXPECT_EQ(after.rewrites[0].s_span.text, "deals");
+
+    db.BuildRewriteFilter();  // Rebuilt, the filter admits the new rewrite.
+    EXPECT_EQ(FirstDifference(after, MatchOneLine(r, s, db)), "");
+  }
+}
+
+TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
+  Counter* lookups = MetricRegistry::Global().GetCounter("mb.rewrite.lookups");
+  Counter* passed = MetricRegistry::Global().GetCounter("mb.rewrite.filter_passed");
+  const int64_t lookups_before = lookups->Value();
+  const int64_t passed_before = passed->Value();
+  const int64_t hits_before = RewriteHits();
+  const FeatureStatsDb& db = Fixture().heap_db;
+  for (size_t i = 0; i < 200; ++i) {
+    const auto& [r, s] = Fixture().pairs[i];
+    (void)MatchRewrites(r, s, &db);
+  }
+  const int64_t n_lookups = lookups->Value() - lookups_before;
+  const int64_t n_passed = passed->Value() - passed_before;
+  const int64_t n_hits = RewriteHits() - hits_before;
+  EXPECT_GT(n_lookups, 0);
+  EXPECT_GT(n_hits, 0);
+  EXPECT_LE(n_hits, n_passed);
+  EXPECT_LT(n_passed, n_lookups / 2);  // The filter answers most misses.
+  // Matching without a database, or with a strategy that ignores it,
+  // looks nothing up.
+  const auto& [r, s] = Fixture().pairs[0];
+  RewriteMatchOptions position_only;
+  position_only.strategy = MatchingStrategy::kPositionOnly;
+  (void)MatchRewrites(r, s, nullptr);
+  (void)MatchRewrites(r, s, &db, position_only);
+  EXPECT_EQ(lookups->Value() - lookups_before, n_lookups);
 }
 
 }  // namespace
