@@ -147,7 +147,8 @@ int main() {
     for (size_t i = 0; i < dataset.examples.size(); ++i) {
       (pairs.pairs[i].adgroup_id % 5 == 4 ? test : train).push_back(i);
     }
-    auto model = TrainSnippetClassifier(dataset, config, train);
+    const CoupledCsr csr = FlattenCoupledDataset(dataset);
+    auto model = TrainSnippetClassifier(csr, config, train);
     if (!model.ok()) return 1;
     int correct_all = 0, n_all = 0, correct_move = 0, n_move = 0;
     int correct_conflict = 0, n_conflict = 0;
@@ -162,9 +163,8 @@ int main() {
           ++text_rewrites;
         }
       }
-      const auto& ex = dataset.examples[idx];
-      const bool predicted = model->Score(ex) >= 0.0;
-      const bool actual = ex.label > 0.5;
+      const bool predicted = model->ScoreRow(csr, idx) >= 0.0;
+      const bool actual = csr.labels[idx] > 0.5;
       ++n_all;
       correct_all += predicted == actual;
       if (!any_text_change) {

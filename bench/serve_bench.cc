@@ -19,13 +19,6 @@
 // enforced (>= 10x) only when MB_REQUIRE_COLD_SPEEDUP=1, mirroring the
 // hardware-conditional gate of train_bench.
 //
-// The sustained_qps stage measures the request hot path end to end over
-// real sockets: MB_QPS_CONNS pipelined connections (window MB_QPS_WINDOW)
-// ping the server for MB_QPS_SECONDS. QPS, client-side p50/p99 and
-// whole-process allocations-per-request (a counting global operator new,
-// enabled only during the measured window) are reported; the numbers are
-// informational.
-//
 // The final stage is the c10k soak: a real Server on an
 // ephemeral port, MB_C10K_CONNS (default 10000) concurrent TCP
 // connections held open by one in-process epoll client loop, and
@@ -41,9 +34,7 @@
 // numbers that measure the fd limit instead of the server.
 //
 // Environment: MB_ADGROUPS (default 200), MB_REQUESTS per worker (default
-// 500), MB_SEED, MB_COLDSTART_REPS (default 5), MB_QPS_CONNS (default 8,
-// 0 skips the stage), MB_QPS_WINDOW (default 16), MB_QPS_SECONDS (default
-// 2), MB_QPS_THREADS server workers (default 4), MB_C10K_CONNS (0 skips
+// 500), MB_SEED, MB_COLDSTART_REPS (default 5), MB_C10K_CONNS (0 skips
 // the stage), MB_C10K_ROUNDS, MB_C10K_P99_MS, MB_REQUIRE_C10K,
 // MB_BENCH_OUT, MB_REQUIRE_COLD_SPEEDUP.
 
@@ -66,7 +57,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -83,7 +73,6 @@
 #include "io/pack_artifacts.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
-#include "microbrowse/optimizer.h"
 #include "microbrowse/stats_db.h"
 #include "serve/bundle.h"
 #include "serve/protocol.h"
@@ -91,34 +80,6 @@
 #include "serve/service.h"
 
 using namespace microbrowse;
-
-// --------------------------------------------------- counting allocator
-// Whole-process allocation counter behind the sustained_qps stage's
-// allocations-per-request metric. Counting is off except during the
-// measured window, so setup/teardown churn never pollutes the number.
-// Only the plain (non-aligned) forms are replaced; the aligned operator
-// new/delete pairs keep their defaults, which is a valid mix.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* ptr = std::malloc(size == 0 ? 1 : size);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace {
 
@@ -192,11 +153,13 @@ double MeasureColdStartMs(const serve::BundlePaths& paths, const Snippet& a, con
                    bundle.status().ToString().c_str());
       std::exit(1);
     }
-    // First score through the bundle's own predictor — the same path a real
-    // request takes (service.cc HandleScore), so the number reflects serving
-    // cold start, not per-call tooling overhead.
+    // First score through the read-only pair scorer over the bundle's own
+    // registries — the same call a score_pair miss makes, so the number
+    // reflects serving cold start, not per-call tooling overhead.
     const serve::ModelBundle& loaded = **bundle;
-    const double margin = loaded.predictor->Score(a) - loaded.predictor->Score(b);
+    const double margin =
+        PredictPairMargin(a, b, loaded.stats, loaded.config, loaded.classifier.model,
+                          loaded.classifier.t_registry, loaded.classifier.p_registry);
     if (!std::isfinite(margin)) {
       std::fprintf(stderr, "serve_bench: cold-start score not finite\n");
       std::exit(1);
@@ -205,135 +168,6 @@ double MeasureColdStartMs(const serve::BundlePaths& paths, const Snippet& a, con
   }
   std::sort(ms.begin(), ms.end());
   return ms[ms.size() / 2];
-}
-
-// -------------------------------------------------------- sustained_qps stage
-
-/// One sustained-throughput run against a live server configuration.
-struct QpsStats {
-  bool ran = false;
-  double seconds = 0.0;     ///< Measured window length.
-  int64_t responses = 0;    ///< Responses inside the measured window.
-  double qps = 0.0;
-  HistogramSnapshot latency;  ///< Client-side round trip, measured window.
-  double allocs_per_request = 0.0;  ///< Whole-process new-calls per response.
-};
-
-/// Drives `conns` pipelined connections (window `window` outstanding pings
-/// each) against `port`. After a 300 ms warmup the allocation counter and
-/// latency histogram switch on for `duration_seconds`; in-order response
-/// delivery makes the oldest-outstanding timestamp the right latency
-/// anchor for every response.
-QpsStats RunSustainedQps(uint16_t port, int conns, int window, double duration_seconds) {
-  QpsStats stats;
-  stats.ran = true;
-  Histogram latency;
-  std::atomic<int64_t> responses{0};
-  std::atomic<int> phase{0};  // 0 warmup, 1 measuring, 2 shutting down.
-  std::atomic<int> failures{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(conns));
-  for (int w = 0; w < conns; ++w) {
-    workers.emplace_back([&, window] {
-      auto connected = TcpConnect("127.0.0.1", port);
-      if (!connected.ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      Socket socket(std::move(*connected));
-      const int one = 1;
-      ::setsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      LineReader reader(socket);
-      const std::string ping = "{\"type\":\"ping\"}\n";
-      // Fixed ring of send timestamps: responses come back in order, so
-      // the oldest slot is always the one completing. No steady-state
-      // allocations on the client side either — the metric should see the
-      // server's, not the harness's.
-      std::vector<std::chrono::steady_clock::time_point> sent(
-          static_cast<size_t>(window));
-      size_t head = 0, tail = 0, outstanding = 0;
-      std::string line;
-      line.reserve(256);
-      for (int i = 0; i < window; ++i) {
-        if (!SendAll(socket, ping).ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-        sent[tail] = std::chrono::steady_clock::now();
-        tail = (tail + 1) % sent.size();
-        ++outstanding;
-      }
-      while (outstanding > 0) {
-        auto got = reader.ReadLine(&line);
-        if (!got.ok() || !*got) {
-          failures.fetch_add(1);
-          return;
-        }
-        const auto now = std::chrono::steady_clock::now();
-        const int current = phase.load(std::memory_order_acquire);
-        if (current == 1) {
-          latency.Record(
-              std::chrono::duration_cast<std::chrono::duration<double>>(now - sent[head])
-                  .count());
-          responses.fetch_add(1, std::memory_order_relaxed);
-        }
-        head = (head + 1) % sent.size();
-        --outstanding;
-        if (current < 2) {
-          if (!SendAll(socket, ping).ok()) {
-            failures.fetch_add(1);
-            return;
-          }
-          sent[tail] = std::chrono::steady_clock::now();
-          tail = (tail + 1) % sent.size();
-          ++outstanding;
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // Warmup.
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_release);
-  WallTimer window_timer;
-  phase.store(1, std::memory_order_release);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(static_cast<int64_t>(duration_seconds * 1e3)));
-  phase.store(2, std::memory_order_release);
-  stats.seconds = window_timer.ElapsedSeconds();
-  g_count_allocs.store(false, std::memory_order_release);
-  const int64_t allocs = g_alloc_count.load(std::memory_order_relaxed);
-  for (std::thread& worker : workers) worker.join();
-  stats.responses = responses.load();
-  stats.qps = static_cast<double>(stats.responses) / std::max(1e-9, stats.seconds);
-  stats.latency = latency.Snapshot();
-  stats.allocs_per_request =
-      static_cast<double>(allocs) / std::max<int64_t>(1, stats.responses);
-  if (failures.load() > 0) {
-    std::fprintf(stderr, "serve_bench: sustained_qps had %d connection failures\n",
-                 failures.load());
-    std::exit(1);
-  }
-  return stats;
-}
-
-/// Stands up a server and runs the sustained load against it.
-QpsStats MeasureQps(serve::BundleRegistry* registry, int server_threads, int conns,
-                    int window, double seconds) {
-  serve::ServerOptions options;
-  options.port = 0;
-  options.num_threads = server_threads;
-  options.max_queue = static_cast<size_t>(conns) * static_cast<size_t>(window) + 64;
-  serve::ScoringService service(registry);
-  serve::Server server(&service, options);
-  auto port = server.Start();
-  if (!port.ok()) {
-    std::fprintf(stderr, "serve_bench: sustained_qps server start failed: %s\n",
-                 port.status().ToString().c_str());
-    std::exit(1);
-  }
-  QpsStats stats = RunSustainedQps(*port, conns, window, seconds);
-  server.Stop();
-  return stats;
 }
 
 // ----------------------------------------------------------------- c10k stage
@@ -562,8 +396,7 @@ struct SweepRow {
 
 void WriteBenchJson(const std::string& path, double tsv_cold_ms, double mbpack_cold_ms,
                     int cold_reps, bool cold_enforced, double worst_warm_speedup,
-                    const std::vector<SweepRow>& sweep, const QpsStats& qps,
-                    const C10kStats& c10k, const std::string& c10k_skip_reason,
+                    const std::vector<SweepRow>& sweep, const C10kStats& c10k, const std::string& c10k_skip_reason,
                     double c10k_p99_bound_ms, bool c10k_enforced) {
   std::ofstream out(path, std::ios::trunc);
   const double cold_speedup = tsv_cold_ms / std::max(1e-9, mbpack_cold_ms);
@@ -592,18 +425,6 @@ void WriteBenchJson(const std::string& path, double tsv_cold_ms, double mbpack_c
         << "\n";
   }
   out << "  ],\n";
-  out << "  \"sustained_qps\": {\n"
-      << "    \"description\": \"pipelined ping throughput over real sockets\",\n"
-      << "    \"ran\": " << (qps.ran ? "true" : "false");
-  if (qps.ran) {
-    out << ",\n"
-        << StrFormat("    \"qps\": %.1f,\n", qps.qps)
-        << StrFormat("    \"responses\": %lld,\n", static_cast<long long>(qps.responses))
-        << StrFormat("    \"p50_ms\": %.3f,\n", qps.latency.p50 * 1e3)
-        << StrFormat("    \"p99_ms\": %.3f,\n", qps.latency.p99 * 1e3)
-        << StrFormat("    \"allocs_per_request\": %.2f", qps.allocs_per_request);
-  }
-  out << "\n  },\n";
   out << "  \"c10k\": {\n"
       << "    \"description\": \"concurrent connections against the server, "
          "client-side ping round trip\",\n"
@@ -786,23 +607,6 @@ int main() {
                                                     : "(target: >=10x, NOT met)")
                             : "(target: >=10x, informational)");
 
-  // sustained_qps: the request hot path under pipelined load, real sockets.
-  const int qps_conns = static_cast<int>(EnvInt("MB_QPS_CONNS", 8));
-  const int qps_window = static_cast<int>(std::max<int64_t>(1, EnvInt("MB_QPS_WINDOW", 16)));
-  const double qps_seconds =
-      static_cast<double>(std::max<int64_t>(1, EnvInt("MB_QPS_SECONDS", 2)));
-  const int qps_threads = static_cast<int>(std::max<int64_t>(1, EnvInt("MB_QPS_THREADS", 4)));
-  QpsStats qps;
-  if (qps_conns > 0) {
-    std::printf("\nsustained_qps: %d pipelined conns x window %d for %.0fs "
-                "(%d server workers)...\n",
-                qps_conns, qps_window, qps_seconds, qps_threads);
-    qps = MeasureQps(&registry, qps_threads, qps_conns, qps_window, qps_seconds);
-    std::printf("sustained_qps: %.0f qps  p50 %.3f ms  p99 %.3f ms  %.2f allocs/req\n",
-                qps.qps, qps.latency.p50 * 1e3, qps.latency.p99 * 1e3,
-                qps.allocs_per_request);
-  }
-
   // c10k: a real server and 10k concurrent socket clients in
   // this one process. Pings keep the payload trivial, so the number is the
   // transport's — event-loop scheduling, queue admission and outbox
@@ -891,8 +695,7 @@ int main() {
     return env != nullptr && *env != '\0' ? std::string(env) : std::string("BENCH_serve.json");
   }();
   WriteBenchJson(bench_out, tsv_cold_ms, mbpack_cold_ms, cold_reps, cold_enforced,
-                 worst_speedup, sweep, qps, c10k, c10k_skip_reason, c10k_p99_bound_ms,
-                 c10k_enforced);
+                 worst_speedup, sweep, c10k, c10k_skip_reason, c10k_p99_bound_ms, c10k_enforced);
   std::printf("wrote %s\n", bench_out.c_str());
 
   if (cold_enforced && cold_speedup < 10.0) return 1;

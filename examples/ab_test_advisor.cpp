@@ -39,13 +39,10 @@ void Advise(const Draft& draft, const FeatureStatsDb& db, const CoupledDataset& 
   const Snippet challenger = Snippet::FromLines(draft.challenger);
 
   // Score the (challenger, incumbent) presentation: positive score means
-  // the challenger is predicted to win.
-  FeatureRegistry t_registry = dataset.t_registry;
-  FeatureRegistry p_registry = dataset.p_registry;
-  CoupledExample example;
-  ExtractPairOccurrences(challenger, incumbent, db, config, &t_registry, &p_registry,
-                         &example.occurrences);
-  const double score = model.Score(example);
+  // the challenger is predicted to win. This is the margin mbserved answers
+  // for the same pair.
+  const double score = PredictPairMargin(challenger, incumbent, db, config, model,
+                                         dataset.t_registry, dataset.p_registry);
 
   std::printf("--- %s\n", draft.description);
   std::printf("  incumbent : %s\n", incumbent.ToString().c_str());
@@ -54,17 +51,28 @@ void Advise(const Draft& draft, const FeatureStatsDb& db, const CoupledDataset& 
               score >= 0 ? "FAVOURED" : "not favoured", score);
 
   // Explanation: the highest-|net contribution| features (occurrences of
-  // the same feature are aggregated, so shared content cancels out).
+  // the same feature are aggregated, so shared content cancels out). The
+  // occurrences are interned into copies of the registries so they can be
+  // named; features new to the model take their warm start, exactly as in
+  // the verdict, so the drivers add up to it.
+  FeatureRegistry t_registry = dataset.t_registry;
+  FeatureRegistry p_registry = dataset.p_registry;
+  std::vector<CoupledOccurrence> occurrences;
+  ExtractPairOccurrences(challenger, incumbent, db, config, &t_registry, &p_registry,
+                         &occurrences);
   struct Contribution {
     std::string what;
     double value;
   };
   std::map<std::string, double> net;
-  for (const auto& occ : example.occurrences) {
-    const double t = occ.t < model.t_weights.size() ? model.t_weights[occ.t] : 0.0;
-    const double p = occ.p == kInvalidFeatureId
-                         ? 1.0
-                         : (occ.p < model.p_weights.size() ? model.p_weights[occ.p] : 1.0);
+  for (const auto& occ : occurrences) {
+    const double t = occ.t < model.t_weights.size() ? model.t_weights[occ.t]
+                                                    : t_registry.InitialWeightOf(occ.t);
+    double p = 1.0;
+    if (occ.p != kInvalidFeatureId) {
+      p = occ.p < model.p_weights.size() ? model.p_weights[occ.p]
+                                         : p_registry.InitialWeightOf(occ.p);
+    }
     const double value = occ.sign * p * t;
     if (value == 0.0) continue;
     std::string what(t_registry.NameOf(occ.t));

@@ -386,6 +386,13 @@ Status LoadRegistry(const std::vector<std::string>& lines, const std::string& pa
       MB_RETURN_IF_ERROR(recovery->OnBadRow(line_number, trained.status().message()));
       continue;
     }
+    // Intern would hand a repeated name its first id while the weight below
+    // still lands at the next index, shifting every later feature's weight.
+    if (registry->Find(fields[0]) != kInvalidFeatureId) {
+      MB_RETURN_IF_ERROR(
+          recovery->OnBadRow(line_number, "duplicate feature name '" + fields[0] + "'"));
+      continue;
+    }
     registry->Intern(fields[0], *initial);
     trained_weights->push_back(*trained);
     recovery->OnGoodRow();

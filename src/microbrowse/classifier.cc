@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <string_view>
 
 #include "microbrowse/feature_keys.h"
 #include "ml/csr.h"
@@ -104,43 +106,29 @@ std::vector<ClassifierConfig> ClassifierConfig::AllPaperModels() {
 
 namespace {
 
-/// Interns a T feature with its warm-start log-odds.
-FeatureId InternT(const std::string& key, const FeatureStatsDb& db,
-                  const ClassifierConfig& config, FeatureRegistry* registry) {
-  return registry->Intern(key, config.init_from_stats ? db.LogOdds(key) : 0.0);
-}
-
-/// Interns a P feature with its warm-start odds ratio (neutral = 1).
-FeatureId InternP(const std::string& key, const FeatureStatsDb& db,
-                  const ClassifierConfig& config, FeatureRegistry* registry) {
-  return registry->Intern(key, config.init_from_stats ? db.OddsRatio(key) : 1.0);
-}
-
-}  // namespace
-
-void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
-                            const FeatureStatsDb& db, const ClassifierConfig& config,
-                            FeatureRegistry* t_registry, FeatureRegistry* p_registry,
-                            std::vector<CoupledOccurrence>* occurrences) {
-  auto add_term_impl = [&](const TermSpan& span, double sign, bool conjunction) {
-    CoupledOccurrence occ;
-    if (config.use_position && conjunction) {
-      occ.t = InternT(TermConjunctionKey(span.text, MakePositionKey(span)), db, config,
-                      t_registry);
+/// The one recipe that turns an ordered pair (first, second) into
+/// classifier features: full n-grams, diff-only terms, matched rewrites
+/// (with the rewrite_min_support backoff and the drop_matched_rewrites
+/// ablation) and the leftover terms. Calls `fn(t_key, p_key, sign)` once per
+/// feature occurrence, in a fixed order; `p_key` is null for positionless
+/// occurrences. Both consumers — ExtractPairOccurrences (interns) and
+/// PredictPairMargin (only reads) — see exactly the same sequence.
+template <typename Fn>
+void ForEachPairFeature(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
+                        const ClassifierConfig& config, Fn&& fn) {
+  std::string p_key;
+  auto emit_term = [&](const TermSpan& span, double sign, bool conjunction) {
+    if (!config.use_position) {
+      fn(TermKey(span.text), nullptr, sign);
+    } else if (conjunction) {
+      fn(TermConjunctionKey(span.text, MakePositionKey(span)), nullptr, sign);
     } else {
-      occ.t = InternT(TermKey(span.text), db, config, t_registry);
-      if (config.use_position) {
-        occ.p = InternP(TermPositionKey(MakePositionKey(span)), db, config, p_registry);
-      }
+      p_key = TermPositionKey(MakePositionKey(span));
+      fn(TermKey(span.text), &p_key, sign);
     }
-    occ.sign = sign;
-    occurrences->push_back(occ);
   };
   auto add_term = [&](const TermSpan& span, double sign) {
-    add_term_impl(span, sign, config.leftover_position_conjunction);
-  };
-  auto add_full_term = [&](const TermSpan& span, double sign) {
-    add_term_impl(span, sign, config.term_position_conjunction);
+    emit_term(span, sign, config.leftover_position_conjunction);
   };
   // Emits every 1..max_ngram sub-gram of a span, mirroring the granularity
   // of the full term extraction (a single span-level feature would be far
@@ -154,17 +142,20 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
 
   if (config.use_term_features && !config.diff_terms_only) {
     for (const TermSpan& span : ExtractNGrams(first, config.max_ngram)) {
-      add_full_term(span, +1.0);
+      emit_term(span, +1.0, config.term_position_conjunction);
     }
     for (const TermSpan& span : ExtractNGrams(second, config.max_ngram)) {
-      add_full_term(span, -1.0);
+      emit_term(span, -1.0, config.term_position_conjunction);
     }
   }
-  if (config.use_term_features && config.diff_terms_only) {
-    RewriteMatchOptions match_options;
-    match_options.max_ngram = config.max_ngram;
-    match_options.strategy = config.matching;
-    const PairDiff diff = MatchRewrites(first, second, &db, match_options);
+  const bool diff_terms = config.use_term_features && config.diff_terms_only;
+  if (!diff_terms && !config.use_rewrite_features) return;
+
+  RewriteMatchOptions match_options;
+  match_options.max_ngram = config.max_ngram;
+  match_options.strategy = config.matching;
+  const PairDiff diff = MatchRewrites(first, second, &db, match_options);
+  if (diff_terms) {
     for (const RewriteMatch& rewrite : diff.rewrites) {
       add_span_ngrams(first, rewrite.r_span, +1.0);
       add_span_ngrams(second, rewrite.s_span, -1.0);
@@ -172,39 +163,89 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
     for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
     for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
   }
-
-  if (config.use_rewrite_features) {
-    RewriteMatchOptions match_options;
-    match_options.max_ngram = config.max_ngram;
-    match_options.strategy = config.matching;
-    const PairDiff diff = MatchRewrites(first, second, &db, match_options);
-    for (const RewriteMatch& rewrite : diff.rewrites) {
-      // Raw direction: second's phrase rewritten into first's phrase.
-      const SignedKey key = RewriteKey(rewrite.s_span.text, rewrite.r_span.text);
-      const bool thin =
-          config.rewrite_min_support > 0 && db.Count(key.key) < config.rewrite_min_support;
-      if (config.drop_matched_rewrites || thin) {
-        // Decompose the matched pair into signed term occurrences:
-        // always under the drop_matched_rewrites ablation, and for tail
-        // rewrites below the support threshold (the per-phrase term
-        // statistics are far denser than the quadratic rewrite space).
-        add_span_ngrams(first, rewrite.r_span, +1.0);
-        add_span_ngrams(second, rewrite.s_span, -1.0);
-        continue;
-      }
-      CoupledOccurrence occ;
-      occ.t = InternT(key.key, db, config, t_registry);
-      if (config.use_position) {
-        occ.p = InternP(RewritePositionKey(MakePositionKey(rewrite.r_span),
-                                           MakePositionKey(rewrite.s_span)),
-                        db, config, p_registry);
-      }
-      occ.sign = key.sign;
-      occurrences->push_back(occ);
+  if (!config.use_rewrite_features) return;
+  for (const RewriteMatch& rewrite : diff.rewrites) {
+    // Raw direction: second's phrase rewritten into first's phrase.
+    const SignedKey key = RewriteKey(rewrite.s_span.text, rewrite.r_span.text);
+    const bool thin =
+        config.rewrite_min_support > 0 && db.Count(key.key) < config.rewrite_min_support;
+    if (config.drop_matched_rewrites || thin) {
+      // Decompose the matched pair into signed term occurrences: always
+      // under the drop_matched_rewrites ablation, and for tail rewrites
+      // below the support threshold (the per-phrase term statistics are
+      // far denser than the quadratic rewrite space).
+      add_span_ngrams(first, rewrite.r_span, +1.0);
+      add_span_ngrams(second, rewrite.s_span, -1.0);
+      continue;
     }
-    for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
-    for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
+    if (config.use_position) {
+      p_key = RewritePositionKey(MakePositionKey(rewrite.r_span),
+                                 MakePositionKey(rewrite.s_span));
+      fn(key.key, &p_key, key.sign);
+    } else {
+      fn(key.key, nullptr, key.sign);
+    }
   }
+  for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
+  for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
+}
+
+/// Warm start of a T feature: its log odds in the statistics database.
+double InitialT(std::string_view key, const FeatureStatsDb& db, const ClassifierConfig& config) {
+  return config.init_from_stats ? db.LogOdds(key) : 0.0;
+}
+
+/// Warm start of a P feature: its odds ratio (neutral = 1).
+double InitialP(std::string_view key, const FeatureStatsDb& db, const ClassifierConfig& config) {
+  return config.init_from_stats ? db.OddsRatio(key) : 1.0;
+}
+
+/// The weight rule: a feature's trained weight when the model has one, its
+/// registry warm start when it was interned after training, and its
+/// statistics warm start (`initial(key)`) when the registry does not know it.
+template <typename Initial>
+double WeightOf(const FeatureRegistry& registry, const std::vector<double>& trained,
+                std::string_view key, Initial&& initial) {
+  const FeatureId id = registry.Find(key);
+  if (id == kInvalidFeatureId) return initial(key);
+  return id < trained.size() ? trained[id] : registry.InitialWeightOf(id);
+}
+
+}  // namespace
+
+void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
+                            const FeatureStatsDb& db, const ClassifierConfig& config,
+                            FeatureRegistry* t_registry, FeatureRegistry* p_registry,
+                            std::vector<CoupledOccurrence>* occurrences) {
+  ForEachPairFeature(first, second, db, config,
+                     [&](const std::string& t_key, const std::string* p_key, double sign) {
+                       CoupledOccurrence occ;
+                       occ.t = t_registry->Intern(t_key, InitialT(t_key, db, config));
+                       if (p_key != nullptr) {
+                         occ.p = p_registry->Intern(*p_key, InitialP(*p_key, db, config));
+                       }
+                       occ.sign = sign;
+                       occurrences->push_back(occ);
+                     });
+}
+
+double PredictPairMargin(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
+                         const ClassifierConfig& config, const SnippetClassifierModel& model,
+                         const FeatureRegistry& t_registry, const FeatureRegistry& p_registry) {
+  double score = model.bias;
+  ForEachPairFeature(
+      first, second, db, config,
+      [&](const std::string& t_key, const std::string* p_key, double sign) {
+        const double t = WeightOf(t_registry, model.t_weights, t_key,
+                                  [&](std::string_view key) { return InitialT(key, db, config); });
+        double p = 1.0;
+        if (p_key != nullptr) {
+          p = WeightOf(p_registry, model.p_weights, *p_key,
+                       [&](std::string_view key) { return InitialP(key, db, config); });
+        }
+        score += sign * p * t;
+      });
+  return score;
 }
 
 CoupledDataset BuildClassifierDataset(const PairCorpus& corpus, const FeatureStatsDb& db,
@@ -247,17 +288,6 @@ CoupledCsr FlattenCoupledDataset(const CoupledDataset& dataset) {
   csr.t_init = dataset.t_registry.InitialWeights();
   csr.p_init = dataset.p_registry.InitialWeights();
   return csr;
-}
-
-double SnippetClassifierModel::Score(const CoupledExample& example) const {
-  double score = bias;
-  for (const CoupledOccurrence& occ : example.occurrences) {
-    const double t = occ.t < t_weights.size() ? t_weights[occ.t] : 0.0;
-    const double p =
-        occ.p == kInvalidFeatureId ? 1.0 : (occ.p < p_weights.size() ? p_weights[occ.p] : 1.0);
-    score += occ.sign * p * t;
-  }
-  return score;
 }
 
 double SnippetClassifierModel::ScoreRow(const CoupledCsr& csr, size_t row) const {

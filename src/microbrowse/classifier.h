@@ -162,14 +162,24 @@ struct SnippetClassifierModel {
   std::vector<double> p_weights;
   double bias = 0.0;
 
-  /// Linear score of an example (positive = first snippet predicted
-  /// better).
-  double Score(const CoupledExample& example) const;
-
-  /// Linear score of CSR row `row`; identical to Score on the example the
-  /// row was flattened from.
+  /// Linear score of CSR row `row` (positive = first snippet predicted
+  /// better). Fold scoring only: every id of a flattened dataset is in
+  /// range of the weights trained on it.
   double ScoreRow(const CoupledCsr& csr, size_t row) const;
 };
+
+/// Pairwise predicted margin of `first` over `second` under the trained
+/// model (positive = first favoured): the bias plus sign * P * T over the
+/// pair's features (Eq. 9), in extraction order. Read-only — nothing is
+/// interned, so concurrent callers may share one bundle's registries. Each
+/// weight is the trained one when the model has it, the registry's warm
+/// start for a feature interned after training (an id past the trained
+/// vectors), and the statistics database's warm start for a feature the
+/// registry does not know. Equals scoring the occurrences that
+/// ExtractPairOccurrences would intern into copies of the registries.
+double PredictPairMargin(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
+                         const ClassifierConfig& config, const SnippetClassifierModel& model,
+                         const FeatureRegistry& t_registry, const FeatureRegistry& p_registry);
 
 /// Trains the classifier on `train_indices` of `dataset` (all examples
 /// when empty). Plain configurations run one L1 LR over T; position

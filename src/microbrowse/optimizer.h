@@ -1,88 +1,25 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Snippet optimisation — the paper's "automatic generation of snippets"
-// future-work direction (Section VI). Given candidate phrases per content
-// slot and a trained snippet classifier, the optimiser beam-searches the
-// creative (phrase choices AND their arrangement over lines) that the
-// classifier predicts to beat a reference creative by the largest margin.
-//
-// Because the classifier is pairwise, "better" is always relative to the
-// current incumbent: the optimiser climbs by repeatedly asking "does this
-// variant beat the best creative found so far?".
+// Compatibility header, kept only for the frozen benchmark harness
+// (perfbench/src/layers.cc), which includes it and calls the overload
+// below. New code includes microbrowse/classifier.h and calls the
+// read-only PredictPairMargin declared there.
 
 #ifndef MICROBROWSE_MICROBROWSE_OPTIMIZER_H_
 #define MICROBROWSE_MICROBROWSE_OPTIMIZER_H_
 
-#include <string>
-#include <vector>
-
-#include "common/result.h"
 #include "microbrowse/classifier.h"
 
 namespace microbrowse {
 
-/// The building blocks the optimiser may assemble. `brand` is fixed;
-/// each inner vector lists the interchangeable phrases for one content
-/// block (e.g. all candidate offers). A creative uses exactly one phrase
-/// per block.
-struct SnippetCandidates {
-  std::string brand;
-  std::vector<std::vector<std::string>> blocks;
-};
-
-/// Optimiser configuration.
-struct OptimizeOptions {
-  /// Beam width over partial assignments.
-  int beam_width = 8;
-  /// Hill-climbing refinement rounds after the beam pass.
-  int refine_rounds = 2;
-};
-
-/// An optimisation outcome: the best creative found and its predicted
-/// pairwise margin (classifier score) over the reference.
-struct OptimizedSnippet {
-  Snippet snippet;
-  double margin_over_reference = 0.0;
-};
-
-/// Searches for the creative the classifier favours most against
-/// `reference`. `model` must be the result of training `config` over
-/// registries compatible with `t_registry` / `p_registry` (typically the
-/// dataset's registries; unseen features fall back to their warm-start
-/// weights when present, otherwise contribute nothing).
-Result<OptimizedSnippet> OptimizeSnippet(const SnippetCandidates& candidates,
-                                         const Snippet& reference, const FeatureStatsDb& db,
-                                         const ClassifierConfig& config,
-                                         const SnippetClassifierModel& model,
-                                         const FeatureRegistry& t_registry,
-                                         const FeatureRegistry& p_registry,
-                                         const OptimizeOptions& options = {});
-
-/// Pairwise predicted margin of `challenger` over `incumbent` under the
-/// trained model (positive = challenger favoured). Exposed for tooling.
-double PredictPairMargin(const Snippet& challenger, const Snippet& incumbent,
-                         const FeatureStatsDb& db, const ClassifierConfig& config,
-                         const SnippetClassifierModel& model,
-                         const FeatureRegistry& t_registry,
-                         const FeatureRegistry& p_registry);
-
-/// PredictPairMargin against caller-owned *mutable* registries: unseen
-/// features are interned into them (with their statistics warm starts)
-/// instead of into per-call copies. The serving hot path reuses one
-/// registry pair per worker across requests, so scoring cost stays
-/// extraction + dot product instead of extraction + two registry copies.
-double PredictPairMargin(const Snippet& challenger, const Snippet& incumbent,
-                         const FeatureStatsDb& db, const ClassifierConfig& config,
-                         const SnippetClassifierModel& model, FeatureRegistry* t_registry,
-                         FeatureRegistry* p_registry);
-
-/// Scores pre-extracted occurrences under `model`, falling back to the
-/// registries' warm-start weights for features interned after training
-/// (ids beyond the trained weight vectors).
-double ScoreOccurrences(const SnippetClassifierModel& model,
-                        const FeatureRegistry& t_registry,
-                        const FeatureRegistry& p_registry,
-                        const std::vector<CoupledOccurrence>& occurrences);
+/// Forwards to the read-only PredictPairMargin; interns nothing into the
+/// registries it is handed.
+inline double PredictPairMargin(const Snippet& first, const Snippet& second,
+                                const FeatureStatsDb& db, const ClassifierConfig& config,
+                                const SnippetClassifierModel& model,
+                                FeatureRegistry* t_registry, FeatureRegistry* p_registry) {
+  return PredictPairMargin(first, second, db, config, model, *t_registry, *p_registry);
+}
 
 }  // namespace microbrowse
 

@@ -32,7 +32,7 @@ FeatureId FeatureRegistry::Intern(std::string_view name, double initial_weight) 
     const FeatureId base_id = FindInBase(base_names_, base_sorted_, base_count_, name);
     if (base_id != kInvalidFeatureId) return base_id;
   }
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   const FeatureId id = static_cast<FeatureId>(base_count_ + names_.size());
   names_.emplace_back(name);
@@ -46,7 +46,7 @@ FeatureId FeatureRegistry::Find(std::string_view name) const {
     const FeatureId base_id = FindInBase(base_names_, base_sorted_, base_count_, name);
     if (base_id != kInvalidFeatureId) return base_id;
   }
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   return it != index_.end() ? it->second : kInvalidFeatureId;
 }
 

@@ -18,13 +18,14 @@
 //              is the whole registry.
 //
 // Copying a pack-backed registry copies the overlay and shares the base
-// (one shared_ptr bump) — this is what keeps serve-time per-request
-// registry copies cheap for million-feature bundles.
+// (one shared_ptr bump). Serving never copies: PredictPairMargin reads
+// the bundle's registries through Find and InitialWeightOf only.
 
 #ifndef MICROBROWSE_ML_FEATURE_REGISTRY_H_
 #define MICROBROWSE_ML_FEATURE_REGISTRY_H_
 
 #include <cassert>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -39,6 +40,15 @@ namespace microbrowse {
 /// Sentinel for features absent from the registry.
 inline constexpr FeatureId kInvalidFeatureId = static_cast<FeatureId>(-1);
 
+/// String hash that also accepts string_views, so Find and Intern probe
+/// the overlay without materialising a std::string key.
+struct FeatureNameHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
+  }
+};
+
 /// Bidirectional feature-name <-> id map with per-feature initial weights.
 class FeatureRegistry {
  public:
@@ -50,8 +60,9 @@ class FeatureRegistry {
   /// in the overlay; the base is immutable.
   FeatureId Intern(std::string_view name, double initial_weight = 0.0);
 
-  /// Id of `name`, or kInvalidFeatureId when absent. Base lookups are a
-  /// binary search over the pack's sorted permutation (no allocation).
+  /// Id of `name`, or kInvalidFeatureId when absent. Never allocates: base
+  /// lookups are a binary search over the pack's sorted permutation, and
+  /// the overlay is probed with the view itself.
   FeatureId Find(std::string_view name) const;
 
   /// Name of `id`; `id` must be valid. The view borrows either the mapped
@@ -101,7 +112,7 @@ class FeatureRegistry {
 
  private:
   // Overlay (heap) layer; ids base_count_ .. size()-1.
-  std::unordered_map<std::string, FeatureId> index_;
+  std::unordered_map<std::string, FeatureId, FeatureNameHash, std::equal_to<>> index_;
   std::vector<std::string> names_;
   std::vector<double> initial_weights_;
 

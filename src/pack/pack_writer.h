@@ -46,6 +46,7 @@ class SectionBuilder {
   template <typename T>
   void AppendArray(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>, "AppendArray needs POD types");
+    if (values.empty()) return;  // memcpy from an empty vector's null data() is UB.
     const size_t at = bytes_.size();
     bytes_.resize(at + values.size() * sizeof(T));
     std::memcpy(bytes_.data() + at, values.data(), values.size() * sizeof(T));

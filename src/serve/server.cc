@@ -291,7 +291,7 @@ void Server::ProcessBatch(std::vector<ScoringTask>& batch) {
   thread_local std::string response;
   for (ScoringTask& task : batch) {
     // Deadline check sits immediately before scoring: a request whose
-    // budget died in the queue is answered without burning a context on
+    // budget died in the queue is answered without spending scoring work on
     // it. The deadline covers queue wait, not scoring — a request that
     // starts in time finishes and is delivered.
     if (task.deadline.expired()) {

@@ -12,20 +12,13 @@
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "microbrowse/classifier.h"
 #include "microbrowse/feature_keys.h"
-#include "microbrowse/optimizer.h"
 
 namespace microbrowse {
 namespace serve {
 
 namespace {
-
-/// A context whose registries grew past this many interned features beyond
-/// the bundle's is discarded instead of reused — adversarial traffic of
-/// all-new creatives must not grow worker memory without bound.
-constexpr size_t kMaxInternedGrowth = 1 << 16;
-/// Free-context pool bound; beyond it returned contexts are dropped.
-constexpr size_t kMaxPooledContexts = 64;
 
 Snippet ParseSnippetField(std::string_view field) {
   return Snippet::FromLines(Split(field, '|'));
@@ -49,38 +42,6 @@ ScoringService::ScoringService(BundleRegistry* registry, ServiceOptions options)
       reload_failure_(metric_registry_->GetCounter("mb.serve.reload_failure")),
       pair_cache_(options.cache_capacity, options.cache_shards),
       point_cache_(options.cache_capacity, options.cache_shards) {}
-
-std::unique_ptr<ScoringService::EvalContext> ScoringService::BorrowContext(
-    const ModelBundle& bundle) {
-  std::unique_ptr<EvalContext> context;
-  {
-    std::lock_guard<std::mutex> lock(context_mu_);
-    if (!free_contexts_.empty()) {
-      context = std::move(free_contexts_.back());
-      free_contexts_.pop_back();
-    }
-  }
-  const bool stale =
-      context == nullptr || context->generation != bundle.generation ||
-      context->t_registry.size() > context->base_t_size + kMaxInternedGrowth ||
-      context->p_registry.size() > context->base_p_size + kMaxInternedGrowth;
-  if (stale) {
-    context = std::make_unique<EvalContext>();
-    context->generation = bundle.generation;
-    context->t_registry = bundle.classifier.t_registry;
-    context->p_registry = bundle.classifier.p_registry;
-    context->base_t_size = context->t_registry.size();
-    context->base_p_size = context->p_registry.size();
-  }
-  return context;
-}
-
-void ScoringService::ReturnContext(std::unique_ptr<EvalContext> context) {
-  std::lock_guard<std::mutex> lock(context_mu_);
-  if (free_contexts_.size() < kMaxPooledContexts) {
-    free_contexts_.push_back(std::move(context));
-  }
-}
 
 std::string ScoringService::HandleLine(std::string_view line) {
   std::string response;
@@ -188,11 +149,8 @@ Status ScoringService::HandleScorePair(const Request& request, JsonWriter& respo
     MB_FAILPOINT("serve.score");
     const Snippet a = ParseSnippetField(a_text);
     const Snippet b = ParseSnippetField(b_text);
-    auto context = BorrowContext(*bundle);
-    margin = PredictPairMargin(a, b, bundle->stats, bundle->config,
-                               bundle->classifier.model, &context->t_registry,
-                               &context->p_registry);
-    ReturnContext(std::move(context));
+    margin = PredictPairMargin(a, b, bundle->stats, bundle->config, bundle->classifier.model,
+                               bundle->classifier.t_registry, bundle->classifier.p_registry);
     pair_cache_.Put(key, margin);
   }
   metrics.RecordCache(hit);

@@ -4,30 +4,26 @@
 // and the serve_bench load generator can drive it in-process. One
 // HandleLine call maps one request line to one response line; the method
 // is fully thread-safe and lock-free on the hot path apart from one
-// cache-shard lock and one context-pool pop/push.
+// cache-shard lock.
 //
-// Scoring reuses per-worker evaluation contexts: the pairwise extractor
-// interns unseen features into mutable registries, so each borrowed
-// context carries its own copies seeded from the bundle's registries
-// (rebuilt lazily when the bundle generation moves or growth exceeds a
-// bound). Results are memoised in sharded LRU caches keyed by
-// generation + snippet content hash — ad serving re-scores the same
-// creatives constantly, and a warm hit skips tokenization, n-gram
-// extraction and rewrite matching entirely.
+// Scoring is read-only over the current bundle: PredictPairMargin looks
+// each feature up in the bundle's immutable registries (falling back to the
+// statistics warm start for unseen ones), so concurrent misses share one
+// bundle with no per-request state that grows. Results are memoised in
+// sharded LRU caches keyed by generation + snippet content hash — ad
+// serving re-scores the same creatives constantly, and a warm hit skips
+// tokenization, n-gram extraction and rewrite matching entirely.
 
 #ifndef MICROBROWSE_SERVE_SERVICE_H_
 #define MICROBROWSE_SERVE_SERVICE_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include <atomic>
 
-#include "ml/feature_registry.h"
 #include "serve/bundle.h"
 #include "serve/health.h"
 #include "serve/lru_cache.h"
@@ -91,19 +87,6 @@ class ScoringService {
   CacheStats point_cache_stats() const { return point_cache_.Stats(); }
 
  private:
-  /// Mutable registries for the pairwise extractor, seeded from one bundle
-  /// generation.
-  struct EvalContext {
-    uint64_t generation = 0;
-    FeatureRegistry t_registry;
-    FeatureRegistry p_registry;
-    size_t base_t_size = 0;
-    size_t base_p_size = 0;
-  };
-
-  std::unique_ptr<EvalContext> BorrowContext(const ModelBundle& bundle);
-  void ReturnContext(std::unique_ptr<EvalContext> context);
-
   void Dispatch(const Request& request, Endpoint endpoint, JsonWriter& response,
                 bool* ok);
   Status HandleScorePair(const Request& request, JsonWriter& response);
@@ -131,9 +114,6 @@ class ScoringService {
   Counter* reload_failure_;
   ShardedLruCache<double> pair_cache_;
   ShardedLruCache<double> point_cache_;
-
-  std::mutex context_mu_;
-  std::vector<std::unique_ptr<EvalContext>> free_contexts_;
 };
 
 }  // namespace serve

@@ -11,7 +11,7 @@
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/serialization.h"
-#include "microbrowse/optimizer.h"
+#include "microbrowse/classifier.h"
 #include "microbrowse/pipeline.h"
 
 namespace microbrowse {
@@ -82,36 +82,6 @@ TEST(EndToEndTest, FullWorkflowThroughSerialization) {
   std::remove(corpus_path.c_str());
   std::remove(stats_path.c_str());
   std::remove(model_path.c_str());
-}
-
-TEST(EndToEndTest, OptimizerImprovesOnWeakReference) {
-  AdCorpusOptions corpus_options;
-  corpus_options.num_adgroups = 400;
-  corpus_options.seed = 9;
-  auto generated = GenerateAdCorpus(corpus_options);
-  ASSERT_TRUE(generated.ok());
-  const PairCorpus pairs = ExtractSignificantPairs(generated->corpus, {});
-  const FeatureStatsDb db = BuildFeatureStats(pairs, {});
-  const ClassifierConfig config = ClassifierConfig::M6();
-  const CoupledDataset dataset = BuildClassifierDataset(pairs, db, config, 7);
-  auto model = TrainSnippetClassifier(dataset, config);
-  ASSERT_TRUE(model.ok());
-
-  // Candidates from the travel pool; the reference uses weak phrases.
-  SnippetCandidates candidates;
-  candidates.brand = "jetscout";
-  candidates.blocks = {{"browse flights to paris", "save big on flights to paris"},
-                       {"24 7 support", "free cancellation"},
-                       {"exclusive member deals", "20% off"}};
-  const Snippet reference = Snippet::FromLines(
-      {"jetscout", "browse flights to paris", "24 7 support exclusive member deals"});
-
-  OptimizeOptions optimize_options;
-  optimize_options.beam_width = 4;
-  auto best = OptimizeSnippet(candidates, reference, db, config, *model,
-                              dataset.t_registry, dataset.p_registry, optimize_options);
-  ASSERT_TRUE(best.ok());
-  EXPECT_GT(best->margin_over_reference, 0.0);
 }
 
 }  // namespace

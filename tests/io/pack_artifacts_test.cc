@@ -26,7 +26,6 @@
 #include "corpus/pair_extraction.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
-#include "microbrowse/optimizer.h"
 #include "microbrowse/stats_db.h"
 
 namespace microbrowse {

@@ -13,6 +13,7 @@
 #include "clickmodels/pbm.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
+#include "io/atomic_file.h"
 
 namespace microbrowse {
 namespace {
@@ -253,6 +254,49 @@ TEST(ClassifierIoTest, TruncatedFileFails) {
   const std::string path = TempPath("classifier_trunc.txt");
   WriteFile(path, "#microbrowse-classifier-v1\t0.0\nT\t2\nt:x\t0.1\t0.2\n");
   EXPECT_FALSE(LoadClassifier(path).ok());
+  std::remove(path.c_str());
+}
+
+/// A v2 model artifact (valid checksum footer) whose T section repeats
+/// "t:a" on line 4. Unique names carry trained weights 1 and 3.
+std::string WriteModelWithDuplicateName(const std::string& name) {
+  const std::string path = TempPath(name);
+  const std::string payload =
+      "#microbrowse-classifier-v1\t0.5\n"
+      "T\t3\n"
+      "t:a\t0.1\t1\n"
+      "t:a\t0.2\t2\n"
+      "t:b\t0.3\t3\n"
+      "P\t0\n";
+  EXPECT_TRUE(WriteArtifactAtomic(path, payload, /*rows=*/3).ok());
+  return path;
+}
+
+TEST(ClassifierIoTest, DuplicateFeatureNameFailsStrictLoad) {
+  const std::string path = WriteModelWithDuplicateName("classifier_dup_strict.txt");
+  const auto loaded = LoadClassifier(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(":4:"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("duplicate feature name"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ClassifierIoTest, RecoveringLoadSkipsDuplicateNameWithWeightsAligned) {
+  const std::string path = WriteModelWithDuplicateName("classifier_dup_salvage.txt");
+  LoadOptions salvage;
+  salvage.recovery = LoadOptions::Recovery::kSkipAndLog;
+  LoadReport report;
+  const auto loaded = LoadClassifier(path, salvage, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->t_registry.size(), 2u);
+  EXPECT_EQ(loaded->model.t_weights, (std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(loaded->t_registry.Find("t:a"), 0u);
+  EXPECT_EQ(loaded->t_registry.Find("t:b"), 1u);
+  EXPECT_DOUBLE_EQ(loaded->t_registry.InitialWeightOf(0), 0.1);
+  EXPECT_EQ(report.rows_kept, 2);
+  EXPECT_EQ(report.rows_skipped, 1);
+  EXPECT_EQ(report.first_error_line, 4);
   std::remove(path.c_str());
 }
 

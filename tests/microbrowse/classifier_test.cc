@@ -71,8 +71,8 @@ Snippet CreativeB() {
       {{"brand"}, {"book", "best", "flights"}, {"great", "rates", "10%", "off"}});
 }
 
-/// Extracts occurrences for both presentation orders and checks that the
-/// model score of any weight assignment flips sign exactly.
+/// Interns both presentation orders and checks that the pair margin under
+/// any weight assignment flips sign exactly.
 class ExtractionAntisymmetryTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExtractionAntisymmetryTest, ScoreFlipsUnderSwap) {
@@ -99,9 +99,11 @@ TEST_P(ExtractionAntisymmetryTest, ScoreFlipsUnderSwap) {
   }
   model.bias = 0.0;
 
-  CoupledExample fwd{forward, 1.0};
-  CoupledExample bwd{backward, 0.0};
-  EXPECT_NEAR(model.Score(fwd), -model.Score(bwd), 1e-9) << config.name;
+  const double forward_margin = PredictPairMargin(CreativeA(), CreativeB(), db, config, model,
+                                                  t_registry, p_registry);
+  const double backward_margin = PredictPairMargin(CreativeB(), CreativeA(), db, config, model,
+                                                   t_registry, p_registry);
+  EXPECT_NEAR(forward_margin, -backward_margin, 1e-9) << config.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ExtractionAntisymmetryTest, ::testing::Range(0, 6));
@@ -192,14 +194,14 @@ TEST(TrainSnippetClassifierTest, LearnsObviousSignal) {
   stats_options.min_count = 2;
   const FeatureStatsDb db = BuildFeatureStats(corpus, stats_options);
   for (const auto& config : ClassifierConfig::AllPaperModels()) {
-    const CoupledDataset dataset = BuildClassifierDataset(corpus, db, config, 5);
-    auto model = TrainSnippetClassifier(dataset, config);
+    const CoupledCsr csr = FlattenCoupledDataset(BuildClassifierDataset(corpus, db, config, 5));
+    auto model = TrainSnippetClassifier(csr, config);
     ASSERT_TRUE(model.ok()) << config.name;
     int correct = 0;
-    for (const auto& example : dataset.examples) {
-      correct += ((model->Score(example) >= 0.0) == (example.label > 0.5)) ? 1 : 0;
+    for (size_t row = 0; row < csr.size(); ++row) {
+      correct += ((model->ScoreRow(csr, row) >= 0.0) == (csr.labels[row] > 0.5)) ? 1 : 0;
     }
-    EXPECT_GT(static_cast<double>(correct) / dataset.examples.size(), 0.95) << config.name;
+    EXPECT_GT(static_cast<double>(correct) / csr.size(), 0.95) << config.name;
   }
 }
 
@@ -240,6 +242,49 @@ TEST(BuildClassifierDatasetTest, DeterministicForSeed) {
     EXPECT_EQ(a.examples[i].label, b.examples[i].label);
     ASSERT_EQ(a.examples[i].occurrences.size(), b.examples[i].occurrences.size());
   }
+}
+
+/// A corpus where creatives containing "winner" beat creatives containing
+/// "loser", with the deciding phrase on either content line; "meh" is
+/// neutral.
+PairCorpus LayoutSignalCorpus(int n) {
+  PairCorpus corpus;
+  Rng rng(21);
+  for (int i = 0; i < n; ++i) {
+    SnippetPair pair;
+    pair.adgroup_id = i;
+    pair.keyword_id = i % 5;
+    const bool vary_layout = rng.Bernoulli(0.5);
+    pair.r.snippet = vary_layout
+                         ? Snippet::FromTokens({{"brand"}, {"winner", "stuff"}, {"meh"}})
+                         : Snippet::FromTokens({{"brand"}, {"meh"}, {"winner", "stuff"}});
+    pair.r.serve_weight = 1.25;
+    pair.s.snippet = vary_layout
+                         ? Snippet::FromTokens({{"brand"}, {"loser", "stuff"}, {"meh"}})
+                         : Snippet::FromTokens({{"brand"}, {"meh"}, {"loser", "stuff"}});
+    pair.s.serve_weight = 0.75;
+    corpus.pairs.push_back(pair);
+  }
+  return corpus;
+}
+
+TEST(PredictPairMarginTest, AgreesWithTrainingSignal) {
+  const ClassifierConfig config = ClassifierConfig::M6();
+  const PairCorpus corpus = LayoutSignalCorpus(300);
+  BuildStatsOptions stats_options;
+  stats_options.min_count = 2;
+  const FeatureStatsDb db = BuildFeatureStats(corpus, stats_options);
+  const CoupledDataset dataset = BuildClassifierDataset(corpus, db, config, 3);
+  auto model = TrainSnippetClassifier(dataset, config);
+  ASSERT_TRUE(model.ok());
+  const Snippet winner = Snippet::FromTokens({{"brand"}, {"winner", "stuff"}, {"meh"}});
+  const Snippet loser = Snippet::FromTokens({{"brand"}, {"loser", "stuff"}, {"meh"}});
+  EXPECT_GT(PredictPairMargin(winner, loser, db, config, *model, dataset.t_registry,
+                              dataset.p_registry),
+            0.5);
+  EXPECT_LT(PredictPairMargin(loser, winner, db, config, *model, dataset.t_registry,
+                              dataset.p_registry),
+            -0.5);
 }
 
 // --- Pipeline

@@ -28,7 +28,6 @@
 #include "io/atomic_file.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
-#include "microbrowse/optimizer.h"
 #include "microbrowse/stats_db.h"
 #include "serve/bundle.h"
 #include "serve/protocol.h"
@@ -372,7 +371,7 @@ TEST_F(ServiceTest, ReloadUnderSustainedLoadFailsNoRequests) {
 
 TEST_F(ServiceTest, ConcurrentScoringAgreesAcrossGenerations) {
   // Margins must be bit-identical across generations of the same artifacts
-  // and across worker contexts — no torn bundles, no registry divergence.
+  // and across worker threads — no torn bundles, no registry divergence.
   ScoringService service(&registry_);
   const std::string line = ScorePairLine((*fields_)[5], (*fields_)[6]);
   const std::string expected(HandleOk(service, line).Get("margin"));

@@ -44,7 +44,7 @@
 #include "io/corpus_shards.h"
 #include "io/pack_artifacts.h"
 #include "io/serialization.h"
-#include "microbrowse/optimizer.h"
+#include "microbrowse/classifier.h"
 #include "microbrowse/pipeline.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -576,16 +576,12 @@ int CmdPredict(const Flags& flags) {
   if (batch) {
     auto rows = LoadPairRows(flags.Get("--pairs"));
     if (!rows.ok()) return Fail(rows.status());
-    // One mutable registry pair is reused across all rows (features interned
-    // by earlier rows stay interned — scores are unaffected, see optimizer.h).
-    FeatureRegistry t_registry = saved->t_registry;
-    FeatureRegistry p_registry = saved->p_registry;
     std::vector<double> margins;
     margins.reserve(rows->size());
     for (const PairRow& row : *rows) {
       margins.push_back(PredictPairMargin(ParseSnippetFlag(row.a), ParseSnippetFlag(row.b),
-                                          *db, config, saved->model, &t_registry,
-                                          &p_registry));
+                                          *db, config, saved->model, saved->t_registry,
+                                          saved->p_registry));
     }
     return EmitMargins(*rows, margins, flags);
   }
