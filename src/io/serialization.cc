@@ -17,7 +17,6 @@ namespace microbrowse {
 namespace {
 
 constexpr char kCorpusHeader[] = "#microbrowse-adcorpus-v1";
-constexpr char kClickLogHeader[] = "#microbrowse-clicklog-v1";
 constexpr char kStatsHeader[] = "#microbrowse-stats-v1";
 constexpr char kModelHeader[] = "#microbrowse-classifier-v1";
 
@@ -197,71 +196,6 @@ Result<AdCorpus> LoadAdCorpus(const std::string& path, const LoadOptions& option
 
 Result<AdCorpus> LoadAdCorpus(const std::string& path) {
   return LoadAdCorpus(path, LoadOptions{});
-}
-
-Status SaveClickLog(const ClickLog& log, const std::string& path) {
-  std::ostringstream out;
-  int64_t rows = 0;
-  out << kClickLogHeader << '\n';
-  for (const Session& session : log.sessions) {
-    out << session.query_id;
-    for (const SessionResult& result : session.results) {
-      out << '\t' << result.doc_id << ':' << (result.clicked ? 1 : 0);
-    }
-    out << '\n';
-    ++rows;
-  }
-  return WriteArtifactAtomic(path, out.str(), rows);
-}
-
-Result<ClickLog> LoadClickLog(const std::string& path, const LoadOptions& options,
-                              LoadReport* report) {
-  MB_ASSIGN_OR_RETURN(const ArtifactContent content,
-                      ReadArtifactReported(path, options, report));
-  if (content.lines.empty() || content.lines[0] != kClickLogHeader) {
-    return MalformedRow(path, 1, "missing clicklog header");
-  }
-  RowRecovery recovery(path, options, report);
-  ClickLog log;
-  for (size_t i = 1; i < content.lines.size(); ++i) {
-    const std::string& line = content.lines[i];
-    const int line_number = static_cast<int>(i) + 1;
-    if (line.empty()) continue;
-    const auto fields = Split(line, '\t');
-    Session session;
-    auto query_id = ParseInt(fields[0]);
-    if (!query_id.ok()) {
-      MB_RETURN_IF_ERROR(recovery.OnBadRow(line_number, query_id.status().message()));
-      continue;
-    }
-    session.query_id = static_cast<int32_t>(*query_id);
-    bool row_ok = true;
-    for (size_t f = 1; f < fields.size(); ++f) {
-      const auto parts = Split(fields[f], ':');
-      if (parts.size() != 2 || (parts[1] != "0" && parts[1] != "1")) {
-        MB_RETURN_IF_ERROR(recovery.OnBadRow(line_number, "expected doc_id:clicked cell"));
-        row_ok = false;
-        break;
-      }
-      auto doc_id = ParseInt(parts[0]);
-      if (!doc_id.ok()) {
-        MB_RETURN_IF_ERROR(recovery.OnBadRow(line_number, doc_id.status().message()));
-        row_ok = false;
-        break;
-      }
-      session.results.push_back(
-          SessionResult{static_cast<int32_t>(*doc_id), parts[1] == "1"});
-    }
-    if (!row_ok) continue;
-    log.sessions.push_back(std::move(session));
-    recovery.OnGoodRow();
-  }
-  log.RecomputeBounds();
-  return log;
-}
-
-Result<ClickLog> LoadClickLog(const std::string& path) {
-  return LoadClickLog(path, LoadOptions{});
 }
 
 Status SaveFeatureStats(const FeatureStatsDb& db, const std::string& path) {

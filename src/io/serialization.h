@@ -4,7 +4,6 @@
 // formats chosen for greppability and version-control friendliness:
 //
 //   AdCorpus            <- one creative per row, lines joined with " | "
-//   ClickLog            <- one session per row
 //   FeatureStatsDb      <- key \t positive \t total
 //   SnippetClassifierModel + registries  <- sectioned weight dump
 //
@@ -19,7 +18,6 @@
 
 #include <string>
 
-#include "clickmodels/session.h"
 #include "common/result.h"
 #include "corpus/ad.h"
 #include "io/atomic_file.h"
@@ -39,15 +37,6 @@ Status SaveAdCorpus(const AdCorpus& corpus, const std::string& path);
 Result<AdCorpus> LoadAdCorpus(const std::string& path, const LoadOptions& options,
                               LoadReport* report = nullptr);
 Result<AdCorpus> LoadAdCorpus(const std::string& path);
-
-/// Writes `log` to `path` as TSV: query_id, then per-position
-/// "doc_id:clicked" cells.
-Status SaveClickLog(const ClickLog& log, const std::string& path);
-
-/// Loads a click log written by SaveClickLog (bounds are recomputed).
-Result<ClickLog> LoadClickLog(const std::string& path, const LoadOptions& options,
-                              LoadReport* report = nullptr);
-Result<ClickLog> LoadClickLog(const std::string& path);
 
 /// Writes the statistics database as "key \t positive \t total" rows,
 /// sorted by key for stable diffs. Smoothing / min-count settings are

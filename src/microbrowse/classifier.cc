@@ -6,6 +6,7 @@
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "microbrowse/feature_keys.h"
 #include "ml/csr.h"
@@ -102,6 +103,14 @@ ClassifierConfig ClassifierConfig::M6() {
 
 std::vector<ClassifierConfig> ClassifierConfig::AllPaperModels() {
   return {M1(), M2(), M3(), M4(), M5(), M6()};
+}
+
+Result<ClassifierConfig> ClassifierConfig::ByName(std::string_view name) {
+  for (ClassifierConfig& config : AllPaperModels()) {
+    if (config.name == name) return std::move(config);
+  }
+  return Status::InvalidArgument("unknown model type '" + std::string(name) +
+                                 "' (expected M1..M6)");
 }
 
 namespace {

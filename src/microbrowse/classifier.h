@@ -18,6 +18,7 @@
 #define MICROBROWSE_MICROBROWSE_CLASSIFIER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -88,6 +89,9 @@ struct ClassifierConfig {
   static ClassifierConfig M6();
   /// All six, in order.
   static std::vector<ClassifierConfig> AllPaperModels();
+  /// The paper model named `name` ("M1".."M6", case-sensitive);
+  /// InvalidArgument for any other name.
+  static Result<ClassifierConfig> ByName(std::string_view name);
 };
 
 /// One feature occurrence: relevance feature `t`, optional position

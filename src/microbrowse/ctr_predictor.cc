@@ -15,16 +15,16 @@ CtrPredictor::CtrPredictor(const SnippetClassifierModel& model,
                            const FeatureRegistry& t_registry,
                            const FeatureRegistry& p_registry, const FeatureStatsDb* db,
                            CtrPredictorOptions options)
-    : model_(model),
-      t_registry_(t_registry),
-      p_registry_(p_registry),
+    : model_(&model),
+      t_registry_(&t_registry),
+      p_registry_(&p_registry),
       db_(db),
       options_(options) {}
 
 double CtrPredictor::Visibility(const PositionKey& position) const {
-  const FeatureId id = p_registry_.Find(TermPositionKey(position));
-  if (id != kInvalidFeatureId && id < model_.p_weights.size()) {
-    return model_.p_weights[id];
+  const FeatureId id = p_registry_->Find(TermPositionKey(position));
+  if (id != kInvalidFeatureId && id < model_->p_weights.size()) {
+    return model_->p_weights[id];
   }
   return options_.fallback_curve.Probability(position.line, position.bucket);
 }
@@ -37,15 +37,15 @@ double CtrPredictor::Score(const Snippet& snippet) const {
     // otherwise the plain term weight times the learned visibility.
     double term_weight = 0.0;
     bool positioned = false;
-    const FeatureId conj = t_registry_.Find(TermConjunctionKey(span.text, position));
-    if (conj != kInvalidFeatureId && conj < model_.t_weights.size() &&
-        model_.t_weights[conj] != 0.0) {
-      term_weight = model_.t_weights[conj];
+    const FeatureId conj = t_registry_->Find(TermConjunctionKey(span.text, position));
+    if (conj != kInvalidFeatureId && conj < model_->t_weights.size() &&
+        model_->t_weights[conj] != 0.0) {
+      term_weight = model_->t_weights[conj];
       positioned = true;
     } else {
-      const FeatureId plain = t_registry_.Find(TermKey(span.text));
-      if (plain != kInvalidFeatureId && plain < model_.t_weights.size()) {
-        term_weight = model_.t_weights[plain];
+      const FeatureId plain = t_registry_->Find(TermKey(span.text));
+      if (plain != kInvalidFeatureId && plain < model_->t_weights.size()) {
+        term_weight = model_->t_weights[plain];
       } else if (db_ != nullptr) {
         term_weight = db_->LogOdds(TermKey(span.text));
       }

@@ -36,7 +36,10 @@ struct CtrPredictorOptions {
 class CtrPredictor {
  public:
   /// `model` / registries are typically the output of TrainSnippetClassifier
-  /// with a coupled-position configuration. They are copied.
+  /// with a coupled-position configuration. Nothing is copied: the
+  /// predictor reads `model`, both registries and `db` in place, so all of
+  /// them must outlive it (a serving bundle owns them next to its
+  /// predictor).
   CtrPredictor(const SnippetClassifierModel& model, const FeatureRegistry& t_registry,
                const FeatureRegistry& p_registry, const FeatureStatsDb* db = nullptr,
                CtrPredictorOptions options = {});
@@ -52,10 +55,10 @@ class CtrPredictor {
   /// Learned visibility of a position, falling back to the curve.
   double Visibility(const PositionKey& position) const;
 
-  SnippetClassifierModel model_;
-  FeatureRegistry t_registry_;
-  FeatureRegistry p_registry_;
-  const FeatureStatsDb* db_;  ///< Optional; not owned. May be null.
+  const SnippetClassifierModel* model_;  ///< Not owned.
+  const FeatureRegistry* t_registry_;    ///< Not owned.
+  const FeatureRegistry* p_registry_;    ///< Not owned.
+  const FeatureStatsDb* db_;             ///< Optional; not owned. May be null.
   CtrPredictorOptions options_;
 };
 

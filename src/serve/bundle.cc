@@ -18,13 +18,6 @@ namespace serve {
 
 namespace {
 
-Result<ClassifierConfig> ConfigByName(const std::string& name) {
-  for (const auto& config : ClassifierConfig::AllPaperModels()) {
-    if (config.name == name) return config;
-  }
-  return Status::InvalidArgument("unknown model type '" + name + "' (expected M1..M6)");
-}
-
 /// Grid of learned term-position weights (NaN = never observed), the input
 /// FitExaminationCurve expects.
 std::vector<std::vector<double>> LearnedPositionGrid(const SavedClassifier& classifier) {
@@ -68,7 +61,8 @@ static Result<uint64_t> BundleContentChecksum(const BundlePaths& paths) {
 
 Result<std::shared_ptr<const ModelBundle>> LoadBundle(const BundlePaths& paths,
                                                       uint64_t generation) {
-  MB_ASSIGN_OR_RETURN(ClassifierConfig config, ConfigByName(paths.model_type));
+  MB_ASSIGN_OR_RETURN(ClassifierConfig config,
+                      ClassifierConfig::ByName(paths.model_type));
   MB_ASSIGN_OR_RETURN(const uint64_t content_checksum, BundleContentChecksum(paths));
   MB_ASSIGN_OR_RETURN(SavedClassifier classifier, LoadClassifierAny(paths.model_path));
   MB_ASSIGN_OR_RETURN(FeatureStatsDb stats, LoadStatsAny(paths.stats_path));
@@ -91,8 +85,9 @@ Result<std::shared_ptr<const ModelBundle>> LoadBundle(const BundlePaths& paths,
     bundle->curve_fitted = false;
   }
 
-  // The predictor keeps a raw pointer to the stats DB, so it must be
-  // constructed after the bundle members reached their final heap address.
+  // The predictor reads the model, registries and stats DB through raw
+  // pointers, so it must be constructed after the bundle members reached
+  // their final heap address.
   CtrPredictorOptions predictor_options;
   predictor_options.max_ngram = bundle->config.max_ngram;
   predictor_options.fallback_curve = bundle->curve;

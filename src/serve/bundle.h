@@ -59,8 +59,9 @@ struct ModelBundle {
   ExaminationCurve curve;
   /// True when `curve` was fitted from the model rather than the prior.
   bool curve_fitted = false;
-  /// Pointwise scorer over this bundle's artifacts (constructed after the
-  /// members above are at their final addresses — see MakeBundle).
+  /// Pointwise scorer that reads `classifier` and `stats` in place
+  /// (constructed after the members above are at their final addresses —
+  /// see LoadBundle).
   std::optional<CtrPredictor> predictor;
   BundlePaths paths;
   /// Combined FNV-1a/64 over the raw bytes of both artifact files —

@@ -101,6 +101,60 @@ void ReactorConn::Kill() {
   }
 }
 
+void ReactorConn::WriteSeq(uint64_t seq, std::string_view payload, bool raw) {
+  std::lock_guard<std::mutex> lock(seq_mu_);
+  if (seq != next_flush_) {
+    // Early completion: park a copy, reusing a retired buffer when one is
+    // available so steady-state holds allocate nothing.
+    HeldResponse held;
+    if (!spare_payloads_.empty()) {
+      held.payload = std::move(spare_payloads_.back());
+      spare_payloads_.pop_back();
+    }
+    held.seq = seq;
+    held.raw = raw;
+    held.payload.assign(payload);
+    held_.push_back(std::move(held));
+    return;
+  }
+  Deliver(payload, raw);
+  ++next_flush_;
+  // Release any parked successors that are now in line.
+  bool progressed = true;
+  while (progressed && !held_.empty()) {
+    progressed = false;
+    for (size_t i = 0; i < held_.size(); ++i) {
+      if (held_[i].seq != next_flush_) continue;
+      Deliver(held_[i].payload, held_[i].raw);
+      ++next_flush_;
+      if (spare_payloads_.size() < kMaxSparePayloads &&
+          held_[i].payload.capacity() <= kMaxSparePayloadBytes) {
+        held_[i].payload.clear();
+        spare_payloads_.push_back(std::move(held_[i].payload));
+      }
+      held_[i] = std::move(held_.back());
+      held_.pop_back();
+      progressed = true;
+      break;
+    }
+  }
+}
+
+bool ReactorConn::SeqDrained() {
+  std::lock_guard<std::mutex> lock(seq_mu_);
+  return next_flush_ == next_seq_assign_.load(std::memory_order_acquire);
+}
+
+void ReactorConn::Deliver(std::string_view payload, bool raw) {
+  // Dead connections still advance the cursor (Enqueue drops the bytes) so
+  // SeqDrained converges and successors release.
+  if (raw) {
+    WriteRaw(payload);
+  } else {
+    Write(payload);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reactor
 // ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@
 #include "common/deadline.h"
 #include "common/socket.h"
 #include "common/status.h"
-#include "serve/conn.h"
 #include "serve/conn_buffer.h"
 
 namespace microbrowse {
@@ -95,9 +94,23 @@ struct ReactorOptions {
   int sndbuf_bytes = 0;
 };
 
-/// One reactor-owned connection. Workers interact through the Conn
-/// interface; the fields below the public section are reactor-thread state.
-class ReactorConn : public Conn, public std::enable_shared_from_this<ReactorConn> {
+/// One reactor-owned connection: the socket, its read buffer and outbox,
+/// and the response sequencer the scoring workers deliver through.
+///
+/// Lifetime: connections are shared_ptr-owned. The reactor drops its
+/// reference when the peer disconnects or is evicted; queued requests keep
+/// theirs until answered, so a worker can always Write (the write is
+/// silently dropped once `alive` is false — the response's requests were
+/// already accounted in the serve metrics at HandleLine time, which is what
+/// keeps the chaos accounting invariant exact across disconnects).
+///
+/// Ordering: every response-bearing line read from a connection is stamped
+/// with a sequence number (AssignSeq) on the intake thread, in read order.
+/// Workers deliver through WriteSeq, which writes a response the moment it
+/// is next in line and holds early completions until their predecessors
+/// land — so pipelined responses always flush in request order even when
+/// the work-stealing pool finishes them out of order (DESIGN.md §17).
+class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
   ReactorConn(Socket socket, Reactor* reactor, const ReactorOptions& options,
               BufferPool* pool)
@@ -106,9 +119,46 @@ class ReactorConn : public Conn, public std::enable_shared_from_this<ReactorConn
         max_outbox_bytes_(options.max_outbox_bytes),
         in_(options.max_line_bytes, pool) {}
 
-  void Write(std::string_view response_line) override;
-  void WriteRaw(std::string_view bytes) override;
-  void Kill() override;
+  /// Queues one protocol response line; the '\n' terminator is appended
+  /// here. Never blocks: the bytes land in the outbox, one opportunistic
+  /// flush is tried and the reactor finishes on write-readiness. Dropped
+  /// once !alive.
+  void Write(std::string_view response_line);
+
+  /// Queues raw bytes verbatim (the plain-HTTP fast path, where the
+  /// payload carries its own framing).
+  void WriteRaw(std::string_view bytes);
+
+  /// Marks the connection dead and wakes the reactor, which closes it (only
+  /// the reactor thread releases the fd). Safe from any thread; idempotent.
+  void Kill();
+
+  /// False once the peer disconnected or the connection was evicted;
+  /// writes after that are dropped.
+  std::atomic<bool> alive{true};
+
+  /// Requests from this connection currently queued or executing — bounds
+  /// per-connection pipelining and defers idle eviction while a response
+  /// is still owed.
+  std::atomic<int64_t> inflight{0};
+
+  /// Stamps the next response slot. Called only on the intake thread (the
+  /// reactor thread), once per line that will produce a response, in read
+  /// order.
+  uint64_t AssignSeq() {
+    return next_seq_assign_.fetch_add(1, std::memory_order_acq_rel);
+  }
+
+  /// Delivers the response for slot `seq`: written through immediately when
+  /// every earlier slot has been written, held (copied) otherwise and
+  /// flushed the moment its predecessors land. `raw` responses bypass line
+  /// framing (plain-HTTP payloads). Safe from any thread.
+  void WriteSeq(uint64_t seq, std::string_view payload, bool raw = false);
+
+  /// True when every assigned slot has been written — the close-after-flush
+  /// paths wait for this so a trailing HTTP response cannot outrun
+  /// still-owed pipelined responses. Safe from any thread.
+  bool SeqDrained();
 
   /// Flush the outbox after this write completes, then close (HTTP/1.0
   /// "Connection: close" semantics). Reactor-thread only.
@@ -136,6 +186,26 @@ class ReactorConn : public Conn, public std::enable_shared_from_this<ReactorConn
   bool TryFlushLocked();
   /// Pending outbox bytes. Requires out_mu_.
   size_t PendingLocked() const { return outbox_.size() - out_start_; }
+  /// Writes one sequenced payload. Requires seq_mu_.
+  void Deliver(std::string_view payload, bool raw);
+
+  struct HeldResponse {
+    uint64_t seq = 0;
+    bool raw = false;
+    std::string payload;
+  };
+  static constexpr size_t kMaxSparePayloads = 16;
+  /// Oversized retired buffers (a parked /metricsz scrape, say) are freed
+  /// rather than pooled — the BufferPool capacity-cap idiom.
+  static constexpr size_t kMaxSparePayloadBytes = 64 * 1024;
+
+  std::atomic<uint64_t> next_seq_assign_{0};
+  /// seq_mu_ guards next_flush_/held_/spare_payloads_ and orders before
+  /// out_mu_ — never acquire seq_mu_ while holding out_mu_.
+  std::mutex seq_mu_;
+  uint64_t next_flush_ = 0;
+  std::vector<HeldResponse> held_;
+  std::vector<std::string> spare_payloads_;
 
   Socket socket_;
   Reactor* reactor_;

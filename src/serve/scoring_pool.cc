@@ -32,7 +32,7 @@ ScoringPool::ScoringPool(Options options, BatchHandler handler)
 
 ScoringPool::~ScoringPool() { Stop(); }
 
-bool ScoringPool::Submit(const std::shared_ptr<Conn>& connection,
+bool ScoringPool::Submit(const std::shared_ptr<ReactorConn>& connection,
                          std::string_view line, Deadline deadline, uint64_t seq) {
   if (stopping_.load(std::memory_order_acquire)) return false;
   // Reserve a slot under the global bound first; the per-deque caps below

@@ -32,15 +32,16 @@
 #include "common/deadline.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
-#include "serve/conn.h"
 
 namespace microbrowse {
 namespace serve {
 
+class ReactorConn;
+
 /// One admitted request: the connection it came from, the raw line, the
 /// queue-wait budget and the connection-order response slot.
 struct ScoringTask {
-  std::shared_ptr<Conn> connection;
+  std::shared_ptr<ReactorConn> connection;
   std::string line;
   Deadline deadline;
   uint64_t seq = 0;
@@ -75,7 +76,7 @@ class ScoringPool {
   /// max_queue or stopping — the caller refuses the request. The line is
   /// copied into a pooled buffer; steady-state submission allocates
   /// nothing.
-  bool Submit(const std::shared_ptr<Conn>& connection, std::string_view line,
+  bool Submit(const std::shared_ptr<ReactorConn>& connection, std::string_view line,
               Deadline deadline, uint64_t seq);
 
   /// Stops intake, drains every queued task through the handler and joins

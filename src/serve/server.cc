@@ -166,8 +166,8 @@ void Server::Stop() {
     pool_->Stop();
     pool_.reset();
   }
-  // The workers are gone, so no Conn can reach into the reactor any more;
-  // only now may its wakeup plumbing be torn down.
+  // The workers are gone, so no connection can reach into the reactor any
+  // more; only now may its wakeup plumbing be torn down.
   reactor_.reset();
 }
 
@@ -205,7 +205,7 @@ Deadline Server::RequestDeadline(std::string_view line) const {
              : Deadline::Infinite();
 }
 
-void Server::HandleRequestLine(const std::shared_ptr<Conn>& connection,
+void Server::HandleRequestLine(const std::shared_ptr<ReactorConn>& connection,
                                std::string_view line) {
   const int state = state_.load(std::memory_order_acquire);
   if (state == kStopped) {
@@ -254,7 +254,7 @@ void Server::HandleRequestLine(const std::shared_ptr<Conn>& connection,
   WriteRefusal(*connection, line, "overloaded", -1, seq);
 }
 
-void Server::HandleLineDuringDrain(Conn& connection, std::string_view line,
+void Server::HandleLineDuringDrain(ReactorConn& connection, std::string_view line,
                                    uint64_t seq) {
   Request& request = ScratchRequest();
   const bool parsed = ParseRequestInto(line, &request).ok();
@@ -270,7 +270,7 @@ void Server::HandleLineDuringDrain(Conn& connection, std::string_view line,
                health_.retry_after_ms.load(std::memory_order_relaxed), seq);
 }
 
-void Server::WriteRefusal(Conn& connection, std::string_view line,
+void Server::WriteRefusal(ReactorConn& connection, std::string_view line,
                           std::string_view error, int64_t retry_after_ms,
                           uint64_t seq) {
   thread_local JsonWriter response;

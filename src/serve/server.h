@@ -9,7 +9,7 @@
 // Admitted requests are scheduled on the work-stealing ScoringPool
 // (serve/scoring_pool.h, DESIGN.md §17): per-worker bounded deques,
 // randomized steal-half, near-zero lock contention at saturation. Workers
-// write each response back through the Conn interface (serve/conn.h).
+// write each response back through its ReactorConn (serve/reactor.h).
 // Admission control is intake-side: when the pool is at capacity (or one
 // connection exceeds its in-flight cap) the request is answered
 // immediately with {"ok":false,"error":"overloaded"} instead of queueing
@@ -35,11 +35,11 @@
 //
 // Responses to a pipelined connection are delivered in request order:
 // every response-bearing line is stamped with a per-connection sequence
-// number at intake, and workers deliver through Conn::WriteSeq, which
-// holds early completions until their predecessors flush (serve/conn.h,
-// DESIGN.md §17). Clients that pipeline may still tag requests with "id"
-// and match on the echo — mbctl and serve_bench both do — but ordering
-// alone suffices.
+// number at intake, and workers deliver through ReactorConn::WriteSeq,
+// which holds early completions until their predecessors flush
+// (serve/reactor.h, DESIGN.md §17). Clients that pipeline may still tag
+// requests with "id" and match on the echo — mbctl and serve_bench both
+// do — but ordering alone suffices.
 
 #ifndef MICROBROWSE_SERVE_SERVER_H_
 #define MICROBROWSE_SERVE_SERVER_H_
@@ -56,7 +56,6 @@
 #include "common/deadline.h"
 #include "common/result.h"
 #include "common/socket.h"
-#include "serve/conn.h"
 #include "serve/health.h"
 #include "serve/reactor.h"
 #include "serve/scoring_pool.h"
@@ -163,7 +162,8 @@ class Server : private ReactorHandler {
 
   /// Dispatches one request line from a serving connection: admission
   /// control, deadline stamping, queueing. Refusals are written inline.
-  void HandleRequestLine(const std::shared_ptr<Conn>& connection, std::string_view line);
+  void HandleRequestLine(const std::shared_ptr<ReactorConn>& connection,
+                         std::string_view line);
   /// The scoring pool's batch handler: deadline check, scoring, ordered
   /// delivery and drain accounting for one claimed batch.
   void ProcessBatch(std::vector<ScoringTask>& batch);
@@ -172,12 +172,13 @@ class Server : private ReactorHandler {
   Deadline RequestDeadline(std::string_view line) const;
   /// Answers one request received while draining: observability types are
   /// served inline, everything else is refused with "draining".
-  void HandleLineDuringDrain(Conn& connection, std::string_view line, uint64_t seq);
+  void HandleLineDuringDrain(ReactorConn& connection, std::string_view line,
+                             uint64_t seq);
   /// Writes an {"ok":false,...} refusal into response slot `seq`, echoing
   /// the request id when the line parses. `retry_after_ms` < 0 omits the
   /// field.
-  void WriteRefusal(Conn& connection, std::string_view line, std::string_view error,
-                    int64_t retry_after_ms, uint64_t seq);
+  void WriteRefusal(ReactorConn& connection, std::string_view line,
+                    std::string_view error, int64_t retry_after_ms, uint64_t seq);
   /// The full raw response (status line, headers, body) for one plain-HTTP
   /// GET request line — the /metricsz, /healthz and /readyz scrape paths.
   std::string BuildHttpResponse(std::string_view request_line);

@@ -9,8 +9,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "clickmodels/simulator.h"
-#include "clickmodels/pbm.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/atomic_file.h"
@@ -114,45 +112,6 @@ TEST(AdCorpusIoTest, ClicksAboveImpressionsRejected) {
   const std::string path = TempPath("corpus_badcounts.tsv");
   WriteFile(path, "#microbrowse-adcorpus-v1\ttop\n1\t2\tkw\t3\t10\t50\t0.05\ta | b | c\n");
   EXPECT_FALSE(LoadAdCorpus(path).ok());
-  std::remove(path.c_str());
-}
-
-// --- ClickLog round trip
-
-TEST(ClickLogIoTest, RoundTrip) {
-  SerpSimulatorOptions options;
-  options.num_queries = 5;
-  options.docs_per_query = 6;
-  options.positions = 4;
-  options.num_sessions = 200;
-  Rng rng(8);
-  const SerpGroundTruth truth = MakeSerpGroundTruth(options, &rng);
-  const PositionBasedModel model({0.9, 0.6, 0.4, 0.2}, truth.attraction);
-  auto log = SimulateSerpLog(options, truth, model, &rng);
-  ASSERT_TRUE(log.ok());
-
-  const std::string path = TempPath("clicklog.tsv");
-  ASSERT_TRUE(SaveClickLog(*log, path).ok());
-  auto loaded = LoadClickLog(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->sessions.size(), log->sessions.size());
-  EXPECT_EQ(loaded->max_positions, log->max_positions);
-  EXPECT_EQ(loaded->num_queries, log->num_queries);
-  for (size_t s = 0; s < loaded->sessions.size(); ++s) {
-    EXPECT_EQ(loaded->sessions[s].query_id, log->sessions[s].query_id);
-    ASSERT_EQ(loaded->sessions[s].results.size(), log->sessions[s].results.size());
-    for (size_t i = 0; i < loaded->sessions[s].results.size(); ++i) {
-      EXPECT_EQ(loaded->sessions[s].results[i].doc_id, log->sessions[s].results[i].doc_id);
-      EXPECT_EQ(loaded->sessions[s].results[i].clicked, log->sessions[s].results[i].clicked);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ClickLogIoTest, MalformedCellFails) {
-  const std::string path = TempPath("clicklog_bad.tsv");
-  WriteFile(path, "#microbrowse-clicklog-v1\n3\t5:2\n");
-  EXPECT_FALSE(LoadClickLog(path).ok());
   std::remove(path.c_str());
 }
 

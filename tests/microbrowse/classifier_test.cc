@@ -56,6 +56,26 @@ TEST(ClassifierConfigTest, PaperModelFlags) {
   EXPECT_EQ(all[5].name, "M6");
 }
 
+TEST(ClassifierConfigTest, ByNameRoundTripsEveryPaperModel) {
+  for (const ClassifierConfig& config : ClassifierConfig::AllPaperModels()) {
+    auto found = ClassifierConfig::ByName(config.name);
+    ASSERT_TRUE(found.ok()) << config.name;
+    EXPECT_EQ(found->name, config.name);
+    EXPECT_EQ(found->use_term_features, config.use_term_features);
+    EXPECT_EQ(found->use_rewrite_features, config.use_rewrite_features);
+    EXPECT_EQ(found->use_position, config.use_position);
+    EXPECT_EQ(found->term_position_conjunction, config.term_position_conjunction);
+  }
+}
+
+TEST(ClassifierConfigTest, ByNameRejectsUnknownNames) {
+  for (const char* name : {"M7", "m6", "", "custom"}) {
+    const auto found = ClassifierConfig::ByName(name);
+    ASSERT_FALSE(found.ok()) << "'" << name << "'";
+    EXPECT_EQ(found.status().code(), StatusCode::kInvalidArgument) << "'" << name << "'";
+  }
+}
+
 // --- Extraction invariants
 
 Snippet CreativeA() {

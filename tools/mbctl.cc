@@ -60,14 +60,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-ClassifierConfig ConfigByName(const std::string& name) {
-  for (const auto& config : ClassifierConfig::AllPaperModels()) {
-    if (config.name == name) return config;
-  }
-  std::fprintf(stderr, "unknown model '%s', using M6\n", name.c_str());
-  return ClassifierConfig::M6();
-}
-
 Snippet ParseSnippetFlag(const std::string& field) {
   std::vector<std::string> lines = Split(field, '|');
   return Snippet::FromLines(lines);
@@ -340,7 +332,9 @@ int CmdTrain(const Flags& flags) {
   if (!shards.ok()) return Fail(shards.status());
   auto train_threads = flags.GetInt("--train-threads", 1, /*min=*/1, /*max=*/256);
   if (!train_threads.ok()) return Fail(train_threads.status());
-  ClassifierConfig config = ConfigByName(flags.Get("--model", "M6"));
+  auto named = ClassifierConfig::ByName(flags.Get("--model", "M6"));
+  if (!named.ok()) return Fail(named.status());
+  ClassifierConfig config = std::move(named).value();
   // Results are bitwise identical for any thread count (DESIGN.md §11).
   config.lr.num_threads = static_cast<int>(*train_threads);
   config.position_lr.num_threads = static_cast<int>(*train_threads);
@@ -436,7 +430,9 @@ int CmdEvaluate(const Flags& flags) {
   if (model_flag == "all") {
     configs = ClassifierConfig::AllPaperModels();
   } else {
-    configs.push_back(ConfigByName(model_flag));
+    auto config = ClassifierConfig::ByName(model_flag);
+    if (!config.ok()) return Fail(config.status());
+    configs.push_back(std::move(config).value());
   }
   for (const auto& config : configs) {
     // Each configuration checkpoints into its own subdirectory so an
@@ -559,6 +555,9 @@ int CmdPredict(const Flags& flags) {
     return 0;
   }
 
+  auto named = ClassifierConfig::ByName(flags.Get("--model-type", "M6"));
+  if (!named.ok()) return Fail(named.status());
+  const ClassifierConfig config = std::move(named).value();
   auto load_options = RecoveryOptions(flags);
   if (!load_options.ok()) return Fail(load_options.status());
   const std::string model_path = flags.Get("--model", "model.txt");
@@ -571,7 +570,6 @@ int CmdPredict(const Flags& flags) {
   auto db = LoadFeatureStatsSniffed(stats_path, *load_options, &stats_report);
   if (!db.ok()) return Fail(db.status());
   PrintLoadReport(stats_path, stats_report);
-  const ClassifierConfig config = ConfigByName(flags.Get("--model-type", "M6"));
 
   if (batch) {
     auto rows = LoadPairRows(flags.Get("--pairs"));
