@@ -98,11 +98,11 @@ FeatureStatsDb PackBacked(const FeatureStatsDb& db) {
 }
 
 void MatchRewritesLoop(benchmark::State& state, const PairCorpus& pairs,
-                       const FeatureStatsDb& db) {
+                       const FeatureStatsDb* db) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = pairs.pairs[i++ % pairs.pairs.size()];
-    benchmark::DoNotOptimize(MatchRewrites(pair.r.snippet, pair.s.snippet, &db));
+    benchmark::DoNotOptimize(MatchRewrites(pair.r.snippet, pair.s.snippet, db));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -115,14 +115,22 @@ FeatureStatsDb OnePassStats(const PairCorpus& pairs) {
 
 void BM_MatchRewrites(benchmark::State& state) {
   const PairCorpus pairs = BenchPairs(200);
-  MatchRewritesLoop(state, pairs, OnePassStats(pairs));
+  const FeatureStatsDb db = OnePassStats(pairs);
+  MatchRewritesLoop(state, pairs, &db);
 }
 BENCHMARK(BM_MatchRewrites);
+
+/// BM_MatchRewrites without a database: the first stats pass's matching.
+void BM_MatchRewritesNoDb(benchmark::State& state) {
+  MatchRewritesLoop(state, BenchPairs(200), nullptr);
+}
+BENCHMARK(BM_MatchRewritesNoDb);
 
 /// BM_MatchRewrites against the same statistics served from an mbpack.
 void BM_MatchRewritesPack(benchmark::State& state) {
   const PairCorpus pairs = BenchPairs(200);
-  MatchRewritesLoop(state, pairs, PackBacked(OnePassStats(pairs)));
+  const FeatureStatsDb db = PackBacked(OnePassStats(pairs));
+  MatchRewritesLoop(state, pairs, &db);
 }
 BENCHMARK(BM_MatchRewritesPack);
 

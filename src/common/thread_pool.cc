@@ -89,6 +89,18 @@ Status ThreadPool::ParallelForFallible(size_t count,
   return Wait();
 }
 
+void ThreadPool::ParallelForAll(size_t count, const std::function<void(size_t)>& fn) {
+  std::vector<char> done(count, 0);
+  // The Status only says that some task failed; `done` says which.
+  (void)ParallelFor(count, [&](size_t i) {
+    fn(i);
+    done[i] = 1;
+  });
+  for (size_t i = 0; i < count; ++i) {
+    if (!done[i]) fn(i);
+  }
+}
+
 void ThreadPool::RecordFailure(const Status& status) {
   if (!has_failure_) {
     has_failure_ = true;

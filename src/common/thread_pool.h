@@ -67,6 +67,14 @@ class ThreadPool {
   /// ambiguous against the infallible overload.)
   Status ParallelForFallible(size_t count, const std::function<Status(size_t)>& fn);
 
+  /// Runs `fn(i)` for every i in [0, count): across the pool first, then
+  /// on the calling thread for each index whose task did not finish. A
+  /// pool task can fail without running `fn` (a worker fault) or part way
+  /// through it (an escaped exception), and ParallelFor's Status does not
+  /// say which index failed; here none is lost. `fn` must start each index
+  /// afresh, since a rerun may follow a partial run.
+  void ParallelForAll(size_t count, const std::function<void(size_t)>& fn);
+
  private:
   struct Task {
     std::function<Status()> fn;

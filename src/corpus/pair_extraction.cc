@@ -3,11 +3,13 @@
 #include "corpus/pair_extraction.h"
 
 #include "common/math_util.h"
+#include "common/trace.h"
 #include "corpus/serve_weight.h"
 
 namespace microbrowse {
 
 PairCorpus ExtractSignificantPairs(const AdCorpus& corpus, const PairExtractionOptions& options) {
+  TraceSpan span("mb.pairs.extract");
   PairCorpus out;
   for (const auto& group : corpus.adgroups) {
     const std::vector<double> serve_weights = ComputeServeWeights(group);

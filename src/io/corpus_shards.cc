@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/trace.h"
 #include "io/serialization.h"
 
 namespace microbrowse {
@@ -205,7 +206,8 @@ Result<FeatureStatsDb> BuildFeatureStatsSharded(const ShardSetInfo& shards,
           if (pass == 0 && report != nullptr) {
             report->pairs += static_cast<int64_t>(pairs.pairs.size());
           }
-          AccumulateFeatureStats(pairs, options, pass == 0 ? nullptr : &db, &next);
+          AccumulateFeatureStats(pairs, options, pass == 0 ? nullptr : &db, &next,
+                                 StatsScopeOfPass(pass, passes));
           return Status::OK();
         }));
     db = std::move(next);
@@ -220,6 +222,7 @@ Result<ShardedClassifierData> BuildCoupledCsrSharded(
     const ShardSetInfo& shards, const FeatureStatsDb& db, const ClassifierConfig& config,
     uint64_t seed, const PairExtractionOptions& extraction, const LoadOptions& load_options,
     ShardLoadReport* report) {
+  TraceSpan span("mb.dataset.build");
   ShardedClassifierData data;
   data.csr.row_offsets.push_back(0);
   // One Rng across the whole stream: pair k of the concatenated corpus gets

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/trace.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
 
@@ -139,6 +140,7 @@ Status LoadRegistryPack(const std::shared_ptr<const pack::PackReader>& reader, u
 }  // namespace
 
 Status SaveStatsPack(const FeatureStatsDb& db, const std::string& path) {
+  TraceSpan span("mb.artifact.write");
   struct Row {
     std::string_view key;
     const FeatureStat* stat;
@@ -214,6 +216,7 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
 Status SaveClassifierPack(const SnippetClassifierModel& model,
                           const FeatureRegistry& t_registry, const FeatureRegistry& p_registry,
                           const std::string& path) {
+  TraceSpan span("mb.artifact.write");
   if (model.t_weights.size() != t_registry.size() ||
       model.p_weights.size() != p_registry.size()) {
     return Status::InvalidArgument("SaveClassifierPack: weight/registry size mismatch");

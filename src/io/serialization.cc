@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 
 namespace microbrowse {
 
@@ -110,6 +111,7 @@ Result<double> ParseDouble(const std::string& text) {
 }  // namespace
 
 Status SaveAdCorpus(const AdCorpus& corpus, const std::string& path) {
+  TraceSpan span("mb.artifact.write");
   std::ostringstream out;
   int64_t rows = 0;
   out << kCorpusHeader << '\t' << PlacementName(corpus.placement) << '\n';
@@ -127,6 +129,7 @@ Status SaveAdCorpus(const AdCorpus& corpus, const std::string& path) {
 
 Result<AdCorpus> LoadAdCorpus(const std::string& path, const LoadOptions& options,
                               LoadReport* report) {
+  TraceSpan span("mb.corpus.load");
   MB_ASSIGN_OR_RETURN(const ArtifactContent content,
                       ReadArtifactReported(path, options, report));
   if (content.lines.empty() || !StartsWith(content.lines[0], kCorpusHeader)) {
@@ -199,6 +202,7 @@ Result<AdCorpus> LoadAdCorpus(const std::string& path) {
 }
 
 Status SaveFeatureStats(const FeatureStatsDb& db, const std::string& path) {
+  TraceSpan span("mb.artifact.write");
   std::ostringstream out;
   out << kStatsHeader << '\t' << FormatDouble(db.smoothing(), 6) << '\t' << db.min_count()
       << '\n';
@@ -338,6 +342,7 @@ Status LoadRegistry(const std::vector<std::string>& lines, const std::string& pa
 
 Status SaveClassifier(const SnippetClassifierModel& model, const FeatureRegistry& t_registry,
                       const FeatureRegistry& p_registry, const std::string& path) {
+  TraceSpan span("mb.artifact.write");
   if (model.t_weights.size() != t_registry.size() ||
       model.p_weights.size() != p_registry.size()) {
     return Status::InvalidArgument("SaveClassifier: weight/registry size mismatch");

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/trace.h"
 #include "microbrowse/feature_keys.h"
 #include "ml/csr.h"
 #include "text/ngram.h"
@@ -259,6 +260,7 @@ double PredictPairMargin(const Snippet& first, const Snippet& second, const Feat
 
 CoupledDataset BuildClassifierDataset(const PairCorpus& corpus, const FeatureStatsDb& db,
                                       const ClassifierConfig& config, uint64_t seed) {
+  TraceSpan span("mb.dataset.build");
   CoupledDataset dataset;
   dataset.examples.reserve(corpus.pairs.size());
   Rng rng(seed);
@@ -276,6 +278,7 @@ CoupledDataset BuildClassifierDataset(const PairCorpus& corpus, const FeatureSta
 }
 
 CoupledCsr FlattenCoupledDataset(const CoupledDataset& dataset) {
+  TraceSpan span("mb.csr.flatten");
   CoupledCsr csr;
   size_t total = 0;
   for (const CoupledExample& example : dataset.examples) total += example.occurrences.size();

@@ -3,10 +3,41 @@
 #include "microbrowse/feature_keys.h"
 
 #include <algorithm>
-
-#include "common/string_util.h"
+#include <charconv>
+#include <initializer_list>
 
 namespace microbrowse {
+
+namespace {
+
+/// "<line>:<bucket>" in decimal, as printf's "%d:%d" spells it, in a stack
+/// buffer, so each key is sized exactly before its one allocation (none
+/// for keys short enough for the small-string buffer).
+class PositionText {
+ public:
+  explicit PositionText(const PositionKey& position) {
+    char* end = std::to_chars(chars_, chars_ + sizeof(chars_), position.line).ptr;
+    *end++ = ':';
+    end_ = std::to_chars(end, chars_ + sizeof(chars_), position.bucket).ptr;
+  }
+  std::string_view view() const { return {chars_, static_cast<size_t>(end_ - chars_)}; }
+
+ private:
+  char chars_[24];  // Two ints of up to 11 chars each, and the colon.
+  char* end_;
+};
+
+/// Concatenates `parts` into one string allocated once at its final size.
+std::string Concat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out.append(part);
+  return out;
+}
+
+}  // namespace
 
 PositionKey MakePositionKey(int line, int pos) {
   PositionKey key;
@@ -22,30 +53,27 @@ std::string TermKey(std::string_view text) {
 }
 
 std::string TermPositionKey(const PositionKey& position) {
-  return StrFormat("p:%d:%d", position.line, position.bucket);
+  return Concat({"p:", PositionText(position).view()});
 }
 
 std::string TermConjunctionKey(std::string_view text, const PositionKey& position) {
-  return StrFormat("tp:%.*s@%d:%d", static_cast<int>(text.size()), text.data(), position.line,
-                   position.bucket);
+  return Concat({"tp:", text, "@", PositionText(position).view()});
 }
 
 SignedKey RewriteKey(std::string_view from, std::string_view to) {
   SignedKey out;
   if (to < from) {
-    out.key = StrFormat("rw:%.*s=>%.*s", static_cast<int>(to.size()), to.data(),
-                        static_cast<int>(from.size()), from.data());
+    out.key = Concat({kRewriteKeyPrefix, to, "=>", from});
     out.sign = -1.0;
   } else {
-    out.key = StrFormat("rw:%.*s=>%.*s", static_cast<int>(from.size()), from.data(),
-                        static_cast<int>(to.size()), to.data());
+    out.key = Concat({kRewriteKeyPrefix, from, "=>", to});
     out.sign = 1.0;
   }
   return out;
 }
 
 std::string RewritePositionKey(const PositionKey& r_pos, const PositionKey& s_pos) {
-  return StrFormat("pp:%d:%d=>%d:%d", r_pos.line, r_pos.bucket, s_pos.line, s_pos.bucket);
+  return Concat({"pp:", PositionText(r_pos).view(), "=>", PositionText(s_pos).view()});
 }
 
 }  // namespace microbrowse

@@ -298,29 +298,31 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
       candidates.push_back(Candidate{score, order++, ri, si});
     }
   }
-  if (lookups > 0) {
-    static Counter* const lookups_counter =
-        MetricRegistry::Global().GetCounter("mb.rewrite.lookups");
-    static Counter* const passed_counter =
-        MetricRegistry::Global().GetCounter("mb.rewrite.filter_passed");
-    static Counter* const hits_counter = MetricRegistry::Global().GetCounter("mb.rewrite.hits");
-    lookups_counter->Increment(lookups);
-    passed_counter->Increment(filter_passed);
-    hits_counter->Increment(hits);
-  }
-  // `order` is unique, so this total order reproduces a stable sort by
-  // score alone.
-  std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.order < b.order;
-  });
-
-  // Greedy disjoint cover.
+  // Lazy greedy cover: a heap pops candidates in exactly the order a full
+  // sort by (score desc, order asc) would list them — `order` is unique, so
+  // the order is strict and total — but only as far as the cover needs.
+  // Every candidate lies inside the merged regions, so once either side's
+  // region tokens are all covered no later candidate can fit and the rest
+  // of the heap is never ordered.
+  const auto pops_later = [](const Candidate& a, const Candidate& b) {
+    if (a.score != b.score) return a.score < b.score;
+    return a.order > b.order;
+  };
+  int r_uncovered = 0;
+  for (const DiffRegion& region : r_regions) r_uncovered += region.count;
+  int s_uncovered = 0;
+  for (const DiffRegion& region : s_regions) s_uncovered += region.count;
+  std::make_heap(candidates.begin(), candidates.end(), pops_later);
+  auto heap_end = candidates.end();
+  int64_t popped = 0;
   auto r_covered = MakeCoverage(r);
   auto s_covered = MakeCoverage(s);
-  for (const Candidate& candidate : candidates) {
-    const TermSpan& r_span = r_grams[candidate.r];
-    const TermSpan& s_span = s_grams[candidate.s];
+  while (heap_end != candidates.begin() && r_uncovered > 0 && s_uncovered > 0) {
+    std::pop_heap(candidates.begin(), heap_end, pops_later);
+    --heap_end;
+    ++popped;
+    const TermSpan& r_span = r_grams[heap_end->r];
+    const TermSpan& s_span = s_grams[heap_end->s];
     // Probe coverage without committing: check both sides first.
     bool r_free = true;
     for (int i = 0; i < r_span.len; ++i) {
@@ -334,7 +336,29 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
     if (!s_free) continue;
     TryCover(r_span, &r_covered);
     TryCover(s_span, &s_covered);
+    r_uncovered -= r_span.len;
+    s_uncovered -= s_span.len;
     out.rewrites.push_back(RewriteMatch{r_span, s_span});
+  }
+
+  // Tallied in locals and added once per call, like the lookup counters.
+  static Counter* const candidates_counter =
+      MetricRegistry::Global().GetCounter("mb.rewrite.candidates");
+  static Counter* const popped_counter = MetricRegistry::Global().GetCounter("mb.rewrite.popped");
+  static Counter* const accepted_counter =
+      MetricRegistry::Global().GetCounter("mb.rewrite.accepted");
+  candidates_counter->Increment(static_cast<int64_t>(candidates.size()));
+  popped_counter->Increment(popped);
+  accepted_counter->Increment(static_cast<int64_t>(out.rewrites.size()));
+  if (lookups > 0) {
+    static Counter* const lookups_counter =
+        MetricRegistry::Global().GetCounter("mb.rewrite.lookups");
+    static Counter* const passed_counter =
+        MetricRegistry::Global().GetCounter("mb.rewrite.filter_passed");
+    static Counter* const hits_counter = MetricRegistry::Global().GetCounter("mb.rewrite.hits");
+    lookups_counter->Increment(lookups);
+    passed_counter->Increment(filter_passed);
+    hits_counter->Increment(hits);
   }
 
   AppendShiftRewrites(r, s, aligned, r_covered, s_covered, options.max_ngram, &out.rewrites);

@@ -48,23 +48,27 @@ void ObserveUniqueTerms(const Snippet& snippet,
 
 /// One accumulation pass over pairs [begin, end) of the corpus.
 /// `matching_db` (nullable) guides rewrite matching; results go into
-/// `out`.
+/// `out`. Under StatsScope::kRewritesOnly only the rewrite keys are
+/// recorded.
 void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
-                     const FeatureStatsDb* matching_db, size_t begin, size_t end,
-                     FeatureStatsDb* out) {
+                     const FeatureStatsDb* matching_db, StatsScope scope, size_t begin,
+                     size_t end, FeatureStatsDb* out) {
   RewriteMatchOptions match_options;
   match_options.max_ngram = options.max_ngram;
+  const bool all_keys = scope == StatsScope::kAllKeys;
 
   for (size_t pair_index = begin; pair_index < end; ++pair_index) {
     const SnippetPair& pair = corpus.pairs[pair_index];
     const int delta = pair.delta_sw();
 
-    // --- Term statistics: n-grams unique to one side (plain and
-    // position-conjoined variants).
-    const auto r_texts = NGramTexts(pair.r.snippet, options.max_ngram);
-    const auto s_texts = NGramTexts(pair.s.snippet, options.max_ngram);
-    ObserveUniqueTerms(pair.r.snippet, s_texts, options.max_ngram, delta, out);
-    ObserveUniqueTerms(pair.s.snippet, r_texts, options.max_ngram, -delta, out);
+    if (all_keys) {
+      // --- Term statistics: n-grams unique to one side (plain and
+      // position-conjoined variants).
+      const auto r_texts = NGramTexts(pair.r.snippet, options.max_ngram);
+      const auto s_texts = NGramTexts(pair.s.snippet, options.max_ngram);
+      ObserveUniqueTerms(pair.r.snippet, s_texts, options.max_ngram, delta, out);
+      ObserveUniqueTerms(pair.s.snippet, r_texts, options.max_ngram, -delta, out);
+    }
 
     // --- Rewrite and position statistics from the diff decomposition.
     const PairDiff diff =
@@ -73,6 +77,7 @@ void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
       // Raw direction: S's phrase was rewritten into R's phrase.
       const SignedKey key = RewriteKey(rewrite.s_span.text, rewrite.r_span.text);
       out->AddObservation(key.key, static_cast<int>(key.sign) * delta);
+      if (!all_keys) continue;
 
       const PositionKey r_pos = MakePositionKey(rewrite.r_span);
       const PositionKey s_pos = MakePositionKey(rewrite.s_span);
@@ -83,6 +88,7 @@ void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
         out->AddObservation(RewritePositionKey(r_pos, s_pos), delta);
       }
     }
+    if (!all_keys) continue;
     // Term-position statistics from the unmatched residue.
     for (const TermSpan& span : diff.r_only) {
       out->AddObservation(TermPositionKey(MakePositionKey(span)), delta);
@@ -102,23 +108,28 @@ constexpr size_t kParallelStatsThreshold = 256;
 /// database; the chunk databases are then merged by key, sharded on the
 /// key hash so shards can merge in parallel without locking. The merged
 /// counts are integer sums, identical for any thread and shard count.
+/// A chunk or shard whose pool task fails is redone on the caller's
+/// thread (ThreadPool::ParallelForAll), so a failed task costs time, never
+/// counts.
 void AccumulatePass(const PairCorpus& corpus, const BuildStatsOptions& options,
-                    const FeatureStatsDb* matching_db, FeatureStatsDb* out) {
+                    const FeatureStatsDb* matching_db, StatsScope scope, FeatureStatsDb* out) {
   const size_t n = corpus.pairs.size();
   if (options.num_threads <= 1 || n < kParallelStatsThreshold) {
-    AccumulateRange(corpus, options, matching_db, 0, n, out);
+    AccumulateRange(corpus, options, matching_db, scope, 0, n, out);
     return;
   }
   const size_t n_chunks = std::min<size_t>(64, std::max<size_t>(1, n / 32));
   std::vector<FeatureStatsDb> chunks(n_chunks);
   ThreadPool pool(static_cast<size_t>(options.num_threads));
-  (void)pool.ParallelFor(n_chunks, [&](size_t c) {
-    AccumulateRange(corpus, options, matching_db, c * n / n_chunks, (c + 1) * n / n_chunks,
-                    &chunks[c]);
+  pool.ParallelForAll(n_chunks, [&](size_t c) {
+    chunks[c] = FeatureStatsDb();  // A rerun starts afresh.
+    AccumulateRange(corpus, options, matching_db, scope, c * n / n_chunks,
+                    (c + 1) * n / n_chunks, &chunks[c]);
   });
   const size_t n_shards = std::min<size_t>(static_cast<size_t>(options.num_threads), 16);
   std::vector<FeatureStatMap> shards(n_shards);
-  (void)pool.ParallelFor(n_shards, [&](size_t s) {
+  pool.ParallelForAll(n_shards, [&](size_t s) {
+    shards[s].clear();  // A rerun starts afresh.
     for (const FeatureStatsDb& chunk : chunks) {
       for (const auto& [key, stat] : chunk.stats()) {
         if (StatsKeyHash{}(key) % n_shards != s) continue;
@@ -146,17 +157,18 @@ void FeatureStatsDb::BuildRewriteFilter() {
 }
 
 void AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
-                            const FeatureStatsDb* matching_db, FeatureStatsDb* out) {
+                            const FeatureStatsDb* matching_db, FeatureStatsDb* out,
+                            StatsScope scope) {
   if (out->stats().empty()) {
     // Fresh target: AccumulatePass's splice-merge fast path applies.
-    AccumulatePass(corpus, options, matching_db, out);
+    AccumulatePass(corpus, options, matching_db, scope, out);
     return;
   }
   // Non-empty target (a later shard): accumulate locally, then add counts.
   // AccumulatePass's unordered_map::merge would silently drop counts for
   // keys the target already holds.
   FeatureStatsDb local;
-  AccumulatePass(corpus, options, matching_db, &local);
+  AccumulatePass(corpus, options, matching_db, scope, &local);
   for (const auto& [key, stat] : local.stats()) {
     out->AddCounts(key, stat.positive, stat.total);
   }
@@ -173,7 +185,8 @@ FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptio
     FeatureStatsDb next;
     next.set_smoothing(options.smoothing);
     next.set_min_count(options.min_count);
-    AccumulatePass(corpus, options, pass == 0 ? nullptr : &db, &next);
+    AccumulatePass(corpus, options, pass == 0 ? nullptr : &db, StatsScopeOfPass(pass, passes),
+                   &next);
     db = std::move(next);
     db.BuildRewriteFilter();
   }

@@ -268,17 +268,32 @@ struct BuildStatsOptions {
 /// the snippet-classification framework, Fig. 1).
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options = {});
 
+/// Which keys an accumulation pass records. The matcher reads a database
+/// only through its rewrite keys ("rw:", and the filter built from them),
+/// so a pass whose database only guides the next pass's matching records
+/// just those; the last pass records every key.
+enum class StatsScope {
+  kAllKeys,       ///< Term, term-position, rewrite and position-pair keys.
+  kRewritesOnly,  ///< Rewrite keys only: a non-final matching pass.
+};
+
+/// Scope of pass `pass` (0-based) of a `passes`-pass build.
+inline StatsScope StatsScopeOfPass(int pass, int passes) {
+  return pass + 1 < passes ? StatsScope::kRewritesOnly : StatsScope::kAllKeys;
+}
+
 /// One accumulation pass over `corpus` ADDED into `out` — the streaming
 /// building block behind BuildFeatureStats. Sharded-corpus builders call
 /// this once per shard per matching pass, so only one shard's pairs are in
 /// memory at a time; the counts are integer sums, making the cross-shard
 /// merge order-independent. `matching_db` is nullptr on the first pass and
-/// the previous pass's database afterwards, exactly as in
-/// BuildFeatureStats. Does not touch `out`'s smoothing / min-count
-/// settings and records no metrics; whole-corpus callers should prefer
-/// BuildFeatureStats.
+/// the previous pass's database afterwards, and `scope` is
+/// StatsScopeOfPass, exactly as in BuildFeatureStats. Does not touch
+/// `out`'s smoothing / min-count settings and records no metrics;
+/// whole-corpus callers should prefer BuildFeatureStats.
 void AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
-                            const FeatureStatsDb* matching_db, FeatureStatsDb* out);
+                            const FeatureStatsDb* matching_db, FeatureStatsDb* out,
+                            StatsScope scope = StatsScope::kAllKeys);
 
 }  // namespace microbrowse
 

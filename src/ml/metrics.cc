@@ -77,7 +77,7 @@ BinaryMetrics ComputeBinaryMetrics(const std::vector<ScoredLabel>& scored, doubl
   const size_t n_chunks = std::min<size_t>(static_cast<size_t>(num_threads) * 4, 64);
   std::vector<BinaryMetrics> partials(n_chunks);
   ThreadPool pool(static_cast<size_t>(num_threads));
-  (void)pool.ParallelFor(n_chunks, [&](size_t c) {
+  pool.ParallelForAll(n_chunks, [&](size_t c) {
     partials[c] = CountRange(scored, threshold, c * n / n_chunks, (c + 1) * n / n_chunks);
   });
   BinaryMetrics merged;
@@ -113,13 +113,13 @@ double ComputeAuc(const std::vector<ScoredLabel>& scored, int num_threads) {
     std::array<size_t, kChunks + 1> bounds;
     for (size_t c = 0; c <= kChunks; ++c) bounds[c] = c * n / kChunks;
     ThreadPool pool(std::min<size_t>(static_cast<size_t>(num_threads), kChunks));
-    (void)pool.ParallelFor(kChunks, [&](size_t c) {
+    pool.ParallelForAll(kChunks, [&](size_t c) {
       std::sort(sorted.begin() + bounds[c], sorted.begin() + bounds[c + 1], by_score);
     });
     for (size_t width = 1; width < kChunks; width *= 2) {
       std::vector<size_t> merge_lows;
       for (size_t low = 0; low + width < kChunks; low += 2 * width) merge_lows.push_back(low);
-      (void)pool.ParallelFor(merge_lows.size(), [&](size_t m) {
+      pool.ParallelForAll(merge_lows.size(), [&](size_t m) {
         const size_t low = merge_lows[m];
         const size_t high = std::min(low + 2 * width, kChunks);
         std::inplace_merge(sorted.begin() + bounds[low], sorted.begin() + bounds[low + width],

@@ -419,5 +419,30 @@ TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
   EXPECT_EQ(lookups->Value() - lookups_before, n_lookups);
 }
 
+TEST(LazyCoverTest, CountersTallyCandidatesPopsAndAcceptances) {
+  const MatcherFixture& fixture = Fixture();  // Its stats builds match too.
+  Counter* candidates = MetricRegistry::Global().GetCounter("mb.rewrite.candidates");
+  Counter* popped = MetricRegistry::Global().GetCounter("mb.rewrite.popped");
+  Counter* accepted = MetricRegistry::Global().GetCounter("mb.rewrite.accepted");
+  const int64_t candidates_before = candidates->Value();
+  const int64_t popped_before = popped->Value();
+  const int64_t accepted_before = accepted->Value();
+  int64_t rewrites = 0;
+  for (size_t i = 0; i < 200; ++i) {
+    const auto& [r, s] = fixture.pairs[i];
+    rewrites += static_cast<int64_t>(MatchRewrites(r, s, &fixture.heap_db).rewrites.size());
+  }
+  const int64_t n_candidates = candidates->Value() - candidates_before;
+  const int64_t n_popped = popped->Value() - popped_before;
+  const int64_t n_accepted = accepted->Value() - accepted_before;
+  EXPECT_GT(n_accepted, 0);
+  EXPECT_LE(n_accepted, n_popped);
+  // Shift rewrites come on top of the cover's acceptances.
+  EXPECT_LE(n_accepted, rewrites);
+  // The cover stops once a side is fully covered, well before the end of
+  // the candidate list.
+  EXPECT_LT(n_popped, n_candidates / 2);
+}
+
 }  // namespace
 }  // namespace microbrowse

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/string_util.h"
 #include "microbrowse/feature_keys.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
@@ -49,6 +54,49 @@ TEST(FeatureKeysTest, RewritePositionKeyIsOrdered) {
   EXPECT_EQ(RewritePositionKey(a, b), "pp:1:0=>2:3");
   EXPECT_EQ(RewritePositionKey(b, a), "pp:2:3=>1:0");
   EXPECT_NE(RewritePositionKey(a, b), RewritePositionKey(b, a));
+}
+
+TEST(FeatureKeysTest, BuildersMatchPrintfSpelling) {
+  // The key builders append their parts directly; the keys persisted in
+  // stats and model artifacts were spelled by these format strings.
+  const std::vector<PositionKey> positions = {
+      {0, 0}, {1, 3}, {2, 7}, {-1, -3}, {12, 345}, {-40, 7}, {INT_MIN, INT_MAX}};
+  const std::vector<std::string> texts = {
+      "",    "cheap", "find cheap", "a@b", "1:2", "x=>y", "=>", "@:=>", "caf\xc3\xa9 \xe2\x82\xac" "5",
+      "\xff\xfe"};
+  const auto printf_text = [](const std::string& text) {
+    return std::make_pair(static_cast<int>(text.size()), text.data());
+  };
+  for (const PositionKey& a : positions) {
+    EXPECT_EQ(TermPositionKey(a), StrFormat("p:%d:%d", a.line, a.bucket));
+    for (const PositionKey& b : positions) {
+      EXPECT_EQ(RewritePositionKey(a, b),
+                StrFormat("pp:%d:%d=>%d:%d", a.line, a.bucket, b.line, b.bucket));
+    }
+    for (const std::string& text : texts) {
+      const auto [size, data] = printf_text(text);
+      EXPECT_EQ(TermConjunctionKey(text, a),
+                StrFormat("tp:%.*s@%d:%d", size, data, a.line, a.bucket));
+    }
+  }
+  for (const std::string& from : texts) {
+    for (const std::string& to : texts) {
+      const bool flip = std::string_view(to) < std::string_view(from);
+      const std::string& lo = flip ? to : from;
+      const std::string& hi = flip ? from : to;
+      const auto [lo_size, lo_data] = printf_text(lo);
+      const auto [hi_size, hi_data] = printf_text(hi);
+      const SignedKey key = RewriteKey(from, to);
+      EXPECT_EQ(key.key, StrFormat("rw:%.*s=>%.*s", lo_size, lo_data, hi_size, hi_data))
+          << from << " -> " << to;
+      EXPECT_EQ(key.sign, flip ? -1.0 : 1.0) << from << " -> " << to;
+      // Both raw orders canonicalise to one key with opposite signs
+      // (a self-rewrite keeps +1 either way).
+      const SignedKey reverse = RewriteKey(to, from);
+      EXPECT_EQ(reverse.key, key.key);
+      EXPECT_EQ(reverse.sign, from == to ? 1.0 : -key.sign);
+    }
+  }
 }
 
 // --- FeatureStatsDb

@@ -1,0 +1,145 @@
+// Copyright 2026 The Microbrowse Authors
+//
+// Differential test wall for the statistics build: BuildFeatureStats and
+// BuildFeatureStatsSharded must produce exactly the (key, positive, total)
+// set of the serial all-keys reference (stats_reference.h), for one to
+// three matching passes, one and four threads, and several seeded corpora.
+// Non-final production passes keep only rewrite keys, so a pass that lost
+// or miscounted one shows up as a different final database.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
+
+#include "corpus/generator.h"
+#include "corpus/pair_extraction.h"
+#include "io/atomic_file.h"
+#include "io/corpus_shards.h"
+#include "microbrowse/stats_db.h"
+#include "stats_reference.h"
+
+namespace microbrowse {
+namespace {
+
+using StatSet = std::map<std::string, std::pair<int64_t, int64_t>, std::less<>>;
+
+/// Every (key, positive, total) of `db`.
+StatSet Entries(const FeatureStatsDb& db) {
+  StatSet out;
+  db.ForEach([&out](std::string_view key, const FeatureStat& stat) {
+    out.emplace(std::string(key), std::make_pair(stat.positive, stat.total));
+  });
+  return out;
+}
+
+/// Readable first difference of two stat sets; empty when equal.
+std::string FirstDifference(const StatSet& want, const StatSet& got) {
+  for (const auto& [key, counts] : want) {
+    auto it = got.find(key);
+    if (it == got.end()) return "missing key '" + key + "'";
+    if (it->second != counts) {
+      return "key '" + key + "': want " + std::to_string(counts.first) + "/" +
+             std::to_string(counts.second) + ", got " + std::to_string(it->second.first) +
+             "/" + std::to_string(it->second.second);
+    }
+  }
+  for (const auto& entry : got) {
+    if (want.count(entry.first) == 0) return "extra key '" + entry.first + "'";
+  }
+  return "";
+}
+
+/// Adgroups per corpus: enough pairs (~900) that four threads split the
+/// build over the chunk grid rather than falling back to one thread.
+constexpr int kAdgroups = 300;
+
+AdCorpus Corpus(uint64_t seed) {
+  AdCorpusOptions options;
+  options.num_adgroups = kAdgroups;
+  options.seed = seed;
+  auto generated = GenerateAdCorpus(options);
+  EXPECT_TRUE(generated.ok()) << generated.status().ToString();
+  return generated.ok() ? generated->corpus : AdCorpus{};
+}
+
+/// The reference's entries for (seed, passes), computed once per process.
+const StatSet& ReferenceEntries(uint64_t seed, int passes) {
+  static std::map<std::pair<uint64_t, int>, StatSet> cache;
+  auto it = cache.find({seed, passes});
+  if (it == cache.end()) {
+    BuildStatsOptions options;
+    options.matching_passes = passes;
+    const PairCorpus pairs = ExtractSignificantPairs(Corpus(seed), {});
+    it = cache.emplace(std::make_pair(seed, passes),
+                       Entries(ReferenceBuildFeatureStats(pairs, options)))
+             .first;
+  }
+  return it->second;
+}
+
+class StatsReferenceTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int, int>> {};
+
+TEST_P(StatsReferenceTest, BuildMatchesReference) {
+  const auto [seed, passes, threads] = GetParam();
+  const PairCorpus pairs = ExtractSignificantPairs(Corpus(seed), {});
+  ASSERT_GE(pairs.pairs.size(), 256u) << "too few pairs to exercise the threaded build";
+  BuildStatsOptions options;
+  options.matching_passes = passes;
+  options.num_threads = threads;
+  const FeatureStatsDb db = BuildFeatureStats(pairs, options);
+  const StatSet& want = ReferenceEntries(seed, passes);
+  const StatSet got = Entries(db);
+  EXPECT_EQ(FirstDifference(want, got), "");
+  EXPECT_TRUE(want == got);
+  EXPECT_EQ(db.smoothing(), options.smoothing);
+  EXPECT_EQ(db.min_count(), options.min_count);
+}
+
+std::string ParamName(
+    const ::testing::TestParamInfo<std::tuple<uint64_t, int, int>>& info) {
+  return "seed" + std::to_string(std::get<0>(info.param)) + "_passes" +
+         std::to_string(std::get<1>(info.param)) + "_threads" +
+         std::to_string(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(PassesAndThreads, StatsReferenceTest,
+                         ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{23}),
+                                            ::testing::Values(1, 2, 3),
+                                            ::testing::Values(1, 4)),
+                         ParamName);
+
+TEST(StatsReferenceShardedTest, ShardedBuildMatchesReference) {
+  const AdCorpus corpus = Corpus(5);
+  const std::string dir =
+      ::testing::TempDir() + "/stats_reference_" + std::to_string(::getpid());
+  ASSERT_TRUE(CreateDirectories(dir).ok());
+  ASSERT_TRUE(SaveAdCorpusSharded(corpus, dir + "/corpus.tsv", 3).ok());
+  auto shards = ResolveCorpusShards(dir + "/corpus.tsv");
+  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+  ASSERT_EQ(shards->paths.size(), 3u);
+  auto loaded = LoadShardedAdCorpus(*shards, {}, nullptr);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const PairCorpus pairs = ExtractSignificantPairs(*loaded, {});
+  for (int passes : {1, 2, 3}) {
+    BuildStatsOptions options;
+    options.matching_passes = passes;
+    auto sharded = BuildFeatureStatsSharded(*shards, {}, options, {}, nullptr);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    const StatSet want = Entries(ReferenceBuildFeatureStats(pairs, options));
+    const StatSet got = Entries(*sharded);
+    EXPECT_EQ(FirstDifference(want, got), "") << passes << " passes";
+    EXPECT_TRUE(want == got) << passes << " passes";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace microbrowse
