@@ -189,6 +189,9 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
   MB_ASSIGN_OR_RETURN(const StatsMeta* meta,
                       reader->Array<StatsMeta>(kSecStatsMeta, &meta_count));
   if (meta_count != 1) return BadPack(path, "stats meta section malformed");
+  if (!FeatureStatsDb::ValidSmoothing(meta->smoothing)) {
+    return BadPack(path, "stats meta: smoothing must be positive and finite");
+  }
 
   FeatureStatsDb db;
   db.set_smoothing(meta->smoothing);
@@ -206,6 +209,12 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
       return BadPack(path, what + ": key/record/declared count mismatch");
     }
     MB_RETURN_IF_ERROR(CheckSorted(path, keys, what));
+    // The TSV loader's row check, once at open like the key order.
+    for (size_t i = 0; i < record_count; ++i) {
+      if (records[i].positive < 0 || records[i].total < records[i].positive) {
+        return BadPack(path, what + ": invalid stat counts at index " + std::to_string(i));
+      }
+    }
     base[static_cast<size_t>(c)] = FeatureStatsDb::BaseClass{keys, records};
   }
   db.AttachPackBase(std::move(reader), base);

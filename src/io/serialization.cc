@@ -238,6 +238,10 @@ Result<FeatureStatsDb> LoadFeatureStats(const std::string& path, const LoadOptio
   auto min_count = ParseInt(header_fields[2]);
   if (!smoothing.ok()) return MalformedRow(path, 1, smoothing.status().message());
   if (!min_count.ok()) return MalformedRow(path, 1, min_count.status().message());
+  if (!FeatureStatsDb::ValidSmoothing(*smoothing)) {
+    return MalformedRow(path, 1, "smoothing must be positive and finite, got '" +
+                                     header_fields[1] + "'");
+  }
   RowRecovery recovery(path, options, report);
   FeatureStatsDb db;
   db.set_smoothing(*smoothing);

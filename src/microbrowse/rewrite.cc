@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -25,14 +26,86 @@ struct DiffRegion {
   int count = 0;
 };
 
-/// A candidate phrase pairing: indices into the R and S gram vectors plus
-/// the greedy priority. Holding indices instead of span copies keeps the
-/// r x s candidate list free of strings.
-struct Candidate {
-  double score = 0.0;
-  int order = 0;  ///< Enumeration order, unique: breaks every score tie.
+/// A candidate phrase pairing: indices into the R and S gram vectors.
+/// Candidates are enumerated in (r, s) order, so comparing the pair
+/// compares enumeration order, the tie-break of every score tie.
+struct GramPair {
   uint32_t r = 0;
   uint32_t s = 0;
+
+  friend bool operator<(GramPair a, GramPair b) { return a.r != b.r ? a.r < b.r : a.s < b.s; }
+};
+
+/// A candidate whose score carries an exact-text bonus or a database score,
+/// kept with that score. Every other candidate is ordered by its integer
+/// rank (see GeometricRanks) and stores no score.
+struct ScoredCandidate {
+  double score = 0.0;
+  GramPair grams;
+};
+
+/// The greedy cover's order: score descending, then enumeration order.
+bool PopsBefore(double a_score, GramPair a, double b_score, GramPair b) {
+  if (a_score != b_score) return a_score > b_score;
+  return a < b;
+}
+
+/// Exact integer ranks for candidates scored by geometry alone. Such a
+/// candidate scores 10 * coverage + Locality = 10·(lr + ls) − 3|Δline| −
+/// 0.25|Δpos|, and with the largest coverage C of the gram sets that is
+/// exactly 10·C − rank / 4 for
+///   rank = 40·(C − lr − ls) + 12|Δline| + |Δpos|.
+/// Every term is an integer or a quarter well inside a double's mantissa,
+/// so the double score and the rank agree exactly: higher score is lower
+/// rank, and equal scores are equal ranks. Ranks span [0, size()), which
+/// the gram sets' line and position ranges bound, so a bucket array of
+/// that size stays linear in the longest line.
+class GeometricRanks {
+ public:
+  GeometricRanks(const std::vector<TermSpan>& r_grams, const std::vector<TermSpan>& s_grams) {
+    if (r_grams.empty() || s_grams.empty()) return;  // No candidates, no ranks.
+    int r_len = 0;
+    int s_len = 0;
+    int min_line = std::numeric_limits<int>::max();
+    int max_line = 0;
+    int min_pos = std::numeric_limits<int>::max();
+    int max_pos = 0;
+    const auto widen = [&](const TermSpan& span) {
+      min_line = std::min(min_line, span.line);
+      max_line = std::max(max_line, span.line);
+      min_pos = std::min(min_pos, span.pos);
+      max_pos = std::max(max_pos, span.pos);
+    };
+    for (const TermSpan& span : r_grams) {
+      r_len = std::max(r_len, span.len);
+      widen(span);
+    }
+    for (const TermSpan& span : s_grams) {
+      s_len = std::max(s_len, span.len);
+      widen(span);
+    }
+    max_coverage_ = r_len + s_len;
+    // The widest rank: both spans one token long, lines and positions at
+    // opposite ends of their ranges.
+    size_ = 40 * static_cast<size_t>(max_coverage_ - 2) +
+            12 * static_cast<size_t>(max_line - min_line) +
+            static_cast<size_t>(max_pos - min_pos) + 1;
+  }
+
+  size_t size() const { return size_; }
+
+  uint32_t Rank(const TermSpan& r_span, const TermSpan& s_span) const {
+    return static_cast<uint32_t>(40 * (max_coverage_ - r_span.len - s_span.len) +
+                                 12 * std::abs(r_span.line - s_span.line) +
+                                 std::abs(r_span.pos - s_span.pos));
+  }
+
+  /// The score of every candidate of rank `rank`, bit for bit.
+  double Score(uint32_t rank) const { return 10.0 * max_coverage_ - 0.25 * rank; }
+
+ private:
+  int max_coverage_ = 0;
+  size_t size_ = 0;
 };
 
 /// Expands each region by `expansion` tokens of context on both sides
@@ -237,14 +310,20 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
   const uint64_t* r_hash = gram_hash.data();
   const uint64_t* s_hash = gram_hash.data() + (use_db ? r_grams.size() : 0);
 
-  // Enumerate candidate phrase pairs across all region combinations.
-  std::vector<Candidate> candidates;
-  candidates.reserve(r_grams.size() * s_grams.size());
+  // Enumerate candidate phrase pairs across all region combinations. A
+  // candidate with an exact-text bonus or a database score keeps its score
+  // in `scored`; every other one (all of them under kFirstMatch, whose
+  // scores are all 0) goes to `geometric` and is counted in its rank's
+  // bucket.
+  const GeometricRanks ranks(r_grams, s_grams);
+  std::vector<GramPair> geometric;
+  geometric.reserve(r_grams.size() * s_grams.size());
+  std::vector<ScoredCandidate> scored;
+  std::vector<uint32_t> bucket_begin((first_match ? 1 : ranks.size()) + 1);
   std::string key;  // Rewrite-key buffer, reused by every lookup.
   int64_t lookups = 0;
   int64_t filter_passed = 0;
   int64_t hits = 0;
-  int order = 0;
   for (uint32_t ri = 0; ri < r_grams.size(); ++ri) {
     const TermSpan& r_span = r_grams[ri];
     for (uint32_t si = 0; si < s_grams.size(); ++si) {
@@ -258,71 +337,100 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
           r_span.len == s_span.len) {
         continue;
       }
-      double score = 0.0;  // kFirstMatch: enumeration order decides.
-      if (!first_match) {
+      if (first_match) {  // Every score is 0: enumeration order decides.
+        ++bucket_begin[1];
+        geometric.push_back(GramPair{ri, si});
+        continue;
+      }
+      // Stays 0 without a database, so kPositionOnly shares this path.
+      double db_score = 0.0;
+      if (use_db) {
+        // Canonical RewriteKey(s_span.text, r_span.text): the texts in
+        // ascending order, which the interned ids encode. The filter has
+        // no false negatives, so skipping Find when it says "absent"
+        // cannot change a score.
+        const bool r_first = r_id[ri] < s_id[si];
+        ++lookups;
+        const uint64_t fingerprint = r_first ? RewriteFingerprint(r_hash[ri], s_hash[si])
+                                             : RewriteFingerprint(s_hash[si], r_hash[ri]);
+        const FeatureStat* stat = nullptr;
+        if (db->MayContainRewrite(fingerprint)) {
+          ++filter_passed;
+          key.assign(kRewriteKeyPrefix);
+          key.append(r_first ? r_span.text : s_span.text);
+          key.append("=>");
+          key.append(r_first ? s_span.text : r_span.text);
+          stat = db->Find(key);
+        }
+        if (stat != nullptr) {
+          ++hits;
+          // Frequency dominates ("a more probable rewrite has a higher
+          // score"); decisiveness (|log odds|) refines.
+          db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
+                     1e2 * std::fabs(stat->LogOdds(db->smoothing()));
+        }
+      }
+      if (same_text || db_score != 0.0) {
         const double coverage = static_cast<double>(r_span.len + s_span.len);
-        const double locality = Locality(r_span, s_span);
         // Exact-text pairings are pure moves — always the best explanation.
         const double exact = same_text ? 1e9 : 0.0;
-        // Stays 0 without a database, and exact + 0.0 == exact bit for bit,
-        // so kPositionOnly shares this formula.
-        double db_score = 0.0;
-        if (use_db) {
-          // Canonical RewriteKey(s_span.text, r_span.text): the texts in
-          // ascending order, which the interned ids encode. The filter has
-          // no false negatives, so skipping Find when it says "absent"
-          // cannot change a score.
-          const bool r_first = r_id[ri] < s_id[si];
-          ++lookups;
-          const uint64_t fingerprint = r_first ? RewriteFingerprint(r_hash[ri], s_hash[si])
-                                               : RewriteFingerprint(s_hash[si], r_hash[ri]);
-          const FeatureStat* stat = nullptr;
-          if (db->MayContainRewrite(fingerprint)) {
-            ++filter_passed;
-            key.assign(kRewriteKeyPrefix);
-            key.append(r_first ? r_span.text : s_span.text);
-            key.append("=>");
-            key.append(r_first ? s_span.text : r_span.text);
-            stat = db->Find(key);
-          }
-          if (stat != nullptr) {
-            ++hits;
-            // Frequency dominates ("a more probable rewrite has a higher
-            // score"); decisiveness (|log odds|) refines.
-            db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
-                       1e2 * std::fabs(stat->LogOdds(db->smoothing()));
-          }
-        }
-        score = exact + db_score + coverage * 10.0 + locality;
+        scored.push_back(ScoredCandidate{
+            exact + db_score + coverage * 10.0 + Locality(r_span, s_span), GramPair{ri, si}});
+        continue;
       }
-      candidates.push_back(Candidate{score, order++, ri, si});
+      // 0.0 + 0.0 + coverage * 10.0 + locality is the rank's score exactly.
+      ++bucket_begin[ranks.Rank(r_span, s_span) + 1];
+      geometric.push_back(GramPair{ri, si});
     }
   }
-  // Lazy greedy cover: a heap pops candidates in exactly the order a full
-  // sort by (score desc, order asc) would list them — `order` is unique, so
-  // the order is strict and total — but only as far as the cover needs.
-  // Every candidate lies inside the merged regions, so once either side's
-  // region tokens are all covered no later candidate can fit and the rest
-  // of the heap is never ordered.
-  const auto pops_later = [](const Candidate& a, const Candidate& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.order > b.order;
-  };
+  // Stable counting sort of the geometric candidates: bucket r's slots
+  // start after every lower rank's, and filling them in enumeration order
+  // lists each rank's candidates in that order, exactly as a full sort by
+  // (score desc, order asc) would.
+  std::partial_sum(bucket_begin.begin(), bucket_begin.end(), bucket_begin.begin());
+  std::vector<uint32_t> by_rank(geometric.size());
+  for (uint32_t i = 0; i < geometric.size(); ++i) {
+    const GramPair grams = geometric[i];
+    const uint32_t rank = first_match ? 0 : ranks.Rank(r_grams[grams.r], s_grams[grams.s]);
+    by_rank[bucket_begin[rank]++] = i;
+  }
+  std::sort(scored.begin(), scored.end(), [](const ScoredCandidate& a, const ScoredCandidate& b) {
+    return PopsBefore(a.score, a.grams, b.score, b.grams);
+  });
+
+  // Greedy cover over the merge of the two ordered lists, under the same
+  // (score desc, order asc) order. Every candidate lies inside the merged
+  // regions, so once either side's region tokens are all covered no later
+  // candidate can fit and the walk stops.
   int r_uncovered = 0;
   for (const DiffRegion& region : r_regions) r_uncovered += region.count;
   int s_uncovered = 0;
   for (const DiffRegion& region : s_regions) s_uncovered += region.count;
-  std::make_heap(candidates.begin(), candidates.end(), pops_later);
-  auto heap_end = candidates.end();
+  size_t next_geometric = 0;
+  size_t next_scored = 0;
   int64_t popped = 0;
   auto r_covered = MakeCoverage(r);
   auto s_covered = MakeCoverage(s);
-  while (heap_end != candidates.begin() && r_uncovered > 0 && s_uncovered > 0) {
-    std::pop_heap(candidates.begin(), heap_end, pops_later);
-    --heap_end;
+  while ((next_geometric < by_rank.size() || next_scored < scored.size()) && r_uncovered > 0 &&
+         s_uncovered > 0) {
+    GramPair grams;
+    if (next_geometric == by_rank.size()) {
+      grams = scored[next_scored++].grams;
+    } else {
+      grams = geometric[by_rank[next_geometric]];
+      // kFirstMatch has no scored candidates, so Score is never asked for
+      // its all-zero ranks.
+      if (next_scored < scored.size() &&
+          PopsBefore(scored[next_scored].score, scored[next_scored].grams,
+                     ranks.Score(ranks.Rank(r_grams[grams.r], s_grams[grams.s])), grams)) {
+        grams = scored[next_scored++].grams;
+      } else {
+        ++next_geometric;
+      }
+    }
     ++popped;
-    const TermSpan& r_span = r_grams[heap_end->r];
-    const TermSpan& s_span = s_grams[heap_end->s];
+    const TermSpan& r_span = r_grams[grams.r];
+    const TermSpan& s_span = s_grams[grams.s];
     // Probe coverage without committing: check both sides first.
     bool r_free = true;
     for (int i = 0; i < r_span.len; ++i) {
@@ -347,7 +455,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
   static Counter* const popped_counter = MetricRegistry::Global().GetCounter("mb.rewrite.popped");
   static Counter* const accepted_counter =
       MetricRegistry::Global().GetCounter("mb.rewrite.accepted");
-  candidates_counter->Increment(static_cast<int64_t>(candidates.size()));
+  candidates_counter->Increment(static_cast<int64_t>(geometric.size() + scored.size()));
   popped_counter->Increment(popped);
   accepted_counter->Increment(static_cast<int64_t>(out.rewrites.size()));
   if (lookups > 0) {

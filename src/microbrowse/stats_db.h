@@ -11,6 +11,7 @@
 #define MICROBROWSE_MICROBROWSE_STATS_DB_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -167,6 +168,10 @@ class FeatureStatsDb {
   /// Laplace smoothing pseudo-count used by the accessors.
   void set_smoothing(double alpha) { smoothing_ = alpha; }
   double smoothing() const { return smoothing_; }
+  /// Whether `alpha` is a usable pseudo-count: positive and finite. Any
+  /// other value makes LogOdds NaN, infinite or meaningless; the artifact
+  /// loaders reject it.
+  static bool ValidSmoothing(double alpha) { return std::isfinite(alpha) && alpha > 0.0; }
 
   /// Features observed fewer than `n` times report neutral statistics from
   /// LogOdds / OddsRatio. Rare features — in particular n-grams spanning a

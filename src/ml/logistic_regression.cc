@@ -58,11 +58,13 @@ double SoftThreshold(double x, double threshold) {
 
 /// Runs `fn(i)` for i in [0, count): across `pool` when present, serially
 /// otherwise. The two paths compute identical results — parallelism is
-/// purely a scheduling choice here (see the block partition below).
+/// purely a scheduling choice here (see the block partition below). An
+/// index whose pool task failed is rerun on the caller's thread, so `fn`
+/// must start each index afresh.
 void ForEach(std::optional<ThreadPool>& pool, size_t count,
              const std::function<void(size_t)>& fn) {
   if (pool.has_value()) {
-    (void)pool->ParallelFor(count, fn);
+    pool->ParallelForAll(count, fn);
     return;
   }
   for (size_t i = 0; i < count; ++i) fn(i);
@@ -194,6 +196,10 @@ LogisticModel TrainProximalBatch(const CsrDataset& data, const LrOptions& option
     double weight = 0.0;
   };
   std::vector<BlockSums> block_sums(n_blocks);
+  // The weights as the epoch's gradients saw them. The proximal update
+  // works in place, so a pool's feature chunk, which may be rerun after a
+  // partial run, restores its slice from here first.
+  std::vector<double> epoch_weights;
 
   // Feature chunks for the reduction + proximal update. Chunking does not
   // affect results at all (each feature reduces independently); it only
@@ -235,9 +241,14 @@ LogisticModel TrainProximalBatch(const CsrDataset& data, const LrOptions& option
       block_sums[b] = sums;
     });
 
+    if (pool.has_value()) epoch_weights.assign(weights.begin(), weights.end());
     ForEach(pool, n_feature_chunks, [&](size_t c) {
       const size_t begin_feature = c * n_features / n_feature_chunks;
       const size_t end_feature = (c + 1) * n_features / n_feature_chunks;
+      if (pool.has_value()) {
+        std::copy(epoch_weights.begin() + begin_feature, epoch_weights.begin() + end_feature,
+                  weights.begin() + begin_feature);
+      }
       fns.fused_grad_prox(block_gradients.data(), n_blocks, n_features, begin_feature,
                           end_feature, step, options.l1, options.l2, weights.data());
     });

@@ -14,6 +14,8 @@
 
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -226,6 +228,37 @@ TEST_F(PackArtifactsTest, FingerprintTracksContentForBothFormats) {
   ASSERT_TRUE(model.ok());
   EXPECT_NE(*stats, *model);
   EXPECT_FALSE(FileChecksum(*dir_ + "/no_such_file").ok());
+}
+
+TEST_F(PackArtifactsTest, StatsPackRejectsUnusableSmoothing) {
+  const std::string path = *dir_ + "/bad_smoothing.mbp";
+  for (double smoothing : {std::nan(""), HUGE_VAL, 0.0, -1.0}) {
+    FeatureStatsDb db;
+    db.set_smoothing(smoothing);
+    db.SetStat("t:x", 1, 2);
+    ASSERT_TRUE(SaveStatsPack(db, path).ok());
+    auto loaded = LoadStatsPack(path);
+    ASSERT_FALSE(loaded.ok()) << smoothing;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << smoothing;
+    EXPECT_NE(loaded.status().message().find("smoothing"), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+TEST_F(PackArtifactsTest, StatsPackRejectsInvalidCounts) {
+  // The same rows the TSV loader rejects: positive < 0 or above total.
+  const std::string path = *dir_ + "/bad_counts.mbp";
+  for (const auto& [positive, total] : {std::pair<int64_t, int64_t>{5, 3}, {-1, 2}}) {
+    FeatureStatsDb db;
+    db.SetStat("rw:a=>b", 1, 2);
+    db.SetStat("t:x", positive, total);
+    ASSERT_TRUE(SaveStatsPack(db, path).ok());
+    auto loaded = LoadStatsPack(path);
+    ASSERT_FALSE(loaded.ok()) << positive << "/" << total;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find("invalid stat counts"), std::string::npos)
+        << loaded.status().message();
+  }
 }
 
 }  // namespace

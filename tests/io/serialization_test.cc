@@ -162,6 +162,22 @@ TEST(StatsIoTest, HeaderMissingSettingsIsTypedError) {
   std::remove(path.c_str());
 }
 
+TEST(StatsIoTest, SmoothingMustBePositiveAndFinite) {
+  // Each of these parses as a double but turns LogOdds into NaN or nonsense.
+  const std::string path = TempPath("stats_bad_smoothing.tsv");
+  for (const char* smoothing : {"nan", "inf", "-inf", "0", "-1", "-0"}) {
+    WriteFile(path, std::string("#microbrowse-stats-v1\t") + smoothing + "\t0\nt:x\t1\t2\n");
+    auto loaded = LoadFeatureStats(path);
+    ASSERT_FALSE(loaded.ok()) << smoothing;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << smoothing;
+    EXPECT_NE(loaded.status().message().find(":1:"), std::string::npos)
+        << loaded.status().message();
+  }
+  WriteFile(path, "#microbrowse-stats-v1\t1e-3\t0\nt:x\t1\t2\n");
+  EXPECT_TRUE(LoadFeatureStats(path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(StatsIoTest, HeaderMagicMustMatchExactly) {
   const std::string path = TempPath("stats_bad_magic.tsv");
   for (const char* magic : {"#microbrowse-stats-v10", "#microbrowse-stats-v1x", "#other"}) {

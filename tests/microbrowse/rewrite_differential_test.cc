@@ -22,8 +22,9 @@
 #include <utility>
 #include <vector>
 
-#include "corpus/generator.h"
 #include "common/metrics.h"
+#include "common/random.h"
+#include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/atomic_file.h"
 #include "io/corpus_shards.h"
@@ -418,6 +419,91 @@ TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
   (void)MatchRewrites(r, s, &db, position_only);
   EXPECT_EQ(lookups->Value() - lookups_before, n_lookups);
 }
+
+/// Seeded pairs over a four-token vocabulary: repeated tokens make many
+/// candidates share a score — exact-text pairings at equal distances,
+/// geometric candidates of equal rank — so the cover's order rests on the
+/// enumeration-order tie-break throughout.
+std::vector<std::pair<Snippet, Snippet>> TieHeavyPairs() {
+  static const char* const kVocabulary[] = {"a", "b", "c", "d"};
+  Rng rng(97);
+  const auto random_line = [&rng] {
+    std::vector<std::string> line(3 + rng.NextIndex(7));
+    for (std::string& token : line) token = kVocabulary[rng.NextIndex(4)];
+    return line;
+  };
+  std::vector<std::pair<Snippet, Snippet>> pairs;
+  for (int i = 0; i < 600; ++i) {
+    std::vector<std::vector<std::string>> r_lines(1 + rng.NextIndex(3));
+    for (auto& line : r_lines) line = random_line();
+    // Mostly an edited copy of R, so the diff regions stay local; now and
+    // then an unrelated snippet with its own line count.
+    std::vector<std::vector<std::string>> s_lines = r_lines;
+    if (rng.NextIndex(5) == 0) {
+      s_lines.resize(1 + rng.NextIndex(3));
+      for (auto& line : s_lines) line = random_line();
+    } else {
+      for (auto& line : s_lines) {
+        for (std::string& token : line) {
+          if (rng.NextIndex(3) == 0) token = kVocabulary[rng.NextIndex(4)];
+        }
+        if (rng.NextIndex(4) == 0) line.push_back(kVocabulary[rng.NextIndex(4)]);
+      }
+    }
+    pairs.emplace_back(Snippet::FromTokens(r_lines), Snippet::FromTokens(s_lines));
+  }
+  return pairs;
+}
+
+/// Rewrites over the vocabulary with equal counts (so equal database
+/// scores), one hit whose database score is exactly 0, and a bigram
+/// rewrite.
+FeatureStatsDb TieHeavyDb() {
+  FeatureStatsDb db;
+  db.SetStat(RewriteKey("a", "c").key, 3, 5);
+  db.SetStat(RewriteKey("b", "d").key, 3, 5);
+  db.SetStat(RewriteKey("c", "d").key, 2, 4);
+  db.SetStat(RewriteKey("a", "b").key, 0, 0);
+  db.SetStat(RewriteKey("a b", "c").key, 7, 9);
+  db.BuildRewriteFilter();
+  return db;
+}
+
+class TieHeavyDifferentialTest : public ::testing::TestWithParam<MatchingStrategy> {};
+
+TEST_P(TieHeavyDifferentialTest, RepeatedTokenPairsMatchTheReference) {
+  const FeatureStatsDb db = TieHeavyDb();
+  RewriteMatchOptions options;
+  options.strategy = GetParam();
+  for (const FeatureStatsDb* matching_db : {static_cast<const FeatureStatsDb*>(nullptr), &db}) {
+    SCOPED_TRACE(matching_db == nullptr ? "no database" : "tie database");
+    size_t mismatches = 0;
+    size_t rewrites = 0;
+    for (const auto& [r, s] : TieHeavyPairs()) {
+      const PairDiff want = ReferenceMatchRewrites(r, s, matching_db, options);
+      const std::string difference =
+          FirstDifference(want, MatchRewrites(r, s, matching_db, options));
+      rewrites += want.rewrites.size();
+      if (difference.empty()) continue;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << r.ToString() << " | " << s.ToString() << ": " << difference;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(rewrites, 600u);
+  }
+}
+
+std::string StrategyName(const ::testing::TestParamInfo<MatchingStrategy>& info) {
+  static const char* const kNames[] = {"GreedyStats", "FirstMatch", "PositionOnly"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, TieHeavyDifferentialTest,
+                         ::testing::Values(MatchingStrategy::kGreedyStats,
+                                           MatchingStrategy::kFirstMatch,
+                                           MatchingStrategy::kPositionOnly),
+                         StrategyName);
 
 TEST(LazyCoverTest, CountersTallyCandidatesPopsAndAcceptances) {
   const MatcherFixture& fixture = Fixture();  // Its stats builds match too.
