@@ -20,9 +20,12 @@
 // (RenderPrometheusText) maps dots to underscores.
 //
 // Determinism contract: instrumented library code must update metrics at
-// work-item granularity (per fold, per epoch, per request), never at
-// thread-chunk granularity, so counter values are identical for any
-// --train-threads setting. tests/ml/determinism_test.cc asserts this.
+// work-item granularity (per fold, per training run, per request), never
+// at thread-chunk granularity, so counter values are identical for any
+// thread count of the CV folds, the statistics build or the metrics pass
+// (mbctl --threads / --train-threads).
+// TrainingDeterminismTest.InstrumentationCountsThreadInvariant asserts
+// this.
 
 #ifndef MICROBROWSE_COMMON_METRICS_H_
 #define MICROBROWSE_COMMON_METRICS_H_

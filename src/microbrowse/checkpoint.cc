@@ -56,7 +56,6 @@ Result<int64_t> ParseInt64(std::string_view text) {
 }
 
 uint64_t HashLrOptions(uint64_t h, const LrOptions& lr) {
-  h = HashCombine(h, static_cast<uint64_t>(lr.solver));
   h = HashCombine(h, DoubleBits(lr.l1));
   h = HashCombine(h, DoubleBits(lr.l2));
   h = HashCombine(h, DoubleBits(lr.learning_rate));

@@ -19,7 +19,6 @@ namespace {
 
 LrOptions DefaultTLr() {
   LrOptions options;
-  options.solver = LrSolver::kAdaGrad;
   options.l1 = 2e-3;
   options.l2 = 1e-6;
   options.learning_rate = 0.15;
@@ -29,7 +28,6 @@ LrOptions DefaultTLr() {
 
 LrOptions DefaultPLr() {
   LrOptions options;
-  options.solver = LrSolver::kAdaGrad;
   // The P phase trains the *delta* against the stats-database init (see
   // BuildPDataset), so regularisation pulls toward the init, not zero:
   // no L1 (the position space is tiny and dense), moderate L2.
@@ -227,13 +225,17 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
                             const FeatureStatsDb& db, const ClassifierConfig& config,
                             FeatureRegistry* t_registry, FeatureRegistry* p_registry,
                             std::vector<CoupledOccurrence>* occurrences) {
+  // The warm start is a statistics lookup, so it is computed only for a
+  // key the registry does not know yet: Intern ignores it for known keys.
+  auto intern = [&](FeatureRegistry* registry, const std::string& key, auto&& initial) {
+    const FeatureId id = registry->Find(key);
+    return id != kInvalidFeatureId ? id : registry->Intern(key, initial(key, db, config));
+  };
   ForEachPairFeature(first, second, db, config,
                      [&](const std::string& t_key, const std::string* p_key, double sign) {
                        CoupledOccurrence occ;
-                       occ.t = t_registry->Intern(t_key, InitialT(t_key, db, config));
-                       if (p_key != nullptr) {
-                         occ.p = p_registry->Intern(*p_key, InitialP(*p_key, db, config));
-                       }
+                       occ.t = intern(t_registry, t_key, InitialT);
+                       if (p_key != nullptr) occ.p = intern(p_registry, *p_key, InitialP);
                        occ.sign = sign;
                        occurrences->push_back(occ);
                      });

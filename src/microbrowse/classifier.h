@@ -195,8 +195,7 @@ Result<SnippetClassifierModel> TrainSnippetClassifier(
 
 /// CSR entry point for callers that reuse one flattened dataset across
 /// many training runs (the CV pipeline trains every fold against the same
-/// CoupledCsr). Thread count for the phase solvers comes from
-/// config.lr.num_threads / config.position_lr.num_threads.
+/// CoupledCsr). Both phases train with AdaGrad, which is sequential.
 Result<SnippetClassifierModel> TrainSnippetClassifier(
     const CoupledCsr& csr, const ClassifierConfig& config,
     const std::vector<size_t>& train_indices = {});

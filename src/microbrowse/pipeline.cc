@@ -30,19 +30,8 @@ void ScoreFold(const CoupledCsr& csr, const SnippetClassifierModel& model,
   }
 }
 
-/// Copies `config` with the in-training thread count raised to
-/// options.train_threads. The copy (not the original) is what trains, so
-/// the checkpoint fingerprint — computed from the caller's config — never
-/// sees the thread count.
-ClassifierConfig ThreadedConfig(const ClassifierConfig& config, const PipelineOptions& options) {
-  ClassifierConfig threaded = config;
-  threaded.lr.num_threads = std::max(threaded.lr.num_threads, options.train_threads);
-  threaded.position_lr.num_threads =
-      std::max(threaded.position_lr.num_threads, options.train_threads);
-  return threaded;
-}
-
-/// Copies the stats-build options with the thread count raised likewise.
+/// Copies the stats-build options with the thread count raised to
+/// options.train_threads.
 BuildStatsOptions ThreadedStats(const PipelineOptions& options) {
   BuildStatsOptions stats = options.stats;
   stats.num_threads = std::max(stats.num_threads, options.train_threads);
@@ -124,7 +113,6 @@ Result<ModelReport> RunPairClassificationCv(const PairCorpus& corpus,
 
   std::vector<ScoredLabel> all_scored;
   all_scored.reserve(corpus.pairs.size());
-  const ClassifierConfig train_config = ThreadedConfig(config, options);
   const BuildStatsOptions stats_options = ThreadedStats(options);
 
   if (!options.per_fold_stats) {
@@ -170,7 +158,7 @@ Result<ModelReport> RunPairClassificationCv(const PairCorpus& corpus,
         // which pool worker picks the fold up.
         TraceSpan fold_span("mb.cv.fold");
         WallTimer fold_timer;
-        auto model = TrainSnippetClassifier(csr, train_config, folds[f].train_indices);
+        auto model = TrainSnippetClassifier(csr, config, folds[f].train_indices);
         if (!model.ok()) {
           fold_status[f] = model.status();
           return;
@@ -213,7 +201,7 @@ Result<ModelReport> RunPairClassificationCv(const PairCorpus& corpus,
         TraceSpan fold_span("mb.cv.fold");
         WallTimer fold_timer;
         const CoupledCsr fold_csr = FlattenCoupledDataset(dataset);
-        auto model = TrainSnippetClassifier(fold_csr, train_config, fold.train_indices);
+        auto model = TrainSnippetClassifier(fold_csr, config, fold.train_indices);
         if (!model.ok()) return model.status();
         ScoreFold(fold_csr, *model, fold.test_indices, &fold_scored);
         GetCvMetrics().fold_seconds->Record(fold_timer.ElapsedSeconds());
@@ -253,7 +241,7 @@ Result<PositionWeightReport> LearnPositionWeights(const PairCorpus& corpus,
   for (FeatureId id = 0; id < dataset.p_registry.size(); ++id) {
     dataset.p_registry.SetInitialWeight(id, 0.0);
   }
-  auto model = TrainSnippetClassifier(dataset, ThreadedConfig(config, options));
+  auto model = TrainSnippetClassifier(dataset, config);
   if (!model.ok()) return model.status();
 
   PositionWeightReport report;

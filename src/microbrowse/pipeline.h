@@ -37,8 +37,7 @@ struct PipelineOptions {
   /// Results are identical regardless of thread count: per-fold scores are
   /// collected in fold order.
   int num_threads = 1;
-  /// Worker threads *inside* each training run: forwarded to the LR
-  /// solvers (LrOptions::num_threads), the statistics build
+  /// Worker threads *inside* each run: forwarded to the statistics build
   /// (BuildStatsOptions::num_threads) and the final metrics pass.
   /// Orthogonal to `num_threads` (fold-level parallelism). Results are
   /// bitwise identical for any value — see DESIGN.md section 11 — and the

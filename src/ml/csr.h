@@ -4,8 +4,8 @@
 // Dataset stores one heap-allocated SparseVector per example, so the
 // training inner loops chase a pointer per example and thrash the cache;
 // CsrDataset packs every row into two parallel arrays (feature ids and
-// values) indexed by a row-offset table, built once per dataset. Both
-// logistic-regression solvers and the snippet-classifier phase builders
+// values) indexed by a row-offset table, built once per dataset. The
+// logistic-regression solver and the snippet-classifier phase builders
 // stream this layout (DESIGN.md section 11).
 
 #ifndef MICROBROWSE_ML_CSR_H_

@@ -2,13 +2,9 @@
 //
 // L1-regularised logistic regression — the paper's snippet classifier is
 // "a logistic regression model with L1 regularization" (Section V-D) whose
-// weights are warm-started from the feature-statistics database.
-//
-// Two trainers are provided:
-//  * AdaGrad SGD with truncated-gradient L1 (fast, streaming, used by the
-//    experiment pipeline), and
-//  * batch proximal gradient descent / ISTA (deterministic, used in tests
-//    and for small problems).
+// weights are warm-started from the feature-statistics database. The
+// trainer is AdaGrad SGD with truncated-gradient L1: per-feature adaptive
+// steps, each followed by a shrink toward zero.
 
 #ifndef MICROBROWSE_ML_LOGISTIC_REGRESSION_H_
 #define MICROBROWSE_ML_LOGISTIC_REGRESSION_H_
@@ -23,15 +19,11 @@
 
 namespace microbrowse {
 
-/// Trainer selection.
-enum class LrSolver { kAdaGrad, kProximalBatch };
-
 /// Logistic-regression hyper-parameters.
 struct LrOptions {
-  LrSolver solver = LrSolver::kAdaGrad;
   double l1 = 1e-4;              ///< L1 penalty strength.
   double l2 = 1e-6;              ///< Small ridge term for conditioning.
-  double learning_rate = 0.3;    ///< AdaGrad base step / ISTA step scale.
+  double learning_rate = 0.3;    ///< AdaGrad base step.
   int epochs = 15;               ///< Passes over the data.
   bool shuffle_each_epoch = true;
   bool fit_bias = true;
@@ -39,12 +31,6 @@ struct LrOptions {
   /// Stop early when the training log-loss improves by less than this
   /// between epochs (<= 0 disables).
   double tolerance = 1e-6;
-  /// Worker threads for the batch proximal solver's epoch body. Results
-  /// are bitwise identical for any value: examples are split into a fixed
-  /// block grid (independent of thread count) and each feature's gradient
-  /// sums the per-block partials in ascending block index (DESIGN.md
-  /// section 11). AdaGrad is inherently sequential and ignores this.
-  int num_threads = 1;
 };
 
 /// A trained (or warm-started) linear model over sparse features.
@@ -92,7 +78,7 @@ Result<LogisticModel> TrainLogisticRegression(const Dataset& data, const LrOptio
                                               const std::vector<double>* initial_weights = nullptr);
 
 /// CSR-layout entry point for callers that already hold (or reuse) a
-/// flattened dataset — the training hot path proper. Both solvers stream
+/// flattened dataset — the training hot path proper. The solver streams
 /// the packed arrays directly.
 Result<LogisticModel> TrainLogisticRegression(const CsrDataset& data, const LrOptions& options,
                                               const std::vector<double>* initial_weights = nullptr);

@@ -1,7 +1,6 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// String interning. Phrase pools, feature registries and click-model doc
-// tables all map strings to dense ids through a Vocabulary.
+// String interning: a Vocabulary maps strings to dense ids and back.
 
 #ifndef MICROBROWSE_TEXT_VOCABULARY_H_
 #define MICROBROWSE_TEXT_VOCABULARY_H_

@@ -1,9 +1,9 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Worker faults in the threaded statistics build, metrics and proximal LR
-// solver: a pool task that fails (here: the threadpool.task failpoint,
-// armed on every task) must be redone on the caller's thread, never
-// silently dropped, so the threaded results equal the single-threaded ones.
+// Worker faults in the threaded statistics build and metrics: a pool task
+// that fails (here: the threadpool.task failpoint, armed on every task)
+// must be redone on the caller's thread, never silently dropped, so the
+// threaded results equal the single-threaded ones.
 
 #include <gtest/gtest.h>
 
@@ -15,14 +15,11 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/math_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "microbrowse/stats_db.h"
-#include "ml/csr.h"
-#include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 
 namespace microbrowse {
@@ -96,44 +93,6 @@ TEST_F(PoolFaultTest, ThreadedMetricsEqualSerialUnderFailingTasks) {
   EXPECT_EQ(threaded_metrics.true_negatives, serial_metrics.true_negatives);
   EXPECT_EQ(threaded_metrics.false_negatives, serial_metrics.false_negatives);
   EXPECT_EQ(threaded_auc, serial_auc);
-}
-
-TEST_F(PoolFaultTest, ThreadedProximalSolverEqualsSerialUnderFailingTasks) {
-  // 8,192 rows make an 8-block gradient grid, so 4 threads get a pool.
-  constexpr size_t kRows = 8192;
-  constexpr size_t kFeatures = 256;
-  Rng rng(17);
-  std::vector<double> truth(kFeatures);
-  for (double& w : truth) w = rng.Uniform(-1.0, 1.0);
-  CsrDataset data;
-  data.num_features = kFeatures;
-  data.weights.assign(kRows, 1.0);
-  data.offsets.assign(kRows, 0.0);
-  data.row_offsets.push_back(0);
-  for (size_t i = 0; i < kRows; ++i) {
-    double score = 0.0;
-    for (int k = 0; k < 8; ++k) {
-      const FeatureId id = static_cast<FeatureId>(rng.NextIndex(kFeatures));
-      data.ids.push_back(id);
-      data.values.push_back(1.0);
-      score += truth[id];
-    }
-    data.labels.push_back(rng.Bernoulli(Sigmoid(score)) ? 1.0 : 0.0);
-    data.row_offsets.push_back(data.ids.size());
-  }
-  LrOptions options;
-  options.solver = LrSolver::kProximalBatch;
-  options.epochs = 3;
-  options.num_threads = 1;
-  auto serial = TrainLogisticRegression(data, options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  FailEveryPoolTask();
-  options.num_threads = 4;
-  auto threaded = TrainLogisticRegression(data, options);
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_TRUE(threaded->weights() == serial->weights());
-  EXPECT_EQ(threaded->bias(), serial->bias());
-  EXPECT_NE(serial->bias(), 0.0);  // The run really trained.
 }
 
 }  // namespace

@@ -1,21 +1,18 @@
 // Copyright 2026 The Microbrowse Authors
 //
 // The determinism suite for the parallel training hot path (DESIGN.md
-// section 11): every parallelised component — the proximal LR solver, the
-// statistics build, the metrics pass and the full CV pipeline — must
-// produce bitwise identical results for any thread count. These tests
-// compare 1, 2 and 8 worker runs with exact (==) equality on doubles,
-// deliberately: the contract is reproducibility, not approximation.
+// section 11): every parallelised component — the statistics build, the
+// metrics pass and the full CV pipeline — must produce bitwise identical
+// results for any thread count. These tests compare 1, 2 and 8 worker runs
+// with exact (==) equality on doubles, deliberately: the contract is
+// reproducibility, not approximation.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/math_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -27,7 +24,6 @@
 #include "ml/csr.h"
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
-#include "ml/simd.h"
 
 namespace microbrowse {
 namespace {
@@ -57,28 +53,6 @@ CsrDataset MakePlantedCorpus(size_t n, size_t n_features, size_t nnz, uint64_t s
   return data;
 }
 
-TEST(TrainingDeterminismTest, ProximalBatchBitwiseIdenticalAcrossThreadCounts) {
-  // Large enough that NumGradientBlocks produces a multi-block grid, so
-  // threads 2 and 8 genuinely schedule different block interleavings.
-  const CsrDataset data = MakePlantedCorpus(4096, 512, 12, 31);
-  LrOptions options;
-  options.solver = LrSolver::kProximalBatch;
-  options.epochs = 8;
-
-  options.num_threads = 1;
-  auto reference = TrainLogisticRegression(data, options);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_GT(reference->weights().size(), 0u);
-
-  for (int threads : {2, 8}) {
-    options.num_threads = threads;
-    auto parallel = TrainLogisticRegression(data, options);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->weights(), reference->weights()) << threads << " threads";
-    EXPECT_EQ(parallel->bias(), reference->bias()) << threads << " threads";
-  }
-}
-
 TEST(TrainingDeterminismTest, DatasetOverloadMatchesCsrOverload) {
   // The Dataset entry point flattens and delegates; a warm start plus an
   // offset column exercises the full option surface through both paths.
@@ -96,9 +70,7 @@ TEST(TrainingDeterminismTest, DatasetOverloadMatchesCsrOverload) {
   }
   const std::vector<double> warm(csr.num_features, 0.05);
   LrOptions options;
-  options.solver = LrSolver::kProximalBatch;
   options.epochs = 6;
-  options.num_threads = 8;
   auto via_dataset = TrainLogisticRegression(data, options, &warm);
   // The flattened Dataset merges duplicate ids per row (SparseVector
   // semantics), so compare against its own flattening, not the raw csr.
@@ -163,10 +135,8 @@ TEST(TrainingDeterminismTest, BuildFeatureStatsThreadInvariant) {
 TEST(TrainingDeterminismTest, PipelineReportBitwiseIdenticalAcrossThreadCounts) {
   const PairCorpus pairs = MakePairs(23, 60);
   ASSERT_GE(pairs.pairs.size(), 20u);
-  // M1 on the proximal solver, so train_threads reaches the parallel epoch
-  // body (M1's default AdaGrad trainer ignores the thread count).
-  ClassifierConfig config = ClassifierConfig::M1();
-  config.lr.solver = LrSolver::kProximalBatch;
+  // train_threads reaches the statistics build and the metrics pass.
+  const ClassifierConfig config = ClassifierConfig::M1();
   PipelineOptions options;
   options.folds = 5;
   options.seed = 99;
@@ -198,8 +168,7 @@ TEST(TrainingDeterminismTest, PipelineReportBitwiseIdenticalAcrossThreadCounts) 
 TEST(TrainingDeterminismTest, InstrumentationCountsThreadInvariant) {
   const PairCorpus pairs = MakePairs(29, 60);
   ASSERT_GE(pairs.pairs.size(), 20u);
-  ClassifierConfig config = ClassifierConfig::M1();
-  config.lr.solver = LrSolver::kProximalBatch;
+  const ClassifierConfig config = ClassifierConfig::M1();
   PipelineOptions options;
   options.folds = 4;
   options.seed = 7;
@@ -279,149 +248,6 @@ TEST(TrainingDeterminismTest, InstrumentationCountsThreadInvariant) {
     EXPECT_EQ(parallel.spans, reference.spans) << threads << " threads";
     EXPECT_EQ(parallel.auc, reference.auc) << threads << " threads";
   }
-}
-
-/// Kernels to run the kernel-sensitive determinism tests under: always the
-/// scalar reference, plus AVX2 where the host supports it.
-std::vector<simd::Kernel> TestableKernels() {
-  std::vector<simd::Kernel> kernels = {simd::Kernel::kScalar};
-  if (simd::Avx2Available()) kernels.push_back(simd::Kernel::kAvx2);
-  return kernels;
-}
-
-// The thread-count contract must hold under every kernel choice, and —
-// because the kernels share one canonical operation schedule (DESIGN.md
-// section 16) — the trained weights must also be identical ACROSS kernels.
-TEST(TrainingDeterminismTest, ProximalBatchThreadInvariantUnderEveryKernel) {
-  const CsrDataset data = MakePlantedCorpus(4096, 512, 12, 31);
-  LrOptions options;
-  options.solver = LrSolver::kProximalBatch;
-  options.epochs = 8;
-  options.l1 = 1e-3;
-
-  std::optional<std::vector<double>> cross_kernel_weights;
-  std::optional<double> cross_kernel_bias;
-  for (simd::Kernel kernel : TestableKernels()) {
-    simd::ScopedKernelOverride override(kernel);
-    options.num_threads = 1;
-    auto reference = TrainLogisticRegression(data, options);
-    ASSERT_TRUE(reference.ok()) << simd::KernelName(kernel);
-    for (int threads : {2, 8}) {
-      options.num_threads = threads;
-      auto parallel = TrainLogisticRegression(data, options);
-      ASSERT_TRUE(parallel.ok());
-      EXPECT_EQ(parallel->weights(), reference->weights())
-          << simd::KernelName(kernel) << ", " << threads << " threads";
-      EXPECT_EQ(parallel->bias(), reference->bias())
-          << simd::KernelName(kernel) << ", " << threads << " threads";
-    }
-    if (!cross_kernel_weights.has_value()) {
-      cross_kernel_weights = reference->weights();
-      cross_kernel_bias = reference->bias();
-    } else {
-      EXPECT_EQ(reference->weights(), *cross_kernel_weights)
-          << simd::KernelName(kernel) << " diverges from scalar";
-      EXPECT_EQ(reference->bias(), *cross_kernel_bias);
-    }
-  }
-}
-
-TEST(TrainingDeterminismTest, PipelineReportIdenticalAcrossKernels) {
-  const PairCorpus pairs = MakePairs(23, 60);
-  ASSERT_GE(pairs.pairs.size(), 20u);
-  ClassifierConfig config = ClassifierConfig::M1();
-  config.lr.solver = LrSolver::kProximalBatch;
-  PipelineOptions options;
-  options.folds = 5;
-  options.seed = 99;
-  options.num_threads = 8;
-  options.train_threads = 8;
-
-  std::optional<double> reference_auc;
-  std::optional<BinaryMetrics> reference_metrics;
-  for (simd::Kernel kernel : TestableKernels()) {
-    simd::ScopedKernelOverride override(kernel);
-    auto report = RunPairClassificationCv(pairs, config, options);
-    ASSERT_TRUE(report.ok()) << simd::KernelName(kernel);
-    if (!reference_auc.has_value()) {
-      reference_auc = report->auc;
-      reference_metrics = report->metrics;
-      continue;
-    }
-    EXPECT_EQ(report->auc, *reference_auc) << simd::KernelName(kernel);
-    EXPECT_EQ(report->metrics.true_positives, reference_metrics->true_positives);
-    EXPECT_EQ(report->metrics.false_positives, reference_metrics->false_positives);
-    EXPECT_EQ(report->metrics.true_negatives, reference_metrics->true_negatives);
-    EXPECT_EQ(report->metrics.false_negatives, reference_metrics->false_negatives);
-  }
-}
-
-// A checkpointed CV run killed mid-flight under one kernel and resumed
-// under the other must reproduce the uninterrupted run bit for bit. The
-// checkpoint fingerprint deliberately excludes the kernel choice: the
-// kernels are bitwise interchangeable, so a checkpoint written on an AVX2
-// CI machine is valid on a scalar-only one and vice versa.
-TEST(TrainingDeterminismTest, CheckpointResumeAcrossKernelChangeBitwiseIdentical) {
-  if (!simd::Avx2Available()) {
-    GTEST_SKIP() << "AVX2 unavailable; kernel-switch resume needs both kernels";
-  }
-  failpoint::DeactivateAll();
-  const PairCorpus pairs = MakePairs(23, 60);
-  ASSERT_GE(pairs.pairs.size(), 20u);
-  ClassifierConfig config = ClassifierConfig::M1();
-  config.lr.solver = LrSolver::kProximalBatch;
-  PipelineOptions options;
-  options.folds = 5;
-  options.seed = 99;
-  options.num_threads = 1;
-
-  // Uninterrupted reference, AVX2 kernel.
-  std::optional<double> reference_auc;
-  std::optional<BinaryMetrics> reference_metrics;
-  {
-    simd::ScopedKernelOverride override(simd::Kernel::kAvx2);
-    auto reference = RunPairClassificationCv(pairs, config, options);
-    ASSERT_TRUE(reference.ok());
-    reference_auc = reference->auc;
-    reference_metrics = reference->metrics;
-  }
-
-  // Kill the third fold while training with AVX2 kernels. The fold loop
-  // carries per-fold status, so the other four folds still train and
-  // checkpoint before the run reports the injected error...
-  options.checkpoint_dir = ::testing::TempDir() + "/kernel_switch_ckpt";
-  std::filesystem::remove_all(options.checkpoint_dir);
-  {
-    simd::ScopedKernelOverride override(simd::Kernel::kAvx2);
-    failpoint::Spec kill;
-    kill.mode = failpoint::Spec::Mode::kNth;
-    kill.nth = 3;
-    failpoint::Activate("pipeline.fold", kill);
-    auto interrupted = RunPairClassificationCv(pairs, config, options);
-    ASSERT_FALSE(interrupted.ok());
-    EXPECT_EQ(interrupted.status().code(), StatusCode::kIOError);
-    failpoint::DeactivateAll();
-  }
-
-  // ...and resume with the scalar kernel: four folds load from the
-  // AVX2-written checkpoint, the killed fold retrains on the scalar path,
-  // and the stitched-together report must still match the reference.
-  {
-    simd::ScopedKernelOverride override(simd::Kernel::kScalar);
-    failpoint::Spec count_only;
-    count_only.mode = failpoint::Spec::Mode::kNever;
-    failpoint::Activate("pipeline.fold", count_only);
-    auto resumed = RunPairClassificationCv(pairs, config, options);
-    ASSERT_TRUE(resumed.ok());
-    EXPECT_EQ(failpoint::HitCount("pipeline.fold"), 1);
-    failpoint::DeactivateAll();
-    EXPECT_EQ(resumed->auc, *reference_auc);  // Exact double equality.
-    EXPECT_EQ(resumed->metrics.true_positives, reference_metrics->true_positives);
-    EXPECT_EQ(resumed->metrics.false_positives, reference_metrics->false_positives);
-    EXPECT_EQ(resumed->metrics.true_negatives, reference_metrics->true_negatives);
-    EXPECT_EQ(resumed->metrics.false_negatives, reference_metrics->false_negatives);
-  }
-  std::filesystem::remove_all(options.checkpoint_dir);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Copyright 2026 The Microbrowse Authors
 //
 // Tests for the ML substrate: sparse vectors, the feature registry,
-// logistic regression (both solvers), metrics and cross-validation.
+// logistic regression, metrics and cross-validation.
 
 #include <gtest/gtest.h>
 
@@ -129,12 +129,9 @@ double Accuracy(const LogisticModel& model, const Dataset& data) {
   return static_cast<double>(correct) / data.size();
 }
 
-class LrSolverTest : public ::testing::TestWithParam<LrSolver> {};
-
-TEST_P(LrSolverTest, LearnsSeparableProblem) {
+TEST(LogisticRegressionTest, LearnsSeparableProblem) {
   const Dataset data = MakeSeparableDataset(2000, 5);
   LrOptions options;
-  options.solver = GetParam();
   options.epochs = 60;
   options.l1 = 1e-5;
   options.tolerance = 0.0;
@@ -146,7 +143,7 @@ TEST_P(LrSolverTest, LearnsSeparableProblem) {
   EXPECT_LT(model->weights()[1], 0.0);
 }
 
-TEST_P(LrSolverTest, StrongL1ZeroesIrrelevantFeatures) {
+TEST(LogisticRegressionTest, StrongL1ZeroesIrrelevantFeatures) {
   Dataset data = MakeSeparableDataset(2000, 9);
   data.num_features = 4;
   Rng rng(10);
@@ -156,7 +153,6 @@ TEST_P(LrSolverTest, StrongL1ZeroesIrrelevantFeatures) {
     example.features.Finish();
   }
   LrOptions options;
-  options.solver = GetParam();
   options.epochs = 40;
   options.l1 = 0.05;
   auto model = TrainLogisticRegression(data, options);
@@ -165,9 +161,6 @@ TEST_P(LrSolverTest, StrongL1ZeroesIrrelevantFeatures) {
   EXPECT_GT(std::fabs(model->weights()[0]), 5.0 * std::fabs(model->weights()[2]));
   EXPECT_GT(std::fabs(model->weights()[1]), 5.0 * std::fabs(model->weights()[3]));
 }
-
-INSTANTIATE_TEST_SUITE_P(Solvers, LrSolverTest,
-                         ::testing::Values(LrSolver::kAdaGrad, LrSolver::kProximalBatch));
 
 TEST(LogisticRegressionTest, WarmStartIsUsedWithZeroEpochs) {
   const Dataset data = MakeSeparableDataset(100, 5);
@@ -479,7 +472,6 @@ TEST(CsrTest, FlattenDatasetRoundTrip) {
 TEST(CsrTest, CsrTrainingMatchesDatasetTraining) {
   const Dataset data = MakeSeparableDataset(500, 17);
   LrOptions options;
-  options.solver = LrSolver::kProximalBatch;
   options.epochs = 20;
   auto via_dataset = TrainLogisticRegression(data, options);
   auto via_csr = TrainLogisticRegression(FlattenDataset(data), options);

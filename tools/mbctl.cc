@@ -335,11 +335,9 @@ int CmdTrain(const Flags& flags) {
   auto named = ClassifierConfig::ByName(flags.Get("--model", "M6"));
   if (!named.ok()) return Fail(named.status());
   ClassifierConfig config = std::move(named).value();
-  // Results are bitwise identical for any thread count (DESIGN.md §11).
-  config.lr.num_threads = static_cast<int>(*train_threads);
-  config.position_lr.num_threads = static_cast<int>(*train_threads);
   auto seed = flags.GetInt("--seed", 99, /*min=*/0);
   if (!seed.ok()) return Fail(seed.status());
+  // Results are bitwise identical for any thread count (DESIGN.md §11).
   BuildStatsOptions stats_options;
   stats_options.num_threads = static_cast<int>(*train_threads);
 
