@@ -53,7 +53,7 @@ int main() {
     bool any_text_change = !diff.r_only.empty() || !diff.s_only.empty();
     int text_rewrites = 0;
     for (const auto& rw : diff.rewrites) {
-      if (rw.r_span.text != rw.s_span.text) {
+      if (pair.r.snippet.SpanText(rw.r_span) != pair.s.snippet.SpanText(rw.s_span)) {
         any_text_change = true;
         ++text_rewrites;
       }
@@ -158,7 +158,7 @@ int main() {
       bool any_text_change = !diff.r_only.empty() || !diff.s_only.empty();
       int text_rewrites = 0;
       for (const auto& rw : diff.rewrites) {
-        if (rw.r_span.text != rw.s_span.text) {
+        if (pair.r.snippet.SpanText(rw.r_span) != pair.s.snippet.SpanText(rw.s_span)) {
           any_text_change = true;
           ++text_rewrites;
         }

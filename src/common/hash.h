@@ -1,8 +1,9 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Hashing utilities shared by the vocabulary, feature registry and
-// statistics database. All hashes are deterministic across runs (no
-// per-process salting) so that feature ids are stable in logs and tests.
+// Hashing utilities shared by the per-pair token dictionary, feature
+// registry and statistics database. All hashes are deterministic across
+// runs (no per-process salting) so that feature ids are stable in logs and
+// tests.
 
 #ifndef MICROBROWSE_COMMON_HASH_H_
 #define MICROBROWSE_COMMON_HASH_H_

@@ -119,41 +119,52 @@ namespace {
 /// (with the rewrite_min_support backoff and the drop_matched_rewrites
 /// ablation) and the leftover terms. Calls `fn(t_key, p_key, sign)` once per
 /// feature occurrence, in a fixed order; `p_key` is null for positionless
-/// occurrences. Both consumers — ExtractPairOccurrences (interns) and
-/// PredictPairMargin (only reads) — see exactly the same sequence.
+/// occurrences. The keys are views into buffers reused from occurrence to
+/// occurrence, valid only during the call. Both consumers —
+/// ExtractPairOccurrences (interns) and PredictPairMargin (only reads) —
+/// see exactly the same sequence.
 template <typename Fn>
 void ForEachPairFeature(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
                         const ClassifierConfig& config, Fn&& fn) {
-  std::string p_key;
-  auto emit_term = [&](const TermSpan& span, double sign, bool conjunction) {
+  FeatureKeyBuffer t_keys;
+  FeatureKeyBuffer p_keys;
+  std::string_view p_key;
+  auto emit_term = [&](const Snippet& snippet, const TermSpan& span, double sign,
+                       bool conjunction) {
     if (!config.use_position) {
-      fn(TermKey(span.text), nullptr, sign);
+      fn(t_keys.Term(snippet, span), nullptr, sign);
     } else if (conjunction) {
-      fn(TermConjunctionKey(span.text, MakePositionKey(span)), nullptr, sign);
+      fn(t_keys.TermConjunction(snippet, span), nullptr, sign);
     } else {
-      p_key = TermPositionKey(MakePositionKey(span));
-      fn(TermKey(span.text), &p_key, sign);
+      p_key = p_keys.TermPosition(MakePositionKey(span));
+      fn(t_keys.Term(snippet, span), &p_key, sign);
     }
   };
-  auto add_term = [&](const TermSpan& span, double sign) {
-    emit_term(span, sign, config.leftover_position_conjunction);
+  auto add_term = [&](const Snippet& snippet, const TermSpan& span, double sign) {
+    emit_term(snippet, span, sign, config.leftover_position_conjunction);
   };
   // Emits every 1..max_ngram sub-gram of a span, mirroring the granularity
   // of the full term extraction (a single span-level feature would be far
   // sparser than the n-gram features the term models see).
+  std::vector<TermSpan> grams;
   auto add_span_ngrams = [&](const Snippet& snippet, const TermSpan& span, double sign) {
-    for (const TermSpan& sub :
-         ExtractNGramsInWindow(snippet, span.line, span.pos, span.len, config.max_ngram)) {
-      add_term(sub, sign);
-    }
+    grams.clear();
+    AppendNGramsInWindow(snippet, span.line, span.pos, span.len, config.max_ngram, &grams);
+    for (const TermSpan& sub : grams) add_term(snippet, sub, sign);
   };
 
   if (config.use_term_features && !config.diff_terms_only) {
-    for (const TermSpan& span : ExtractNGrams(first, config.max_ngram)) {
-      emit_term(span, +1.0, config.term_position_conjunction);
-    }
-    for (const TermSpan& span : ExtractNGrams(second, config.max_ngram)) {
-      emit_term(span, -1.0, config.term_position_conjunction);
+    for (const Snippet* snippet : {&first, &second}) {
+      const double sign = snippet == &first ? +1.0 : -1.0;
+      grams.clear();
+      grams.reserve(NumNGrams(*snippet, config.max_ngram));
+      for (int line = 0; line < snippet->num_lines(); ++line) {
+        const int line_size = static_cast<int>(snippet->line(line).size());
+        AppendNGramsInWindow(*snippet, line, 0, line_size, config.max_ngram, &grams);
+      }
+      for (const TermSpan& span : grams) {
+        emit_term(*snippet, span, sign, config.term_position_conjunction);
+      }
     }
   }
   const bool diff_terms = config.use_term_features && config.diff_terms_only;
@@ -168,15 +179,17 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
       add_span_ngrams(first, rewrite.r_span, +1.0);
       add_span_ngrams(second, rewrite.s_span, -1.0);
     }
-    for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
-    for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
+    for (const TermSpan& span : diff.r_only) add_term(first, span, +1.0);
+    for (const TermSpan& span : diff.s_only) add_term(second, span, -1.0);
   }
   if (!config.use_rewrite_features) return;
   for (const RewriteMatch& rewrite : diff.rewrites) {
     // Raw direction: second's phrase rewritten into first's phrase.
-    const SignedKey key = RewriteKey(rewrite.s_span.text, rewrite.r_span.text);
+    double sign = 0.0;
+    const std::string_view key =
+        t_keys.Rewrite(second, rewrite.s_span, first, rewrite.r_span, &sign);
     const bool thin =
-        config.rewrite_min_support > 0 && db.Count(key.key) < config.rewrite_min_support;
+        config.rewrite_min_support > 0 && db.Count(key) < config.rewrite_min_support;
     if (config.drop_matched_rewrites || thin) {
       // Decompose the matched pair into signed term occurrences: always
       // under the drop_matched_rewrites ablation, and for tail rewrites
@@ -187,15 +200,15 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
       continue;
     }
     if (config.use_position) {
-      p_key = RewritePositionKey(MakePositionKey(rewrite.r_span),
-                                 MakePositionKey(rewrite.s_span));
-      fn(key.key, &p_key, key.sign);
+      p_key = p_keys.RewritePosition(MakePositionKey(rewrite.r_span),
+                                     MakePositionKey(rewrite.s_span));
+      fn(key, &p_key, sign);
     } else {
-      fn(key.key, nullptr, key.sign);
+      fn(key, nullptr, sign);
     }
   }
-  for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
-  for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
+  for (const TermSpan& span : diff.r_only) add_term(first, span, +1.0);
+  for (const TermSpan& span : diff.s_only) add_term(second, span, -1.0);
 }
 
 /// Warm start of a T feature: its log odds in the statistics database.
@@ -227,12 +240,12 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
                             std::vector<CoupledOccurrence>* occurrences) {
   // The warm start is a statistics lookup, so it is computed only for a
   // key the registry does not know yet: Intern ignores it for known keys.
-  auto intern = [&](FeatureRegistry* registry, const std::string& key, auto&& initial) {
+  auto intern = [&](FeatureRegistry* registry, std::string_view key, auto&& initial) {
     const FeatureId id = registry->Find(key);
     return id != kInvalidFeatureId ? id : registry->Intern(key, initial(key, db, config));
   };
   ForEachPairFeature(first, second, db, config,
-                     [&](const std::string& t_key, const std::string* p_key, double sign) {
+                     [&](std::string_view t_key, const std::string_view* p_key, double sign) {
                        CoupledOccurrence occ;
                        occ.t = intern(t_registry, t_key, InitialT);
                        if (p_key != nullptr) occ.p = intern(p_registry, *p_key, InitialP);
@@ -247,7 +260,7 @@ double PredictPairMargin(const Snippet& first, const Snippet& second, const Feat
   double score = model.bias;
   ForEachPairFeature(
       first, second, db, config,
-      [&](const std::string& t_key, const std::string* p_key, double sign) {
+      [&](std::string_view t_key, const std::string_view* p_key, double sign) {
         const double t = WeightOf(t_registry, model.t_weights, t_key,
                                   [&](std::string_view key) { return InitialT(key, db, config); });
         double p = 1.0;

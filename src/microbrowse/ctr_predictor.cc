@@ -31,23 +31,25 @@ double CtrPredictor::Visibility(const PositionKey& position) const {
 
 double CtrPredictor::Score(const Snippet& snippet) const {
   double score = 0.0;
+  FeatureKeyBuffer key;
   for (const TermSpan& span : ExtractNGrams(snippet, options_.max_ngram)) {
     const PositionKey position = MakePositionKey(span);
     // Prefer the positioned conjunction weight when the model has one;
     // otherwise the plain term weight times the learned visibility.
     double term_weight = 0.0;
     bool positioned = false;
-    const FeatureId conj = t_registry_->Find(TermConjunctionKey(span.text, position));
+    const FeatureId conj = t_registry_->Find(key.TermConjunction(snippet, span));
     if (conj != kInvalidFeatureId && conj < model_->t_weights.size() &&
         model_->t_weights[conj] != 0.0) {
       term_weight = model_->t_weights[conj];
       positioned = true;
     } else {
-      const FeatureId plain = t_registry_->Find(TermKey(span.text));
+      const std::string_view term_key = key.Term(snippet, span);
+      const FeatureId plain = t_registry_->Find(term_key);
       if (plain != kInvalidFeatureId && plain < model_->t_weights.size()) {
         term_weight = model_->t_weights[plain];
       } else if (db_ != nullptr) {
-        term_weight = db_->LogOdds(TermKey(span.text));
+        term_weight = db_->LogOdds(term_key);
       }
     }
     score += positioned ? term_weight : term_weight * Visibility(position);

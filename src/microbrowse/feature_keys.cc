@@ -76,4 +76,50 @@ std::string RewritePositionKey(const PositionKey& r_pos, const PositionKey& s_po
   return Concat({"pp:", PositionText(r_pos).view(), "=>", PositionText(s_pos).view()});
 }
 
+std::string_view FeatureKeyBuffer::Term(const Snippet& snippet, const TermSpan& span) {
+  key_.assign("t:");
+  snippet.AppendSpanText(span, &key_);
+  return key_;
+}
+
+std::string_view FeatureKeyBuffer::TermConjunction(const Snippet& snippet, const TermSpan& span) {
+  key_.assign("tp:");
+  snippet.AppendSpanText(span, &key_);
+  key_.push_back('@');
+  key_.append(PositionText(MakePositionKey(span)).view());
+  return key_;
+}
+
+std::string_view FeatureKeyBuffer::TermPosition(const PositionKey& position) {
+  key_.assign("p:");
+  key_.append(PositionText(position).view());
+  return key_;
+}
+
+std::string_view FeatureKeyBuffer::RewritePosition(const PositionKey& r_pos,
+                                                   const PositionKey& s_pos) {
+  key_.assign("pp:");
+  key_.append(PositionText(r_pos).view());
+  key_.append("=>");
+  key_.append(PositionText(s_pos).view());
+  return key_;
+}
+
+std::string_view FeatureKeyBuffer::Rewrite(const Snippet& from, const TermSpan& from_span,
+                                           const Snippet& to, const TermSpan& to_span,
+                                           double* sign) {
+  from_.clear();
+  from.AppendSpanText(from_span, &from_);
+  to_.clear();
+  to.AppendSpanText(to_span, &to_);
+  // RewriteKey's order: the texts ascending, the raw order on a tie.
+  const bool flipped = to_ < from_;
+  *sign = flipped ? -1.0 : 1.0;
+  key_.assign(kRewriteKeyPrefix);
+  key_.append(flipped ? to_ : from_);
+  key_.append("=>");
+  key_.append(flipped ? from_ : to_);
+  return key_;
+}
+
 }  // namespace microbrowse

@@ -19,7 +19,12 @@
 //
 // Rewrite keys also have a 64-bit fingerprint (RewriteFingerprint), built
 // from per-gram hashes without materialising the key string; the stats
-// database's rewrite filter is keyed by it.
+// database's rewrite filter is keyed by it. The fingerprint is symmetric in
+// its two sides, so it needs no canonical order: only a key that is built
+// decides its (lo, hi) order, by comparing the texts.
+//
+// Hot paths spell keys with FeatureKeyBuffer, straight from a snippet's
+// tokens into buffers that are reused from key to key.
 
 #ifndef MICROBROWSE_MICROBROWSE_FEATURE_KEYS_H_
 #define MICROBROWSE_MICROBROWSE_FEATURE_KEYS_H_
@@ -29,6 +34,7 @@
 #include <string_view>
 
 #include "common/hash.h"
+#include "text/pair_tokens.h"
 #include "text/snippet.h"
 
 namespace microbrowse {
@@ -87,16 +93,19 @@ SignedKey RewriteKey(std::string_view from, std::string_view to);
 inline constexpr std::string_view kRewriteKeyPrefix = "rw:";
 
 /// Hash of one side of a rewrite (a gram text), the input to
-/// RewriteFingerprint. Like the fingerprint it is never persisted, so it
-/// carries no stability contract across builds.
-inline uint64_t RewriteSideHash(std::string_view text) { return Mix64(Fnv1a64Wide(text)); }
+/// RewriteFingerprint: the PhraseHash of its tokens (text/pair_tokens.h),
+/// which the matcher folds from per-token pieces without spelling the
+/// text. Like the fingerprint it is never persisted, so it carries no
+/// stability contract across builds.
+inline uint64_t RewriteSideHash(std::string_view text) { return PhraseHash(text); }
 
-/// Fingerprint of the canonical rewrite key "rw:<lo>=><hi>" from the side
-/// hashes of `lo` and `hi`, in canonical (lo, hi) order. Equal keys have
-/// equal fingerprints; distinct keys may collide, so a fingerprint can only
-/// rule a key out, never confirm it.
-inline uint64_t RewriteFingerprint(uint64_t lo_hash, uint64_t hi_hash) {
-  return HashCombine(lo_hash, hi_hash);
+/// Fingerprint of the rewrite key "rw:<lo>=><hi>" from the side hashes of
+/// `lo` and `hi`, in either order: it is symmetric in its two sides, so a
+/// caller need not know which text sorts first. Equal keys have equal
+/// fingerprints; distinct keys may collide, so a fingerprint can only rule
+/// a key out, never confirm it.
+inline uint64_t RewriteFingerprint(uint64_t a_hash, uint64_t b_hash) {
+  return a_hash < b_hash ? HashCombine(a_hash, b_hash) : HashCombine(b_hash, a_hash);
 }
 
 /// Calls `fn(fingerprint)` once for every way a stats key splits as
@@ -137,6 +146,32 @@ void ForEachRewriteFingerprintInSorted(const SortedTable& table, Fn&& fn) {
 /// mirrored key, and the two learn consistent (approximately antisymmetric
 /// in effect) weights from the randomly-ordered training pairs.
 std::string RewritePositionKey(const PositionKey& r_pos, const PositionKey& s_pos);
+
+/// Spells the keys above into buffers it owns and reuses, reading span
+/// texts straight from a snippet's tokens: once the buffers have grown, a
+/// key costs no allocation. Each returned view is valid until the next call
+/// on the same buffer; a caller that needs two keys at once (a T key and a
+/// P key) uses two buffers.
+class FeatureKeyBuffer {
+ public:
+  /// TermKey of `span`'s text.
+  std::string_view Term(const Snippet& snippet, const TermSpan& span);
+  /// TermConjunctionKey of `span`'s text at MakePositionKey(span).
+  std::string_view TermConjunction(const Snippet& snippet, const TermSpan& span);
+  /// TermPositionKey(position).
+  std::string_view TermPosition(const PositionKey& position);
+  /// RewritePositionKey(r_pos, s_pos).
+  std::string_view RewritePosition(const PositionKey& r_pos, const PositionKey& s_pos);
+  /// RewriteKey(from's text, to's text): the canonical key, with its sign
+  /// in `*sign`. The order is decided by comparing the spelled texts.
+  std::string_view Rewrite(const Snippet& from, const TermSpan& from_span, const Snippet& to,
+                           const TermSpan& to_span, double* sign);
+
+ private:
+  std::string key_;
+  std::string from_;  ///< Rewrite side texts, spelled before the key.
+  std::string to_;
+};
 
 }  // namespace microbrowse
 

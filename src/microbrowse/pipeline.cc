@@ -22,9 +22,11 @@ namespace microbrowse {
 
 namespace {
 
-/// Evaluates `model` on the test indices, appending scored labels.
+/// Evaluates `model` on the test indices, appending scored labels. Traced
+/// as its own span so that a fold's time splits into training and scoring.
 void ScoreFold(const CoupledCsr& csr, const SnippetClassifierModel& model,
                const std::vector<size_t>& test_indices, std::vector<ScoredLabel>* scored) {
+  TraceSpan span("mb.cv.score");
   for (size_t idx : test_indices) {
     scored->push_back(ScoredLabel{model.ScoreRow(csr, idx), csr.labels[idx] > 0.5});
   }

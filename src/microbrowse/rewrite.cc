@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
-#include <string>
 
 #include "common/metrics.h"
 #include "microbrowse/feature_keys.h"
@@ -145,18 +144,39 @@ struct LineMatches {
   std::vector<size_t> line_begin;
 };
 
-/// Collects per-line diff regions for both snippets, keeping each line's
-/// LCS alignment for the shift-rewrite pass.
-void CollectDiffRegions(const Snippet& r, const Snippet& s, std::vector<DiffRegion>* r_regions,
-                        std::vector<DiffRegion>* s_regions, LineMatches* aligned) {
-  static const std::vector<std::string> kEmptyLine;
+/// Collects per-line diff regions for both snippets, diffing token ids,
+/// and keeps each line's LCS alignment for the shift-rewrite pass.
+void CollectDiffRegions(const Snippet& r, const Snippet& s, const PairTokens& tokens,
+                        std::vector<DiffRegion>* r_regions, std::vector<DiffRegion>* s_regions,
+                        LineMatches* aligned) {
+  // Every buffer is sized once up front: a line's LCS table is
+  // (n + 1) x (m + 1), it aligns at most min(n, m) tokens and yields at
+  // most min(n, m) + 1 hunks, each at most one region per side.
   const int lines = std::max(r.num_lines(), s.num_lines());
-  aligned->line_begin.reserve(static_cast<size_t>(lines) + 1);
+  size_t table_size = 0;
+  size_t max_hunks = 0;
+  size_t total_matches = 0;
   for (int line = 0; line < lines; ++line) {
-    const auto& r_tokens = line < r.num_lines() ? r.line(line) : kEmptyLine;
-    const auto& s_tokens = line < s.num_lines() ? s.line(line) : kEmptyLine;
+    const size_t n = tokens.Line(PairSide::kR, line).size();
+    const size_t m = tokens.Line(PairSide::kS, line).size();
+    table_size = std::max(table_size, (n + 1) * (m + 1));
+    max_hunks = std::max(max_hunks, std::min(n, m) + 1);
+    total_matches += std::min(n, m);
+  }
+  std::vector<int> table;
+  table.reserve(table_size);
+  std::vector<DiffHunk> hunks;
+  hunks.reserve(max_hunks);
+  aligned->matches.reserve(total_matches);
+  aligned->line_begin.reserve(static_cast<size_t>(lines) + 1);
+  r_regions->reserve(total_matches + static_cast<size_t>(lines));
+  s_regions->reserve(total_matches + static_cast<size_t>(lines));
+  for (int line = 0; line < lines; ++line) {
     aligned->line_begin.push_back(aligned->matches.size());
-    for (const DiffHunk& hunk : TokenDiff(r_tokens, s_tokens, &aligned->matches)) {
+    hunks.clear();
+    AppendTokenDiff(tokens.Line(PairSide::kR, line), tokens.Line(PairSide::kS, line), &table,
+                    &hunks, &aligned->matches);
+    for (const DiffHunk& hunk : hunks) {
       if (hunk.a_len > 0) r_regions->push_back(DiffRegion{line, hunk.a_pos, hunk.a_len});
       if (hunk.b_len > 0) s_regions->push_back(DiffRegion{line, hunk.b_pos, hunk.b_len});
     }
@@ -169,16 +189,35 @@ double Locality(const TermSpan& a, const TermSpan& b) {
   return -3.0 * std::abs(a.line - b.line) - 0.25 * std::abs(a.pos - b.pos);
 }
 
-/// Marks `span`'s tokens in `covered` (per-line bitmask); returns false if
-/// any token is already covered.
-bool TryCover(const TermSpan& span, std::vector<std::vector<char>>* covered) {
-  auto& line_mask = (*covered)[span.line];
-  for (int i = 0; i < span.len; ++i) {
-    if (line_mask[span.pos + i]) return false;
+/// Which token positions of the pair a matched rewrite has consumed,
+/// indexed by PairTokens' flat positions.
+class Coverage {
+ public:
+  explicit Coverage(const PairTokens& tokens)
+      : tokens_(&tokens), covered_(tokens.num_positions(), 0) {}
+
+  bool Covered(PairSide side, int line, int pos) const {
+    return covered_[tokens_->Offset(side, line) + pos] != 0;
   }
-  for (int i = 0; i < span.len; ++i) line_mask[span.pos + i] = 1;
-  return true;
-}
+
+  /// Whether none of `span`'s tokens is covered yet.
+  bool Free(PairSide side, const TermSpan& span) const {
+    const char* mask = covered_.data() + tokens_->Offset(side, span.line) + span.pos;
+    for (int i = 0; i < span.len; ++i) {
+      if (mask[i]) return false;
+    }
+    return true;
+  }
+
+  void Cover(PairSide side, const TermSpan& span) {
+    char* mask = covered_.data() + tokens_->Offset(side, span.line) + span.pos;
+    for (int i = 0; i < span.len; ++i) mask[i] = 1;
+  }
+
+ private:
+  const PairTokens* tokens_;
+  std::vector<char> covered_;
+};
 
 /// Emits all n-grams of the expanded diff regions. With the context
 /// expansion these are exactly the n-grams present in one snippet but not
@@ -187,34 +226,22 @@ bool TryCover(const TermSpan& span, std::vector<std::vector<char>>* covered) {
 /// matching. They are also the matcher's candidate phrases.
 std::vector<TermSpan> RegionGrams(const Snippet& snippet, const std::vector<DiffRegion>& regions,
                                   int max_ngram) {
+  size_t total = 0;
+  for (const DiffRegion& region : regions) total += NumNGramsInWindow(region.count, max_ngram);
   std::vector<TermSpan> out;
+  out.reserve(total);
   for (const DiffRegion& region : regions) {
     AppendNGramsInWindow(snippet, region.line, region.begin, region.count, max_ngram, &out);
   }
   return out;
 }
 
-/// Numbers the distinct texts of `r_grams` followed by `s_grams` in
-/// ascending lexicographic order: equal texts share an id, and comparing
-/// two ids compares the texts. Returns one id per gram, R's first.
-std::vector<uint32_t> InternGramTexts(const std::vector<TermSpan>& r_grams,
-                                      const std::vector<TermSpan>& s_grams) {
-  const size_t n_r = r_grams.size();
-  const auto text = [&](uint32_t i) -> const std::string& {
-    return i < n_r ? r_grams[i].text : s_grams[i - n_r].text;
-  };
-  std::vector<uint32_t> by_text(n_r + s_grams.size());
-  std::iota(by_text.begin(), by_text.end(), 0u);
-  std::sort(by_text.begin(), by_text.end(),
-            [&](uint32_t a, uint32_t b) { return text(a) < text(b); });
-  std::vector<uint32_t> ids(by_text.size());
-  uint32_t id = 0;
-  for (size_t k = 0; k < by_text.size(); ++k) {
-    if (k > 0 && text(by_text[k - 1]) != text(by_text[k])) ++id;
-    ids[by_text[k]] = id;
-  }
-  return ids;
-}
+/// What the candidate loop reads of a gram: its token ids, for the
+/// same-text test, and its side hash, for the rewrite fingerprint.
+struct GramTokens {
+  const TokenId* ids = nullptr;
+  uint64_t hash = 0;
+};
 
 /// Emits *shift rewrites*: identical tokens that the LCS kept aligned but
 /// whose positions landed in different buckets (an upstream edit changed
@@ -223,9 +250,7 @@ std::vector<uint32_t> InternGramTexts(const std::vector<TermSpan>& r_grams,
 /// changed while its text did not is a rewrite too, and it is exactly the
 /// "location within a snippet" signal the micro-browsing model is about.
 /// Tokens already consumed by a matched candidate are skipped.
-void AppendShiftRewrites(const Snippet& r, const Snippet& s, const LineMatches& aligned,
-                         const std::vector<std::vector<char>>& r_covered,
-                         const std::vector<std::vector<char>>& s_covered, int max_ngram,
+void AppendShiftRewrites(const LineMatches& aligned, const Coverage& covered, int max_ngram,
                          std::vector<RewriteMatch>* rewrites) {
   const int lines = static_cast<int>(aligned.line_begin.size()) - 1;
   for (int line = 0; line < lines; ++line) {
@@ -238,7 +263,8 @@ void AppendShiftRewrites(const Snippet& r, const Snippet& s, const LineMatches& 
     while (i < count) {
       auto shifted = [&](const TokenMatch& match) {
         return !(MakePositionKey(line, match.a_index) == MakePositionKey(line, match.b_index)) &&
-               !r_covered[line][match.a_index] && !s_covered[line][match.b_index];
+               !covered.Covered(PairSide::kR, line, match.a_index) &&
+               !covered.Covered(PairSide::kS, line, match.b_index);
       };
       if (!shifted(matches[i])) {
         ++i;
@@ -255,12 +281,8 @@ void AppendShiftRewrites(const Snippet& r, const Snippet& s, const LineMatches& 
       for (int offset = 0; offset < run_len; ++offset) {
         const int max_len = std::min(max_ngram, run_len - offset);
         for (int len = 1; len <= max_len; ++len) {
-          const int a_pos = matches[i + offset].a_index;
-          const int b_pos = matches[i + offset].b_index;
-          RewriteMatch match;
-          match.r_span = TermSpan{line, a_pos, len, r.SpanText(line, a_pos, len)};
-          match.s_span = TermSpan{line, b_pos, len, s.SpanText(line, b_pos, len)};
-          rewrites->push_back(std::move(match));
+          rewrites->push_back(RewriteMatch{TermSpan{line, matches[i + offset].a_index, len},
+                                           TermSpan{line, matches[i + offset].b_index, len}});
         }
       }
       i = end;
@@ -268,23 +290,20 @@ void AppendShiftRewrites(const Snippet& r, const Snippet& s, const LineMatches& 
   }
 }
 
-std::vector<std::vector<char>> MakeCoverage(const Snippet& snippet) {
-  std::vector<std::vector<char>> covered(snippet.num_lines());
-  for (int line = 0; line < snippet.num_lines(); ++line) {
-    covered[line].assign(snippet.line(line).size(), 0);
-  }
-  return covered;
-}
-
 }  // namespace
 
 PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
                        const RewriteMatchOptions& options) {
+  return MatchRewrites(r, s, PairTokens(r, s), db, options);
+}
+
+PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tokens,
+                       const FeatureStatsDb* db, const RewriteMatchOptions& options) {
   PairDiff out;
   std::vector<DiffRegion> r_regions;
   std::vector<DiffRegion> s_regions;
   LineMatches aligned;
-  CollectDiffRegions(r, s, &r_regions, &s_regions, &aligned);
+  CollectDiffRegions(r, s, tokens, &r_regions, &s_regions, &aligned);
   if (r_regions.empty() && s_regions.empty()) return out;
   ExpandAndMergeRegions(r, options.context_expansion, &r_regions);
   ExpandAndMergeRegions(s, options.context_expansion, &s_regions);
@@ -292,23 +311,23 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
   // Candidate phrases on each side; they double as the unmatched residue.
   std::vector<TermSpan> r_grams = RegionGrams(r, r_regions, options.max_ngram);
   std::vector<TermSpan> s_grams = RegionGrams(s, s_regions, options.max_ngram);
-  const std::vector<uint32_t> text_id = InternGramTexts(r_grams, s_grams);
-  const uint32_t* r_id = text_id.data();
-  const uint32_t* s_id = text_id.data() + r_grams.size();
 
   const bool first_match = options.strategy == MatchingStrategy::kFirstMatch;
   const bool use_db = options.strategy == MatchingStrategy::kGreedyStats && db != nullptr;
-  // Side hashes of every gram, R's first, so each candidate's rewrite
+  // Every gram's token ids, R's first, and with a database its side hash
+  // (folded from the per-token pieces), so each candidate's rewrite
   // fingerprint is one combine and the DB's filter can rule most rewrites
-  // out before a key string is built.
-  std::vector<uint64_t> gram_hash;
-  if (use_db) {
-    gram_hash.reserve(text_id.size());
-    for (const TermSpan& span : r_grams) gram_hash.push_back(RewriteSideHash(span.text));
-    for (const TermSpan& span : s_grams) gram_hash.push_back(RewriteSideHash(span.text));
+  // out before a key is spelled.
+  std::vector<GramTokens> gram_tokens;
+  gram_tokens.reserve(r_grams.size() + s_grams.size());
+  for (PairSide side : {PairSide::kR, PairSide::kS}) {
+    for (const TermSpan& span : side == PairSide::kR ? r_grams : s_grams) {
+      gram_tokens.push_back(
+          GramTokens{tokens.SpanIds(side, span), use_db ? tokens.SpanHash(side, span) : 0});
+    }
   }
-  const uint64_t* r_hash = gram_hash.data();
-  const uint64_t* s_hash = gram_hash.data() + (use_db ? r_grams.size() : 0);
+  const GramTokens* r_tokens = gram_tokens.data();
+  const GramTokens* s_tokens = gram_tokens.data() + r_grams.size();
 
   // Enumerate candidate phrase pairs across all region combinations. A
   // candidate with an exact-text bonus or a database score keeps its score
@@ -320,7 +339,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
   geometric.reserve(r_grams.size() * s_grams.size());
   std::vector<ScoredCandidate> scored;
   std::vector<uint32_t> bucket_begin((first_match ? 1 : ranks.size()) + 1);
-  std::string key;  // Rewrite-key buffer, reused by every lookup.
+  FeatureKeyBuffer key;  // Reused by every lookup.
   int64_t lookups = 0;
   int64_t filter_passed = 0;
   int64_t hits = 0;
@@ -328,7 +347,10 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
     const TermSpan& r_span = r_grams[ri];
     for (uint32_t si = 0; si < s_grams.size(); ++si) {
       const TermSpan& s_span = s_grams[si];
-      const bool same_text = r_id[ri] == s_id[si];
+      // Equal id tuples are equal texts (text/pair_tokens.h).
+      const bool same_text =
+          r_span.len == s_span.len &&
+          std::equal(r_tokens[ri].ids, r_tokens[ri].ids + r_span.len, s_tokens[si].ids);
       // Identity candidates (same text at the same location) are no-op
       // artifacts of the context expansion; admitting them would let
       // shared context absorb the exact-match bonus and block real phrase
@@ -345,22 +367,17 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
       // Stays 0 without a database, so kPositionOnly shares this path.
       double db_score = 0.0;
       if (use_db) {
-        // Canonical RewriteKey(s_span.text, r_span.text): the texts in
-        // ascending order, which the interned ids encode. The filter has
-        // no false negatives, so skipping Find when it says "absent"
-        // cannot change a score.
-        const bool r_first = r_id[ri] < s_id[si];
+        // The fingerprint is symmetric, so the probe needs no order. The
+        // filter has no false negatives, so skipping Find when it says
+        // "absent" cannot change a score; only a candidate that passes it
+        // spells canonical RewriteKey(s text, r text), ordering the sides
+        // by comparing their texts.
         ++lookups;
-        const uint64_t fingerprint = r_first ? RewriteFingerprint(r_hash[ri], s_hash[si])
-                                             : RewriteFingerprint(s_hash[si], r_hash[ri]);
         const FeatureStat* stat = nullptr;
-        if (db->MayContainRewrite(fingerprint)) {
+        if (db->MayContainRewrite(RewriteFingerprint(r_tokens[ri].hash, s_tokens[si].hash))) {
           ++filter_passed;
-          key.assign(kRewriteKeyPrefix);
-          key.append(r_first ? r_span.text : s_span.text);
-          key.append("=>");
-          key.append(r_first ? s_span.text : r_span.text);
-          stat = db->Find(key);
+          double sign = 0.0;
+          stat = db->Find(key.Rewrite(s, s_span, r, r_span, &sign));
         }
         if (stat != nullptr) {
           ++hits;
@@ -409,8 +426,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
   size_t next_geometric = 0;
   size_t next_scored = 0;
   int64_t popped = 0;
-  auto r_covered = MakeCoverage(r);
-  auto s_covered = MakeCoverage(s);
+  Coverage covered(tokens);
   while ((next_geometric < by_rank.size() || next_scored < scored.size()) && r_uncovered > 0 &&
          s_uncovered > 0) {
     GramPair grams;
@@ -432,18 +448,9 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
     const TermSpan& r_span = r_grams[grams.r];
     const TermSpan& s_span = s_grams[grams.s];
     // Probe coverage without committing: check both sides first.
-    bool r_free = true;
-    for (int i = 0; i < r_span.len; ++i) {
-      if (r_covered[r_span.line][r_span.pos + i]) r_free = false;
-    }
-    if (!r_free) continue;
-    bool s_free = true;
-    for (int i = 0; i < s_span.len; ++i) {
-      if (s_covered[s_span.line][s_span.pos + i]) s_free = false;
-    }
-    if (!s_free) continue;
-    TryCover(r_span, &r_covered);
-    TryCover(s_span, &s_covered);
+    if (!covered.Free(PairSide::kR, r_span) || !covered.Free(PairSide::kS, s_span)) continue;
+    covered.Cover(PairSide::kR, r_span);
+    covered.Cover(PairSide::kS, s_span);
     r_uncovered -= r_span.len;
     s_uncovered -= s_span.len;
     out.rewrites.push_back(RewriteMatch{r_span, s_span});
@@ -469,7 +476,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb*
     hits_counter->Increment(hits);
   }
 
-  AppendShiftRewrites(r, s, aligned, r_covered, s_covered, options.max_ngram, &out.rewrites);
+  AppendShiftRewrites(aligned, covered, options.max_ngram, &out.rewrites);
   out.r_only = std::move(r_grams);
   out.s_only = std::move(s_grams);
   return out;

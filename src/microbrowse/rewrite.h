@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "microbrowse/stats_db.h"
+#include "text/pair_tokens.h"
 #include "text/snippet.h"
 
 namespace microbrowse {
@@ -63,6 +64,11 @@ struct RewriteMatchOptions {
 /// (phase-one matching); it is only consulted by kGreedyStats.
 PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
                        const RewriteMatchOptions& options = {});
+
+/// MatchRewrites with the pair's token dictionary, `tokens` =
+/// PairTokens(r, s), built by the caller so that it can reuse it.
+PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tokens,
+                       const FeatureStatsDb* db, const RewriteMatchOptions& options = {});
 
 }  // namespace microbrowse
 

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.h"
@@ -14,69 +14,126 @@
 #include "microbrowse/feature_keys.h"
 #include "microbrowse/rewrite.h"
 #include "text/ngram.h"
+#include "text/pair_tokens.h"
 
 namespace microbrowse {
 
 namespace {
 
-/// Set of n-gram texts in a snippet.
-std::unordered_set<std::string> NGramTexts(const Snippet& snippet, int max_ngram) {
-  std::unordered_set<std::string> texts;
-  for (const TermSpan& span : ExtractNGrams(snippet, max_ngram)) {
-    texts.insert(span.text);
-  }
-  return texts;
-}
-
-/// Records term and term-position-conjunction observations for every
-/// n-gram of `snippet` whose text is absent from `other_texts`.
-void ObserveUniqueTerms(const Snippet& snippet,
-                        const std::unordered_set<std::string>& other_texts, int max_ngram,
-                        int delta, FeatureStatsDb* out) {
-  std::unordered_set<std::string> seen;
-  for (const TermSpan& span : ExtractNGrams(snippet, max_ngram)) {
-    if (other_texts.count(span.text) != 0) continue;
-    // One observation per distinct text for the plain term key (mirroring
-    // the set semantics of the original implementation); conjunctions are
-    // observed per occurrence since the position is part of the key.
-    if (seen.insert(span.text).second) {
-      out->AddObservation(TermKey(span.text), delta);
+/// The n-grams of one side of a pair, in extraction order, with the order
+/// that sorts them by their per-pair token ids: the side's unique-term set
+/// as sorted gram codes. Buffers are reused from pair to pair.
+class SideGrams {
+ public:
+  void Collect(const Snippet& snippet, const PairTokens& tokens, PairSide side, int max_ngram) {
+    spans_.clear();
+    spans_.reserve(NumNGrams(snippet, max_ngram));
+    for (int line = 0; line < snippet.num_lines(); ++line) {
+      const int line_size = static_cast<int>(snippet.line(line).size());
+      AppendNGramsInWindow(snippet, line, 0, line_size, max_ngram, &spans_);
     }
-    out->AddObservation(TermConjunctionKey(span.text, MakePositionKey(span)), delta);
+    ids_.clear();
+    ids_.reserve(spans_.size());
+    for (const TermSpan& span : spans_) ids_.push_back(tokens.SpanIds(side, span));
+    sorted_.resize(spans_.size());
+    std::iota(sorted_.begin(), sorted_.end(), 0u);
+    // Equal grams keep extraction order, so each run starts at its first
+    // occurrence.
+    std::sort(sorted_.begin(), sorted_.end(), [this](uint32_t a, uint32_t b) {
+      const int order = Compare(a, ids_[b], spans_[b].len);
+      return order != 0 ? order < 0 : a < b;
+    });
   }
-}
+
+  /// Whether some gram of this side has the token ids [ids, ids + len).
+  bool Contains(const TokenId* ids, int len) const {
+    const auto it = std::lower_bound(
+        sorted_.begin(), sorted_.end(), 0,
+        [&](uint32_t gram, int) { return Compare(gram, ids, len) < 0; });
+    return it != sorted_.end() && Compare(*it, ids, len) == 0;
+  }
+
+  /// Records the term and term-position-conjunction observations for
+  /// every gram whose text `other` lacks. One observation per distinct
+  /// text for the plain term key (set semantics); conjunctions are
+  /// observed per occurrence since the position is part of the key. The
+  /// observations come in extraction order.
+  void ObserveUnique(const Snippet& snippet, const SideGrams& other, int delta,
+                     FeatureKeyBuffer* key, FeatureStatsDb* out) {
+    enum : char { kShared, kFirst, kRepeat };
+    kind_.resize(spans_.size());
+    for (size_t run = 0; run < sorted_.size();) {
+      const uint32_t head = sorted_[run];
+      const bool shared = other.Contains(ids_[head], spans_[head].len);
+      size_t end = run + 1;
+      while (end < sorted_.size() && Compare(sorted_[end], ids_[head], spans_[head].len) == 0) {
+        kind_[sorted_[end++]] = shared ? kShared : kRepeat;
+      }
+      kind_[head] = shared ? kShared : kFirst;
+      run = end;
+    }
+    for (size_t i = 0; i < spans_.size(); ++i) {
+      if (kind_[i] == kShared) continue;
+      if (kind_[i] == kFirst) out->AddObservation(key->Term(snippet, spans_[i]), delta);
+      out->AddObservation(key->TermConjunction(snippet, spans_[i]), delta);
+    }
+  }
+
+ private:
+  /// Three-way comparison of gram `gram`'s ids with [ids, ids + len).
+  int Compare(uint32_t gram, const TokenId* ids, int len) const {
+    const TokenId* own = ids_[gram];
+    const int own_len = spans_[gram].len;
+    for (int i = 0; i < std::min(own_len, len); ++i) {
+      if (own[i] != ids[i]) return own[i] < ids[i] ? -1 : 1;
+    }
+    return own_len - len;
+  }
+
+  std::vector<TermSpan> spans_;
+  std::vector<const TokenId*> ids_;
+  std::vector<uint32_t> sorted_;
+  std::vector<char> kind_;
+};
 
 /// One accumulation pass over pairs [begin, end) of the corpus.
 /// `matching_db` (nullable) guides rewrite matching; results go into
 /// `out`. Under StatsScope::kRewritesOnly only the rewrite keys are
-/// recorded.
+/// recorded. Each pair's token dictionary serves both its term statistics
+/// and its matching, and every key is spelled into one reused buffer.
 void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
                      const FeatureStatsDb* matching_db, StatsScope scope, size_t begin,
                      size_t end, FeatureStatsDb* out) {
   RewriteMatchOptions match_options;
   match_options.max_ngram = options.max_ngram;
   const bool all_keys = scope == StatsScope::kAllKeys;
+  SideGrams r_grams;
+  SideGrams s_grams;
+  FeatureKeyBuffer key;
 
   for (size_t pair_index = begin; pair_index < end; ++pair_index) {
     const SnippetPair& pair = corpus.pairs[pair_index];
+    const Snippet& r = pair.r.snippet;
+    const Snippet& s = pair.s.snippet;
     const int delta = pair.delta_sw();
+    const PairTokens tokens(r, s);
 
     if (all_keys) {
       // --- Term statistics: n-grams unique to one side (plain and
       // position-conjoined variants).
-      const auto r_texts = NGramTexts(pair.r.snippet, options.max_ngram);
-      const auto s_texts = NGramTexts(pair.s.snippet, options.max_ngram);
-      ObserveUniqueTerms(pair.r.snippet, s_texts, options.max_ngram, delta, out);
-      ObserveUniqueTerms(pair.s.snippet, r_texts, options.max_ngram, -delta, out);
+      r_grams.Collect(r, tokens, PairSide::kR, options.max_ngram);
+      s_grams.Collect(s, tokens, PairSide::kS, options.max_ngram);
+      r_grams.ObserveUnique(r, s_grams, delta, &key, out);
+      s_grams.ObserveUnique(s, r_grams, -delta, &key, out);
     }
 
     // --- Rewrite and position statistics from the diff decomposition.
-    const PairDiff diff =
-        MatchRewrites(pair.r.snippet, pair.s.snippet, matching_db, match_options);
+    const PairDiff diff = MatchRewrites(r, s, tokens, matching_db, match_options);
     for (const RewriteMatch& rewrite : diff.rewrites) {
       // Raw direction: S's phrase was rewritten into R's phrase.
-      const SignedKey key = RewriteKey(rewrite.s_span.text, rewrite.r_span.text);
-      out->AddObservation(key.key, static_cast<int>(key.sign) * delta);
+      double sign = 0.0;
+      const std::string_view rewrite_key = key.Rewrite(s, rewrite.s_span, r, rewrite.r_span, &sign);
+      out->AddObservation(rewrite_key, static_cast<int>(sign) * delta);
       if (!all_keys) continue;
 
       const PositionKey r_pos = MakePositionKey(rewrite.r_span);
@@ -85,16 +142,16 @@ void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
         // Ordered position-pair statistic (source = S side, target = R
         // side): empirical probability that a rewrite landing at r_pos
         // coincides with R being the better creative.
-        out->AddObservation(RewritePositionKey(r_pos, s_pos), delta);
+        out->AddObservation(key.RewritePosition(r_pos, s_pos), delta);
       }
     }
     if (!all_keys) continue;
     // Term-position statistics from the unmatched residue.
     for (const TermSpan& span : diff.r_only) {
-      out->AddObservation(TermPositionKey(MakePositionKey(span)), delta);
+      out->AddObservation(key.TermPosition(MakePositionKey(span)), delta);
     }
     for (const TermSpan& span : diff.s_only) {
-      out->AddObservation(TermPositionKey(MakePositionKey(span)), -delta);
+      out->AddObservation(key.TermPosition(MakePositionKey(span)), -delta);
     }
   }
 }

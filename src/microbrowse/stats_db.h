@@ -104,11 +104,13 @@ class FeatureStatsDb {
 
   /// Records one observation: `delta_sw` must be +1 or -1; -1 increments
   /// only the total (the feature coincided with a negative difference).
-  void AddObservation(const std::string& key, int delta_sw) {
+  /// Copies `key` only when it is new.
+  void AddObservation(std::string_view key, int delta_sw) {
     rewrite_filter_.reset();
-    FeatureStat& stat = stats_[key];
-    ++stat.total;
-    if (delta_sw > 0) ++stat.positive;
+    auto it = stats_.find(key);
+    if (it == stats_.end()) it = stats_.emplace(std::string(key), FeatureStat{}).first;
+    ++it->second.total;
+    if (delta_sw > 0) ++it->second.positive;
   }
 
   /// Installs the exact counts for `key`, replacing any prior value. Used

@@ -2,44 +2,41 @@
 
 #include "text/diff.h"
 
+#include <algorithm>
+
 namespace microbrowse {
 
 namespace {
 
-/// Fills the (n+1) x (m+1) LCS length table for suffixes; cell (i, j) holds
-/// the LCS length of a[i:] and b[j:].
-std::vector<std::vector<int>> LcsSuffixTable(const std::vector<std::string>& a,
-                                             const std::vector<std::string>& b) {
-  const int n = static_cast<int>(a.size());
-  const int m = static_cast<int>(b.size());
-  std::vector<std::vector<int>> table(n + 1, std::vector<int>(m + 1, 0));
-  for (int i = n - 1; i >= 0; --i) {
-    for (int j = m - 1; j >= 0; --j) {
-      if (a[i] == b[j]) {
-        table[i][j] = table[i + 1][j + 1] + 1;
-      } else {
-        table[i][j] = std::max(table[i + 1][j], table[i][j + 1]);
-      }
+/// Fills the (n+1) x (m+1) LCS length table for suffixes, row-major in
+/// `table`; cell (i, j) holds the LCS length of a[i:] and b[j:].
+template <typename Token>
+void FillLcsSuffixTable(std::span<const Token> a, std::span<const Token> b,
+                        std::vector<int>* table) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  const size_t stride = m + 1;
+  table->assign((n + 1) * stride, 0);
+  int* cell = table->data();
+  for (size_t i = n; i-- > 0;) {
+    for (size_t j = m; j-- > 0;) {
+      cell[i * stride + j] = a[i] == b[j] ? cell[(i + 1) * stride + j + 1] + 1
+                                          : std::max(cell[(i + 1) * stride + j],
+                                                     cell[i * stride + j + 1]);
     }
   }
-  return table;
 }
 
-}  // namespace
-
-int LcsLength(const std::vector<std::string>& a, const std::vector<std::string>& b) {
-  if (a.empty() || b.empty()) return 0;
-  return LcsSuffixTable(a, b)[0][0];
-}
-
-std::vector<DiffHunk> TokenDiff(const std::vector<std::string>& a,
-                                const std::vector<std::string>& b,
-                                std::vector<TokenMatch>* matches) {
+/// The one LCS diff, over tokens or over token ids.
+template <typename Token>
+void AppendDiff(std::span<const Token> a, std::span<const Token> b, std::vector<int>* table,
+                std::vector<DiffHunk>* hunks, std::vector<TokenMatch>* matches) {
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
-  const auto table = LcsSuffixTable(a, b);
+  FillLcsSuffixTable(a, b, table);
+  const size_t stride = b.size() + 1;
+  const auto lcs = [&](int i, int j) { return (*table)[i * stride + j]; };
 
-  std::vector<DiffHunk> hunks;
   int i = 0;
   int j = 0;
   int hunk_a_start = -1;
@@ -53,7 +50,7 @@ std::vector<DiffHunk> TokenDiff(const std::vector<std::string>& a,
   };
   auto close_hunk = [&](int ai, int bj) {
     if (hunk_a_start >= 0) {
-      hunks.push_back(DiffHunk{hunk_a_start, ai - hunk_a_start, hunk_b_start, bj - hunk_b_start});
+      hunks->push_back(DiffHunk{hunk_a_start, ai - hunk_a_start, hunk_b_start, bj - hunk_b_start});
       hunk_a_start = -1;
       hunk_b_start = -1;
     }
@@ -65,7 +62,7 @@ std::vector<DiffHunk> TokenDiff(const std::vector<std::string>& a,
       if (matches != nullptr) matches->push_back(TokenMatch{i, j});
       ++i;
       ++j;
-    } else if (table[i + 1][j] >= table[i][j + 1]) {
+    } else if (lcs(i + 1, j) >= lcs(i, j + 1)) {
       open_hunk(i, j);
       ++i;  // a[i] deleted.
     } else {
@@ -79,7 +76,30 @@ std::vector<DiffHunk> TokenDiff(const std::vector<std::string>& a,
     j = m;
   }
   close_hunk(i, j);
+}
+
+}  // namespace
+
+int LcsLength(const std::vector<std::string>& a, const std::vector<std::string>& b) {
+  if (a.empty() || b.empty()) return 0;
+  std::vector<int> table;
+  FillLcsSuffixTable<std::string>(a, b, &table);
+  return table[0];
+}
+
+std::vector<DiffHunk> TokenDiff(const std::vector<std::string>& a,
+                                const std::vector<std::string>& b,
+                                std::vector<TokenMatch>* matches) {
+  std::vector<int> table;
+  std::vector<DiffHunk> hunks;
+  AppendDiff<std::string>(a, b, &table, &hunks, matches);
   return hunks;
+}
+
+void AppendTokenDiff(std::span<const TokenId> a, std::span<const TokenId> b,
+                     std::vector<int>* table, std::vector<DiffHunk>* hunks,
+                     std::vector<TokenMatch>* matches) {
+  AppendDiff(a, b, table, hunks, matches);
 }
 
 }  // namespace microbrowse

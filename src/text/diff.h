@@ -8,8 +8,11 @@
 #ifndef MICROBROWSE_TEXT_DIFF_H_
 #define MICROBROWSE_TEXT_DIFF_H_
 
+#include <span>
 #include <string>
 #include <vector>
+
+#include "text/pair_tokens.h"
 
 namespace microbrowse {
 
@@ -46,6 +49,15 @@ struct TokenMatch {
 std::vector<DiffHunk> TokenDiff(const std::vector<std::string>& a,
                                 const std::vector<std::string>& b,
                                 std::vector<TokenMatch>* matches = nullptr);
+
+/// TokenDiff over per-pair token ids (text/pair_tokens.h), which are equal
+/// exactly when their tokens are: the same hunks and matches as TokenDiff
+/// on the tokens themselves. Appends to `hunks` and (when non-null)
+/// `matches`, and keeps the LCS table in `table`, so a caller diffing line
+/// after line reuses one allocation.
+void AppendTokenDiff(std::span<const TokenId> a, std::span<const TokenId> b,
+                     std::vector<int>* table, std::vector<DiffHunk>* hunks,
+                     std::vector<TokenMatch>* matches);
 
 /// Length of the longest common subsequence of `a` and `b`.
 int LcsLength(const std::vector<std::string>& a, const std::vector<std::string>& b);

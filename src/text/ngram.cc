@@ -16,7 +16,7 @@ void AppendNGramsInWindow(const Snippet& snippet, int line, int begin, int count
   for (int pos = begin; pos < end; ++pos) {
     const int max_len = std::min(max_n, end - pos);
     for (int len = 1; len <= max_len; ++len) {
-      out->push_back(TermSpan{line, pos, len, snippet.SpanText(line, pos, len)});
+      out->push_back(TermSpan{line, pos, len});
     }
   }
 }
@@ -28,8 +28,17 @@ std::vector<TermSpan> ExtractNGramsInWindow(const Snippet& snippet, int line, in
   return spans;
 }
 
+size_t NumNGrams(const Snippet& snippet, int max_n) {
+  size_t total = 0;
+  for (const auto& line : snippet.lines()) {
+    total += NumNGramsInWindow(static_cast<int>(line.size()), max_n);
+  }
+  return total;
+}
+
 std::vector<TermSpan> ExtractNGrams(const Snippet& snippet, int max_n) {
   std::vector<TermSpan> spans;
+  spans.reserve(NumNGrams(snippet, max_n));
   for (int line = 0; line < snippet.num_lines(); ++line) {
     const int line_size = static_cast<int>(snippet.line(line).size());
     AppendNGramsInWindow(snippet, line, 0, line_size, max_n, &spans);

@@ -13,6 +13,17 @@
 
 namespace microbrowse {
 
+/// Number of n-grams of length 1..max_n in a window of `count` tokens,
+/// for sizing a buffer before AppendNGramsInWindow fills it.
+inline size_t NumNGramsInWindow(int count, int max_n) {
+  size_t total = 0;
+  for (int len = 1; len <= max_n && len <= count; ++len) total += static_cast<size_t>(count - len + 1);
+  return total;
+}
+
+/// Number of n-grams of length 1..max_n over every line of `snippet`.
+size_t NumNGrams(const Snippet& snippet, int max_n);
+
 /// Extracts all n-grams of length 1..max_n from every line of `snippet`,
 /// in (line, pos, len) lexicographic order.
 std::vector<TermSpan> ExtractNGrams(const Snippet& snippet, int max_n = 3);

@@ -4,6 +4,8 @@
 
 #include <cassert>
 
+#include "common/logging.h"
+
 namespace microbrowse {
 
 Snippet Snippet::FromLines(const std::vector<std::string>& raw_lines, const Tokenizer& tokenizer) {
@@ -16,6 +18,12 @@ Snippet Snippet::FromLines(const std::vector<std::string>& raw_lines, const Toke
 }
 
 Snippet Snippet::FromTokens(std::vector<std::vector<std::string>> token_lines) {
+  for (const auto& line : token_lines) {
+    for (const std::string& token : line) {
+      MB_CHECK(token.find(' ') == std::string::npos)
+          << "snippet token '" << token << "' contains a space";
+    }
+  }
   Snippet snippet;
   snippet.lines_ = std::move(token_lines);
   return snippet;
@@ -28,19 +36,24 @@ int Snippet::num_tokens() const {
 }
 
 std::string Snippet::SpanText(int line, int pos, int len) const {
-  assert(line >= 0 && line < num_lines());
-  const auto& tokens = lines_[line];
-  assert(pos >= 0 && len >= 1 && static_cast<size_t>(pos + len) <= tokens.size());
-  size_t size = static_cast<size_t>(len - 1);
-  for (int i = 0; i < len; ++i) size += tokens[pos + i].size();
   std::string out;
-  out.reserve(size);
-  out.append(tokens[pos]);
-  for (int i = 1; i < len; ++i) {
-    out.push_back(' ');
-    out.append(tokens[pos + i]);
-  }
+  AppendSpanText(TermSpan{line, pos, len}, &out);
   return out;
+}
+
+void Snippet::AppendSpanText(const TermSpan& span, std::string* out) const {
+  assert(span.line >= 0 && span.line < num_lines());
+  const auto& tokens = lines_[span.line];
+  assert(span.pos >= 0 && span.len >= 1 &&
+         static_cast<size_t>(span.pos + span.len) <= tokens.size());
+  size_t size = out->size() + static_cast<size_t>(span.len - 1);
+  for (int i = 0; i < span.len; ++i) size += tokens[span.pos + i].size();
+  out->reserve(size);
+  out->append(tokens[span.pos]);
+  for (int i = 1; i < span.len; ++i) {
+    out->push_back(' ');
+    out->append(tokens[span.pos + i]);
+  }
 }
 
 std::string Snippet::ToString() const {

@@ -16,19 +16,21 @@
 namespace microbrowse {
 
 /// A contiguous phrase inside a snippet: `len` tokens starting at token
-/// index `pos` of line `line`. `text` is the tokens joined with spaces.
+/// index `pos` of line `line`. A span carries no text; its snippet spells
+/// it (Snippet::SpanText, AppendSpanText).
 struct TermSpan {
   int line = 0;
   int pos = 0;
   int len = 1;
-  std::string text;
 
   friend bool operator==(const TermSpan& a, const TermSpan& b) {
-    return a.line == b.line && a.pos == b.pos && a.len == b.len && a.text == b.text;
+    return a.line == b.line && a.pos == b.pos && a.len == b.len;
   }
 };
 
-/// A tokenized snippet: lines of tokens.
+/// A tokenized snippet: lines of tokens. No token contains a space, so a
+/// phrase's text (its tokens joined by ' ') determines its tokens, and two
+/// phrases have equal text exactly when their tokens are equal.
 class Snippet {
  public:
   Snippet() = default;
@@ -37,7 +39,8 @@ class Snippet {
   static Snippet FromLines(const std::vector<std::string>& raw_lines,
                            const Tokenizer& tokenizer = Tokenizer());
 
-  /// Builds a snippet from already-tokenized lines.
+  /// Builds a snippet from already-tokenized lines. Aborts (MB_CHECK) when
+  /// a token contains a space.
   static Snippet FromTokens(std::vector<std::vector<std::string>> token_lines);
 
   /// Number of lines.
@@ -55,6 +58,13 @@ class Snippet {
   /// The phrase text for a span (tokens joined by ' '). The span must lie
   /// within bounds.
   std::string SpanText(int line, int pos, int len) const;
+  std::string SpanText(const TermSpan& span) const {
+    return SpanText(span.line, span.pos, span.len);
+  }
+
+  /// Appends the phrase text of `span` to `out`: lets callers spell keys
+  /// into a buffer they reuse.
+  void AppendSpanText(const TermSpan& span, std::string* out) const;
 
   /// Renders the snippet as lines joined by " / " — for logs and tests.
   std::string ToString() const;

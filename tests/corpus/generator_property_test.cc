@@ -23,7 +23,7 @@ namespace {
 /// Sorted multiset of all n-gram texts of a snippet.
 std::multiset<std::string> NGramMultiset(const Snippet& snippet) {
   std::multiset<std::string> out;
-  for (const TermSpan& span : ExtractNGrams(snippet, 3)) out.insert(span.text);
+  for (const TermSpan& span : ExtractNGrams(snippet, 3)) out.insert(snippet.SpanText(span));
   return out;
 }
 

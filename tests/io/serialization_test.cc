@@ -88,6 +88,33 @@ TEST(AdCorpusIoTest, PairExtractionAgreesAfterRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(TokenInvariantTest, LoadedSnippetTokensNeverContainSpaces) {
+  // Runs of spaces and other whitespace around and between tokens split
+  // them; no token of a loaded snippet keeps a space.
+  const std::string path = TempPath("corpus_whitespace.tsv");
+  WriteFile(path,
+            "#microbrowse-adcorpus-v1\ttop\n"
+            "1\t2\tkw\t3\t100\t5\t0.05\t  a  b\v c | \f d\re  |x\n"
+            "1\t2\tkw\t4\t100\t9\t0.05\t\x01 \x1f\x02  y|  |z   \n");
+  auto loaded = LoadAdCorpus(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->adgroups.size(), 1u);
+  ASSERT_EQ(loaded->adgroups[0].creatives.size(), 2u);
+  EXPECT_EQ(loaded->adgroups[0].creatives[0].snippet,
+            Snippet::FromTokens({{"a", "b", "c"}, {"d", "e"}, {"x"}}));
+  EXPECT_EQ(loaded->adgroups[0].creatives[1].snippet,
+            Snippet::FromTokens({{"\x01", "\x1f\x02", "y"}, {}, {"z"}}));
+  for (const Creative& creative : loaded->adgroups[0].creatives) {
+    for (const auto& line : creative.snippet.lines()) {
+      for (const std::string& token : line) {
+        EXPECT_FALSE(token.empty());
+        EXPECT_EQ(token.find(' '), std::string::npos) << "'" << token << "'";
+      }
+    }
+  }
+}
+
 TEST(AdCorpusIoTest, MissingFileFails) {
   EXPECT_EQ(LoadAdCorpus("/nonexistent/nope.tsv").status().code(), StatusCode::kIOError);
 }

@@ -22,18 +22,20 @@ template <typename Fn>
 void ForEachPairFeature(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
                         const ClassifierConfig& config, Fn&& fn) {
   std::string p_key;
-  auto emit_term = [&](const TermSpan& span, double sign, bool conjunction) {
+  auto emit_term = [&](const Snippet& snippet, const TermSpan& span, double sign,
+                       bool conjunction) {
+    const std::string text = snippet.SpanText(span);
     if (!config.use_position) {
-      fn(TermKey(span.text), nullptr, sign);
+      fn(TermKey(text), nullptr, sign);
     } else if (conjunction) {
-      fn(TermConjunctionKey(span.text, MakePositionKey(span)), nullptr, sign);
+      fn(TermConjunctionKey(text, MakePositionKey(span)), nullptr, sign);
     } else {
       p_key = TermPositionKey(MakePositionKey(span));
-      fn(TermKey(span.text), &p_key, sign);
+      fn(TermKey(text), &p_key, sign);
     }
   };
-  auto add_term = [&](const TermSpan& span, double sign) {
-    emit_term(span, sign, config.leftover_position_conjunction);
+  auto add_term = [&](const Snippet& snippet, const TermSpan& span, double sign) {
+    emit_term(snippet, span, sign, config.leftover_position_conjunction);
   };
   // Emits every 1..max_ngram sub-gram of a span, mirroring the granularity
   // of the full term extraction (a single span-level feature would be far
@@ -41,16 +43,16 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
   auto add_span_ngrams = [&](const Snippet& snippet, const TermSpan& span, double sign) {
     for (const TermSpan& sub :
          ExtractNGramsInWindow(snippet, span.line, span.pos, span.len, config.max_ngram)) {
-      add_term(sub, sign);
+      add_term(snippet, sub, sign);
     }
   };
 
   if (config.use_term_features && !config.diff_terms_only) {
     for (const TermSpan& span : ExtractNGrams(first, config.max_ngram)) {
-      emit_term(span, +1.0, config.term_position_conjunction);
+      emit_term(first, span, +1.0, config.term_position_conjunction);
     }
     for (const TermSpan& span : ExtractNGrams(second, config.max_ngram)) {
-      emit_term(span, -1.0, config.term_position_conjunction);
+      emit_term(second, span, -1.0, config.term_position_conjunction);
     }
   }
   const bool diff_terms = config.use_term_features && config.diff_terms_only;
@@ -65,13 +67,14 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
       add_span_ngrams(first, rewrite.r_span, +1.0);
       add_span_ngrams(second, rewrite.s_span, -1.0);
     }
-    for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
-    for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
+    for (const TermSpan& span : diff.r_only) add_term(first, span, +1.0);
+    for (const TermSpan& span : diff.s_only) add_term(second, span, -1.0);
   }
   if (!config.use_rewrite_features) return;
   for (const RewriteMatch& rewrite : diff.rewrites) {
     // Raw direction: second's phrase rewritten into first's phrase.
-    const SignedKey key = RewriteKey(rewrite.s_span.text, rewrite.r_span.text);
+    const SignedKey key =
+        RewriteKey(second.SpanText(rewrite.s_span), first.SpanText(rewrite.r_span));
     const bool thin =
         config.rewrite_min_support > 0 && db.Count(key.key) < config.rewrite_min_support;
     if (config.drop_matched_rewrites || thin) {
@@ -91,8 +94,8 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
       fn(key.key, nullptr, key.sign);
     }
   }
-  for (const TermSpan& span : diff.r_only) add_term(span, +1.0);
-  for (const TermSpan& span : diff.s_only) add_term(span, -1.0);
+  for (const TermSpan& span : diff.r_only) add_term(first, span, +1.0);
+  for (const TermSpan& span : diff.s_only) add_term(second, span, -1.0);
 }
 
 /// Warm start of a T feature: its log odds in the statistics database.

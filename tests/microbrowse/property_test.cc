@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "microbrowse/classifier.h"
 #include "microbrowse/feature_keys.h"
 #include "microbrowse/rewrite.h"
@@ -42,7 +43,11 @@ void CheckSpan(const Snippet& snippet, const TermSpan& span) {
   ASSERT_GE(span.pos, 0);
   ASSERT_GE(span.len, 1);
   ASSERT_LE(span.pos + span.len, static_cast<int>(snippet.line(span.line).size()));
-  EXPECT_EQ(snippet.SpanText(span.line, span.pos, span.len), span.text);
+  const auto& tokens = snippet.line(span.line);
+  EXPECT_EQ(snippet.SpanText(span),
+            Join(std::vector<std::string>(tokens.begin() + span.pos,
+                                          tokens.begin() + span.pos + span.len),
+                 " "));
 }
 
 class MatcherPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -79,7 +84,7 @@ TEST_P(MatcherPropertyTest, TextChangingRewritesDisjointPerSide) {
     std::vector<std::vector<int>> r_cover(3, std::vector<int>(12, 0));
     std::vector<std::vector<int>> s_cover(3, std::vector<int>(12, 0));
     for (const auto& rewrite : diff.rewrites) {
-      if (rewrite.r_span.text == rewrite.s_span.text) continue;  // Shifts may tile.
+      if (r.SpanText(rewrite.r_span) == s.SpanText(rewrite.s_span)) continue;  // Shifts may tile.
       for (int i = 0; i < rewrite.r_span.len; ++i) {
         EXPECT_EQ(r_cover[rewrite.r_span.line][rewrite.r_span.pos + i]++, 0);
       }

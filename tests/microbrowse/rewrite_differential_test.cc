@@ -123,22 +123,25 @@ const FeatureStatsDb* DbFor(DbKind kind) {
   return nullptr;
 }
 
-std::string Describe(const TermSpan& span) {
+std::string Describe(const Snippet& snippet, const TermSpan& span) {
   return std::to_string(span.line) + ":" + std::to_string(span.pos) + ":" +
-         std::to_string(span.len) + " '" + span.text + "'";
+         std::to_string(span.len) + " '" + snippet.SpanText(span) + "'";
 }
 
-/// Empty when equal; otherwise the first difference, readably.
-std::string FirstDifference(const PairDiff& want, const PairDiff& got) {
+/// Empty when the decompositions of the pair (r, s) are equal; otherwise
+/// the first difference, readably. Spans of one snippet are equal exactly
+/// when their texts are too, so comparing spans compares texts.
+std::string FirstDifference(const Snippet& r, const Snippet& s, const PairDiff& want,
+                            const PairDiff& got) {
   if (want.rewrites.size() != got.rewrites.size()) {
     return "rewrite count " + std::to_string(want.rewrites.size()) + " vs " +
            std::to_string(got.rewrites.size());
   }
   for (size_t i = 0; i < want.rewrites.size(); ++i) {
     if (!(want.rewrites[i] == got.rewrites[i])) {
-      return "rewrite #" + std::to_string(i) + ": " + Describe(want.rewrites[i].r_span) + " -> " +
-             Describe(want.rewrites[i].s_span) + " vs " + Describe(got.rewrites[i].r_span) +
-             " -> " + Describe(got.rewrites[i].s_span);
+      return "rewrite #" + std::to_string(i) + ": " + Describe(r, want.rewrites[i].r_span) +
+             " -> " + Describe(s, want.rewrites[i].s_span) + " vs " +
+             Describe(r, got.rewrites[i].r_span) + " -> " + Describe(s, got.rewrites[i].s_span);
     }
   }
   if (want.r_only != got.r_only) return "r_only differs";
@@ -168,7 +171,7 @@ TEST_P(MatcherDifferentialTest, EveryOrderedSiblingPairMatchesTheReference) {
     const PairDiff want = ReferenceMatchRewrites(r, s, Db(), options);
     const PairDiff got = MatchRewrites(r, s, Db(), options);
     rewrites += want.rewrites.size();
-    const std::string difference = FirstDifference(want, got);
+    const std::string difference = FirstDifference(r, s, want, got);
     if (difference.empty()) continue;
     if (++mismatches <= 5) {
       ADD_FAILURE() << "pair " << i << " (" << r.ToString() << " | " << s.ToString()
@@ -193,7 +196,7 @@ TEST_P(MatcherDifferentialTest, DiffRegionWiderThanSixteenBitIndices) {
   const PairDiff want = ReferenceMatchRewrites(r, s, Db(), options);
   const PairDiff got = MatchRewrites(r, s, Db(), options);
   ASSERT_GT(want.r_only.size(), 65535u);
-  EXPECT_EQ(FirstDifference(want, got), "");
+  EXPECT_EQ(FirstDifference(r, s, want, got), "");
   if (options.strategy != MatchingStrategy::kFirstMatch) {
     // Scored strategies pick the exact-text bigram at R's far end.
     ASSERT_FALSE(got.rewrites.empty());
@@ -308,8 +311,13 @@ PairDiff MatchOneLine(const std::vector<std::string>& r, const std::vector<std::
   const Snippet s_snippet = Snippet::FromTokens({s});
   const PairDiff want = ReferenceMatchRewrites(r_snippet, s_snippet, &db);
   const PairDiff got = MatchRewrites(r_snippet, s_snippet, &db);
-  EXPECT_EQ(FirstDifference(want, got), "");
+  EXPECT_EQ(FirstDifference(r_snippet, s_snippet, want, got), "");
   return got;
+}
+
+/// SpanText of `span` in the one-line snippet `line`.
+std::string LineSpanText(const std::vector<std::string>& line, const TermSpan& span) {
+  return Snippet::FromTokens({line}).SpanText(span);
 }
 
 int64_t RewriteHits() {
@@ -339,14 +347,18 @@ TEST(RewriteFilterTest, KeyWithTwoArrowsIsFoundUnderEitherReading) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(db->has_rewrite_filter());
     const int64_t hits_before = RewriteHits();
-    const PairDiff lo_has_arrow = MatchOneLine({"a=>b", "x"}, {"y", "c"}, *db);
+    const std::vector<std::string> lo_r = {"a=>b", "x"};
+    const std::vector<std::string> lo_s = {"y", "c"};
+    const PairDiff lo_has_arrow = MatchOneLine(lo_r, lo_s, *db);
     ASSERT_FALSE(lo_has_arrow.rewrites.empty());
-    EXPECT_EQ(lo_has_arrow.rewrites[0].r_span.text, "a=>b");
-    EXPECT_EQ(lo_has_arrow.rewrites[0].s_span.text, "c");
-    const PairDiff hi_has_arrow = MatchOneLine({"a", "x"}, {"y", "b=>c"}, *db);
+    EXPECT_EQ(LineSpanText(lo_r, lo_has_arrow.rewrites[0].r_span), "a=>b");
+    EXPECT_EQ(LineSpanText(lo_s, lo_has_arrow.rewrites[0].s_span), "c");
+    const std::vector<std::string> hi_r = {"a", "x"};
+    const std::vector<std::string> hi_s = {"y", "b=>c"};
+    const PairDiff hi_has_arrow = MatchOneLine(hi_r, hi_s, *db);
     ASSERT_FALSE(hi_has_arrow.rewrites.empty());
-    EXPECT_EQ(hi_has_arrow.rewrites[0].r_span.text, "a");
-    EXPECT_EQ(hi_has_arrow.rewrites[0].s_span.text, "b=>c");
+    EXPECT_EQ(LineSpanText(hi_r, hi_has_arrow.rewrites[0].r_span), "a");
+    EXPECT_EQ(LineSpanText(hi_s, hi_has_arrow.rewrites[0].s_span), "b=>c");
     EXPECT_EQ(RewriteHits() - hits_before, 2);
   }
 }
@@ -378,17 +390,19 @@ TEST(RewriteFilterTest, EveryMutatorDropsTheFilter) {
         RewriteFingerprint(RewriteSideHash("cheap"), RewriteSideHash("deals"))));
     const PairDiff before = MatchOneLine(r, s, db);
     ASSERT_FALSE(before.rewrites.empty());
-    EXPECT_EQ(before.rewrites[0].r_span.text, "x cheap y");
+    EXPECT_EQ(LineSpanText(r, before.rewrites[0].r_span), "x cheap y");
 
     mutate(&db);
     EXPECT_FALSE(db.has_rewrite_filter());
     const PairDiff after = MatchOneLine(r, s, db);
     ASSERT_FALSE(after.rewrites.empty());
-    EXPECT_EQ(after.rewrites[0].r_span.text, "cheap");
-    EXPECT_EQ(after.rewrites[0].s_span.text, "deals");
+    EXPECT_EQ(LineSpanText(r, after.rewrites[0].r_span), "cheap");
+    EXPECT_EQ(LineSpanText(s, after.rewrites[0].s_span), "deals");
 
     db.BuildRewriteFilter();  // Rebuilt, the filter admits the new rewrite.
-    EXPECT_EQ(FirstDifference(after, MatchOneLine(r, s, db)), "");
+    EXPECT_EQ(FirstDifference(Snippet::FromTokens({r}), Snippet::FromTokens({s}), after,
+                              MatchOneLine(r, s, db)),
+              "");
   }
 }
 
@@ -482,7 +496,7 @@ TEST_P(TieHeavyDifferentialTest, RepeatedTokenPairsMatchTheReference) {
     for (const auto& [r, s] : TieHeavyPairs()) {
       const PairDiff want = ReferenceMatchRewrites(r, s, matching_db, options);
       const std::string difference =
-          FirstDifference(want, MatchRewrites(r, s, matching_db, options));
+          FirstDifference(r, s, want, MatchRewrites(r, s, matching_db, options));
       rewrites += want.rewrites.size();
       if (difference.empty()) continue;
       if (++mismatches <= 5) {
@@ -500,6 +514,105 @@ std::string StrategyName(const ::testing::TestParamInfo<MatchingStrategy>& info)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, TieHeavyDifferentialTest,
+                         ::testing::Values(MatchingStrategy::kGreedyStats,
+                                           MatchingStrategy::kFirstMatch,
+                                           MatchingStrategy::kPositionOnly),
+                         StrategyName);
+
+/// Tokens holding bytes 0x01-0x1f, which sort below the space that joins
+/// a phrase's tokens: "a b" > "a\x01" as texts although "a" < "a\x01" as
+/// tokens. The canonical rw: order is the texts' order, so token order (or
+/// id order) would spell some keys backwards.
+const std::vector<std::string>& LowByteVocabulary() {
+  static const std::vector<std::string> vocabulary = {
+      "a", "b", "a\x01", "\x01", "a\x1f", "\x1f", "b\x10" "a", "\x10"};
+  return vocabulary;
+}
+
+/// Seeded pairs over LowByteVocabulary, built like TieHeavyPairs.
+std::vector<std::pair<Snippet, Snippet>> LowBytePairs() {
+  const std::vector<std::string>& vocabulary = LowByteVocabulary();
+  Rng rng(1031);
+  const auto token = [&] { return vocabulary[rng.NextIndex(vocabulary.size())]; };
+  std::vector<std::pair<Snippet, Snippet>> pairs;
+  for (int i = 0; i < 600; ++i) {
+    std::vector<std::vector<std::string>> r_lines(1 + rng.NextIndex(3));
+    for (auto& line : r_lines) {
+      line.resize(2 + rng.NextIndex(6));
+      for (std::string& t : line) t = token();
+    }
+    std::vector<std::vector<std::string>> s_lines = r_lines;
+    for (auto& line : s_lines) {
+      for (std::string& t : line) {
+        if (rng.NextIndex(3) == 0) t = token();
+      }
+      if (rng.NextIndex(4) == 0) line.push_back(token());
+    }
+    pairs.emplace_back(Snippet::FromTokens(r_lines), Snippet::FromTokens(s_lines));
+  }
+  return pairs;
+}
+
+/// Rewrite statistics between every pair of one- and two-token texts over
+/// LowByteVocabulary, each with its own count, so which rewrites a match
+/// finds (and so its scores and cover) depends on spelling every key in
+/// text order.
+FeatureStatsDb LowByteDb() {
+  std::vector<std::string> texts = LowByteVocabulary();
+  for (const std::string& a : LowByteVocabulary()) {
+    for (const std::string& b : LowByteVocabulary()) texts.push_back(a + " " + b);
+  }
+  FeatureStatsDb db;
+  Rng rng(7);
+  for (const std::string& from : texts) {
+    for (const std::string& to : texts) {
+      if (from < to && rng.NextIndex(3) == 0) {
+        db.SetStat(RewriteKey(from, to).key, static_cast<int64_t>(rng.NextIndex(5)),
+                   static_cast<int64_t>(5 + rng.NextIndex(40)));
+      }
+    }
+  }
+  db.BuildRewriteFilter();
+  return db;
+}
+
+class LowByteDifferentialTest : public ::testing::TestWithParam<MatchingStrategy> {};
+
+TEST_P(LowByteDifferentialTest, LowByteTokensMatchTheReference) {
+  const FeatureStatsDb db = LowByteDb();
+  RewriteMatchOptions options;
+  options.strategy = GetParam();
+  const int64_t hits_before = RewriteHits();
+  for (const FeatureStatsDb* matching_db : {static_cast<const FeatureStatsDb*>(nullptr), &db}) {
+    SCOPED_TRACE(matching_db == nullptr ? "no database" : "low-byte database");
+    size_t mismatches = 0;
+    size_t rewrites = 0;
+    for (const auto& [r, s] : LowBytePairs()) {
+      const PairDiff want = ReferenceMatchRewrites(r, s, matching_db, options);
+      const PairDiff got = MatchRewrites(r, s, matching_db, options);
+      rewrites += want.rewrites.size();
+      // The key spelled from the spans is the reference's text-ordered one.
+      FeatureKeyBuffer buffer;
+      for (const RewriteMatch& rewrite : got.rewrites) {
+        double sign = 0.0;
+        const std::string_view key = buffer.Rewrite(s, rewrite.s_span, r, rewrite.r_span, &sign);
+        const SignedKey expected = RewriteKey(s.SpanText(rewrite.s_span), r.SpanText(rewrite.r_span));
+        ASSERT_EQ(key, expected.key);
+        ASSERT_EQ(sign, expected.sign);
+      }
+      const std::string difference = FirstDifference(r, s, want, got);
+      if (difference.empty()) continue;
+      if (++mismatches <= 5) ADD_FAILURE() << difference;
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(rewrites, 600u);
+  }
+  if (GetParam() == MatchingStrategy::kGreedyStats) {
+    EXPECT_GT(RewriteHits() - hits_before, 1000);  // The database steers the cover.
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, LowByteDifferentialTest,
                          ::testing::Values(MatchingStrategy::kGreedyStats,
                                            MatchingStrategy::kFirstMatch,
                                            MatchingStrategy::kPositionOnly),

@@ -86,12 +86,13 @@ double Locality(const TermSpan& a, const TermSpan& b) {
   return -3.0 * std::abs(a.line - b.line) - 0.25 * std::abs(a.pos - b.pos);
 }
 
-double CandidateScore(const TermSpan& r_span, const TermSpan& s_span, const FeatureStatsDb* db,
+double CandidateScore(const TermSpan& r_span, const std::string& r_text, const TermSpan& s_span,
+                      const std::string& s_text, const FeatureStatsDb* db,
                       MatchingStrategy strategy) {
   const double coverage = static_cast<double>(r_span.len + s_span.len);
   const double locality = Locality(r_span, s_span);
   // Exact-text pairings are pure moves — always the best explanation.
-  const double exact = r_span.text == s_span.text ? 1e9 : 0.0;
+  const double exact = r_text == s_text ? 1e9 : 0.0;
   switch (strategy) {
     case MatchingStrategy::kFirstMatch:
       return 0.0;  // Order decides.
@@ -100,7 +101,7 @@ double CandidateScore(const TermSpan& r_span, const TermSpan& s_span, const Feat
     case MatchingStrategy::kGreedyStats: {
       double db_score = 0.0;
       if (db != nullptr) {
-        const SignedKey key = RewriteKey(s_span.text, r_span.text);
+        const SignedKey key = RewriteKey(s_text, r_text);
         const FeatureStat* stat = db->Find(key.key);
         if (stat != nullptr) {
           // Frequency dominates ("a more probable rewrite has a higher
@@ -188,8 +189,8 @@ void AppendShiftRewrites(const Snippet& r, const Snippet& s,
           const int a_pos = matches[i + offset].a_index;
           const int b_pos = matches[i + offset].b_index;
           RewriteMatch match;
-          match.r_span = TermSpan{line, a_pos, len, r.SpanText(line, a_pos, len)};
-          match.s_span = TermSpan{line, b_pos, len, s.SpanText(line, b_pos, len)};
+          match.r_span = TermSpan{line, a_pos, len};
+          match.s_span = TermSpan{line, b_pos, len};
           rewrites->push_back(std::move(match));
         }
       }
@@ -236,15 +237,18 @@ PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const Featur
   candidates.reserve(r_grams.size() * s_grams.size());
   int order = 0;
   for (const TermSpan& r_span : r_grams) {
+    const std::string r_text = r.SpanText(r_span);
     for (const TermSpan& s_span : s_grams) {
+      const std::string s_text = s.SpanText(s_span);
       // Identity candidates (same text at the same location) are no-op
       // artifacts of the context expansion; admitting them would let
       // shared context absorb the exact-match bonus and block real phrase
       // pairings.
-      if (r_span == s_span) continue;
-      candidates.push_back(Candidate{r_span, s_span,
-                                     CandidateScore(r_span, s_span, db, options.strategy),
-                                     order++});
+      if (r_span == s_span && r_text == s_text) continue;
+      candidates.push_back(
+          Candidate{r_span, s_span,
+                    CandidateScore(r_span, r_text, s_span, s_text, db, options.strategy),
+                    order++});
     }
   }
   std::stable_sort(candidates.begin(), candidates.end(),

@@ -14,6 +14,8 @@
 #include "microbrowse/feature_keys.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
+#include "text/ngram.h"
+#include "text/pair_tokens.h"
 
 namespace microbrowse {
 namespace {
@@ -99,6 +101,59 @@ TEST(FeatureKeysTest, BuildersMatchPrintfSpelling) {
   }
 }
 
+TEST(FeatureKeysTest, KeyBufferSpellsWhatTheStringBuildersSpell) {
+  // Tokens with key syntax, bytes below the joining space and a long one,
+  // so that spelling into a reused buffer shrinks as well as grows.
+  const Snippet r = Snippet::FromTokens(
+      {{"find", "cheap", "abcdefghijklmnopqrstuvwxyz"}, {"x=>y", "a\x01", "@", ""}});
+  const Snippet s = Snippet::FromTokens({{"a", "b", "=>", "1:2"}, {"a", "\x1f"}, {"tail"}});
+  FeatureKeyBuffer buffer;
+  for (const Snippet* snippet : {&r, &s}) {
+    for (const TermSpan& span : ExtractNGrams(*snippet, 3)) {
+      const std::string text = snippet->SpanText(span);
+      EXPECT_EQ(buffer.Term(*snippet, span), TermKey(text));
+      EXPECT_EQ(buffer.TermConjunction(*snippet, span),
+                TermConjunctionKey(text, MakePositionKey(span)));
+      EXPECT_EQ(buffer.TermPosition(MakePositionKey(span)),
+                TermPositionKey(MakePositionKey(span)));
+    }
+  }
+  for (const TermSpan& from : ExtractNGrams(s, 3)) {
+    for (const TermSpan& to : ExtractNGrams(r, 3)) {
+      double sign = 0.0;
+      const SignedKey want = RewriteKey(s.SpanText(from), r.SpanText(to));
+      EXPECT_EQ(buffer.Rewrite(s, from, r, to, &sign), want.key);
+      EXPECT_EQ(sign, want.sign);
+      EXPECT_EQ(buffer.RewritePosition(MakePositionKey(to), MakePositionKey(from)),
+                RewritePositionKey(MakePositionKey(to), MakePositionKey(from)));
+    }
+  }
+}
+
+TEST(FeatureKeysTest, RewriteFingerprintIsSymmetricAndSpansFoldToTheSideHash) {
+  // The matcher probes the filter without knowing which side sorts first,
+  // and folds side hashes from token pieces instead of hashing the text.
+  const Snippet r = Snippet::FromTokens({{"find", "cheap", "a\x01"}});
+  const Snippet s = Snippet::FromTokens({{"a", "b", "get", "discounts"}});
+  const PairTokens tokens(r, s);
+  for (const TermSpan& a : ExtractNGrams(r, 3)) {
+    const uint64_t a_hash = tokens.SpanHash(PairSide::kR, a);
+    ASSERT_EQ(a_hash, RewriteSideHash(r.SpanText(a)));
+    for (const TermSpan& b : ExtractNGrams(s, 3)) {
+      const uint64_t b_hash = tokens.SpanHash(PairSide::kS, b);
+      ASSERT_EQ(b_hash, RewriteSideHash(s.SpanText(b)));
+      EXPECT_EQ(RewriteFingerprint(a_hash, b_hash), RewriteFingerprint(b_hash, a_hash));
+      // The stats side reads the fingerprint back out of the key text.
+      const std::string key = RewriteKey(s.SpanText(b), r.SpanText(a)).key;
+      int readings = 0;
+      ForEachRewriteFingerprint(key, [&](uint64_t fingerprint) {
+        readings += fingerprint == RewriteFingerprint(a_hash, b_hash);
+      });
+      EXPECT_EQ(readings, 1) << key;
+    }
+  }
+}
+
 // --- FeatureStatsDb
 
 TEST(StatsDbTest, ObservationsAccumulate) {
@@ -146,9 +201,20 @@ Snippet MakeSnippet(std::vector<std::vector<std::string>> lines) {
   return Snippet::FromTokens(std::move(lines));
 }
 
-bool HasRewrite(const PairDiff& diff, const std::string& r_text, const std::string& s_text) {
+/// `span`'s tokens joined by spaces, spelled independently of SpanText.
+std::string JoinTokens(const Snippet& snippet, const TermSpan& span) {
+  const auto& tokens = snippet.line(span.line);
+  return Join(std::vector<std::string>(tokens.begin() + span.pos,
+                                       tokens.begin() + span.pos + span.len),
+              " ");
+}
+
+bool HasRewrite(const PairDiff& diff, const Snippet& r, const Snippet& s,
+                const std::string& r_text, const std::string& s_text) {
   for (const auto& rewrite : diff.rewrites) {
-    if (rewrite.r_span.text == r_text && rewrite.s_span.text == s_text) return true;
+    if (r.SpanText(rewrite.r_span) == r_text && s.SpanText(rewrite.s_span) == s_text) {
+      return true;
+    }
   }
   return false;
 }
@@ -168,8 +234,8 @@ TEST(RewriteMatchTest, SimpleSubstitutionIsMatched) {
   // expanded context).
   bool covered = false;
   for (const auto& rewrite : diff.rewrites) {
-    if (rewrite.r_span.text.find("cheap") != std::string::npos &&
-        rewrite.s_span.text.find("best") != std::string::npos) {
+    if (r.SpanText(rewrite.r_span).find("cheap") != std::string::npos &&
+        s.SpanText(rewrite.s_span).find("best") != std::string::npos) {
       covered = true;
     }
   }
@@ -182,8 +248,8 @@ TEST(RewriteMatchTest, CrossLineMoveMatchedExactly) {
   const Snippet r = MakeSnippet({{"brand"}, {"20%", "off"}, {"great", "rates"}});
   const Snippet s = MakeSnippet({{"brand"}, {"great", "rates"}, {"20%", "off"}});
   const PairDiff diff = MatchRewrites(r, s, nullptr);
-  EXPECT_TRUE(HasRewrite(diff, "20% off", "20% off"));
-  EXPECT_TRUE(HasRewrite(diff, "great rates", "great rates"));
+  EXPECT_TRUE(HasRewrite(diff, r, s, "20% off", "20% off"));
+  EXPECT_TRUE(HasRewrite(diff, r, s, "great rates", "great rates"));
 }
 
 TEST(RewriteMatchTest, ShiftRewritesForDisplacedSharedContent) {
@@ -195,7 +261,7 @@ TEST(RewriteMatchTest, ShiftRewritesForDisplacedSharedContent) {
   const PairDiff diff = MatchRewrites(r, s, nullptr);
   bool found_shift = false;
   for (const auto& rewrite : diff.rewrites) {
-    if (rewrite.r_span.text == rewrite.s_span.text &&
+    if (r.SpanText(rewrite.r_span) == s.SpanText(rewrite.s_span) &&
         rewrite.r_span.pos != rewrite.s_span.pos) {
       found_shift = true;
       EXPECT_EQ(rewrite.r_span.line, rewrite.s_span.line);
@@ -214,7 +280,7 @@ TEST(RewriteMatchTest, StatsGuidedMatchingPrefersFrequentRewrite) {
   const Snippet r = MakeSnippet({{"get", "discounts", "flights"}});
   const Snippet s = MakeSnippet({{"find", "cheap", "flights"}});
   const PairDiff diff = MatchRewrites(r, s, &db);
-  EXPECT_TRUE(HasRewrite(diff, "get discounts", "find cheap"));
+  EXPECT_TRUE(HasRewrite(diff, r, s, "get discounts", "find cheap"));
 }
 
 TEST(RewriteMatchTest, TextChangingRewritesAreTokenDisjoint) {
@@ -227,7 +293,7 @@ TEST(RewriteMatchTest, TextChangingRewritesAreTokenDisjoint) {
   auto check_disjoint = [&](bool r_side) {
     std::vector<std::vector<int>> covered(3, std::vector<int>(16, 0));
     for (const auto& rewrite : diff.rewrites) {
-      if (rewrite.r_span.text == rewrite.s_span.text) continue;  // Shift/move.
+      if (r.SpanText(rewrite.r_span) == s.SpanText(rewrite.s_span)) continue;  // Shift/move.
       const TermSpan& span = r_side ? rewrite.r_span : rewrite.s_span;
       for (int i = 0; i < span.len; ++i) {
         EXPECT_EQ(covered[span.line][span.pos + i]++, 0)
@@ -257,10 +323,10 @@ TEST(RewriteMatchTest, PureInsertionBecomesLeftoverTerms) {
   // The insertion displaces "c", which surfaces as a same-text shift
   // rewrite; no text-changing rewrite may appear.
   for (const auto& rewrite : diff.rewrites) {
-    EXPECT_EQ(rewrite.r_span.text, rewrite.s_span.text);
+    EXPECT_EQ(r.SpanText(rewrite.r_span), s.SpanText(rewrite.s_span));
   }
   ASSERT_FALSE(diff.r_only.empty());
-  EXPECT_EQ(diff.r_only[0].text, "extra");
+  EXPECT_EQ(r.SpanText(diff.r_only[0]), "extra");
   EXPECT_TRUE(diff.s_only.empty());
 }
 
@@ -276,7 +342,7 @@ TEST(RewriteMatchTest, ContextExpansionRecoversFullPhrase) {
   RewriteMatchOptions options;
   options.context_expansion = 2;
   const PairDiff diff = MatchRewrites(r, s, &db, options);
-  EXPECT_TRUE(HasRewrite(diff, "find cheap", "find deals on"));
+  EXPECT_TRUE(HasRewrite(diff, r, s, "find cheap", "find deals on"));
 }
 
 class MatchingStrategyTest : public ::testing::TestWithParam<MatchingStrategy> {};
@@ -296,7 +362,7 @@ TEST_P(MatchingStrategyTest, AllStrategiesProduceValidSpans) {
     ASSERT_LT(span.line, snippet.num_lines());
     ASSERT_GE(span.pos, 0);
     ASSERT_LE(span.pos + span.len, static_cast<int>(snippet.line(span.line).size()));
-    EXPECT_EQ(snippet.SpanText(span.line, span.pos, span.len), span.text);
+    EXPECT_EQ(snippet.SpanText(span), JoinTokens(snippet, span));
   };
   for (const auto& rewrite : diff.rewrites) {
     check_span(r, rewrite.r_span);

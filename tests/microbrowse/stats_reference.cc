@@ -55,7 +55,7 @@ std::string RewritePositionKeyPrintf(const PositionKey& r_pos, const PositionKey
 std::unordered_set<std::string> NGramTexts(const Snippet& snippet, int max_ngram) {
   std::unordered_set<std::string> texts;
   for (const TermSpan& span : ExtractNGrams(snippet, max_ngram)) {
-    texts.insert(span.text);
+    texts.insert(snippet.SpanText(span));
   }
   return texts;
 }
@@ -67,11 +67,12 @@ void ObserveUniqueTerms(const Snippet& snippet,
                         int delta, FeatureStatsDb* out) {
   std::unordered_set<std::string> seen;
   for (const TermSpan& span : ExtractNGrams(snippet, max_ngram)) {
-    if (other_texts.count(span.text) != 0) continue;
-    if (seen.insert(span.text).second) {
-      out->AddObservation(TermKey(span.text), delta);
+    const std::string text = snippet.SpanText(span);
+    if (other_texts.count(text) != 0) continue;
+    if (seen.insert(text).second) {
+      out->AddObservation(TermKey(text), delta);
     }
-    out->AddObservation(TermConjunctionKeyPrintf(span.text, MakePositionKey(span)), delta);
+    out->AddObservation(TermConjunctionKeyPrintf(text, MakePositionKey(span)), delta);
   }
 }
 
@@ -92,7 +93,8 @@ void AccumulateAll(const PairCorpus& corpus, const BuildStatsOptions& options,
     const PairDiff diff =
         ReferenceMatchRewrites(pair.r.snippet, pair.s.snippet, matching_db, match_options);
     for (const RewriteMatch& rewrite : diff.rewrites) {
-      const SignedKey key = RewriteKeyPrintf(rewrite.s_span.text, rewrite.r_span.text);
+      const SignedKey key = RewriteKeyPrintf(pair.s.snippet.SpanText(rewrite.s_span),
+                                             pair.r.snippet.SpanText(rewrite.r_span));
       out->AddObservation(key.key, static_cast<int>(key.sign) * delta);
 
       const PositionKey r_pos = MakePositionKey(rewrite.r_span);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -18,6 +19,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/random.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/atomic_file.h"
@@ -139,6 +141,54 @@ TEST(StatsReferenceShardedTest, ShardedBuildMatchesReference) {
     EXPECT_TRUE(want == got) << passes << " passes";
   }
   std::filesystem::remove_all(dir);
+}
+
+/// Pairs over tokens holding bytes 0x01-0x1f, which sort below the space
+/// that joins a phrase's tokens ("a b" > "a\x01" as texts, although
+/// "a" < "a\x01"), with random serve weights.
+PairCorpus LowBytePairCorpus() {
+  static const char* const kVocabulary[] = {"a", "b", "a\x01", "\x01", "a\x1f", "\x1f"};
+  Rng rng(2027);
+  const auto token = [&] { return std::string(kVocabulary[rng.NextIndex(6)]); };
+  PairCorpus corpus;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::vector<std::string>> r_lines(1 + rng.NextIndex(3));
+    for (auto& line : r_lines) {
+      line.resize(2 + rng.NextIndex(6));
+      for (std::string& t : line) t = token();
+    }
+    std::vector<std::vector<std::string>> s_lines = r_lines;
+    for (auto& line : s_lines) {
+      for (std::string& t : line) {
+        if (rng.NextIndex(3) == 0) t = token();
+      }
+    }
+    SnippetPair pair;
+    pair.r.snippet = Snippet::FromTokens(r_lines);
+    pair.s.snippet = Snippet::FromTokens(s_lines);
+    pair.r.serve_weight = rng.NextIndex(2) == 0 ? 0.5 : 1.5;
+    corpus.pairs.push_back(std::move(pair));
+  }
+  return corpus;
+}
+
+TEST(StatsReferenceLowByteTest, LowByteTokensBuildTheReferenceDatabase) {
+  // Every rw: key and its sign come from comparing the spelled texts, and
+  // later passes match against those keys, so a key spelled in token order
+  // shows up as a missing or extra key.
+  const PairCorpus pairs = LowBytePairCorpus();
+  for (int passes : {1, 2, 3}) {
+    BuildStatsOptions options;
+    options.matching_passes = passes;
+    options.min_count = 0;
+    const StatSet want = Entries(ReferenceBuildFeatureStats(pairs, options));
+    const StatSet got = Entries(BuildFeatureStats(pairs, options));
+    EXPECT_EQ(FirstDifference(want, got), "") << passes << " passes";
+    EXPECT_TRUE(want == got) << passes << " passes";
+    EXPECT_GT(std::count_if(want.begin(), want.end(),
+                            [](const auto& entry) { return entry.first.rfind("rw:", 0) == 0; }),
+              10);
+  }
 }
 
 }  // namespace

@@ -227,11 +227,11 @@ TEST(TrainingDeterminismTest, InstrumentationCountsThreadInvariant) {
   EXPECT_GT(reference.train_examples, 0);
   EXPECT_GE(reference.stats_passes, 1);
   // One run span + one shared stats build + one span per matching pass +
-  // one shared dataset build and CSR flatten + one fold span and one LR
-  // span per fold (M1 trains a single phase).
+  // one shared dataset build and CSR flatten + one fold span, one LR span
+  // and one scoring span per fold (M1 trains a single phase).
   EXPECT_EQ(reference.spans,
             4u + static_cast<uint64_t>(reference.stats_passes) +
-                2u * static_cast<uint64_t>(options.folds));
+                3u * static_cast<uint64_t>(options.folds));
 
   for (int threads : {2, 8}) {
     const InstrumentationDeltas parallel = run_with(threads);

@@ -13,6 +13,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdlib>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -26,6 +28,7 @@
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/atomic_file.h"
+#include "io/pack_artifacts.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
 #include "microbrowse/stats_db.h"
@@ -95,18 +98,34 @@ class ServiceTest : public ::testing::Test {
                                paths_->model_path)
                     .ok());
     ASSERT_TRUE(SaveFeatureStats(db, paths_->stats_path).ok());
+    pack_paths_ = new BundlePaths;
+    pack_paths_->model_path = *dir_ + "/model.mbp";
+    pack_paths_->stats_path = *dir_ + "/stats.mbp";
+    ASSERT_TRUE(SaveClassifierPack(*model, dataset.t_registry, dataset.p_registry,
+                                   pack_paths_->model_path)
+                    .ok());
+    ASSERT_TRUE(SaveStatsPack(db, pack_paths_->stats_path).ok());
 
     fields_ = new std::vector<std::string>;
+    sibling_pairs_ = new std::vector<std::pair<size_t, size_t>>;
     for (const auto& adgroup : generated->corpus.adgroups) {
+      const size_t first = fields_->size();
       for (const auto& creative : adgroup.creatives) {
         fields_->push_back(SnippetField(creative.snippet));
+      }
+      for (size_t i = first; i < fields_->size(); ++i) {
+        for (size_t j = first; j < fields_->size(); ++j) {
+          if (i != j) sibling_pairs_->emplace_back(i, j);
+        }
       }
     }
     ASSERT_GE(fields_->size(), 8u);
   }
 
   static void TearDownTestSuite() {
+    delete sibling_pairs_;
     delete fields_;
+    delete pack_paths_;
     delete paths_;
     delete dir_;
   }
@@ -127,14 +146,26 @@ class ServiceTest : public ::testing::Test {
   }
 
   static std::string* dir_;
-  static BundlePaths* paths_;
+  static BundlePaths* paths_;       ///< TSV artifacts.
+  static BundlePaths* pack_paths_;  ///< The same model and stats as mbpacks.
   static std::vector<std::string>* fields_;
+  /// Every ordered pair of distinct creatives of one adgroup, as indices
+  /// into fields_.
+  static std::vector<std::pair<size_t, size_t>>* sibling_pairs_;
   BundleRegistry registry_;
 };
 
 std::string* ServiceTest::dir_ = nullptr;
 BundlePaths* ServiceTest::paths_ = nullptr;
+BundlePaths* ServiceTest::pack_paths_ = nullptr;
 std::vector<std::string>* ServiceTest::fields_ = nullptr;
+std::vector<std::pair<size_t, size_t>>* ServiceTest::sibling_pairs_ = nullptr;
+
+/// The bits of the double the response spells under `key` (shortest
+/// round-trip text, so parsing it recovers the served value exactly).
+uint64_t ResponseBits(const Request& response, const std::string& key) {
+  return std::bit_cast<uint64_t>(std::strtod(std::string(response.Get(key)).c_str(), nullptr));
+}
 
 TEST_F(ServiceTest, PingAndUnknownType) {
   ScoringService service(&registry_);
@@ -161,7 +192,7 @@ TEST_F(ServiceTest, ScorePairMatchesLibraryScorer) {
   EXPECT_EQ(response.Get("winner"), served_margin >= 0 ? "a" : "b");
 
   // The same pair scored through the offline library path (fresh registry
-  // copies, same artifacts) must agree exactly: serving is a cache +
+  // copies, same artifacts) must agree bit for bit: serving is a cache +
   // transport around the identical arithmetic.
   auto saved = LoadClassifier(paths_->model_path);
   auto db = LoadFeatureStats(paths_->stats_path);
@@ -170,9 +201,54 @@ TEST_F(ServiceTest, ScorePairMatchesLibraryScorer) {
   const double direct_margin = PredictPairMargin(
       Snippet::FromLines(Split(a, '|')), Snippet::FromLines(Split(b, '|')), *db,
       ClassifierConfig::M6(), saved->model, saved->t_registry, saved->p_registry);
-  // Equal up to the wire decimal rendering of the double.
-  EXPECT_NEAR(served_margin, direct_margin, 1e-4 * (1.0 + std::fabs(direct_margin)));
-  EXPECT_EQ(served_margin >= 0, direct_margin >= 0);
+  EXPECT_EQ(ResponseBits(response, "margin"), std::bit_cast<uint64_t>(direct_margin));
+}
+
+// Serve equals batch, exactly, on every endpoint that scores: each ordered
+// sibling pair through score_pair and each creative through predict_ctr,
+// against the library scorers run on artifacts loaded separately, for the
+// TSV bundle and the mbpack bundle alike.
+TEST_F(ServiceTest, ServeEqualsBatchBitForBitOnTsvAndPackBundles) {
+  for (const BundlePaths* paths : {paths_, pack_paths_}) {
+    SCOPED_TRACE(paths->model_path);
+    BundleRegistry registry;
+    ASSERT_TRUE(registry.LoadInitial(*paths).ok());
+    ScoringService service(&registry);
+    const bool pack = paths == pack_paths_;
+    auto saved = pack ? LoadClassifierPack(paths->model_path) : LoadClassifier(paths->model_path);
+    auto db = pack ? LoadStatsPack(paths->stats_path) : LoadFeatureStats(paths->stats_path);
+    auto batch = LoadBundle(*paths, 1);  // predict_ctr's batch scorer.
+    ASSERT_TRUE(saved.ok() && db.ok() && batch.ok());
+
+    size_t mismatches = 0;
+    for (const auto& [i, j] : *sibling_pairs_) {
+      const Request response = HandleOk(service, ScorePairLine((*fields_)[i], (*fields_)[j]));
+      const double batch_margin = PredictPairMargin(
+          Snippet::FromLines(Split((*fields_)[i], '|')),
+          Snippet::FromLines(Split((*fields_)[j], '|')), *db, ClassifierConfig::M6(),
+          saved->model, saved->t_registry, saved->p_registry);
+      if (ResponseBits(response, "margin") != std::bit_cast<uint64_t>(batch_margin) &&
+          ++mismatches <= 3) {
+        ADD_FAILURE() << "score_pair " << i << "," << j << ": served "
+                      << response.Get("margin") << ", batch " << batch_margin;
+      }
+    }
+    for (size_t i = 0; i < fields_->size(); ++i) {
+      JsonWriter request;
+      request.String("type", "predict_ctr").String("snippet", (*fields_)[i]);
+      const Request response = HandleOk(service, request.Finish());
+      const double batch_score =
+          (*batch)->predictor->Score(Snippet::FromLines(Split((*fields_)[i], '|')));
+      if (ResponseBits(response, "score") != std::bit_cast<uint64_t>(batch_score) &&
+          ++mismatches <= 3) {
+        ADD_FAILURE() << "predict_ctr " << i << ": served " << response.Get("score")
+                      << ", batch " << batch_score;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << sibling_pairs_->size() << " pairs and "
+                              << fields_->size() << " snippets";
+    EXPECT_GT(sibling_pairs_->size(), 200u);
+  }
 }
 
 TEST_F(ServiceTest, ScorePairCacheHitReturnsIdenticalMargin) {

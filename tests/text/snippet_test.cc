@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "text/ngram.h"
-#include "text/vocabulary.h"
 
 namespace microbrowse {
 namespace {
@@ -56,6 +56,13 @@ TEST(SnippetTest, EmptySnippet) {
   EXPECT_EQ(snippet.ToString(), "");
 }
 
+TEST(TokenInvariantTest, FromTokensRejectsATokenWithASpace) {
+  // A token holding a space would make "a b" + "c" and "a" + "b c" the same
+  // text with different tokens; the check survives NDEBUG builds.
+  EXPECT_DEATH(Snippet::FromTokens({{"ok"}, {"a b", "c"}}), "contains a space");
+  EXPECT_EQ(Snippet::FromTokens({{"a\tb", "\x01"}}).num_tokens(), 2);
+}
+
 // --- ngram.h
 
 TEST(NGramTest, ExtractsAllOrders) {
@@ -63,12 +70,12 @@ TEST(NGramTest, ExtractsAllOrders) {
   const auto spans = ExtractNGrams(snippet, 3);
   // 3 unigrams + 2 bigrams + 1 trigram.
   EXPECT_EQ(spans.size(), 6u);
-  EXPECT_EQ(spans.front().text, "a");
+  EXPECT_EQ(snippet.SpanText(spans.front()), "a");
   bool found_trigram = false;
   for (const auto& span : spans) {
     if (span.len == 3) {
       found_trigram = true;
-      EXPECT_EQ(span.text, "a b c");
+      EXPECT_EQ(snippet.SpanText(span), "a b c");
       EXPECT_EQ(span.pos, 0);
     }
   }
@@ -86,15 +93,19 @@ TEST(NGramTest, RespectsMaxOrder) {
 TEST(NGramTest, NGramsNeverSpanLines) {
   const Snippet snippet = Snippet::FromTokens({{"a", "b"}, {"c", "d"}});
   for (const auto& span : ExtractNGrams(snippet, 3)) {
-    EXPECT_NE(span.text, "b c");
-    EXPECT_NE(span.text, "a b c");
+    EXPECT_NE(snippet.SpanText(span), "b c");
+    EXPECT_NE(snippet.SpanText(span), "a b c");
   }
 }
 
 TEST(NGramTest, SpanPositionsAreConsistent) {
   const Snippet snippet = Snippet::FromTokens({{"x"}, {"a", "b", "c"}});
   for (const auto& span : ExtractNGrams(snippet, 3)) {
-    EXPECT_EQ(snippet.SpanText(span.line, span.pos, span.len), span.text);
+    const auto& tokens = snippet.line(span.line);
+    EXPECT_EQ(snippet.SpanText(span),
+              Join(std::vector<std::string>(tokens.begin() + span.pos,
+                                            tokens.begin() + span.pos + span.len),
+                   " "));
   }
 }
 
@@ -119,41 +130,6 @@ TEST(NGramTest, WindowClampsToLine) {
 TEST(NGramTest, EmptySnippetYieldsNothing) {
   EXPECT_TRUE(ExtractNGrams(Snippet(), 3).empty());
   EXPECT_TRUE(ExtractNGrams(Snippet::FromTokens({{}}), 3).empty());
-}
-
-// --- vocabulary.h
-
-TEST(VocabularyTest, InternAssignsDenseIds) {
-  Vocabulary vocab;
-  EXPECT_EQ(vocab.Intern("a"), 0u);
-  EXPECT_EQ(vocab.Intern("b"), 1u);
-  EXPECT_EQ(vocab.Intern("a"), 0u);
-  EXPECT_EQ(vocab.size(), 2u);
-}
-
-TEST(VocabularyTest, FindAndContains) {
-  Vocabulary vocab;
-  vocab.Intern("term");
-  EXPECT_EQ(vocab.Find("term"), 0u);
-  EXPECT_EQ(vocab.Find("missing"), kInvalidTermId);
-  EXPECT_TRUE(vocab.Contains("term"));
-  EXPECT_FALSE(vocab.Contains("missing"));
-}
-
-TEST(VocabularyTest, TermOfRoundTrips) {
-  Vocabulary vocab;
-  const TermId id = vocab.Intern("round trip");
-  EXPECT_EQ(vocab.TermOf(id), "round trip");
-}
-
-TEST(VocabularyTest, ManyTermsKeepStableIds) {
-  Vocabulary vocab;
-  std::vector<TermId> ids;
-  for (int i = 0; i < 1000; ++i) ids.push_back(vocab.Intern("term" + std::to_string(i)));
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(vocab.Find("term" + std::to_string(i)), ids[i]);
-    EXPECT_EQ(vocab.TermOf(ids[i]), "term" + std::to_string(i));
-  }
 }
 
 }  // namespace

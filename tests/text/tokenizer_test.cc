@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace microbrowse {
 namespace {
 
@@ -74,6 +76,31 @@ TEST(TokenizerTest, NumbersAreTokens) {
 TEST(TokenizerTest, MixedAlphanumericTokens) {
   Tokenizer tokenizer;
   EXPECT_EQ(tokenizer.Tokenize("save10 4k"), (std::vector<std::string>{"save10", "4k"}));
+}
+
+// The per-pair token ids (text/pair_tokens.h) stand for texts only while
+// no token holds a space: then a phrase's text determines its tokens.
+TEST(TokenInvariantTest, TokenizerNeverProducesSpacesOrEmptyTokens) {
+  Rng rng(404);
+  const Tokenizer tokenizers[] = {Tokenizer(), Tokenizer(TokenizerOptions{false, false})};
+  size_t tokens = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text(rng.NextIndex(40), ' ');
+    for (char& c : text) {
+      // Mostly the bytes that shape tokens, now and then any byte at all.
+      static const char kShaping[] = " \t\n\v\f\r$%'a0.-Z";
+      c = rng.NextIndex(4) == 0 ? static_cast<char>(rng.NextIndex(256))
+                                : kShaping[rng.NextIndex(sizeof(kShaping) - 1)];
+    }
+    for (const Tokenizer& tokenizer : tokenizers) {
+      for (const std::string& token : tokenizer.Tokenize(text)) {
+        EXPECT_FALSE(token.empty());
+        EXPECT_EQ(token.find(' '), std::string::npos) << "'" << token << "'";
+        ++tokens;
+      }
+    }
+  }
+  EXPECT_GT(tokens, 10000u);
 }
 
 }  // namespace
