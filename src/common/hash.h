@@ -14,12 +14,16 @@
 
 namespace microbrowse {
 
+/// FNV-1a/64's offset basis and prime.
+inline constexpr uint64_t kFnv64Basis = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kFnv64Prime = 0x100000001b3ULL;
+
 /// 64-bit FNV-1a over a byte string.
 inline uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kFnv64Basis;
   for (unsigned char c : data) {
     h ^= static_cast<uint64_t>(c);
-    h *= 0x100000001b3ULL;
+    h *= kFnv64Prime;
   }
   return h;
 }
@@ -31,13 +35,13 @@ inline uint64_t Fnv1a64(std::string_view data) {
 /// payloads (mbpack sections and whole files) where the serial multiply
 /// chain of byte-at-a-time FNV would dominate cold-start time.
 inline uint64_t Fnv1a64Wide(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kFnv64Basis;
   const char* p = data.data();
   size_t n = data.size();
   while (n >= 8) {
     uint64_t w;
     std::memcpy(&w, p, 8);
-    h = (h ^ w) * 0x100000001b3ULL;
+    h = (h ^ w) * kFnv64Prime;
     p += 8;
     n -= 8;
   }
@@ -45,7 +49,7 @@ inline uint64_t Fnv1a64Wide(std::string_view data) {
     uint64_t w = 0;
     std::memcpy(&w, p, n);
     // Fold the byte count in with the tail so "abc" and "abc\0" differ.
-    h = (h ^ w ^ (static_cast<uint64_t>(n) << 56)) * 0x100000001b3ULL;
+    h = (h ^ w ^ (static_cast<uint64_t>(n) << 56)) * kFnv64Prime;
   }
   return h;
 }

@@ -9,14 +9,20 @@
 namespace microbrowse {
 
 uint64_t PhraseHash(std::string_view text) {
-  size_t space = text.find(' ');
-  uint64_t hash = TokenHashPiece(text.substr(0, space));
-  while (space != std::string_view::npos) {
-    const size_t begin = space + 1;
-    space = text.find(' ', begin);
-    hash = FoldPhraseHash(hash, TokenHashPiece(text.substr(begin, space - begin)));
+  // Fnv1a64 of each token, run inline and restarted at every space.
+  uint64_t piece = kFnv64Basis;
+  uint64_t hash = 0;
+  bool first = true;
+  for (unsigned char c : text) {
+    if (c != ' ') {
+      piece = (piece ^ c) * kFnv64Prime;
+      continue;
+    }
+    hash = first ? piece : FoldPhraseHash(hash, piece);
+    first = false;
+    piece = kFnv64Basis;
   }
-  return hash;
+  return first ? piece : FoldPhraseHash(hash, piece);
 }
 
 PairTokens::PairTokens(const Snippet& r, const Snippet& s) {
@@ -36,7 +42,7 @@ PairTokens::PairTokens(const Snippet& r, const Snippet& s) {
       line_begin_[side].push_back(static_cast<uint32_t>(ids_.size()));
       for (const std::string& token : line) {
         const uint64_t piece = TokenHashPiece(token);
-        size_t slot = piece & mask;
+        size_t slot = Mix64(piece) & mask;
         while (slots[slot] != 0 && *first[slots[slot] - 1] != token) slot = (slot + 1) & mask;
         if (slots[slot] == 0) {
           slots[slot] = static_cast<TokenId>(pieces_.size()) + 1;

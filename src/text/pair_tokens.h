@@ -30,8 +30,9 @@ using TokenId = uint32_t;
 /// The two snippets of a pair.
 enum class PairSide { kR = 0, kS = 1 };
 
-/// A token's piece of a phrase's side hash (PhraseHash).
-inline uint64_t TokenHashPiece(std::string_view token) { return Mix64(Fnv1a64Wide(token)); }
+/// A token's piece of a phrase's side hash (PhraseHash): its byte-wise
+/// FNV-1a, left unmixed because the fold and the rewrite fingerprint mix.
+inline uint64_t TokenHashPiece(std::string_view token) { return Fnv1a64(token); }
 
 /// Folds the next token's piece into a phrase hash; a phrase's hash starts
 /// at its first token's piece.
@@ -40,6 +41,8 @@ inline uint64_t FoldPhraseHash(uint64_t hash, uint64_t piece) { return HashCombi
 /// Hash of a phrase's text, from its space-separated tokens' pieces.
 /// Splitting at every space inverts the join, so for a span of a snippet
 /// this equals the fold of its tokens' pieces that PairTokens computes.
+/// One pass over the bytes: the statistics database runs it on both sides
+/// of every rewrite key when it builds its filter at load.
 uint64_t PhraseHash(std::string_view text);
 
 /// Token ids of a snippet pair (R, S). Lines are stored flat, R's first:
