@@ -31,15 +31,21 @@ line; the last line that parses as such an object is used).
 import argparse
 import json
 import os
+import re
 import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# An untraced run reports the host speed only in its human-readable lines.
+HOST_REF = re.compile(r"host reference: ([0-9.]+) ms per repetition")
+
+
 def parse_run(text):
     """The result object of one perfbench run: the last line of `text` that
-    parses as a JSON object with a "metrics" member."""
+    parses as a JSON object with a "metrics" member. A host.ref_ms the
+    metrics lack is taken from the report's "host reference" line."""
     for line in reversed(text.strip().splitlines()):
         line = line.strip()
         if not line.startswith("{"):
@@ -49,6 +55,9 @@ def parse_run(text):
         except ValueError:
             continue
         if isinstance(result, dict) and isinstance(result.get("metrics"), dict):
+            found = HOST_REF.search(text)
+            if found and "host.ref_ms" not in result["metrics"]:
+                result["metrics"]["host.ref_ms"] = {"value": float(found.group(1)), "unit": "ms"}
             return result
     raise ValueError("no perfbench result line found")
 

@@ -42,6 +42,15 @@ class ParseRunTest(unittest.TestCase):
         log = run_line(ok_frac=1.0) + "\n" + json.dumps({"checked": 3})
         self.assertEqual(bench_compare.parse_run(log)["metrics"]["ok_frac"]["value"], 1.0)
 
+    def test_reads_the_host_reference_from_the_report(self):
+        log = "  host reference: 61.496 ms per repetition (median of 16 samples)\n" + run_line(a=1.0)
+        run = bench_compare.parse_run(log)
+        self.assertEqual(run["metrics"]["host.ref_ms"], {"value": 61.496, "unit": "ms"})
+        # A traced run's own metric wins over the report line.
+        traced = bench_compare.parse_run("host reference: 9 ms per repetition\n" +
+                                         run_line(**{"host.ref_ms": 58.0}))
+        self.assertEqual(traced["metrics"]["host.ref_ms"]["value"], 58.0)
+
     def test_rejects_output_without_a_result(self):
         with self.assertRaises(ValueError):
             bench_compare.parse_run("build failed\n")
