@@ -18,11 +18,10 @@ line; the last line that parses as such an object is used).
 
   compare  Takes the medians of new runs and prints one verdict per
            end-to-end metric of BENCHMARK.json against the trajectory's
-           latest entry (or the entry of --sha): "ok" inside the metric's
-           bound, "better" or "worse" beyond it in the metric's direction,
-           "missing" when either side lacks the metric. A bound is a share
-           of the baseline value (0.25 = 25%). Exits 1 when any metric is
-           worse.
+           latest entry: "ok" inside the metric's bound, "better" or
+           "worse" beyond it in the metric's direction, "missing" when
+           either side lacks the metric. A bound is a share of the baseline
+           value (0.25 = 25%). Exits 1 when any metric is worse.
 
              tools/bench_compare.py compare --baseline BENCH_serve_miss.json \\
                  new1.txt new2.txt new3.txt
@@ -74,13 +73,13 @@ def median_metrics(runs):
             for name, vals in sorted(values.items())}
 
 
-def make_entry(runs, sha, seeds, nproc):
+def make_entry(runs, sha, seeds):
     """One trajectory entry from a list of parsed runs."""
     metrics = median_metrics(runs)
     ref = metrics.get("host.ref_ms")
     return {
         "git_sha": sha,
-        "nproc": nproc,
+        "nproc": os.cpu_count(),
         "seeds": list(seeds),
         "runs": len(runs),
         "all_correct": all(run.get("correct") is True for run in runs),
@@ -157,7 +156,7 @@ def cmd_record(args):
         if trajectory.get("workload") != args.workload:
             sys.exit("record: %s holds workload %r, not %r" % (
                 args.out, trajectory.get("workload"), args.workload))
-    entry = make_entry(runs, args.sha, args.seeds or [], args.nproc or os.cpu_count())
+    entry = make_entry(runs, args.sha, args.seeds or [])
     if args.label:
         entry["label"] = args.label
     trajectory["trajectory"].append(entry)
@@ -170,13 +169,9 @@ def cmd_record(args):
 def cmd_compare(args):
     benchmark = load_json(args.benchmark)
     trajectory = load_json(args.baseline)
-    entries = trajectory["trajectory"]
-    if args.sha:
-        entries = [e for e in entries if e["git_sha"].startswith(args.sha)]
-    if not entries:
-        sys.exit("compare: no baseline entry%s in %s" % (
-            " for sha " + args.sha if args.sha else "", args.baseline))
-    baseline = entries[-1]
+    if not trajectory["trajectory"]:
+        sys.exit("compare: no baseline entry in %s" % args.baseline)
+    baseline = trajectory["trajectory"][-1]
     rows = compare(benchmark, baseline, median_metrics(load_runs(args.runs)))
     print("baseline %s (%s, %d runs) vs %d new runs" % (
         baseline["git_sha"][:12], trajectory["workload"], baseline["runs"], len(args.runs)))
@@ -194,13 +189,11 @@ def main(argv=None):
     record.add_argument("--sha", required=True)
     record.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")],
                         help="comma-separated seeds of the runs, in order")
-    record.add_argument("--nproc", type=int)
     record.add_argument("--label")
     record.add_argument("runs", nargs="+")
     comp = sub.add_parser("compare", help="judge new runs against a trajectory file")
     comp.add_argument("--baseline", required=True)
     comp.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
-    comp.add_argument("--sha", help="compare against this entry instead of the latest")
     comp.add_argument("runs", nargs="+")
     args = parser.parse_args(argv)
     return cmd_record(args) if args.command == "record" else cmd_compare(args)
