@@ -31,9 +31,11 @@
 #include "io/pack_artifacts.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
+#include "microbrowse/feature_keys.h"
 #include "microbrowse/stats_db.h"
 #include "serve/bundle.h"
 #include "serve/protocol.h"
+#include "text/ngram.h"
 
 namespace microbrowse {
 namespace serve {
@@ -56,6 +58,43 @@ std::string ScorePairLine(const std::string& a, const std::string& b) {
 
 double FieldAsDouble(const Request& response, const std::string& key) {
   return std::stod(std::string(response.Get(key, "nan")));
+}
+
+/// CtrPredictor::Score of `bundle` restated over keys that the string
+/// builders (TermKey, TermConjunctionKey, TermPositionKey) spell from an
+/// independent join of the span's tokens: the exact reference for the
+/// predictor's reused key buffer. Terms are summed in the same order, so
+/// the result must agree bit for bit.
+double ReferenceCtrScore(const ModelBundle& bundle, const Snippet& snippet) {
+  const SnippetClassifierModel& model = bundle.classifier.model;
+  const FeatureRegistry& t_registry = bundle.classifier.t_registry;
+  const FeatureRegistry& p_registry = bundle.classifier.p_registry;
+  double score = 0.0;
+  for (const TermSpan& span : ExtractNGrams(snippet, bundle.config.max_ngram)) {
+    const std::vector<std::string>& tokens = snippet.line(span.line);
+    const std::string text = Join(std::vector<std::string>(tokens.begin() + span.pos,
+                                                           tokens.begin() + span.pos + span.len),
+                                  " ");
+    const PositionKey position = MakePositionKey(span);
+    const FeatureId conj = t_registry.Find(TermConjunctionKey(text, position));
+    if (conj != kInvalidFeatureId && conj < model.t_weights.size() &&
+        model.t_weights[conj] != 0.0) {
+      score += model.t_weights[conj];
+      continue;
+    }
+    double term_weight = 0.0;
+    const FeatureId plain = t_registry.Find(TermKey(text));
+    if (plain != kInvalidFeatureId && plain < model.t_weights.size()) {
+      term_weight = model.t_weights[plain];
+    } else {
+      term_weight = bundle.stats.LogOdds(TermKey(text));
+    }
+    const FeatureId visibility = p_registry.Find(TermPositionKey(position));
+    score += term_weight * (visibility != kInvalidFeatureId && visibility < model.p_weights.size()
+                                ? model.p_weights[visibility]
+                                : bundle.curve.Probability(position.line, position.bucket));
+  }
+  return score;
 }
 
 int CountOccurrences(const std::string& text, const std::string& needle) {
@@ -207,7 +246,11 @@ TEST_F(ServiceTest, ScorePairMatchesLibraryScorer) {
 // Serve equals batch, exactly, on every endpoint that scores: each ordered
 // sibling pair through score_pair and each creative through predict_ctr,
 // against the library scorers run on artifacts loaded separately, for the
-// TSV bundle and the mbpack bundle alike.
+// TSV bundle and the mbpack bundle alike. Both sides of the score_pair half
+// run PredictPairMargin, so it checks the wire and the cache, not key
+// spelling (FeatureKeysTest.KeyBufferSpellsWhatTheStringBuildersSpell and
+// OccurrenceDifferential guard that); predict_ctr is also checked against
+// ReferenceCtrScore, whose keys come from the string builders.
 TEST_F(ServiceTest, ServeEqualsBatchBitForBitOnTsvAndPackBundles) {
   for (const BundlePaths* paths : {paths_, pack_paths_}) {
     SCOPED_TRACE(paths->model_path);
@@ -237,12 +280,14 @@ TEST_F(ServiceTest, ServeEqualsBatchBitForBitOnTsvAndPackBundles) {
       JsonWriter request;
       request.String("type", "predict_ctr").String("snippet", (*fields_)[i]);
       const Request response = HandleOk(service, request.Finish());
-      const double batch_score =
-          (*batch)->predictor->Score(Snippet::FromLines(Split((*fields_)[i], '|')));
-      if (ResponseBits(response, "score") != std::bit_cast<uint64_t>(batch_score) &&
+      const Snippet snippet = Snippet::FromLines(Split((*fields_)[i], '|'));
+      const double batch_score = (*batch)->predictor->Score(snippet);
+      const double reference_score = ReferenceCtrScore(**batch, snippet);
+      if ((ResponseBits(response, "score") != std::bit_cast<uint64_t>(batch_score) ||
+           std::bit_cast<uint64_t>(reference_score) != std::bit_cast<uint64_t>(batch_score)) &&
           ++mismatches <= 3) {
         ADD_FAILURE() << "predict_ctr " << i << ": served " << response.Get("score")
-                      << ", batch " << batch_score;
+                      << ", batch " << batch_score << ", reference " << reference_score;
       }
     }
     EXPECT_EQ(mismatches, 0u) << "of " << sibling_pairs_->size() << " pairs and "
