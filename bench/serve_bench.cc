@@ -12,12 +12,9 @@
 // The headline check mirrors the serving design goal: warm-cache score_pair
 // p50 should be at least 5x lower than cold-cache at every concurrency.
 //
-// The bench also measures *cold start* — LoadBundle to first successful
-// score — for the same artifacts staged as TSV and as mbpack containers,
-// and emits everything to BENCH_serve.json (MB_BENCH_OUT overrides the
-// path). The mbpack-over-TSV cold-start speedup is reported always and
-// enforced (>= 10x) only when MB_REQUIRE_COLD_SPEEDUP=1, mirroring the
-// hardware-conditional gate of train_bench.
+// Everything is written to BENCH_serve.json (MB_BENCH_OUT overrides the
+// path). Bundle load time is perfbench's `io.load_bundle_ms` and server
+// start its `setup_s`.
 //
 // The final stage is the c10k soak: a real Server on an
 // ephemeral port, MB_C10K_CONNS (default 10000) concurrent TCP
@@ -34,9 +31,8 @@
 // numbers that measure the fd limit instead of the server.
 //
 // Environment: MB_ADGROUPS (default 200), MB_REQUESTS per worker (default
-// 500), MB_SEED, MB_COLDSTART_REPS (default 5), MB_C10K_CONNS (0 skips
-// the stage), MB_C10K_ROUNDS, MB_C10K_P99_MS, MB_REQUIRE_C10K,
-// MB_BENCH_OUT, MB_REQUIRE_COLD_SPEEDUP.
+// 500), MB_SEED, MB_C10K_CONNS (0 skips the stage), MB_C10K_ROUNDS,
+// MB_C10K_P99_MS, MB_REQUIRE_C10K, MB_BENCH_OUT.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -70,7 +66,6 @@
 #include "corpus/pair_extraction.h"
 #include "eval/experiments.h"
 #include "io/atomic_file.h"
-#include "io/pack_artifacts.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
 #include "microbrowse/stats_db.h"
@@ -136,38 +131,6 @@ std::string ScorePairLine(const std::string& a, const std::string& b) {
   serve::JsonWriter request;
   request.String("type", "score_pair").String("a", a).String("b", b);
   return request.Finish();
-}
-
-/// Median milliseconds from LoadBundle(paths) to the first successful
-/// score, over `reps` fresh loads. This is the operator-visible restart /
-/// hot-reload cost of a bundle in the given artifact format.
-double MeasureColdStartMs(const serve::BundlePaths& paths, const Snippet& a, const Snippet& b,
-                          int reps) {
-  std::vector<double> ms;
-  ms.reserve(static_cast<size_t>(reps));
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer timer;
-    auto bundle = serve::LoadBundle(paths, /*generation=*/1);
-    if (!bundle.ok()) {
-      std::fprintf(stderr, "serve_bench: cold-start load failed: %s\n",
-                   bundle.status().ToString().c_str());
-      std::exit(1);
-    }
-    // First score through the read-only pair scorer over the bundle's own
-    // registries — the same call a score_pair miss makes, so the number
-    // reflects serving cold start, not per-call tooling overhead.
-    const serve::ModelBundle& loaded = **bundle;
-    const double margin =
-        PredictPairMargin(a, b, loaded.stats, loaded.config, loaded.classifier.model,
-                          loaded.classifier.t_registry, loaded.classifier.p_registry);
-    if (!std::isfinite(margin)) {
-      std::fprintf(stderr, "serve_bench: cold-start score not finite\n");
-      std::exit(1);
-    }
-    ms.push_back(timer.ElapsedSeconds() * 1e3);
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
 }
 
 // ----------------------------------------------------------------- c10k stage
@@ -394,21 +357,12 @@ struct SweepRow {
   double hit_rate = 0.0;
 };
 
-void WriteBenchJson(const std::string& path, double tsv_cold_ms, double mbpack_cold_ms,
-                    int cold_reps, bool cold_enforced, double worst_warm_speedup,
-                    const std::vector<SweepRow>& sweep, const C10kStats& c10k, const std::string& c10k_skip_reason,
-                    double c10k_p99_bound_ms, bool c10k_enforced) {
+void WriteBenchJson(const std::string& path, double worst_warm_speedup,
+                    const std::vector<SweepRow>& sweep, const C10kStats& c10k,
+                    const std::string& c10k_skip_reason, double c10k_p99_bound_ms,
+                    bool c10k_enforced) {
   std::ofstream out(path, std::ios::trunc);
-  const double cold_speedup = tsv_cold_ms / std::max(1e-9, mbpack_cold_ms);
   out << "{\n  \"bench\": \"serve\",\n";
-  out << "  \"cold_start\": {\n"
-      << "    \"description\": \"LoadBundle -> first score, median ms\",\n"
-      << StrFormat("    \"reps\": %d,\n", cold_reps)
-      << StrFormat("    \"tsv_cold_start_ms\": %.3f,\n", tsv_cold_ms)
-      << StrFormat("    \"mbpack_cold_start_ms\": %.3f,\n", mbpack_cold_ms)
-      << StrFormat("    \"measured_speedup\": %.2f,\n", cold_speedup)
-      << "    \"min_speedup\": 10.0,\n"
-      << "    \"enforced\": " << (cold_enforced ? "true" : "false") << "\n  },\n";
   out << "  \"warm_cache\": {\n"
       << "    \"description\": \"warm-over-cold score_pair p50 speedup, worst concurrency\",\n"
       << StrFormat("    \"measured_speedup\": %.2f,\n", worst_warm_speedup)
@@ -484,28 +438,6 @@ int main() {
     return 1;
   }
   if (const Status status = SaveFeatureStats(db, paths.stats_path); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  // The same bundle staged as mbpack containers, for the cold-start A/B.
-  serve::BundlePaths pack_paths = paths;
-  pack_paths.model_path = dir + "/model.mbp";
-  pack_paths.stats_path = dir + "/stats.mbp";
-  // Convert the packs *from the TSV artifacts* (the mbctl pack flow), so the
-  // two cold-start bundles are bitwise-identical models, not near-identical.
-  auto tsv_model = LoadClassifier(paths.model_path);
-  auto tsv_db = LoadFeatureStats(paths.stats_path);
-  if (!tsv_model.ok() || !tsv_db.ok()) {
-    std::fprintf(stderr, "reloading TSV artifacts failed\n");
-    return 1;
-  }
-  if (const Status status = SaveClassifierPack(tsv_model->model, tsv_model->t_registry,
-                                               tsv_model->p_registry, pack_paths.model_path);
-      !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  if (const Status status = SaveStatsPack(*tsv_db, pack_paths.stats_path); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
@@ -589,23 +521,6 @@ int main() {
   std::printf("\nwarm-over-cold p50 speedup (worst across concurrencies): %.1fx %s\n",
               worst_speedup, worst_speedup >= 5.0 ? "(target: >=5x, met)"
                                                   : "(target: >=5x, NOT met)");
-
-  // Cold start: LoadBundle -> first score, TSV vs mbpack, fresh load each
-  // rep. The pack path should be bounded by mmap + one checksum pass, not
-  // by per-row parsing.
-  const int cold_reps = static_cast<int>(std::max<int64_t>(1, EnvInt("MB_COLDSTART_REPS", 5)));
-  const Snippet cold_a = generated->corpus.adgroups[0].creatives[0].snippet;
-  const Snippet cold_b = generated->corpus.adgroups.back().creatives.back().snippet;
-  const double tsv_cold_ms = MeasureColdStartMs(paths, cold_a, cold_b, cold_reps);
-  const double mbpack_cold_ms = MeasureColdStartMs(pack_paths, cold_a, cold_b, cold_reps);
-  const double cold_speedup = tsv_cold_ms / std::max(1e-9, mbpack_cold_ms);
-  const bool cold_enforced = EnvInt("MB_REQUIRE_COLD_SPEEDUP", 0) > 0;
-  std::printf("\ncold start (LoadBundle -> first score, median of %d): tsv %.1f ms, "
-              "mbpack %.1f ms, speedup %.1fx %s\n",
-              cold_reps, tsv_cold_ms, mbpack_cold_ms, cold_speedup,
-              cold_enforced ? (cold_speedup >= 10.0 ? "(target: >=10x, met)"
-                                                    : "(target: >=10x, NOT met)")
-                            : "(target: >=10x, informational)");
 
   // c10k: a real server and 10k concurrent socket clients in
   // this one process. Pings keep the payload trivial, so the number is the
@@ -694,11 +609,10 @@ int main() {
     const char* env = std::getenv("MB_BENCH_OUT");
     return env != nullptr && *env != '\0' ? std::string(env) : std::string("BENCH_serve.json");
   }();
-  WriteBenchJson(bench_out, tsv_cold_ms, mbpack_cold_ms, cold_reps, cold_enforced,
-                 worst_speedup, sweep, c10k, c10k_skip_reason, c10k_p99_bound_ms, c10k_enforced);
+  WriteBenchJson(bench_out, worst_speedup, sweep, c10k, c10k_skip_reason, c10k_p99_bound_ms,
+                 c10k_enforced);
   std::printf("wrote %s\n", bench_out.c_str());
 
-  if (cold_enforced && cold_speedup < 10.0) return 1;
   if (!c10k_ok) return 1;
   return worst_speedup >= 5.0 ? 0 : 1;
 }

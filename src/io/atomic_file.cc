@@ -178,7 +178,7 @@ Status CreateDirectories(const std::string& path) {
   std::string prefix;
   for (const std::string& part : Split(path, '/')) {
     if (prefix.empty() && part.empty()) {
-      prefix = "/";
+      prefix.push_back('/');  // Absolute path.
       continue;
     }
     if (part.empty()) continue;  // "a//b" and trailing '/'.

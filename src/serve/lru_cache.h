@@ -62,19 +62,31 @@ class ShardedLruCache {
 
   bool enabled() const { return per_shard_capacity_ > 0; }
 
-  /// Returns the cached value for `key`, refreshing its recency.
+  /// Returns the cached value for `key`, refreshing its recency, and counts
+  /// the lookup as a hit or a miss.
   std::optional<Value> Get(uint64_t key) {
+    std::optional<Value> value = Peek(key);
+    Count(key, value.has_value());
+    return value;
+  }
+
+  /// Get without the count: for a caller that decides later whether the
+  /// lookup answered a request, and then calls Count once.
+  std::optional<Value> Peek(uint64_t key) {
     if (!enabled()) return std::nullopt;
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (it == shard.index.end()) return std::nullopt;
     shard.order.splice(shard.order.begin(), shard.order, it->second);
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
     return it->second->value;
+  }
+
+  /// Counts one lookup of `key` as a hit or a miss (nothing when disabled).
+  void Count(uint64_t key, bool hit) {
+    if (!enabled()) return;
+    Shard& shard = ShardFor(key);
+    (hit ? shard.hits : shard.misses).fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Inserts (or refreshes) `key`, evicting the least-recently-used entry

@@ -26,7 +26,8 @@
 // budget measured from the moment the server reads the line (monotonic
 // clock; never wall time). A request still queued when its budget runs out
 // is answered {"ok":false,"error":"deadline_exceeded"} without being
-// scored. Servers may also impose a default via --default-deadline-ms for
+// scored. A cached result is answered as its line is read, so only a
+// budget already spent then (deadline_ms <= 0) refuses it. Servers may also impose a default via --default-deadline-ms for
 // requests that carry no deadline of their own.
 //
 // Refusal vocabulary — the closed set of "error" values a client must be

@@ -34,6 +34,10 @@ constexpr int kMaxReadsPerEvent = 8;
 /// for fewer epoll_wait wakeups per request at saturation.
 constexpr uint32_t kReadEvents = EPOLLIN | EPOLLET;
 
+/// The connection whose read burst this thread is dispatching: set only on
+/// the reactor thread, for the duration of one chunk's handler callbacks.
+thread_local const ReactorConn* tls_dispatching = nullptr;
+
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
 }
@@ -44,34 +48,23 @@ Status Errno(const char* what) {
 // ReactorConn
 // ---------------------------------------------------------------------------
 
-void ReactorConn::Write(std::string_view response_line) { Enqueue(response_line, true); }
+bool ReactorConn::AppendLocked(std::string_view bytes, bool raw) {
+  if (!alive.load(std::memory_order_acquire) || overflowed_ || write_error_) return false;
+  outbox_.append(bytes.data(), bytes.size());
+  if (!raw) outbox_.push_back('\n');
+  reactor_->pending_out_bytes_.fetch_add(static_cast<int64_t>(bytes.size() + (raw ? 0 : 1)),
+                                         std::memory_order_acq_rel);
+  return true;
+}
 
-void ReactorConn::WriteRaw(std::string_view bytes) { Enqueue(bytes, false); }
-
-void ReactorConn::Enqueue(std::string_view bytes, bool terminate) {
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(out_mu_);
-    if (!alive.load(std::memory_order_acquire) || overflowed_ || write_error_) return;
-    const size_t added = bytes.size() + (terminate ? 1 : 0);
-    outbox_.append(bytes.data(), bytes.size());
-    if (terminate) outbox_.push_back('\n');
-    reactor_->pending_out_bytes_.fetch_add(static_cast<int64_t>(added),
-                                           std::memory_order_acq_rel);
-    TryFlushLocked();
-    const size_t pending = PendingLocked();
-    if (pending > max_outbox_bytes_) {
-      // The peer is not reading: buffering its backlog without bound would
-      // let one stalled client consume arbitrary memory. Mark it for
-      // eviction; the reactor maps this onto mb.serve.write_timeout.
-      overflowed_ = true;
-    }
-    if ((pending > 0 || write_error_ || overflowed_) && !flush_requested_) {
-      flush_requested_ = true;
-      need_wake = true;
-    }
+void ReactorConn::SendLocked() {
+  TryFlushLocked();
+  if (PendingLocked() > max_outbox_bytes_) {
+    // The peer is not reading: buffering its backlog without bound would
+    // let one stalled client consume arbitrary memory. Mark it for
+    // eviction; the reactor maps this onto mb.serve.write_timeout.
+    overflowed_ = true;
   }
-  if (need_wake) reactor_->RequestFlush(shared_from_this());
 }
 
 bool ReactorConn::TryFlushLocked() {
@@ -102,57 +95,63 @@ void ReactorConn::Kill() {
 }
 
 void ReactorConn::WriteSeq(uint64_t seq, std::string_view payload, bool raw) {
-  std::lock_guard<std::mutex> lock(seq_mu_);
-  if (seq != next_flush_) {
-    // Early completion: park a copy, reusing a retired buffer when one is
-    // available so steady-state holds allocate nothing.
-    HeldResponse held;
-    if (!spare_payloads_.empty()) {
-      held.payload = std::move(spare_payloads_.back());
-      spare_payloads_.pop_back();
-    }
-    held.seq = seq;
-    held.raw = raw;
-    held.payload.assign(payload);
-    held_.push_back(std::move(held));
-    return;
-  }
-  Deliver(payload, raw);
-  ++next_flush_;
-  // Release any parked successors that are now in line.
-  bool progressed = true;
-  while (progressed && !held_.empty()) {
-    progressed = false;
-    for (size_t i = 0; i < held_.size(); ++i) {
-      if (held_[i].seq != next_flush_) continue;
-      Deliver(held_[i].payload, held_[i].raw);
-      ++next_flush_;
-      if (spare_payloads_.size() < kMaxSparePayloads &&
-          held_[i].payload.capacity() <= kMaxSparePayloadBytes) {
-        held_[i].payload.clear();
-        spare_payloads_.push_back(std::move(held_[i].payload));
+  bool need_wake = false;
+  {
+    std::lock_guard<std::mutex> lock(seq_mu_);
+    if (seq != next_flush_) {
+      // Early completion: park a copy, reusing a retired buffer when one is
+      // available so steady-state holds allocate nothing.
+      HeldResponse held;
+      if (!spare_payloads_.empty()) {
+        held.payload = std::move(spare_payloads_.back());
+        spare_payloads_.pop_back();
       }
-      held_[i] = std::move(held_.back());
-      held_.pop_back();
-      progressed = true;
-      break;
+      held.seq = seq;
+      held.raw = raw;
+      held.payload.assign(payload);
+      held_.push_back(std::move(held));
+      return;
+    }
+    std::lock_guard<std::mutex> out_lock(out_mu_);
+    // Dead connections still advance the cursor (AppendLocked drops the
+    // bytes) so SeqDrained converges and successors release.
+    bool appended = AppendLocked(payload, raw);
+    ++next_flush_;
+    // Append any parked successors that are now in line, so one send
+    // carries them all.
+    bool progressed = true;
+    while (progressed && !held_.empty()) {
+      progressed = false;
+      for (size_t i = 0; i < held_.size(); ++i) {
+        if (held_[i].seq != next_flush_) continue;
+        appended = AppendLocked(held_[i].payload, held_[i].raw) || appended;
+        ++next_flush_;
+        if (spare_payloads_.size() < kMaxSparePayloads &&
+            held_[i].payload.capacity() <= kMaxSparePayloadBytes) {
+          held_[i].payload.clear();
+          spare_payloads_.push_back(std::move(held_[i].payload));
+        }
+        held_[i] = std::move(held_.back());
+        held_.pop_back();
+        progressed = true;
+        break;
+      }
+    }
+    // The reactor thread dispatching this connection's read burst only
+    // appends: it sends the whole burst's responses once the burst ends.
+    if (!appended || tls_dispatching == this) return;
+    SendLocked();
+    if ((PendingLocked() > 0 || write_error_ || overflowed_) && !flush_requested_) {
+      flush_requested_ = true;
+      need_wake = true;
     }
   }
+  if (need_wake) reactor_->RequestFlush(shared_from_this());
 }
 
 bool ReactorConn::SeqDrained() {
   std::lock_guard<std::mutex> lock(seq_mu_);
   return next_flush_ == next_seq_assign_.load(std::memory_order_acquire);
-}
-
-void ReactorConn::Deliver(std::string_view payload, bool raw) {
-  // Dead connections still advance the cursor (Enqueue drops the bytes) so
-  // SeqDrained converges and successors release.
-  if (raw) {
-    WriteRaw(payload);
-  } else {
-    Write(payload);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -376,11 +375,19 @@ void Reactor::HandleReadable(const std::shared_ptr<ReactorConn>& conn) {
     maybe_more = static_cast<size_t>(n) == kReadChunkBytes;
 
     // Dispatch every complete line this chunk finished: pipelined requests
-    // already buffered dispatch without further syscalls.
+    // already buffered dispatch without further syscalls. Responses the
+    // handler writes meanwhile only append to the outbox; the chunk's
+    // burst then leaves in one send.
     std::string_view line;
+    tls_dispatching = conn.get();
     while (!conn->closed_ && !conn->close_after_flush_ &&
            conn->alive.load(std::memory_order_acquire) && conn->in_.NextLine(&line)) {
       handler_->OnLine(conn, line);
+    }
+    tls_dispatching = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(conn->out_mu_);
+      if (conn->PendingLocked() > 0) conn->SendLocked();
     }
     if (conn->closed_) return;
     if (conn->close_after_flush_ ||

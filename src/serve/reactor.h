@@ -18,11 +18,17 @@
 //   - The reactor thread runs epoll_wait, accepts, reads, frames lines
 //     (handler callbacks run here), flushes outboxes, and is the only
 //     thread that touches epoll state or closes connection fds.
-//   - Worker threads deliver responses via ReactorConn::Write, which
-//     appends to the connection's mutex-guarded outbox, attempts one
-//     opportunistic non-blocking flush, and — when bytes remain — asks the
-//     reactor (eventfd wakeup) to arm EPOLLOUT and finish the flush. No
-//     thread ever blocks in send(2).
+//   - Responses reach a connection only through ReactorConn::WriteSeq, from
+//     two kinds of thread at once: the reactor thread (the handler answers
+//     cache hits and refusals inline) and the scoring workers (everything
+//     the handler queued). Both append under the connection's outbox
+//     mutex, in sequence order.
+//   - The reactor's writes while it dispatches one read chunk's lines only
+//     append; after the chunk it sends the whole burst with one send. A
+//     worker sends what its WriteSeq released (its own response plus any
+//     parked successors) with one send. What the socket does not take, the
+//     reactor finishes on EPOLLOUT; a worker asks for that through an
+//     eventfd wakeup. No thread ever blocks in send(2).
 //   - Any thread may Kill() a connection: it marks it dead and shuts the
 //     socket down, which surfaces as an event the reactor cleans up.
 //
@@ -99,17 +105,19 @@ struct ReactorOptions {
 ///
 /// Lifetime: connections are shared_ptr-owned. The reactor drops its
 /// reference when the peer disconnects or is evicted; queued requests keep
-/// theirs until answered, so a worker can always Write (the write is
+/// theirs until answered, so a worker can always WriteSeq (the write is
 /// silently dropped once `alive` is false — the response's requests were
 /// already accounted in the serve metrics at HandleLine time, which is what
 /// keeps the chaos accounting invariant exact across disconnects).
 ///
 /// Ordering: every response-bearing line read from a connection is stamped
 /// with a sequence number (AssignSeq) on the intake thread, in read order.
-/// Workers deliver through WriteSeq, which writes a response the moment it
-/// is next in line and holds early completions until their predecessors
-/// land — so pipelined responses always flush in request order even when
-/// the work-stealing pool finishes them out of order (DESIGN.md §17).
+/// Responses are delivered through WriteSeq, which writes a response the
+/// moment it is next in line and holds early completions until their
+/// predecessors land — so pipelined responses always flush in request
+/// order even when the work-stealing pool finishes them out of order, or
+/// the reactor answers a cache hit while an earlier miss is still scoring
+/// (DESIGN.md §17).
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
   ReactorConn(Socket socket, Reactor* reactor, const ReactorOptions& options,
@@ -118,16 +126,6 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
         reactor_(reactor),
         max_outbox_bytes_(options.max_outbox_bytes),
         in_(options.max_line_bytes, pool) {}
-
-  /// Queues one protocol response line; the '\n' terminator is appended
-  /// here. Never blocks: the bytes land in the outbox, one opportunistic
-  /// flush is tried and the reactor finishes on write-readiness. Dropped
-  /// once !alive.
-  void Write(std::string_view response_line);
-
-  /// Queues raw bytes verbatim (the plain-HTTP fast path, where the
-  /// payload carries its own framing).
-  void WriteRaw(std::string_view bytes);
 
   /// Marks the connection dead and wakes the reactor, which closes it (only
   /// the reactor thread releases the fd). Safe from any thread; idempotent.
@@ -149,10 +147,16 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
     return next_seq_assign_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Delivers the response for slot `seq`: written through immediately when
-  /// every earlier slot has been written, held (copied) otherwise and
-  /// flushed the moment its predecessors land. `raw` responses bypass line
-  /// framing (plain-HTTP payloads). Safe from any thread.
+  /// Delivers the response for slot `seq`, the only way bytes reach the
+  /// outbox. When every earlier slot has been written, the payload and any
+  /// parked successors it releases are appended and sent with one send;
+  /// otherwise it is held (copied) until its predecessors land. Protocol
+  /// payloads get their '\n' here; `raw` ones (plain-HTTP responses) carry
+  /// their own framing. Never blocks: what the socket does not take, the
+  /// reactor finishes on write-readiness. On the reactor thread, while it
+  /// dispatches this connection's read burst, it only appends and the
+  /// reactor sends once after the burst. Dropped once !alive. Safe from any
+  /// thread.
   void WriteSeq(uint64_t seq, std::string_view payload, bool raw = false);
 
   /// True when every assigned slot has been written — the close-after-flush
@@ -178,16 +182,18 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  private:
   friend class Reactor;
 
-  /// Appends to the outbox and opportunistically flushes. Shared by
-  /// Write/WriteRaw; `terminate` appends the protocol '\n'.
-  void Enqueue(std::string_view bytes, bool terminate);
+  /// Appends one payload (plus '\n' unless `raw`) to the outbox. False,
+  /// appending nothing, once the connection is dead or marked for
+  /// eviction. Requires out_mu_.
+  bool AppendLocked(std::string_view bytes, bool raw);
   /// Sends as much pending output as the socket accepts. Returns true when
   /// the outbox drained. Requires out_mu_.
   bool TryFlushLocked();
+  /// TryFlushLocked, then marks an outbox still past max_outbox_bytes for
+  /// eviction. Requires out_mu_.
+  void SendLocked();
   /// Pending outbox bytes. Requires out_mu_.
   size_t PendingLocked() const { return outbox_.size() - out_start_; }
-  /// Writes one sequenced payload. Requires seq_mu_.
-  void Deliver(std::string_view payload, bool raw);
 
   struct HeldResponse {
     uint64_t seq = 0;
@@ -276,7 +282,7 @@ class Reactor {
   void StopAccepting();
 
   /// Asks the reactor to finish flushing `conn`'s outbox on
-  /// write-readiness. Called by ReactorConn::Write off-thread.
+  /// write-readiness. Called by ReactorConn::WriteSeq off-thread.
   void RequestFlush(std::shared_ptr<ReactorConn> conn);
 
   size_t active_connections() const {

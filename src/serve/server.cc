@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 
 namespace microbrowse {
 namespace serve {
@@ -179,26 +180,17 @@ size_t Server::active_connections() {
 // Request path
 // ---------------------------------------------------------------------------
 
-Deadline Server::RequestDeadline(std::string_view line) const {
-  // The substring probe keeps the common case (no per-request deadline)
-  // free of a second full parse; requests that do carry the field are
-  // parsed once here and once by the service, which is still cheap next
-  // to scoring.
-  if (line.find("\"deadline_ms\"") != std::string_view::npos) {
-    Request& request = ScratchRequest();
-    if (ParseRequestInto(line, &request).ok() && request.Has("deadline_ms")) {
-      const std::string_view value = request.Get("deadline_ms");
-      int64_t ms = 0;
-      auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), ms);
-      if (ec == std::errc() && end == value.data() + value.size()) {
-        // Non-positive budgets are legal and already expired — the request
-        // is answered deadline_exceeded without scoring.
-        return Deadline::AfterMillis(ms);
-      }
+Deadline Server::RequestDeadline(const Request* request) const {
+  if (request != nullptr && request->Has("deadline_ms")) {
+    const std::string_view value = request->Get("deadline_ms");
+    int64_t ms = 0;
+    auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), ms);
+    if (ec == std::errc() && end == value.data() + value.size()) {
+      // Non-positive budgets are legal and already expired — the request
+      // is answered deadline_exceeded without scoring.
+      return Deadline::AfterMillis(ms);
     }
-    // Malformed deadline_ms falls through to the server default; the
-    // request itself will fail field validation in the service if the
-    // whole line is unparsable.
+    // Malformed deadline_ms falls through to the server default.
   }
   return options_.default_deadline_ms > 0
              ? Deadline::AfterMillis(options_.default_deadline_ms)
@@ -233,7 +225,31 @@ void Server::HandleRequestLine(const std::shared_ptr<ReactorConn>& connection,
     return;
   }
 
-  const Deadline request_deadline = RequestDeadline(line);
+  // Parse once here: the deadline and the cache probe both read it. A
+  // line that does not parse takes the worker path, which answers the
+  // parse error.
+  const WallTimer started;
+  Request& request = ScratchRequest();
+  const bool parsed = ParseRequestInto(line, &request).ok();
+  const Deadline request_deadline = RequestDeadline(parsed ? &request : nullptr);
+  if (parsed) {
+    const CacheProbe probe = service_->ProbeCache(request);
+    if (probe.hit()) {
+      // A cache hit costs less than handing it to a worker: answer it here.
+      // WriteSeq parks it behind any miss still in flight on this
+      // connection. An expired budget is refused as a worker would.
+      if (request_deadline.expired()) {
+        service_->metrics().deadline_exceeded->Increment(1);
+        WriteRefusal(*connection, line, "deadline_exceeded", -1, seq);
+        return;
+      }
+      thread_local std::string response;
+      service_->Respond(request, probe, started, &response);
+      connection->WriteSeq(seq, response);
+      return;
+    }
+  }
+
   // Account the request in flight before Submit so a worker that claims
   // it instantly still decrements a non-zero count; undone below when
   // admission refuses it.

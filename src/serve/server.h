@@ -6,7 +6,11 @@
 // into per-connection outboxes and flushed on write-readiness. 10k
 // connections cost 10k fds and buffers, not 10k threads.
 //
-// Admitted requests are scheduled on the work-stealing ScoringPool
+// A score_pair / predict_ctr request whose result is cached is answered on
+// the reactor thread as it is read: one parse, one cache probe, the
+// service's own response builder, and WriteSeq. It passes the same drain,
+// per-connection in-flight and deadline checks as any request first. Every
+// other admitted request is scheduled on the work-stealing ScoringPool
 // (serve/scoring_pool.h, DESIGN.md §17): per-worker bounded deques,
 // randomized steal-half, near-zero lock contention at saturation. Workers
 // write each response back through its ReactorConn (serve/reactor.h).
@@ -161,15 +165,17 @@ class Server : private ReactorHandler {
   // --- Request path ---------------------------------------------------------
 
   /// Dispatches one request line from a serving connection: admission
-  /// control, deadline stamping, queueing. Refusals are written inline.
+  /// control, deadline stamping, then an inline answer for a cache hit or
+  /// queueing for everything else. Refusals are written inline.
   void HandleRequestLine(const std::shared_ptr<ReactorConn>& connection,
                          std::string_view line);
   /// The scoring pool's batch handler: deadline check, scoring, ordered
   /// delivery and drain accounting for one claimed batch.
   void ProcessBatch(std::vector<ScoringTask>& batch);
-  /// The deadline for one request line: its own "deadline_ms" field when
-  /// present and parsable, else the server default.
-  Deadline RequestDeadline(std::string_view line) const;
+  /// The deadline for one request: its own "deadline_ms" field when present
+  /// and parsable, else the server default (also for a line that did not
+  /// parse, passed as nullptr).
+  Deadline RequestDeadline(const Request* request) const;
   /// Answers one request received while draining: observability types are
   /// served inline, everything else is refused with "draining".
   void HandleLineDuringDrain(ReactorConn& connection, std::string_view line,

@@ -51,97 +51,110 @@ std::string ScoringService::HandleLine(std::string_view line) {
 
 void ScoringService::HandleLineTo(std::string_view line, std::string* out) {
   WallTimer timer;
-  // Per-thread scratch: the Request's arena and the writer's buffer reach a
+  // Per-thread scratch: the Request's arena and the writers' buffers reach a
   // steady-state capacity after a few requests, after which this function
   // performs no heap allocations for cached/refused/ping traffic.
   thread_local Request request;
-  thread_local JsonWriter response;
-  response.Reset();
   const Status parsed = ParseRequestInto(line, &request);
-  Endpoint endpoint = Endpoint::kOther;
-  bool ok = false;
   if (!parsed.ok()) {
+    thread_local JsonWriter response;
+    response.Reset();
     response.Bool("ok", false).String("error", parsed.message());
-  } else {
-    const std::string_view type = request.Get("type");
-    endpoint = EndpointByName(type);
-    if (request.Has("id")) response.String("id", request.Get("id"));
-    Dispatch(request, endpoint, response, &ok);
+    metrics_.endpoint(Endpoint::kOther).RecordRequest(timer.ElapsedSeconds(), false);
+    response.FinishTo(out);
+    return;
   }
-  metrics_.endpoint(endpoint).RecordRequest(timer.ElapsedSeconds(), ok);
-  response.FinishTo(out);
+  Respond(request, ProbeCache(request), timer, out);
 }
 
-void ScoringService::Dispatch(const Request& request, Endpoint endpoint,
-                              JsonWriter& response, bool* ok) {
-  Status status = Status::OK();
-  switch (endpoint) {
-    case Endpoint::kScorePair:
-      status = HandleScorePair(request, response);
-      break;
-    case Endpoint::kPredictCtr:
-      status = HandlePredictCtr(request, response);
-      break;
-    case Endpoint::kExamine:
-      status = HandleExamine(request, response);
-      break;
-    case Endpoint::kReload:
-      status = HandleReload(request, response);
-      break;
-    case Endpoint::kStatsz:
-      status = HandleStatsz(response);
-      break;
-    case Endpoint::kMetricsz:
-      status = HandleMetricsz(response);
-      break;
-    case Endpoint::kHealthz:
-      status = HandleHealthz(response);
-      break;
-    case Endpoint::kReadyz:
-      status = HandleReadyz(response);
-      break;
-    case Endpoint::kPing:
-      break;
-    case Endpoint::kOther: {
-      const std::string_view type = request.Get("type");
-      if (type == "debug_sleep" && options_.allow_debug_sleep) {
-        int64_t ms = 0;
-        const std::string_view text = request.Get("ms", "0");
-        std::from_chars(text.data(), text.data() + text.size(), ms);
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        break;
-      }
-      status = Status::InvalidArgument(
-          type.empty() ? "missing request field 'type'"
-                       : "unknown type '" + std::string(type) + "'");
-      break;
-    }
+CacheProbe ScoringService::ProbeCache(const Request& request) {
+  CacheProbe probe;
+  probe.endpoint = EndpointByName(request.Get("type"));
+  if (probe.endpoint == Endpoint::kScorePair) {
+    const std::string_view a_text = request.Get("a");
+    const std::string_view b_text = request.Get("b");
+    if (a_text.empty() || b_text.empty()) return probe;
+    probe.bundle = registry_->Current();
+    if (probe.bundle == nullptr) return probe;
+    probe.key = HashCombine(ContentKey(probe.bundle->generation, "pair:a", a_text), b_text);
+    probe.cached = pair_cache_.Peek(probe.key);
+  } else if (probe.endpoint == Endpoint::kPredictCtr) {
+    const std::string_view text = request.Get("snippet");
+    if (text.empty()) return probe;
+    probe.bundle = registry_->Current();
+    if (probe.bundle == nullptr) return probe;
+    probe.key = ContentKey(probe.bundle->generation, "point", text);
+    probe.cached = point_cache_.Peek(probe.key);
   }
-  *ok = status.ok();
+  return probe;
+}
+
+void ScoringService::Respond(const Request& request, const CacheProbe& probe,
+                             const WallTimer& started, std::string* out) {
+  thread_local JsonWriter response;
+  response.Reset();
+  if (request.Has("id")) response.String("id", request.Get("id"));
+  const Status status = Dispatch(request, probe, response);
   if (status.ok()) {
     response.Bool("ok", true);
   } else {
     response.Bool("ok", false).String("error", status.message());
   }
+  metrics_.endpoint(probe.endpoint).RecordRequest(started.ElapsedSeconds(), status.ok());
+  response.FinishTo(out);
 }
 
-Status ScoringService::HandleScorePair(const Request& request, JsonWriter& response) {
+Status ScoringService::Dispatch(const Request& request, const CacheProbe& probe,
+                                JsonWriter& response) {
+  switch (probe.endpoint) {
+    case Endpoint::kScorePair:
+      return HandleScorePair(request, probe, response);
+    case Endpoint::kPredictCtr:
+      return HandlePredictCtr(request, probe, response);
+    case Endpoint::kExamine:
+      return HandleExamine(request, response);
+    case Endpoint::kReload:
+      return HandleReload(request, response);
+    case Endpoint::kStatsz:
+      return HandleStatsz(response);
+    case Endpoint::kMetricsz:
+      return HandleMetricsz(response);
+    case Endpoint::kHealthz:
+      return HandleHealthz(response);
+    case Endpoint::kReadyz:
+      return HandleReadyz(response);
+    case Endpoint::kPing:
+      return Status::OK();
+    case Endpoint::kOther:
+      break;
+  }
+  const std::string_view type = request.Get("type");
+  if (type == "debug_sleep" && options_.allow_debug_sleep) {
+    int64_t ms = 0;
+    const std::string_view text = request.Get("ms", "0");
+    std::from_chars(text.data(), text.data() + text.size(), ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    return Status::OK();
+  }
+  return Status::InvalidArgument(type.empty() ? "missing request field 'type'"
+                                              : "unknown type '" + std::string(type) + "'");
+}
+
+Status ScoringService::HandleScorePair(const Request& request, const CacheProbe& probe,
+                                       JsonWriter& response) {
   const std::string_view a_text = request.Get("a");
   const std::string_view b_text = request.Get("b");
   if (a_text.empty() || b_text.empty()) {
     return Status::InvalidArgument("score_pair needs non-empty 'a' and 'b' fields");
   }
-  const auto bundle = registry_->Current();
+  const ModelBundle* bundle = probe.bundle.get();
   if (bundle == nullptr) return Status::FailedPrecondition("no model bundle loaded");
 
-  const uint64_t key =
-      HashCombine(ContentKey(bundle->generation, "pair:a", a_text), b_text);
-  EndpointMetrics& metrics = metrics_.endpoint(Endpoint::kScorePair);
+  const bool hit = probe.hit();
+  pair_cache_.Count(probe.key, hit);
   double margin = 0.0;
-  bool hit = false;
-  if (auto cached = pair_cache_.Get(key)) {
-    margin = *cached;
-    hit = true;
+  if (hit) {
+    margin = *probe.cached;
   } else {
     // Chaos hook on the uncached scoring path: `serve.score=delay:<ms>`
     // injects latency (slow-model rehearsal), error specs inject typed
@@ -151,9 +164,9 @@ Status ScoringService::HandleScorePair(const Request& request, JsonWriter& respo
     const Snippet b = ParseSnippetField(b_text);
     margin = PredictPairMargin(a, b, bundle->stats, bundle->config, bundle->classifier.model,
                                bundle->classifier.t_registry, bundle->classifier.p_registry);
-    pair_cache_.Put(key, margin);
+    pair_cache_.Put(probe.key, margin);
   }
-  metrics.RecordCache(hit);
+  metrics_.endpoint(Endpoint::kScorePair).RecordCache(hit);
   response.String("winner", margin >= 0 ? "a" : "b")
       .Number("margin", margin)
       .Int("gen", static_cast<int64_t>(bundle->generation))
@@ -161,27 +174,26 @@ Status ScoringService::HandleScorePair(const Request& request, JsonWriter& respo
   return Status::OK();
 }
 
-Status ScoringService::HandlePredictCtr(const Request& request, JsonWriter& response) {
+Status ScoringService::HandlePredictCtr(const Request& request, const CacheProbe& probe,
+                                        JsonWriter& response) {
   const std::string_view text = request.Get("snippet");
   if (text.empty()) {
     return Status::InvalidArgument("predict_ctr needs a non-empty 'snippet' field");
   }
-  const auto bundle = registry_->Current();
+  const ModelBundle* bundle = probe.bundle.get();
   if (bundle == nullptr) return Status::FailedPrecondition("no model bundle loaded");
 
-  const uint64_t key = ContentKey(bundle->generation, "point", text);
-  EndpointMetrics& metrics = metrics_.endpoint(Endpoint::kPredictCtr);
+  const bool hit = probe.hit();
+  point_cache_.Count(probe.key, hit);
   double score = 0.0;
-  bool hit = false;
-  if (auto cached = point_cache_.Get(key)) {
-    score = *cached;
-    hit = true;
+  if (hit) {
+    score = *probe.cached;
   } else {
     MB_FAILPOINT("serve.score");
     score = bundle->predictor->Score(ParseSnippetField(text));
-    point_cache_.Put(key, score);
+    point_cache_.Put(probe.key, score);
   }
-  metrics.RecordCache(hit);
+  metrics_.endpoint(Endpoint::kPredictCtr).RecordCache(hit);
   // The pointwise score is a relative quality in log-odds units (see
   // ctr_predictor.h); "ctr" squashes it to (0,1) for consumers that want a
   // probability-shaped number. It is rank-consistent, not calibrated.

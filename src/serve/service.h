@@ -17,13 +17,14 @@
 #ifndef MICROBROWSE_SERVE_SERVICE_H_
 #define MICROBROWSE_SERVE_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
-#include <atomic>
-
+#include "common/timer.h"
 #include "serve/bundle.h"
 #include "serve/health.h"
 #include "serve/lru_cache.h"
@@ -49,6 +50,23 @@ struct ServiceOptions {
   MetricRegistry* registry = nullptr;
 };
 
+/// One parsed request resolved against the current bundle and the result
+/// cache, with nothing counted yet: the probe half of HandleLineTo, and all
+/// the server's reactor thread does for a scoring line before deciding
+/// whether to answer it inline.
+struct CacheProbe {
+  Endpoint endpoint = Endpoint::kOther;
+  /// The generation a score_pair / predict_ctr request scores on; null for
+  /// other types, empty scoring fields or no loaded bundle.
+  std::shared_ptr<const ModelBundle> bundle;
+  /// The result-cache key (meaningful only with a bundle).
+  uint64_t key = 0;
+  /// The cached result, when the probe hit.
+  std::optional<double> cached;
+
+  bool hit() const { return cached.has_value(); }
+};
+
 class ScoringService {
  public:
   /// `registry` must outlive the service and have a loaded bundle before
@@ -65,6 +83,18 @@ class ScoringService {
   /// request with zero heap allocations. Byte-identical output to
   /// HandleLine.
   void HandleLineTo(std::string_view line, std::string* response);
+
+  /// HandleLineTo's two halves after the parse. ProbeCache classifies a
+  /// parsed request and looks a scoring request up in the result cache; it
+  /// counts nothing. Respond builds the response for `request` into
+  /// `*response` (a hit from the probe's value, anything else by scoring or
+  /// dispatching as HandleLineTo does) and counts the request exactly once:
+  /// one cache hit or miss for a scoring request, and one endpoint request
+  /// whose latency runs from `started`. The server answers cache hits on its
+  /// reactor thread with these two calls.
+  CacheProbe ProbeCache(const Request& request);
+  void Respond(const Request& request, const CacheProbe& probe, const WallTimer& started,
+               std::string* response);
 
   /// Attaches the server's drain-state bits so healthz/readyz can report
   /// "draining". Called by Server::Start; tests driving the service
@@ -87,10 +117,11 @@ class ScoringService {
   CacheStats point_cache_stats() const { return point_cache_.Stats(); }
 
  private:
-  void Dispatch(const Request& request, Endpoint endpoint, JsonWriter& response,
-                bool* ok);
-  Status HandleScorePair(const Request& request, JsonWriter& response);
-  Status HandlePredictCtr(const Request& request, JsonWriter& response);
+  Status Dispatch(const Request& request, const CacheProbe& probe, JsonWriter& response);
+  Status HandleScorePair(const Request& request, const CacheProbe& probe,
+                         JsonWriter& response);
+  Status HandlePredictCtr(const Request& request, const CacheProbe& probe,
+                          JsonWriter& response);
   Status HandleExamine(const Request& request, JsonWriter& response);
   Status HandleReload(const Request& request, JsonWriter& response);
   Status HandleStatsz(JsonWriter& response);

@@ -20,10 +20,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/math_util.h"
 #include "common/string_util.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
@@ -293,6 +295,66 @@ TEST_F(ServiceTest, ServeEqualsBatchBitForBitOnTsvAndPackBundles) {
     EXPECT_EQ(mismatches, 0u) << "of " << sibling_pairs_->size() << " pairs and "
                               << fields_->size() << " snippets";
     EXPECT_GT(sibling_pairs_->size(), 200u);
+  }
+}
+
+// Serve equals batch for examine, on the TSV bundle and the mbpack bundle
+// alike: every token's "relevance" equals, bit for bit, the sigmoid of the
+// unigram log-odds in an independently loaded stats DB, and its "examine"
+// the curve of an independently loaded bundle (LoadBundle is the one place
+// a curve is fitted).
+TEST_F(ServiceTest, ExamineServeEqualsBatchBitForBitOnTsvAndPackBundles) {
+  for (const BundlePaths* paths : {paths_, pack_paths_}) {
+    SCOPED_TRACE(paths->model_path);
+    BundleRegistry registry;
+    ASSERT_TRUE(registry.LoadInitial(*paths).ok());
+    ScoringService service(&registry);
+    const bool pack = paths == pack_paths_;
+    auto db = pack ? LoadStatsPack(paths->stats_path) : LoadFeatureStats(paths->stats_path);
+    auto batch = LoadBundle(*paths, 1);
+    ASSERT_TRUE(db.ok() && batch.ok());
+    const std::string curve_fitted =
+        std::string("\"curve_fitted\":") + ((*batch)->curve_fitted ? "true" : "false");
+
+    size_t mismatches = 0;
+    size_t tokens = 0;
+    for (const std::string& field : *fields_) {
+      JsonWriter request;
+      request.String("type", "examine").String("snippet", field);
+      // The nested lines array defeats the flat parser: read the numbers
+      // straight off the response text, token by token in order.
+      const std::string response = service.HandleLine(request.Finish());
+      ASSERT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+      EXPECT_NE(response.find(curve_fitted), std::string::npos) << response;
+      const Snippet snippet = Snippet::FromLines(Split(field, '|'));
+      size_t cursor = 0;
+      for (int line = 0; line < snippet.num_lines(); ++line) {
+        for (int pos = 0; pos < static_cast<int>(snippet.line(line).size()); ++pos) {
+          const std::string& token = snippet.line(line)[pos];
+          const std::string head = "{\"token\":\"" + JsonEscape(token) + "\",\"examine\":";
+          cursor = response.find(head, cursor);
+          ASSERT_NE(cursor, std::string::npos) << token << " in " << response;
+          char* end = nullptr;
+          const double examine = std::strtod(response.c_str() + cursor + head.size(), &end);
+          const std::string_view relevance_key = ",\"relevance\":";
+          ASSERT_TRUE(std::string_view(end).starts_with(relevance_key)) << response;
+          const double relevance = std::strtod(end + relevance_key.size(), &end);
+          cursor = static_cast<size_t>(end - response.c_str());
+          const double batch_examine = (*batch)->curve.Probability(line, pos);
+          const double batch_relevance = Sigmoid(db->LogOdds(TermKey(token)));
+          if ((std::bit_cast<uint64_t>(examine) != std::bit_cast<uint64_t>(batch_examine) ||
+               std::bit_cast<uint64_t>(relevance) != std::bit_cast<uint64_t>(batch_relevance)) &&
+              ++mismatches <= 3) {
+            ADD_FAILURE() << "examine " << token << " at " << line << "," << pos
+                          << ": served " << examine << "/" << relevance << ", batch "
+                          << batch_examine << "/" << batch_relevance;
+          }
+          ++tokens;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << tokens << " tokens";
+    EXPECT_GT(tokens, 1000u);
   }
 }
 
