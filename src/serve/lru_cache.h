@@ -45,7 +45,8 @@ class ShardedLruCache {
   /// shard count is clamped to `capacity` and the per-shard slice rounds
   /// up, so the cache always admits at least `capacity` entries before
   /// evicting and never holds more than one extra entry per shard. A
-  /// capacity of 0 disables the cache: Get always misses, Put is a no-op.
+  /// capacity of 0 disables the cache: Peek always misses, Count and Put are
+  /// no-ops.
   explicit ShardedLruCache(size_t capacity, size_t num_shards = 8) {
     if (num_shards == 0) num_shards = 1;
     // More shards than entries would inflate the budget through the
@@ -62,16 +63,9 @@ class ShardedLruCache {
 
   bool enabled() const { return per_shard_capacity_ > 0; }
 
-  /// Returns the cached value for `key`, refreshing its recency, and counts
-  /// the lookup as a hit or a miss.
-  std::optional<Value> Get(uint64_t key) {
-    std::optional<Value> value = Peek(key);
-    Count(key, value.has_value());
-    return value;
-  }
-
-  /// Get without the count: for a caller that decides later whether the
-  /// lookup answered a request, and then calls Count once.
+  /// Returns the cached value for `key`, refreshing its recency. Counts
+  /// nothing: the caller decides whether the lookup answered a request and
+  /// then calls Count once.
   std::optional<Value> Peek(uint64_t key) {
     if (!enabled()) return std::nullopt;
     Shard& shard = ShardFor(key);

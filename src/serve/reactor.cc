@@ -529,7 +529,7 @@ void Reactor::CloseConn(const std::shared_ptr<ReactorConn>& conn, CloseReason re
   if (conn->closed_) return;
   conn->closed_ = true;
   {
-    // Flip alive under out_mu_ so no Enqueue can add bytes after the
+    // Flip alive under out_mu_ so no WriteSeq can add bytes after the
     // pending-out accounting settles below.
     std::lock_guard<std::mutex> lock(conn->out_mu_);
     conn->alive.store(false, std::memory_order_release);

@@ -94,50 +94,63 @@ void ScoringService::Respond(const Request& request, const CacheProbe& probe,
   thread_local JsonWriter response;
   response.Reset();
   if (request.Has("id")) response.String("id", request.Get("id"));
-  const Status status = Dispatch(request, probe, response);
+  bool ok = false;
+  Dispatch(request, probe, response, &ok);
+  metrics_.endpoint(probe.endpoint).RecordRequest(started.ElapsedSeconds(), ok);
+  response.FinishTo(out);
+}
+
+void ScoringService::Dispatch(const Request& request, const CacheProbe& probe,
+                              JsonWriter& response, bool* ok) {
+  Status status = Status::OK();
+  switch (probe.endpoint) {
+    case Endpoint::kScorePair:
+      status = HandleScorePair(request, probe, response);
+      break;
+    case Endpoint::kPredictCtr:
+      status = HandlePredictCtr(request, probe, response);
+      break;
+    case Endpoint::kExamine:
+      status = HandleExamine(request, response);
+      break;
+    case Endpoint::kReload:
+      status = HandleReload(request, response);
+      break;
+    case Endpoint::kStatsz:
+      status = HandleStatsz(response);
+      break;
+    case Endpoint::kMetricsz:
+      status = HandleMetricsz(response);
+      break;
+    case Endpoint::kHealthz:
+      status = HandleHealthz(response);
+      break;
+    case Endpoint::kReadyz:
+      status = HandleReadyz(response);
+      break;
+    case Endpoint::kPing:
+      break;
+    case Endpoint::kOther: {
+      const std::string_view type = request.Get("type");
+      if (type == "debug_sleep" && options_.allow_debug_sleep) {
+        int64_t ms = 0;
+        const std::string_view text = request.Get("ms", "0");
+        std::from_chars(text.data(), text.data() + text.size(), ms);
+        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+        break;
+      }
+      status = Status::InvalidArgument(
+          type.empty() ? "missing request field 'type'"
+                       : "unknown type '" + std::string(type) + "'");
+      break;
+    }
+  }
+  *ok = status.ok();
   if (status.ok()) {
     response.Bool("ok", true);
   } else {
     response.Bool("ok", false).String("error", status.message());
   }
-  metrics_.endpoint(probe.endpoint).RecordRequest(started.ElapsedSeconds(), status.ok());
-  response.FinishTo(out);
-}
-
-Status ScoringService::Dispatch(const Request& request, const CacheProbe& probe,
-                                JsonWriter& response) {
-  switch (probe.endpoint) {
-    case Endpoint::kScorePair:
-      return HandleScorePair(request, probe, response);
-    case Endpoint::kPredictCtr:
-      return HandlePredictCtr(request, probe, response);
-    case Endpoint::kExamine:
-      return HandleExamine(request, response);
-    case Endpoint::kReload:
-      return HandleReload(request, response);
-    case Endpoint::kStatsz:
-      return HandleStatsz(response);
-    case Endpoint::kMetricsz:
-      return HandleMetricsz(response);
-    case Endpoint::kHealthz:
-      return HandleHealthz(response);
-    case Endpoint::kReadyz:
-      return HandleReadyz(response);
-    case Endpoint::kPing:
-      return Status::OK();
-    case Endpoint::kOther:
-      break;
-  }
-  const std::string_view type = request.Get("type");
-  if (type == "debug_sleep" && options_.allow_debug_sleep) {
-    int64_t ms = 0;
-    const std::string_view text = request.Get("ms", "0");
-    std::from_chars(text.data(), text.data() + text.size(), ms);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return Status::OK();
-  }
-  return Status::InvalidArgument(type.empty() ? "missing request field 'type'"
-                                              : "unknown type '" + std::string(type) + "'");
 }
 
 Status ScoringService::HandleScorePair(const Request& request, const CacheProbe& probe,

@@ -117,7 +117,8 @@ class ScoringService {
   CacheStats point_cache_stats() const { return point_cache_.Stats(); }
 
  private:
-  Status Dispatch(const Request& request, const CacheProbe& probe, JsonWriter& response);
+  void Dispatch(const Request& request, const CacheProbe& probe, JsonWriter& response,
+                bool* ok);
   Status HandleScorePair(const Request& request, const CacheProbe& probe,
                          JsonWriter& response);
   Status HandlePredictCtr(const Request& request, const CacheProbe& probe,

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -18,15 +19,22 @@ namespace microbrowse {
 namespace serve {
 namespace {
 
+/// A counted lookup, as the service makes one: Peek, then Count the outcome.
+std::optional<double> Lookup(ShardedLruCache<double>& cache, uint64_t key) {
+  std::optional<double> value = cache.Peek(key);
+  cache.Count(key, value.has_value());
+  return value;
+}
+
 // Keys whose high 16 bits are zero all land in shard 0, making LRU order
 // across them exact and deterministic regardless of the shard count.
 constexpr uint64_t SameShardKey(uint64_t n) { return n; }
 
 TEST(ShardedLruCacheTest, GetMissThenHit) {
   ShardedLruCache<double> cache(/*capacity=*/8, /*num_shards=*/1);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  EXPECT_FALSE(Lookup(cache, 1).has_value());
   cache.Put(1, 0.5);
-  auto value = cache.Get(1);
+  auto value = Lookup(cache, 1);
   ASSERT_TRUE(value.has_value());
   EXPECT_DOUBLE_EQ(*value, 0.5);
   const CacheStats stats = cache.Stats();
@@ -39,7 +47,7 @@ TEST(ShardedLruCacheTest, PutRefreshesExistingKey) {
   ShardedLruCache<double> cache(/*capacity=*/8, /*num_shards=*/1);
   cache.Put(1, 0.5);
   cache.Put(1, 0.75);
-  auto value = cache.Get(1);
+  auto value = Lookup(cache, 1);
   ASSERT_TRUE(value.has_value());
   EXPECT_DOUBLE_EQ(*value, 0.75);
   EXPECT_EQ(cache.Stats().size, 1);
@@ -51,12 +59,12 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsed) {
   cache.Put(SameShardKey(2), 2.0);
   cache.Put(SameShardKey(3), 3.0);
   // Touch 1 so 2 becomes the LRU entry.
-  EXPECT_TRUE(cache.Get(SameShardKey(1)).has_value());
+  EXPECT_TRUE(Lookup(cache, SameShardKey(1)).has_value());
   cache.Put(SameShardKey(4), 4.0);
-  EXPECT_FALSE(cache.Get(SameShardKey(2)).has_value());
-  EXPECT_TRUE(cache.Get(SameShardKey(1)).has_value());
-  EXPECT_TRUE(cache.Get(SameShardKey(3)).has_value());
-  EXPECT_TRUE(cache.Get(SameShardKey(4)).has_value());
+  EXPECT_FALSE(Lookup(cache, SameShardKey(2)).has_value());
+  EXPECT_TRUE(Lookup(cache, SameShardKey(1)).has_value());
+  EXPECT_TRUE(Lookup(cache, SameShardKey(3)).has_value());
+  EXPECT_TRUE(Lookup(cache, SameShardKey(4)).has_value());
   EXPECT_EQ(cache.Stats().evictions, 1);
 }
 
@@ -64,9 +72,9 @@ TEST(ShardedLruCacheTest, ClearDropsEntriesButKeepsCounters) {
   ShardedLruCache<double> cache(/*capacity=*/8, /*num_shards=*/4);
   cache.Put(1, 1.0);
   cache.Put(uint64_t{5} << 48, 2.0);  // A different shard.
-  EXPECT_TRUE(cache.Get(1).has_value());
+  EXPECT_TRUE(Lookup(cache, 1).has_value());
   cache.Clear();
-  EXPECT_FALSE(cache.Get(1).has_value());
+  EXPECT_FALSE(Lookup(cache, 1).has_value());
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.size, 0);
   EXPECT_EQ(stats.hits, 1);  // Counters survive the flush.
@@ -76,7 +84,7 @@ TEST(ShardedLruCacheTest, ZeroCapacityDisables) {
   ShardedLruCache<double> cache(/*capacity=*/0);
   EXPECT_FALSE(cache.enabled());
   cache.Put(1, 1.0);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  EXPECT_FALSE(Lookup(cache, 1).has_value());
   EXPECT_EQ(cache.Stats().size, 0);
 }
 
@@ -88,8 +96,8 @@ TEST(ShardedLruCacheTest, SmallCapacityNotInflatedByShardCount) {
   tiny.Put(uint64_t{0} << 48, 0.0);
   tiny.Put(uint64_t{5} << 48, 5.0);  // Would be another shard pre-clamp.
   EXPECT_EQ(tiny.Stats().size, 1);
-  EXPECT_FALSE(tiny.Get(uint64_t{0} << 48).has_value());
-  EXPECT_TRUE(tiny.Get(uint64_t{5} << 48).has_value());
+  EXPECT_FALSE(Lookup(tiny, uint64_t{0} << 48).has_value());
+  EXPECT_TRUE(Lookup(tiny, uint64_t{5} << 48).has_value());
 
   // capacity=12 across 8 shards rounds the slice up (2 per shard): 12
   // hot entries fit even when they spread across every shard.
@@ -107,7 +115,7 @@ TEST(ShardedLruCacheTest, NonPowerOfTwoShardCountRoundsDown) {
   ShardedLruCache<double> cache(/*capacity=*/64, /*num_shards=*/7);
   for (uint64_t i = 0; i < 16; ++i) cache.Put(i << 48 | i, static_cast<double>(i));
   for (uint64_t i = 0; i < 16; ++i) {
-    EXPECT_TRUE(cache.Get(i << 48 | i).has_value()) << i;
+    EXPECT_TRUE(Lookup(cache, i << 48 | i).has_value()) << i;
   }
 }
 
@@ -119,7 +127,7 @@ TEST(ShardedLruCacheTest, ConcurrentPutGetIsSafe) {
       for (uint64_t i = 0; i < 2000; ++i) {
         const uint64_t key = (i % 64) << 48 | (i + static_cast<uint64_t>(w));
         cache.Put(key, static_cast<double>(i));
-        if (auto value = cache.Get(key)) {
+        if (auto value = Lookup(cache, key)) {
           // A concurrent refresh may have replaced the value, but it must
           // always be one some thread wrote for this key's i.
           EXPECT_GE(*value, 0.0);
@@ -155,9 +163,9 @@ TEST(ShardedLruCacheTest, GenerationChurnNeverServesStaleValues) {
     cache.Put(GenKey(2, payload), 200.0 + static_cast<double>(payload));
   }
   for (uint64_t payload = 0; payload < 16; ++payload) {
-    EXPECT_FALSE(cache.Get(GenKey(1, payload)).has_value())
+    EXPECT_FALSE(Lookup(cache, GenKey(1, payload)).has_value())
         << "stale generation-1 entry survived the flush, payload " << payload;
-    auto value = cache.Get(GenKey(2, payload));
+    auto value = Lookup(cache, GenKey(2, payload));
     ASSERT_TRUE(value.has_value()) << payload;
     EXPECT_DOUBLE_EQ(*value, 200.0 + static_cast<double>(payload));
   }
@@ -173,7 +181,7 @@ TEST(ShardedLruCacheTest, RepeatedChurnKeepsSizeBounded) {
       cache.Put(GenKey(generation, payload), static_cast<double>(generation));
     }
     EXPECT_LE(cache.Stats().size, 32) << "generation " << generation;
-    auto value = cache.Get(GenKey(generation, 0));
+    auto value = Lookup(cache, GenKey(generation, 0));
     if (value.has_value()) {
       EXPECT_DOUBLE_EQ(*value, static_cast<double>(generation));
     }
@@ -199,7 +207,7 @@ TEST(ShardedLruCacheTest, ClearRacingTrafficIsSafeAndNeverCrossesGenerations) {
         const double expected =
             static_cast<double>(generation) * 1000.0 + static_cast<double>(payload);
         cache.Put(key, expected);
-        if (auto value = cache.Get(key)) {
+        if (auto value = Lookup(cache, key)) {
           if (*value != expected) violations.fetch_add(1);
         }
       }
@@ -217,7 +225,7 @@ TEST(ShardedLruCacheTest, ClearRacingTrafficIsSafeAndNeverCrossesGenerations) {
   EXPECT_EQ(violations.load(), 0);
   // The cache still works after the churn storm.
   cache.Put(GenKey(99, 1), 42.0);
-  auto value = cache.Get(GenKey(99, 1));
+  auto value = Lookup(cache, GenKey(99, 1));
   ASSERT_TRUE(value.has_value());
   EXPECT_DOUBLE_EQ(*value, 42.0);
 }
