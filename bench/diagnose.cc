@@ -23,7 +23,7 @@ int main() {
   options.num_adgroups = static_cast<int>(EnvInt("MB_ADGROUPS", 1200));
   options.folds = 5;
   options.corpus.creative_noise_sigma =
-      static_cast<double>(EnvInt("MB_CNOISE_PCT", 10)) / 100.0;
+      static_cast<double>(EnvInt("MB_CNOISE_PCT", 10, /*min_value=*/0)) / 100.0;
   options.corpus.base_impressions = EnvInt("MB_IMPR", 400000);
   options.Normalize();
   auto pairs_r = MakePairCorpus(options, Placement::kTop);

@@ -27,7 +27,7 @@ int main() {
   ExperimentOptions options;
   options.num_adgroups = static_cast<int>(EnvInt("MB_ADGROUPS", 12000));
   options.folds = static_cast<int>(EnvInt("MB_FOLDS", 10));
-  options.seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026));
+  options.seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026, /*min_value=*/0));
 
   auto result = RunTable2(options);
   if (!result.ok()) {

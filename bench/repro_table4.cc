@@ -25,7 +25,7 @@ int main() {
   ExperimentOptions options;
   options.num_adgroups = static_cast<int>(EnvInt("MB_ADGROUPS", 6000));
   options.folds = static_cast<int>(EnvInt("MB_FOLDS", 5));
-  options.seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026));
+  options.seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026, /*min_value=*/0));
 
   auto result = RunTable4(options);
   if (!result.ok()) {

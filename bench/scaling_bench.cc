@@ -19,7 +19,7 @@ int main() {
   using namespace microbrowse;
 
   const int folds = static_cast<int>(EnvInt("MB_FOLDS", 4));
-  const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026));
+  const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026, /*min_value=*/0));
 
   TablePrinter table("SCALING: accuracy and runtime vs corpus size (M1 vs M6)");
   table.SetHeader({"Adgroups", "Pairs", "M1 acc", "M6 acc", "Gap", "Seconds"});

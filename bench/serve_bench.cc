@@ -403,7 +403,7 @@ void WriteBenchJson(const std::string& path, double worst_warm_speedup,
 int main() {
   const int adgroups = static_cast<int>(EnvInt("MB_ADGROUPS", 200));
   const int requests_per_worker = static_cast<int>(EnvInt("MB_REQUESTS", 500));
-  const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026));
+  const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026, /*min_value=*/0));
 
   // Train a bundle and stage it on disk the way mbserved consumes it.
   AdCorpusOptions corpus_options;
@@ -527,7 +527,7 @@ int main() {
   // transport's — event-loop scheduling, queue admission and outbox
   // flushing at connection counts where thread-per-connection would need
   // 10k stacks.
-  const int c10k_requested = static_cast<int>(EnvInt("MB_C10K_CONNS", 10'000));
+  const int c10k_requested = static_cast<int>(EnvInt("MB_C10K_CONNS", 10'000, /*min_value=*/0));
   const int c10k_rounds = static_cast<int>(std::max<int64_t>(1, EnvInt("MB_C10K_ROUNDS", 3)));
   const double c10k_p99_bound_ms =
       static_cast<double>(EnvInt("MB_C10K_P99_MS", 2000));

@@ -64,7 +64,7 @@ StreamStage RunStreamingStage(uint64_t seed) {
   stage.requested_pairs =
       static_cast<size_t>(std::max<int64_t>(1, EnvInt("MB_TRAIN_STREAM_PAIRS", 30000)));
   stage.shards = static_cast<size_t>(std::max<int64_t>(1, EnvInt("MB_TRAIN_STREAM_SHARDS", 16)));
-  stage.rss_cap_mb = static_cast<double>(EnvInt("MB_TRAIN_RSS_CAP_MB", 4096));
+  stage.rss_cap_mb = static_cast<double>(EnvInt("MB_TRAIN_RSS_CAP_MB", 4096, /*min_value=*/0));
   // The synthetic generator yields ~3 significant pairs per adgroup at the
   // default creative counts.
   stage.adgroups = std::max<size_t>(stage.shards, stage.requested_pairs / 3);
@@ -159,7 +159,7 @@ void WriteBenchJson(const std::string& path, const StreamStage& stream) {
 }  // namespace
 
 int main() {
-  const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026));
+  const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_SEED", 2026, /*min_value=*/0));
   const std::string out_path = [] {
     const char* env = std::getenv("MB_BENCH_OUT");
     return env != nullptr && *env != '\0' ? std::string(env) : std::string("BENCH_train.json");

@@ -16,12 +16,12 @@ void ExperimentOptions::Normalize() {
   pipeline.seed = seed ^ 0xfeedULL;
 }
 
-int64_t EnvInt(const char* name, int64_t fallback) {
+int64_t EnvInt(const char* name, int64_t fallback, int64_t min_value) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   char* end = nullptr;
   const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || parsed <= 0) return fallback;
+  if (end == value || parsed < min_value) return fallback;
   return static_cast<int64_t>(parsed);
 }
 

@@ -86,9 +86,11 @@ Result<Table4Result> RunTable4(const ExperimentOptions& options);
 /// common preamble of all drivers, exposed for examples and tests.
 Result<PairCorpus> MakePairCorpus(const ExperimentOptions& options, Placement placement);
 
-/// Reads a positive integer from the environment (for bench-time scaling);
-/// returns `fallback` when unset or unparsable.
-int64_t EnvInt(const char* name, int64_t fallback);
+/// Reads an integer of at least `min_value` from the environment (for
+/// bench-time scaling); returns `fallback` when unset, unparsable or below
+/// `min_value`. The default asks for a positive value; knobs where 0 means
+/// something (a stage that 0 skips, a seed, a 0% noise level) pass 0.
+int64_t EnvInt(const char* name, int64_t fallback, int64_t min_value = 1);
 
 }  // namespace microbrowse
 

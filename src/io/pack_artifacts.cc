@@ -9,12 +9,12 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
-#include <numeric>
 #include <sstream>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/trace.h"
+#include "pack/hash_index.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
 
@@ -54,6 +54,27 @@ void AddStringSections(pack::PackWriter* writer, uint32_t base,
   writer->AddSection(base + 1, std::move(bytes).Take());
 }
 
+/// Appends the hash index over `keys` (in the given order) as section
+/// `type`. InvalidArgument when a key repeats.
+Status AddIndexSection(pack::PackWriter* writer, uint32_t type,
+                       const std::vector<std::string_view>& keys) {
+  MB_ASSIGN_OR_RETURN(const std::vector<uint32_t> slots, pack::HashIndex::Build(keys));
+  pack::SectionBuilder builder;
+  builder.AppendArray(slots);
+  writer->AddSection(type, std::move(builder).Take());
+  return Status::OK();
+}
+
+/// Opens the hash index in section `type` over `keys`, validating it.
+Result<pack::HashIndex> LoadIndex(const pack::PackReader& reader, uint32_t type,
+                                  const pack::StringTable& keys, const std::string& what) {
+  size_t slot_count = 0;
+  MB_ASSIGN_OR_RETURN(const uint32_t* slots, reader.Array<uint32_t>(type, &slot_count));
+  Result<pack::HashIndex> index = pack::HashIndex::Open(slots, slot_count, keys.size());
+  if (!index.ok()) return BadPack(reader.path(), what + ": " + index.status().message());
+  return index;
+}
+
 /// Validates that `table` is strictly ascending — the invariant binary
 /// search needs, checked once at open so lookups can trust the mapping.
 Status CheckSorted(const std::string& path, const pack::StringTable& table,
@@ -68,20 +89,14 @@ Status CheckSorted(const std::string& path, const pack::StringTable& table,
 }
 
 /// Emits the five sections of one registry block (see pack_artifacts.h).
-void AddRegistrySections(pack::PackWriter* writer, uint32_t base, const FeatureRegistry& registry,
-                         const std::vector<double>& trained_weights) {
+Status AddRegistrySections(pack::PackWriter* writer, uint32_t base,
+                           const FeatureRegistry& registry,
+                           const std::vector<double>& trained_weights) {
   const size_t n = registry.size();
   std::vector<std::string_view> names(n);
   for (size_t i = 0; i < n; ++i) names[i] = registry.NameOf(static_cast<FeatureId>(i));
   AddStringSections(writer, base, names);
-
-  std::vector<uint32_t> sorted(n);
-  std::iota(sorted.begin(), sorted.end(), 0u);
-  std::sort(sorted.begin(), sorted.end(),
-            [&names](uint32_t a, uint32_t b) { return names[a] < names[b]; });
-  pack::SectionBuilder sorted_builder;
-  sorted_builder.AppendArray(sorted);
-  writer->AddSection(base + 2, std::move(sorted_builder).Take());
+  MB_RETURN_IF_ERROR(AddIndexSection(writer, base + 5, names));
 
   pack::SectionBuilder initial_builder;
   initial_builder.AppendArray(registry.InitialWeights());
@@ -90,6 +105,7 @@ void AddRegistrySections(pack::PackWriter* writer, uint32_t base, const FeatureR
   pack::SectionBuilder trained_builder;
   trained_builder.AppendArray(trained_weights);
   writer->AddSection(base + 4, std::move(trained_builder).Take());
+  return Status::OK();
 }
 
 /// Opens one registry block: attaches the in-place base layer to
@@ -103,23 +119,7 @@ Status LoadRegistryPack(const std::shared_ptr<const pack::PackReader>& reader, u
     return BadPack(path, what + ": name count " + std::to_string(names.size()) +
                              " != declared " + std::to_string(expected_count));
   }
-  size_t sorted_count = 0;
-  MB_ASSIGN_OR_RETURN(const uint32_t* sorted,
-                      reader->Array<uint32_t>(base + 2, &sorted_count));
-  if (sorted_count != names.size()) {
-    return BadPack(path, what + ": permutation count mismatch");
-  }
-  for (size_t i = 0; i < sorted_count; ++i) {
-    if (sorted[i] >= names.size()) {
-      return BadPack(path, what + ": permutation entry out of range");
-    }
-    // Strict ascent through the permutation implies every name is distinct
-    // and therefore that `sorted` visits each id exactly once.
-    if (i > 0 && !(names.at(sorted[i - 1]) < names.at(sorted[i]))) {
-      return BadPack(path, what + ": permutation not strictly ascending at index " +
-                               std::to_string(i));
-    }
-  }
+  MB_ASSIGN_OR_RETURN(const pack::HashIndex index, LoadIndex(*reader, base + 5, names, what));
   size_t initial_count = 0;
   MB_ASSIGN_OR_RETURN(const double* initial,
                       reader->Array<double>(base + 3, &initial_count));
@@ -133,7 +133,7 @@ Status LoadRegistryPack(const std::shared_ptr<const pack::PackReader>& reader, u
     return BadPack(path, what + ": trained-weight count mismatch");
   }
   trained->assign(trained_data, trained_data + trained_count);
-  registry->AttachPackBase(reader, names, sorted, initial);
+  registry->AttachPackBase(reader, names, index, initial);
   return Status::OK();
 }
 
@@ -178,6 +178,7 @@ Status SaveStatsPack(const FeatureStatsDb& db, const std::string& path) {
     }
     AddStringSections(&writer, StatsClassSection(c), keys);
     writer.AddSection(StatsClassSection(c) + 2, std::move(records).Take());
+    MB_RETURN_IF_ERROR(AddIndexSection(&writer, StatsClassSection(c) + 3, keys));
   }
   return writer.Finish(path);
 }
@@ -209,13 +210,14 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
       return BadPack(path, what + ": key/record/declared count mismatch");
     }
     MB_RETURN_IF_ERROR(CheckSorted(path, keys, what));
+    MB_ASSIGN_OR_RETURN(const pack::HashIndex index, LoadIndex(*reader, section + 3, keys, what));
     // The TSV loader's row check, once at open like the key order.
     for (size_t i = 0; i < record_count; ++i) {
       if (records[i].positive < 0 || records[i].total < records[i].positive) {
         return BadPack(path, what + ": invalid stat counts at index " + std::to_string(i));
       }
     }
-    base[static_cast<size_t>(c)] = FeatureStatsDb::BaseClass{keys, records};
+    base[static_cast<size_t>(c)] = FeatureStatsDb::BaseClass{keys, index, records};
   }
   db.AttachPackBase(std::move(reader), base);
   db.BuildRewriteFilter();
@@ -238,8 +240,8 @@ Status SaveClassifierPack(const SnippetClassifierModel& model,
   pack::SectionBuilder meta_builder;
   meta_builder.AppendPod(meta);
   writer.AddSection(kSecModelMeta, std::move(meta_builder).Take());
-  AddRegistrySections(&writer, kSecTRegistry, t_registry, model.t_weights);
-  AddRegistrySections(&writer, kSecPRegistry, p_registry, model.p_weights);
+  MB_RETURN_IF_ERROR(AddRegistrySections(&writer, kSecTRegistry, t_registry, model.t_weights));
+  MB_RETURN_IF_ERROR(AddRegistrySections(&writer, kSecPRegistry, p_registry, model.p_weights));
   return writer.Finish(path);
 }
 
@@ -287,12 +289,15 @@ Result<std::string> DescribePack(const std::string& path) {
       if (type == base) return "stats-c" + std::to_string(c) + "-key-offsets";
       if (type == base + 1) return "stats-c" + std::to_string(c) + "-key-bytes";
       if (type == base + 2) return "stats-c" + std::to_string(c) + "-records";
+      if (type == base + 3) return "stats-c" + std::to_string(c) + "-key-index";
     }
     for (const auto& [base, tag] :
          {std::pair<uint32_t, const char*>{kSecTRegistry, "t"}, {kSecPRegistry, "p"}}) {
-      static constexpr const char* kPart[] = {"name-offsets", "name-bytes", "sorted-ids",
-                                              "initial-weights", "trained-weights"};
-      if (type >= base && type < base + 5) {
+      // +2 is retired (format 1's sorted permutation).
+      static constexpr const char* kPart[] = {"name-offsets",    "name-bytes",
+                                              nullptr,           "initial-weights",
+                                              "trained-weights", "name-index"};
+      if (type >= base && type < base + 6 && kPart[type - base] != nullptr) {
         return std::string(tag) + "-registry-" + kPart[type - base];
       }
     }

@@ -4,8 +4,8 @@
 // feature-statistics database and the trained classifier — are laid out
 // inside the generic mbpack container (src/pack). TSV artifacts
 // (io/serialization.h) remain the greppable interchange format; packs are
-// the *serving* format: a single mmap at open, binary-search lookups
-// straight off the mapping, and no per-record parsing.
+// the *serving* format: a single mmap at open, hash-indexed lookups
+// straight off the mapping, and no per-record parsing or hashing at load.
 //
 // Section-id registry (unique within one pack; ids are frozen once shipped):
 //
@@ -14,20 +14,23 @@
 //     20 + 4c + 0            class-c key offsets   (uint64, count+1 entries)
 //     20 + 4c + 1            class-c key bytes     (concatenated, sorted)
 //     20 + 4c + 2            class-c records       (FeatureStat, key order)
+//     20 + 4c + 3            class-c key index     (pack/hash_index.h slots)
 //   for n-gram classes c in 0..kNumStatsClasses-1 (see StatsKeyClass).
 //
 //   classifier pack ("model.mbp")
 //     40                     ModelMeta
 //     50/60 + 0              T/P registry name offsets (uint64, id order)
 //     50/60 + 1              T/P registry name bytes
-//     50/60 + 2              T/P sorted permutation    (uint32, lookup index)
+//     50/60 + 2              retired: format 1's sorted permutation
 //     50/60 + 3              T/P initial weights       (double, id order)
 //     50/60 + 4              T/P trained weights       (double, id order)
+//     50/60 + 5              T/P name index            (pack/hash_index.h slots)
 //
-// Registry names are stored in *id order* with a separate sorted
-// permutation, so a pack-backed FeatureRegistry assigns exactly the ids the
-// TSV loader would — trained weight vectors, and therefore scores, are
-// bitwise-identical across the two read paths.
+// Registry names are stored in *id order* and their index maps a name
+// straight to its id, so a pack-backed FeatureRegistry assigns exactly the
+// ids the TSV loader would — trained weight vectors, and therefore scores,
+// are bitwise-identical across the two read paths. Stats keys stay sorted
+// within each class for the "rw:" range scan and ForEach order.
 
 #ifndef MICROBROWSE_IO_PACK_ARTIFACTS_H_
 #define MICROBROWSE_IO_PACK_ARTIFACTS_H_
@@ -44,14 +47,15 @@ namespace microbrowse {
 // --- Section ids (see the registry in the header comment).
 
 inline constexpr uint32_t kSecStatsMeta = 10;
-/// First section id of stats class `c`; +0 offsets, +1 bytes, +2 records.
+/// First section id of stats class `c`; +0 offsets, +1 bytes, +2 records,
+/// +3 key index.
 inline constexpr uint32_t StatsClassSection(int c) {
   return 20 + 4 * static_cast<uint32_t>(c);
 }
 
 inline constexpr uint32_t kSecModelMeta = 40;
-/// First section id of a registry block; +0 offsets, +1 bytes, +2 sorted
-/// permutation, +3 initial weights, +4 trained weights.
+/// First section id of a registry block; +0 offsets, +1 bytes, +3 initial
+/// weights, +4 trained weights, +5 name index (+2 is retired).
 inline constexpr uint32_t kSecTRegistry = 50;
 inline constexpr uint32_t kSecPRegistry = 60;
 
@@ -76,9 +80,9 @@ static_assert(sizeof(ModelMeta) == 24);
 Status SaveStatsPack(const FeatureStatsDb& db, const std::string& path);
 
 /// Opens a stats pack for in-place serving: one mmap, per-class sorted key
-/// tables and record arrays attached as the database's immutable base
-/// layer. Nothing is copied; the returned database keeps the mapping
-/// alive.
+/// tables, their hash indexes and record arrays attached as the database's
+/// immutable base layer. Nothing is copied or hashed; the returned
+/// database keeps the mapping alive.
 Result<FeatureStatsDb> LoadStatsPack(const std::string& path);
 
 /// Writes a trained classifier + registries as a classifier pack.
@@ -86,7 +90,7 @@ Status SaveClassifierPack(const SnippetClassifierModel& model,
                           const FeatureRegistry& t_registry, const FeatureRegistry& p_registry,
                           const std::string& path);
 
-/// Opens a classifier pack: registry names / permutations / initial
+/// Opens a classifier pack: registry names / name indexes / initial
 /// weights are served straight from the mapping; the dense trained weight
 /// vectors are memcpy'd into the model (zero parsing — see DESIGN.md
 /// section 14 for the tradeoff).

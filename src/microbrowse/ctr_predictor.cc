@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "microbrowse/feature_keys.h"
-#include "text/ngram.h"
 
 namespace microbrowse {
 
@@ -15,44 +14,50 @@ CtrPredictor::CtrPredictor(const SnippetClassifierModel& model,
                            const FeatureRegistry& t_registry,
                            const FeatureRegistry& p_registry, const FeatureStatsDb* db,
                            CtrPredictorOptions options)
-    : model_(&model),
-      t_registry_(&t_registry),
-      p_registry_(&p_registry),
-      db_(db),
-      options_(options) {}
-
-double CtrPredictor::Visibility(const PositionKey& position) const {
-  const FeatureId id = p_registry_->Find(TermPositionKey(position));
-  if (id != kInvalidFeatureId && id < model_->p_weights.size()) {
-    return model_->p_weights[id];
+    : model_(&model), t_registry_(&t_registry), db_(db), options_(options) {
+  for (int line = 0; line <= kMaxLineBucket; ++line) {
+    for (int bucket = 0; bucket < kBuckets; ++bucket) {
+      const FeatureId id = p_registry.Find(TermPositionKey(PositionKey{line, bucket}));
+      visibility_[line * kBuckets + bucket] =
+          id != kInvalidFeatureId && id < model.p_weights.size()
+              ? model.p_weights[id]
+              : options_.fallback_curve.Probability(line, bucket);
+    }
   }
-  return options_.fallback_curve.Probability(position.line, position.bucket);
+}
+
+double CtrPredictor::SpanScore(const Snippet& snippet, const TermSpan& span,
+                               FeatureKeyBuffer* key) const {
+  // Prefer the positioned conjunction weight when the model has one;
+  // otherwise the plain term weight times the learned visibility.
+  const FeatureId conj = t_registry_->Find(key->TermConjunction(snippet, span));
+  if (conj != kInvalidFeatureId && conj < model_->t_weights.size() &&
+      model_->t_weights[conj] != 0.0) {
+    return model_->t_weights[conj];
+  }
+  double term_weight = 0.0;
+  const std::string_view term_key = key->Term(snippet, span);
+  const FeatureId plain = t_registry_->Find(term_key);
+  if (plain != kInvalidFeatureId && plain < model_->t_weights.size()) {
+    term_weight = model_->t_weights[plain];
+  } else if (db_ != nullptr) {
+    term_weight = db_->LogOdds(term_key);
+  }
+  const PositionKey position = MakePositionKey(span);
+  return term_weight * visibility_[position.line * kBuckets + position.bucket];
 }
 
 double CtrPredictor::Score(const Snippet& snippet) const {
   double score = 0.0;
   FeatureKeyBuffer key;
-  for (const TermSpan& span : ExtractNGrams(snippet, options_.max_ngram)) {
-    const PositionKey position = MakePositionKey(span);
-    // Prefer the positioned conjunction weight when the model has one;
-    // otherwise the plain term weight times the learned visibility.
-    double term_weight = 0.0;
-    bool positioned = false;
-    const FeatureId conj = t_registry_->Find(key.TermConjunction(snippet, span));
-    if (conj != kInvalidFeatureId && conj < model_->t_weights.size() &&
-        model_->t_weights[conj] != 0.0) {
-      term_weight = model_->t_weights[conj];
-      positioned = true;
-    } else {
-      const std::string_view term_key = key.Term(snippet, span);
-      const FeatureId plain = t_registry_->Find(term_key);
-      if (plain != kInvalidFeatureId && plain < model_->t_weights.size()) {
-        term_weight = model_->t_weights[plain];
-      } else if (db_ != nullptr) {
-        term_weight = db_->LogOdds(term_key);
+  // ExtractNGrams' spans, in its order, without storing them.
+  for (int line = 0; line < snippet.num_lines(); ++line) {
+    const int line_size = static_cast<int>(snippet.line(line).size());
+    for (int pos = 0; pos < line_size; ++pos) {
+      for (int len = 1; len <= std::min(options_.max_ngram, line_size - pos); ++len) {
+        score += SpanScore(snippet, TermSpan{line, pos, len}, &key);
       }
     }
-    score += positioned ? term_weight : term_weight * Visibility(position);
   }
   return score;
 }
@@ -121,11 +126,15 @@ Result<ExaminationCurve> FitExaminationCurve(
   const double slope = sxx > 1e-12 ? sxy / sxx : 0.0;
   // Clamp to a meaningful decay in (0, 1].
   const double decay = std::clamp(std::exp(slope), 0.05, 1.0);
+  // The intercepts that fit the slope the curve uses, clamped or not: with
+  // the raw slope, a clamped fit would skew each base by its line's mean
+  // position.
+  const double used_slope = std::log(decay);
 
   std::vector<double> bases(lines, 0.0);
   double max_base = 0.0;
   for (size_t l = 0; l < lines; ++l) {
-    bases[l] = count[l] > 0 ? std::exp(logw_mean[l] - slope * pos_mean[l]) : 0.0;
+    bases[l] = count[l] > 0 ? std::exp(logw_mean[l] - used_slope * pos_mean[l]) : 0.0;
     max_base = std::max(max_base, bases[l]);
   }
   if (max_base <= 0.0) {

@@ -14,6 +14,7 @@
 #ifndef MICROBROWSE_MICROBROWSE_CTR_PREDICTOR_H_
 #define MICROBROWSE_MICROBROWSE_CTR_PREDICTOR_H_
 
+#include <array>
 #include <vector>
 
 #include "common/result.h"
@@ -39,7 +40,9 @@ class CtrPredictor {
   /// with a coupled-position configuration. Nothing is copied: the
   /// predictor reads `model`, both registries and `db` in place, so all of
   /// them must outlive it (a serving bundle owns them next to its
-  /// predictor).
+  /// predictor). The visibility of every bucketed position is looked up
+  /// here, once, so the position weights and `p_registry` must not change
+  /// afterwards.
   CtrPredictor(const SnippetClassifierModel& model, const FeatureRegistry& t_registry,
                const FeatureRegistry& p_registry, const FeatureStatsDb* db = nullptr,
                CtrPredictorOptions options = {});
@@ -52,14 +55,19 @@ class CtrPredictor {
   std::vector<size_t> Rank(const std::vector<Snippet>& snippets) const;
 
  private:
-  /// Learned visibility of a position, falling back to the curve.
-  double Visibility(const PositionKey& position) const;
+  static constexpr int kBuckets = kMaxPosBucket + 1;
+
+  /// The score term of one n-gram, spelling its keys into `key`.
+  double SpanScore(const Snippet& snippet, const TermSpan& span, FeatureKeyBuffer* key) const;
 
   const SnippetClassifierModel* model_;  ///< Not owned.
   const FeatureRegistry* t_registry_;    ///< Not owned.
-  const FeatureRegistry* p_registry_;    ///< Not owned.
   const FeatureStatsDb* db_;             ///< Optional; not owned. May be null.
   CtrPredictorOptions options_;
+  /// Visibility of position (line, bucket) at [line * kBuckets + bucket]:
+  /// the learned position weight when the P registry has one inside the
+  /// trained vector, else the fallback curve.
+  std::array<double, (kMaxLineBucket + 1) * kBuckets> visibility_{};
 };
 
 /// Fits the parametric examination curve p(line, pos) = base[line] *

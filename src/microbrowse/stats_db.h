@@ -23,6 +23,7 @@
 #include "common/bloom_filter.h"
 #include "common/math_util.h"
 #include "microbrowse/pair.h"
+#include "pack/hash_index.h"
 #include "pack/pack_reader.h"
 
 namespace microbrowse {
@@ -86,8 +87,9 @@ using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash
 /// term / rewrite / position statistics share one namespace-prefixed map.
 ///
 /// Like FeatureRegistry, the store has up to two layers: an optional
-/// immutable mmap-backed base (per-class sorted key tables + FeatureStat
-/// record arrays read in place from an mbpack artifact) and the ordinary
+/// immutable mmap-backed base (per-class sorted key tables, their stored
+/// hash indexes and FeatureStat record arrays, all read in place from an
+/// mbpack artifact) and the ordinary
 /// heap map. Read accessors consult the heap first, then the base; the
 /// mutating builders (AddObservation & friends) always write the heap map
 /// and are not meant for pack-backed instances — the serving read path
@@ -141,8 +143,8 @@ class FeatureStatsDb {
     }
     if (base_total_ > 0) {
       const BaseClass& cls = base_[static_cast<size_t>(StatsKeyClass(key))];
-      const size_t index = cls.keys.Find(key);
-      if (index != pack::StringTable::kNotFound) return &cls.records[index];
+      const size_t index = cls.index.Find(cls.keys, key);
+      if (index != pack::HashIndex::kNotFound) return &cls.records[index];
     }
     return nullptr;
   }
@@ -222,9 +224,12 @@ class FeatureStatsDb {
   }
 
   /// One immutable per-class view into a stats pack: `keys` sorted
-  /// ascending, `records[i]` the stat of `keys.at(i)`.
+  /// ascending (the "rw:" range scan and ForEach order rely on it),
+  /// `index` the stored hash index over them that Find probes, and
+  /// `records[i]` the stat of `keys.at(i)`.
   struct BaseClass {
     pack::StringTable keys;
+    pack::HashIndex index;
     const FeatureStat* records = nullptr;
   };
 

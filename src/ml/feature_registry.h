@@ -8,7 +8,7 @@
 // A registry has up to two layers:
 //
 //   base     — an optional immutable, mmap-backed table from an mbpack
-//              artifact (names, a sorted lookup permutation and initial
+//              artifact (names, their stored hash index and initial
 //              weights all read in place; see io/pack_artifacts.h). Base
 //              ids are 0 .. base_size()-1, identical to the ids the same
 //              artifact produces through the heap loader, so trained
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "ml/sparse_vector.h"
+#include "pack/hash_index.h"
 #include "pack/pack_reader.h"
 
 namespace microbrowse {
@@ -61,8 +62,8 @@ class FeatureRegistry {
   FeatureId Intern(std::string_view name, double initial_weight = 0.0);
 
   /// Id of `name`, or kInvalidFeatureId when absent. Never allocates: base
-  /// lookups are a binary search over the pack's sorted permutation, and
-  /// the overlay is probed with the view itself.
+  /// lookups probe the pack's stored hash index, and the overlay is probed
+  /// with the view itself.
   FeatureId Find(std::string_view name) const;
 
   /// Name of `id`; `id` must be valid. The view borrows either the mapped
@@ -95,13 +96,12 @@ class FeatureRegistry {
   }
 
   /// Installs the immutable base layer. `names` holds every base feature
-  /// name in *id order*; `sorted_ids` is a permutation of 0..names.size()-1
-  /// such that names.at(sorted_ids[i]) ascends (the binary-search index);
-  /// `initial_weights` is dense in id order. All three borrow `pack`'s
-  /// mapping, which this registry keeps alive. Must be called on an empty
-  /// registry, at most once.
+  /// name in *id order*; `index` is the hash index over `names` (so a hit
+  /// is the id); `initial_weights` is dense in id order. All three borrow
+  /// `pack`'s mapping, which this registry keeps alive. Must be called on
+  /// an empty registry, at most once.
   void AttachPackBase(std::shared_ptr<const pack::PackReader> pack,
-                      pack::StringTable names, const uint32_t* sorted_ids,
+                      pack::StringTable names, pack::HashIndex index,
                       const double* initial_weights);
 
   /// Number of features in the immutable base layer (0 when heap-only).
@@ -120,7 +120,7 @@ class FeatureRegistry {
   // anchors the mapped memory every view below points into.
   std::shared_ptr<const pack::PackReader> pack_;
   pack::StringTable base_names_;
-  const uint32_t* base_sorted_ = nullptr;
+  pack::HashIndex base_index_;
   const double* base_init_ = nullptr;
   FeatureId base_count_ = 0;
 };

@@ -51,8 +51,11 @@ inline constexpr char kHeaderMagic[8] = {'M', 'B', 'P', 'A', 'C', 'K', '1', '\0'
 /// First 8 bytes of the footer.
 inline constexpr char kFooterMagic[8] = {'M', 'B', 'P', 'K', 'E', 'N', 'D', '\0'};
 
-/// Bumped on any incompatible layout change.
-inline constexpr uint32_t kFormatVersion = 1;
+/// Bumped on any incompatible layout change. Version 2 stores a hash index
+/// (pack/hash_index.h) beside every string table that serving looks keys
+/// up in and drops version 1's sorted registry permutation; readers refuse
+/// every other version.
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Written as a native uint32; reads back as 0x01020304 only on a machine
 /// with the writer's byte order.

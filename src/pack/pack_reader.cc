@@ -32,11 +32,6 @@ size_t StringTable::LowerBound(std::string_view key) const {
   return lo;
 }
 
-size_t StringTable::Find(std::string_view key) const {
-  const size_t index = LowerBound(key);
-  return index < count_ && at(index) == key ? index : kNotFound;
-}
-
 Result<std::shared_ptr<const PackReader>> PackReader::Open(const std::string& path) {
   MB_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
   const uint8_t* data = file.data();

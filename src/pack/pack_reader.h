@@ -8,7 +8,10 @@
 //   auto reader = PackReader::Open("stats.mbp");
 //   MB_ASSIGN_OR_RETURN(auto counts, (*reader)->Array<int64_t>(kMySection));
 //   MB_ASSIGN_OR_RETURN(auto names, (*reader)->Strings(kOffsets, kBytes));
-//   size_t i = names.Find("t:cheap flights");   // binary search, sorted tables
+//   std::string_view first = names.at(0);
+//
+// Key lookups go through a stored hash index (pack/hash_index.h) written
+// next to the table; LowerBound serves range scans of sorted tables.
 //
 // Views borrow the mapping: callers keep the shared_ptr<const PackReader>
 // alive for as long as any view (or pointer derived from one) is in use.
@@ -47,13 +50,6 @@ class StringTable {
     return std::string_view(bytes_ + offsets_[i],
                             static_cast<size_t>(offsets_[i + 1] - offsets_[i]));
   }
-
-  /// Sentinel returned by Find when `key` is absent.
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-
-  /// Binary search; valid only when the table was written in ascending
-  /// lexicographic order. Returns the index of `key` or kNotFound.
-  size_t Find(std::string_view key) const;
 
   /// Index of the first entry not less than `key` (size() when none), for
   /// a sorted table.

@@ -90,7 +90,16 @@ TEST(ExperimentsTest, EnvIntParsesAndFallsBack) {
   EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 5), 5);
   ::setenv("MB_TEST_ENV_INT", "-3", 1);
   EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 5), 5);
+  EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 5, /*min_value=*/0), 5);
+  // 0 is below the default minimum but a value where the caller allows it
+  // (serve_bench's MB_C10K_CONNS=0 skips the c10k stage).
+  ::setenv("MB_TEST_ENV_INT", "0", 1);
+  EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 5), 5);
+  EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 10000, /*min_value=*/0), 0);
+  ::setenv("MB_TEST_ENV_INT", "", 1);
+  EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 10000, /*min_value=*/0), 10000);
   ::unsetenv("MB_TEST_ENV_INT");
+  EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 7, /*min_value=*/0), 7);
   EXPECT_EQ(EnvInt("MB_TEST_ENV_INT", 7), 7);
 }
 

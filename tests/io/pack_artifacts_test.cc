@@ -14,21 +14,30 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "io/atomic_file.h"
 
+#include "common/random.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
 #include "microbrowse/stats_db.h"
+#include "pack/hash_index.h"
+#include "pack/pack_reader.h"
+#include "pack/pack_writer.h"
 
 namespace microbrowse {
 namespace {
@@ -258,6 +267,199 @@ TEST_F(PackArtifactsTest, StatsPackRejectsInvalidCounts) {
     EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
     EXPECT_NE(loaded.status().message().find("invalid stat counts"), std::string::npos)
         << loaded.status().message();
+  }
+}
+
+/// Keys that the tables mostly lack, derived from `key` with a seeded
+/// generator: one byte longer, one shorter, one byte changed, and a
+/// random tail after the key's first bytes.
+std::vector<std::string> NearMisses(std::string_view key, Rng* rng) {
+  std::vector<std::string> misses;
+  misses.push_back(std::string(key) + static_cast<char>('a' + rng->UniformInt(0, 25)));
+  if (!key.empty()) misses.emplace_back(key.substr(0, key.size() - 1));
+  std::string changed(key);
+  if (!changed.empty()) {
+    changed[rng->UniformInt(0, static_cast<int>(changed.size()) - 1)] ^= 0x01;
+  }
+  misses.push_back(changed);
+  std::string tail(key.substr(0, std::min<size_t>(key.size(), 3)));
+  for (int i = 0, n = rng->UniformInt(0, 12); i < n; ++i) {
+    tail += static_cast<char>('a' + rng->UniformInt(0, 25));
+  }
+  misses.push_back(tail);
+  return misses;
+}
+
+/// Pack-backed Find equals heap Find for every key of `heap` and for
+/// near misses of each; returns how many absent keys were probed.
+size_t ExpectSameStatsFinds(const FeatureStatsDb& heap, const FeatureStatsDb& packed,
+                            uint64_t seed) {
+  Rng rng(seed);
+  size_t absent = 0;
+  heap.ForEach([&](std::string_view key, const FeatureStat& stat) {
+    const FeatureStat* found = packed.Find(key);
+    ASSERT_NE(found, nullptr) << key;
+    EXPECT_EQ(found->positive, stat.positive) << key;
+    EXPECT_EQ(found->total, stat.total) << key;
+    for (const std::string& miss : NearMisses(key, &rng)) {
+      const FeatureStat* want = heap.Find(miss);
+      const FeatureStat* got = packed.Find(miss);
+      ASSERT_EQ(got == nullptr, want == nullptr) << miss;
+      if (want == nullptr) {
+        ++absent;
+      } else {
+        EXPECT_EQ(got->total, want->total) << miss;
+      }
+    }
+  });
+  return absent;
+}
+
+/// The same for a registry: every name maps to the same id, near misses
+/// to the same id or to none.
+size_t ExpectSameRegistryFinds(const FeatureRegistry& heap, const FeatureRegistry& packed,
+                               uint64_t seed) {
+  Rng rng(seed);
+  size_t absent = 0;
+  EXPECT_EQ(packed.base_size(), heap.size());
+  for (size_t id = 0; id < heap.size(); ++id) {
+    const std::string_view name = heap.NameOf(static_cast<FeatureId>(id));
+    EXPECT_EQ(packed.Find(name), static_cast<FeatureId>(id)) << name;
+    for (const std::string& miss : NearMisses(name, &rng)) {
+      const FeatureId want = heap.Find(miss);
+      EXPECT_EQ(packed.Find(miss), want) << miss;
+      absent += want == kInvalidFeatureId ? 1 : 0;
+    }
+  }
+  return absent;
+}
+
+TEST_F(PackArtifactsTest, PackIndexFindEqualsHeapFindForEveryKey) {
+  auto packed_db = LoadStatsPack(*dir_ + "/stats.mbp");
+  auto tsv_model = LoadClassifier(*dir_ + "/model.txt");
+  auto packed_model = LoadClassifierPack(*dir_ + "/model.mbp");
+  ASSERT_TRUE(packed_db.ok() && tsv_model.ok() && packed_model.ok());
+  EXPECT_GT(ExpectSameStatsFinds(*db_, *packed_db, 31), db_->size());
+  EXPECT_GT(ExpectSameRegistryFinds(tsv_model->t_registry, packed_model->t_registry, 32),
+            tsv_model->t_registry.size());
+  EXPECT_GT(ExpectSameRegistryFinds(tsv_model->p_registry, packed_model->p_registry, 33),
+            tsv_model->p_registry.size());
+}
+
+TEST_F(PackArtifactsTest, PackIndexHandlesEmptyClassesOneKeyTablesAndSharedPrefixes) {
+  // Class 0 holds one key, class 2 (bigrams) none, and classes 1 and 3 hold
+  // keys that agree on their first 300 bytes.
+  const std::string prefix(300, 'q');
+  FeatureStatsDb db;
+  db.SetStat("rw:a=>b", 3, 7);
+  for (int i = 0; i < 150; ++i) {
+    db.SetStat("t:" + prefix + std::to_string(i), i, 2 * i + 1);
+    db.SetStat("t:" + prefix + " x y" + std::to_string(i), 1, 3);
+  }
+  const std::string stats_path = *dir_ + "/edge_stats.mbp";
+  ASSERT_TRUE(SaveStatsPack(db, stats_path).ok());
+  auto packed_db = LoadStatsPack(stats_path);
+  ASSERT_TRUE(packed_db.ok()) << packed_db.status().ToString();
+  EXPECT_EQ(packed_db->size(), db.size());
+  EXPECT_GT(ExpectSameStatsFinds(db, *packed_db, 41), 0u);
+  EXPECT_EQ(packed_db->Find("t:a b"), nullptr);  // Empty class 2.
+
+  FeatureRegistry t_registry, p_registry;
+  for (int i = 0; i < 500; ++i) t_registry.Intern("tp:" + prefix + std::to_string(i), 0.5);
+  p_registry.Intern("p:0:0", 0.25);
+  SnippetClassifierModel model;
+  model.t_weights.assign(t_registry.size(), 1.0);
+  model.p_weights.assign(p_registry.size(), 0.75);
+  const std::string model_path = *dir_ + "/edge_model.mbp";
+  ASSERT_TRUE(SaveClassifierPack(model, t_registry, p_registry, model_path).ok());
+  auto packed_model = LoadClassifierPack(model_path);
+  ASSERT_TRUE(packed_model.ok()) << packed_model.status().ToString();
+  EXPECT_GT(ExpectSameRegistryFinds(t_registry, packed_model->t_registry, 42), 0u);
+  EXPECT_GT(ExpectSameRegistryFinds(p_registry, packed_model->p_registry, 43), 0u);
+  EXPECT_EQ(packed_model->p_registry.Find("p:0:1"), kInvalidFeatureId);
+}
+
+/// Copies the pack at `from` to `to` through pack::PackWriter, so every
+/// checksum is valid, with section `type`'s slots passed through `mutate`.
+void RewriteIndexSection(const std::string& from, const std::string& to, uint32_t type,
+                         const std::function<void(std::vector<uint32_t>*)>& mutate) {
+  auto reader = pack::PackReader::Open(from);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  pack::PackWriter writer;
+  for (const auto& section : (*reader)->sections()) {
+    auto payload = (*reader)->Section(section.type);
+    ASSERT_TRUE(payload.ok());
+    if (section.type != type) {
+      writer.AddSection(section.type, std::string(*payload));
+      continue;
+    }
+    std::vector<uint32_t> slots(payload->size() / sizeof(uint32_t));
+    std::memcpy(slots.data(), payload->data(), payload->size());
+    mutate(&slots);
+    pack::SectionBuilder builder;
+    builder.AppendArray(slots);
+    writer.AddSection(type, std::move(builder).Take());
+  }
+  ASSERT_TRUE(writer.Finish(to).ok());
+}
+
+TEST_F(PackArtifactsTest, CorruptPackIndexIsATypedIOError) {
+  struct Corruption {
+    const char* name;
+    std::function<void(std::vector<uint32_t>*)> mutate;
+    const char* reason;
+  };
+  // Slot values: 0 is empty, otherwise the low bits hold index + 1.
+  auto first_empty = [](std::vector<uint32_t>* slots) {
+    return std::find(slots->begin(), slots->end(), 0u);
+  };
+  auto first_used = [](std::vector<uint32_t>* slots) {
+    return std::find_if(slots->begin(), slots->end(), [](uint32_t v) { return v != 0; });
+  };
+  const std::vector<Corruption> corruptions = {
+      {"index out of range",
+       [&](std::vector<uint32_t>* slots) {
+         // One past the last index (the occupied slots count the keys).
+         const auto keys = std::count_if(slots->begin(), slots->end(),
+                                         [](uint32_t v) { return v != 0; });
+         *first_empty(slots) = static_cast<uint32_t>(keys + 1);
+       },
+       "out of range"},
+      {"duplicated index",
+       [&](std::vector<uint32_t>* slots) { *first_empty(slots) = *first_used(slots); },
+       "appears in two slots"},
+      {"no empty slot",
+       [](std::vector<uint32_t>* slots) {
+         // A power-of-two run of distinct valid indexes with no empty slot
+         // between them: a full table whose probes would never stop.
+         std::vector<uint32_t> used;
+         for (uint32_t v : *slots) {
+           if (v != 0) used.push_back(v);
+         }
+         used.resize(std::bit_floor(used.size()));
+         *slots = used;
+       },
+       "no empty slot"},
+      {"slot count not a power of two",
+       [](std::vector<uint32_t>* slots) { slots->push_back(0); }, "not a power of two"},
+  };
+  const std::vector<std::tuple<std::string, uint32_t, bool>> targets = {
+      {"/stats.mbp", StatsClassSection(0) + 3, true},
+      {"/model.mbp", kSecTRegistry + 5, false},
+      {"/model.mbp", kSecPRegistry + 5, false},
+  };
+  for (const auto& [file, section, is_stats] : targets) {
+    for (const Corruption& corruption : corruptions) {
+      SCOPED_TRACE(file + " section " + std::to_string(section) + ": " + corruption.name);
+      const std::string path = *dir_ + "/corrupt_index.mbp";
+      RewriteIndexSection(*dir_ + file, path, section, corruption.mutate);
+      const Status status =
+          is_stats ? LoadStatsPack(path).status() : LoadClassifierPack(path).status();
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+      EXPECT_NE(status.message().find(corruption.reason), std::string::npos)
+          << status.ToString();
+    }
   }
 }
 

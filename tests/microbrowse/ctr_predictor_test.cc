@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "corpus/generator.h"
@@ -155,6 +156,38 @@ TEST(FitExaminationCurveTest, HandlesNansAndNegatives) {
   auto curve = FitExaminationCurve(grid);
   ASSERT_TRUE(curve.ok());
   EXPECT_GT(curve->line_bases()[0], curve->line_bases()[1]);
+}
+
+TEST(FitExaminationCurveTest, RisingWeightsGiveAFlatCurveAtEachLinesGeometricMean) {
+  // Weights that rise with position clamp the decay to 1, so the curve is
+  // flat within a line, and each line's base must be the intercept for that
+  // slope: its geometric-mean weight. The lines cover different positions,
+  // so intercepts taken with the unclamped (rising) slope would skew the
+  // bases by each line's mean position.
+  const std::vector<std::vector<double>> grid = {
+      {0.30, 0.36, 0.42, 0.48, 0.54, 0.60},
+      {0.40, 0.50},
+      {0.20, 0.25, 0.30, 0.35},
+  };
+  const double peak = 0.9;
+  auto curve = FitExaminationCurve(grid, peak);
+  ASSERT_TRUE(curve.ok());
+  EXPECT_EQ(curve->pos_decay(), 1.0);
+  std::vector<double> geometric_means;
+  for (const std::vector<double>& line : grid) {
+    double log_sum = 0.0;
+    for (double w : line) log_sum += std::log(w);
+    geometric_means.push_back(std::exp(log_sum / static_cast<double>(line.size())));
+  }
+  const double max_mean = *std::max_element(geometric_means.begin(), geometric_means.end());
+  ASSERT_EQ(curve->line_bases().size(), grid.size());
+  for (size_t l = 0; l < grid.size(); ++l) {
+    EXPECT_NEAR(curve->line_bases()[l], peak * geometric_means[l] / max_mean, 1e-12)
+        << "line " << l;
+    EXPECT_EQ(curve->Probability(static_cast<int>(l), 0),
+              curve->Probability(static_cast<int>(l), 5))
+        << "line " << l;
+  }
 }
 
 TEST(FitExaminationCurveTest, TooFewPointsRejected) {

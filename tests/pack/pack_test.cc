@@ -11,15 +11,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "pack/format.h"
+#include "pack/hash_index.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
 
@@ -94,9 +97,9 @@ TEST(PackWriterTest, RoundTripSectionsAndViews) {
   ASSERT_EQ(strings->size(), 3u);
   EXPECT_EQ(strings->at(0), "alpha");
   EXPECT_EQ(strings->at(2), "gamma");
-  EXPECT_EQ(strings->Find("beta"), 1u);
-  EXPECT_EQ(strings->Find("delta"), StringTable::kNotFound);
-  EXPECT_EQ(strings->Find(""), StringTable::kNotFound);
+  EXPECT_EQ(strings->LowerBound("beta"), 1u);
+  EXPECT_EQ(strings->LowerBound("delta"), 2u);  // Before "gamma".
+  EXPECT_EQ(strings->LowerBound(""), 0u);
 
   // The views are the mapping itself: payload pointers must lie inside the
   // file and be 8-byte aligned (the reinterpret_cast contract).
@@ -189,6 +192,26 @@ TEST(PackReaderTest, RejectsUnsupportedVersion) {
   EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
 }
 
+TEST(PackReaderTest, RejectsFormatVersionOne) {
+  // Format 1 packs have no hash indexes (and a sorted registry permutation
+  // in their place); they are refused at open, never half-read.
+  ASSERT_EQ(kFormatVersion, 2u);
+  std::string bytes = ReadAll(WriteSamplePack("v1_src.mbp"));
+  PackHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.version = 1;
+  header.header_checksum = Fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(&header), offsetof(PackHeader, header_checksum)));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  const std::string path = TestPath("v1.mbp");
+  WriteAll(path, bytes);
+  auto reader = PackReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+  EXPECT_NE(reader.status().message().find("unsupported version 1"), std::string::npos)
+      << reader.status().ToString();
+}
+
 TEST(PackReaderTest, RejectsEveryPossibleBitFlip) {
   // Exhaustive single-byte corruption: every byte of the file is covered by
   // some checksum (header, per-section or whole-file) or magic/bounds check,
@@ -241,11 +264,115 @@ TEST(StringTableTest, BinarySearchAgreesWithLinearScan) {
   auto table = (*reader)->Strings(1, 2);
   ASSERT_TRUE(table.ok());
   for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(table->Find(keys[i]), i) << keys[i];
+    EXPECT_EQ(table->LowerBound(keys[i]), i) << keys[i];
+    // Just past a key lands on its successor (keys are distinct).
+    EXPECT_EQ(table->LowerBound(keys[i] + '\0'), i + 1) << keys[i];
   }
-  EXPECT_EQ(table->Find("k0999"), StringTable::kNotFound);
-  EXPECT_EQ(table->Find("k9999"), StringTable::kNotFound);
-  EXPECT_EQ(table->Find("k1000x"), StringTable::kNotFound);
+  EXPECT_EQ(table->LowerBound("k0999"), 0u);
+  EXPECT_EQ(table->LowerBound("k9999"), keys.size());
+  EXPECT_EQ(table->LowerBound("k1000x"), 1u);
+}
+
+std::vector<std::string> IndexKeys(size_t n) {
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < n; ++i) keys.push_back("t:key " + std::to_string(i));
+  return keys;
+}
+
+std::vector<std::string_view> Views(const std::vector<std::string>& keys) {
+  return std::vector<std::string_view>(keys.begin(), keys.end());
+}
+
+/// A StringTable over `keys`, backed by `offsets` and `bytes`.
+StringTable TableOf(const std::vector<std::string>& keys, std::vector<uint64_t>* offsets,
+                    std::string* bytes) {
+  offsets->assign(1, 0);
+  for (const std::string& key : keys) {
+    bytes->append(key);
+    offsets->push_back(bytes->size());
+  }
+  return StringTable(offsets->data(), keys.size(), bytes->data());
+}
+
+TEST(HashIndexTest, IndexHashIsFixedByTheFormat) {
+  // Packs on disk depend on these bits; a change is a format version bump.
+  EXPECT_EQ(IndexHash(""), Mix64(kFnv64Basis));
+  EXPECT_EQ(IndexHash("t:cheap flights"), Mix64(Fnv1a64Wide("t:cheap flights")));
+  EXPECT_EQ(IndexHash("t:cheap flights"), 0xaf7a40270c9354d8ULL);
+}
+
+TEST(HashIndexTest, SlotsArePowersOfTwoAtLoadAtMostPointSeven) {
+  for (const auto& [keys, slots] : std::vector<std::pair<size_t, size_t>>{
+           {0, 1}, {1, 2}, {2, 4}, {7, 16}, {14, 32}, {700, 1024}, {716, 1024},
+           {717, 2048}, {18178, 32768}}) {
+    const std::vector<std::string> names = IndexKeys(keys);
+    auto built = HashIndex::Build(Views(names));
+    ASSERT_TRUE(built.ok()) << keys;
+    EXPECT_EQ(built->size(), slots) << keys;
+    EXPECT_LE(static_cast<double>(keys), 0.7 * static_cast<double>(built->size())) << keys;
+  }
+}
+
+TEST(HashIndexTest, FindsEveryKeyAndNoAbsentOne) {
+  for (size_t n : {0, 1, 2, 3, 100, 5000}) {
+    const std::vector<std::string> keys = IndexKeys(n);
+    std::vector<uint64_t> offsets;
+    std::string bytes;
+    const StringTable table = TableOf(keys, &offsets, &bytes);
+    auto slots = HashIndex::Build(Views(keys));
+    ASSERT_TRUE(slots.ok());
+    auto index = HashIndex::Open(slots->data(), slots->size(), n);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_EQ(index->slot_count(), slots->size());
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(index->Find(table, keys[i]), i) << keys[i];
+    for (const std::string absent : {"", "t:key", "t:key -1", "t:key 5000", "x"}) {
+      EXPECT_EQ(index->Find(table, absent), HashIndex::kNotFound) << absent;
+    }
+  }
+  // The default index holds nothing and probes one empty slot.
+  EXPECT_EQ(HashIndex().Find(StringTable(), "anything"), HashIndex::kNotFound);
+}
+
+TEST(HashIndexTest, BuildRefusesDuplicateKeys) {
+  auto slots = HashIndex::Build({"t:a", "t:b", "t:a"});
+  ASSERT_FALSE(slots.ok());
+  EXPECT_EQ(slots.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(slots.status().message().find("duplicate"), std::string::npos);
+}
+
+TEST(HashIndexTest, OpenRejectsMalformedSlots) {
+  const std::vector<std::string> keys = IndexKeys(5);
+  auto built = HashIndex::Build(Views(keys));
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built->size(), 8u);
+  const std::vector<uint32_t> good = *built;
+  const auto empty = std::find(good.begin(), good.end(), 0u) - good.begin();
+  const auto used =
+      std::find_if(good.begin(), good.end(), [](uint32_t v) { return v != 0; }) - good.begin();
+  auto open_error = [](const std::vector<uint32_t>& slots, size_t keys) {
+    auto index = HashIndex::Open(slots.data(), slots.size(), keys);
+    EXPECT_FALSE(index.ok());
+    EXPECT_EQ(index.status().code(), StatusCode::kIOError);
+    return index.status().message();
+  };
+  std::vector<uint32_t> slots = good;
+  slots[empty] = 6;  // Index 5 of 5 keys (3 index bits, no tag).
+  EXPECT_NE(open_error(slots, 5).find("out of range"), std::string::npos);
+  slots[empty] = 0x80000000u;  // Tag bits only: index -1.
+  EXPECT_NE(open_error(slots, 5).find("out of range"), std::string::npos);
+  slots = good;
+  slots[empty] = good[used];
+  EXPECT_NE(open_error(slots, 5).find("appears in two slots"), std::string::npos);
+  EXPECT_NE(open_error({1, 2, 3, 4}, 4).find("no empty slot"), std::string::npos);
+  slots = good;
+  slots.pop_back();
+  EXPECT_NE(open_error(slots, 5).find("not a power of two"), std::string::npos);
+  EXPECT_NE(open_error({}, 0).find("not a power of two"), std::string::npos);
+  // A slot lost: one key is not indexed.
+  slots = good;
+  slots[used] = 0;
+  EXPECT_NE(open_error(slots, 5).find("indexes 4 of 5"), std::string::npos);
+  EXPECT_TRUE(HashIndex::Open(good.data(), good.size(), 5).ok());
 }
 
 TEST(HashTest, WideFnvDistinguishesTailLengths) {
