@@ -404,47 +404,63 @@ void RewriteIndexSection(const std::string& from, const std::string& to, uint32_
 }
 
 TEST_F(PackArtifactsTest, CorruptPackIndexIsATypedIOError) {
+  // Slot values: 0 is empty, otherwise the low bits hold index + 1. The
+  // first two corruptions keep the number of occupied slots, so only the
+  // check that every index is present catches them.
+  auto used_slots = [](const std::vector<uint32_t>& slots) {
+    std::vector<size_t> used;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i] != 0) used.push_back(i);
+    }
+    return used;
+  };
   struct Corruption {
     const char* name;
     std::function<void(std::vector<uint32_t>*)> mutate;
     const char* reason;
   };
-  // Slot values: 0 is empty, otherwise the low bits hold index + 1.
-  auto first_empty = [](std::vector<uint32_t>* slots) {
-    return std::find(slots->begin(), slots->end(), 0u);
-  };
-  auto first_used = [](std::vector<uint32_t>* slots) {
-    return std::find_if(slots->begin(), slots->end(), [](uint32_t v) { return v != 0; });
-  };
   const std::vector<Corruption> corruptions = {
       {"index out of range",
        [&](std::vector<uint32_t>* slots) {
          // One past the last index (the occupied slots count the keys).
-         const auto keys = std::count_if(slots->begin(), slots->end(),
-                                         [](uint32_t v) { return v != 0; });
-         *first_empty(slots) = static_cast<uint32_t>(keys + 1);
+         const std::vector<size_t> used = used_slots(*slots);
+         (*slots)[used.front()] = static_cast<uint32_t>(used.size() + 1);
        },
        "out of range"},
       {"duplicated index",
-       [&](std::vector<uint32_t>* slots) { *first_empty(slots) = *first_used(slots); },
+       [&](std::vector<uint32_t>* slots) {
+         // Over another key's slot, or over an empty one if there is none.
+         const std::vector<size_t> used = used_slots(*slots);
+         const size_t target =
+             used.size() > 1
+                 ? used[1]
+                 : static_cast<size_t>(std::find(slots->begin(), slots->end(), 0u) -
+                                       slots->begin());
+         (*slots)[target] = (*slots)[used.front()];
+       },
        "appears in two slots"},
       {"no empty slot",
-       [](std::vector<uint32_t>* slots) {
-         // A power-of-two run of distinct valid indexes with no empty slot
-         // between them: a full table whose probes would never stop.
-         std::vector<uint32_t> used;
-         for (uint32_t v : *slots) {
-           if (v != 0) used.push_back(v);
-         }
-         used.resize(std::bit_floor(used.size()));
-         *slots = used;
+       [&](std::vector<uint32_t>* slots) {
+         // A power-of-two run of distinct valid indexes: a full table whose
+         // probes for an absent key would never stop.
+         std::vector<uint32_t> full;
+         for (size_t i : used_slots(*slots)) full.push_back((*slots)[i]);
+         full.resize(std::bit_floor(full.size()));
+         *slots = full;
        },
        "no empty slot"},
       {"slot count not a power of two",
        [](std::vector<uint32_t>* slots) { slots->push_back(0); }, "not a power of two"},
   };
+  // A stats pack whose class 0 holds one key: with every slot but one
+  // dropped, its index is full yet indexes every key.
+  FeatureStatsDb one_key;
+  one_key.SetStat("rw:a=>b", 1, 2);
+  one_key.SetStat("t:x", 1, 2);
+  ASSERT_TRUE(SaveStatsPack(one_key, *dir_ + "/one_key.mbp").ok());
   const std::vector<std::tuple<std::string, uint32_t, bool>> targets = {
       {"/stats.mbp", StatsClassSection(0) + 3, true},
+      {"/one_key.mbp", StatsClassSection(0) + 3, true},
       {"/model.mbp", kSecTRegistry + 5, false},
       {"/model.mbp", kSecPRegistry + 5, false},
   };
