@@ -75,8 +75,8 @@ Result<pack::HashIndex> LoadIndex(const pack::PackReader& reader, uint32_t type,
   return index;
 }
 
-/// Validates that `table` is strictly ascending — the invariant binary
-/// search needs, checked once at open so lookups can trust the mapping.
+/// Validates that `table` is strictly ascending — the invariant the "rw:"
+/// range scan (StringTable::LowerBound) needs, checked once at open.
 Status CheckSorted(const std::string& path, const pack::StringTable& table,
                    const std::string& what) {
   for (size_t i = 1; i < table.size(); ++i) {

@@ -89,11 +89,10 @@ using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash
 /// Like FeatureRegistry, the store has up to two layers: an optional
 /// immutable mmap-backed base (per-class sorted key tables, their stored
 /// hash indexes and FeatureStat record arrays, all read in place from an
-/// mbpack artifact) and the ordinary
-/// heap map. Read accessors consult the heap first, then the base; the
-/// mutating builders (AddObservation & friends) always write the heap map
-/// and are not meant for pack-backed instances — the serving read path
-/// never mutates.
+/// mbpack artifact) and the ordinary heap map. Read accessors consult the
+/// heap first, then the base; the mutating builders (AddObservation &
+/// friends) always write the heap map and are not meant for pack-backed
+/// instances — the serving read path never mutates.
 ///
 /// A database may also carry a rewrite filter: a Bloom filter over the
 /// fingerprints (feature_keys.h) of its "rw:" keys, which lets the rewrite

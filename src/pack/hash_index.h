@@ -46,7 +46,7 @@ class HashIndex {
   /// Find's answer for an absent key.
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
-  /// An index of zero keys (one empty slot): every Find misses.
+  /// An index of no slots: every Find misses.
   HashIndex() = default;
 
   /// Writer side: the slots indexing `keys` (keys[i] -> index i), in the
@@ -62,6 +62,7 @@ class HashIndex {
   /// Index of `key` in `keys` (the table this index was built over), or
   /// kNotFound.
   size_t Find(const StringTable& keys, std::string_view key) const {
+    if (slots_ == nullptr) return kNotFound;
     const uint64_t hash = IndexHash(key);
     const uint32_t tag = static_cast<uint32_t>(hash >> 32) & ~index_mask_;
     for (size_t slot = static_cast<size_t>(hash) & slot_mask_;;
@@ -75,12 +76,8 @@ class HashIndex {
     }
   }
 
-  size_t slot_count() const { return slot_mask_ + 1; }
-
  private:
-  static constexpr uint32_t kNoSlots[1] = {0};
-
-  const uint32_t* slots_ = kNoSlots;
+  const uint32_t* slots_ = nullptr;
   size_t slot_mask_ = 0;     ///< slot_count - 1.
   uint32_t index_mask_ = 0;  ///< The low index_bits bits.
 };

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "io/pack_artifacts.h"
 #include "microbrowse/stats_db.h"
 #include "pack/format.h"
+#include "pack/hash_index.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
 
@@ -157,6 +159,54 @@ TEST(PackFuzzTest, SectionPayloadSoupNeverCrashesArtifactLoaders) {
     EXPECT_FALSE(stats.ok()) << "iteration " << iteration;
     EXPECT_FALSE(classifier.ok()) << "iteration " << iteration;
   }
+}
+
+TEST(PackFuzzTest, DamagedHashIndexIsRefusedOrProbesSafely) {
+  // Valid indexes with one to three slots overwritten (zeroed, copied from
+  // another slot, or random bits): Open either refuses the slots or accepts
+  // them, and then every probe stops and returns an index whose key is the
+  // one asked for. Reaching the end without a hang or a sanitizer report is
+  // the point; the pass rate is reported, not asserted.
+  Rng rng(2424);
+  int accepted = 0;
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    const size_t key_count = rng.NextIndex(40);
+    std::vector<std::string> keys;
+    std::vector<uint64_t> offsets = {0};
+    std::string bytes;
+    for (size_t i = 0; i < key_count; ++i) {
+      keys.push_back("k" + std::to_string(rng.NextIndex(1000)) + "_" + std::to_string(i));
+      bytes += keys.back();
+      offsets.push_back(bytes.size());
+    }
+    auto built = pack::HashIndex::Build(std::vector<std::string_view>(keys.begin(), keys.end()));
+    ASSERT_TRUE(built.ok());
+    std::vector<uint32_t> slots = *built;
+    for (int damage = 1 + static_cast<int>(rng.NextIndex(3)); damage > 0; --damage) {
+      uint32_t& slot = slots[rng.NextIndex(slots.size())];
+      switch (rng.NextIndex(3)) {
+        case 0: slot = 0; break;
+        case 1: slot = slots[rng.NextIndex(slots.size())]; break;
+        default: slot = static_cast<uint32_t>(rng.NextU64()); break;
+      }
+    }
+    auto index = pack::HashIndex::Open(slots.data(), slots.size(), key_count);
+    if (!index.ok()) {
+      EXPECT_EQ(index.status().code(), StatusCode::kIOError);
+      continue;
+    }
+    ++accepted;
+    const pack::StringTable table(offsets.data(), key_count, bytes.data());
+    for (size_t probe = 0; probe < 20; ++probe) {
+      const std::string key = probe < key_count ? keys[probe] : "absent" + std::to_string(probe);
+      const size_t found = index->Find(table, key);
+      if (found != pack::HashIndex::kNotFound) {
+        ASSERT_LT(found, key_count);
+        EXPECT_EQ(table.at(found), key);
+      }
+    }
+  }
+  std::printf("damaged hash indexes accepted: %d of 2000\n", accepted);
 }
 
 }  // namespace
