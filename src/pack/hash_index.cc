@@ -81,11 +81,11 @@ Result<HashIndex> HashIndex::Open(const uint32_t* slots, size_t slot_count, size
   const uint32_t index_mask = IndexMask(key_count);
   // One pass with no data-dependent branch: about half the slots are empty,
   // in no pattern, and a branch per slot mispredicts (a branchy pass took
-  // about four times as long over an 18k-key registry). marked[f] records index field
-  // f; empty slots (field 0) and fields past key_count land on the two
-  // guard bytes. When as many slots are occupied as there are keys and
-  // every index 1..key_count is marked, no slot can hold an index out of
-  // range or one that another slot holds.
+  // about four times as long over an 18k-key registry). marked[f] records
+  // index field f; empty slots (field 0) and fields past key_count land on
+  // the two guard bytes. When as many slots are occupied as there are keys
+  // and every index 1..key_count is marked, no slot can hold an index out
+  // of range or one that another slot holds.
   std::vector<uint8_t> marked(key_count + 2, 0);
   size_t occupied = 0;
   for (size_t slot = 0; slot < slot_count; ++slot) {

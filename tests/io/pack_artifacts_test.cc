@@ -215,10 +215,18 @@ TEST_F(PackArtifactsTest, DescribePackRendersBothSchemas) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("feature-statistics database"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("file checksum"), std::string::npos);
+  EXPECT_NE(stats->find("format version : 2"), std::string::npos) << *stats;
+  for (int c = 0; c < kNumStatsClasses; ++c) {
+    EXPECT_NE(stats->find("stats-c" + std::to_string(c) + "-key-index"), std::string::npos)
+        << *stats;
+  }
 
   auto model = DescribePack(*dir_ + "/model.mbp");
   ASSERT_TRUE(model.ok());
   EXPECT_NE(model->find("snippet classifier"), std::string::npos) << *model;
+  EXPECT_NE(model->find("t-registry-name-index"), std::string::npos) << *model;
+  EXPECT_NE(model->find("p-registry-name-index"), std::string::npos) << *model;
+  EXPECT_EQ(model->find("unknown"), std::string::npos) << *model;
 
   EXPECT_FALSE(DescribePack(*dir_ + "/stats.tsv").ok());
 }
