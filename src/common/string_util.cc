@@ -2,6 +2,7 @@
 
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -10,6 +11,7 @@ namespace microbrowse {
 
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;
+  out.reserve(static_cast<size_t>(std::count(text.begin(), text.end(), sep)) + 1);
   size_t start = 0;
   while (true) {
     const size_t pos = text.find(sep, start);

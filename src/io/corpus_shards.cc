@@ -213,7 +213,7 @@ Result<FeatureStatsDb> BuildFeatureStatsSharded(const ShardSetInfo& shards,
     db = std::move(next);
     db.set_smoothing(options.smoothing);
     db.set_min_count(options.min_count);
-    db.BuildRewriteFilter();
+    db.BuildRewriteIndex();
   }
   return db;
 }

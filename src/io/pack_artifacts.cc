@@ -220,7 +220,7 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
     base[static_cast<size_t>(c)] = FeatureStatsDb::BaseClass{keys, index, records};
   }
   db.AttachPackBase(std::move(reader), base);
-  db.BuildRewriteFilter();
+  db.BuildRewriteIndex();
   return db;
 }
 

@@ -272,7 +272,7 @@ Result<FeatureStatsDb> LoadFeatureStats(const std::string& path, const LoadOptio
     db.SetStat(fields[0], *positive, *total);
     recovery.OnGoodRow();
   }
-  db.BuildRewriteFilter();
+  db.BuildRewriteIndex();
   return db;
 }
 

@@ -178,7 +178,7 @@ Result<bool> CvCheckpoint::LoadStats(FeatureStatsDb* db) const {
     MB_ASSIGN_OR_RETURN(const int64_t total, ParseInt64(fields[2]));
     loaded.SetStat(fields[0], positive, total);
   }
-  loaded.BuildRewriteFilter();
+  loaded.BuildRewriteIndex();
   *db = std::move(loaded);
   return true;
 }

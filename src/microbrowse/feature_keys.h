@@ -17,11 +17,12 @@
 // direction was flipped during canonicalisation carries value -1 instead
 // of +1. The same sign flips the delta-sw observation when building stats.
 //
-// Rewrite keys also have a 64-bit fingerprint (RewriteFingerprint), built
-// from per-gram hashes without materialising the key string; the stats
-// database's rewrite filter is keyed by it. The fingerprint is symmetric in
-// its two sides, so it needs no canonical order: only a key that is built
-// decides its (lo, hi) order, by comparing the texts.
+// Each side of a rewrite key also has a 64-bit side hash (RewriteSideHash),
+// which the matcher folds from per-token hashes without spelling the text;
+// the stats database's rewrite partner index is keyed by it. The index
+// pairs side hashes in both directions, so a lookup needs no canonical
+// order: only a key that is built decides its (lo, hi) order, by comparing
+// the texts.
 //
 // Hot paths spell keys with FeatureKeyBuffer, straight from a snippet's
 // tokens into buffers that are reused from key to key.
@@ -32,8 +33,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
-#include "common/hash.h"
 #include "text/pair_tokens.h"
 #include "text/snippet.h"
 
@@ -92,51 +93,41 @@ SignedKey RewriteKey(std::string_view from, std::string_view to);
 /// Prefix of every rewrite key ("rw:<lo>=><hi>").
 inline constexpr std::string_view kRewriteKeyPrefix = "rw:";
 
-/// Hash of one side of a rewrite (a gram text), the input to
-/// RewriteFingerprint: the PhraseHash of its tokens (text/pair_tokens.h),
-/// which the matcher folds from per-token pieces without spelling the
-/// text. Like the fingerprint it is never persisted, so it carries no
-/// stability contract across builds.
+/// Hash of one side of a rewrite (a gram text), the key of the stats
+/// database's rewrite partner index: the PhraseHash of its tokens
+/// (text/pair_tokens.h), which the matcher folds from per-token pieces
+/// without spelling the text. It is never persisted, so it carries no
+/// stability contract across builds. Equal texts have equal side hashes;
+/// distinct texts may collide, so a side hash can only rule a rewrite out,
+/// never confirm it.
 inline uint64_t RewriteSideHash(std::string_view text) { return PhraseHash(text); }
 
-/// Fingerprint of the rewrite key "rw:<lo>=><hi>" from the side hashes of
-/// `lo` and `hi`, in either order: it is symmetric in its two sides, so a
-/// caller need not know which text sorts first. Equal keys have equal
-/// fingerprints; distinct keys may collide, so a fingerprint can only rule
-/// a key out, never confirm it.
-inline uint64_t RewriteFingerprint(uint64_t a_hash, uint64_t b_hash) {
-  return a_hash < b_hash ? HashCombine(a_hash, b_hash) : HashCombine(b_hash, a_hash);
-}
-
-/// Calls `fn(fingerprint)` once for every way a stats key splits as
-/// "rw:<lo>=><hi>", i.e. once per "=>" after the prefix. A key holding more
-/// than one "=>" ("rw:a=>b=>c") is ambiguous, so every reading is emitted:
-/// whichever (lo, hi) produced the key, its fingerprint is among them.
-/// Calls nothing for keys that are not rewrite keys.
+/// Calls `fn(lo_hash, hi_hash)`, the RewriteSideHash of both sides, once
+/// for every way a stats key splits as "rw:<lo>=><hi>", i.e. once per "=>"
+/// after the prefix. A key holding more than one "=>" ("rw:a=>b=>c") is
+/// ambiguous, so every reading is emitted: whichever (lo, hi) produced the
+/// key, its side hashes are among them. Calls nothing for keys that are
+/// not rewrite keys.
 template <typename Fn>
-void ForEachRewriteFingerprint(std::string_view key, Fn&& fn) {
+void ForEachRewriteSides(std::string_view key, Fn&& fn) {
   if (key.substr(0, kRewriteKeyPrefix.size()) != kRewriteKeyPrefix) return;
   const std::string_view body = key.substr(kRewriteKeyPrefix.size());
   for (size_t split = body.find("=>"); split != std::string_view::npos;
        split = body.find("=>", split + 1)) {
-    fn(RewriteFingerprint(RewriteSideHash(body.substr(0, split)),
-                          RewriteSideHash(body.substr(split + 2))));
+    fn(RewriteSideHash(body.substr(0, split)), RewriteSideHash(body.substr(split + 2)));
   }
 }
 
-/// ForEachRewriteFingerprint over every rewrite key of `table`, a table of
-/// keys sorted in byte order with size(), at(i) and LowerBound(key). The
-/// rewrite keys are one contiguous range, from the prefix up to its
-/// successor (the prefix with its last byte incremented), found by binary
-/// search, so no entry outside it is read.
-template <typename SortedTable, typename Fn>
-void ForEachRewriteFingerprintInSorted(const SortedTable& table, Fn&& fn) {
+/// The index range [first, second) of the rewrite keys in `table`, a
+/// table of keys sorted in byte order with LowerBound(key). The rewrite
+/// keys are one contiguous range, from the prefix up to its successor (the
+/// prefix with its last byte incremented), found by binary search, so a
+/// scan of it reads no other entry.
+template <typename SortedTable>
+std::pair<size_t, size_t> RewriteKeyRange(const SortedTable& table) {
   std::string successor(kRewriteKeyPrefix);
   ++successor.back();
-  const size_t end = table.LowerBound(successor);
-  for (size_t i = table.LowerBound(kRewriteKeyPrefix); i < end; ++i) {
-    ForEachRewriteFingerprint(table.at(i), fn);
-  }
+  return {table.LowerBound(kRewriteKeyPrefix), table.LowerBound(successor)};
 }
 
 /// Ordered position-pair key "pp:<r>=><s>" for a rewrite whose R-side span

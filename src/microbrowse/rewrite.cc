@@ -3,12 +3,14 @@
 #include "microbrowse/rewrite.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 
+#include "common/hash.h"
 #include "common/metrics.h"
 #include "microbrowse/feature_keys.h"
 #include "text/diff.h"
@@ -145,10 +147,13 @@ struct LineMatches {
 };
 
 /// Collects per-line diff regions for both snippets, diffing token ids,
-/// and keeps each line's LCS alignment for the shift-rewrite pass.
+/// and keeps each line's LCS alignment for the shift-rewrite pass. The
+/// output vectors are cleared first; `table` and `hunks` are the line
+/// diffs' working buffers.
 void CollectDiffRegions(const Snippet& r, const Snippet& s, const PairTokens& tokens,
                         std::vector<DiffRegion>* r_regions, std::vector<DiffRegion>* s_regions,
-                        LineMatches* aligned) {
+                        LineMatches* aligned, std::vector<int>* table,
+                        std::vector<DiffHunk>* hunks) {
   // Every buffer is sized once up front: a line's LCS table is
   // (n + 1) x (m + 1), it aligns at most min(n, m) tokens and yields at
   // most min(n, m) + 1 hunks, each at most one region per side.
@@ -163,20 +168,22 @@ void CollectDiffRegions(const Snippet& r, const Snippet& s, const PairTokens& to
     max_hunks = std::max(max_hunks, std::min(n, m) + 1);
     total_matches += std::min(n, m);
   }
-  std::vector<int> table;
-  table.reserve(table_size);
-  std::vector<DiffHunk> hunks;
-  hunks.reserve(max_hunks);
+  r_regions->clear();
+  s_regions->clear();
+  aligned->matches.clear();
+  aligned->line_begin.clear();
+  table->reserve(table_size);
+  hunks->reserve(max_hunks);
   aligned->matches.reserve(total_matches);
   aligned->line_begin.reserve(static_cast<size_t>(lines) + 1);
   r_regions->reserve(total_matches + static_cast<size_t>(lines));
   s_regions->reserve(total_matches + static_cast<size_t>(lines));
   for (int line = 0; line < lines; ++line) {
     aligned->line_begin.push_back(aligned->matches.size());
-    hunks.clear();
-    AppendTokenDiff(tokens.Line(PairSide::kR, line), tokens.Line(PairSide::kS, line), &table,
-                    &hunks, &aligned->matches);
-    for (const DiffHunk& hunk : hunks) {
+    hunks->clear();
+    AppendTokenDiff(tokens.Line(PairSide::kR, line), tokens.Line(PairSide::kS, line), table,
+                    hunks, &aligned->matches);
+    for (const DiffHunk& hunk : *hunks) {
       if (hunk.a_len > 0) r_regions->push_back(DiffRegion{line, hunk.a_pos, hunk.a_len});
       if (hunk.b_len > 0) s_regions->push_back(DiffRegion{line, hunk.b_pos, hunk.b_len});
     }
@@ -190,19 +197,21 @@ double Locality(const TermSpan& a, const TermSpan& b) {
 }
 
 /// Which token positions of the pair a matched rewrite has consumed,
-/// indexed by PairTokens' flat positions.
+/// indexed by PairTokens' flat positions, in a mask the caller owns.
 class Coverage {
  public:
-  explicit Coverage(const PairTokens& tokens)
-      : tokens_(&tokens), covered_(tokens.num_positions(), 0) {}
+  /// Clears `mask` to one uncovered entry per token position.
+  Coverage(const PairTokens& tokens, std::vector<char>* mask) : tokens_(&tokens), covered_(mask) {
+    mask->assign(tokens.num_positions(), 0);
+  }
 
   bool Covered(PairSide side, int line, int pos) const {
-    return covered_[tokens_->Offset(side, line) + pos] != 0;
+    return (*covered_)[tokens_->Offset(side, line) + pos] != 0;
   }
 
   /// Whether none of `span`'s tokens is covered yet.
   bool Free(PairSide side, const TermSpan& span) const {
-    const char* mask = covered_.data() + tokens_->Offset(side, span.line) + span.pos;
+    const char* mask = covered_->data() + tokens_->Offset(side, span.line) + span.pos;
     for (int i = 0; i < span.len; ++i) {
       if (mask[i]) return false;
     }
@@ -210,13 +219,13 @@ class Coverage {
   }
 
   void Cover(PairSide side, const TermSpan& span) {
-    char* mask = covered_.data() + tokens_->Offset(side, span.line) + span.pos;
+    char* mask = covered_->data() + tokens_->Offset(side, span.line) + span.pos;
     for (int i = 0; i < span.len; ++i) mask[i] = 1;
   }
 
  private:
   const PairTokens* tokens_;
-  std::vector<char> covered_;
+  std::vector<char>* covered_;
 };
 
 /// Emits all n-grams of the expanded diff regions. With the context
@@ -236,11 +245,96 @@ std::vector<TermSpan> RegionGrams(const Snippet& snippet, const std::vector<Diff
   return out;
 }
 
-/// What the candidate loop reads of a gram: its token ids, for the
-/// same-text test, and its side hash, for the rewrite fingerprint.
+/// What the candidate search reads of a gram: its token ids, for the
+/// same-text test, and its side hash (RewriteSideHash of its text), the
+/// key of the same-text and rewrite-partner lookups.
 struct GramTokens {
   const TokenId* ids = nullptr;
   uint64_t hash = 0;
+};
+
+/// Frees `buffer` when its capacity exceeds `keep_bytes`.
+template <typename T>
+void ReleaseIfOver(size_t keep_bytes, std::vector<T>* buffer) {
+  if (buffer->capacity() * sizeof(T) > keep_bytes) std::vector<T>().swap(*buffer);
+}
+
+/// One side's grams grouped by side hash: an open-addressing table of
+/// chain heads over the hashes, each chain linking the grams of one hash
+/// in index order. Equal texts share a chain; a hash collision only puts
+/// other grams on it, which the caller's exact tests reject.
+class GramsByHash {
+ public:
+  void Build(const GramTokens* grams, uint32_t count) {
+    grams_ = grams;
+    heads_.assign(std::bit_ceil(std::max<size_t>(2, 2 * size_t{count})), 0);
+    next_.resize(count);
+    for (uint32_t i = count; i-- > 0;) {  // Back to front, so chains run front to back.
+      uint32_t& head = heads_[Slot(grams[i].hash)];
+      next_[i] = head;
+      head = i + 1;
+    }
+  }
+
+  /// Frees the table when it holds more than `keep_bytes`.
+  void Trim(size_t keep_bytes) {
+    ReleaseIfOver(keep_bytes, &heads_);
+    ReleaseIfOver(keep_bytes, &next_);
+  }
+
+  /// Calls `fn(i)` for every gram i whose hash is `hash`, in index order.
+  template <typename Fn>
+  void ForEach(uint64_t hash, Fn&& fn) const {
+    for (uint32_t gram = heads_[Slot(hash)]; gram != 0; gram = next_[gram - 1]) fn(gram - 1);
+  }
+
+ private:
+  /// The slot of `hash`'s chain, or the empty slot where it would go.
+  size_t Slot(uint64_t hash) const {
+    const size_t mask = heads_.size() - 1;
+    size_t slot = Mix64(hash) & mask;
+    while (heads_[slot] != 0 && grams_[heads_[slot] - 1].hash != hash) slot = (slot + 1) & mask;
+    return slot;
+  }
+
+  const GramTokens* grams_ = nullptr;
+  std::vector<uint32_t> heads_;  ///< First gram + 1 of a hash's chain; 0 = empty.
+  std::vector<uint32_t> next_;   ///< Next gram + 1 on the chain; 0 = end.
+};
+
+/// The working buffers of one MatchRewrites call, kept per thread and
+/// reused from call to call, so that once they have grown a call allocates
+/// only its output.
+struct MatchScratch {
+  std::vector<DiffRegion> r_regions;
+  std::vector<DiffRegion> s_regions;
+  LineMatches aligned;
+  std::vector<int> table;
+  std::vector<DiffHunk> hunks;
+  std::vector<GramTokens> gram_tokens;
+  GramsByHash s_by_hash;
+  std::vector<uint32_t> reached_by;  ///< Per S gram: 1 + the last R gram that reached it.
+  std::vector<ScoredCandidate> scored;
+  std::vector<GramPair> scored_left;
+  std::vector<uint32_t> free_s;
+  std::vector<GramPair> geometric;
+  std::vector<uint32_t> bucket_begin;
+  std::vector<uint32_t> by_rank;
+  std::vector<char> covered;
+  std::vector<RewriteMatch> rewrites;
+  FeatureKeyBuffer key;
+
+  /// Releases the buffers an outsized pair grew past kKeepBytes, so one
+  /// such request does not pin its memory for the thread's lifetime.
+  void Trim() {
+    const auto release = [](auto&... buffers) { (ReleaseIfOver(kKeepBytes, &buffers), ...); };
+    release(r_regions, s_regions, aligned.matches, aligned.line_begin, table, hunks, gram_tokens,
+            reached_by, scored, scored_left, free_s, geometric, bucket_begin, by_rank, covered,
+            rewrites);
+    s_by_hash.Trim(kKeepBytes);
+  }
+
+  static constexpr size_t kKeepBytes = size_t{1} << 18;
 };
 
 /// Emits *shift rewrites*: identical tokens that the LCS kept aligned but
@@ -294,191 +388,266 @@ void AppendShiftRewrites(const LineMatches& aligned, const Coverage& covered, in
 
 PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
                        const RewriteMatchOptions& options) {
-  return MatchRewrites(r, s, PairTokens(r, s), db, options);
+  // One dictionary per thread, rebuilt in place; an outsized pair's
+  // buffers are not kept.
+  thread_local PairTokens tokens;
+  tokens.Reset(r, s);
+  PairDiff out = MatchRewrites(r, s, tokens, db, options);
+  if (tokens.num_positions() > MatchScratch::kKeepBytes / sizeof(TokenId)) tokens = PairTokens();
+  return out;
 }
 
 PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tokens,
                        const FeatureStatsDb* db, const RewriteMatchOptions& options) {
+  thread_local MatchScratch scratch;
   PairDiff out;
-  std::vector<DiffRegion> r_regions;
-  std::vector<DiffRegion> s_regions;
-  LineMatches aligned;
-  CollectDiffRegions(r, s, tokens, &r_regions, &s_regions, &aligned);
-  if (r_regions.empty() && s_regions.empty()) return out;
+  std::vector<DiffRegion>& r_regions = scratch.r_regions;
+  std::vector<DiffRegion>& s_regions = scratch.s_regions;
+  CollectDiffRegions(r, s, tokens, &r_regions, &s_regions, &scratch.aligned, &scratch.table,
+                     &scratch.hunks);
+  if (r_regions.empty() && s_regions.empty()) {
+    scratch.Trim();
+    return out;
+  }
   ExpandAndMergeRegions(r, options.context_expansion, &r_regions);
   ExpandAndMergeRegions(s, options.context_expansion, &s_regions);
 
   // Candidate phrases on each side; they double as the unmatched residue.
   std::vector<TermSpan> r_grams = RegionGrams(r, r_regions, options.max_ngram);
   std::vector<TermSpan> s_grams = RegionGrams(s, s_regions, options.max_ngram);
+  const auto r_count = static_cast<uint32_t>(r_grams.size());
+  const auto s_count = static_cast<uint32_t>(s_grams.size());
 
   const bool first_match = options.strategy == MatchingStrategy::kFirstMatch;
   const bool use_db = options.strategy == MatchingStrategy::kGreedyStats && db != nullptr;
-  // Every gram's token ids, R's first, and with a database its side hash
-  // (folded from the per-token pieces), so each candidate's rewrite
-  // fingerprint is one combine and the DB's filter can rule most rewrites
-  // out before a key is spelled.
-  std::vector<GramTokens> gram_tokens;
+  const RewritePartnerIndex* index = use_db ? db->rewrite_index() : nullptr;
+  // Every gram's token ids, R's first, and unless every score is 0
+  // (kFirstMatch) its side hash, folded from the per-token pieces.
+  std::vector<GramTokens>& gram_tokens = scratch.gram_tokens;
+  gram_tokens.clear();
   gram_tokens.reserve(r_grams.size() + s_grams.size());
   for (PairSide side : {PairSide::kR, PairSide::kS}) {
     for (const TermSpan& span : side == PairSide::kR ? r_grams : s_grams) {
       gram_tokens.push_back(
-          GramTokens{tokens.SpanIds(side, span), use_db ? tokens.SpanHash(side, span) : 0});
+          GramTokens{tokens.SpanIds(side, span), first_match ? 0 : tokens.SpanHash(side, span)});
     }
   }
   const GramTokens* r_tokens = gram_tokens.data();
-  const GramTokens* s_tokens = gram_tokens.data() + r_grams.size();
+  const GramTokens* s_tokens = gram_tokens.data() + r_count;
 
-  // Enumerate candidate phrase pairs across all region combinations. A
-  // candidate with an exact-text bonus or a database score keeps its score
-  // in `scored`; every other one (all of them under kFirstMatch, whose
-  // scores are all 0) goes to `geometric` and is counted in its rank's
-  // bucket.
-  const GeometricRanks ranks(r_grams, s_grams);
-  std::vector<GramPair> geometric;
-  geometric.reserve(r_grams.size() * s_grams.size());
-  std::vector<ScoredCandidate> scored;
-  std::vector<uint32_t> bucket_begin((first_match ? 1 : ranks.size()) + 1);
-  FeatureKeyBuffer key;  // Reused by every lookup.
-  int64_t lookups = 0;
-  int64_t filter_passed = 0;
+  // Scored candidates: those with an exact-text bonus or a database score,
+  // found by lookup rather than by enumerating R x S. For each R gram, the
+  // S grams of equal hash are its same-text candidates, and with a
+  // database the S grams whose hash is one of the gram's rewrite partners
+  // (every S gram when the database has no index) are the candidates Find
+  // may score. Partners come first, so a candidate that is both gets its
+  // Find; `reached_by` makes every candidate count once per R gram. Every
+  // other candidate is geometric, ordered by its integer rank (see
+  // GeometricRanks). kFirstMatch, whose scores are all 0, has none.
+  std::vector<ScoredCandidate>& scored = scratch.scored;
+  scored.clear();
+  FeatureKeyBuffer& key = scratch.key;
+  int64_t identities = 0;
+  int64_t reached = 0;
   int64_t hits = 0;
-  for (uint32_t ri = 0; ri < r_grams.size(); ++ri) {
-    const TermSpan& r_span = r_grams[ri];
-    for (uint32_t si = 0; si < s_grams.size(); ++si) {
-      const TermSpan& s_span = s_grams[si];
-      // Equal id tuples are equal texts (text/pair_tokens.h).
-      const bool same_text =
-          r_span.len == s_span.len &&
-          std::equal(r_tokens[ri].ids, r_tokens[ri].ids + r_span.len, s_tokens[si].ids);
-      // Identity candidates (same text at the same location) are no-op
-      // artifacts of the context expansion; admitting them would let
-      // shared context absorb the exact-match bonus and block real phrase
-      // pairings.
-      if (same_text && r_span.line == s_span.line && r_span.pos == s_span.pos &&
-          r_span.len == s_span.len) {
-        continue;
-      }
-      if (first_match) {  // Every score is 0: enumeration order decides.
-        ++bucket_begin[1];
-        geometric.push_back(GramPair{ri, si});
-        continue;
-      }
-      // Stays 0 without a database, so kPositionOnly shares this path.
-      double db_score = 0.0;
-      if (use_db) {
-        // The fingerprint is symmetric, so the probe needs no order. The
-        // filter has no false negatives, so skipping Find when it says
-        // "absent" cannot change a score; only a candidate that passes it
-        // spells canonical RewriteKey(s text, r text), ordering the sides
-        // by comparing their texts.
-        ++lookups;
-        const FeatureStat* stat = nullptr;
-        if (db->MayContainRewrite(RewriteFingerprint(r_tokens[ri].hash, s_tokens[si].hash))) {
-          ++filter_passed;
+  if (!first_match) {
+    GramsByHash& s_by_hash = scratch.s_by_hash;
+    s_by_hash.Build(s_tokens, s_count);
+    std::vector<uint32_t>& reached_by = scratch.reached_by;
+    reached_by.assign(s_count, 0);
+    for (uint32_t ri = 0; ri < r_count; ++ri) {
+      const TermSpan& r_span = r_grams[ri];
+      const auto reach = [&](uint32_t si, bool may_be_in_db) {
+        if (reached_by[si] == ri + 1) return;
+        reached_by[si] = ri + 1;
+        const TermSpan& s_span = s_grams[si];
+        // Equal id tuples are equal texts (text/pair_tokens.h).
+        const bool same_text =
+            r_span.len == s_span.len &&
+            std::equal(r_tokens[ri].ids, r_tokens[ri].ids + r_span.len, s_tokens[si].ids);
+        // Identity candidates (same text at the same location) are no-op
+        // artifacts of the context expansion; admitting them would let
+        // shared context absorb the exact-match bonus and block real
+        // phrase pairings.
+        if (same_text && r_span == s_span) {
+          ++identities;
+          return;
+        }
+        // Stays 0 unless the database holds the rewrite, so kPositionOnly
+        // shares this path.
+        double db_score = 0.0;
+        if (may_be_in_db) {
+          // Spells canonical RewriteKey(s text, r text), ordering the
+          // sides by comparing their texts.
+          ++reached;
           double sign = 0.0;
-          stat = db->Find(key.Rewrite(s, s_span, r, r_span, &sign));
+          const FeatureStat* stat = db->Find(key.Rewrite(s, s_span, r, r_span, &sign));
+          if (stat != nullptr) {
+            ++hits;
+            // Frequency dominates ("a more probable rewrite has a higher
+            // score"); decisiveness (|log odds|) refines.
+            db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
+                       1e2 * std::fabs(stat->LogOdds(db->smoothing()));
+          }
         }
-        if (stat != nullptr) {
-          ++hits;
-          // Frequency dominates ("a more probable rewrite has a higher
-          // score"); decisiveness (|log odds|) refines.
-          db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
-                     1e2 * std::fabs(stat->LogOdds(db->smoothing()));
+        if (same_text || db_score != 0.0) {
+          const double coverage = static_cast<double>(r_span.len + s_span.len);
+          // Exact-text pairings are pure moves — always the best explanation.
+          const double exact = same_text ? 1e9 : 0.0;
+          scored.push_back(ScoredCandidate{
+              exact + db_score + coverage * 10.0 + Locality(r_span, s_span), GramPair{ri, si}});
         }
+      };
+      const uint64_t r_hash = r_tokens[ri].hash;
+      if (index != nullptr) {
+        index->ForEachPartner(r_hash, [&](uint64_t partner) {
+          s_by_hash.ForEach(partner, [&](uint32_t si) { reach(si, true); });
+        });
+      } else if (use_db) {
+        for (uint32_t si = 0; si < s_count; ++si) reach(si, true);
       }
-      if (same_text || db_score != 0.0) {
-        const double coverage = static_cast<double>(r_span.len + s_span.len);
-        // Exact-text pairings are pure moves — always the best explanation.
-        const double exact = same_text ? 1e9 : 0.0;
-        scored.push_back(ScoredCandidate{
-            exact + db_score + coverage * 10.0 + Locality(r_span, s_span), GramPair{ri, si}});
-        continue;
-      }
-      // 0.0 + 0.0 + coverage * 10.0 + locality is the rank's score exactly.
-      ++bucket_begin[ranks.Rank(r_span, s_span) + 1];
-      geometric.push_back(GramPair{ri, si});
+      s_by_hash.ForEach(r_hash, [&](uint32_t si) { reach(si, false); });
     }
-  }
-  // Stable counting sort of the geometric candidates: bucket r's slots
-  // start after every lower rank's, and filling them in enumeration order
-  // lists each rank's candidates in that order, exactly as a full sort by
-  // (score desc, order asc) would.
-  std::partial_sum(bucket_begin.begin(), bucket_begin.end(), bucket_begin.begin());
-  std::vector<uint32_t> by_rank(geometric.size());
-  for (uint32_t i = 0; i < geometric.size(); ++i) {
-    const GramPair grams = geometric[i];
-    const uint32_t rank = first_match ? 0 : ranks.Rank(r_grams[grams.r], s_grams[grams.s]);
-    by_rank[bucket_begin[rank]++] = i;
   }
   std::sort(scored.begin(), scored.end(), [](const ScoredCandidate& a, const ScoredCandidate& b) {
     return PopsBefore(a.score, a.grams, b.score, b.grams);
   });
 
-  // Greedy cover over the merge of the two ordered lists, under the same
-  // (score desc, order asc) order. Every candidate lies inside the merged
-  // regions, so once either side's region tokens are all covered no later
-  // candidate can fit and the walk stops.
+  // Greedy cover in (score desc, order asc) order. Every candidate lies
+  // inside the merged regions, so once either side's region tokens are all
+  // covered no later candidate can fit and the cover stops.
   int r_uncovered = 0;
   for (const DiffRegion& region : r_regions) r_uncovered += region.count;
   int s_uncovered = 0;
   for (const DiffRegion& region : s_regions) s_uncovered += region.count;
-  size_t next_geometric = 0;
-  size_t next_scored = 0;
   int64_t popped = 0;
-  Coverage covered(tokens);
-  while ((next_geometric < by_rank.size() || next_scored < scored.size()) && r_uncovered > 0 &&
-         s_uncovered > 0) {
-    GramPair grams;
-    if (next_geometric == by_rank.size()) {
-      grams = scored[next_scored++].grams;
-    } else {
-      grams = geometric[by_rank[next_geometric]];
+  Coverage covered(tokens, &scratch.covered);
+  std::vector<RewriteMatch>& rewrites = scratch.rewrites;
+  rewrites.clear();
+  const auto pop = [&](GramPair grams) {
+    ++popped;
+    const TermSpan& r_span = r_grams[grams.r];
+    const TermSpan& s_span = s_grams[grams.s];
+    // Probe coverage without committing: check both sides first.
+    if (!covered.Free(PairSide::kR, r_span) || !covered.Free(PairSide::kS, s_span)) return;
+    covered.Cover(PairSide::kR, r_span);
+    covered.Cover(PairSide::kS, s_span);
+    r_uncovered -= r_span.len;
+    s_uncovered -= s_span.len;
+    rewrites.push_back(RewriteMatch{r_span, s_span});
+  };
+
+  // Phase 1: a scored candidate above the best geometric score, 10·C at
+  // rank 0, precedes every geometric candidate, so those are popped before
+  // any geometric candidate exists.
+  const GeometricRanks ranks(r_grams, s_grams);
+  size_t next_scored = 0;
+  while (next_scored < scored.size() && scored[next_scored].score > ranks.Score(0) &&
+         r_uncovered > 0 && s_uncovered > 0) {
+    pop(scored[next_scored++].grams);
+  }
+
+  // Phase 2: the geometric candidates the cover can still accept, merged
+  // with the remaining scored ones under the same order. Coverage only
+  // grows, so a candidate with a covered span would be popped and skipped:
+  // only free R grams x free S grams are enumerated, in (r, s) order,
+  // leaving out identities and the scored candidates still to pop.
+  size_t geometric_count = 0;
+  if (r_uncovered > 0 && s_uncovered > 0) {
+    std::vector<uint32_t>& free_s = scratch.free_s;
+    free_s.clear();
+    for (uint32_t si = 0; si < s_count; ++si) {
+      if (covered.Free(PairSide::kS, s_grams[si])) free_s.push_back(si);
+    }
+    std::vector<GramPair>& scored_left = scratch.scored_left;
+    scored_left.clear();
+    for (size_t i = next_scored; i < scored.size(); ++i) scored_left.push_back(scored[i].grams);
+    std::sort(scored_left.begin(), scored_left.end());
+    // Each geometric candidate is counted in its rank's bucket (kFirstMatch
+    // has one rank: enumeration order decides).
+    std::vector<GramPair>& geometric = scratch.geometric;
+    geometric.clear();
+    std::vector<uint32_t>& bucket_begin = scratch.bucket_begin;
+    bucket_begin.assign((first_match ? 1 : ranks.size()) + 1, 0);
+    size_t next_left = 0;
+    for (uint32_t ri = 0; ri < r_count; ++ri) {
+      const TermSpan& r_span = r_grams[ri];
+      if (!covered.Free(PairSide::kR, r_span)) continue;
+      for (uint32_t si : free_s) {
+        const TermSpan& s_span = s_grams[si];
+        const GramPair grams{ri, si};
+        while (next_left < scored_left.size() && scored_left[next_left] < grams) ++next_left;
+        if (next_left < scored_left.size() && !(grams < scored_left[next_left])) continue;
+        if (r_span == s_span &&
+            std::equal(r_tokens[ri].ids, r_tokens[ri].ids + r_span.len, s_tokens[si].ids)) {
+          continue;  // An identity candidate.
+        }
+        // 0.0 + 0.0 + coverage * 10.0 + locality is the rank's score exactly.
+        ++bucket_begin[(first_match ? 0 : ranks.Rank(r_span, s_span)) + 1];
+        geometric.push_back(grams);
+      }
+    }
+    geometric_count = geometric.size();
+    // Stable counting sort of the geometric candidates: bucket r's slots
+    // start after every lower rank's, and filling them in enumeration
+    // order lists each rank's candidates in that order, exactly as a full
+    // sort by (score desc, order asc) would.
+    std::partial_sum(bucket_begin.begin(), bucket_begin.end(), bucket_begin.begin());
+    std::vector<uint32_t>& by_rank = scratch.by_rank;
+    by_rank.resize(geometric.size());
+    for (uint32_t i = 0; i < geometric.size(); ++i) {
+      const GramPair grams = geometric[i];
+      const uint32_t rank = first_match ? 0 : ranks.Rank(r_grams[grams.r], s_grams[grams.s]);
+      by_rank[bucket_begin[rank]++] = i;
+    }
+    size_t next_geometric = 0;
+    while ((next_geometric < by_rank.size() || next_scored < scored.size()) && r_uncovered > 0 &&
+           s_uncovered > 0) {
+      if (next_geometric == by_rank.size()) {
+        pop(scored[next_scored++].grams);
+        continue;
+      }
+      const GramPair grams = geometric[by_rank[next_geometric]];
       // kFirstMatch has no scored candidates, so Score is never asked for
       // its all-zero ranks.
       if (next_scored < scored.size() &&
           PopsBefore(scored[next_scored].score, scored[next_scored].grams,
                      ranks.Score(ranks.Rank(r_grams[grams.r], s_grams[grams.s])), grams)) {
-        grams = scored[next_scored++].grams;
+        pop(scored[next_scored++].grams);
       } else {
         ++next_geometric;
+        pop(grams);
       }
     }
-    ++popped;
-    const TermSpan& r_span = r_grams[grams.r];
-    const TermSpan& s_span = s_grams[grams.s];
-    // Probe coverage without committing: check both sides first.
-    if (!covered.Free(PairSide::kR, r_span) || !covered.Free(PairSide::kS, s_span)) continue;
-    covered.Cover(PairSide::kR, r_span);
-    covered.Cover(PairSide::kS, s_span);
-    r_uncovered -= r_span.len;
-    s_uncovered -= s_span.len;
-    out.rewrites.push_back(RewriteMatch{r_span, s_span});
   }
 
-  // Tallied in locals and added once per call, like the lookup counters.
+  // Tallied in locals and added once per call.
   static Counter* const candidates_counter =
       MetricRegistry::Global().GetCounter("mb.rewrite.candidates");
   static Counter* const popped_counter = MetricRegistry::Global().GetCounter("mb.rewrite.popped");
   static Counter* const accepted_counter =
       MetricRegistry::Global().GetCounter("mb.rewrite.accepted");
-  candidates_counter->Increment(static_cast<int64_t>(geometric.size() + scored.size()));
+  candidates_counter->Increment(static_cast<int64_t>(scored.size() + geometric_count));
   popped_counter->Increment(popped);
-  accepted_counter->Increment(static_cast<int64_t>(out.rewrites.size()));
-  if (lookups > 0) {
+  accepted_counter->Increment(static_cast<int64_t>(rewrites.size()));
+  if (use_db) {
     static Counter* const lookups_counter =
         MetricRegistry::Global().GetCounter("mb.rewrite.lookups");
-    static Counter* const passed_counter =
+    static Counter* const reached_counter =
         MetricRegistry::Global().GetCounter("mb.rewrite.filter_passed");
     static Counter* const hits_counter = MetricRegistry::Global().GetCounter("mb.rewrite.hits");
-    lookups_counter->Increment(lookups);
-    passed_counter->Increment(filter_passed);
+    // Every non-identity R x S pair is a lookup the index answers.
+    lookups_counter->Increment(static_cast<int64_t>(r_grams.size() * s_grams.size()) -
+                               identities);
+    reached_counter->Increment(reached);
     hits_counter->Increment(hits);
   }
 
-  AppendShiftRewrites(aligned, covered, options.max_ngram, &out.rewrites);
+  AppendShiftRewrites(scratch.aligned, covered, options.max_ngram, &rewrites);
+  out.rewrites.assign(rewrites.begin(), rewrites.end());
   out.r_only = std::move(r_grams);
   out.s_only = std::move(s_grams);
+  scratch.Trim();
   return out;
 }
 

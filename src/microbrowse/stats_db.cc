@@ -100,7 +100,7 @@ class SideGrams {
 /// `matching_db` (nullable) guides rewrite matching; results go into
 /// `out`. Under StatsScope::kRewritesOnly only the rewrite keys are
 /// recorded. Each pair's token dictionary serves both its term statistics
-/// and its matching, and every key is spelled into one reused buffer.
+/// and its matching; it and every key are built in reused buffers.
 void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
                      const FeatureStatsDb* matching_db, StatsScope scope, size_t begin,
                      size_t end, FeatureStatsDb* out) {
@@ -110,13 +110,14 @@ void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
   SideGrams r_grams;
   SideGrams s_grams;
   FeatureKeyBuffer key;
+  PairTokens tokens;
 
   for (size_t pair_index = begin; pair_index < end; ++pair_index) {
     const SnippetPair& pair = corpus.pairs[pair_index];
     const Snippet& r = pair.r.snippet;
     const Snippet& s = pair.s.snippet;
     const int delta = pair.delta_sw();
-    const PairTokens tokens(r, s);
+    tokens.Reset(r, s);
 
     if (all_keys) {
       // --- Term statistics: n-grams unique to one side (plain and
@@ -201,16 +202,63 @@ void AccumulatePass(const PairCorpus& corpus, const BuildStatsOptions& options,
 
 }  // namespace
 
-void FeatureStatsDb::BuildRewriteFilter() {
-  std::vector<uint64_t> fingerprints;
-  const auto add = [&fingerprints](uint64_t fingerprint) { fingerprints.push_back(fingerprint); };
-  for (const auto& entry : stats_) ForEachRewriteFingerprint(entry.first, add);
+RewritePartnerIndex::RewritePartnerIndex(
+    std::span<const std::pair<uint64_t, uint64_t>> pairs)
+    : slots_(2, 0), begin_(1, 0) {
+  // Number the sides and count each one's partners in begin_[side + 1]
+  // (a pair of one side with itself enters it once), then turn the counts
+  // into offsets and place each partner.
+  std::vector<uint32_t> pair_sides(2 * pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const uint32_t a = Intern(pairs[i].first);
+    const uint32_t b = Intern(pairs[i].second);
+    pair_sides[2 * i] = a;
+    pair_sides[2 * i + 1] = b;
+    ++begin_[a + 1];
+    if (a != b) ++begin_[b + 1];
+  }
+  side_hashes_.shrink_to_fit();
+  begin_.shrink_to_fit();
+  std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+  partners_.resize(begin_.back());
+  std::vector<uint32_t> next(begin_.begin(), begin_.end() - 1);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const uint32_t a = pair_sides[2 * i];
+    const uint32_t b = pair_sides[2 * i + 1];
+    partners_[next[a]++] = b;
+    if (a != b) partners_[next[b]++] = a;
+  }
+}
+
+uint32_t RewritePartnerIndex::Intern(uint64_t hash) {
+  if (const uint32_t known = slots_[Slot(hash)]; known != 0) return known - 1;
+  side_hashes_.push_back(hash);
+  begin_.push_back(0);
+  const auto side = static_cast<uint32_t>(side_hashes_.size() - 1);
+  if (2 * side_hashes_.size() > slots_.size()) {
+    // Keep at most half the slots full, so every probe meets an empty one.
+    slots_.assign(2 * slots_.size(), 0);
+    for (uint32_t other = 0; other < side; ++other) slots_[Slot(side_hashes_[other])] = other + 1;
+  }
+  slots_[Slot(hash)] = side + 1;
+  return side;
+}
+
+void FeatureStatsDb::BuildRewriteIndex() {
   // Every rewrite key shares its prefix's class; only that class's sorted
   // rewrite range is read from the pack.
-  ForEachRewriteFingerprintInSorted(
-      base_[static_cast<size_t>(StatsKeyClass(kRewriteKeyPrefix))].keys, add);
-  rewrite_filter_.emplace(fingerprints.size());
-  for (uint64_t fingerprint : fingerprints) rewrite_filter_->Insert(fingerprint);
+  const pack::StringTable& base_keys =
+      base_[static_cast<size_t>(StatsKeyClass(kRewriteKeyPrefix))].keys;
+  const auto [base_begin, base_end] = RewriteKeyRange(base_keys);
+  // One reading per key unless a key holds two arrows.
+  size_t readings = base_end - base_begin;
+  for (const auto& entry : stats_) readings += entry.first.starts_with(kRewriteKeyPrefix);
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  pairs.reserve(readings);
+  const auto add = [&pairs](uint64_t lo, uint64_t hi) { pairs.emplace_back(lo, hi); };
+  for (const auto& entry : stats_) ForEachRewriteSides(entry.first, add);
+  for (size_t i = base_begin; i < base_end; ++i) ForEachRewriteSides(base_keys.at(i), add);
+  rewrite_index_.emplace(pairs);
 }
 
 void AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
@@ -245,7 +293,7 @@ FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptio
     AccumulatePass(corpus, options, pass == 0 ? nullptr : &db, StatsScopeOfPass(pass, passes),
                    &next);
     db = std::move(next);
-    db.BuildRewriteFilter();
+    db.BuildRewriteIndex();
   }
   // Aggregate updates from the (single-threaded) driver, so values are
   // identical for any BuildStatsOptions::num_threads.

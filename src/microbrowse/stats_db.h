@@ -16,11 +16,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "common/bloom_filter.h"
+#include "common/hash.h"
 #include "common/math_util.h"
 #include "microbrowse/pair.h"
 #include "pack/hash_index.h"
@@ -83,6 +86,56 @@ struct StatsKeyHash {
 /// (string_view) lookup.
 using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash, std::equal_to<>>;
 
+/// Which rewrite sides a statistics database pairs: for every side of
+/// every "rw:<lo>=><hi>" key, the side hashes (RewriteSideHash) of the
+/// sides it is paired with. Each reading of a key (ForEachRewriteSides)
+/// enters lo under hi and hi under lo, so a candidate pair of texts whose
+/// key the database holds is always reached from either side: the index
+/// has no false negatives. A side hash collision can only add a partner,
+/// and the matcher sends every partner to the exact Find.
+///
+/// Layout: the distinct side hashes in a dense array, found through an
+/// open-addressing table of side numbers sized by their count, and each
+/// side's partners as side numbers, contiguous in one array (side i's are
+/// [begin_[i], begin_[i + 1])). It is an in-memory index only: never
+/// persisted, so it carries no format or stability contract.
+class RewritePartnerIndex {
+ public:
+  /// Builds the index from the side-hash pairs of every reading of every
+  /// rewrite key, in one pass over `pairs` that does not sort. A pair may
+  /// repeat, and a side's partners then list a hash twice.
+  explicit RewritePartnerIndex(std::span<const std::pair<uint64_t, uint64_t>> pairs);
+
+  /// Calls `fn(partner_hash)` for every side some rewrite key pairs with a
+  /// side hashed `side_hash`; calls nothing when no key has such a side.
+  template <typename Fn>
+  void ForEachPartner(uint64_t side_hash, Fn&& fn) const {
+    const uint32_t side = slots_[Slot(side_hash)];  // Side number + 1.
+    if (side == 0) return;
+    for (uint32_t i = begin_[side - 1]; i < begin_[side]; ++i) fn(side_hashes_[partners_[i]]);
+  }
+
+  /// Distinct side hashes.
+  size_t num_sides() const { return side_hashes_.size(); }
+
+ private:
+  /// The slot holding side `hash`, or the empty slot where it would go.
+  size_t Slot(uint64_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t slot = Mix64(hash) & mask;
+    while (slots_[slot] != 0 && side_hashes_[slots_[slot] - 1] != hash) slot = (slot + 1) & mask;
+    return slot;
+  }
+
+  /// The number of side `hash`, added when it is new.
+  uint32_t Intern(uint64_t hash);
+
+  std::vector<uint32_t> slots_;        ///< Side number + 1; 0 = empty.
+  std::vector<uint64_t> side_hashes_;  ///< By side number.
+  std::vector<uint32_t> begin_;        ///< num_sides() + 1 partner offsets.
+  std::vector<uint32_t> partners_;     ///< Side numbers.
+};
+
 /// Keyed store of feature statistics. Keys come from feature_keys.h, so
 /// term / rewrite / position statistics share one namespace-prefixed map.
 ///
@@ -94,11 +147,11 @@ using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash
 /// friends) always write the heap map and are not meant for pack-backed
 /// instances — the serving read path never mutates.
 ///
-/// A database may also carry a rewrite filter: a Bloom filter over the
-/// fingerprints (feature_keys.h) of its "rw:" keys, which lets the rewrite
-/// matcher skip the string key and Find for rewrites the database cannot
-/// hold. BuildRewriteFilter builds it; every mutator drops it, and without
-/// one MayContainRewrite answers "maybe" for everything.
+/// A database may also carry a rewrite partner index (RewritePartnerIndex)
+/// over its "rw:" keys, which lets the rewrite matcher find the candidate
+/// pairs the database may score by lookup instead of spelling a key and
+/// calling Find for every pair. BuildRewriteIndex builds it; every mutator
+/// drops it, and without one the matcher sends every candidate to Find.
 class FeatureStatsDb {
  public:
   FeatureStatsDb() = default;
@@ -107,7 +160,7 @@ class FeatureStatsDb {
   /// only the total (the feature coincided with a negative difference).
   /// Copies `key` only when it is new.
   void AddObservation(std::string_view key, int delta_sw) {
-    rewrite_filter_.reset();
+    rewrite_index_.reset();
     auto it = stats_.find(key);
     if (it == stats_.end()) it = stats_.emplace(std::string(key), FeatureStat{}).first;
     ++it->second.total;
@@ -118,7 +171,7 @@ class FeatureStatsDb {
   /// by deserialization, where counts were already aggregated — going
   /// through AddObservation would cost O(total) per key.
   void SetStat(const std::string& key, int64_t positive, int64_t total) {
-    rewrite_filter_.reset();
+    rewrite_index_.reset();
     stats_[key] = FeatureStat{positive, total};
   }
 
@@ -126,7 +179,7 @@ class FeatureStatsDb {
   /// merging partial databases accumulated over corpus chunks; integer
   /// counts make the merge order-independent.
   void AddCounts(const std::string& key, int64_t positive, int64_t total) {
-    rewrite_filter_.reset();
+    rewrite_index_.reset();
     FeatureStat& stat = stats_[key];
     stat.positive += positive;
     stat.total += total;
@@ -189,27 +242,25 @@ class FeatureStatsDb {
   /// callers should prefer ForEach, which sees both layers.
   const FeatureStatMap& stats() const { return stats_; }
   /// Mutable access for bulk splicing (unordered_map::merge) when
-  /// assembling a database from disjoint shards. Drops the rewrite filter;
-  /// do not keep the reference across a later BuildRewriteFilter, since
-  /// the filter would not see changes made through it.
+  /// assembling a database from disjoint shards. Drops the rewrite index;
+  /// do not keep the reference across a later BuildRewriteIndex, since
+  /// the index would not see changes made through it.
   FeatureStatMap& mutable_stats() {
-    rewrite_filter_.reset();
+    rewrite_index_.reset();
     return stats_;
   }
 
-  /// Builds the rewrite filter from every "rw:" key in both layers. For
-  /// the pack layer only class 0's sorted "rw:" range is read, located by
-  /// binary search, so the rest of the mapping stays untouched.
-  void BuildRewriteFilter();
+  /// Builds the rewrite partner index from every "rw:" key in both layers,
+  /// hashing each side once. For the pack layer only class 0's sorted "rw:"
+  /// range is read, located by binary search, so the rest of the mapping
+  /// stays untouched.
+  void BuildRewriteIndex();
 
-  /// False only when no "rw:" key of this database has `fingerprint`
-  /// (RewriteFingerprint), so a Find for it would miss. True when a key
-  /// may have it, or when there is no filter.
-  bool MayContainRewrite(uint64_t fingerprint) const {
-    return !rewrite_filter_ || rewrite_filter_->MayContain(fingerprint);
+  /// The rewrite partner index, or nullptr when none is built (a mutation
+  /// since drops it). Without one, every rewrite may be present.
+  const RewritePartnerIndex* rewrite_index() const {
+    return rewrite_index_ ? &*rewrite_index_ : nullptr;
   }
-  /// Whether a rewrite filter is built (a mutation since drops it).
-  bool has_rewrite_filter() const { return rewrite_filter_.has_value(); }
 
   /// Visits every (key, stat) across both layers, heap entries first, then
   /// base entries class by class in their sorted on-disk order. No
@@ -237,7 +288,7 @@ class FeatureStatsDb {
   /// database, at most once.
   void AttachPackBase(std::shared_ptr<const pack::PackReader> pack,
                       const std::array<BaseClass, kNumStatsClasses>& classes) {
-    rewrite_filter_.reset();
+    rewrite_index_.reset();
     pack_ = std::move(pack);
     base_ = classes;
     base_total_ = 0;
@@ -254,7 +305,7 @@ class FeatureStatsDb {
   std::shared_ptr<const pack::PackReader> pack_;
   std::array<BaseClass, kNumStatsClasses> base_{};
   size_t base_total_ = 0;
-  std::optional<BlockedBloomFilter> rewrite_filter_;
+  std::optional<RewritePartnerIndex> rewrite_index_;
 };
 
 /// Statistics-builder configuration.
@@ -280,7 +331,7 @@ struct BuildStatsOptions {
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options = {});
 
 /// Which keys an accumulation pass records. The matcher reads a database
-/// only through its rewrite keys ("rw:", and the filter built from them),
+/// only through its rewrite keys ("rw:", and the index built from them),
 /// so a pass whose database only guides the next pass's matching records
 /// just those; the last pass records every key.
 enum class StatsScope {

@@ -31,7 +31,7 @@ using TokenId = uint32_t;
 enum class PairSide { kR = 0, kS = 1 };
 
 /// A token's piece of a phrase's side hash (PhraseHash): its byte-wise
-/// FNV-1a, left unmixed because the fold and the rewrite fingerprint mix.
+/// FNV-1a, left unmixed because the fold and the tables keyed by it mix.
 inline uint64_t TokenHashPiece(std::string_view token) { return Fnv1a64(token); }
 
 /// Folds the next token's piece into a phrase hash; a phrase's hash starts
@@ -50,7 +50,14 @@ uint64_t PhraseHash(std::string_view text);
 /// in a numbering of every token position of both snippets.
 class PairTokens {
  public:
-  PairTokens(const Snippet& r, const Snippet& s);
+  /// The dictionary of no pair; Reset makes it one.
+  PairTokens() = default;
+  PairTokens(const Snippet& r, const Snippet& s) { Reset(r, s); }
+
+  /// Rebuilds the dictionary for the pair (r, s), reusing the buffers of
+  /// the previous one, so a caller that keeps one PairTokens per thread
+  /// allocates nothing once they have grown.
+  void Reset(const Snippet& r, const Snippet& s);
 
   /// Ids of line `line` of `side`; empty for a line past the snippet's end.
   std::span<const TokenId> Line(PairSide side, int line) const {
@@ -86,6 +93,11 @@ class PairTokens {
   std::vector<TokenId> ids_;
   std::vector<uint32_t> line_begin_[2];  ///< Per side: num_lines + 1 offsets.
   std::vector<uint64_t> pieces_;         ///< TokenHashPiece by id.
+  // Reset's working buffers: open addressing over the token pieces, where
+  // a slot holds id + 1 (0 = empty) and first_[id] is the token that id
+  // was given to, for the exact compare.
+  std::vector<TokenId> slots_;
+  std::vector<const std::string*> first_;
 };
 
 }  // namespace microbrowse

@@ -17,6 +17,13 @@ bool IsWordChar(char c) {
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
   const size_t n = text.size();
+  // Each token is one maximal run of word characters (plus a '$' before
+  // it or a '%' after it), so counting the runs sizes the vector exactly.
+  size_t runs = 0;
+  for (size_t j = 0; j < n; ++j) {
+    runs += IsWordChar(text[j]) && (j == 0 || !IsWordChar(text[j - 1]));
+  }
+  tokens.reserve(runs);
   size_t i = 0;
   while (i < n) {
     // '$' opens a token when followed by an alphanumeric ("$99").

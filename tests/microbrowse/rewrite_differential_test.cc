@@ -8,17 +8,21 @@
 // mmap pack-loaded database. The greedy strategy is also run against the
 // databases of every other construction path (the in-memory build, the
 // sharded build) and against adversarial ones, because the production
-// matcher consults the database's rewrite filter and the reference does
-// not. Also checks that the two database layers answer Find identically.
+// matcher finds its database candidates through the database's rewrite
+// partner index and the reference calls Find for every candidate. Also
+// checks that the two database layers answer Find identically.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -105,7 +109,7 @@ const MatcherFixture& Fixture() {
         out->no_rewrites_db.SetStat(std::string(key), stat.positive, stat.total);
       }
     });
-    out->no_rewrites_db.BuildRewriteFilter();
+    out->no_rewrites_db.BuildRewriteIndex();
     return out;
   }();
   return *fixture;
@@ -275,7 +279,54 @@ TEST(StatsDbLayersTest, HeapFindHonoursViewLength) {
   EXPECT_EQ(db.Find(std::string_view(buffer).substr(0, 6)), nullptr);
 }
 
+/// The partner hashes `index` lists under `side_hash`, in its order.
+std::vector<uint64_t> PartnersOf(const RewritePartnerIndex& index, uint64_t side_hash) {
+  std::vector<uint64_t> partners;
+  index.ForEachPartner(side_hash, [&](uint64_t partner) { partners.push_back(partner); });
+  return partners;
+}
+
+/// Whether `partners` lists `hash`.
+bool Lists(const std::vector<uint64_t>& partners, uint64_t hash) {
+  return std::find(partners.begin(), partners.end(), hash) != partners.end();
+}
+
+TEST(RewritePartnerIndexTest, EveryInsertedPairIsFoundFromBothSides) {
+  // Sides drawn from a small pool, so most have several partners, plus
+  // pairs of a side with itself.
+  Rng rng(7);
+  std::vector<uint64_t> pool(3000);
+  for (uint64_t& hash : pool) hash = rng.NextU64();
+  std::vector<std::pair<uint64_t, uint64_t>> pairs(20000);
+  for (auto& [a, b] : pairs) {
+    a = pool[rng.NextIndex(pool.size())];
+    b = rng.NextIndex(10) == 0 ? a : pool[rng.NextIndex(pool.size())];
+  }
+  const RewritePartnerIndex index(pairs);
+  std::unordered_map<uint64_t, std::vector<uint64_t>> want;
+  for (const auto& [a, b] : pairs) {
+    want[a].push_back(b);
+    if (a != b) want[b].push_back(a);
+  }
+  EXPECT_EQ(index.num_sides(), want.size());
+  for (auto& [side, partners] : want) {
+    std::vector<uint64_t> sorted_got = PartnersOf(index, side);
+    std::sort(sorted_got.begin(), sorted_got.end());
+    std::sort(partners.begin(), partners.end());
+    ASSERT_EQ(sorted_got, partners) << side;
+  }
+}
+
+TEST(RewritePartnerIndexTest, EmptyIndexRulesOutEverything) {
+  const RewritePartnerIndex index({});
+  EXPECT_EQ(index.num_sides(), 0u);
+  Rng rng(3);
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(PartnersOf(index, rng.NextU64()).empty());
+}
+
 TEST(RewriteFilterTest, EveryConstructionPathBuildsAFilterWithoutFalseNegatives) {
+  // The filter is the rewrite partner index: every reading of every rw:
+  // key is found from both of its sides.
   const MatcherFixture& fixture = Fixture();
   const std::pair<const char*, const FeatureStatsDb*> dbs[] = {
       {"built", &fixture.built_db},
@@ -284,23 +335,58 @@ TEST(RewriteFilterTest, EveryConstructionPathBuildsAFilterWithoutFalseNegatives)
       {"pack", &fixture.pack_db},
       {"checkpoint", &fixture.checkpoint_db}};
   for (const auto& [name, db] : dbs) {
-    ASSERT_TRUE(db->has_rewrite_filter()) << name;
-    size_t rewrite_keys = 0;
+    const RewritePartnerIndex* index = db->rewrite_index();
+    ASSERT_NE(index, nullptr) << name;
+    size_t readings = 0;
     db->ForEach([&](std::string_view key, const FeatureStat&) {
-      ForEachRewriteFingerprint(key, [&](uint64_t fingerprint) {
-        ASSERT_TRUE(db->MayContainRewrite(fingerprint)) << name << " '" << key << "'";
-        ++rewrite_keys;
+      ForEachRewriteSides(key, [&](uint64_t lo, uint64_t hi) {
+        ASSERT_TRUE(Lists(PartnersOf(*index, lo), hi)) << name << " '" << key << "'";
+        ASSERT_TRUE(Lists(PartnersOf(*index, hi), lo)) << name << " '" << key << "'";
+        ++readings;
       });
     });
-    EXPECT_GT(rewrite_keys, 100u) << name;
+    EXPECT_GT(readings, 100u) << name;
   }
-  // The rewrite-free database's filter rules out every rewrite.
-  ASSERT_TRUE(fixture.no_rewrites_db.has_rewrite_filter());
+  // The rewrite-free database's index rules out every rewrite.
+  const RewritePartnerIndex* empty = fixture.no_rewrites_db.rewrite_index();
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->num_sides(), 0u);
   fixture.heap_db.ForEach([&](std::string_view key, const FeatureStat&) {
-    ForEachRewriteFingerprint(key, [&](uint64_t fingerprint) {
-      ASSERT_FALSE(fixture.no_rewrites_db.MayContainRewrite(fingerprint)) << key;
+    ForEachRewriteSides(key, [&](uint64_t lo, uint64_t hi) {
+      ASSERT_TRUE(PartnersOf(*empty, lo).empty()) << key;
+      ASSERT_TRUE(PartnersOf(*empty, hi).empty()) << key;
     });
   });
+}
+
+TEST(RewriteFilterTest, EveryCandidateTheDatabaseHoldsIsReachedByTheIndex) {
+  // Candidate by candidate, over every fixture pair: the candidates are
+  // the R x S region grams, which MatchRewrites returns as its residue,
+  // and each one whose canonical key Finds must be among the partners of
+  // its R gram's side hash, folded as the matcher folds it.
+  const MatcherFixture& fixture = Fixture();
+  for (const FeatureStatsDb* db : {&fixture.heap_db, &fixture.pack_db}) {
+    const RewritePartnerIndex* index = db->rewrite_index();
+    ASSERT_NE(index, nullptr);
+    FeatureKeyBuffer key;
+    size_t found = 0;
+    for (const auto& [r, s] : fixture.pairs) {
+      const PairTokens tokens(r, s);
+      const PairDiff diff = MatchRewrites(r, s, tokens, db);
+      for (const TermSpan& r_span : diff.r_only) {
+        const std::vector<uint64_t> partners =
+            PartnersOf(*index, tokens.SpanHash(PairSide::kR, r_span));
+        for (const TermSpan& s_span : diff.s_only) {
+          double sign = 0.0;
+          if (db->Find(key.Rewrite(s, s_span, r, r_span, &sign)) == nullptr) continue;
+          ++found;
+          ASSERT_TRUE(Lists(partners, tokens.SpanHash(PairSide::kS, s_span)))
+              << r.SpanText(r_span) << " -> " << s.SpanText(s_span);
+        }
+      }
+    }
+    EXPECT_GT(found, fixture.pairs.size());
+  }
 }
 
 /// Runs both matchers on the one-line pair (r, s) under kGreedyStats and
@@ -330,7 +416,7 @@ TEST(RewriteFilterTest, KeyWithTwoArrowsIsFoundUnderEitherReading) {
   FeatureStatsDb built;
   built.SetStat("rw:a=>b=>c", 30, 40);
   built.SetStat("t:x", 1, 2);
-  built.BuildRewriteFilter();
+  built.BuildRewriteIndex();
   const std::string dir =
       ::testing::TempDir() + "/rewrite_filter_arrows_" + std::to_string(::getpid());
   ASSERT_TRUE(CreateDirectories(dir).ok());
@@ -345,7 +431,7 @@ TEST(RewriteFilterTest, KeyWithTwoArrowsIsFoundUnderEitherReading) {
       {"built", &built}, {"tsv", &*tsv}, {"pack", &*pack}};
   for (const auto& [name, db] : dbs) {
     SCOPED_TRACE(name);
-    ASSERT_TRUE(db->has_rewrite_filter());
+    ASSERT_NE(db->rewrite_index(), nullptr);
     const int64_t hits_before = RewriteHits();
     const std::vector<std::string> lo_r = {"a=>b", "x"};
     const std::vector<std::string> lo_s = {"y", "c"};
@@ -364,8 +450,8 @@ TEST(RewriteFilterTest, KeyWithTwoArrowsIsFoundUnderEitherReading) {
 }
 
 TEST(RewriteFilterTest, EveryMutatorDropsTheFilter) {
-  // A rewrite added after the filter was built must still be found: each
-  // mutator drops the filter, so the matcher falls back to Find.
+  // A rewrite added after the index was built must still be found: each
+  // mutator drops the index, so the matcher sends every candidate to Find.
   const std::vector<std::string> r = {"x", "cheap", "y"};
   const std::vector<std::string> s = {"x", "deals", "z"};
   const std::pair<const char*, std::function<void(FeatureStatsDb*)>> mutators[] = {
@@ -382,56 +468,105 @@ TEST(RewriteFilterTest, EveryMutatorDropsTheFilter) {
     FeatureStatsDb db;
     db.SetStat("rw:alpha=>beta", 3, 5);
     db.SetStat("t:cheap", 1, 2);
-    db.BuildRewriteFilter();
-    ASSERT_TRUE(db.has_rewrite_filter());
-    // Precondition: the filter as built rules the new rewrite out, so a
-    // stale filter would hide it.
-    ASSERT_FALSE(db.MayContainRewrite(
-        RewriteFingerprint(RewriteSideHash("cheap"), RewriteSideHash("deals"))));
+    db.BuildRewriteIndex();
+    ASSERT_NE(db.rewrite_index(), nullptr);
+    // Precondition: the index as built rules the new rewrite out, so a
+    // stale index would hide it.
+    ASSERT_TRUE(PartnersOf(*db.rewrite_index(), RewriteSideHash("cheap")).empty());
     const PairDiff before = MatchOneLine(r, s, db);
     ASSERT_FALSE(before.rewrites.empty());
     EXPECT_EQ(LineSpanText(r, before.rewrites[0].r_span), "x cheap y");
 
     mutate(&db);
-    EXPECT_FALSE(db.has_rewrite_filter());
+    EXPECT_EQ(db.rewrite_index(), nullptr);
     const PairDiff after = MatchOneLine(r, s, db);
     ASSERT_FALSE(after.rewrites.empty());
     EXPECT_EQ(LineSpanText(r, after.rewrites[0].r_span), "cheap");
     EXPECT_EQ(LineSpanText(s, after.rewrites[0].s_span), "deals");
 
-    db.BuildRewriteFilter();  // Rebuilt, the filter admits the new rewrite.
+    db.BuildRewriteIndex();  // Rebuilt, the index reaches the new rewrite.
     EXPECT_EQ(FirstDifference(Snippet::FromTokens({r}), Snippet::FromTokens({s}), after,
                               MatchOneLine(r, s, db)),
               "");
   }
 }
 
-TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
-  Counter* lookups = MetricRegistry::Global().GetCounter("mb.rewrite.lookups");
-  Counter* passed = MetricRegistry::Global().GetCounter("mb.rewrite.filter_passed");
-  const int64_t lookups_before = lookups->Value();
-  const int64_t passed_before = passed->Value();
-  const int64_t hits_before = RewriteHits();
-  const FeatureStatsDb& db = Fixture().heap_db;
-  for (size_t i = 0; i < 200; ++i) {
-    const auto& [r, s] = Fixture().pairs[i];
-    (void)MatchRewrites(r, s, &db);
+/// Deltas of the mb.rewrite.* counters over a stretch of matching.
+class RewriteCounters {
+ public:
+  RewriteCounters() {
+    for (size_t i = 0; i < kNames.size(); ++i) before_[i] = Get(i)->Value();
   }
-  const int64_t n_lookups = lookups->Value() - lookups_before;
-  const int64_t n_passed = passed->Value() - passed_before;
-  const int64_t n_hits = RewriteHits() - hits_before;
-  EXPECT_GT(n_lookups, 0);
-  EXPECT_GT(n_hits, 0);
-  EXPECT_LE(n_hits, n_passed);
-  EXPECT_LT(n_passed, n_lookups / 2);  // The filter answers most misses.
+  int64_t lookups() const { return Delta(0); }
+  int64_t filter_passed() const { return Delta(1); }
+  int64_t hits() const { return Delta(2); }
+  int64_t candidates() const { return Delta(3); }
+  int64_t popped() const { return Delta(4); }
+  int64_t accepted() const { return Delta(5); }
+
+ private:
+  static constexpr std::array<const char*, 6> kNames = {
+      "mb.rewrite.lookups",    "mb.rewrite.filter_passed", "mb.rewrite.hits",
+      "mb.rewrite.candidates", "mb.rewrite.popped",        "mb.rewrite.accepted"};
+  static Counter* Get(size_t i) { return MetricRegistry::Global().GetCounter(kNames[i]); }
+  int64_t Delta(size_t i) const { return Get(i)->Value() - before_[i]; }
+  std::array<int64_t, kNames.size()> before_{};
+};
+
+TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
+  // lookups: the non-identity R x S candidates, all of which the index
+  // answers; filter_passed: the candidates the index reached and sent to
+  // Find; hits: those Find found.
+  const MatcherFixture& fixture = Fixture();
+  const FeatureStatsDb& db = fixture.heap_db;
+  FeatureStatsDb no_index = db;
+  no_index.mutable_stats();  // Drops the index.
+  ASSERT_EQ(no_index.rewrite_index(), nullptr);
+  int64_t want_reached = 0;
+  const RewriteCounters indexed;
+  for (size_t i = 0; i < 200; ++i) {
+    const auto& [r, s] = fixture.pairs[i];
+    const PairTokens tokens(r, s);
+    const PairDiff diff = MatchRewrites(r, s, tokens, &db);
+    // The candidates the index reaches: a non-identity pair whose S gram's
+    // side hash is a partner of its R gram's.
+    for (const TermSpan& r_span : diff.r_only) {
+      const std::vector<uint64_t> partners =
+          PartnersOf(*db.rewrite_index(), tokens.SpanHash(PairSide::kR, r_span));
+      for (const TermSpan& s_span : diff.s_only) {
+        const bool identity = r_span == s_span && r.SpanText(r_span) == s.SpanText(s_span);
+        want_reached += !identity && Lists(partners, tokens.SpanHash(PairSide::kS, s_span));
+      }
+    }
+  }
+  const int64_t lookups = indexed.lookups();
+  const int64_t hits = indexed.hits();
+  EXPECT_GT(lookups, 0);
+  EXPECT_GT(hits, 0);
+  EXPECT_EQ(indexed.filter_passed(), want_reached);
+  EXPECT_LE(hits, indexed.filter_passed());
+  EXPECT_LT(indexed.filter_passed(), lookups / 2);  // The index skips most pairs.
+
+  // Without an index every lookup goes to Find, and Find finds the same.
+  const RewriteCounters unindexed;
+  for (size_t i = 0; i < 200; ++i) {
+    const auto& [r, s] = fixture.pairs[i];
+    (void)MatchRewrites(r, s, &no_index);
+  }
+  EXPECT_EQ(unindexed.lookups(), lookups);
+  EXPECT_EQ(unindexed.filter_passed(), lookups);
+  EXPECT_EQ(unindexed.hits(), hits);
+
   // Matching without a database, or with a strategy that ignores it,
   // looks nothing up.
-  const auto& [r, s] = Fixture().pairs[0];
+  const RewriteCounters ignored;
+  const auto& [r, s] = fixture.pairs[0];
   RewriteMatchOptions position_only;
   position_only.strategy = MatchingStrategy::kPositionOnly;
   (void)MatchRewrites(r, s, nullptr);
   (void)MatchRewrites(r, s, &db, position_only);
-  EXPECT_EQ(lookups->Value() - lookups_before, n_lookups);
+  EXPECT_EQ(ignored.lookups(), 0);
+  EXPECT_EQ(ignored.filter_passed(), 0);
 }
 
 /// Seeded pairs over a four-token vocabulary: repeated tokens make many
@@ -479,7 +614,7 @@ FeatureStatsDb TieHeavyDb() {
   db.SetStat(RewriteKey("c", "d").key, 2, 4);
   db.SetStat(RewriteKey("a", "b").key, 0, 0);
   db.SetStat(RewriteKey("a b", "c").key, 7, 9);
-  db.BuildRewriteFilter();
+  db.BuildRewriteIndex();
   return db;
 }
 
@@ -572,7 +707,7 @@ FeatureStatsDb LowByteDb() {
       }
     }
   }
-  db.BuildRewriteFilter();
+  db.BuildRewriteIndex();
   return db;
 }
 
@@ -619,28 +754,95 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, LowByteDifferentialTest,
                          StrategyName);
 
 TEST(LazyCoverTest, CountersTallyCandidatesPopsAndAcceptances) {
-  const MatcherFixture& fixture = Fixture();  // Its stats builds match too.
-  Counter* candidates = MetricRegistry::Global().GetCounter("mb.rewrite.candidates");
-  Counter* popped = MetricRegistry::Global().GetCounter("mb.rewrite.popped");
-  Counter* accepted = MetricRegistry::Global().GetCounter("mb.rewrite.accepted");
-  const int64_t candidates_before = candidates->Value();
-  const int64_t popped_before = popped->Value();
-  const int64_t accepted_before = accepted->Value();
+  // candidates: the scored candidates plus the geometric ones the cover
+  // materialized, over the grams still free after the scored phase.
+  {
+    // One line, "x cheap y" against "x deals y", with the database holding
+    // cheap -> deals: of the 34 non-identity R x S pairs, one is scored;
+    // once it covers "cheap" and "deals", only x and y are free on either
+    // side, and of their four pairs two are identities.
+    FeatureStatsDb db;
+    db.SetStat(RewriteKey("deals", "cheap").key, 4, 6);
+    db.BuildRewriteIndex();
+    const RewriteCounters counters;
+    const PairDiff diff = MatchOneLine({"x", "cheap", "y"}, {"x", "deals", "y"}, db);
+    EXPECT_EQ(counters.lookups(), 34);
+    EXPECT_EQ(counters.filter_passed(), 1);
+    EXPECT_EQ(counters.hits(), 1);
+    EXPECT_EQ(counters.candidates(), 3);
+    EXPECT_EQ(counters.popped(), 3);
+    EXPECT_EQ(counters.accepted(), 3);
+    ASSERT_EQ(diff.rewrites.size(), 3u);
+    EXPECT_EQ(diff.rewrites[0].r_span, (TermSpan{0, 1, 1}));
+    EXPECT_EQ(diff.rewrites[0].s_span, (TermSpan{0, 1, 1}));
+  }
+  const MatcherFixture& fixture = Fixture();
+  const RewriteCounters counters;
   int64_t rewrites = 0;
+  int64_t pairs = 0;  // The R x S candidate pairs of the old enumeration.
   for (size_t i = 0; i < 200; ++i) {
     const auto& [r, s] = fixture.pairs[i];
-    rewrites += static_cast<int64_t>(MatchRewrites(r, s, &fixture.heap_db).rewrites.size());
+    const PairDiff diff = MatchRewrites(r, s, &fixture.heap_db);
+    rewrites += static_cast<int64_t>(diff.rewrites.size());
+    pairs += static_cast<int64_t>(diff.r_only.size() * diff.s_only.size());
   }
-  const int64_t n_candidates = candidates->Value() - candidates_before;
-  const int64_t n_popped = popped->Value() - popped_before;
-  const int64_t n_accepted = accepted->Value() - accepted_before;
-  EXPECT_GT(n_accepted, 0);
-  EXPECT_LE(n_accepted, n_popped);
+  EXPECT_GT(counters.accepted(), 0);
+  EXPECT_LE(counters.accepted(), counters.popped());
+  EXPECT_LE(counters.popped(), counters.candidates());
   // Shift rewrites come on top of the cover's acceptances.
-  EXPECT_LE(n_accepted, rewrites);
-  // The cover stops once a side is fully covered, well before the end of
-  // the candidate list.
-  EXPECT_LT(n_popped, n_candidates / 2);
+  EXPECT_LE(counters.accepted(), rewrites);
+  // Most R x S pairs are never materialized: the scored ones are found by
+  // lookup, and geometric ones only over the grams the cover left free.
+  EXPECT_LT(counters.candidates(), pairs / 4);
+}
+
+TEST(LazyCoverTest, DatabaseScoreBelowTheTopGeometricScoreIsMerged) {
+  // R's one line ends in "cheap" 28,040 tokens in; S has "s0 s1 s2" on
+  // line 0 and "deals" on line 1. The database's cheap -> deals scores
+  // 1e4·ln 2 + 1e2·ln 3 + 20 − 3 − 0.25·28,040 ≈ 48.3: below 10·C = 60, the
+  // top geometric score, so it cannot be popped in the scored phase. The
+  // cover must take the geometric (r0 r1 r2, s0 s1 s2) at 60 first, then
+  // cheap -> deals, which beats every geometric candidate left for
+  // "deals" (at most 40 − 3 − 0.75). Popping every scored candidate before
+  // any geometric one swaps the two.
+  constexpr int kCheapPos = 28040;
+  std::vector<std::string> r_line;
+  for (int i = 0; i < kCheapPos; ++i) r_line.push_back("r" + std::to_string(i));
+  r_line.push_back("cheap");
+  const Snippet r = Snippet::FromTokens({r_line});
+  const Snippet s = Snippet::FromTokens({{"s0", "s1", "s2"}, {"deals"}});
+
+  FeatureStatsDb built;
+  built.SetStat(RewriteKey("deals", "cheap").key, 1, 1);
+  built.BuildRewriteIndex();
+  const std::string dir =
+      ::testing::TempDir() + "/rewrite_interleave_" + std::to_string(::getpid());
+  ASSERT_TRUE(CreateDirectories(dir).ok());
+  ASSERT_TRUE(SaveFeatureStats(built, dir + "/stats.tsv").ok());
+  ASSERT_TRUE(SaveStatsPack(built, dir + "/stats.mbpack").ok());
+  auto tsv = LoadFeatureStats(dir + "/stats.tsv");
+  auto pack = LoadStatsPack(dir + "/stats.mbpack");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(tsv.ok() && pack.ok());
+
+  const std::pair<const char*, const FeatureStatsDb*> dbs[] = {
+      {"heap", &built}, {"tsv", &*tsv}, {"pack", &*pack}};
+  for (const auto& [name, db] : dbs) {
+    SCOPED_TRACE(name);
+    const RewriteCounters counters;
+    const PairDiff want = ReferenceMatchRewrites(r, s, db);
+    const PairDiff got = MatchRewrites(r, s, db);
+    EXPECT_EQ(FirstDifference(r, s, want, got), "");
+    EXPECT_EQ(counters.hits(), 1);
+    // Nothing is popped before phase 2, so every R x S pair is listed once:
+    // the scored one, and every other one as geometric.
+    EXPECT_EQ(counters.candidates(), static_cast<int64_t>(got.r_only.size() * got.s_only.size()));
+    ASSERT_EQ(got.rewrites.size(), 2u);
+    EXPECT_EQ(got.rewrites[0].r_span, (TermSpan{0, 0, 3}));
+    EXPECT_EQ(got.rewrites[0].s_span, (TermSpan{0, 0, 3}));
+    EXPECT_EQ(got.rewrites[1].r_span, (TermSpan{0, kCheapPos, 1}));
+    EXPECT_EQ(got.rewrites[1].s_span, (TermSpan{1, 0, 1}));
+  }
 }
 
 }  // namespace

@@ -130,9 +130,9 @@ TEST(FeatureKeysTest, KeyBufferSpellsWhatTheStringBuildersSpell) {
   }
 }
 
-TEST(FeatureKeysTest, RewriteFingerprintIsSymmetricAndSpansFoldToTheSideHash) {
-  // The matcher probes the filter without knowing which side sorts first,
-  // and folds side hashes from token pieces instead of hashing the text.
+TEST(FeatureKeysTest, SpansFoldToTheSideHashAndKeysSplitIntoTheirSides) {
+  // The matcher folds side hashes from token pieces instead of hashing the
+  // text, and looks a pair up by its sides in either order.
   const Snippet r = Snippet::FromTokens({{"find", "cheap", "a\x01"}});
   const Snippet s = Snippet::FromTokens({{"a", "b", "get", "discounts"}});
   const PairTokens tokens(r, s);
@@ -142,12 +142,11 @@ TEST(FeatureKeysTest, RewriteFingerprintIsSymmetricAndSpansFoldToTheSideHash) {
     for (const TermSpan& b : ExtractNGrams(s, 3)) {
       const uint64_t b_hash = tokens.SpanHash(PairSide::kS, b);
       ASSERT_EQ(b_hash, RewriteSideHash(s.SpanText(b)));
-      EXPECT_EQ(RewriteFingerprint(a_hash, b_hash), RewriteFingerprint(b_hash, a_hash));
-      // The stats side reads the fingerprint back out of the key text.
+      // The stats side reads the side hashes back out of the key text.
       const std::string key = RewriteKey(s.SpanText(b), r.SpanText(a)).key;
       int readings = 0;
-      ForEachRewriteFingerprint(key, [&](uint64_t fingerprint) {
-        readings += fingerprint == RewriteFingerprint(a_hash, b_hash);
+      ForEachRewriteSides(key, [&](uint64_t lo, uint64_t hi) {
+        readings += (lo == a_hash && hi == b_hash) || (lo == b_hash && hi == a_hash);
       });
       EXPECT_EQ(readings, 1) << key;
     }
