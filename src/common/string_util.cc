@@ -25,7 +25,17 @@ std::vector<std::string> Split(std::string_view text, char sep) {
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view text) {
+  // One field per run of non-space bytes: counting the runs first sizes
+  // the vector exactly, which matters for token lines kept in a corpus.
+  size_t fields = 0;
+  bool in_field = false;
+  for (const char c : text) {
+    const bool field = std::isspace(static_cast<unsigned char>(c)) == 0;
+    fields += field && !in_field;
+    in_field = field;
+  }
   std::vector<std::string> out;
+  out.reserve(fields);
   size_t i = 0;
   const size_t n = text.size();
   while (i < n) {

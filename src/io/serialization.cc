@@ -81,8 +81,10 @@ std::string SnippetToField(const Snippet& snippet) {
 
 /// Inverse of SnippetToField.
 Snippet SnippetFromField(const std::string& field) {
+  const std::vector<std::string> lines = Split(field, '|');
   std::vector<std::vector<std::string>> token_lines;
-  for (const std::string& line : Split(field, '|')) {
+  token_lines.reserve(lines.size());
+  for (const std::string& line : lines) {
     token_lines.push_back(SplitWhitespace(line));
   }
   return Snippet::FromTokens(std::move(token_lines));
