@@ -102,7 +102,8 @@ using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash
 class RewritePartnerIndex {
  public:
   /// Builds the index from the side-hash pairs of every reading of every
-  /// rewrite key, in one pass over `pairs` that does not sort. A pair may
+  /// rewrite key without sorting: one pass over `pairs` numbers the sides
+  /// and counts their partners, a second places the partners. A pair may
   /// repeat, and a side's partners then list a hash twice.
   explicit RewritePartnerIndex(std::span<const std::pair<uint64_t, uint64_t>> pairs);
 
