@@ -2,10 +2,10 @@
 //
 // Component micro-benchmarks (google-benchmark): tokenization, n-gram
 // extraction, token diff, rewrite matching, statistics building, feature
-// extraction, logistic-regression epochs and corpus generation. Rewrite
-// matching and feature extraction run against both statistics layouts:
-// the heap map (stats build, train, evaluate) and the mmap'd mbpack
-// (serving).
+// extraction, pair and pointwise scoring, logistic-regression epochs and
+// corpus generation. Rewrite matching and feature extraction run against
+// both statistics layouts: the heap map (stats build, train, evaluate) and
+// the mmap'd mbpack (serving); the scorers run on a packed bundle.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -20,6 +20,7 @@
 #include "corpus/pair_extraction.h"
 #include "io/pack_artifacts.h"
 #include "microbrowse/classifier.h"
+#include "microbrowse/ctr_predictor.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
 #include "ml/logistic_regression.h"
@@ -70,31 +71,70 @@ void BM_TokenDiff(benchmark::State& state) {
 BENCHMARK(BM_TokenDiff);
 
 /// A realistic pair corpus for the matching / stats / extraction benches.
-PairCorpus BenchPairs(int adgroups) {
+PairCorpus BenchPairs(int adgroups, uint64_t seed = 12) {
   AdCorpusOptions options;
   options.num_adgroups = adgroups;
-  options.seed = 12;
+  options.seed = seed;
   auto generated = GenerateAdCorpus(options);
   return ExtractSignificantPairs(generated->corpus, {});
+}
+
+/// Aborts the bench with `what` and `status` unless the status is OK.
+void CheckOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  std::abort();
+}
+
+/// A temporary mbpack path for `name`; callers remove it once it is mapped.
+std::string TempPackPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("micro_bench_" + name + "_" + std::to_string(::getpid()) + ".mbpack"))
+      .string();
 }
 
 /// `db` reloaded from an mbpack file — the mmap-backed layout serving
 /// runs on. The temporary file is unlinked once mapped.
 FeatureStatsDb PackBacked(const FeatureStatsDb& db) {
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("micro_bench_stats_" + std::to_string(::getpid()) + ".mbpack"))
-                               .string();
-  if (const Status saved = SaveStatsPack(db, path); !saved.ok()) {
-    std::fprintf(stderr, "SaveStatsPack: %s\n", saved.ToString().c_str());
-    std::abort();
-  }
+  const std::string path = TempPackPath("stats");
+  CheckOk(SaveStatsPack(db, path), "SaveStatsPack");
   auto loaded = LoadStatsPack(path);
   std::filesystem::remove(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "LoadStatsPack: %s\n", loaded.status().ToString().c_str());
-    std::abort();
-  }
+  CheckOk(loaded.status(), "LoadStatsPack");
   return std::move(*loaded);
+}
+
+/// An M6 serving bundle as mbserved holds a packed one: statistics and a
+/// classifier trained on 200 adgroups, both reloaded from mbpacks, and
+/// held-out pairs from another seed, whose features the registries often
+/// lack (every request of perfbench's serve_miss is such a cache miss).
+struct PackBundle {
+  ClassifierConfig config = ClassifierConfig::M6();
+  FeatureStatsDb stats;
+  SavedClassifier classifier;
+  PairCorpus held_out;
+};
+
+const PackBundle& SharedPackBundle() {
+  static const PackBundle* bundle = [] {
+    auto* out = new PackBundle;
+    const PairCorpus pairs = BenchPairs(200);
+    const FeatureStatsDb db = BuildFeatureStats(pairs, {});
+    const CoupledDataset dataset = BuildClassifierDataset(pairs, db, out->config, 5);
+    auto model = TrainSnippetClassifier(dataset, out->config);
+    CheckOk(model.status(), "TrainSnippetClassifier");
+    const std::string path = TempPackPath("model");
+    CheckOk(SaveClassifierPack(*model, dataset.t_registry, dataset.p_registry, path),
+            "SaveClassifierPack");
+    auto classifier = LoadClassifierPack(path);
+    std::filesystem::remove(path);
+    CheckOk(classifier.status(), "LoadClassifierPack");
+    out->classifier = std::move(*classifier);
+    out->stats = PackBacked(db);
+    out->held_out = BenchPairs(100, 13);
+    return out;
+  }();
+  return *bundle;
 }
 
 void MatchRewritesLoop(benchmark::State& state, const PairCorpus& pairs,
@@ -191,6 +231,35 @@ void BM_ExtractPairOccurrencesPack(benchmark::State& state) {
   ExtractPairOccurrencesLoop(state, pairs, PackBacked(BuildFeatureStats(pairs, {})));
 }
 BENCHMARK(BM_ExtractPairOccurrencesPack);
+
+/// The pair scorer of a cache-miss score_pair on a packed M6 bundle.
+void BM_PredictPairMarginPack(benchmark::State& state) {
+  const PackBundle& bundle = SharedPackBundle();
+  const SavedClassifier& c = bundle.classifier;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& pair = bundle.held_out.pairs[i++ % bundle.held_out.pairs.size()];
+    benchmark::DoNotOptimize(PredictPairMargin(pair.r.snippet, pair.s.snippet, bundle.stats,
+                                               bundle.config, c.model, c.t_registry,
+                                               c.p_registry));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PredictPairMarginPack);
+
+/// The pointwise scorer of a cache-miss predict_ctr on the same bundle.
+void BM_CtrPredictorScorePack(benchmark::State& state) {
+  const PackBundle& bundle = SharedPackBundle();
+  const SavedClassifier& c = bundle.classifier;
+  const CtrPredictor predictor(c.model, c.t_registry, c.p_registry, &bundle.stats);
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& pair = bundle.held_out.pairs[i++ % bundle.held_out.pairs.size()];
+    benchmark::DoNotOptimize(predictor.Score(pair.r.snippet));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CtrPredictorScorePack);
 
 void BM_LogisticRegressionEpoch(benchmark::State& state) {
   // A synthetic sparse dataset: 20 features per example from a pool of 5k.

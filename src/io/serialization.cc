@@ -79,13 +79,15 @@ std::string SnippetToField(const Snippet& snippet) {
   return Join(lines, " | ");
 }
 
-/// Inverse of SnippetToField.
-Snippet SnippetFromField(const std::string& field) {
+/// Inverse of SnippetToField. InvalidArgument when a line holds more than
+/// kMaxLineTokens tokens.
+Result<Snippet> SnippetFromField(const std::string& field) {
   const std::vector<std::string> lines = Split(field, '|');
   std::vector<std::vector<std::string>> token_lines;
   token_lines.reserve(lines.size());
   for (const std::string& line : lines) {
     token_lines.push_back(SplitWhitespace(line));
+    MB_RETURN_IF_ERROR(CheckLineTokens(token_lines.size() - 1, token_lines.back().size()));
   }
   return Snippet::FromTokens(std::move(token_lines));
 }
@@ -178,6 +180,11 @@ Result<AdCorpus> LoadAdCorpus(const std::string& path, const LoadOptions& option
       MB_RETURN_IF_ERROR(recovery.OnBadRow(line_number, "invalid click/impression counts"));
       continue;
     }
+    auto snippet = SnippetFromField(fields[7]);
+    if (!snippet.ok()) {
+      MB_RETURN_IF_ERROR(recovery.OnBadRow(line_number, snippet.status().message()));
+      continue;
+    }
 
     auto [it, inserted] = group_index.try_emplace(*group_id, corpus.adgroups.size());
     if (inserted) {
@@ -192,7 +199,7 @@ Result<AdCorpus> LoadAdCorpus(const std::string& path, const LoadOptions& option
     creative.impressions = *impressions;
     creative.clicks = *clicks;
     creative.true_ctr = *true_ctr;
-    creative.snippet = SnippetFromField(fields[7]);
+    creative.snippet = std::move(*snippet);
     corpus.adgroups[it->second].creatives.push_back(std::move(creative));
     recovery.OnGoodRow();
   }

@@ -3,6 +3,8 @@
 #include "microbrowse/classifier.h"
 
 #include <algorithm>
+#include <array>
+#include <bitset>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -114,30 +116,35 @@ Result<ClassifierConfig> ClassifierConfig::ByName(std::string_view name) {
 
 namespace {
 
-/// The one recipe that turns an ordered pair (first, second) into
-/// classifier features: full n-grams, diff-only terms, matched rewrites
-/// (with the rewrite_min_support backoff and the drop_matched_rewrites
-/// ablation) and the leftover terms. Calls `fn(t_key, p_key, sign)` once per
-/// feature occurrence, in a fixed order; `p_key` is null for positionless
-/// occurrences. The keys are views into buffers reused from occurrence to
-/// occurrence, valid only during the call. Both consumers —
-/// ExtractPairOccurrences (interns) and PredictPairMargin (only reads) —
-/// see exactly the same sequence.
-template <typename Fn>
-void ForEachPairFeature(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
-                        const ClassifierConfig& config, Fn&& fn) {
+/// Position index of a positionless occurrence.
+constexpr int kNoPosition = -1;
+
+/// ForEachPairFeature's buffers, kept per thread and reused from pair to
+/// pair: once they have grown, spelling a pair's T keys and listing its
+/// n-grams allocates nothing.
+struct PairFeatureScratch {
   FeatureKeyBuffer t_keys;
-  FeatureKeyBuffer p_keys;
-  std::string_view p_key;
+  std::vector<TermSpan> grams;
+
+  /// Most bytes of n-grams kept after a pair; an outsized pair's list is
+  /// released, so one such request does not pin its memory.
+  static constexpr size_t kKeepBytes = size_t{1} << 18;
+};
+
+/// ForEachPairFeature (below) in the buffers of `scratch`.
+template <typename Fn>
+void ForEachPairFeatureIn(PairFeatureScratch& scratch, const Snippet& first,
+                          const Snippet& second, const FeatureStatsDb& db,
+                          const ClassifierConfig& config, Fn&& fn) {
+  FeatureKeyBuffer& t_keys = scratch.t_keys;
   auto emit_term = [&](const Snippet& snippet, const TermSpan& span, double sign,
                        bool conjunction) {
     if (!config.use_position) {
-      fn(t_keys.Term(snippet, span), nullptr, sign);
+      fn(t_keys.Term(snippet, span), kNoPosition, sign);
     } else if (conjunction) {
-      fn(t_keys.TermConjunction(snippet, span), nullptr, sign);
+      fn(t_keys.TermConjunction(snippet, span), kNoPosition, sign);
     } else {
-      p_key = p_keys.TermPosition(MakePositionKey(span));
-      fn(t_keys.Term(snippet, span), &p_key, sign);
+      fn(t_keys.Term(snippet, span), TermPositionIndex(MakePositionKey(span)), sign);
     }
   };
   auto add_term = [&](const Snippet& snippet, const TermSpan& span, double sign) {
@@ -146,7 +153,7 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
   // Emits every 1..max_ngram sub-gram of a span, mirroring the granularity
   // of the full term extraction (a single span-level feature would be far
   // sparser than the n-gram features the term models see).
-  std::vector<TermSpan> grams;
+  std::vector<TermSpan>& grams = scratch.grams;
   auto add_span_ngrams = [&](const Snippet& snippet, const TermSpan& span, double sign) {
     grams.clear();
     AppendNGramsInWindow(snippet, span.line, span.pos, span.len, config.max_ngram, &grams);
@@ -199,38 +206,83 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
       add_span_ngrams(second, rewrite.s_span, -1.0);
       continue;
     }
-    if (config.use_position) {
-      p_key = p_keys.RewritePosition(MakePositionKey(rewrite.r_span),
-                                     MakePositionKey(rewrite.s_span));
-      fn(key, &p_key, sign);
-    } else {
-      fn(key, nullptr, sign);
-    }
+    fn(key,
+       config.use_position ? RewritePositionIndex(MakePositionKey(rewrite.r_span),
+                                                  MakePositionKey(rewrite.s_span))
+                           : kNoPosition,
+       sign);
   }
   for (const TermSpan& span : diff.r_only) add_term(first, span, +1.0);
   for (const TermSpan& span : diff.s_only) add_term(second, span, -1.0);
 }
 
+/// The one recipe that turns an ordered pair (first, second) into
+/// classifier features: full n-grams, diff-only terms, matched rewrites
+/// (with the rewrite_min_support backoff and the drop_matched_rewrites
+/// ablation) and the leftover terms. Calls `fn(t_key, p_index, sign)` once
+/// per feature occurrence, in a fixed order: `p_index` is the position
+/// index of the occurrence's P key (feature_keys.h), or kNoPosition. The T
+/// key is a view into a buffer reused from occurrence to occurrence, valid
+/// only during the call; a consumer spells a P key from its index
+/// (FeatureKeyBuffer::Position) only when it needs the text. Both
+/// consumers — ExtractPairOccurrences (interns) and PredictPairMargin (only
+/// reads) — see exactly the same sequence. `fn` must not call back in.
+template <typename Fn>
+void ForEachPairFeature(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
+                        const ClassifierConfig& config, Fn&& fn) {
+  thread_local PairFeatureScratch scratch;
+  ForEachPairFeatureIn(scratch, first, second, db, config, fn);
+  if (scratch.grams.capacity() * sizeof(TermSpan) > PairFeatureScratch::kKeepBytes) {
+    std::vector<TermSpan>().swap(scratch.grams);
+  }
+}
+
 /// Warm start of a T feature: its log odds in the statistics database.
-double InitialT(std::string_view key, const FeatureStatsDb& db, const ClassifierConfig& config) {
+double InitialT(const pack::HashedKey& key, const FeatureStatsDb& db,
+                const ClassifierConfig& config) {
   return config.init_from_stats ? db.LogOdds(key) : 0.0;
 }
 
 /// Warm start of a P feature: its odds ratio (neutral = 1).
-double InitialP(std::string_view key, const FeatureStatsDb& db, const ClassifierConfig& config) {
+double InitialP(const pack::HashedKey& key, const FeatureStatsDb& db,
+                const ClassifierConfig& config) {
   return config.init_from_stats ? db.OddsRatio(key) : 1.0;
 }
 
 /// The weight rule: a feature's trained weight when the model has one, its
 /// registry warm start when it was interned after training, and its
-/// statistics warm start (`initial(key)`) when the registry does not know it.
+/// statistics warm start (`initial(key, db, config)`) when the registry
+/// does not know it. The key is hashed at most once for both lookups.
 template <typename Initial>
 double WeightOf(const FeatureRegistry& registry, const std::vector<double>& trained,
-                std::string_view key, Initial&& initial) {
+                std::string_view text, Initial&& initial, const FeatureStatsDb& db,
+                const ClassifierConfig& config) {
+  const pack::HashedKey key(text);
   const FeatureId id = registry.Find(key);
-  if (id == kInvalidFeatureId) return initial(key);
+  if (id == kInvalidFeatureId) return initial(key, db, config);
   return id < trained.size() ? trained[id] : registry.InitialWeightOf(id);
 }
+
+/// A value per position index, computed by `resolve(index)` the first time
+/// the index is asked for and remembered for the rest of a pair: a pair's
+/// ~65 P occurrences hold only ~20 distinct keys, and each costs a spelled
+/// key and a registry probe.
+template <typename Value>
+class PositionMemo {
+ public:
+  template <typename Resolve>
+  Value Get(int index, Resolve&& resolve) {
+    if (!filled_[index]) {
+      filled_.set(index);
+      values_[index] = resolve(index);
+    }
+    return values_[index];
+  }
+
+ private:
+  std::bitset<kNumPositionIndexes> filled_;
+  std::array<Value, kNumPositionIndexes> values_;  // Read only where filled_.
+};
 
 }  // namespace
 
@@ -240,15 +292,21 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
                             std::vector<CoupledOccurrence>* occurrences) {
   // The warm start is a statistics lookup, so it is computed only for a
   // key the registry does not know yet: Intern ignores it for known keys.
-  auto intern = [&](FeatureRegistry* registry, std::string_view key, auto&& initial) {
+  auto intern = [&](FeatureRegistry* registry, std::string_view text, auto&& initial) {
+    const pack::HashedKey key(text);
     const FeatureId id = registry->Find(key);
-    return id != kInvalidFeatureId ? id : registry->Intern(key, initial(key, db, config));
+    return id != kInvalidFeatureId ? id : registry->Intern(text, initial(key, db, config));
   };
+  // A P key is interned where it first occurs, as it would be if every
+  // occurrence were looked up, so ids and interning order are unchanged.
+  FeatureKeyBuffer p_key;
+  PositionMemo<FeatureId> p_ids;
+  auto p_id = [&](int index) { return intern(p_registry, p_key.Position(index), InitialP); };
   ForEachPairFeature(first, second, db, config,
-                     [&](std::string_view t_key, const std::string_view* p_key, double sign) {
+                     [&](std::string_view t_key, int p_index, double sign) {
                        CoupledOccurrence occ;
                        occ.t = intern(t_registry, t_key, InitialT);
-                       if (p_key != nullptr) occ.p = intern(p_registry, *p_key, InitialP);
+                       if (p_index != kNoPosition) occ.p = p_ids.Get(p_index, p_id);
                        occ.sign = sign;
                        occurrences->push_back(occ);
                      });
@@ -257,19 +315,20 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
 double PredictPairMargin(const Snippet& first, const Snippet& second, const FeatureStatsDb& db,
                          const ClassifierConfig& config, const SnippetClassifierModel& model,
                          const FeatureRegistry& t_registry, const FeatureRegistry& p_registry) {
+  FeatureKeyBuffer p_key;
+  PositionMemo<double> p_weights;
+  auto p_weight = [&](int index) {
+    return WeightOf(p_registry, model.p_weights, p_key.Position(index), InitialP, db, config);
+  };
   double score = model.bias;
-  ForEachPairFeature(
-      first, second, db, config,
-      [&](std::string_view t_key, const std::string_view* p_key, double sign) {
-        const double t = WeightOf(t_registry, model.t_weights, t_key,
-                                  [&](std::string_view key) { return InitialT(key, db, config); });
-        double p = 1.0;
-        if (p_key != nullptr) {
-          p = WeightOf(p_registry, model.p_weights, *p_key,
-                       [&](std::string_view key) { return InitialP(key, db, config); });
-        }
-        score += sign * p * t;
-      });
+  ForEachPairFeature(first, second, db, config,
+                     [&](std::string_view t_key, int p_index, double sign) {
+                       const double t =
+                           WeightOf(t_registry, model.t_weights, t_key, InitialT, db, config);
+                       const double p =
+                           p_index == kNoPosition ? 1.0 : p_weights.Get(p_index, p_weight);
+                       score += sign * p * t;
+                     });
   return score;
 }
 

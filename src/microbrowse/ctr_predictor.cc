@@ -16,9 +16,10 @@ CtrPredictor::CtrPredictor(const SnippetClassifierModel& model,
                            CtrPredictorOptions options)
     : model_(&model), t_registry_(&t_registry), db_(db), options_(options) {
   for (int line = 0; line <= kMaxLineBucket; ++line) {
-    for (int bucket = 0; bucket < kBuckets; ++bucket) {
-      const FeatureId id = p_registry.Find(TermPositionKey(PositionKey{line, bucket}));
-      visibility_[line * kBuckets + bucket] =
+    for (int bucket = 0; bucket <= kMaxPosBucket; ++bucket) {
+      const PositionKey position{line, bucket};
+      const FeatureId id = p_registry.Find(TermPositionKey(position));
+      visibility_[TermPositionIndex(position)] =
           id != kInvalidFeatureId && id < model.p_weights.size()
               ? model.p_weights[id]
               : options_.fallback_curve.Probability(line, bucket);
@@ -36,20 +37,19 @@ double CtrPredictor::SpanScore(const Snippet& snippet, const TermSpan& span,
     return model_->t_weights[conj];
   }
   double term_weight = 0.0;
-  const std::string_view term_key = key->Term(snippet, span);
+  const pack::HashedKey term_key(key->Term(snippet, span));  // Hashed once for both lookups.
   const FeatureId plain = t_registry_->Find(term_key);
   if (plain != kInvalidFeatureId && plain < model_->t_weights.size()) {
     term_weight = model_->t_weights[plain];
   } else if (db_ != nullptr) {
     term_weight = db_->LogOdds(term_key);
   }
-  const PositionKey position = MakePositionKey(span);
-  return term_weight * visibility_[position.line * kBuckets + position.bucket];
+  return term_weight * visibility_[TermPositionIndex(MakePositionKey(span))];
 }
 
 double CtrPredictor::Score(const Snippet& snippet) const {
   double score = 0.0;
-  FeatureKeyBuffer key;
+  thread_local FeatureKeyBuffer key;  // Reused, so grown buffers are not reallocated.
   // ExtractNGrams' spans, in its order, without storing them.
   for (int line = 0; line < snippet.num_lines(); ++line) {
     const int line_size = static_cast<int>(snippet.line(line).size());

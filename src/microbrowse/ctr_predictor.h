@@ -55,8 +55,6 @@ class CtrPredictor {
   std::vector<size_t> Rank(const std::vector<Snippet>& snippets) const;
 
  private:
-  static constexpr int kBuckets = kMaxPosBucket + 1;
-
   /// The score term of one n-gram, spelling its keys into `key`.
   double SpanScore(const Snippet& snippet, const TermSpan& span, FeatureKeyBuffer* key) const;
 
@@ -64,10 +62,10 @@ class CtrPredictor {
   const FeatureRegistry* t_registry_;    ///< Not owned.
   const FeatureStatsDb* db_;             ///< Optional; not owned. May be null.
   CtrPredictorOptions options_;
-  /// Visibility of position (line, bucket) at [line * kBuckets + bucket]:
-  /// the learned position weight when the P registry has one inside the
-  /// trained vector, else the fallback curve.
-  std::array<double, (kMaxLineBucket + 1) * kBuckets> visibility_{};
+  /// Visibility of each position at its TermPositionIndex: the learned
+  /// position weight when the P registry has one inside the trained
+  /// vector, else the fallback curve.
+  std::array<double, kNumPositions> visibility_{};
 };
 
 /// Fits the parametric examination curve p(line, pos) = base[line] *

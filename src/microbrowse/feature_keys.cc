@@ -105,6 +105,14 @@ std::string_view FeatureKeyBuffer::RewritePosition(const PositionKey& r_pos,
   return key_;
 }
 
+std::string_view FeatureKeyBuffer::Position(int index) {
+  const auto position = [](int term_index) {
+    return PositionKey{term_index / (kMaxPosBucket + 1), term_index % (kMaxPosBucket + 1)};
+  };
+  if (index < kNumPositions) return TermPosition(position(index));
+  return RewritePosition(position(index / kNumPositions - 1), position(index % kNumPositions));
+}
+
 std::string_view FeatureKeyBuffer::Rewrite(const Snippet& from, const TermSpan& from_span,
                                            const Snippet& to, const TermSpan& to_span,
                                            double* sign) {

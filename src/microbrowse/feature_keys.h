@@ -24,6 +24,12 @@
 // order: only a key that is built decides its (lo, hi) order, by comparing
 // the texts.
 //
+// Every P key (term position or rewrite position pair) also has a dense
+// position index, 0..kNumPositionIndexes-1 (TermPositionIndex,
+// RewritePositionIndex): there are only 24 term positions and 576 position
+// pairs, so a scorer can resolve each index once per pair in a small
+// table and spell a P key only the first time its index occurs.
+//
 // Hot paths spell keys with FeatureKeyBuffer, straight from a snippet's
 // tokens into buffers that are reused from key to key.
 
@@ -65,6 +71,22 @@ PositionKey MakePositionKey(int line, int pos);
 /// Buckets a span's location.
 inline PositionKey MakePositionKey(const TermSpan& span) {
   return MakePositionKey(span.line, span.pos);
+}
+
+/// Number of distinct bucketed positions: (line, bucket) pairs.
+inline constexpr int kNumPositions = (kMaxLineBucket + 1) * (kMaxPosBucket + 1);
+/// Number of position indexes: the term positions, then the position pairs.
+inline constexpr int kNumPositionIndexes = kNumPositions * (1 + kNumPositions);
+
+/// Position index of TermPositionKey(position): 0..kNumPositions-1.
+inline int TermPositionIndex(const PositionKey& position) {
+  return position.line * (kMaxPosBucket + 1) + position.bucket;
+}
+
+/// Position index of RewritePositionKey(r_pos, s_pos):
+/// kNumPositions..kNumPositionIndexes-1.
+inline int RewritePositionIndex(const PositionKey& r_pos, const PositionKey& s_pos) {
+  return kNumPositions * (1 + TermPositionIndex(r_pos)) + TermPositionIndex(s_pos);
 }
 
 /// A canonicalised key plus the sign its raw direction maps to.
@@ -153,6 +175,9 @@ class FeatureKeyBuffer {
   std::string_view TermPosition(const PositionKey& position);
   /// RewritePositionKey(r_pos, s_pos).
   std::string_view RewritePosition(const PositionKey& r_pos, const PositionKey& s_pos);
+  /// The P key whose position index is `index` (TermPosition or
+  /// RewritePosition); `index` must be below kNumPositionIndexes.
+  std::string_view Position(int index);
   /// RewriteKey(from's text, to's text): the canonical key, with its sign
   /// in `*sign`. The order is decided by comparing the spelled texts.
   std::string_view Rewrite(const Snippet& from, const TermSpan& from_span, const Snippet& to,

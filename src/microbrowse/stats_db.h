@@ -188,39 +188,44 @@ class FeatureStatsDb {
 
   /// Stat for `key`, or nullptr when unseen. For base hits the pointer
   /// aims straight into the mmap'd record section (valid for this
-  /// object's lifetime).
-  const FeatureStat* Find(std::string_view key) const {
+  /// object's lifetime). The heap layer hashes the text (std::hash); the
+  /// base probes its stored index with `key`'s index hash.
+  const FeatureStat* Find(const pack::HashedKey& key) const {
     if (!stats_.empty()) {
-      auto it = stats_.find(key);
+      auto it = stats_.find(key.text());
       if (it != stats_.end()) return &it->second;
     }
     if (base_total_ > 0) {
-      const BaseClass& cls = base_[static_cast<size_t>(StatsKeyClass(key))];
+      const BaseClass& cls = base_[static_cast<size_t>(StatsKeyClass(key.text()))];
       const size_t index = cls.index.Find(cls.keys, key);
       if (index != pack::HashIndex::kNotFound) return &cls.records[index];
     }
     return nullptr;
   }
+  const FeatureStat* Find(std::string_view key) const { return Find(pack::HashedKey(key)); }
 
   /// Number of observations of `key` (0 when unseen).
-  int64_t Count(std::string_view key) const {
+  int64_t Count(const pack::HashedKey& key) const {
     const FeatureStat* stat = Find(key);
     return stat != nullptr ? stat->total : 0;
   }
+  int64_t Count(std::string_view key) const { return Count(pack::HashedKey(key)); }
 
   /// Warm-start weight: log odds of `key`; 0 (neutral) for unseen features
   /// and for features below the min-count support threshold.
-  double LogOdds(std::string_view key) const {
+  double LogOdds(const pack::HashedKey& key) const {
     const FeatureStat* stat = Find(key);
     return stat != nullptr && stat->total >= min_count_ ? stat->LogOdds(smoothing_) : 0.0;
   }
+  double LogOdds(std::string_view key) const { return LogOdds(pack::HashedKey(key)); }
 
   /// Odds ratio of `key`; 1 (neutral) for unseen or under-supported
   /// features.
-  double OddsRatio(std::string_view key) const {
+  double OddsRatio(const pack::HashedKey& key) const {
     const FeatureStat* stat = Find(key);
     return stat != nullptr && stat->total >= min_count_ ? stat->OddsRatio(smoothing_) : 1.0;
   }
+  double OddsRatio(std::string_view key) const { return OddsRatio(pack::HashedKey(key)); }
 
   /// Laplace smoothing pseudo-count used by the accessors.
   void set_smoothing(double alpha) { smoothing_ = alpha; }

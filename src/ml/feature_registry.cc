@@ -14,16 +14,6 @@ FeatureId FeatureRegistry::Intern(std::string_view name, double initial_weight) 
   return id;
 }
 
-FeatureId FeatureRegistry::Find(std::string_view name) const {
-  if (base_count_ > 0) {
-    const size_t base_id = base_index_.Find(base_names_, name);
-    if (base_id != pack::HashIndex::kNotFound) return static_cast<FeatureId>(base_id);
-  }
-  if (index_.empty()) return kInvalidFeatureId;  // Spares hashing `name` again.
-  auto it = index_.find(name);
-  return it != index_.end() ? it->second : kInvalidFeatureId;
-}
-
 void FeatureRegistry::AttachPackBase(std::shared_ptr<const pack::PackReader> pack,
                                      pack::StringTable names, pack::HashIndex index,
                                      const double* initial_weights) {

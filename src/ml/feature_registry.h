@@ -62,9 +62,18 @@ class FeatureRegistry {
   FeatureId Intern(std::string_view name, double initial_weight = 0.0);
 
   /// Id of `name`, or kInvalidFeatureId when absent. Never allocates: base
-  /// lookups probe the pack's stored hash index, and the overlay is probed
-  /// with the view itself.
-  FeatureId Find(std::string_view name) const;
+  /// lookups probe the pack's stored hash index with `name`'s index hash,
+  /// and the overlay is probed with the text itself (std::hash).
+  FeatureId Find(const pack::HashedKey& name) const {
+    if (base_count_ > 0) {
+      const size_t base_id = base_index_.Find(base_names_, name);
+      if (base_id != pack::HashIndex::kNotFound) return static_cast<FeatureId>(base_id);
+    }
+    if (index_.empty()) return kInvalidFeatureId;  // Spares hashing the text again.
+    auto it = index_.find(name.text());
+    return it != index_.end() ? it->second : kInvalidFeatureId;
+  }
+  FeatureId Find(std::string_view name) const { return Find(pack::HashedKey(name)); }
 
   /// Name of `id`; `id` must be valid. The view borrows either the mapped
   /// pack (base ids) or this registry's heap storage (overlay ids); both

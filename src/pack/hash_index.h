@@ -40,6 +40,30 @@ namespace pack {
 /// bump).
 inline uint64_t IndexHash(std::string_view key) { return Mix64(Fnv1a64Wide(key)); }
 
+/// A key and its IndexHash, computed when a stored index is first probed
+/// with it and then kept: a caller probing several indexes with one key (a
+/// registry, then the statistics database) hashes it once, and one whose
+/// probes reach only heap layers never does. The text is borrowed.
+class HashedKey {
+ public:
+  explicit HashedKey(std::string_view text) : text_(text) {}
+
+  std::string_view text() const { return text_; }
+
+  uint64_t hash() const {
+    if (!hashed_) {
+      hash_ = IndexHash(text_);
+      hashed_ = true;
+    }
+    return hash_;
+  }
+
+ private:
+  std::string_view text_;
+  mutable uint64_t hash_ = 0;
+  mutable bool hashed_ = false;
+};
+
 /// Read-only hash index over one StringTable.
 class HashIndex {
  public:
@@ -61,9 +85,9 @@ class HashIndex {
 
   /// Index of `key` in `keys` (the table this index was built over), or
   /// kNotFound.
-  size_t Find(const StringTable& keys, std::string_view key) const {
+  size_t Find(const StringTable& keys, const HashedKey& key) const {
     if (slots_ == nullptr) return kNotFound;
-    const uint64_t hash = IndexHash(key);
+    const uint64_t hash = key.hash();
     const uint32_t tag = static_cast<uint32_t>(hash >> 32) & ~index_mask_;
     for (size_t slot = static_cast<size_t>(hash) & slot_mask_;;
          slot = (slot + 1) & slot_mask_) {
@@ -71,9 +95,12 @@ class HashIndex {
       if (value == 0) return kNotFound;
       if ((value & ~index_mask_) == tag) {
         const size_t index = (value & index_mask_) - 1;
-        if (keys.at(index) == key) return index;
+        if (keys.at(index) == key.text()) return index;
       }
     }
+  }
+  size_t Find(const StringTable& keys, std::string_view key) const {
+    return Find(keys, HashedKey(key));
   }
 
  private:

@@ -20,8 +20,20 @@ namespace serve {
 
 namespace {
 
-Snippet ParseSnippetField(std::string_view field) {
-  return Snippet::FromLines(Split(field, '|'));
+/// Longest snippet field parsed into a handler's per-thread storage.
+constexpr size_t kMaxKeptFieldBytes = 4096;
+
+/// Parses a request's snippet field ("line|line|..."), refusing a line
+/// over kMaxLineTokens with InvalidArgument. A field of at most
+/// kMaxKeptFieldBytes is parsed into `*kept`, a handler's per-thread
+/// snippet whose lines and tokens keep their storage from request to
+/// request, so a steady-state miss spends no allocation here; a longer one
+/// goes to `*large`, the caller's own, so what a thread keeps stays small
+/// whatever a request held.
+Result<const Snippet*> ParseSnippetField(std::string_view field, Snippet* kept, Snippet* large) {
+  Snippet* out = field.size() <= kMaxKeptFieldBytes ? kept : large;
+  MB_RETURN_IF_ERROR(Snippet::Parse(field, '|', out));
+  return out;
 }
 
 /// Content hash of one request payload string under one generation.
@@ -173,9 +185,11 @@ Status ScoringService::HandleScorePair(const Request& request, const CacheProbe&
     // injects latency (slow-model rehearsal), error specs inject typed
     // scoring failures.
     MB_FAILPOINT("serve.score");
-    const Snippet a = ParseSnippetField(a_text);
-    const Snippet b = ParseSnippetField(b_text);
-    margin = PredictPairMargin(a, b, bundle->stats, bundle->config, bundle->classifier.model,
+    thread_local Snippet a_kept, b_kept;
+    Snippet a_large, b_large;
+    MB_ASSIGN_OR_RETURN(const Snippet* a, ParseSnippetField(a_text, &a_kept, &a_large));
+    MB_ASSIGN_OR_RETURN(const Snippet* b, ParseSnippetField(b_text, &b_kept, &b_large));
+    margin = PredictPairMargin(*a, *b, bundle->stats, bundle->config, bundle->classifier.model,
                                bundle->classifier.t_registry, bundle->classifier.p_registry);
     pair_cache_.Put(probe.key, margin);
   }
@@ -203,7 +217,10 @@ Status ScoringService::HandlePredictCtr(const Request& request, const CacheProbe
     score = *probe.cached;
   } else {
     MB_FAILPOINT("serve.score");
-    score = bundle->predictor->Score(ParseSnippetField(text));
+    thread_local Snippet kept;
+    Snippet large;
+    MB_ASSIGN_OR_RETURN(const Snippet* snippet, ParseSnippetField(text, &kept, &large));
+    score = bundle->predictor->Score(*snippet);
     point_cache_.Put(probe.key, score);
   }
   metrics_.endpoint(Endpoint::kPredictCtr).RecordCache(hit);
@@ -225,7 +242,10 @@ Status ScoringService::HandleExamine(const Request& request, JsonWriter& respons
   const auto bundle = registry_->Current();
   if (bundle == nullptr) return Status::FailedPrecondition("no model bundle loaded");
 
-  const Snippet snippet = ParseSnippetField(text);
+  thread_local Snippet kept;
+  Snippet large;
+  MB_ASSIGN_OR_RETURN(const Snippet* parsed, ParseSnippetField(text, &kept, &large));
+  const Snippet& snippet = *parsed;
   // Per-token micro-browsing breakdown: examination probability from the
   // bundle's (fitted) curve, relevance proxy from the statistics database's
   // smoothed win probability of the unigram.

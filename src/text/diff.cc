@@ -33,9 +33,17 @@ void AppendDiff(std::span<const Token> a, std::span<const Token> b, std::vector<
                 std::vector<DiffHunk>* hunks, std::vector<TokenMatch>* matches) {
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
-  FillLcsSuffixTable(a, b, table);
-  const size_t stride = b.size() + 1;
-  const auto lcs = [&](int i, int j) { return (*table)[i * stride + j]; };
+  // The walk below matches equal tokens before it consults the table, so
+  // it crosses the common prefix without reading it: the table need only
+  // cover the suffixes after it, whose LCS lengths the prefix does not
+  // change. (Trimming the common suffix too would change the tie-break.)
+  const size_t prefix = static_cast<size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin());
+  FillLcsSuffixTable(a.subspan(prefix), b.subspan(prefix), table);
+  const size_t stride = b.size() - prefix + 1;
+  const auto lcs = [&](int i, int j) {
+    return (*table)[(static_cast<size_t>(i) - prefix) * stride + (static_cast<size_t>(j) - prefix)];
+  };
 
   int i = 0;
   int j = 0;

@@ -2,9 +2,11 @@
 
 #include "text/snippet.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace microbrowse {
 
@@ -15,6 +17,26 @@ Snippet Snippet::FromLines(const std::vector<std::string>& raw_lines, const Toke
     snippet.lines_.push_back(tokenizer.Tokenize(raw));
   }
   return snippet;
+}
+
+Status CheckLineTokens(size_t line, size_t tokens) {
+  if (tokens <= kMaxLineTokens) return Status::OK();
+  return Status::InvalidArgument(StrFormat("snippet line %zu holds %zu tokens, over the cap of %zu",
+                                           line + 1, tokens, kMaxLineTokens));
+}
+
+Status Snippet::Parse(std::string_view text, char separator, Snippet* out,
+                      const Tokenizer& tokenizer) {
+  out->lines_.resize(static_cast<size_t>(std::count(text.begin(), text.end(), separator)) + 1);
+  size_t start = 0;
+  for (size_t line = 0; line < out->lines_.size(); ++line) {
+    const size_t end = std::min(text.find(separator, start), text.size());
+    const size_t tokens =
+        tokenizer.TokenizeInto(text.substr(start, end - start), kMaxLineTokens, &out->lines_[line]);
+    MB_RETURN_IF_ERROR(CheckLineTokens(line, tokens));
+    start = end + 1;
+  }
+  return Status::OK();
 }
 
 Snippet Snippet::FromTokens(std::vector<std::vector<std::string>> token_lines) {

@@ -9,11 +9,23 @@
 #define MICROBROWSE_TEXT_SNIPPET_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "text/tokenizer.h"
 
 namespace microbrowse {
+
+/// Most tokens one snippet line may hold where snippet text enters the
+/// program: the serving protocol, mbctl's snippet flags and pair files, and
+/// the TSV corpus loader refuse a longer line. The token diff of two lines
+/// fills an (n + 1) x (m + 1) int table, so the cap bounds it at ~4 MB.
+inline constexpr size_t kMaxLineTokens = 1024;
+
+/// InvalidArgument naming snippet line `line` (0-based) when its `tokens`
+/// are over kMaxLineTokens; OK otherwise.
+Status CheckLineTokens(size_t line, size_t tokens);
 
 /// A contiguous phrase inside a snippet: `len` tokens starting at token
 /// index `pos` of line `line`. A span carries no text; its snippet spells
@@ -38,6 +50,15 @@ class Snippet {
   /// Builds a snippet by tokenizing each raw text line.
   static Snippet FromLines(const std::vector<std::string>& raw_lines,
                            const Tokenizer& tokenizer = Tokenizer());
+
+  /// Tokenizes each `separator`-delimited piece of `text` as one line into
+  /// `*out`: the lines of FromLines(Split(text, separator)), without
+  /// spelling the pieces. The lines and token strings `*out` already holds
+  /// are reused, so parsing into one snippet again and again allocates only
+  /// to grow it. InvalidArgument naming the line when one holds more than
+  /// kMaxLineTokens tokens; `*out` is then unspecified.
+  static Status Parse(std::string_view text, char separator, Snippet* out,
+                      const Tokenizer& tokenizer = Tokenizer());
 
   /// Builds a snippet from already-tokenized lines. Aborts (MB_CHECK) when
   /// a token contains a space.

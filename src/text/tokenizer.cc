@@ -23,6 +23,12 @@ bool IsWordChar(char c) { return kWordChars[static_cast<unsigned char>(c)]; }
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
+  TokenizeInto(text, static_cast<size_t>(-1), &tokens);
+  return tokens;
+}
+
+size_t Tokenizer::TokenizeInto(std::string_view text, size_t max_tokens,
+                               std::vector<std::string>* tokens) const {
   const size_t n = text.size();
   // Each token is one maximal run of word characters (plus a '$' before
   // it or a '%' after it), so counting the runs sizes the vector exactly.
@@ -33,7 +39,9 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
     runs += word && !in_run;
     in_run = word;
   }
-  tokens.reserve(runs);
+  if (runs > max_tokens) return runs;
+  tokens->resize(runs);
+  auto next = tokens->begin();
   size_t i = 0;
   while (i < n) {
     // '$' opens a token when followed by an alphanumeric ("$99").
@@ -43,7 +51,8 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
       ++i;
       continue;
     }
-    std::string token;
+    std::string& token = *next++;
+    token.clear();
     if (dollar_start) {
       token.push_back('$');
       ++i;
@@ -59,9 +68,8 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
       token.push_back('%');
       ++i;
     }
-    tokens.push_back(std::move(token));
   }
-  return tokens;
+  return runs;
 }
 
 }  // namespace microbrowse

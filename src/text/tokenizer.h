@@ -31,6 +31,14 @@ class Tokenizer {
   /// Tokenizes one line of snippet text.
   std::vector<std::string> Tokenize(std::string_view text) const;
 
+  /// Counts the tokens of `text` and, when there are at most `max_tokens`,
+  /// tokenizes it into `*tokens`, resized to the count. The strings already
+  /// in `*tokens` are overwritten in place, so a caller that reuses one
+  /// vector allocates only for a token longer than any its slot held.
+  /// Returns the count; `*tokens` is untouched when it exceeds `max_tokens`.
+  size_t TokenizeInto(std::string_view text, size_t max_tokens,
+                      std::vector<std::string>* tokens) const;
+
   const TokenizerOptions& options() const { return options_; }
 
  private:

@@ -298,8 +298,17 @@ std::vector<std::string> NearMisses(std::string_view key, Rng* rng) {
   return misses;
 }
 
+/// The lookups that take a pack::HashedKey answer as their string forms.
+void ExpectHashedLookupsAgree(const FeatureStatsDb& db, std::string_view key) {
+  const pack::HashedKey hashed(key);
+  EXPECT_EQ(db.Find(hashed), db.Find(key)) << key;
+  EXPECT_EQ(db.Count(hashed), db.Count(key)) << key;
+  EXPECT_EQ(db.LogOdds(hashed), db.LogOdds(key)) << key;
+}
+
 /// Pack-backed Find equals heap Find for every key of `heap` and for
-/// near misses of each; returns how many absent keys were probed.
+/// near misses of each, through the string and the hashed-key lookups
+/// alike; returns how many absent keys were probed.
 size_t ExpectSameStatsFinds(const FeatureStatsDb& heap, const FeatureStatsDb& packed,
                             uint64_t seed) {
   Rng rng(seed);
@@ -309,9 +318,13 @@ size_t ExpectSameStatsFinds(const FeatureStatsDb& heap, const FeatureStatsDb& pa
     ASSERT_NE(found, nullptr) << key;
     EXPECT_EQ(found->positive, stat.positive) << key;
     EXPECT_EQ(found->total, stat.total) << key;
+    ExpectHashedLookupsAgree(heap, key);
+    ExpectHashedLookupsAgree(packed, key);
     for (const std::string& miss : NearMisses(key, &rng)) {
       const FeatureStat* want = heap.Find(miss);
       const FeatureStat* got = packed.Find(miss);
+      ExpectHashedLookupsAgree(heap, miss);
+      ExpectHashedLookupsAgree(packed, miss);
       ASSERT_EQ(got == nullptr, want == nullptr) << miss;
       if (want == nullptr) {
         ++absent;
@@ -333,9 +346,13 @@ size_t ExpectSameRegistryFinds(const FeatureRegistry& heap, const FeatureRegistr
   for (size_t id = 0; id < heap.size(); ++id) {
     const std::string_view name = heap.NameOf(static_cast<FeatureId>(id));
     EXPECT_EQ(packed.Find(name), static_cast<FeatureId>(id)) << name;
+    EXPECT_EQ(packed.Find(pack::HashedKey(name)), static_cast<FeatureId>(id)) << name;
+    EXPECT_EQ(heap.Find(pack::HashedKey(name)), static_cast<FeatureId>(id)) << name;
     for (const std::string& miss : NearMisses(name, &rng)) {
       const FeatureId want = heap.Find(miss);
       EXPECT_EQ(packed.Find(miss), want) << miss;
+      EXPECT_EQ(packed.Find(pack::HashedKey(miss)), want) << miss;
+      EXPECT_EQ(heap.Find(pack::HashedKey(miss)), want) << miss;
       absent += want == kInvalidFeatureId ? 1 : 0;
     }
   }

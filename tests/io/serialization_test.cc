@@ -142,6 +142,43 @@ TEST(AdCorpusIoTest, ClicksAboveImpressionsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(AdCorpusIoTest, SnippetLineOverTheTokenCapIsRejected) {
+  // Row 3's second line holds one token more than a line may.
+  std::string long_line = "w0";
+  for (size_t i = 1; i <= kMaxLineTokens; ++i) long_line += " w" + std::to_string(i);
+  const std::string path = TempPath("corpus_long_line.tsv");
+  WriteFile(path, "#microbrowse-adcorpus-v1\ttop\n"
+                  "1\t2\tkw\t3\t100\t5\t0.05\ta | b | c\n"
+                  "1\t2\tkw\t4\t100\t5\t0.05\ta | " + long_line + " | c\n"
+                  "7\t2\tkw\t5\t100\t5\t0.05\ta | " + long_line + "\n");
+  const auto strict = LoadAdCorpus(path);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(strict.status().message().find(":3: snippet line 2 holds 1025 tokens"),
+            std::string::npos)
+      << strict.status().message();
+
+  LoadOptions salvage;
+  salvage.recovery = LoadOptions::Recovery::kSkipAndLog;
+  LoadReport report;
+  const auto salvaged = LoadAdCorpus(path, salvage, &report);
+  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
+  EXPECT_EQ(report.rows_kept, 1);
+  EXPECT_EQ(report.rows_skipped, 2);
+  // The refused rows leave no trace: adgroup 7 held only a refused row.
+  ASSERT_EQ(salvaged->adgroups.size(), 1u);
+  ASSERT_EQ(salvaged->adgroups[0].creatives.size(), 1u);
+  EXPECT_EQ(salvaged->adgroups[0].creatives[0].id, 3);
+
+  // A line at the cap loads.
+  WriteFile(path, "#microbrowse-adcorpus-v1\ttop\n1\t2\tkw\t3\t100\t5\t0.05\ta | " +
+                      long_line.substr(0, long_line.rfind(' ')) + "\n");
+  const auto at_cap = LoadAdCorpus(path);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->adgroups[0].creatives[0].snippet.line(1).size(), kMaxLineTokens);
+  std::remove(path.c_str());
+}
+
 // --- FeatureStatsDb round trip
 
 TEST(StatsIoTest, RoundTripPreservesCountsAndSettings) {

@@ -130,6 +130,36 @@ TEST(FeatureKeysTest, KeyBufferSpellsWhatTheStringBuildersSpell) {
   }
 }
 
+TEST(FeatureKeysTest, PositionIndexesNumberEveryPositionKeyOnce) {
+  // Every term position and every ordered pair of them has its own index,
+  // all below kNumPositionIndexes, and the buffer spells each index's key.
+  std::vector<std::string> spelled(kNumPositionIndexes);
+  FeatureKeyBuffer buffer;
+  for (int line = 0; line <= kMaxLineBucket; ++line) {
+    for (int bucket = 0; bucket <= kMaxPosBucket; ++bucket) {
+      const PositionKey r{line, bucket};
+      const int term = TermPositionIndex(r);
+      ASSERT_GE(term, 0);
+      ASSERT_LT(term, kNumPositions);
+      EXPECT_TRUE(spelled[term].empty()) << term;
+      spelled[term] = TermPositionKey(r);
+      EXPECT_EQ(buffer.Position(term), spelled[term]);
+      for (int s_line = 0; s_line <= kMaxLineBucket; ++s_line) {
+        for (int s_bucket = 0; s_bucket <= kMaxPosBucket; ++s_bucket) {
+          const PositionKey s{s_line, s_bucket};
+          const int pair = RewritePositionIndex(r, s);
+          ASSERT_GE(pair, kNumPositions);
+          ASSERT_LT(pair, kNumPositionIndexes);
+          EXPECT_TRUE(spelled[pair].empty()) << pair;
+          spelled[pair] = RewritePositionKey(r, s);
+          EXPECT_EQ(buffer.Position(pair), spelled[pair]);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(std::count(spelled.begin(), spelled.end(), std::string()), 0);
+}
+
 TEST(FeatureKeysTest, SpansFoldToTheSideHashAndKeysSplitIntoTheirSides) {
   // The matcher folds side hashes from token pieces instead of hashing the
   // text, and looks a pair up by its sides in either order.

@@ -7,7 +7,10 @@
 // features the registries never saw), under the paper's six models and the
 // ablations that change the feature recipe, for bundles reloaded from TSV
 // and from mbpack artifacts, and for a model whose weight vectors are
-// shorter than its registries (features interned after training).
+// shorter than its registries (features interned after training). Held-out
+// pairs reach T and P features the registries lack, so the scorer's
+// statistics fallbacks, including that of its per-pair position table, are
+// compared too.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -184,7 +187,11 @@ TEST_P(ScorerDifferentialTest, MarginsEqualTheInterningReference) {
     const SavedClassifier& c = bundle.classifier;
     size_t compared = 0;
     size_t mismatches = 0;
-    bool saw_unseen = false;  // A held-out pair carried a feature the registry lacks.
+    // A held-out pair carried a T feature the registry lacks, and one
+    // carried a P feature the registry lacks (the statistics fallback of
+    // the scorer's per-pair position table).
+    bool saw_unseen = false;
+    bool saw_unseen_p = false;
     for (const auto* pairs : {&corpora.seen_pairs, &corpora.held_out_pairs}) {
       for (const auto& [first, second] : *pairs) {
         const double want = ReferencePredictPairMargin(first, second, *bundle.db, config,
@@ -192,13 +199,14 @@ TEST_P(ScorerDifferentialTest, MarginsEqualTheInterningReference) {
         const double got = PredictPairMargin(first, second, *bundle.db, config, c.model,
                                              c.t_registry, c.p_registry);
         ++compared;
-        if (pairs == &corpora.held_out_pairs && !saw_unseen) {
+        if (pairs == &corpora.held_out_pairs && !(saw_unseen && saw_unseen_p)) {
           FeatureRegistry t_copy = c.t_registry;
           FeatureRegistry p_copy = c.p_registry;
           std::vector<CoupledOccurrence> occurrences;
           ExtractPairOccurrences(first, second, *bundle.db, config, &t_copy, &p_copy,
                                  &occurrences);
-          saw_unseen = t_copy.size() > c.t_registry.size();
+          saw_unseen = saw_unseen || t_copy.size() > c.t_registry.size();
+          saw_unseen_p = saw_unseen_p || p_copy.size() > c.p_registry.size();
         }
         if (want == got) continue;
         if (++mismatches <= 3) {
@@ -210,6 +218,10 @@ TEST_P(ScorerDifferentialTest, MarginsEqualTheInterningReference) {
     }
     EXPECT_EQ(mismatches, 0u) << bundle.name << ", of " << compared << " pairs";
     EXPECT_TRUE(saw_unseen) << bundle.name;
+    // Position features come from rewrites and from diff-only terms.
+    if (config.use_position && (config.use_rewrite_features || config.diff_terms_only)) {
+      EXPECT_TRUE(saw_unseen_p) << bundle.name;
+    }
   }
 }
 

@@ -381,6 +381,91 @@ TEST(HashTest, WideFnvDistinguishesTailLengths) {
   EXPECT_EQ(Fnv1a64Wide("12345678"), Fnv1a64Wide("12345678"));
 }
 
+TEST(HashTest, WideFnvAndIndexHashArePinned) {
+  // Stored hash indexes and pack checksums depend on these bits; a change
+  // is a format version bump. Lengths 0-9 cover every tail size, with and
+  // without a whole word before it.
+  struct Pinned {
+    std::string_view key;
+    uint64_t wide;
+    uint64_t index;
+  };
+  const Pinned pinned[] = {
+      {"", 0xcbf29ce484222325ULL, 0xefd01f60ba992926ULL},
+      {"a", 0xfc63dc4c8601ec8cULL, 0xf2f2d7fc4bbff79bULL},
+      {"ab", 0x4981dc4c8634e68cULL, 0x26d301c7a49f967cULL},
+      {"abc", 0xb581dc4cbae1e68cULL, 0x41ecfc258980f7e2ULL},
+      {"abcd", 0x9a81dce90ee1e68cULL, 0xec7fb0a899f336a2ULL},
+      {"abcde", 0xe78134b00ee1e68cULL, 0x85236c8f75731849ULL},
+      {"abcdefg", 0xe419eeb00ee1e68cULL, 0xac19ebaedbb8cec7ULL},
+      {"abcdefgh", 0x3919eeb00ee1e68cULL, 0x425754ea52f72348ULL},
+      {"abcdefghi", 0x35f77a2949db571fULL, 0xec9f58b68d31a5dcULL},
+      {"p:0:3", 0xb859d797f8c10b6fULL, 0xbf022a4b0a846611ULL},
+      {"pp:1:2=>0:7", 0xb54cb4704f9b9a6dULL, 0x5ec1d9ea1fa0588eULL},
+      {"t:cheap flights", 0xa4940969536706bfULL, 0xaf7a40270c9354d8ULL},
+      {"tp:cheap flights@1:2", 0x05599f4cfc40e1bbULL, 0xea287b52b892c82eULL},
+      {"rw:book now=>reserve today", 0x08817be7301d1a57ULL, 0xee97fde950b3a57dULL},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(Fnv1a64Wide(p.key), p.wide) << p.key;
+    EXPECT_EQ(IndexHash(p.key), p.index) << p.key;
+    const HashedKey hashed(p.key);
+    EXPECT_EQ(hashed.text(), p.key);
+    EXPECT_EQ(hashed.hash(), p.index) << p.key;
+    EXPECT_EQ(hashed.hash(), p.index) << p.key;  // Kept, not recomputed wrongly.
+  }
+}
+
+/// Fnv1a64Wide as first written: the tail copied byte by byte into a
+/// zeroed word.
+uint64_t ByteCopyWideFnv(std::string_view data) {
+  uint64_t h = kFnv64Basis;
+  size_t n = data.size();
+  const char* p = data.data();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * kFnv64Prime;
+  }
+  if (n > 0) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = (h ^ w ^ (static_cast<uint64_t>(n) << 56)) * kFnv64Prime;
+  }
+  return h;
+}
+
+TEST(HashTest, WideFnvEqualsTheByteCopyReference) {
+  // Every length 0-80 at offsets 0-3 of one buffer, so the tail's
+  // overlapping loads reach back into (and, for short keys, stay inside)
+  // the key at every alignment. Bytes run through 0x00 and 0xff.
+  std::string buffer(96, '\0');
+  for (size_t k = 0; k < buffer.size(); ++k) buffer[k] = static_cast<char>(k * 37 + 11);
+  for (size_t offset = 0; offset < 4; ++offset) {
+    for (size_t length = 0; length <= 80; ++length) {
+      const std::string_view key(buffer.data() + offset, length);
+      EXPECT_EQ(Fnv1a64Wide(key), ByteCopyWideFnv(key)) << offset << "+" << length;
+      EXPECT_EQ(IndexHash(key), Mix64(ByteCopyWideFnv(key))) << offset << "+" << length;
+    }
+  }
+}
+
+TEST(HashIndexTest, FindWithAHashedKeyEqualsFindWithItsText) {
+  const std::vector<std::string> keys = IndexKeys(300);
+  std::vector<uint64_t> offsets;
+  std::string bytes;
+  const StringTable table = TableOf(keys, &offsets, &bytes);
+  auto slots = HashIndex::Build(Views(keys));
+  ASSERT_TRUE(slots.ok());
+  auto index = HashIndex::Open(slots->data(), slots->size(), keys.size());
+  ASSERT_TRUE(index.ok());
+  for (const std::string& key : keys) {
+    EXPECT_EQ(index->Find(table, HashedKey(key)), index->Find(table, key)) << key;
+  }
+  EXPECT_EQ(index->Find(table, HashedKey("t:absent")), HashIndex::kNotFound);
+  EXPECT_EQ(HashIndex().Find(StringTable(), HashedKey("anything")), HashIndex::kNotFound);
+}
+
 }  // namespace
 }  // namespace pack
 }  // namespace microbrowse

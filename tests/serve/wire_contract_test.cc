@@ -364,6 +364,43 @@ TEST_F(WireContractTest, MetricsScrapeEnvelope) {
   EXPECT_NE(statsz.find("\"id\":\"st\""), std::string::npos) << statsz;
 }
 
+/// A snippet line of `tokens` distinct one-word tokens.
+std::string LineOfTokens(size_t tokens) {
+  std::string line;
+  for (size_t i = 0; i < tokens; ++i) line += (i == 0 ? "w" : " w") + std::to_string(i);
+  return line;
+}
+
+TEST_F(WireContractTest, SnippetLineOverTheTokenCapIsRefused) {
+  ServerUnderTest served(&registry_);
+  ScoringService reference(&registry_);
+  const std::string at_cap = LineOfTokens(kMaxLineTokens);
+  const std::string over_cap = LineOfTokens(kMaxLineTokens + 1);
+  // At the cap every endpoint scores as usual.
+  for (const std::string& request :
+       {R"({"type":"score_pair","id":"a","a":"cheap flights|)" + at_cap + R"(","b":"flights"})",
+        R"({"type":"predict_ctr","id":"c","snippet":")" + at_cap + R"("})"}) {
+    const std::string response = OneShot(served.port(), request);
+    EXPECT_EQ(response, reference.HandleLine(request));
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  // One token more is a typed refusal naming the line, on either side of a
+  // pair, and on every endpoint that parses a snippet.
+  const std::string refusal = "snippet line 2 holds 1025 tokens, over the cap of 1024";
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {R"({"type":"score_pair","id":"a","a":"cheap flights|)" + over_cap + R"(","b":"flights"})",
+       "a"},
+      {R"({"type":"score_pair","id":"b","a":"flights","b":"x|)" + over_cap + R"(|y"})", "b"},
+      {R"({"type":"predict_ctr","id":"c","snippet":"x|)" + over_cap + R"("})", "c"},
+      {R"({"type":"examine","id":"e","snippet":"x|)" + over_cap + R"("})", "e"},
+  };
+  for (const auto& [request, id] : refused) {
+    const std::string response = OneShot(served.port(), request);
+    EXPECT_EQ(response, R"({"id":")" + id + R"(","ok":false,"error":")" + refusal + R"("})");
+    EXPECT_EQ(response, reference.HandleLine(request));
+  }
+}
+
 TEST_F(WireContractTest, OverlongLineClosesTheConnection) {
   ServerOptions options;
   options.max_line_bytes = 1024;

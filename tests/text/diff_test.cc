@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -129,7 +130,93 @@ TEST_P(DiffPropertyTest, ApplyingHunksReconstructsTarget) {
   }
 }
 
+/// The diff as it was before the common prefix was trimmed: the walk over
+/// the full (n + 1) x (m + 1) LCS table, kept verbatim as the reference.
+std::vector<DiffHunk> FullTableDiff(const std::vector<TokenId>& a, const std::vector<TokenId>& b,
+                                    std::vector<TokenMatch>* matches) {
+  const int n = static_cast<int>(a.size());
+  const int m = static_cast<int>(b.size());
+  std::vector<std::vector<int>> lcs(n + 1, std::vector<int>(m + 1, 0));
+  for (int i = n - 1; i >= 0; --i) {
+    for (int j = m - 1; j >= 0; --j) {
+      lcs[i][j] = a[i] == b[j] ? lcs[i + 1][j + 1] + 1 : std::max(lcs[i + 1][j], lcs[i][j + 1]);
+    }
+  }
+  std::vector<DiffHunk> hunks;
+  int i = 0, j = 0, hunk_a = -1, hunk_b = -1;
+  auto open = [&] {
+    if (hunk_a < 0) {
+      hunk_a = i;
+      hunk_b = j;
+    }
+  };
+  auto close = [&] {
+    if (hunk_a >= 0) hunks.push_back(DiffHunk{hunk_a, i - hunk_a, hunk_b, j - hunk_b});
+    hunk_a = -1;
+  };
+  while (i < n && j < m) {
+    if (a[i] == b[j]) {
+      close();
+      matches->push_back(TokenMatch{i++, j++});
+    } else if (lcs[i + 1][j] >= lcs[i][j + 1]) {
+      open();
+      ++i;
+    } else {
+      open();
+      ++j;
+    }
+  }
+  if (i < n || j < m) {
+    open();
+    i = n;
+    j = m;
+  }
+  close();
+  return hunks;
+}
+
+TEST_P(DiffPropertyTest, EqualsTheFullTableDiff) {
+  // Small alphabets make repeats and ties common; a shared prefix of random
+  // length makes the trimmed part long or empty.
+  Rng rng(GetParam());
+  std::vector<int> table;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t alphabet = 1 + rng.NextIndex(4);
+    std::vector<TokenId> a, b;
+    const size_t prefix = rng.NextIndex(6);
+    for (size_t k = 0; k < prefix; ++k) a.push_back(static_cast<TokenId>(rng.NextIndex(alphabet)));
+    b = a;
+    for (size_t k = rng.NextIndex(9); k > 0; --k) {
+      a.push_back(static_cast<TokenId>(rng.NextIndex(alphabet)));
+    }
+    for (size_t k = rng.NextIndex(9); k > 0; --k) {
+      b.push_back(static_cast<TokenId>(rng.NextIndex(alphabet)));
+    }
+    std::vector<TokenMatch> want_matches;
+    const std::vector<DiffHunk> want = FullTableDiff(a, b, &want_matches);
+    std::vector<DiffHunk> hunks;
+    std::vector<TokenMatch> matches;
+    AppendTokenDiff(a, b, &table, &hunks, &matches);
+    EXPECT_EQ(hunks, want) << "trial " << trial;
+    EXPECT_EQ(matches, want_matches) << "trial " << trial;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffPropertyTest, ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(DiffTest, CommonPrefixIsNotTabulated) {
+  // Two 3,000-token lines that differ in their last token: the LCS table
+  // covers only the differing tail (2 x 2 cells), not 3,001 x 3,001.
+  std::vector<TokenId> a(3000);
+  for (size_t k = 0; k < a.size(); ++k) a[k] = static_cast<TokenId>(k % 7);
+  std::vector<TokenId> b = a;
+  b.back() = 99;
+  std::vector<int> table;
+  std::vector<DiffHunk> hunks;
+  AppendTokenDiff(a, b, &table, &hunks, nullptr);
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(hunks, (std::vector<DiffHunk>{{2999, 1, 2999, 1}}));
+}
 
 }  // namespace
 }  // namespace microbrowse

@@ -56,6 +56,39 @@ TEST(SnippetTest, EmptySnippet) {
   EXPECT_EQ(snippet.ToString(), "");
 }
 
+TEST(SnippetTest, ParseEqualsFromLinesOfTheSplitPieces) {
+  // One snippet parsed into again and again, through texts with more and
+  // fewer lines and tokens than the last, must hold exactly what a fresh
+  // FromLines(Split(...)) holds.
+  Snippet reused;
+  for (const char* text :
+       {"XYZ Airlines|Find cheap flights to New York.|No reservation costs. Great rates",
+        "a", "", "|", "a||b|", "  $99 deals | 20% off | it's here ", "one|two",
+        "A very long token: supercalifragilisticexpialidocious|x|y|z|w",
+        "Find cheap flights"}) {
+    const Snippet want = Snippet::FromLines(Split(text, '|'));
+    Snippet fresh;
+    ASSERT_TRUE(Snippet::Parse(text, '|', &fresh).ok()) << text;
+    EXPECT_EQ(fresh, want) << text;
+    ASSERT_TRUE(Snippet::Parse(text, '|', &reused).ok()) << text;
+    EXPECT_EQ(reused, want) << text;
+  }
+}
+
+TEST(SnippetTest, ParseRefusesALineOverTheTokenCap) {
+  std::string line = "w0";
+  for (size_t i = 1; i < kMaxLineTokens; ++i) line += " w" + std::to_string(i);
+  Snippet snippet;
+  ASSERT_TRUE(Snippet::Parse("head|" + line, '|', &snippet).ok());
+  EXPECT_EQ(snippet.line(1).size(), kMaxLineTokens);
+  const Status over = Snippet::Parse("head|" + line + " one-more|tail", '|', &snippet);
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(over.message(), "snippet line 2 holds 1026 tokens, over the cap of 1024");
+  EXPECT_TRUE(CheckLineTokens(0, kMaxLineTokens).ok());
+  EXPECT_EQ(CheckLineTokens(0, kMaxLineTokens + 1).message(),
+            "snippet line 1 holds 1025 tokens, over the cap of 1024");
+}
+
 TEST(TokenInvariantTest, FromTokensRejectsATokenWithASpace) {
   // A token holding a space would make "a b" + "c" and "a" + "b c" the same
   // text with different tokens; the check survives NDEBUG builds.

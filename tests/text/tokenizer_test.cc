@@ -80,6 +80,20 @@ TEST(TokenizerTest, MixedAlphanumericTokens) {
 
 // The per-pair token ids (text/pair_tokens.h) stand for texts only while
 // no token holds a space: then a phrase's text determines its tokens.
+TEST(TokenizerTest, TokenizeIntoReusesTheVectorAndRespectsTheLimit) {
+  Tokenizer tokenizer;
+  std::vector<std::string> tokens = {"stale", "a-much-longer-stale-token-than-sso", "x", "y"};
+  EXPECT_EQ(tokenizer.TokenizeInto("$99 Deals, 20% off!", 10, &tokens), 4u);
+  EXPECT_EQ(tokens, tokenizer.Tokenize("$99 Deals, 20% off!"));
+  EXPECT_EQ(tokenizer.TokenizeInto("just two", 10, &tokens), 2u);
+  EXPECT_EQ(tokens, (std::vector<std::string>{"just", "two"}));
+  // Over the limit: counted, and the vector is left as it was.
+  EXPECT_EQ(tokenizer.TokenizeInto("one two three", 2, &tokens), 3u);
+  EXPECT_EQ(tokens, (std::vector<std::string>{"just", "two"}));
+  EXPECT_EQ(tokenizer.TokenizeInto("", 0, &tokens), 0u);
+  EXPECT_TRUE(tokens.empty());
+}
+
 TEST(TokenInvariantTest, TokenizerNeverProducesSpacesOrEmptyTokens) {
   Rng rng(404);
   const Tokenizer tokenizers[] = {Tokenizer(), Tokenizer(TokenizerOptions{false, false})};

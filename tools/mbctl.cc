@@ -60,9 +60,12 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Snippet ParseSnippetFlag(const std::string& field) {
-  std::vector<std::string> lines = Split(field, '|');
-  return Snippet::FromLines(lines);
+/// A "line|line|..." snippet, refused as mbserved refuses it (a line over
+/// kMaxLineTokens tokens), so local and served predictions agree.
+Result<Snippet> ParseSnippetFlag(const std::string& field) {
+  Snippet snippet;
+  MB_RETURN_IF_ERROR(Snippet::Parse(field, '|', &snippet));
+  return snippet;
 }
 
 /// --recovery flag -> LoadOptions (strict is the default, matching the
@@ -575,19 +578,24 @@ int CmdPredict(const Flags& flags) {
     std::vector<double> margins;
     margins.reserve(rows->size());
     for (const PairRow& row : *rows) {
-      margins.push_back(PredictPairMargin(ParseSnippetFlag(row.a), ParseSnippetFlag(row.b),
-                                          *db, config, saved->model, saved->t_registry,
+      auto a = ParseSnippetFlag(row.a);
+      if (!a.ok()) return Fail(a.status());
+      auto b = ParseSnippetFlag(row.b);
+      if (!b.ok()) return Fail(b.status());
+      margins.push_back(PredictPairMargin(*a, *b, *db, config, saved->model, saved->t_registry,
                                           saved->p_registry));
     }
     return EmitMargins(*rows, margins, flags);
   }
 
-  const Snippet a = ParseSnippetFlag(flags.Get("--a"));
-  const Snippet b = ParseSnippetFlag(flags.Get("--b"));
-  const double margin = PredictPairMargin(a, b, *db, config, saved->model,
+  auto a = ParseSnippetFlag(flags.Get("--a"));
+  if (!a.ok()) return Fail(a.status());
+  auto b = ParseSnippetFlag(flags.Get("--b"));
+  if (!b.ok()) return Fail(b.status());
+  const double margin = PredictPairMargin(*a, *b, *db, config, saved->model,
                                           saved->t_registry, saved->p_registry);
-  std::printf("A: %s\nB: %s\nmargin(A over B) = %+.4f  ->  %s\n", a.ToString().c_str(),
-              b.ToString().c_str(), margin,
+  std::printf("A: %s\nB: %s\nmargin(A over B) = %+.4f  ->  %s\n", a->ToString().c_str(),
+              b->ToString().c_str(), margin,
               margin >= 0 ? "A predicted to win" : "B predicted to win");
   return 0;
 }
