@@ -51,22 +51,17 @@ size_t Tokenizer::TokenizeInto(std::string_view text, size_t max_tokens,
       ++i;
       continue;
     }
-    std::string& token = *next++;
-    token.clear();
-    if (dollar_start) {
-      token.push_back('$');
-      ++i;
-    }
-    while (i < n && IsWordChar(text[i])) {
-      char c = text[i];
-      if (options_.lowercase) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      token.push_back(c);
-      ++i;
-    }
+    // The token is the contiguous text from the '$' or first word
+    // character through the last word character or the '%'.
+    const size_t start = i;
+    if (dollar_start) ++i;
+    while (i < n && IsWordChar(text[i])) ++i;
     // '%' closes a token when it directly follows it ("20%").
-    if (options_.keep_offer_symbols && i < n && text[i] == '%') {
-      token.push_back('%');
-      ++i;
+    if (options_.keep_offer_symbols && i < n && text[i] == '%') ++i;
+    std::string& token = *next++;
+    token.assign(text.substr(start, i - start));
+    if (options_.lowercase) {
+      for (char& c : token) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     }
   }
   return runs;
