@@ -29,6 +29,7 @@ inline uint64_t Fnv1a64(std::string_view data) {
   return h;
 }
 
+namespace internal {
 /// The native-order `Word` at `p` (which need not be aligned), zero-extended.
 template <typename Word>
 inline uint64_t LoadWord(const char* p) {
@@ -36,6 +37,7 @@ inline uint64_t LoadWord(const char* p) {
   std::memcpy(&w, p, sizeof(w));
   return w;
 }
+}  // namespace internal
 
 /// FNV-1a/64 folded eight bytes at a time: each little-endian 64-bit word
 /// (zero-padded tail) is XORed in and multiplied once, instead of per byte.
@@ -51,6 +53,7 @@ inline uint64_t LoadWord(const char* p) {
 /// loads, else the first, middle and last byte. Every value equals the
 /// zero-padded byte copy's.
 inline uint64_t Fnv1a64Wide(std::string_view data) {
+  using internal::LoadWord;
   uint64_t h = kFnv64Basis;
   const char* p = data.data();
   const size_t size = data.size();
