@@ -1,7 +1,8 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Seeded random-input smoke fuzzing for the two hand-written parsers: the
-// newline-JSON serve protocol codec and the RFC 4180 CSV record codec.
+// Seeded random-input smoke fuzzing for the hand-written parsers: the
+// newline-JSON serve protocol codec, the RFC 4180 CSV record codec and the
+// serving snippet parse (with its per-line token cap).
 // Two properties per codec:
 //   round-trip  — serialize(parse(serialize(x))) is a fixpoint, and the
 //                 parsed fields equal the originals byte for byte;
@@ -19,7 +20,9 @@
 
 #include "common/csv.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "serve/protocol.h"
+#include "text/snippet.h"
 
 namespace microbrowse {
 namespace {
@@ -181,6 +184,39 @@ TEST(FuzzSmokeTest, CsvMalformedInputsAreRejectedNotMangled) {
   auto quoted_newline = ParseCsvRecord("\"a\nb\",c");
   ASSERT_TRUE(quoted_newline.ok());
   EXPECT_EQ(*quoted_newline, (std::vector<std::string>{"a\nb", "c"}));
+}
+
+TEST(FuzzSmokeTest, SnippetParseEqualsSplitThenTokenizeOrRefusesOverTheCap) {
+  // Byte soup and fields with a line of 1,020-1,030 words, parsed into one
+  // reused snippet: a field parses exactly when no '|' piece tokenizes to
+  // more than kMaxLineTokens tokens, and then holds what FromLines(Split())
+  // builds; otherwise the refusal is InvalidArgument.
+  Rng rng(777);
+  Snippet reused;
+  int refused = 0;
+  for (int iteration = 0; iteration < 3000; ++iteration) {
+    std::string field = RandomBytes(rng, 48);
+    if (iteration % 50 == 0) {
+      const size_t words = kMaxLineTokens - 4 + rng.NextIndex(11);
+      for (size_t w = 0; w < words; ++w) field += (w == 0 ? "|" : " ") + RandomKey(rng);
+      field += RandomBytes(rng, 8);
+    }
+    const std::vector<std::string> pieces = Split(field, '|');
+    bool fits = true;
+    for (const std::string& piece : pieces) {
+      fits &= Tokenizer().Tokenize(piece).size() <= kMaxLineTokens;
+    }
+    const Status parsed = Snippet::Parse(field, '|', &reused);
+    ASSERT_EQ(parsed.ok(), fits) << parsed.ToString();
+    if (fits) {
+      EXPECT_EQ(reused, Snippet::FromLines(pieces)) << field;
+    } else {
+      EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument);
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 10);  // Both sides of the cap were reached.
+  EXPECT_LT(refused, 50);
 }
 
 }  // namespace
