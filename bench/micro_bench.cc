@@ -177,8 +177,7 @@ BENCHMARK(BM_MatchRewritesNoDb);
 /// against the final database: the matcher's costliest case with one.
 void BM_MatchRewritesPass2(benchmark::State& state) {
   const PairCorpus pairs = BenchPairs(200);
-  FeatureStatsDb pass1;
-  AccumulateFeatureStats(pairs, {}, nullptr, &pass1, StatsScope::kRewritesOnly);
+  FeatureStatsDb pass1 = AccumulateFeatureStats(pairs, {}, nullptr, StatsScope::kRewritesOnly);
   pass1.BuildRewriteIndex();
   MatchRewritesLoop(state, pairs, &pass1);
 }

@@ -15,6 +15,10 @@
 //
 //   MB_FAILPOINTS="io.write.rename=always,pipeline.fold=nth:3,io.read.open=0.25"
 //
+// (every artifact rename fails, the third cross-validation fold to reach
+// its failpoint fails the run with that IOError, and each artifact open
+// fails with probability 0.25).
+//
 // Spec grammar, per comma-separated `name=spec` entry:
 //   always      fire on every hit
 //   off         registered but never fires (hit counting only)

@@ -207,7 +207,6 @@ void PreregisterPipelineMetrics(MetricRegistry* registry) {
            "mb.cv.runs",
            "mb.cv.fold_splits",
            "mb.cv.folds_trained",
-           "mb.cv.folds_resumed",
        }) {
     registry->GetCounter(name);
   }

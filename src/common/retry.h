@@ -1,9 +1,9 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Retry with exponential backoff for transient failures. Artifact writes
-// and checkpoint persistence go through this wrapper so that a flaky disk
-// or a transiently full volume degrades a pipeline run into a short stall
-// instead of a lost night of cross-validation.
+// Retry with exponential backoff for transient failures. The serve client
+// (serve/client.h) goes through this wrapper so that a refused connect or
+// an overloaded server degrades a batch job into a short stall instead of
+// a failed run.
 
 #ifndef MICROBROWSE_COMMON_RETRY_H_
 #define MICROBROWSE_COMMON_RETRY_H_

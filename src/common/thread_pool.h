@@ -1,7 +1,7 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// A small fixed-size thread pool. Cross-validation folds and corpus shards
-// are embarrassingly parallel; the pool keeps that parallelism explicit and
+// A small fixed-size thread pool. Cross-validation folds and stats-build
+// chunks are embarrassingly parallel; the pool keeps that parallelism explicit and
 // bounded. On single-core hosts a pool of one thread degenerates gracefully.
 //
 // Error handling: tasks may return Status (SubmitFallible / the fallible

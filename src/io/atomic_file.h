@@ -16,7 +16,7 @@
 // a footer still load (checksum_present = false in the report).
 //
 // This target (mb_io_base) depends only on mb_common so that higher layers
-// (mb_core's pipeline checkpoints, mb_io's serializers) can both link it.
+// (mb_pack's writer, mb_io's serializers) can both link it.
 
 #ifndef MICROBROWSE_IO_ATOMIC_FILE_H_
 #define MICROBROWSE_IO_ATOMIC_FILE_H_

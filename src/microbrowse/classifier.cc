@@ -291,11 +291,12 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
                             FeatureRegistry* t_registry, FeatureRegistry* p_registry,
                             std::vector<CoupledOccurrence>* occurrences) {
   // The warm start is a statistics lookup, so it is computed only for a
-  // key the registry does not know yet: Intern ignores it for known keys.
+  // key the registry does not know yet, which is then inserted without a
+  // second probe.
   auto intern = [&](FeatureRegistry* registry, std::string_view text, auto&& initial) {
     const pack::HashedKey key(text);
     const FeatureId id = registry->Find(key);
-    return id != kInvalidFeatureId ? id : registry->Intern(text, initial(key, db, config));
+    return id != kInvalidFeatureId ? id : registry->InternNew(text, initial(key, db, config));
   };
   // A P key is interned where it first occurs, as it would be if every
   // occurrence were looked up, so ids and interning order are unchanged.

@@ -19,38 +19,26 @@
 
 namespace microbrowse {
 
-/// Pipeline configuration.
+/// Pipeline configuration. The statistics database is built once over the
+/// whole pair corpus, as in the paper, and every fold trains on the one
+/// dataset built from it.
 struct PipelineOptions {
+  /// CV folds. Whole adgroups are assigned to folds, so same-adgroup pairs
+  /// never straddle a train/test boundary (context n-grams are near-unique
+  /// to an adgroup and would otherwise let the classifier memorise test
+  /// outcomes).
   int folds = 10;
   uint64_t seed = 99;
   BuildStatsOptions stats;
-  /// When true, the statistics database is rebuilt from each fold's
-  /// training pairs only (no statistics leakage into the test fold, at k
-  /// times the cost). The paper builds statistics once over the corpus;
-  /// false reproduces that.
-  bool per_fold_stats = false;
-  /// Assign whole adgroups to folds so same-adgroup pairs never straddle a
-  /// train/test boundary (context n-grams are near-unique to an adgroup
-  /// and would otherwise let the classifier memorise test outcomes).
-  bool group_folds_by_adgroup = true;
-  /// Worker threads for training the CV folds (shared-stats path only).
-  /// Results are identical regardless of thread count: per-fold scores are
-  /// collected in fold order.
+  /// Worker threads for training the CV folds. Results are identical
+  /// regardless of thread count: per-fold scores are collected in fold
+  /// order.
   int num_threads = 1;
   /// Worker threads *inside* each run: forwarded to the statistics build
   /// (BuildStatsOptions::num_threads) and the final metrics pass.
   /// Orthogonal to `num_threads` (fold-level parallelism). Results are
-  /// bitwise identical for any value — see DESIGN.md section 11 — and the
-  /// value is deliberately excluded from the checkpoint fingerprint, so
-  /// changing it never invalidates a resumable run.
+  /// bitwise identical for any value — see DESIGN.md section 11.
   int train_threads = 1;
-  /// When non-empty, the run checkpoints into this directory (created on
-  /// demand): the statistics database and each completed fold's scores are
-  /// persisted atomically, and a rerun pointed at the same directory
-  /// resumes fold-by-fold, reproducing the uninterrupted run's ModelReport
-  /// bit for bit. Resuming with changed settings fails with
-  /// kFailedPrecondition (see microbrowse/checkpoint.h).
-  std::string checkpoint_dir;
 };
 
 /// Cross-validated evaluation of one classifier configuration.
@@ -63,7 +51,9 @@ struct ModelReport {
   double train_seconds = 0.0;
 };
 
-/// Runs phase one + k-fold phase two for `config` on `corpus`.
+/// Runs phase one + k-fold phase two for `config` on `corpus`. The first
+/// failing fold's status (e.g. an armed "pipeline.fold" failpoint) is
+/// returned; no report is produced.
 Result<ModelReport> RunPairClassificationCv(const PairCorpus& corpus,
                                             const ClassifierConfig& config,
                                             const PipelineOptions& options);

@@ -261,22 +261,11 @@ void FeatureStatsDb::BuildRewriteIndex() {
   rewrite_index_.emplace(pairs);
 }
 
-void AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
-                            const FeatureStatsDb* matching_db, FeatureStatsDb* out,
-                            StatsScope scope) {
-  if (out->stats().empty()) {
-    // Fresh target: AccumulatePass's splice-merge fast path applies.
-    AccumulatePass(corpus, options, matching_db, scope, out);
-    return;
-  }
-  // Non-empty target (a later shard): accumulate locally, then add counts.
-  // AccumulatePass's unordered_map::merge would silently drop counts for
-  // keys the target already holds.
-  FeatureStatsDb local;
-  AccumulatePass(corpus, options, matching_db, scope, &local);
-  for (const auto& [key, stat] : local.stats()) {
-    out->AddCounts(key, stat.positive, stat.total);
-  }
+FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
+                                      const FeatureStatsDb* matching_db, StatsScope scope) {
+  FeatureStatsDb out;
+  AccumulatePass(corpus, options, matching_db, scope, &out);
+  return out;
 }
 
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options) {

@@ -176,16 +176,6 @@ class FeatureStatsDb {
     stats_[key] = FeatureStat{positive, total};
   }
 
-  /// Adds pre-aggregated counts for `key` onto any prior value. Used when
-  /// merging partial databases accumulated over corpus chunks; integer
-  /// counts make the merge order-independent.
-  void AddCounts(const std::string& key, int64_t positive, int64_t total) {
-    rewrite_index_.reset();
-    FeatureStat& stat = stats_[key];
-    stat.positive += positive;
-    stat.total += total;
-  }
-
   /// Stat for `key`, or nullptr when unseen. For base hits the pointer
   /// aims straight into the mmap'd record section (valid for this
   /// object's lifetime). The heap layer hashes the text (std::hash); the
@@ -248,7 +238,7 @@ class FeatureStatsDb {
   /// callers should prefer ForEach, which sees both layers.
   const FeatureStatMap& stats() const { return stats_; }
   /// Mutable access for bulk splicing (unordered_map::merge) when
-  /// assembling a database from disjoint shards. Drops the rewrite index;
+  /// assembling a database from disjoint key shards. Drops the rewrite index;
   /// do not keep the reference across a later BuildRewriteIndex, since
   /// the index would not see changes made through it.
   FeatureStatMap& mutable_stats() {
@@ -350,18 +340,15 @@ inline StatsScope StatsScopeOfPass(int pass, int passes) {
   return pass + 1 < passes ? StatsScope::kRewritesOnly : StatsScope::kAllKeys;
 }
 
-/// One accumulation pass over `corpus` ADDED into `out` — the streaming
-/// building block behind BuildFeatureStats. Sharded-corpus builders call
-/// this once per shard per matching pass, so only one shard's pairs are in
-/// memory at a time; the counts are integer sums, making the cross-shard
-/// merge order-independent. `matching_db` is nullptr on the first pass and
-/// the previous pass's database afterwards, and `scope` is
-/// StatsScopeOfPass, exactly as in BuildFeatureStats. Does not touch
-/// `out`'s smoothing / min-count settings and records no metrics;
-/// whole-corpus callers should prefer BuildFeatureStats.
-void AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
-                            const FeatureStatsDb* matching_db, FeatureStatsDb* out,
-                            StatsScope scope = StatsScope::kAllKeys);
+/// One accumulation pass of BuildFeatureStats over `corpus`, as a fresh
+/// database: `matching_db` is nullptr on the first pass and the previous
+/// pass's database afterwards, and `scope` is StatsScopeOfPass. Leaves the
+/// smoothing / min-count settings at their defaults, builds no rewrite
+/// index and records no metrics; callers wanting a usable database should
+/// prefer BuildFeatureStats.
+FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
+                                      const FeatureStatsDb* matching_db,
+                                      StatsScope scope = StatsScope::kAllKeys);
 
 }  // namespace microbrowse
 

@@ -3,81 +3,11 @@
 #include "ml/cross_validation.h"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_map>
 
 #include "common/metrics.h"
 
 namespace microbrowse {
-
-namespace {
-
-/// Counts one successful fold split, whichever maker produced it.
-void CountFoldSplit() {
-  static Counter* splits_counter = MetricRegistry::Global().GetCounter("mb.cv.fold_splits");
-  splits_counter->Increment(1);
-}
-
-/// Builds folds from a permutation by dealing indices round-robin into k
-/// test sets.
-std::vector<CvFold> FoldsFromPermutation(const std::vector<size_t>& permutation, int k) {
-  std::vector<std::vector<size_t>> test_sets(k);
-  for (size_t i = 0; i < permutation.size(); ++i) {
-    test_sets[i % static_cast<size_t>(k)].push_back(permutation[i]);
-  }
-  std::vector<CvFold> folds(k);
-  for (int f = 0; f < k; ++f) {
-    folds[f].test_indices = test_sets[f];
-    for (int other = 0; other < k; ++other) {
-      if (other == f) continue;
-      folds[f].train_indices.insert(folds[f].train_indices.end(), test_sets[other].begin(),
-                                    test_sets[other].end());
-    }
-    std::sort(folds[f].train_indices.begin(), folds[f].train_indices.end());
-    std::sort(folds[f].test_indices.begin(), folds[f].test_indices.end());
-  }
-  return folds;
-}
-
-}  // namespace
-
-Result<std::vector<CvFold>> MakeKFolds(size_t n, int k, uint64_t seed) {
-  if (k < 2) return Status::InvalidArgument("MakeKFolds: k must be >= 2");
-  if (static_cast<size_t>(k) > n) return Status::InvalidArgument("MakeKFolds: k exceeds n");
-  std::vector<size_t> permutation(n);
-  std::iota(permutation.begin(), permutation.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(permutation);
-  CountFoldSplit();
-  return FoldsFromPermutation(permutation, k);
-}
-
-Result<std::vector<CvFold>> MakeStratifiedKFolds(const std::vector<bool>& labels, int k,
-                                                 uint64_t seed) {
-  if (k < 2) return Status::InvalidArgument("MakeStratifiedKFolds: k must be >= 2");
-  if (static_cast<size_t>(k) > labels.size()) {
-    return Status::InvalidArgument("MakeStratifiedKFolds: k exceeds n");
-  }
-  std::vector<size_t> positives;
-  std::vector<size_t> negatives;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    (labels[i] ? positives : negatives).push_back(i);
-  }
-  Rng rng(seed);
-  rng.Shuffle(positives);
-  rng.Shuffle(negatives);
-  // Concatenate the shuffled strata: FoldsFromPermutation deals the
-  // permutation round-robin into k test sets, so each stratum spreads
-  // across the folds independently and every fold's positive / negative
-  // counts land within one of the ideal k-way split — no interleaving is
-  // needed for balance (asserted by StratifiedFoldsBalanceEachFold).
-  std::vector<size_t> permutation;
-  permutation.reserve(labels.size());
-  permutation.insert(permutation.end(), positives.begin(), positives.end());
-  permutation.insert(permutation.end(), negatives.begin(), negatives.end());
-  CountFoldSplit();
-  return FoldsFromPermutation(permutation, k);
-}
 
 Result<std::vector<CvFold>> MakeGroupedKFolds(const std::vector<int64_t>& group_ids, int k,
                                               uint64_t seed) {
@@ -113,7 +43,8 @@ Result<std::vector<CvFold>> MakeGroupedKFolds(const std::vector<int64_t>& group_
     std::sort(folds[f].train_indices.begin(), folds[f].train_indices.end());
     std::sort(folds[f].test_indices.begin(), folds[f].test_indices.end());
   }
-  CountFoldSplit();
+  static Counter* splits_counter = MetricRegistry::Global().GetCounter("mb.cv.fold_splits");
+  splits_counter->Increment(1);
   return folds;
 }
 

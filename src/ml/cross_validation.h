@@ -20,20 +20,12 @@ struct CvFold {
   std::vector<size_t> test_indices;
 };
 
-/// Produces `k` folds over `n` examples after a seeded shuffle. Every index
-/// appears in exactly one test set; fold sizes differ by at most one.
-/// Requires 2 <= k <= n.
-Result<std::vector<CvFold>> MakeKFolds(size_t n, int k, uint64_t seed);
-
-/// Stratified variant: class proportions (given by `labels`, size n) are
-/// preserved within each test fold.
-Result<std::vector<CvFold>> MakeStratifiedKFolds(const std::vector<bool>& labels, int k,
-                                                 uint64_t seed);
-
-/// Grouped variant: examples sharing a group id always land in the same
-/// fold (e.g., creative pairs from one adgroup), preventing within-group
-/// memorisation from leaking into the test folds. Requires at least k
-/// distinct groups.
+/// Produces `k` folds over `group_ids.size()` examples: examples sharing a
+/// group id always land in the same fold (e.g., creative pairs from one
+/// adgroup), preventing within-group memorisation from leaking into the
+/// test folds. Groups are shuffled by `seed` and dealt round-robin into
+/// the k test sets, so every index appears in exactly one test set.
+/// Requires 2 <= k <= the number of distinct groups.
 Result<std::vector<CvFold>> MakeGroupedKFolds(const std::vector<int64_t>& group_ids, int k,
                                               uint64_t seed);
 

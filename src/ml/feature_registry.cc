@@ -6,7 +6,11 @@ namespace microbrowse {
 
 FeatureId FeatureRegistry::Intern(std::string_view name, double initial_weight) {
   const FeatureId found = Find(name);
-  if (found != kInvalidFeatureId) return found;
+  return found != kInvalidFeatureId ? found : InternNew(name, initial_weight);
+}
+
+FeatureId FeatureRegistry::InternNew(std::string_view name, double initial_weight) {
+  assert(Find(name) == kInvalidFeatureId && "InternNew on a registered feature");
   const FeatureId id = static_cast<FeatureId>(base_count_ + names_.size());
   names_.emplace_back(name);
   initial_weights_.push_back(initial_weight);

@@ -61,6 +61,11 @@ class FeatureRegistry {
   /// in the overlay; the base is immutable.
   FeatureId Intern(std::string_view name, double initial_weight = 0.0);
 
+  /// Registers `name`, which must be absent (Find just returned
+  /// kInvalidFeatureId), and returns its new id without probing for it
+  /// again: the id Intern would return.
+  FeatureId InternNew(std::string_view name, double initial_weight);
+
   /// Id of `name`, or kInvalidFeatureId when absent. Never allocates: base
   /// lookups probe the pack's stored hash index with `name`'s index hash,
   /// and the overlay is probed with the text itself (std::hash).

@@ -314,7 +314,6 @@ TEST(PipelineTest, CvOnSignalCorpusIsNearPerfect) {
   PipelineOptions options;
   options.folds = 3;
   options.seed = 4;
-  options.group_folds_by_adgroup = true;
   auto report = RunPairClassificationCv(corpus, ClassifierConfig::M1(), options);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->metrics.accuracy(), 0.95);
@@ -342,16 +341,6 @@ TEST(PipelineTest, MultiThreadedCvMatchesSingleThreaded) {
   EXPECT_EQ(a->metrics.true_positives, b->metrics.true_positives);
   EXPECT_EQ(a->metrics.false_positives, b->metrics.false_positives);
   EXPECT_DOUBLE_EQ(a->auc, b->auc);
-}
-
-TEST(PipelineTest, PerFoldStatsAlsoWorks) {
-  const PairCorpus corpus = SignalCorpus(200);
-  PipelineOptions options;
-  options.folds = 2;
-  options.per_fold_stats = true;
-  auto report = RunPairClassificationCv(corpus, ClassifierConfig::M1(), options);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->metrics.accuracy(), 0.9);
 }
 
 TEST(PipelineTest, LearnPositionWeightsRequiresPositionConfig) {

@@ -6,8 +6,7 @@
 // residue — for every ordered sibling pair of a seeded corpus, under every
 // matching strategy and with no database, a heap-loaded database and an
 // mmap pack-loaded database. The greedy strategy is also run against the
-// databases of every other construction path (the in-memory build, the
-// sharded build) and against adversarial ones, because the production
+// in-memory build's database and against adversarial ones, because the production
 // matcher finds its database candidates through the database's rewrite
 // partner index and the reference calls Find for every candidate. Also
 // checks that the two database layers answer Find identically.
@@ -31,10 +30,8 @@
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
 #include "io/atomic_file.h"
-#include "io/corpus_shards.h"
 #include "io/pack_artifacts.h"
 #include "io/serialization.h"
-#include "microbrowse/checkpoint.h"
 #include "microbrowse/feature_keys.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
@@ -45,7 +42,7 @@ namespace {
 
 /// kHeap and kPack are the TSV and pack loads of kBuilt; kNoRewrites is
 /// kHeap with every "rw:" key dropped.
-enum class DbKind { kNone, kHeap, kPack, kBuilt, kSharded, kNoRewrites };
+enum class DbKind { kNone, kHeap, kPack, kBuilt, kNoRewrites };
 
 /// A seeded corpus, its ordered sibling pairs and the statistics database
 /// built from it by every construction path.
@@ -54,8 +51,6 @@ struct MatcherFixture {
   FeatureStatsDb heap_db;
   FeatureStatsDb pack_db;
   FeatureStatsDb built_db;
-  FeatureStatsDb sharded_db;
-  FeatureStatsDb checkpoint_db;  ///< built_db through a CV checkpoint.
   FeatureStatsDb no_rewrites_db;
 };
 
@@ -84,24 +79,15 @@ const MatcherFixture& Fixture() {
     EXPECT_TRUE(CreateDirectories(dir).ok());
     EXPECT_TRUE(SaveFeatureStats(out->built_db, dir + "/stats.tsv").ok());
     EXPECT_TRUE(SaveStatsPack(out->built_db, dir + "/stats.mbpack").ok());
-    EXPECT_TRUE(SaveAdCorpusSharded(generated->corpus, dir + "/corpus.tsv", 3).ok());
     auto heap = LoadFeatureStats(dir + "/stats.tsv");
     auto pack = LoadStatsPack(dir + "/stats.mbpack");
-    auto shards = ResolveCorpusShards(dir + "/corpus.tsv");
-    auto sharded = shards.ok() ? BuildFeatureStatsSharded(*shards, {}, {}, {}, nullptr)
-                               : Result<FeatureStatsDb>(shards.status());
-    auto checkpoint = CvCheckpoint::Open(dir + "/checkpoint", /*fingerprint=*/1);
-    const bool checkpoint_loaded = checkpoint.ok() &&
-                                   checkpoint->SaveStats(out->built_db).ok() &&
-                                   checkpoint->LoadStats(&out->checkpoint_db).value_or(false);
     std::filesystem::remove_all(dir);  // The loaded pack keeps its mapping.
-    if (!heap.ok() || !pack.ok() || !sharded.ok() || !checkpoint_loaded) {
-      ADD_FAILURE() << "reloading or re-building the statistics failed";
+    if (!heap.ok() || !pack.ok()) {
+      ADD_FAILURE() << "reloading the statistics failed";
       return out;
     }
     out->heap_db = std::move(*heap);
     out->pack_db = std::move(*pack);
-    out->sharded_db = std::move(*sharded);
     out->no_rewrites_db.set_smoothing(out->heap_db.smoothing());
     out->no_rewrites_db.set_min_count(out->heap_db.min_count());
     out->heap_db.ForEach([&](std::string_view key, const FeatureStat& stat) {
@@ -121,7 +107,6 @@ const FeatureStatsDb* DbFor(DbKind kind) {
     case DbKind::kHeap: return &Fixture().heap_db;
     case DbKind::kPack: return &Fixture().pack_db;
     case DbKind::kBuilt: return &Fixture().built_db;
-    case DbKind::kSharded: return &Fixture().sharded_db;
     case DbKind::kNoRewrites: return &Fixture().no_rewrites_db;
   }
   return nullptr;
@@ -212,7 +197,7 @@ TEST_P(MatcherDifferentialTest, DiffRegionWiderThanSixteenBitIndices) {
 std::string ParamName(const ::testing::TestParamInfo<std::tuple<MatchingStrategy, DbKind>>& info) {
   static const char* const kStrategies[] = {"GreedyStats", "FirstMatch", "PositionOnly"};
   static const char* const kDbs[] = {"NoDb",    "HeapDb",    "PackDb",
-                                     "BuiltDb", "ShardedDb", "NoRewritesDb"};
+                                     "BuiltDb", "NoRewritesDb"};
   return std::string(kStrategies[static_cast<int>(std::get<0>(info.param))]) + "_" +
          kDbs[static_cast<int>(std::get<1>(info.param))];
 }
@@ -225,13 +210,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(DbKind::kNone, DbKind::kHeap, DbKind::kPack)),
     ParamName);
 
-// Only kGreedyStats consults the database, so the remaining construction
-// paths and the rewrite-free database run under it alone.
+// Only kGreedyStats consults the database, so the in-memory build's
+// database and the rewrite-free database run under it alone.
 INSTANTIATE_TEST_SUITE_P(
     ConstructionPaths, MatcherDifferentialTest,
     ::testing::Combine(::testing::Values(MatchingStrategy::kGreedyStats),
-                       ::testing::Values(DbKind::kBuilt, DbKind::kSharded,
-                                         DbKind::kNoRewrites)),
+                       ::testing::Values(DbKind::kBuilt, DbKind::kNoRewrites)),
     ParamName);
 
 /// Asserts both layers give the same answer for `key`.
@@ -330,10 +314,8 @@ TEST(RewriteFilterTest, EveryConstructionPathBuildsAFilterWithoutFalseNegatives)
   const MatcherFixture& fixture = Fixture();
   const std::pair<const char*, const FeatureStatsDb*> dbs[] = {
       {"built", &fixture.built_db},
-      {"sharded", &fixture.sharded_db},
       {"tsv", &fixture.heap_db},
-      {"pack", &fixture.pack_db},
-      {"checkpoint", &fixture.checkpoint_db}};
+      {"pack", &fixture.pack_db}};
   for (const auto& [name, db] : dbs) {
     const RewritePartnerIndex* index = db->rewrite_index();
     ASSERT_NE(index, nullptr) << name;
@@ -457,7 +439,6 @@ TEST(RewriteFilterTest, EveryMutatorDropsTheFilter) {
   const std::pair<const char*, std::function<void(FeatureStatsDb*)>> mutators[] = {
       {"AddObservation", [](FeatureStatsDb* db) { db->AddObservation("rw:cheap=>deals", +1); }},
       {"SetStat", [](FeatureStatsDb* db) { db->SetStat("rw:cheap=>deals", 4, 6); }},
-      {"AddCounts", [](FeatureStatsDb* db) { db->AddCounts("rw:cheap=>deals", 4, 6); }},
       {"mutable_stats",
        [](FeatureStatsDb* db) {
          db->mutable_stats().emplace("rw:cheap=>deals", FeatureStat{4, 6});

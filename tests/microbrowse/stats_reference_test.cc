@@ -1,18 +1,16 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Differential test wall for the statistics build: BuildFeatureStats and
-// BuildFeatureStatsSharded must produce exactly the (key, positive, total)
-// set of the serial all-keys reference (stats_reference.h), for one to
-// three matching passes, one and four threads, and several seeded corpora.
+// Differential test wall for the statistics build: BuildFeatureStats must
+// produce exactly the (key, positive, total) set of the serial all-keys
+// reference (stats_reference.h), for one to three matching passes, one and
+// four threads, and several seeded corpora.
 // Non-final production passes keep only rewrite keys, so a pass that lost
 // or miscounted one shows up as a different final database.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
@@ -22,8 +20,6 @@
 #include "common/random.h"
 #include "corpus/generator.h"
 #include "corpus/pair_extraction.h"
-#include "io/atomic_file.h"
-#include "io/corpus_shards.h"
 #include "microbrowse/stats_db.h"
 #include "stats_reference.h"
 
@@ -117,31 +113,6 @@ INSTANTIATE_TEST_SUITE_P(PassesAndThreads, StatsReferenceTest,
                                             ::testing::Values(1, 2, 3),
                                             ::testing::Values(1, 4)),
                          ParamName);
-
-TEST(StatsReferenceShardedTest, ShardedBuildMatchesReference) {
-  const AdCorpus corpus = Corpus(5);
-  const std::string dir =
-      ::testing::TempDir() + "/stats_reference_" + std::to_string(::getpid());
-  ASSERT_TRUE(CreateDirectories(dir).ok());
-  ASSERT_TRUE(SaveAdCorpusSharded(corpus, dir + "/corpus.tsv", 3).ok());
-  auto shards = ResolveCorpusShards(dir + "/corpus.tsv");
-  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
-  ASSERT_EQ(shards->paths.size(), 3u);
-  auto loaded = LoadShardedAdCorpus(*shards, {}, nullptr);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const PairCorpus pairs = ExtractSignificantPairs(*loaded, {});
-  for (int passes : {1, 2, 3}) {
-    BuildStatsOptions options;
-    options.matching_passes = passes;
-    auto sharded = BuildFeatureStatsSharded(*shards, {}, options, {}, nullptr);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    const StatSet want = Entries(ReferenceBuildFeatureStats(pairs, options));
-    const StatSet got = Entries(*sharded);
-    EXPECT_EQ(FirstDifference(want, got), "") << passes << " passes";
-    EXPECT_TRUE(want == got) << passes << " passes";
-  }
-  std::filesystem::remove_all(dir);
-}
 
 /// Pairs over tokens holding bytes 0x01-0x1f, which sort below the space
 /// that joins a phrase's tokens ("a b" > "a\x01" as texts, although

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "ml/cross_validation.h"
@@ -87,6 +91,19 @@ TEST(FeatureRegistryTest, ReInternKeepsFirstWeight) {
   const FeatureId a = registry.Intern("x", 1.0);
   EXPECT_EQ(registry.Intern("x", 99.0), a);
   EXPECT_DOUBLE_EQ(registry.InitialWeightOf(a), 1.0);
+}
+
+TEST(FeatureRegistryTest, InternNewAssignsTheIdInternWould) {
+  FeatureRegistry interned;
+  FeatureRegistry inserted;
+  for (const char* name : {"t:cheap", "t:flights", "p:l1p0"}) {
+    ASSERT_EQ(inserted.Find(name), kInvalidFeatureId);
+    const FeatureId id = inserted.InternNew(name, 0.5);
+    EXPECT_EQ(id, interned.Intern(name, 0.5));
+    EXPECT_EQ(inserted.Find(name), id);
+    EXPECT_EQ(inserted.NameOf(id), name);
+  }
+  EXPECT_EQ(inserted.InitialWeights(), interned.InitialWeights());
 }
 
 TEST(FeatureRegistryTest, FindMissing) {
@@ -311,24 +328,35 @@ TEST(MetricsTest, MeanLogLoss) {
 // --- Cross-validation
 
 TEST(CrossValidationTest, FoldsPartitionIndices) {
-  auto folds = MakeKFolds(103, 10, 7);
+  // 103 examples in 35 groups: 34 of three, one of one.
+  std::vector<int64_t> groups(103);
+  for (size_t i = 0; i < groups.size(); ++i) groups[i] = static_cast<int64_t>(i / 3);
+  auto folds = MakeGroupedKFolds(groups, 10, 7);
   ASSERT_TRUE(folds.ok());
   ASSERT_EQ(folds->size(), 10u);
   std::vector<int> seen(103, 0);
   for (const auto& fold : *folds) {
     EXPECT_EQ(fold.train_indices.size() + fold.test_indices.size(), 103u);
-    for (size_t idx : fold.test_indices) ++seen[idx];
-    // Fold sizes differ by at most one.
-    EXPECT_GE(fold.test_indices.size(), 10u);
-    EXPECT_LE(fold.test_indices.size(), 11u);
+    std::set<int64_t> test_groups;
+    for (size_t idx : fold.test_indices) {
+      ++seen[idx];
+      test_groups.insert(groups[idx]);
+    }
+    // Groups are dealt round-robin: 35 over 10 folds is 3 or 4 per fold.
+    EXPECT_GE(test_groups.size(), 3u);
+    EXPECT_LE(test_groups.size(), 4u);
   }
   for (int count : seen) EXPECT_EQ(count, 1);
 }
 
 TEST(CrossValidationTest, TrainAndTestDisjoint) {
-  auto folds = MakeKFolds(50, 5, 3);
+  // Interleaved group ids, so a group's members are not contiguous.
+  std::vector<int64_t> groups(50);
+  for (size_t i = 0; i < groups.size(); ++i) groups[i] = static_cast<int64_t>(i % 17);
+  auto folds = MakeGroupedKFolds(groups, 5, 3);
   ASSERT_TRUE(folds.ok());
   for (const auto& fold : *folds) {
+    ASSERT_TRUE(std::is_sorted(fold.train_indices.begin(), fold.train_indices.end()));
     for (size_t test_idx : fold.test_indices) {
       EXPECT_FALSE(std::binary_search(fold.train_indices.begin(), fold.train_indices.end(),
                                       test_idx));
@@ -337,44 +365,11 @@ TEST(CrossValidationTest, TrainAndTestDisjoint) {
 }
 
 TEST(CrossValidationTest, InvalidArguments) {
-  EXPECT_FALSE(MakeKFolds(10, 1, 0).ok());
-  EXPECT_FALSE(MakeKFolds(3, 5, 0).ok());
-  EXPECT_FALSE(MakeStratifiedKFolds({true, false}, 5, 0).ok());
-  EXPECT_FALSE(MakeGroupedKFolds({1, 1, 1}, 2, 0).ok());
-}
-
-TEST(CrossValidationTest, StratifiedPreservesClassRatio) {
-  std::vector<bool> labels(100);
-  for (int i = 0; i < 30; ++i) labels[i] = true;  // 30% positive.
-  auto folds = MakeStratifiedKFolds(labels, 5, 11);
-  ASSERT_TRUE(folds.ok());
-  for (const auto& fold : *folds) {
-    int positives = 0;
-    for (size_t idx : fold.test_indices) positives += labels[idx] ? 1 : 0;
-    EXPECT_EQ(positives, 6);  // Exactly 30% of 20.
-  }
-}
-
-TEST(CrossValidationTest, StratifiedFoldsBalanceEachFold) {
-  // 37 positives / 163 negatives: neither stratum divides evenly by k, so
-  // any dealing-order bug (e.g. a stratum landing contiguously in one
-  // fold) shows up as a lopsided fold. Every fold's class counts must sit
-  // within one of the ideal k-way split of each stratum.
-  for (int k : {5, 7}) {
-    std::vector<bool> labels(200);
-    for (int i = 0; i < 37; ++i) labels[i] = true;
-    auto folds = MakeStratifiedKFolds(labels, k, 23);
-    ASSERT_TRUE(folds.ok());
-    const double ideal_pos = 37.0 / k;
-    const double ideal_neg = 163.0 / k;
-    for (const auto& fold : *folds) {
-      int pos = 0;
-      int neg = 0;
-      for (size_t idx : fold.test_indices) (labels[idx] ? pos : neg) += 1;
-      EXPECT_LE(std::fabs(pos - ideal_pos), 1.0) << "k=" << k;
-      EXPECT_LE(std::fabs(neg - ideal_neg), 1.0) << "k=" << k;
-    }
-  }
+  EXPECT_FALSE(MakeGroupedKFolds({0, 1, 2}, 1, 0).ok());    // k < 2.
+  EXPECT_FALSE(MakeGroupedKFolds({0, 1, 2}, 4, 0).ok());    // k > groups.
+  EXPECT_FALSE(MakeGroupedKFolds({1, 1, 1}, 2, 0).ok());    // One group.
+  EXPECT_FALSE(MakeGroupedKFolds({}, 2, 0).ok());           // No examples.
+  EXPECT_TRUE(MakeGroupedKFolds({7, 7, 3, 3}, 2, 0).ok());  // k == groups.
 }
 
 TEST(CrossValidationTest, GroupedKeepsGroupsTogether) {
@@ -393,13 +388,21 @@ TEST(CrossValidationTest, GroupedKeepsGroupsTogether) {
 }
 
 TEST(CrossValidationTest, DeterministicForSeed) {
-  auto a = MakeKFolds(40, 4, 99);
-  auto b = MakeKFolds(40, 4, 99);
+  std::vector<int64_t> groups(40);
+  for (size_t i = 0; i < groups.size(); ++i) groups[i] = static_cast<int64_t>(i / 2);
+  auto a = MakeGroupedKFolds(groups, 4, 99);
+  auto b = MakeGroupedKFolds(groups, 4, 99);
+  auto other_seed = MakeGroupedKFolds(groups, 4, 100);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(other_seed.ok());
+  bool seed_matters = false;
   for (size_t f = 0; f < a->size(); ++f) {
     EXPECT_EQ((*a)[f].test_indices, (*b)[f].test_indices);
+    EXPECT_EQ((*a)[f].train_indices, (*b)[f].train_indices);
+    seed_matters |= (*a)[f].test_indices != (*other_seed)[f].test_indices;
   }
+  EXPECT_TRUE(seed_matters);
 }
 
 // --- Dataset helpers

@@ -8,7 +8,7 @@
 //   mbctl train     --corpus corpus.tsv --out model.txt [--model M1..M6]
 //                   [--train-threads N]
 //   mbctl evaluate  --corpus corpus.tsv [--model M1..M6] [--folds K]
-//                   [--checkpoint-dir run1/] [--threads N] [--train-threads N]
+//                   [--threads N] [--train-threads N]
 //   mbctl predict   --model model.txt --stats stats.tsv
 //                   --a "line1|line2|line3" --b "line1|line2|line3"
 //   mbctl predict   --model model.txt --stats stats.tsv
@@ -41,7 +41,6 @@
 #include "corpus/pair_extraction.h"
 #include "eval/experiments.h"
 #include "io/atomic_file.h"
-#include "io/corpus_shards.h"
 #include "io/pack_artifacts.h"
 #include "io/serialization.h"
 #include "microbrowse/classifier.h"
@@ -194,93 +193,24 @@ int CmdGenerate(const Flags& flags) {
   if (!adgroups.ok()) return Fail(adgroups.status());
   auto seed = flags.GetInt("--seed", 42, /*min=*/0);
   if (!seed.ok()) return Fail(seed.status());
-  auto shards = flags.GetInt("--shards", 1, /*min=*/1, /*max=*/99'999);
-  if (!shards.ok()) return Fail(shards.status());
   options.num_adgroups = static_cast<int>(*adgroups);
   options.seed = static_cast<uint64_t>(*seed);
   if (flags.Has("--rhs")) options.placement = Placement::kRhs;
   const std::string out = flags.Get("--out", "corpus.tsv");
-  if (*shards <= 1) {
-    auto generated = GenerateAdCorpus(options);
-    if (!generated.ok()) return Fail(generated.status());
-    const Status status = SaveAdCorpus(generated->corpus, out);
-    if (!status.ok()) return Fail(status);
-    std::printf("wrote %zu adgroups (%zu creatives) to %s\n",
-                generated->corpus.adgroups.size(), generated->corpus.num_creatives(),
-                out.c_str());
-    return 0;
-  }
-  // Sharded generation: each shard is generated, id-offset and written
-  // independently, so peak memory is one shard's corpus regardless of the
-  // total --adgroups count.
-  const size_t n_shards = static_cast<size_t>(*shards);
-  int64_t remaining = *adgroups;
-  int64_t adgroup_offset = 0;
-  int64_t creative_offset = 0;
-  size_t total_adgroups = 0;
-  size_t total_creatives = 0;
-  for (size_t s = 0; s < n_shards; ++s) {
-    options.num_adgroups = static_cast<int>(remaining / static_cast<int64_t>(n_shards - s));
-    remaining -= options.num_adgroups;
-    // Distinct deterministic stream per shard.
-    options.seed = static_cast<uint64_t>(*seed) + 0x9e3779b97f4a7c15ULL * (s + 1);
-    auto generated = GenerateAdCorpus(options);
-    if (!generated.ok()) return Fail(generated.status());
-    // Offset ids so the shard set reads as one corpus with unique
-    // adgroup/creative ids.
-    int64_t max_adgroup = 0;
-    for (AdGroup& group : generated->corpus.adgroups) {
-      max_adgroup = std::max(max_adgroup, group.id);
-      group.id += adgroup_offset;
-      for (Creative& creative : group.creatives) creative.id += creative_offset;
-    }
-    adgroup_offset += max_adgroup + 1;
-    creative_offset += static_cast<int64_t>(generated->corpus.num_creatives());
-    const std::string shard_path = ShardPath(out, s, n_shards);
-    const Status status = SaveAdCorpus(generated->corpus, shard_path);
-    if (!status.ok()) return Fail(status);
-    total_adgroups += generated->corpus.adgroups.size();
-    total_creatives += generated->corpus.num_creatives();
-  }
-  std::printf("wrote %zu adgroups (%zu creatives) to %zu shards at %s\n", total_adgroups,
-              total_creatives, n_shards, ShardPath(out, 0, n_shards).c_str());
+  auto generated = GenerateAdCorpus(options);
+  if (!generated.ok()) return Fail(generated.status());
+  const Status status = SaveAdCorpus(generated->corpus, out);
+  if (!status.ok()) return Fail(status);
+  std::printf("wrote %zu adgroups (%zu creatives) to %s\n", generated->corpus.adgroups.size(),
+              generated->corpus.num_creatives(), out.c_str());
   return 0;
-}
-
-/// Surfaces shard-level accounting for a streamed sharded read; silent
-/// when the stream was fully clean.
-void PrintShardReport(const std::string& base_path, const ShardLoadReport& report) {
-  if (report.shards_skipped > 0) {
-    std::fprintf(stderr, "warning: %s: skipped %zu of %zu shards (first error: %s)\n",
-                 base_path.c_str(), report.shards_skipped, report.shards_total,
-                 report.first_error.c_str());
-  }
-  if (report.rows_skipped > 0) {
-    std::fprintf(stderr, "warning: %s: skipped %lld rows across shards\n", base_path.c_str(),
-                 static_cast<long long>(report.rows_skipped));
-  }
 }
 
 int CmdStats(const Flags& flags) {
   auto load_options = RecoveryOptions(flags);
   if (!load_options.ok()) return Fail(load_options.status());
   const std::string corpus_path = flags.Get("--corpus", "corpus.tsv");
-  auto shards = ResolveCorpusShards(corpus_path);
-  if (!shards.ok()) return Fail(shards.status());
   const std::string out = flags.Get("--out", "stats.tsv");
-  if (shards->sharded) {
-    // Streaming build: one shard's pairs in memory at a time.
-    ShardLoadReport report;
-    auto db = BuildFeatureStatsSharded(*shards, {}, {}, *load_options, &report);
-    if (!db.ok()) return Fail(db.status());
-    PrintShardReport(corpus_path, report);
-    std::printf("streamed %zu shards: %lld significant pairs\n", report.shards_total,
-                static_cast<long long>(report.pairs));
-    const Status status = SaveFeatureStats(*db, out);
-    if (!status.ok()) return Fail(status);
-    std::printf("wrote %zu feature statistics to %s\n", db->size(), out.c_str());
-    return 0;
-  }
   LoadReport report;
   auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
   if (!corpus.ok()) return Fail(corpus.status());
@@ -331,8 +261,6 @@ int CmdTrain(const Flags& flags) {
   auto load_options = RecoveryOptions(flags);
   if (!load_options.ok()) return Fail(load_options.status());
   const std::string corpus_path = flags.Get("--corpus", "corpus.tsv");
-  auto shards = ResolveCorpusShards(corpus_path);
-  if (!shards.ok()) return Fail(shards.status());
   auto train_threads = flags.GetInt("--train-threads", 1, /*min=*/1, /*max=*/256);
   if (!train_threads.ok()) return Fail(train_threads.status());
   auto named = ClassifierConfig::ByName(flags.Get("--model", "M6"));
@@ -343,32 +271,6 @@ int CmdTrain(const Flags& flags) {
   // Results are bitwise identical for any thread count (DESIGN.md §11).
   BuildStatsOptions stats_options;
   stats_options.num_threads = static_cast<int>(*train_threads);
-
-  if (shards->sharded) {
-    // Streaming path: stats and the training CSR are accumulated shard by
-    // shard; only one shard's rows are ever in memory, and the result is
-    // bitwise identical to materialising the whole corpus first.
-    ShardLoadReport stats_report;
-    auto db = BuildFeatureStatsSharded(*shards, {}, stats_options, *load_options,
-                                       &stats_report);
-    if (!db.ok()) return Fail(db.status());
-    PrintShardReport(corpus_path, stats_report);
-    ShardLoadReport csr_report;
-    auto data = BuildCoupledCsrSharded(*shards, *db, config, static_cast<uint64_t>(*seed), {},
-                                       *load_options, &csr_report);
-    if (!data.ok()) return Fail(data.status());
-    auto model = TrainSnippetClassifier(data->csr, config);
-    if (!model.ok()) return Fail(model.status());
-    const std::string out = flags.Get("--out", "model.txt");
-    const Status status = SaveClassifier(*model, data->t_registry, data->p_registry, out);
-    if (!status.ok()) return Fail(status);
-    std::printf(
-        "trained %s on %lld pairs (%zu shards, streamed); wrote %s (%zu T features, %zu P "
-        "features)\n",
-        config.name.c_str(), static_cast<long long>(csr_report.pairs), shards->paths.size(),
-        out.c_str(), data->t_registry.size(), data->p_registry.size());
-    return 0;
-  }
 
   LoadReport report;
   auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
@@ -394,24 +296,11 @@ int CmdEvaluate(const Flags& flags) {
   auto load_options = RecoveryOptions(flags);
   if (!load_options.ok()) return Fail(load_options.status());
   const std::string corpus_path = flags.Get("--corpus", "corpus.tsv");
-  auto shards = ResolveCorpusShards(corpus_path);
-  if (!shards.ok()) return Fail(shards.status());
-  PairCorpus pairs;
-  if (shards->sharded) {
-    // Cross-validation needs random access over the pairs, so a sharded
-    // corpus is materialised here (memory proportional to the corpus).
-    ShardLoadReport shard_report;
-    auto corpus = LoadShardedAdCorpus(*shards, *load_options, &shard_report);
-    if (!corpus.ok()) return Fail(corpus.status());
-    PrintShardReport(corpus_path, shard_report);
-    pairs = ExtractSignificantPairs(*corpus, {});
-  } else {
-    LoadReport report;
-    auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
-    if (!corpus.ok()) return Fail(corpus.status());
-    PrintLoadReport(corpus_path, report);
-    pairs = ExtractSignificantPairs(*corpus, {});
-  }
+  LoadReport report;
+  auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
+  if (!corpus.ok()) return Fail(corpus.status());
+  PrintLoadReport(corpus_path, report);
+  const PairCorpus pairs = ExtractSignificantPairs(*corpus, {});
   PipelineOptions pipeline;
   auto folds = flags.GetInt("--folds", 5, /*min=*/2, /*max=*/1000);
   if (!folds.ok()) return Fail(folds.status());
@@ -425,7 +314,6 @@ int CmdEvaluate(const Flags& flags) {
   pipeline.seed = static_cast<uint64_t>(*seed);
   pipeline.num_threads = static_cast<int>(*threads);
   pipeline.train_threads = static_cast<int>(*train_threads);
-  const std::string checkpoint_dir = flags.Get("--checkpoint-dir");
   const std::string model_flag = flags.Get("--model", "all");
   std::vector<ClassifierConfig> configs;
   if (model_flag == "all") {
@@ -436,10 +324,6 @@ int CmdEvaluate(const Flags& flags) {
     configs.push_back(std::move(config).value());
   }
   for (const auto& config : configs) {
-    // Each configuration checkpoints into its own subdirectory so an
-    // "--model all" run can resume per model.
-    pipeline.checkpoint_dir =
-        checkpoint_dir.empty() ? "" : checkpoint_dir + "/" + config.name;
     auto report = RunPairClassificationCv(pairs, config, pipeline);
     if (!report.ok()) return Fail(report.status());
     std::printf("%s: recall=%.3f precision=%.3f F=%.3f accuracy=%.3f auc=%.3f\n",
@@ -603,13 +487,13 @@ int CmdPredict(const Flags& flags) {
 void PrintUsage() {
   std::printf(
       "mbctl — microbrowse command line\n"
-      "  mbctl generate --out corpus.tsv [--adgroups N] [--seed S] [--rhs] [--shards N]\n"
+      "  mbctl generate --out corpus.tsv [--adgroups N] [--seed S] [--rhs]\n"
       "  mbctl stats    --corpus corpus.tsv --out stats.tsv\n"
       "  mbctl mine     --stats stats.tsv [--prefix rw:|t:|pp:] [--top N] [--min-count N]\n"
       "  mbctl train    --corpus corpus.tsv --out model.txt [--model M1..M6]\n"
       "                 [--train-threads N]\n"
       "  mbctl evaluate --corpus corpus.tsv [--model M1..M6|all] [--folds K]\n"
-      "                 [--checkpoint-dir run1/] [--threads N] [--train-threads N]\n"
+      "                 [--threads N] [--train-threads N]\n"
       "  mbctl predict  --model model.txt --stats stats.tsv --a \"l1|l2|l3\" --b \"l1|l2|l3\"\n"
       "  mbctl predict  --model model.txt --stats stats.tsv --pairs pairs.tsv [--out m.tsv]\n"
       "  mbctl predict  --server host:port {--a ... --b ... | --pairs pairs.tsv}\n"
@@ -618,9 +502,6 @@ void PrintUsage() {
       "  mbctl pack-inspect --pack artifact.mbp\n"
       "packs: predict --model/--stats and mbserved bundle paths accept TSV\n"
       "artifacts and mbpack containers interchangeably (magic-byte sniff)\n"
-      "shards: generate --shards N writes corpus-00000-of-0000N.tsv ...; stats,\n"
-      "train and evaluate accept the base path and stream the shard set\n"
-      "(stats/train hold one shard in memory at a time)\n"
       "recovery: loading commands accept --recovery strict|skip_and_log\n"
       "tracing: every command accepts --trace-out trace.json (common/trace.h)\n"
       "fault injection: MB_FAILPOINTS=name=spec,... (see common/failpoint.h)\n");
@@ -631,7 +512,7 @@ void PrintUsage() {
 Result<Flags> ParseCommandFlags(const std::string& command, int argc, char** argv) {
   if (command == "generate") {
     return Flags::Parse(argc, argv, 2,
-                        {"--out", "--adgroups", "--seed", "--shards", "--trace-out"},
+                        {"--out", "--adgroups", "--seed", "--trace-out"},
                         {"--rhs"});
   }
   if (command == "stats") {
@@ -651,8 +532,8 @@ Result<Flags> ParseCommandFlags(const std::string& command, int argc, char** arg
   }
   if (command == "evaluate") {
     return Flags::Parse(argc, argv, 2,
-                        {"--corpus", "--model", "--folds", "--seed", "--checkpoint-dir",
-                         "--threads", "--train-threads", "--recovery", "--trace-out"},
+                        {"--corpus", "--model", "--folds", "--seed", "--threads",
+                         "--train-threads", "--recovery", "--trace-out"},
                         {});
   }
   if (command == "predict") {
