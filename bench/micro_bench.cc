@@ -201,6 +201,21 @@ void BM_BuildFeatureStats(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildFeatureStats)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
 
+/// The M6 warm-started dataset build over the same corpus and its final
+/// statistics: every pair's features are spelled, looked up in the
+/// statistics and interned into fresh registries.
+void BM_BuildClassifierDataset(benchmark::State& state) {
+  const PairCorpus pairs = BenchPairs(static_cast<int>(state.range(0)));
+  const FeatureStatsDb db = BuildFeatureStats(pairs, {});
+  const ClassifierConfig config = ClassifierConfig::M6();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildClassifierDataset(pairs, db, config, /*seed=*/99));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pairs.pairs.size()));
+}
+BENCHMARK(BM_BuildClassifierDataset)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
+
 void ExtractPairOccurrencesLoop(benchmark::State& state, const PairCorpus& pairs,
                                 const FeatureStatsDb& db) {
   const ClassifierConfig config = ClassifierConfig::M6();

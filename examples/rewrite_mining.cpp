@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/string_util.h"
@@ -30,15 +31,19 @@ struct Entry {
 std::vector<Entry> TopByPrefix(const FeatureStatsDb& db, const std::string& prefix,
                                int64_t min_count, size_t top_n, bool ascending) {
   std::vector<Entry> entries;
-  for (const auto& [key, stat] : db.stats()) {
-    if (!StartsWith(key, prefix)) continue;
-    if (stat.total < min_count) continue;
-    entries.push_back({key, stat});
-  }
+  // ForEach reads both layers, so a pack-backed database lists its keys too.
+  db.ForEach([&](std::string_view key, const FeatureStat& stat) {
+    if (StartsWith(key, prefix) && stat.total >= min_count) {
+      entries.push_back({std::string(key), stat});
+    }
+  });
+  // Equal probabilities fall back to key order, so the report does not
+  // depend on the database's storage order.
   std::sort(entries.begin(), entries.end(), [&](const Entry& a, const Entry& b) {
     const double pa = a.stat.SmoothedP();
     const double pb = b.stat.SmoothedP();
-    return ascending ? pa < pb : pa > pb;
+    if (pa != pb) return ascending ? pa < pb : pa > pb;
+    return a.key < b.key;
   });
   if (entries.size() > top_n) entries.resize(top_n);
   return entries;

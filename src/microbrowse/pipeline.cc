@@ -80,32 +80,28 @@ Result<ModelReport> RunPairClassificationCv(const PairCorpus& corpus,
   const CoupledCsr csr = FlattenCoupledDataset(dataset);
   // Folds are independent given the shared dataset; train them across the
   // pool and splice the per-fold scores back in fold order so the result
-  // is identical for any thread count.
+  // is identical for any thread count. A failed fold fails the run, so the
+  // pool starts no fold once one has failed.
   std::vector<std::vector<ScoredLabel>> fold_scores(folds.size());
-  std::vector<Status> fold_status(folds.size());
   {
     ThreadPool pool(static_cast<size_t>(std::max(1, options.num_threads)));
-    MB_RETURN_IF_ERROR(pool.ParallelFor(folds.size(), [&](size_t f) {
-      fold_status[f] = failpoint::Check("pipeline.fold");
-      if (!fold_status[f].ok()) return;
+    MB_RETURN_IF_ERROR(pool.ParallelForFallible(folds.size(), [&](size_t f) -> Status {
+      MB_RETURN_IF_ERROR(failpoint::Check("pipeline.fold"));
       // Span and timing sample per fold: one each regardless of which pool
       // worker picks the fold up.
       TraceSpan fold_span("mb.cv.fold");
       WallTimer fold_timer;
-      auto model = TrainSnippetClassifier(csr, config, folds[f].train_indices);
-      if (!model.ok()) {
-        fold_status[f] = model.status();
-        return;
-      }
-      ScoreFold(csr, *model, folds[f].test_indices, &fold_scores[f]);
+      MB_ASSIGN_OR_RETURN(const SnippetClassifierModel model,
+                          TrainSnippetClassifier(csr, config, folds[f].train_indices));
+      ScoreFold(csr, model, folds[f].test_indices, &fold_scores[f]);
       GetCvMetrics().fold_seconds->Record(fold_timer.ElapsedSeconds());
+      return Status::OK();
     }));
   }
   std::vector<ScoredLabel> all_scored;
   all_scored.reserve(corpus.pairs.size());
-  for (size_t f = 0; f < folds.size(); ++f) {
-    MB_RETURN_IF_ERROR(fold_status[f]);
-    all_scored.insert(all_scored.end(), fold_scores[f].begin(), fold_scores[f].end());
+  for (const std::vector<ScoredLabel>& scores : fold_scores) {
+    all_scored.insert(all_scored.end(), scores.begin(), scores.end());
   }
   GetCvMetrics().folds_trained->Increment(static_cast<int64_t>(folds.size()));
 

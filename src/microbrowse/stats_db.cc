@@ -161,45 +161,6 @@ void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
 /// merge cost more than the accumulation they split.
 constexpr size_t kParallelStatsThreshold = 256;
 
-/// One accumulation pass over the whole corpus, parallelised over a fixed
-/// chunk grid when num_threads > 1. Each chunk accumulates into a private
-/// database; the chunk databases are then merged by key, sharded on the
-/// key hash so shards can merge in parallel without locking. The merged
-/// counts are integer sums, identical for any thread and shard count.
-/// A chunk or shard whose pool task fails is redone on the caller's
-/// thread (ThreadPool::ParallelForAll), so a failed task costs time, never
-/// counts.
-void AccumulatePass(const PairCorpus& corpus, const BuildStatsOptions& options,
-                    const FeatureStatsDb* matching_db, StatsScope scope, FeatureStatsDb* out) {
-  const size_t n = corpus.pairs.size();
-  if (options.num_threads <= 1 || n < kParallelStatsThreshold) {
-    AccumulateRange(corpus, options, matching_db, scope, 0, n, out);
-    return;
-  }
-  const size_t n_chunks = std::min<size_t>(64, std::max<size_t>(1, n / 32));
-  std::vector<FeatureStatsDb> chunks(n_chunks);
-  ThreadPool pool(static_cast<size_t>(options.num_threads));
-  pool.ParallelForAll(n_chunks, [&](size_t c) {
-    chunks[c] = FeatureStatsDb();  // A rerun starts afresh.
-    AccumulateRange(corpus, options, matching_db, scope, c * n / n_chunks,
-                    (c + 1) * n / n_chunks, &chunks[c]);
-  });
-  const size_t n_shards = std::min<size_t>(static_cast<size_t>(options.num_threads), 16);
-  std::vector<FeatureStatMap> shards(n_shards);
-  pool.ParallelForAll(n_shards, [&](size_t s) {
-    shards[s].clear();  // A rerun starts afresh.
-    for (const FeatureStatsDb& chunk : chunks) {
-      for (const auto& [key, stat] : chunk.stats()) {
-        if (StatsKeyHash{}(key) % n_shards != s) continue;
-        FeatureStat& merged = shards[s][key];
-        merged.positive += stat.positive;
-        merged.total += stat.total;
-      }
-    }
-  });
-  for (auto& shard : shards) out->mutable_stats().merge(shard);
-}
-
 }  // namespace
 
 RewritePartnerIndex::RewritePartnerIndex(
@@ -252,20 +213,67 @@ void FeatureStatsDb::BuildRewriteIndex() {
   const auto [base_begin, base_end] = RewriteKeyRange(base_keys);
   // One reading per key unless a key holds two arrows.
   size_t readings = base_end - base_begin;
-  for (const auto& entry : stats_) readings += entry.first.starts_with(kRewriteKeyPrefix);
+  for (const auto& [key, stat] : stats_) readings += key.starts_with(kRewriteKeyPrefix);
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
   pairs.reserve(readings);
   const auto add = [&pairs](uint64_t lo, uint64_t hi) { pairs.emplace_back(lo, hi); };
-  for (const auto& entry : stats_) ForEachRewriteSides(entry.first, add);
+  for (const auto& [key, stat] : stats_) ForEachRewriteSides(key, add);
   for (size_t i = base_begin; i < base_end; ++i) ForEachRewriteSides(base_keys.at(i), add);
   rewrite_index_.emplace(pairs);
 }
 
+// One accumulation pass over the whole corpus, parallelised over a fixed
+// chunk grid when num_threads > 1. Each chunk accumulates into a private
+// database; the chunk databases are then merged by key, sharded on the
+// keys' stored index hash so shards can merge in parallel without
+// locking, and the disjoint shards are appended into one table. The
+// merged counts are integer sums, identical for any thread and shard
+// count; only the heap's insertion order depends on them. A chunk or
+// shard whose pool task fails is redone on the caller's thread
+// (ThreadPool::ParallelForAll), so a failed task costs time, never
+// counts.
 FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
                                       const FeatureStatsDb* matching_db, StatsScope scope) {
-  FeatureStatsDb out;
-  AccumulatePass(corpus, options, matching_db, scope, &out);
-  return out;
+  const size_t n = corpus.pairs.size();
+  if (options.num_threads <= 1 || n < kParallelStatsThreshold) {
+    FeatureStatsDb out;
+    AccumulateRange(corpus, options, matching_db, scope, 0, n, &out);
+    return out;
+  }
+  const size_t n_chunks = std::min<size_t>(64, std::max<size_t>(1, n / 32));
+  std::vector<FeatureStatsDb> chunks(n_chunks);
+  ThreadPool pool(static_cast<size_t>(options.num_threads));
+  pool.ParallelForAll(n_chunks, [&](size_t c) {
+    chunks[c] = FeatureStatsDb();  // A rerun starts afresh.
+    AccumulateRange(corpus, options, matching_db, scope, c * n / n_chunks,
+                    (c + 1) * n / n_chunks, &chunks[c]);
+  });
+  // Shards take the hash's high bits: a shard's keys then still spread
+  // over every home slot of its table, which probes the low bits.
+  const size_t n_shards = std::min<size_t>(static_cast<size_t>(options.num_threads), 16);
+  std::vector<KeyTable<FeatureStat>> shards(n_shards);
+  pool.ParallelForAll(n_shards, [&](size_t s) {
+    shards[s].Clear();  // A rerun starts afresh.
+    for (const FeatureStatsDb& chunk : chunks) {
+      const KeyTable<FeatureStat>& stats = chunk.stats();
+      for (size_t i = 0; i < stats.size(); ++i) {
+        if ((stats.hash(i) >> 32) % n_shards != s) continue;
+        FeatureStat& merged = shards[s].value(shards[s].Insert(stats.key(i), stats.hash(i)).first);
+        merged.positive += stats.value(i).positive;
+        merged.total += stats.value(i).total;
+      }
+    }
+  });
+  size_t total = 0;
+  for (const auto& shard : shards) total += shard.size();
+  KeyTable<FeatureStat> merged = std::move(shards[0]);
+  merged.Reserve(total);
+  for (size_t s = 1; s < n_shards; ++s) {
+    for (size_t i = 0; i < shards[s].size(); ++i) {
+      merged.InsertNew(shards[s].key(i), shards[s].hash(i), shards[s].value(i));
+    }
+  }
+  return FeatureStatsDb(std::move(merged));
 }
 
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options) {
@@ -276,11 +284,10 @@ FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptio
   const int passes = options.matching_passes < 1 ? 1 : options.matching_passes;
   for (int pass = 0; pass < passes; ++pass) {
     TraceSpan pass_span("mb.stats.pass");
-    FeatureStatsDb next;
+    FeatureStatsDb next = AccumulateFeatureStats(corpus, options, pass == 0 ? nullptr : &db,
+                                                 StatsScopeOfPass(pass, passes));
     next.set_smoothing(options.smoothing);
     next.set_min_count(options.min_count);
-    AccumulatePass(corpus, options, pass == 0 ? nullptr : &db, StatsScopeOfPass(pass, passes),
-                   &next);
     db = std::move(next);
     db.BuildRewriteIndex();
   }

@@ -19,11 +19,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/key_table.h"
 #include "common/math_util.h"
 #include "microbrowse/pair.h"
 #include "pack/hash_index.h"
@@ -71,20 +71,6 @@ inline int StatsKeyClass(std::string_view key) {
   }
   return 1 + spaces;  // 0 spaces = unigram, 1 = bigram, 2+ = trigram+.
 }
-
-/// String hash that also accepts string_views, so the heap layer can be
-/// probed without materialising a std::string key. Hashes exactly as
-/// std::hash<std::string> does, so map iteration order is unchanged.
-struct StatsKeyHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view key) const noexcept {
-    return std::hash<std::string_view>{}(key);
-  }
-};
-
-/// The heap layer of a FeatureStatsDb: key -> counts, with heterogeneous
-/// (string_view) lookup.
-using FeatureStatMap = std::unordered_map<std::string, FeatureStat, StatsKeyHash, std::equal_to<>>;
 
 /// Which rewrite sides a statistics database pairs: for every side of
 /// every "rw:<lo>=><hi>" key, the side hashes (RewriteSideHash) of the
@@ -143,10 +129,11 @@ class RewritePartnerIndex {
 /// Like FeatureRegistry, the store has up to two layers: an optional
 /// immutable mmap-backed base (per-class sorted key tables, their stored
 /// hash indexes and FeatureStat record arrays, all read in place from an
-/// mbpack artifact) and the ordinary heap map. Read accessors consult the
-/// heap first, then the base; the mutating builders (AddObservation &
-/// friends) always write the heap map and are not meant for pack-backed
-/// instances — the serving read path never mutates.
+/// mbpack artifact) and a heap KeyTable. Both layers are probed with the
+/// key's index hash (pack::HashedKey), computed once per key. Read
+/// accessors consult the heap first, then the base; the mutating builders
+/// (AddObservation & friends) always write the heap table and are not
+/// meant for pack-backed instances — the serving read path never mutates.
 ///
 /// A database may also carry a rewrite partner index (RewritePartnerIndex)
 /// over its "rw:" keys, which lets the rewrite matcher find the candidate
@@ -156,34 +143,35 @@ class RewritePartnerIndex {
 class FeatureStatsDb {
  public:
   FeatureStatsDb() = default;
+  /// A heap-only database whose heap layer is `stats`, each key hashed by
+  /// pack::IndexHash.
+  explicit FeatureStatsDb(KeyTable<FeatureStat> stats) : stats_(std::move(stats)) {}
 
   /// Records one observation: `delta_sw` must be +1 or -1; -1 increments
   /// only the total (the feature coincided with a negative difference).
   /// Copies `key` only when it is new.
   void AddObservation(std::string_view key, int delta_sw) {
     rewrite_index_.reset();
-    auto it = stats_.find(key);
-    if (it == stats_.end()) it = stats_.emplace(std::string(key), FeatureStat{}).first;
-    ++it->second.total;
-    if (delta_sw > 0) ++it->second.positive;
+    FeatureStat& stat = stats_.value(stats_.Insert(key, pack::IndexHash(key)).first);
+    ++stat.total;
+    if (delta_sw > 0) ++stat.positive;
   }
 
   /// Installs the exact counts for `key`, replacing any prior value. Used
   /// by deserialization, where counts were already aggregated — going
   /// through AddObservation would cost O(total) per key.
-  void SetStat(const std::string& key, int64_t positive, int64_t total) {
+  void SetStat(std::string_view key, int64_t positive, int64_t total) {
     rewrite_index_.reset();
-    stats_[key] = FeatureStat{positive, total};
+    stats_.value(stats_.Insert(key, pack::IndexHash(key)).first) = FeatureStat{positive, total};
   }
 
   /// Stat for `key`, or nullptr when unseen. For base hits the pointer
   /// aims straight into the mmap'd record section (valid for this
-  /// object's lifetime). The heap layer hashes the text (std::hash); the
-  /// base probes its stored index with `key`'s index hash.
+  /// object's lifetime); a heap hit is valid until the next mutation.
   const FeatureStat* Find(const pack::HashedKey& key) const {
     if (!stats_.empty()) {
-      auto it = stats_.find(key.text());
-      if (it != stats_.end()) return &it->second;
+      const size_t index = stats_.Find(key.text(), key.hash());
+      if (index != KeyTable<FeatureStat>::kNotFound) return &stats_.value(index);
     }
     if (base_total_ > 0) {
       const BaseClass& cls = base_[static_cast<size_t>(StatsKeyClass(key.text()))];
@@ -234,17 +222,10 @@ class FeatureStatsDb {
   int64_t min_count() const { return min_count_; }
 
   size_t size() const { return base_total_ + stats_.size(); }
-  /// The heap layer only — empty for a pack-backed database. Iterating
-  /// callers should prefer ForEach, which sees both layers.
-  const FeatureStatMap& stats() const { return stats_; }
-  /// Mutable access for bulk splicing (unordered_map::merge) when
-  /// assembling a database from disjoint key shards. Drops the rewrite index;
-  /// do not keep the reference across a later BuildRewriteIndex, since
-  /// the index would not see changes made through it.
-  FeatureStatMap& mutable_stats() {
-    rewrite_index_.reset();
-    return stats_;
-  }
+  /// The heap layer only, in insertion order — empty for a pack-backed
+  /// database. Iterating callers should prefer ForEach, which sees both
+  /// layers.
+  const KeyTable<FeatureStat>& stats() const { return stats_; }
 
   /// Builds the rewrite partner index from every "rw:" key in both layers,
   /// hashing each side once. For the pack layer only class 0's sorted "rw:"
@@ -258,10 +239,10 @@ class FeatureStatsDb {
     return rewrite_index_ ? &*rewrite_index_ : nullptr;
   }
 
-  /// Visits every (key, stat) across both layers, heap entries first, then
-  /// base entries class by class in their sorted on-disk order. No
-  /// deduplication: a heap entry shadowing a base key (which the supported
-  /// workflows never create) would be visited twice.
+  /// Visits every (key, stat) across both layers, heap entries first in
+  /// insertion order, then base entries class by class in their sorted
+  /// on-disk order. No deduplication: a heap entry shadowing a base key
+  /// (which the supported workflows never create) would be visited twice.
   void ForEach(const std::function<void(std::string_view, const FeatureStat&)>& fn) const {
     for (const auto& [key, stat] : stats_) fn(key, stat);
     for (const BaseClass& cls : base_) {
@@ -297,7 +278,7 @@ class FeatureStatsDb {
  private:
   double smoothing_ = 1.0;
   int64_t min_count_ = 0;
-  FeatureStatMap stats_;
+  KeyTable<FeatureStat> stats_;
   std::shared_ptr<const pack::PackReader> pack_;
   std::array<BaseClass, kNumStatsClasses> base_{};
   size_t base_total_ = 0;
@@ -317,8 +298,8 @@ struct BuildStatsOptions {
   int matching_passes = 2;
   /// Worker threads per accumulation pass. Pairs are accumulated into
   /// per-chunk databases over a fixed chunk grid and merged by key; the
-  /// counts are integers, so the resulting database is identical for any
-  /// thread count (DESIGN.md section 11).
+  /// counts are integers, so the resulting keys and counts are identical
+  /// for any thread count (DESIGN.md section 11).
   int num_threads = 1;
 };
 

@@ -5,17 +5,15 @@
 namespace microbrowse {
 
 FeatureId FeatureRegistry::Intern(std::string_view name, double initial_weight) {
-  const FeatureId found = Find(name);
-  return found != kInvalidFeatureId ? found : InternNew(name, initial_weight);
+  const pack::HashedKey key(name);
+  const FeatureId found = Find(key);
+  return found != kInvalidFeatureId ? found : InternNew(key, initial_weight);
 }
 
-FeatureId FeatureRegistry::InternNew(std::string_view name, double initial_weight) {
+FeatureId FeatureRegistry::InternNew(const pack::HashedKey& name, double initial_weight) {
   assert(Find(name) == kInvalidFeatureId && "InternNew on a registered feature");
-  const FeatureId id = static_cast<FeatureId>(base_count_ + names_.size());
-  names_.emplace_back(name);
-  initial_weights_.push_back(initial_weight);
-  index_.emplace(names_.back(), id);
-  return id;
+  return static_cast<FeatureId>(base_count_ +
+                                overlay_.InsertNew(name.text(), name.hash(), initial_weight));
 }
 
 void FeatureRegistry::AttachPackBase(std::shared_ptr<const pack::PackReader> pack,

@@ -13,9 +13,13 @@
 //              ids are 0 .. base_size()-1, identical to the ids the same
 //              artifact produces through the heap loader, so trained
 //              weight vectors index both layouts interchangeably.
-//   overlay  — the ordinary heap-interned features. With no base attached
-//              (the training path, and TSV-loaded artifacts) the overlay
-//              is the whole registry.
+//   overlay  — the heap-interned features, in a KeyTable whose entry order
+//              is their id order (ids base_size() ..). With no base
+//              attached (the training path, and TSV-loaded artifacts) the
+//              overlay is the whole registry.
+//
+// Both layers are probed with a name's index hash (pack::HashedKey), so a
+// name is hashed once for either.
 //
 // Copying a pack-backed registry copies the overlay and shares the base
 // (one shared_ptr bump). Serving never copies: PredictPairMargin reads
@@ -25,13 +29,11 @@
 #define MICROBROWSE_ML_FEATURE_REGISTRY_H_
 
 #include <cassert>
-#include <functional>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/key_table.h"
 #include "ml/sparse_vector.h"
 #include "pack/hash_index.h"
 #include "pack/pack_reader.h"
@@ -40,15 +42,6 @@ namespace microbrowse {
 
 /// Sentinel for features absent from the registry.
 inline constexpr FeatureId kInvalidFeatureId = static_cast<FeatureId>(-1);
-
-/// String hash that also accepts string_views, so Find and Intern probe
-/// the overlay without materialising a std::string key.
-struct FeatureNameHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view name) const noexcept {
-    return std::hash<std::string_view>{}(name);
-  }
-};
 
 /// Bidirectional feature-name <-> id map with per-feature initial weights.
 class FeatureRegistry {
@@ -63,20 +56,24 @@ class FeatureRegistry {
 
   /// Registers `name`, which must be absent (Find just returned
   /// kInvalidFeatureId), and returns its new id without probing for it
-  /// again: the id Intern would return.
-  FeatureId InternNew(std::string_view name, double initial_weight);
+  /// again: the id Intern would return. Reuses `name`'s index hash.
+  FeatureId InternNew(const pack::HashedKey& name, double initial_weight);
+  FeatureId InternNew(std::string_view name, double initial_weight) {
+    return InternNew(pack::HashedKey(name), initial_weight);
+  }
 
-  /// Id of `name`, or kInvalidFeatureId when absent. Never allocates: base
-  /// lookups probe the pack's stored hash index with `name`'s index hash,
-  /// and the overlay is probed with the text itself (std::hash).
+  /// Id of `name`, or kInvalidFeatureId when absent. Never allocates: the
+  /// pack's stored hash index and the overlay are both probed with
+  /// `name`'s index hash.
   FeatureId Find(const pack::HashedKey& name) const {
     if (base_count_ > 0) {
       const size_t base_id = base_index_.Find(base_names_, name);
       if (base_id != pack::HashIndex::kNotFound) return static_cast<FeatureId>(base_id);
     }
-    if (index_.empty()) return kInvalidFeatureId;  // Spares hashing the text again.
-    auto it = index_.find(name.text());
-    return it != index_.end() ? it->second : kInvalidFeatureId;
+    if (overlay_.empty()) return kInvalidFeatureId;
+    const size_t entry = overlay_.Find(name.text(), name.hash());
+    return entry != KeyTable<double>::kNotFound ? static_cast<FeatureId>(base_count_ + entry)
+                                                : kInvalidFeatureId;
   }
   FeatureId Find(std::string_view name) const { return Find(pack::HashedKey(name)); }
 
@@ -84,12 +81,12 @@ class FeatureRegistry {
   /// pack (base ids) or this registry's heap storage (overlay ids); both
   /// outlive any sane use, but don't cache it past a registry mutation.
   std::string_view NameOf(FeatureId id) const {
-    return id < base_count_ ? base_names_.at(id) : std::string_view(names_[id - base_count_]);
+    return id < base_count_ ? base_names_.at(id) : overlay_.key(id - base_count_);
   }
 
   /// Warm-start weight of `id`; `id` must be valid.
   double InitialWeightOf(FeatureId id) const {
-    return id < base_count_ ? base_init_[id] : initial_weights_[id - base_count_];
+    return id < base_count_ ? base_init_[id] : overlay_.value(id - base_count_);
   }
 
   /// Overrides the warm-start weight of an existing feature. Training-path
@@ -97,7 +94,7 @@ class FeatureRegistry {
   /// is immutable.
   void SetInitialWeight(FeatureId id, double weight) {
     assert(id >= base_count_ && "SetInitialWeight on an immutable pack-backed feature");
-    initial_weights_[id - base_count_] = weight;
+    overlay_.value(id - base_count_) = weight;
   }
 
   /// Dense copy of all initial weights, indexed by FeatureId.
@@ -105,7 +102,7 @@ class FeatureRegistry {
     std::vector<double> weights;
     weights.reserve(size());
     weights.assign(base_init_, base_init_ + base_count_);
-    weights.insert(weights.end(), initial_weights_.begin(), initial_weights_.end());
+    weights.insert(weights.end(), overlay_.values().begin(), overlay_.values().end());
     return weights;
   }
 
@@ -121,14 +118,13 @@ class FeatureRegistry {
   /// Number of features in the immutable base layer (0 when heap-only).
   size_t base_size() const { return base_count_; }
 
-  size_t size() const { return base_count_ + names_.size(); }
+  size_t size() const { return base_count_ + overlay_.size(); }
   bool empty() const { return size() == 0; }
 
  private:
-  // Overlay (heap) layer; ids base_count_ .. size()-1.
-  std::unordered_map<std::string, FeatureId, FeatureNameHash, std::equal_to<>> index_;
-  std::vector<std::string> names_;
-  std::vector<double> initial_weights_;
+  // Overlay (heap) layer: name -> initial weight; entry i is id
+  // base_count_ + i.
+  KeyTable<double> overlay_;
 
   // Optional immutable base layer; ids 0 .. base_count_-1. The PackReader
   // anchors the mapped memory every view below points into.

@@ -40,10 +40,10 @@ namespace pack {
 /// bump).
 inline uint64_t IndexHash(std::string_view key) { return Mix64(Fnv1a64Wide(key)); }
 
-/// A key and its IndexHash, computed when a stored index is first probed
-/// with it and then kept: a caller probing several indexes with one key (a
-/// registry, then the statistics database) hashes it once, and one whose
-/// probes reach only heap layers never does. The text is borrowed.
+/// A key and its IndexHash, computed at the key's first probe and then
+/// kept: a caller probing several tables with one key (a registry's pack
+/// index and heap KeyTable, then the statistics database's) hashes it
+/// once. The text is borrowed.
 class HashedKey {
  public:
   explicit HashedKey(std::string_view text) : text_(text) {}

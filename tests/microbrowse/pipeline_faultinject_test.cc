@@ -40,7 +40,8 @@ TEST_F(PipelineFaultTest, ArmedFoldFailpointFailsTheRunWithItsStatus) {
   for (int threads : {1, 3}) {
     SCOPED_TRACE(threads);
     options.num_threads = threads;
-    // The third fold to reach the failpoint fails; the other four train.
+    // The third fold to reach the failpoint fails, and no fold starts
+    // after that: at one thread the last two never reach the failpoint.
     failpoint::Spec kill;
     kill.mode = failpoint::Spec::Mode::kNth;
     kill.nth = 3;
@@ -50,7 +51,11 @@ TEST_F(PipelineFaultTest, ArmedFoldFailpointFailsTheRunWithItsStatus) {
     ASSERT_FALSE(killed.ok());
     EXPECT_EQ(killed.status().code(), StatusCode::kUnavailable);
     EXPECT_EQ(killed.status().message(), "failpoint 'pipeline.fold' fired (hit 3)");
-    EXPECT_EQ(failpoint::HitCount("pipeline.fold"), options.folds);
+    if (threads == 1) {
+      EXPECT_EQ(failpoint::HitCount("pipeline.fold"), 3);
+    } else {
+      EXPECT_LE(failpoint::HitCount("pipeline.fold"), options.folds);
+    }
     EXPECT_EQ(failpoint::FireCount("pipeline.fold"), 1);
     failpoint::DeactivateAll();
 

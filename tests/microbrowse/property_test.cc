@@ -189,7 +189,8 @@ TEST_P(StatsPropertyTest, StatisticsInvariantUnderPresentationSwap) {
   options.min_count = 1;
   const FeatureStatsDb db = BuildFeatureStats(corpus, options);
   const FeatureStatsDb mirror_db = BuildFeatureStats(mirrored, options);
-  for (const auto& [key, stat] : db.stats()) {
+  for (const auto& [key_text, stat] : db.stats()) {
+    const std::string key(key_text);
     // Ordered position-pair keys mirror to the REVERSED key by design
     // (direction = which side holds which location), so they are checked
     // against their mirror key; everything else flips in place.

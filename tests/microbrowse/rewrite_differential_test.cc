@@ -439,10 +439,6 @@ TEST(RewriteFilterTest, EveryMutatorDropsTheFilter) {
   const std::pair<const char*, std::function<void(FeatureStatsDb*)>> mutators[] = {
       {"AddObservation", [](FeatureStatsDb* db) { db->AddObservation("rw:cheap=>deals", +1); }},
       {"SetStat", [](FeatureStatsDb* db) { db->SetStat("rw:cheap=>deals", 4, 6); }},
-      {"mutable_stats",
-       [](FeatureStatsDb* db) {
-         db->mutable_stats().emplace("rw:cheap=>deals", FeatureStat{4, 6});
-       }},
   };
   for (const auto& [name, mutate] : mutators) {
     SCOPED_TRACE(name);
@@ -501,7 +497,9 @@ TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
   const MatcherFixture& fixture = Fixture();
   const FeatureStatsDb& db = fixture.heap_db;
   FeatureStatsDb no_index = db;
-  no_index.mutable_stats();  // Drops the index.
+  // Rewriting a key's own counts changes no count but drops the index.
+  const auto& [first_key, first_stat] = *db.stats().begin();
+  no_index.SetStat(first_key, first_stat.positive, first_stat.total);
   ASSERT_EQ(no_index.rewrite_index(), nullptr);
   int64_t want_reached = 0;
   const RewriteCounters indexed;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -104,6 +105,35 @@ TEST(FeatureRegistryTest, InternNewAssignsTheIdInternWould) {
     EXPECT_EQ(inserted.NameOf(id), name);
   }
   EXPECT_EQ(inserted.InitialWeights(), interned.InitialWeights());
+}
+
+TEST(FeatureRegistryTest, CopyAgreesOnEveryIdAndInternsIndependently) {
+  FeatureRegistry original;
+  for (int i = 0; i < 1000; ++i) {
+    original.Intern("t:term " + std::to_string(i), 0.001 * i);
+  }
+  original.Intern("", -1.0);  // The empty name is a name like any other.
+  const FeatureRegistry copy = original;
+  ASSERT_EQ(copy.size(), original.size());
+  for (FeatureId id = 0; id < original.size(); ++id) {
+    EXPECT_EQ(copy.NameOf(id), original.NameOf(id)) << id;
+    EXPECT_EQ(copy.Find(original.NameOf(id)), id) << id;
+    EXPECT_EQ(copy.InitialWeightOf(id), original.InitialWeightOf(id)) << id;
+  }
+  EXPECT_EQ(copy.InitialWeights(), original.InitialWeights());
+
+  // New names take the next id in both, and interning into one leaves the
+  // other unchanged.
+  FeatureRegistry interned = copy;
+  FeatureRegistry inserted = copy;
+  for (const char* name : {"t:new", "p:l9p9", "t:term 1000"}) {
+    ASSERT_EQ(inserted.Find(name), kInvalidFeatureId);
+    EXPECT_EQ(inserted.InternNew(name, 0.25), interned.Intern(name, 0.25));
+  }
+  EXPECT_EQ(inserted.InitialWeights(), interned.InitialWeights());
+  EXPECT_EQ(copy.size(), original.size());
+  EXPECT_EQ(copy.Find("t:new"), kInvalidFeatureId);
+  EXPECT_EQ(interned.Find("t:new"), original.size());
 }
 
 TEST(FeatureRegistryTest, FindMissing) {

@@ -129,6 +129,16 @@ Result<FeatureStatsDb> LoadFeatureStatsSniffed(const std::string& path,
   return LoadFeatureStats(path, options, report);
 }
 
+/// Loads the ad corpus at `path` and extracts its significant pairs. The
+/// pairs hold their own copies of the snippets, so the corpus is freed
+/// here, before the caller's statistics build.
+Result<PairCorpus> LoadSignificantPairs(const std::string& path, const LoadOptions& options) {
+  LoadReport report;
+  MB_ASSIGN_OR_RETURN(const AdCorpus corpus, LoadAdCorpus(path, options, &report));
+  PrintLoadReport(path, report);
+  return ExtractSignificantPairs(corpus, {});
+}
+
 /// One A/B row of a --pairs TSV: the two snippets plus the computed margin.
 struct PairRow {
   std::string a;
@@ -211,13 +221,10 @@ int CmdStats(const Flags& flags) {
   if (!load_options.ok()) return Fail(load_options.status());
   const std::string corpus_path = flags.Get("--corpus", "corpus.tsv");
   const std::string out = flags.Get("--out", "stats.tsv");
-  LoadReport report;
-  auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
-  if (!corpus.ok()) return Fail(corpus.status());
-  PrintLoadReport(corpus_path, report);
-  const PairCorpus pairs = ExtractSignificantPairs(*corpus, {});
-  std::printf("extracted %zu significant pairs\n", pairs.pairs.size());
-  const FeatureStatsDb db = BuildFeatureStats(pairs, {});
+  const auto pairs = LoadSignificantPairs(corpus_path, *load_options);
+  if (!pairs.ok()) return Fail(pairs.status());
+  std::printf("extracted %zu significant pairs\n", pairs->pairs.size());
+  const FeatureStatsDb db = BuildFeatureStats(*pairs, {});
   const Status status = SaveFeatureStats(db, out);
   if (!status.ok()) return Fail(status);
   std::printf("wrote %zu feature statistics to %s\n", db.size(), out.c_str());
@@ -244,8 +251,13 @@ int CmdMine(const Flags& flags) {
   db->ForEach([&](std::string_view key, const FeatureStat& stat) {
     if (StartsWith(key, prefix) && stat.total >= min_count) rows.emplace_back(key, stat);
   });
+  // Equally decisive rows fall back to key order, so the listing does not
+  // depend on the database's storage order.
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return std::fabs(a.second.SmoothedP() - 0.5) > std::fabs(b.second.SmoothedP() - 0.5);
+    const double a_decisive = std::fabs(a.second.SmoothedP() - 0.5);
+    const double b_decisive = std::fabs(b.second.SmoothedP() - 0.5);
+    if (a_decisive != b_decisive) return a_decisive > b_decisive;
+    return a.first < b.first;
   });
   if (rows.size() > top) rows.resize(top);
   std::printf("top %zu '%s' features by decisiveness (n >= %lld):\n", rows.size(),
@@ -272,14 +284,11 @@ int CmdTrain(const Flags& flags) {
   BuildStatsOptions stats_options;
   stats_options.num_threads = static_cast<int>(*train_threads);
 
-  LoadReport report;
-  auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
-  if (!corpus.ok()) return Fail(corpus.status());
-  PrintLoadReport(corpus_path, report);
-  const PairCorpus pairs = ExtractSignificantPairs(*corpus, {});
-  const FeatureStatsDb db = BuildFeatureStats(pairs, stats_options);
+  const auto pairs = LoadSignificantPairs(corpus_path, *load_options);
+  if (!pairs.ok()) return Fail(pairs.status());
+  const FeatureStatsDb db = BuildFeatureStats(*pairs, stats_options);
   const CoupledDataset dataset =
-      BuildClassifierDataset(pairs, db, config, static_cast<uint64_t>(*seed));
+      BuildClassifierDataset(*pairs, db, config, static_cast<uint64_t>(*seed));
   auto model = TrainSnippetClassifier(dataset, config);
   if (!model.ok()) return Fail(model.status());
   const std::string out = flags.Get("--out", "model.txt");
@@ -287,7 +296,7 @@ int CmdTrain(const Flags& flags) {
       SaveClassifier(*model, dataset.t_registry, dataset.p_registry, out);
   if (!status.ok()) return Fail(status);
   std::printf("trained %s on %zu pairs; wrote %s (%zu T features, %zu P features)\n",
-              config.name.c_str(), pairs.pairs.size(), out.c_str(),
+              config.name.c_str(), pairs->pairs.size(), out.c_str(),
               dataset.t_registry.size(), dataset.p_registry.size());
   return 0;
 }
@@ -296,11 +305,8 @@ int CmdEvaluate(const Flags& flags) {
   auto load_options = RecoveryOptions(flags);
   if (!load_options.ok()) return Fail(load_options.status());
   const std::string corpus_path = flags.Get("--corpus", "corpus.tsv");
-  LoadReport report;
-  auto corpus = LoadAdCorpus(corpus_path, *load_options, &report);
-  if (!corpus.ok()) return Fail(corpus.status());
-  PrintLoadReport(corpus_path, report);
-  const PairCorpus pairs = ExtractSignificantPairs(*corpus, {});
+  const auto pairs = LoadSignificantPairs(corpus_path, *load_options);
+  if (!pairs.ok()) return Fail(pairs.status());
   PipelineOptions pipeline;
   auto folds = flags.GetInt("--folds", 5, /*min=*/2, /*max=*/1000);
   if (!folds.ok()) return Fail(folds.status());
@@ -324,7 +330,7 @@ int CmdEvaluate(const Flags& flags) {
     configs.push_back(std::move(config).value());
   }
   for (const auto& config : configs) {
-    auto report = RunPairClassificationCv(pairs, config, pipeline);
+    auto report = RunPairClassificationCv(*pairs, config, pipeline);
     if (!report.ok()) return Fail(report.status());
     std::printf("%s: recall=%.3f precision=%.3f F=%.3f accuracy=%.3f auc=%.3f\n",
                 config.name.c_str(), report->metrics.recall(), report->metrics.precision(),
