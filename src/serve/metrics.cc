@@ -57,7 +57,6 @@ ServerMetrics::ServerMetrics(MetricRegistry* registry)
       idle_evicted(registry->GetCounter("mb.serve.idle_evicted")),
       write_timeout(registry->GetCounter("mb.serve.write_timeout")),
       batch_size(registry->GetHistogram("mb.serve.batch_size")),
-      steal_count(registry->GetCounter("mb.serve.steal_count")),
       endpoints_(MakeEndpoints(registry, std::make_index_sequence<kNumEndpoints>())) {}
 
 std::string ServerMetrics::RenderStatszJson() const {
@@ -82,7 +81,6 @@ std::string ServerMetrics::RenderStatszJson() const {
   top.Int("drained", drained->Value());
   top.Int("idle_evicted", idle_evicted->Value());
   top.Int("write_timeout", write_timeout->Value());
-  top.Int("steal_count", steal_count->Value());
   const HistogramSnapshot batches = batch_size->Snapshot();
   if (batches.count > 0) {
     top.Number("batch_size_mean", batches.mean()).Number("batch_size_max", batches.max);

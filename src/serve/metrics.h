@@ -10,11 +10,10 @@
 // mb.serve.<endpoint>.{requests,errors,cache_hits,cache_misses,latency}
 // plus the server-level counters mb.serve.rejected_overload,
 // mb.serve.deadline_exceeded, mb.serve.drained, mb.serve.idle_evicted,
-// mb.serve.write_timeout, mb.serve.steal_count and the mb.serve.batch_size
-// histogram. The four
-// refusal counters plus per-
-// endpoint ok responses exactly account for every request the server ever
-// read — the invariant the chaos soak harness asserts.
+// mb.serve.write_timeout and the mb.serve.batch_size histogram. The four
+// refusal counters plus per-endpoint ok responses exactly account for every
+// request the server ever read — the invariant the chaos soak harness
+// asserts.
 
 #ifndef MICROBROWSE_SERVE_METRICS_H_
 #define MICROBROWSE_SERVE_METRICS_H_
@@ -109,9 +108,6 @@ class ServerMetrics {
   Counter* write_timeout;
   /// Batch-size distribution of the scoring pool's worker drain loop.
   ShardedHistogram* batch_size;
-  /// Tasks migrated between workers by the work-stealing scheduler
-  /// (steal-half events count every task moved).
-  Counter* steal_count;
 
   /// Renders the nested statsz JSON object (cache stats are appended by
   /// the service, which owns the caches): {"score_pair":{"requests":...},

@@ -115,7 +115,7 @@ struct ReactorOptions {
 /// Responses are delivered through WriteSeq, which writes a response the
 /// moment it is next in line and holds early completions until their
 /// predecessors land — so pipelined responses always flush in request
-/// order even when the work-stealing pool finishes them out of order, or
+/// order even when two scoring workers finish them out of order, or
 /// the reactor answers a cache hit while an earlier miss is still scoring
 /// (DESIGN.md §17).
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {

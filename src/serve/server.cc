@@ -46,7 +46,6 @@ Request& ScratchRequest() {
 Server::Server(ScoringService* service, ServerOptions options)
     : service_(service), options_(options) {
   if (options_.num_threads < 1) options_.num_threads = 1;
-  if (options_.max_batch < 1) options_.max_batch = 1;
   if (options_.max_queue < 1) options_.max_queue = 1;
 }
 
@@ -72,9 +71,7 @@ Result<uint16_t> Server::Start() {
   ScoringPool::Options pool_options;
   pool_options.num_workers = options_.num_threads;
   pool_options.max_queue = options_.max_queue;
-  pool_options.max_batch = options_.max_batch;
   pool_options.batch_size = service_->metrics().batch_size;
-  pool_options.steal_count = service_->metrics().steal_count;
   pool_ = std::make_unique<ScoringPool>(
       pool_options, [this](std::vector<ScoringTask>& batch) { ProcessBatch(batch); });
   ReactorOptions reactor_options;

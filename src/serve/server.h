@@ -10,10 +10,10 @@
 // the reactor thread as it is read: one parse, one cache probe, the
 // service's own response builder, and WriteSeq. It passes the same drain,
 // per-connection in-flight and deadline checks as any request first. Every
-// other admitted request is scheduled on the work-stealing ScoringPool
-// (serve/scoring_pool.h, DESIGN.md §17): per-worker bounded deques,
-// randomized steal-half, near-zero lock contention at saturation. Workers
-// write each response back through its ReactorConn (serve/reactor.h).
+// other admitted request joins the ScoringPool's one bounded FIFO
+// (serve/scoring_pool.h, DESIGN.md §17), from which a free worker claims
+// the oldest tasks first. Workers write each response back through its
+// ReactorConn (serve/reactor.h).
 // Admission control is intake-side: when the pool is at capacity (or one
 // connection exceeds its in-flight cap) the request is answered
 // immediately with {"ok":false,"error":"overloaded"} instead of queueing
@@ -75,8 +75,6 @@ struct ServerOptions {
   /// Bounded request queue; requests beyond it are rejected with
   /// "overloaded".
   size_t max_queue = 1024;
-  /// Maximum requests one worker drains per batch.
-  size_t max_batch = 32;
   /// A request line longer than this fails its connection — bounds the
   /// per-connection read buffer against a client that never sends '\n'.
   size_t max_line_bytes = 4 << 20;

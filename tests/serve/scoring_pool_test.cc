@@ -1,8 +1,8 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Work-stealing scoring pool tests (DESIGN.md §17): exactly-once dispatch,
-// the global max_queue admission bound, Stop's drain-everything invariant
-// and the steal path itself (an idle worker relieving a loaded victim).
+// Scoring pool tests (DESIGN.md §17): exactly-once dispatch, the max_queue
+// admission bound, Stop's drain-everything invariant and the FIFO order in
+// which a free worker claims waiting tasks.
 
 #include "serve/scoring_pool.h"
 
@@ -11,13 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/histogram.h"
-#include "common/metrics.h"
 
 namespace microbrowse {
 namespace serve {
@@ -62,7 +62,6 @@ TEST(ScoringPoolTest, RefusesBeyondMaxQueueAndRecovers) {
   std::atomic<int> total{0};
   ScoringPool::Options options;
   options.num_workers = 1;
-  options.max_batch = 1;
   options.max_queue = 8;
   ScoringPool pool(options, [&](std::vector<ScoringTask>& batch) {
     entered.fetch_add(1);
@@ -96,7 +95,6 @@ TEST(ScoringPoolTest, StopDrainsEveryAdmittedTask) {
   std::vector<std::atomic<int>> handled(kTasks);
   ScoringPool::Options options;
   options.num_workers = 2;
-  options.max_batch = 4;
   ScoringPool pool(options, [&](std::vector<ScoringTask>& batch) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     for (const ScoringTask& task : batch) handled[std::stoi(task.line)].fetch_add(1);
@@ -114,36 +112,57 @@ TEST(ScoringPoolTest, StopDrainsEveryAdmittedTask) {
   EXPECT_FALSE(pool.Submit(nullptr, "late", Deadline::Infinite(), 1000));
 }
 
-TEST(ScoringPoolTest, IdleWorkerStealsFromLoadedVictim) {
-  // Round-robin intake alternates the two workers; every task routed to
-  // worker 0 is slow and every task routed to worker 1 is instant, so
-  // worker 1 goes idle while worker 0's deque is deep — it must steal
-  // (and bump the steal counter) rather than sleep.
-  Counter steal_count;
+TEST(ScoringPoolTest, FreeWorkerClaimsTheOldestWaitingTaskFirst) {
+  // Both workers are held in gated tasks while ten more queue up; the one
+  // released must then handle the waiting tasks oldest first, claiming its
+  // share of the queue each time: ceil(10/2), ceil(5/2), ceil(2/2), 1.
+  std::atomic<bool> release[2] = {false, false};
+  std::atomic<int> entered{0};
+  std::mutex order_mu;
+  std::vector<int> order;
+  std::vector<size_t> claims;
   ShardedHistogram batch_size;
-  std::atomic<int> total{0};
   ScoringPool::Options options;
   options.num_workers = 2;
-  options.max_batch = 1;  // Keeps the victim's deque visible to the thief.
-  options.steal_count = &steal_count;
   options.batch_size = &batch_size;
   ScoringPool pool(options, [&](std::vector<ScoringTask>& batch) {
+    if (batch[0].line[0] != 'h') {
+      std::lock_guard<std::mutex> lock(order_mu);
+      claims.push_back(batch.size());
+    }
     for (const ScoringTask& task : batch) {
-      if (task.line[0] == 's') {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (task.line == "hold0" || task.line == "hold1") {
+        entered.fetch_add(1);
+        while (!release[task.line[4] - '0'].load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        continue;
       }
-      total.fetch_add(1);
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back(std::stoi(task.line));
     }
   });
-  constexpr int kTasks = 200;
+  ASSERT_TRUE(pool.Submit(nullptr, "hold0", Deadline::Infinite(), 0));
+  ASSERT_TRUE(WaitFor([&] { return entered.load() == 1 && pool.queued() == 0; }));
+  ASSERT_TRUE(pool.Submit(nullptr, "hold1", Deadline::Infinite(), 1));
+  ASSERT_TRUE(WaitFor([&] { return entered.load() == 2 && pool.queued() == 0; }));
+  constexpr int kTasks = 10;
   for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(pool.Submit(nullptr, i % 2 == 0 ? "slow" : "fast",
-                            Deadline::Infinite(), static_cast<uint64_t>(i)));
+    ASSERT_TRUE(pool.Submit(nullptr, std::to_string(i), Deadline::Infinite(),
+                            static_cast<uint64_t>(i + 2)));
   }
-  ASSERT_TRUE(WaitFor([&] { return total.load() == kTasks; }));
+  release[0].store(true);
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(order_mu);
+    return order.size() == kTasks;
+  }));
+  release[1].store(true);
   pool.Stop();
-  EXPECT_GT(steal_count.Value(), 0);
-  EXPECT_EQ(batch_size.Count(), kTasks);  // max_batch=1: one record per task.
+  std::vector<int> expected(kTasks);
+  for (int i = 0; i < kTasks; ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(claims, (std::vector<size_t>{5, 3, 1, 1}));
+  EXPECT_EQ(batch_size.Count(), 6);  // The two held tasks and four claims.
 }
 
 }  // namespace

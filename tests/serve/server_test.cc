@@ -180,7 +180,6 @@ TEST_F(ServerTest, PipelinedRequestsMatchedByIdEcho) {
   ScoringService service(&registry_);
   ServerOptions options = BaseOptions();
   options.num_threads = 4;
-  options.max_batch = 3;  // Force multiple batches for one burst.
   Server server(&service, options);
   auto port = server.Start();
   ASSERT_TRUE(port.ok());
@@ -215,9 +214,9 @@ TEST_F(ServerTest, PipelinedRequestsMatchedByIdEcho) {
 }
 
 TEST_F(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
-  // The work-stealing scheduler's observability surface: after traffic has
-  // flowed through the steal pool, a /metricsz scrape must expose the
-  // batch-size summary and the steal counter under their Prometheus names.
+  // The scheduler's observability surface: after traffic has flowed through
+  // the scoring pool, a /metricsz scrape must expose the batch-size summary
+  // under its Prometheus names.
   ScoringService service(&registry_);
   Server server(&service, BaseOptions());
   auto port = server.Start();
@@ -235,7 +234,6 @@ TEST_F(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
   const std::string text(response.Get("metrics"));
   EXPECT_NE(text.find("mb_serve_batch_size{quantile="), std::string::npos) << text;
   EXPECT_NE(text.find("mb_serve_batch_size_count"), std::string::npos) << text;
-  EXPECT_NE(text.find("mb_serve_steal_count"), std::string::npos) << text;
   server.Stop();
 }
 

@@ -192,7 +192,6 @@ TEST_F(WireContractTest, DeterministicResponsesMatchInProcessService) {
 TEST_F(WireContractTest, PipelinedBurstKeepsOrderWithOneWorker) {
   ServerOptions options;
   options.num_threads = 1;
-  options.max_batch = 1;
   ServerUnderTest served(&registry_, options);
   ScoringService reference(&registry_);
   for (bool blank_lines : {false, true}) {

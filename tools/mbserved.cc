@@ -3,17 +3,17 @@
 // mbserved — the online snippet-scoring service.
 //
 //   mbserved --model model.txt --stats stats.tsv [--model-type M1..M6]
-//            [--port 7077] [--threads N] [--max-queue N] [--max-batch N]
+//            [--port 7077] [--threads N] [--max-queue N]
 //            [--cache-capacity N] [--default-deadline-ms N]
 //            [--idle-timeout-ms N] [--write-timeout-ms N]
 //            [--drain-deadline-ms N] [--drain-retry-after-ms N]
 //
 // Flags are spelled "--flag value" or "--flag=value"; unknown flags and
 // out-of-range values exit 1 with usage. One epoll reactor serves every
-// connection and a work-stealing pool of --threads workers scores
-// (serve/server.h). --write-timeout-ms bounds how long a peer may stop
-// reading our responses before its connection is evicted
-// (mb.serve.write_timeout).
+// connection and --threads workers score from one bounded FIFO of
+// --max-queue requests, oldest first (serve/server.h). --write-timeout-ms
+// bounds how long a peer may stop reading our responses before its
+// connection is evicted (mb.serve.write_timeout).
 //
 // Speaks the newline-delimited JSON protocol of serve/protocol.h:
 //
@@ -65,7 +65,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: mbserved --model model.txt --stats stats.tsv\n"
                "                [--model-type M1..M6] [--port N] [--threads N]\n"
-               "                [--max-queue N] [--max-batch N] [--cache-capacity N]\n"
+               "                [--max-queue N] [--cache-capacity N]\n"
                "                [--default-deadline-ms N] [--idle-timeout-ms N]\n"
                "                [--write-timeout-ms N] [--drain-deadline-ms N]\n"
                "                [--drain-retry-after-ms N]\n"
@@ -95,7 +95,7 @@ Result<Config> ParseConfig(int argc, char** argv) {
       const Flags flags,
       Flags::Parse(argc, argv, 1,
                    {"--model", "--stats", "--model-type", "--port", "--threads",
-                    "--max-queue", "--max-batch", "--cache-capacity",
+                    "--max-queue", "--cache-capacity",
                     "--default-deadline-ms", "--idle-timeout-ms", "--write-timeout-ms",
                     "--drain-deadline-ms", "--drain-retry-after-ms"},
                    {}));
@@ -111,7 +111,6 @@ Result<Config> ParseConfig(int argc, char** argv) {
   MB_RETURN_IF_ERROR(ReadInt(flags, "--port", 0, 65535, &server.port));
   MB_RETURN_IF_ERROR(ReadInt(flags, "--threads", 1, 256, &server.num_threads));
   MB_RETURN_IF_ERROR(ReadInt(flags, "--max-queue", 1, kMax, &server.max_queue));
-  MB_RETURN_IF_ERROR(ReadInt(flags, "--max-batch", 1, kMax, &server.max_batch));
   MB_RETURN_IF_ERROR(
       ReadInt(flags, "--cache-capacity", 0, kMax, &config.service.cache_capacity));
   MB_RETURN_IF_ERROR(
@@ -160,9 +159,9 @@ int main(int argc, char** argv) {
   serve::Server server(&service, config.server);
   auto port = server.Start();
   if (!port.ok()) return Fail(port.status());
-  std::printf("mbserved listening on port %u (%d threads, queue %zu, batch %zu)\n",
+  std::printf("mbserved listening on port %u (%d threads, queue %zu)\n",
               static_cast<unsigned>(*port), config.server.num_threads,
-              config.server.max_queue, config.server.max_batch);
+              config.server.max_queue);
   std::fflush(stdout);
 
   std::signal(SIGHUP, OnSighup);
