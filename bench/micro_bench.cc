@@ -147,16 +147,20 @@ void MatchRewritesLoop(benchmark::State& state, const PairCorpus& pairs,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
+/// Every key of one accumulation pass matched without a database, with
+/// the build's default smoothing and min-count and its rewrite index.
 FeatureStatsDb OnePassStats(const PairCorpus& pairs) {
-  BuildStatsOptions stats_options;
-  stats_options.matching_passes = 1;
-  return BuildFeatureStats(pairs, stats_options);
+  const BuildStatsOptions defaults;
+  FeatureStatsDb db = AccumulateFeatureStats(pairs, {}, nullptr, StatsScope::kAllKeys);
+  db.set_smoothing(defaults.smoothing);
+  db.set_min_count(defaults.min_count);
+  db.BuildRewriteIndex();
+  return db;
 }
 
-/// A one-pass build records every key, but the matcher reads only its
-/// rewrite keys, which equal those of stats pass 1 in the default
-/// two-pass build: so this matches the way stats pass 2 does, against a
-/// larger map.
+/// A one-pass database holds every key, but the matcher reads only its
+/// rewrite keys, which equal those of stats pass 1: so this matches the
+/// way stats pass 2 does, against a larger map.
 void BM_MatchRewrites(benchmark::State& state) {
   const PairCorpus pairs = BenchPairs(200);
   const FeatureStatsDb db = OnePassStats(pairs);

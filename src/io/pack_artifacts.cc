@@ -193,6 +193,7 @@ Result<FeatureStatsDb> LoadStatsPack(const std::string& path) {
   if (!FeatureStatsDb::ValidSmoothing(meta->smoothing)) {
     return BadPack(path, "stats meta: smoothing must be positive and finite");
   }
+  if (meta->min_count < 0) return BadPack(path, "stats meta: min_count must not be negative");
 
   FeatureStatsDb db;
   db.set_smoothing(meta->smoothing);

@@ -251,6 +251,9 @@ Result<FeatureStatsDb> LoadFeatureStats(const std::string& path, const LoadOptio
     return MalformedRow(path, 1, "smoothing must be positive and finite, got '" +
                                      header_fields[1] + "'");
   }
+  if (*min_count < 0) {
+    return MalformedRow(path, 1, "min_count must not be negative, got '" + header_fields[2] + "'");
+  }
   RowRecovery recovery(path, options, report);
   FeatureStatsDb db;
   db.set_smoothing(*smoothing);
@@ -276,6 +279,12 @@ Result<FeatureStatsDb> LoadFeatureStats(const std::string& path, const LoadOptio
     }
     if (*positive < 0 || *total < *positive) {
       MB_RETURN_IF_ERROR(recovery.OnBadRow(line_number, "invalid stat counts"));
+      continue;
+    }
+    // SetStat would let the later row's counts replace the earlier's.
+    if (db.Find(fields[0]) != nullptr) {
+      MB_RETURN_IF_ERROR(
+          recovery.OnBadRow(line_number, "duplicate stats key '" + fields[0] + "'"));
       continue;
     }
     db.SetStat(fields[0], *positive, *total);

@@ -13,12 +13,14 @@
 #include "common/trace.h"
 #include "microbrowse/feature_keys.h"
 #include "ml/csr.h"
+#include "ml/logistic_regression.h"
 #include "text/ngram.h"
 
 namespace microbrowse {
 
 namespace {
 
+/// Optimiser for the relevance factor T (and for plain models).
 LrOptions DefaultTLr() {
   LrOptions options;
   options.l1 = 2e-3;
@@ -28,6 +30,7 @@ LrOptions DefaultTLr() {
   return options;
 }
 
+/// Optimiser for the position factor P.
 LrOptions DefaultPLr() {
   LrOptions options;
   // The P phase trains the *delta* against the stats-database init (see
@@ -44,8 +47,6 @@ LrOptions DefaultPLr() {
 ClassifierConfig BaseConfig(std::string name) {
   ClassifierConfig config;
   config.name = std::move(name);
-  config.lr = DefaultTLr();
-  config.position_lr = DefaultPLr();
   return config;
 }
 
@@ -150,62 +151,30 @@ void ForEachPairFeatureIn(PairFeatureScratch& scratch, const Snippet& first,
   auto add_term = [&](const Snippet& snippet, const TermSpan& span, double sign) {
     emit_term(snippet, span, sign, config.leftover_position_conjunction);
   };
-  // Emits every 1..max_ngram sub-gram of a span, mirroring the granularity
-  // of the full term extraction (a single span-level feature would be far
-  // sparser than the n-gram features the term models see).
-  std::vector<TermSpan>& grams = scratch.grams;
-  auto add_span_ngrams = [&](const Snippet& snippet, const TermSpan& span, double sign) {
-    grams.clear();
-    AppendNGramsInWindow(snippet, span.line, span.pos, span.len, config.max_ngram, &grams);
-    for (const TermSpan& sub : grams) add_term(snippet, sub, sign);
-  };
 
-  if (config.use_term_features && !config.diff_terms_only) {
+  if (config.use_term_features) {
+    std::vector<TermSpan>& grams = scratch.grams;
     for (const Snippet* snippet : {&first, &second}) {
       const double sign = snippet == &first ? +1.0 : -1.0;
       grams.clear();
-      grams.reserve(NumNGrams(*snippet, config.max_ngram));
+      grams.reserve(NumNGrams(*snippet, kMaxNgram));
       for (int line = 0; line < snippet->num_lines(); ++line) {
         const int line_size = static_cast<int>(snippet->line(line).size());
-        AppendNGramsInWindow(*snippet, line, 0, line_size, config.max_ngram, &grams);
+        AppendNGramsInWindow(*snippet, line, 0, line_size, kMaxNgram, &grams);
       }
       for (const TermSpan& span : grams) {
         emit_term(*snippet, span, sign, config.term_position_conjunction);
       }
     }
   }
-  const bool diff_terms = config.use_term_features && config.diff_terms_only;
-  if (!diff_terms && !config.use_rewrite_features) return;
-
-  RewriteMatchOptions match_options;
-  match_options.max_ngram = config.max_ngram;
-  match_options.strategy = config.matching;
-  const PairDiff diff = MatchRewrites(first, second, &db, match_options);
-  if (diff_terms) {
-    for (const RewriteMatch& rewrite : diff.rewrites) {
-      add_span_ngrams(first, rewrite.r_span, +1.0);
-      add_span_ngrams(second, rewrite.s_span, -1.0);
-    }
-    for (const TermSpan& span : diff.r_only) add_term(first, span, +1.0);
-    for (const TermSpan& span : diff.s_only) add_term(second, span, -1.0);
-  }
   if (!config.use_rewrite_features) return;
+
+  const PairDiff diff = MatchRewrites(first, second, &db);
   for (const RewriteMatch& rewrite : diff.rewrites) {
     // Raw direction: second's phrase rewritten into first's phrase.
     double sign = 0.0;
     const std::string_view key =
         t_keys.Rewrite(second, rewrite.s_span, first, rewrite.r_span, &sign);
-    const bool thin =
-        config.rewrite_min_support > 0 && db.Count(key) < config.rewrite_min_support;
-    if (config.drop_matched_rewrites || thin) {
-      // Decompose the matched pair into signed term occurrences: always
-      // under the drop_matched_rewrites ablation, and for tail rewrites
-      // below the support threshold (the per-phrase term statistics are
-      // far denser than the quadratic rewrite space).
-      add_span_ngrams(first, rewrite.r_span, +1.0);
-      add_span_ngrams(second, rewrite.s_span, -1.0);
-      continue;
-    }
     fn(key,
        config.use_position ? RewritePositionIndex(MakePositionKey(rewrite.r_span),
                                                   MakePositionKey(rewrite.s_span))
@@ -217,11 +186,10 @@ void ForEachPairFeatureIn(PairFeatureScratch& scratch, const Snippet& first,
 }
 
 /// The one recipe that turns an ordered pair (first, second) into
-/// classifier features: full n-grams, diff-only terms, matched rewrites
-/// (with the rewrite_min_support backoff and the drop_matched_rewrites
-/// ablation) and the leftover terms. Calls `fn(t_key, p_index, sign)` once
-/// per feature occurrence, in a fixed order: `p_index` is the position
-/// index of the occurrence's P key (feature_keys.h), or kNoPosition. The T
+/// classifier features: full n-grams, matched rewrites and the leftover
+/// terms. Calls `fn(t_key, p_index, sign)` once per feature occurrence, in
+/// a fixed order: `p_index` is the position index of the occurrence's P
+/// key (feature_keys.h), or kNoPosition. The T
 /// key is a view into a buffer reused from occurrence to occurrence, valid
 /// only during the call; a consumer spells a P key from its index
 /// (FeatureKeyBuffer::Position) only when it needs the text. Both
@@ -238,28 +206,25 @@ void ForEachPairFeature(const Snippet& first, const Snippet& second, const Featu
 }
 
 /// Warm start of a T feature: its log odds in the statistics database.
-double InitialT(const pack::HashedKey& key, const FeatureStatsDb& db,
-                const ClassifierConfig& config) {
-  return config.init_from_stats ? db.LogOdds(key) : 0.0;
+double InitialT(const pack::HashedKey& key, const FeatureStatsDb& db) {
+  return db.LogOdds(key);
 }
 
 /// Warm start of a P feature: its odds ratio (neutral = 1).
-double InitialP(const pack::HashedKey& key, const FeatureStatsDb& db,
-                const ClassifierConfig& config) {
-  return config.init_from_stats ? db.OddsRatio(key) : 1.0;
+double InitialP(const pack::HashedKey& key, const FeatureStatsDb& db) {
+  return db.OddsRatio(key);
 }
 
 /// The weight rule: a feature's trained weight when the model has one, its
 /// registry warm start when it was interned after training, and its
-/// statistics warm start (`initial(key, db, config)`) when the registry
-/// does not know it. The key is hashed at most once for both lookups.
+/// statistics warm start (`initial(key, db)`) when the registry does not
+/// know it. The key is hashed at most once for both lookups.
 template <typename Initial>
 double WeightOf(const FeatureRegistry& registry, const std::vector<double>& trained,
-                std::string_view text, Initial&& initial, const FeatureStatsDb& db,
-                const ClassifierConfig& config) {
+                std::string_view text, Initial&& initial, const FeatureStatsDb& db) {
   const pack::HashedKey key(text);
   const FeatureId id = registry.Find(key);
-  if (id == kInvalidFeatureId) return initial(key, db, config);
+  if (id == kInvalidFeatureId) return initial(key, db);
   return id < trained.size() ? trained[id] : registry.InitialWeightOf(id);
 }
 
@@ -296,7 +261,7 @@ void ExtractPairOccurrences(const Snippet& first, const Snippet& second,
   auto intern = [&](FeatureRegistry* registry, std::string_view text, auto&& initial) {
     const pack::HashedKey key(text);
     const FeatureId id = registry->Find(key);
-    return id != kInvalidFeatureId ? id : registry->InternNew(text, initial(key, db, config));
+    return id != kInvalidFeatureId ? id : registry->InternNew(text, initial(key, db));
   };
   // A P key is interned where it first occurs, as it would be if every
   // occurrence were looked up, so ids and interning order are unchanged.
@@ -319,13 +284,13 @@ double PredictPairMargin(const Snippet& first, const Snippet& second, const Feat
   FeatureKeyBuffer p_key;
   PositionMemo<double> p_weights;
   auto p_weight = [&](int index) {
-    return WeightOf(p_registry, model.p_weights, p_key.Position(index), InitialP, db, config);
+    return WeightOf(p_registry, model.p_weights, p_key.Position(index), InitialP, db);
   };
   double score = model.bias;
   ForEachPairFeature(first, second, db, config,
                      [&](std::string_view t_key, int p_index, double sign) {
                        const double t =
-                           WeightOf(t_registry, model.t_weights, t_key, InitialT, db, config);
+                           WeightOf(t_registry, model.t_weights, t_key, InitialT, db);
                        const double p =
                            p_index == kNoPosition ? 1.0 : p_weights.Get(p_index, p_weight);
                        score += sign * p * t;
@@ -507,36 +472,33 @@ Result<SnippetClassifierModel> TrainSnippetClassifier(const CoupledCsr& csr,
 
   if (!config.use_position) {
     const CsrDataset t_data = BuildTCsr(csr, indices, model.p_weights);
-    auto trained = TrainLogisticRegression(t_data, config.lr, &model.t_weights);
+    auto trained = TrainLogisticRegression(t_data, DefaultTLr(), &model.t_weights);
     if (!trained.ok()) return trained.status();
     model.t_weights = trained->weights();
     model.bias = trained->bias();
     return model;
   }
 
-  LrOptions p_options = config.position_lr;
-  p_options.fit_bias = false;  // Enforced regardless of caller settings.
+  // Eq. 9, position factor first: P is fit against the statistics-
+  // database-calibrated T, then T is retrained consistently with that P.
+  // (Ending on the T phase also keeps the bias consistent with the final
+  // factor pairing.) Further alternation lets estimation noise feed back
+  // between the factors (EXPERIMENTS.md, "Ablations").
   const std::vector<double>& p_init = csr.p_init;
-  std::vector<double> p_delta(p_init.size(), 0.0);
-  // Alternating minimisation of Eq. 9, position factor first: P is fit
-  // against the statistics-database-calibrated T, then T is retrained
-  // consistently with that P. (Ending on a T phase also keeps the bias
-  // consistent with the final factor pairing.)
-  for (int iteration = 0; iteration < std::max(1, config.coupled_iterations); ++iteration) {
-    if (!p_init.empty()) {
-      const CsrDataset p_data = BuildPCsr(csr, indices, model.t_weights, p_init, model.bias);
-      auto p_trained = TrainLogisticRegression(p_data, p_options, &p_delta);
-      if (!p_trained.ok()) return p_trained.status();
-      p_delta = p_trained->weights();
-      for (size_t j = 0; j < p_init.size(); ++j) model.p_weights[j] = p_init[j] + p_delta[j];
-    }
-
-    const CsrDataset t_data = BuildTCsr(csr, indices, model.p_weights);
-    auto t_trained = TrainLogisticRegression(t_data, config.lr, &model.t_weights);
-    if (!t_trained.ok()) return t_trained.status();
-    model.t_weights = t_trained->weights();
-    model.bias = t_trained->bias();
+  if (!p_init.empty()) {
+    const CsrDataset p_data = BuildPCsr(csr, indices, model.t_weights, p_init, model.bias);
+    std::vector<double> p_delta(p_init.size(), 0.0);
+    auto p_trained = TrainLogisticRegression(p_data, DefaultPLr(), &p_delta);
+    if (!p_trained.ok()) return p_trained.status();
+    p_delta = p_trained->weights();
+    for (size_t j = 0; j < p_init.size(); ++j) model.p_weights[j] = p_init[j] + p_delta[j];
   }
+
+  const CsrDataset t_data = BuildTCsr(csr, indices, model.p_weights);
+  auto t_trained = TrainLogisticRegression(t_data, DefaultTLr(), &model.t_weights);
+  if (!t_trained.ok()) return t_trained.status();
+  model.t_weights = t_trained->weights();
+  model.bias = t_trained->bias();
   return model;
 }
 

@@ -10,9 +10,9 @@
 //
 // All configurations warm-start their weights from the feature-statistics
 // database. Position-aware configurations use the coupled logistic
-// regression of Eq. 9: log O = sum_{(p,q)} P_{p,q} T_{p,q}, trained by
-// alternating two L1 logistic regressions over the position factor P and
-// the relevance factor T.
+// regression of Eq. 9: log O = sum_{(p,q)} P_{p,q} T_{p,q}, trained as
+// one logistic regression over the position factor P, then one L1
+// logistic regression over the relevance factor T.
 
 #ifndef MICROBROWSE_MICROBROWSE_CLASSIFIER_H_
 #define MICROBROWSE_MICROBROWSE_CLASSIFIER_H_
@@ -28,7 +28,6 @@
 #include "microbrowse/stats_db.h"
 #include "ml/dataset.h"
 #include "ml/feature_registry.h"
-#include "ml/logistic_regression.h"
 
 namespace microbrowse {
 
@@ -45,41 +44,8 @@ struct ClassifierConfig {
   /// matched rewrite features always use the coupled form (Eq. 8/9 is the
   /// paper's construction for rewrites).
   bool term_position_conjunction = false;
-  /// Same choice for the rewrite path's leftover / decomposed terms.
+  /// Same choice for the rewrite path's leftover terms.
   bool leftover_position_conjunction = false;
-  /// Warm-start weights from the statistics database (on for all paper
-  /// models; exposed for the initialisation ablation).
-  bool init_from_stats = true;
-  /// Alternating rounds of the coupled LR (position models only). One
-  /// round — position factor fit against the statistics-initialised
-  /// relevance factor, then one consistent relevance retrain — is the
-  /// empirical sweet spot; further rounds let estimation noise feed back
-  /// between the factors (see EXPERIMENTS.md).
-  int coupled_iterations = 1;
-  /// Optimiser for the relevance factor T (and for plain models).
-  LrOptions lr;
-  /// Optimiser for the position factor P — typically weaker L1, since the
-  /// position space is tiny and dense.
-  LrOptions position_lr;
-  MatchingStrategy matching = MatchingStrategy::kGreedyStats;
-  int max_ngram = 3;
-  /// Ablation knob: run the rewrite matcher but drop the matched-pair
-  /// occurrences, keeping only the leftover term features. Isolates the
-  /// contribution of the joint rewrite features.
-  bool drop_matched_rewrites = false;
-  /// Ablation knob: restrict term features to the expanded diff regions
-  /// instead of the full snippets. (Shared content cancels in the full
-  /// extraction anyway; this isolates what, if anything, the full view
-  /// adds.)
-  bool diff_terms_only = false;
-  /// Sparsity backoff: a matched rewrite whose canonical key has fewer
-  /// than this many observations in the statistics database is decomposed
-  /// into its signed term occurrences instead of a joint feature (the
-  /// paper's stats pooling exists for the same reason — rewrite-pair
-  /// space is quadratically sparse). 0 (the default, matching the paper)
-  /// disables the backoff; enable it for corpora whose rewrite traffic is
-  /// not concentrated (see the ablation bench).
-  int64_t rewrite_min_support = 0;
 
   static ClassifierConfig M1();
   static ClassifierConfig M2();
@@ -187,8 +153,9 @@ double PredictPairMargin(const Snippet& first, const Snippet& second, const Feat
 
 /// Trains the classifier on `train_indices` of `dataset` (all examples
 /// when empty). Plain configurations run one L1 LR over T; position
-/// configurations alternate T and P phases (Eq. 9). Flattens the dataset
-/// once and delegates to the CSR overload.
+/// configurations fit P against the warm-started T, then retrain T against
+/// that P (Eq. 9). Flattens the dataset once and delegates to the CSR
+/// overload.
 Result<SnippetClassifierModel> TrainSnippetClassifier(
     const CoupledDataset& dataset, const ClassifierConfig& config,
     const std::vector<size_t>& train_indices = {});

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "microbrowse/feature_keys.h"
+#include "text/ngram.h"
 
 namespace microbrowse {
 
@@ -54,7 +55,7 @@ double CtrPredictor::Score(const Snippet& snippet) const {
   for (int line = 0; line < snippet.num_lines(); ++line) {
     const int line_size = static_cast<int>(snippet.line(line).size());
     for (int pos = 0; pos < line_size; ++pos) {
-      for (int len = 1; len <= std::min(options_.max_ngram, line_size - pos); ++len) {
+      for (int len = 1; len <= std::min(kMaxNgram, line_size - pos); ++len) {
         score += SpanScore(snippet, TermSpan{line, pos, len}, &key);
       }
     }

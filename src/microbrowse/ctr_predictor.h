@@ -26,7 +26,6 @@ namespace microbrowse {
 
 /// Pointwise scorer configuration.
 struct CtrPredictorOptions {
-  int max_ngram = 3;
   /// Visibility for positions whose weight was never learned: fall back to
   /// this examination curve.
   ExaminationCurve fallback_curve = ExaminationCurve::TopPlacement();

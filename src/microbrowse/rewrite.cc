@@ -20,6 +20,12 @@ namespace microbrowse {
 
 namespace {
 
+/// Tokens of shared context annexed on each side of a diff region before
+/// candidates are enumerated. Rewrites between phrases that share tokens
+/// ("find cheap" -> "find deals on") leave only fragments in the raw token
+/// diff; the expanded window lets the matcher recover the full phrase pair.
+constexpr int kContextExpansion = 2;
+
 /// A contiguous differing token window on one side of the pair.
 struct DiffRegion {
   int line = 0;
@@ -109,17 +115,15 @@ class GeometricRanks {
   size_t size_ = 0;
 };
 
-/// Expands each region by `expansion` tokens of context on both sides
-/// (clamped to the line) and merges regions that then touch or overlap.
-/// Regions must arrive sorted by (line, begin), which CollectDiffRegions
-/// guarantees.
-void ExpandAndMergeRegions(const Snippet& snippet, int expansion,
-                           std::vector<DiffRegion>* regions) {
-  if (expansion <= 0) return;
+/// Expands each region by kContextExpansion tokens of context on both
+/// sides (clamped to the line) and merges regions that then touch or
+/// overlap. Regions must arrive sorted by (line, begin), which
+/// CollectDiffRegions guarantees.
+void ExpandAndMergeRegions(const Snippet& snippet, std::vector<DiffRegion>* regions) {
   for (DiffRegion& region : *regions) {
     const int line_size = static_cast<int>(snippet.line(region.line).size());
-    const int begin = std::max(0, region.begin - expansion);
-    const int end = std::min(line_size, region.begin + region.count + expansion);
+    const int begin = std::max(0, region.begin - kContextExpansion);
+    const int end = std::min(line_size, region.begin + region.count + kContextExpansion);
     region.begin = begin;
     region.count = end - begin;
   }
@@ -233,14 +237,14 @@ class Coverage {
 /// the other (plus shared-context grams, which appear on both sides and
 /// cancel downstream) — the paper's "terms in R but not in S" after
 /// matching. They are also the matcher's candidate phrases.
-std::vector<TermSpan> RegionGrams(const Snippet& snippet, const std::vector<DiffRegion>& regions,
-                                  int max_ngram) {
+std::vector<TermSpan> RegionGrams(const Snippet& snippet,
+                                  const std::vector<DiffRegion>& regions) {
   size_t total = 0;
-  for (const DiffRegion& region : regions) total += NumNGramsInWindow(region.count, max_ngram);
+  for (const DiffRegion& region : regions) total += NumNGramsInWindow(region.count, kMaxNgram);
   std::vector<TermSpan> out;
   out.reserve(total);
   for (const DiffRegion& region : regions) {
-    AppendNGramsInWindow(snippet, region.line, region.begin, region.count, max_ngram, &out);
+    AppendNGramsInWindow(snippet, region.line, region.begin, region.count, kMaxNgram, &out);
   }
   return out;
 }
@@ -344,7 +348,7 @@ struct MatchScratch {
 /// changed while its text did not is a rewrite too, and it is exactly the
 /// "location within a snippet" signal the micro-browsing model is about.
 /// Tokens already consumed by a matched candidate are skipped.
-void AppendShiftRewrites(const LineMatches& aligned, const Coverage& covered, int max_ngram,
+void AppendShiftRewrites(const LineMatches& aligned, const Coverage& covered,
                          std::vector<RewriteMatch>* rewrites) {
   const int lines = static_cast<int>(aligned.line_begin.size()) - 1;
   for (int line = 0; line < lines; ++line) {
@@ -373,7 +377,7 @@ void AppendShiftRewrites(const LineMatches& aligned, const Coverage& covered, in
       // Emit all sub-grams of the run as same-text rewrites.
       const int run_len = static_cast<int>(end - i);
       for (int offset = 0; offset < run_len; ++offset) {
-        const int max_len = std::min(max_ngram, run_len - offset);
+        const int max_len = std::min(kMaxNgram, run_len - offset);
         for (int len = 1; len <= max_len; ++len) {
           rewrites->push_back(RewriteMatch{TermSpan{line, matches[i + offset].a_index, len},
                                            TermSpan{line, matches[i + offset].b_index, len}});
@@ -386,19 +390,18 @@ void AppendShiftRewrites(const LineMatches& aligned, const Coverage& covered, in
 
 }  // namespace
 
-PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
-                       const RewriteMatchOptions& options) {
+PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db) {
   // One dictionary per thread, rebuilt in place; an outsized pair's
   // buffers are not kept.
   thread_local PairTokens tokens;
   tokens.Reset(r, s);
-  PairDiff out = MatchRewrites(r, s, tokens, db, options);
+  PairDiff out = MatchRewrites(r, s, tokens, db);
   if (tokens.num_positions() > MatchScratch::kKeepBytes / sizeof(TokenId)) tokens = PairTokens();
   return out;
 }
 
 PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tokens,
-                       const FeatureStatsDb* db, const RewriteMatchOptions& options) {
+                       const FeatureStatsDb* db) {
   thread_local MatchScratch scratch;
   PairDiff out;
   std::vector<DiffRegion>& r_regions = scratch.r_regions;
@@ -409,27 +412,24 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
     scratch.Trim();
     return out;
   }
-  ExpandAndMergeRegions(r, options.context_expansion, &r_regions);
-  ExpandAndMergeRegions(s, options.context_expansion, &s_regions);
+  ExpandAndMergeRegions(r, &r_regions);
+  ExpandAndMergeRegions(s, &s_regions);
 
   // Candidate phrases on each side; they double as the unmatched residue.
-  std::vector<TermSpan> r_grams = RegionGrams(r, r_regions, options.max_ngram);
-  std::vector<TermSpan> s_grams = RegionGrams(s, s_regions, options.max_ngram);
+  std::vector<TermSpan> r_grams = RegionGrams(r, r_regions);
+  std::vector<TermSpan> s_grams = RegionGrams(s, s_regions);
   const auto r_count = static_cast<uint32_t>(r_grams.size());
   const auto s_count = static_cast<uint32_t>(s_grams.size());
 
-  const bool first_match = options.strategy == MatchingStrategy::kFirstMatch;
-  const bool use_db = options.strategy == MatchingStrategy::kGreedyStats && db != nullptr;
-  const RewritePartnerIndex* index = use_db ? db->rewrite_index() : nullptr;
-  // Every gram's token ids, R's first, and unless every score is 0
-  // (kFirstMatch) its side hash, folded from the per-token pieces.
+  const RewritePartnerIndex* index = db != nullptr ? db->rewrite_index() : nullptr;
+  // Every gram's token ids, R's first, and its side hash, folded from the
+  // per-token pieces.
   std::vector<GramTokens>& gram_tokens = scratch.gram_tokens;
   gram_tokens.clear();
   gram_tokens.reserve(r_grams.size() + s_grams.size());
   for (PairSide side : {PairSide::kR, PairSide::kS}) {
     for (const TermSpan& span : side == PairSide::kR ? r_grams : s_grams) {
-      gram_tokens.push_back(
-          GramTokens{tokens.SpanIds(side, span), first_match ? 0 : tokens.SpanHash(side, span)});
+      gram_tokens.push_back(GramTokens{tokens.SpanIds(side, span), tokens.SpanHash(side, span)});
     }
   }
   const GramTokens* r_tokens = gram_tokens.data();
@@ -443,71 +443,68 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
   // may score. Partners come first, so a candidate that is both gets its
   // Find; `reached_by` makes every candidate count once per R gram. Every
   // other candidate is geometric, ordered by its integer rank (see
-  // GeometricRanks). kFirstMatch, whose scores are all 0, has none.
+  // GeometricRanks).
   std::vector<ScoredCandidate>& scored = scratch.scored;
   scored.clear();
   FeatureKeyBuffer& key = scratch.key;
   int64_t identities = 0;
   int64_t reached = 0;
   int64_t hits = 0;
-  if (!first_match) {
-    GramsByHash& s_by_hash = scratch.s_by_hash;
-    s_by_hash.Build(s_tokens, s_count);
-    std::vector<uint32_t>& reached_by = scratch.reached_by;
-    reached_by.assign(s_count, 0);
-    for (uint32_t ri = 0; ri < r_count; ++ri) {
-      const TermSpan& r_span = r_grams[ri];
-      const auto reach = [&](uint32_t si, bool may_be_in_db) {
-        if (reached_by[si] == ri + 1) return;
-        reached_by[si] = ri + 1;
-        const TermSpan& s_span = s_grams[si];
-        // Equal id tuples are equal texts (text/pair_tokens.h).
-        const bool same_text =
-            r_span.len == s_span.len &&
-            std::equal(r_tokens[ri].ids, r_tokens[ri].ids + r_span.len, s_tokens[si].ids);
-        // Identity candidates (same text at the same location) are no-op
-        // artifacts of the context expansion; admitting them would let
-        // shared context absorb the exact-match bonus and block real
-        // phrase pairings.
-        if (same_text && r_span == s_span) {
-          ++identities;
-          return;
-        }
-        // Stays 0 unless the database holds the rewrite, so kPositionOnly
-        // shares this path.
-        double db_score = 0.0;
-        if (may_be_in_db) {
-          // Spells canonical RewriteKey(s text, r text), ordering the
-          // sides by comparing their texts.
-          ++reached;
-          double sign = 0.0;
-          const FeatureStat* stat = db->Find(key.Rewrite(s, s_span, r, r_span, &sign));
-          if (stat != nullptr) {
-            ++hits;
-            // Frequency dominates ("a more probable rewrite has a higher
-            // score"); decisiveness (|log odds|) refines.
-            db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
-                       1e2 * std::fabs(stat->LogOdds(db->smoothing()));
-          }
-        }
-        if (same_text || db_score != 0.0) {
-          const double coverage = static_cast<double>(r_span.len + s_span.len);
-          // Exact-text pairings are pure moves — always the best explanation.
-          const double exact = same_text ? 1e9 : 0.0;
-          scored.push_back(ScoredCandidate{
-              exact + db_score + coverage * 10.0 + Locality(r_span, s_span), GramPair{ri, si}});
-        }
-      };
-      const uint64_t r_hash = r_tokens[ri].hash;
-      if (index != nullptr) {
-        index->ForEachPartner(r_hash, [&](uint64_t partner) {
-          s_by_hash.ForEach(partner, [&](uint32_t si) { reach(si, true); });
-        });
-      } else if (use_db) {
-        for (uint32_t si = 0; si < s_count; ++si) reach(si, true);
+  GramsByHash& s_by_hash = scratch.s_by_hash;
+  s_by_hash.Build(s_tokens, s_count);
+  std::vector<uint32_t>& reached_by = scratch.reached_by;
+  reached_by.assign(s_count, 0);
+  for (uint32_t ri = 0; ri < r_count; ++ri) {
+    const TermSpan& r_span = r_grams[ri];
+    const auto reach = [&](uint32_t si, bool may_be_in_db) {
+      if (reached_by[si] == ri + 1) return;
+      reached_by[si] = ri + 1;
+      const TermSpan& s_span = s_grams[si];
+      // Equal id tuples are equal texts (text/pair_tokens.h).
+      const bool same_text =
+          r_span.len == s_span.len &&
+          std::equal(r_tokens[ri].ids, r_tokens[ri].ids + r_span.len, s_tokens[si].ids);
+      // Identity candidates (same text at the same location) are no-op
+      // artifacts of the context expansion; admitting them would let
+      // shared context absorb the exact-match bonus and block real
+      // phrase pairings.
+      if (same_text && r_span == s_span) {
+        ++identities;
+        return;
       }
-      s_by_hash.ForEach(r_hash, [&](uint32_t si) { reach(si, false); });
+      // Stays 0 unless the database holds the rewrite.
+      double db_score = 0.0;
+      if (may_be_in_db) {
+        // Spells canonical RewriteKey(s text, r text), ordering the
+        // sides by comparing their texts.
+        ++reached;
+        double sign = 0.0;
+        const FeatureStat* stat = db->Find(key.Rewrite(s, s_span, r, r_span, &sign));
+        if (stat != nullptr) {
+          ++hits;
+          // Frequency dominates ("a more probable rewrite has a higher
+          // score"); decisiveness (|log odds|) refines.
+          db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
+                     1e2 * std::fabs(stat->LogOdds(db->smoothing()));
+        }
+      }
+      if (same_text || db_score != 0.0) {
+        const double coverage = static_cast<double>(r_span.len + s_span.len);
+        // Exact-text pairings are pure moves — always the best explanation.
+        const double exact = same_text ? 1e9 : 0.0;
+        scored.push_back(ScoredCandidate{
+            exact + db_score + coverage * 10.0 + Locality(r_span, s_span), GramPair{ri, si}});
+      }
+    };
+    const uint64_t r_hash = r_tokens[ri].hash;
+    if (index != nullptr) {
+      index->ForEachPartner(r_hash, [&](uint64_t partner) {
+        s_by_hash.ForEach(partner, [&](uint32_t si) { reach(si, true); });
+      });
+    } else if (db != nullptr) {
+      for (uint32_t si = 0; si < s_count; ++si) reach(si, true);
     }
+    s_by_hash.ForEach(r_hash, [&](uint32_t si) { reach(si, false); });
   }
   std::sort(scored.begin(), scored.end(), [](const ScoredCandidate& a, const ScoredCandidate& b) {
     return PopsBefore(a.score, a.grams, b.score, b.grams);
@@ -563,12 +560,11 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
     scored_left.clear();
     for (size_t i = next_scored; i < scored.size(); ++i) scored_left.push_back(scored[i].grams);
     std::sort(scored_left.begin(), scored_left.end());
-    // Each geometric candidate is counted in its rank's bucket (kFirstMatch
-    // has one rank: enumeration order decides).
+    // Each geometric candidate is counted in its rank's bucket.
     std::vector<GramPair>& geometric = scratch.geometric;
     geometric.clear();
     std::vector<uint32_t>& bucket_begin = scratch.bucket_begin;
-    bucket_begin.assign((first_match ? 1 : ranks.size()) + 1, 0);
+    bucket_begin.assign(ranks.size() + 1, 0);
     size_t next_left = 0;
     for (uint32_t ri = 0; ri < r_count; ++ri) {
       const TermSpan& r_span = r_grams[ri];
@@ -583,7 +579,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
           continue;  // An identity candidate.
         }
         // 0.0 + 0.0 + coverage * 10.0 + locality is the rank's score exactly.
-        ++bucket_begin[(first_match ? 0 : ranks.Rank(r_span, s_span)) + 1];
+        ++bucket_begin[ranks.Rank(r_span, s_span) + 1];
         geometric.push_back(grams);
       }
     }
@@ -597,7 +593,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
     by_rank.resize(geometric.size());
     for (uint32_t i = 0; i < geometric.size(); ++i) {
       const GramPair grams = geometric[i];
-      const uint32_t rank = first_match ? 0 : ranks.Rank(r_grams[grams.r], s_grams[grams.s]);
+      const uint32_t rank = ranks.Rank(r_grams[grams.r], s_grams[grams.s]);
       by_rank[bucket_begin[rank]++] = i;
     }
     size_t next_geometric = 0;
@@ -608,8 +604,6 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
         continue;
       }
       const GramPair grams = geometric[by_rank[next_geometric]];
-      // kFirstMatch has no scored candidates, so Score is never asked for
-      // its all-zero ranks.
       if (next_scored < scored.size() &&
           PopsBefore(scored[next_scored].score, scored[next_scored].grams,
                      ranks.Score(ranks.Rank(r_grams[grams.r], s_grams[grams.s])), grams)) {
@@ -630,7 +624,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
   candidates_counter->Increment(static_cast<int64_t>(scored.size() + geometric_count));
   popped_counter->Increment(popped);
   accepted_counter->Increment(static_cast<int64_t>(rewrites.size()));
-  if (use_db) {
+  if (db != nullptr) {
     static Counter* const lookups_counter =
         MetricRegistry::Global().GetCounter("mb.rewrite.lookups");
     static Counter* const reached_counter =
@@ -643,7 +637,7 @@ PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tok
     hits_counter->Increment(hits);
   }
 
-  AppendShiftRewrites(scratch.aligned, covered, options.max_ngram, &rewrites);
+  AppendShiftRewrites(scratch.aligned, covered, &rewrites);
   out.rewrites.assign(rewrites.begin(), rewrites.end());
   out.r_only = std::move(r_grams);
   out.s_only = std::move(s_grams);

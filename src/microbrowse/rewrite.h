@@ -40,35 +40,15 @@ struct PairDiff {
   bool empty() const { return rewrites.empty() && r_only.empty() && s_only.empty(); }
 };
 
-/// Matching strategy — kGreedyStats is the paper's algorithm; the others
-/// exist for the ablation bench.
-enum class MatchingStrategy {
-  kGreedyStats,   ///< Greedy by DB frequency / strength, then locality.
-  kFirstMatch,    ///< Naive first-come pairing in token order.
-  kPositionOnly,  ///< Greedy by locality and span length only (no DB).
-};
-
-/// Rewrite-matching configuration.
-struct RewriteMatchOptions {
-  int max_ngram = 3;
-  MatchingStrategy strategy = MatchingStrategy::kGreedyStats;
-  /// Tokens of shared context annexed on each side of a diff region before
-  /// candidates are enumerated. Rewrites between phrases that share tokens
-  /// ("find cheap" -> "find deals on") leave only fragments in the raw
-  /// token diff; the expanded window lets the matcher recover the full
-  /// phrase pair.
-  int context_expansion = 2;
-};
-
-/// Computes the rewrite decomposition of the pair (r, s). `db` may be null
-/// (phase-one matching); it is only consulted by kGreedyStats.
-PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
-                       const RewriteMatchOptions& options = {});
+/// Computes the rewrite decomposition of the pair (r, s), matching
+/// candidates greedily by their statistics in `db`, then by locality and
+/// span length. `db` may be null (the first stats pass's matching).
+PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db);
 
 /// MatchRewrites with the pair's token dictionary, `tokens` =
 /// PairTokens(r, s), built by the caller so that it can reuse it.
 PairDiff MatchRewrites(const Snippet& r, const Snippet& s, const PairTokens& tokens,
-                       const FeatureStatsDb* db, const RewriteMatchOptions& options = {});
+                       const FeatureStatsDb* db);
 
 }  // namespace microbrowse
 

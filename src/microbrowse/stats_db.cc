@@ -25,12 +25,12 @@ namespace {
 /// as sorted gram codes. Buffers are reused from pair to pair.
 class SideGrams {
  public:
-  void Collect(const Snippet& snippet, const PairTokens& tokens, PairSide side, int max_ngram) {
+  void Collect(const Snippet& snippet, const PairTokens& tokens, PairSide side) {
     spans_.clear();
-    spans_.reserve(NumNGrams(snippet, max_ngram));
+    spans_.reserve(NumNGrams(snippet, kMaxNgram));
     for (int line = 0; line < snippet.num_lines(); ++line) {
       const int line_size = static_cast<int>(snippet.line(line).size());
-      AppendNGramsInWindow(snippet, line, 0, line_size, max_ngram, &spans_);
+      AppendNGramsInWindow(snippet, line, 0, line_size, kMaxNgram, &spans_);
     }
     ids_.clear();
     ids_.reserve(spans_.size());
@@ -101,11 +101,8 @@ class SideGrams {
 /// `out`. Under StatsScope::kRewritesOnly only the rewrite keys are
 /// recorded. Each pair's token dictionary serves both its term statistics
 /// and its matching; it and every key are built in reused buffers.
-void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
-                     const FeatureStatsDb* matching_db, StatsScope scope, size_t begin,
-                     size_t end, FeatureStatsDb* out) {
-  RewriteMatchOptions match_options;
-  match_options.max_ngram = options.max_ngram;
+void AccumulateRange(const PairCorpus& corpus, const FeatureStatsDb* matching_db,
+                     StatsScope scope, size_t begin, size_t end, FeatureStatsDb* out) {
   const bool all_keys = scope == StatsScope::kAllKeys;
   SideGrams r_grams;
   SideGrams s_grams;
@@ -122,14 +119,14 @@ void AccumulateRange(const PairCorpus& corpus, const BuildStatsOptions& options,
     if (all_keys) {
       // --- Term statistics: n-grams unique to one side (plain and
       // position-conjoined variants).
-      r_grams.Collect(r, tokens, PairSide::kR, options.max_ngram);
-      s_grams.Collect(s, tokens, PairSide::kS, options.max_ngram);
+      r_grams.Collect(r, tokens, PairSide::kR);
+      s_grams.Collect(s, tokens, PairSide::kS);
       r_grams.ObserveUnique(r, s_grams, delta, &key, out);
       s_grams.ObserveUnique(s, r_grams, -delta, &key, out);
     }
 
     // --- Rewrite and position statistics from the diff decomposition.
-    const PairDiff diff = MatchRewrites(r, s, tokens, matching_db, match_options);
+    const PairDiff diff = MatchRewrites(r, s, tokens, matching_db);
     for (const RewriteMatch& rewrite : diff.rewrites) {
       // Raw direction: S's phrase was rewritten into R's phrase.
       double sign = 0.0;
@@ -237,7 +234,7 @@ FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStats
   const size_t n = corpus.pairs.size();
   if (options.num_threads <= 1 || n < kParallelStatsThreshold) {
     FeatureStatsDb out;
-    AccumulateRange(corpus, options, matching_db, scope, 0, n, &out);
+    AccumulateRange(corpus, matching_db, scope, 0, n, &out);
     return out;
   }
   const size_t n_chunks = std::min<size_t>(64, std::max<size_t>(1, n / 32));
@@ -245,8 +242,8 @@ FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStats
   ThreadPool pool(static_cast<size_t>(options.num_threads));
   pool.ParallelForAll(n_chunks, [&](size_t c) {
     chunks[c] = FeatureStatsDb();  // A rerun starts afresh.
-    AccumulateRange(corpus, options, matching_db, scope, c * n / n_chunks,
-                    (c + 1) * n / n_chunks, &chunks[c]);
+    AccumulateRange(corpus, matching_db, scope, c * n / n_chunks, (c + 1) * n / n_chunks,
+                    &chunks[c]);
   });
   // Shards take the hash's high bits: a shard's keys then still spread
   // over every home slot of its table, which probes the low bits.
@@ -278,21 +275,20 @@ FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStats
 
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options) {
   TraceSpan span("mb.stats.build");
-  FeatureStatsDb db;
-  db.set_smoothing(options.smoothing);
-  db.set_min_count(options.min_count);
-  const int passes = options.matching_passes < 1 ? 1 : options.matching_passes;
-  for (int pass = 0; pass < passes; ++pass) {
+  // Each pass's database gets the options' settings and its rewrite index.
+  auto pass = [&](const FeatureStatsDb* matching_db, StatsScope scope) {
     TraceSpan pass_span("mb.stats.pass");
-    FeatureStatsDb next = AccumulateFeatureStats(corpus, options, pass == 0 ? nullptr : &db,
-                                                 StatsScopeOfPass(pass, passes));
-    next.set_smoothing(options.smoothing);
-    next.set_min_count(options.min_count);
-    db = std::move(next);
+    FeatureStatsDb db = AccumulateFeatureStats(corpus, options, matching_db, scope);
+    db.set_smoothing(options.smoothing);
+    db.set_min_count(options.min_count);
     db.BuildRewriteIndex();
-  }
+    return db;
+  };
+  const FeatureStatsDb first = pass(nullptr, StatsScope::kRewritesOnly);
+  FeatureStatsDb db = pass(&first, StatsScope::kAllKeys);
   // Aggregate updates from the (single-threaded) driver, so values are
   // identical for any BuildStatsOptions::num_threads.
+  constexpr int passes = 2;
   static Counter* passes_counter = MetricRegistry::Global().GetCounter("mb.stats.build_passes");
   static Counter* pairs_counter =
       MetricRegistry::Global().GetCounter("mb.stats.pairs_observed");

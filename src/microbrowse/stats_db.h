@@ -287,15 +287,10 @@ class FeatureStatsDb {
 
 /// Statistics-builder configuration.
 struct BuildStatsOptions {
-  int max_ngram = 3;
   double smoothing = 1.0;
   /// Support threshold installed on the database (see
   /// FeatureStatsDb::set_min_count).
   int64_t min_count = 6;
-  /// Matching passes: pass 1 matches rewrites without a database (exact
-  /// text + positional heuristics); pass >= 2 re-matches with the previous
-  /// pass's database, sharpening phrase boundaries (Section IV-A).
-  int matching_passes = 2;
   /// Worker threads per accumulation pass. Pairs are accumulated into
   /// per-chunk databases over a fixed chunk grid and merged by key; the
   /// counts are integers, so the resulting keys and counts are identical
@@ -304,32 +299,29 @@ struct BuildStatsOptions {
 };
 
 /// Builds the feature-statistics database from a pair corpus (phase one of
-/// the snippet-classification framework, Fig. 1).
+/// the snippet-classification framework, Fig. 1) in two matching passes:
+/// the first matches rewrites without a database (exact text and
+/// positional heuristics), the second re-matches with the first's rewrite
+/// statistics, sharpening phrase boundaries (Section IV-A).
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options = {});
 
 /// Which keys an accumulation pass records. The matcher reads a database
 /// only through its rewrite keys ("rw:", and the index built from them),
-/// so a pass whose database only guides the next pass's matching records
-/// just those; the last pass records every key.
+/// so the first pass, whose database only guides the second pass's
+/// matching, records just those; the second records every key.
 enum class StatsScope {
   kAllKeys,       ///< Term, term-position, rewrite and position-pair keys.
-  kRewritesOnly,  ///< Rewrite keys only: a non-final matching pass.
+  kRewritesOnly,  ///< Rewrite keys only: the first matching pass.
 };
 
-/// Scope of pass `pass` (0-based) of a `passes`-pass build.
-inline StatsScope StatsScopeOfPass(int pass, int passes) {
-  return pass + 1 < passes ? StatsScope::kRewritesOnly : StatsScope::kAllKeys;
-}
-
 /// One accumulation pass of BuildFeatureStats over `corpus`, as a fresh
-/// database: `matching_db` is nullptr on the first pass and the previous
-/// pass's database afterwards, and `scope` is StatsScopeOfPass. Leaves the
+/// database: BuildFeatureStats runs it with (nullptr, kRewritesOnly), then
+/// against that pass's indexed database with kAllKeys. Leaves the
 /// smoothing / min-count settings at their defaults, builds no rewrite
 /// index and records no metrics; callers wanting a usable database should
 /// prefer BuildFeatureStats.
 FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
-                                      const FeatureStatsDb* matching_db,
-                                      StatsScope scope = StatsScope::kAllKeys);
+                                      const FeatureStatsDb* matching_db, StatsScope scope);
 
 }  // namespace microbrowse
 

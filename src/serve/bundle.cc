@@ -89,7 +89,6 @@ Result<std::shared_ptr<const ModelBundle>> LoadBundle(const BundlePaths& paths,
   // pointers, so it must be constructed after the bundle members reached
   // their final heap address.
   CtrPredictorOptions predictor_options;
-  predictor_options.max_ngram = bundle->config.max_ngram;
   predictor_options.fallback_curve = bundle->curve;
   bundle->predictor.emplace(bundle->classifier.model, bundle->classifier.t_registry,
                             bundle->classifier.p_registry, &bundle->stats,

@@ -13,6 +13,10 @@
 
 namespace microbrowse {
 
+/// The longest n-gram of every feature and rewrite candidate: unigrams,
+/// bigrams and trigrams.
+inline constexpr int kMaxNgram = 3;
+
 /// Number of n-grams of length 1..max_n in a window of `count` tokens,
 /// for sizing a buffer before AppendNGramsInWindow fills it.
 inline size_t NumNGramsInWindow(int count, int max_n) {
@@ -26,13 +30,13 @@ size_t NumNGrams(const Snippet& snippet, int max_n);
 
 /// Extracts all n-grams of length 1..max_n from every line of `snippet`,
 /// in (line, pos, len) lexicographic order.
-std::vector<TermSpan> ExtractNGrams(const Snippet& snippet, int max_n = 3);
+std::vector<TermSpan> ExtractNGrams(const Snippet& snippet, int max_n = kMaxNgram);
 
 /// Extracts n-grams of length 1..max_n from a single token window
 /// [begin, begin+count) of line `line`. Used to enumerate phrase candidates
 /// inside diff regions.
 std::vector<TermSpan> ExtractNGramsInWindow(const Snippet& snippet, int line, int begin, int count,
-                                            int max_n = 3);
+                                            int max_n = kMaxNgram);
 
 /// ExtractNGramsInWindow, appending to `out` instead of returning a fresh
 /// vector — lets callers gather several windows into one buffer.

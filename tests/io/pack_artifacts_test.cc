@@ -262,6 +262,20 @@ TEST_F(PackArtifactsTest, StatsPackRejectsUnusableSmoothing) {
   }
 }
 
+TEST_F(PackArtifactsTest, StatsPackRejectsNegativeMinCount) {
+  // The TSV loader refuses the same setting.
+  const std::string path = *dir_ + "/bad_min_count.mbp";
+  FeatureStatsDb db;
+  db.set_min_count(-1);
+  db.SetStat("t:x", 1, 2);
+  ASSERT_TRUE(SaveStatsPack(db, path).ok());
+  auto loaded = LoadStatsPack(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("min_count"), std::string::npos)
+      << loaded.status().message();
+}
+
 TEST_F(PackArtifactsTest, StatsPackRejectsInvalidCounts) {
   // The same rows the TSV loader rejects: positive < 0 or above total.
   const std::string path = *dir_ + "/bad_counts.mbp";

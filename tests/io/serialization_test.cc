@@ -253,6 +253,67 @@ TEST(StatsIoTest, HeaderMagicMustMatchExactly) {
   std::remove(path.c_str());
 }
 
+/// A v2 stats artifact (valid checksum footer) whose line 4 repeats the
+/// key "t:a" of line 2 with other counts.
+std::string WriteStatsWithDuplicateKey(const std::string& name) {
+  const std::string path = TempPath(name);
+  const std::string payload =
+      "#microbrowse-stats-v1\t1.0\t0\n"
+      "t:a\t1\t2\n"
+      "t:b\t3\t4\n"
+      "t:a\t5\t6\n";
+  EXPECT_TRUE(WriteArtifactAtomic(path, payload, /*rows=*/3).ok());
+  return path;
+}
+
+TEST(StatsIoTest, DuplicateKeyFailsStrictLoad) {
+  const std::string path = WriteStatsWithDuplicateKey("stats_dup_strict.tsv");
+  const auto loaded = LoadFeatureStats(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(":4:"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("duplicate stats key 't:a'"), std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(StatsIoTest, RecoveringLoadKeepsTheFirstOfADuplicateKey) {
+  const std::string path = WriteStatsWithDuplicateKey("stats_dup_salvage.tsv");
+  LoadOptions salvage;
+  salvage.recovery = LoadOptions::Recovery::kSkipAndLog;
+  LoadReport report;
+  const auto loaded = LoadFeatureStats(path, salvage, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), 2u);
+  const FeatureStat* a = loaded->Find("t:a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->positive, 1);
+  EXPECT_EQ(a->total, 2);
+  const FeatureStat* b = loaded->Find("t:b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->total, 4);
+  EXPECT_EQ(report.rows_kept, 2);
+  EXPECT_EQ(report.rows_skipped, 1);
+  EXPECT_EQ(report.first_error_line, 4);
+  std::remove(path.c_str());
+}
+
+TEST(StatsIoTest, NegativeMinCountIsRejected) {
+  const std::string path = TempPath("stats_negative_min_count.tsv");
+  WriteFile(path, "#microbrowse-stats-v1\t1.0\t-1\nt:x\t1\t2\n");
+  auto loaded = LoadFeatureStats(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(":1:"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("min_count"), std::string::npos)
+      << loaded.status().message();
+  WriteFile(path, "#microbrowse-stats-v1\t1.0\t0\nt:x\t1\t2\n");
+  EXPECT_TRUE(LoadFeatureStats(path).ok());
+  std::remove(path.c_str());
+}
+
 // --- Classifier round trip
 
 TEST(ClassifierIoTest, RoundTrip) {

@@ -171,21 +171,6 @@ TEST(ExtractionTest, WarmStartComesFromStatsDb) {
   EXPECT_GT(t_registry.InitialWeightOf(id), 0.0);
 }
 
-TEST(ExtractionTest, InitFromStatsCanBeDisabled) {
-  FeatureStatsDb db;
-  db.set_min_count(1);
-  for (int i = 0; i < 10; ++i) db.AddObservation("t:cheap", +1);
-  ClassifierConfig config = ClassifierConfig::M1();
-  config.init_from_stats = false;
-  FeatureRegistry t_registry, p_registry;
-  std::vector<CoupledOccurrence> occurrences;
-  ExtractPairOccurrences(CreativeA(), CreativeB(), db, config, &t_registry, &p_registry,
-                         &occurrences);
-  const FeatureId id = t_registry.Find("t:cheap");
-  ASSERT_NE(id, kInvalidFeatureId);
-  EXPECT_EQ(t_registry.InitialWeightOf(id), 0.0);
-}
-
 // --- Training on a synthetic-but-transparent task
 
 /// Builds a pair corpus where the creative containing "winner" always has

@@ -5,12 +5,12 @@
 // eager-interning reference (occurrence_reference.h) for every ordered
 // sibling pair of a seeded corpus, and leave both registries with the same
 // names in the same id order and bitwise-equal initial weights (signed
-// zeros included). It runs under the paper's six models and the ablations
-// that change the feature recipe, starting from empty registries, from
-// registries pre-filled by an earlier pass against another corpus's
-// statistics (so a known key's stored warm start differs from the one the
-// current database would give), and from those registries reloaded from a
-// classifier pack (known keys in the immutable base).
+// zeros included). It runs under the paper's six models, starting from
+// empty registries, from registries pre-filled by an earlier pass against
+// another corpus's statistics (so a known key's stored warm start differs
+// from the one the current database would give), and from those
+// registries reloaded from a classifier pack (known keys in the immutable
+// base).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -98,18 +98,6 @@ std::vector<NamedConfig> Configs() {
   for (const ClassifierConfig& config : ClassifierConfig::AllPaperModels()) {
     configs.push_back({config.name, config});
   }
-  ClassifierConfig no_init = ClassifierConfig::M6();
-  no_init.init_from_stats = false;
-  configs.push_back({"M6_NoInitFromStats", no_init});
-  ClassifierConfig min_support = ClassifierConfig::M6();
-  min_support.rewrite_min_support = 3;
-  configs.push_back({"M6_RewriteMinSupport3", min_support});
-  ClassifierConfig drop_matched = ClassifierConfig::M6();
-  drop_matched.drop_matched_rewrites = true;
-  configs.push_back({"M6_DropMatchedRewrites", drop_matched});
-  ClassifierConfig diff_only = ClassifierConfig::M2();
-  diff_only.diff_terms_only = true;
-  configs.push_back({"M2_DiffTermsOnly", diff_only});
   return configs;
 }
 

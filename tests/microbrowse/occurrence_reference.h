@@ -3,8 +3,8 @@
 // Test-only reference for ExtractPairOccurrences (microbrowse/classifier.h):
 // the string-keyed feature recipe and the loop that interns every
 // occurrence eagerly, computing both statistics warm starts for each one
-// and letting Intern discard them for known keys. Kept verbatim so the
-// production extraction can be differentially tested against it.
+// and letting Intern discard them for known keys. Kept so the production
+// extraction can be differentially tested against it.
 
 #ifndef MICROBROWSE_TESTS_MICROBROWSE_OCCURRENCE_REFERENCE_H_
 #define MICROBROWSE_TESTS_MICROBROWSE_OCCURRENCE_REFERENCE_H_

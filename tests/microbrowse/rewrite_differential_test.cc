@@ -3,10 +3,9 @@
 // Differential test wall for the rewrite matcher: the production
 // index-based MatchRewrites must reproduce the string-based reference
 // (rewrite_reference.h) exactly — rewrites in the same order, identical
-// residue — for every ordered sibling pair of a seeded corpus, under every
-// matching strategy and with no database, a heap-loaded database and an
-// mmap pack-loaded database. The greedy strategy is also run against the
-// in-memory build's database and against adversarial ones, because the production
+// residue — for every ordered sibling pair of a seeded corpus, with no
+// database, a heap-loaded database, an mmap pack-loaded database, the
+// in-memory build's database and adversarial ones, because the production
 // matcher finds its database candidates through the database's rewrite
 // partner index and the reference calls Find for every candidate. Also
 // checks that the two database layers answer Find identically.
@@ -20,7 +19,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -138,27 +136,20 @@ std::string FirstDifference(const Snippet& r, const Snippet& s, const PairDiff& 
   return "";
 }
 
-class MatcherDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<MatchingStrategy, DbKind>> {
+class MatcherDifferentialTest : public ::testing::TestWithParam<DbKind> {
  protected:
-  RewriteMatchOptions Options() const {
-    RewriteMatchOptions options;
-    options.strategy = std::get<0>(GetParam());
-    return options;
-  }
-  const FeatureStatsDb* Db() const { return DbFor(std::get<1>(GetParam())); }
+  const FeatureStatsDb* Db() const { return DbFor(GetParam()); }
 };
 
 TEST_P(MatcherDifferentialTest, EveryOrderedSiblingPairMatchesTheReference) {
   const auto& pairs = Fixture().pairs;
   ASSERT_GT(pairs.size(), 1000u);
-  const RewriteMatchOptions options = Options();
   size_t mismatches = 0;
   size_t rewrites = 0;
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [r, s] = pairs[i];
-    const PairDiff want = ReferenceMatchRewrites(r, s, Db(), options);
-    const PairDiff got = MatchRewrites(r, s, Db(), options);
+    const PairDiff want = ReferenceMatchRewrites(r, s, Db());
+    const PairDiff got = MatchRewrites(r, s, Db());
     rewrites += want.rewrites.size();
     const std::string difference = FirstDifference(r, s, want, got);
     if (difference.empty()) continue;
@@ -181,42 +172,25 @@ TEST_P(MatcherDifferentialTest, DiffRegionWiderThanSixteenBitIndices) {
   const Snippet r = Snippet::FromTokens({long_line});
   const Snippet s = Snippet::FromTokens(
       {{"fresh", "tok" + std::to_string(kTokens - 2), "tok" + std::to_string(kTokens - 1)}});
-  const RewriteMatchOptions options = Options();
-  const PairDiff want = ReferenceMatchRewrites(r, s, Db(), options);
-  const PairDiff got = MatchRewrites(r, s, Db(), options);
+  const PairDiff want = ReferenceMatchRewrites(r, s, Db());
+  const PairDiff got = MatchRewrites(r, s, Db());
   ASSERT_GT(want.r_only.size(), 65535u);
   EXPECT_EQ(FirstDifference(r, s, want, got), "");
-  if (options.strategy != MatchingStrategy::kFirstMatch) {
-    // Scored strategies pick the exact-text bigram at R's far end.
-    ASSERT_FALSE(got.rewrites.empty());
-    EXPECT_EQ(got.rewrites[0].r_span.pos, kTokens - 2);
-    EXPECT_EQ(got.rewrites[0].s_span.pos, 1);
-  }
+  // The exact-text bigram at R's far end wins.
+  ASSERT_FALSE(got.rewrites.empty());
+  EXPECT_EQ(got.rewrites[0].r_span.pos, kTokens - 2);
+  EXPECT_EQ(got.rewrites[0].s_span.pos, 1);
 }
 
-std::string ParamName(const ::testing::TestParamInfo<std::tuple<MatchingStrategy, DbKind>>& info) {
-  static const char* const kStrategies[] = {"GreedyStats", "FirstMatch", "PositionOnly"};
-  static const char* const kDbs[] = {"NoDb",    "HeapDb",    "PackDb",
-                                     "BuiltDb", "NoRewritesDb"};
-  return std::string(kStrategies[static_cast<int>(std::get<0>(info.param))]) + "_" +
-         kDbs[static_cast<int>(std::get<1>(info.param))];
+std::string DbName(const ::testing::TestParamInfo<DbKind>& info) {
+  static const char* const kDbs[] = {"NoDb", "HeapDb", "PackDb", "BuiltDb", "NoRewritesDb"};
+  return kDbs[static_cast<int>(info.param)];
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategiesAndDbs, MatcherDifferentialTest,
-    ::testing::Combine(::testing::Values(MatchingStrategy::kGreedyStats,
-                                         MatchingStrategy::kFirstMatch,
-                                         MatchingStrategy::kPositionOnly),
-                       ::testing::Values(DbKind::kNone, DbKind::kHeap, DbKind::kPack)),
-    ParamName);
-
-// Only kGreedyStats consults the database, so the in-memory build's
-// database and the rewrite-free database run under it alone.
-INSTANTIATE_TEST_SUITE_P(
-    ConstructionPaths, MatcherDifferentialTest,
-    ::testing::Combine(::testing::Values(MatchingStrategy::kGreedyStats),
-                       ::testing::Values(DbKind::kBuilt, DbKind::kNoRewrites)),
-    ParamName);
+INSTANTIATE_TEST_SUITE_P(AllDbs, MatcherDifferentialTest,
+                         ::testing::Values(DbKind::kNone, DbKind::kHeap, DbKind::kPack,
+                                           DbKind::kBuilt, DbKind::kNoRewrites),
+                         DbName);
 
 /// Asserts both layers give the same answer for `key`.
 void ExpectSameFind(const FeatureStatsDb& heap, const FeatureStatsDb& pack,
@@ -371,7 +345,7 @@ TEST(RewriteFilterTest, EveryCandidateTheDatabaseHoldsIsReachedByTheIndex) {
   }
 }
 
-/// Runs both matchers on the one-line pair (r, s) under kGreedyStats and
+/// Runs both matchers on the one-line pair (r, s) against `db` and
 /// returns the production result after checking it equals the reference.
 PairDiff MatchOneLine(const std::vector<std::string>& r, const std::vector<std::string>& s,
                       const FeatureStatsDb& db) {
@@ -536,14 +510,10 @@ TEST(RewriteFilterTest, CountersTallyLookupsFilterPassesAndHits) {
   EXPECT_EQ(unindexed.filter_passed(), lookups);
   EXPECT_EQ(unindexed.hits(), hits);
 
-  // Matching without a database, or with a strategy that ignores it,
-  // looks nothing up.
+  // Matching without a database looks nothing up.
   const RewriteCounters ignored;
   const auto& [r, s] = fixture.pairs[0];
-  RewriteMatchOptions position_only;
-  position_only.strategy = MatchingStrategy::kPositionOnly;
   (void)MatchRewrites(r, s, nullptr);
-  (void)MatchRewrites(r, s, &db, position_only);
   EXPECT_EQ(ignored.lookups(), 0);
   EXPECT_EQ(ignored.filter_passed(), 0);
 }
@@ -597,20 +567,16 @@ FeatureStatsDb TieHeavyDb() {
   return db;
 }
 
-class TieHeavyDifferentialTest : public ::testing::TestWithParam<MatchingStrategy> {};
-
-TEST_P(TieHeavyDifferentialTest, RepeatedTokenPairsMatchTheReference) {
+TEST(TieHeavyDifferentialTest, RepeatedTokenPairsMatchTheReference) {
   const FeatureStatsDb db = TieHeavyDb();
-  RewriteMatchOptions options;
-  options.strategy = GetParam();
   for (const FeatureStatsDb* matching_db : {static_cast<const FeatureStatsDb*>(nullptr), &db}) {
     SCOPED_TRACE(matching_db == nullptr ? "no database" : "tie database");
     size_t mismatches = 0;
     size_t rewrites = 0;
     for (const auto& [r, s] : TieHeavyPairs()) {
-      const PairDiff want = ReferenceMatchRewrites(r, s, matching_db, options);
+      const PairDiff want = ReferenceMatchRewrites(r, s, matching_db);
       const std::string difference =
-          FirstDifference(r, s, want, MatchRewrites(r, s, matching_db, options));
+          FirstDifference(r, s, want, MatchRewrites(r, s, matching_db));
       rewrites += want.rewrites.size();
       if (difference.empty()) continue;
       if (++mismatches <= 5) {
@@ -621,17 +587,6 @@ TEST_P(TieHeavyDifferentialTest, RepeatedTokenPairsMatchTheReference) {
     EXPECT_GT(rewrites, 600u);
   }
 }
-
-std::string StrategyName(const ::testing::TestParamInfo<MatchingStrategy>& info) {
-  static const char* const kNames[] = {"GreedyStats", "FirstMatch", "PositionOnly"};
-  return kNames[static_cast<int>(info.param)];
-}
-
-INSTANTIATE_TEST_SUITE_P(AllStrategies, TieHeavyDifferentialTest,
-                         ::testing::Values(MatchingStrategy::kGreedyStats,
-                                           MatchingStrategy::kFirstMatch,
-                                           MatchingStrategy::kPositionOnly),
-                         StrategyName);
 
 /// Tokens holding bytes 0x01-0x1f, which sort below the space that joins
 /// a phrase's tokens: "a b" > "a\x01" as texts although "a" < "a\x01" as
@@ -690,20 +645,16 @@ FeatureStatsDb LowByteDb() {
   return db;
 }
 
-class LowByteDifferentialTest : public ::testing::TestWithParam<MatchingStrategy> {};
-
-TEST_P(LowByteDifferentialTest, LowByteTokensMatchTheReference) {
+TEST(LowByteDifferentialTest, LowByteTokensMatchTheReference) {
   const FeatureStatsDb db = LowByteDb();
-  RewriteMatchOptions options;
-  options.strategy = GetParam();
   const int64_t hits_before = RewriteHits();
   for (const FeatureStatsDb* matching_db : {static_cast<const FeatureStatsDb*>(nullptr), &db}) {
     SCOPED_TRACE(matching_db == nullptr ? "no database" : "low-byte database");
     size_t mismatches = 0;
     size_t rewrites = 0;
     for (const auto& [r, s] : LowBytePairs()) {
-      const PairDiff want = ReferenceMatchRewrites(r, s, matching_db, options);
-      const PairDiff got = MatchRewrites(r, s, matching_db, options);
+      const PairDiff want = ReferenceMatchRewrites(r, s, matching_db);
+      const PairDiff got = MatchRewrites(r, s, matching_db);
       rewrites += want.rewrites.size();
       // The key spelled from the spans is the reference's text-ordered one.
       FeatureKeyBuffer buffer;
@@ -721,16 +672,8 @@ TEST_P(LowByteDifferentialTest, LowByteTokensMatchTheReference) {
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(rewrites, 600u);
   }
-  if (GetParam() == MatchingStrategy::kGreedyStats) {
-    EXPECT_GT(RewriteHits() - hits_before, 1000);  // The database steers the cover.
-  }
+  EXPECT_GT(RewriteHits() - hits_before, 1000);  // The database steers the cover.
 }
-
-INSTANTIATE_TEST_SUITE_P(AllStrategies, LowByteDifferentialTest,
-                         ::testing::Values(MatchingStrategy::kGreedyStats,
-                                           MatchingStrategy::kFirstMatch,
-                                           MatchingStrategy::kPositionOnly),
-                         StrategyName);
 
 TEST(LazyCoverTest, CountersTallyCandidatesPopsAndAcceptances) {
   // candidates: the scored candidates plus the geometric ones the cover

@@ -1,7 +1,7 @@
 // Copyright 2026 The Microbrowse Authors
 //
 // The string-based rewrite matcher as it stood before the index-based
-// rewrite, kept verbatim as a test-only reference. Every candidate carries
+// rewrite, kept as a test-only reference. Every candidate carries
 // copies of both span texts and a formatted rewrite key, and the list is
 // ordered with std::stable_sort. The production matcher must reproduce its
 // PairDiff exactly, rewrite order included; see
@@ -21,6 +21,9 @@ namespace microbrowse {
 
 namespace {
 
+/// Tokens of shared context annexed on each side of a diff region.
+constexpr int kContextExpansion = 2;
+
 /// A contiguous differing token window on one side of the pair.
 struct DiffRegion {
   int line = 0;
@@ -33,7 +36,7 @@ struct Candidate {
   TermSpan r_span;
   TermSpan s_span;
   double score = 0.0;
-  int order = 0;  ///< Enumeration order, used by kFirstMatch and tie-breaks.
+  int order = 0;  ///< Enumeration order, the tie-break.
 };
 
 /// Expands each region by `expansion` tokens of context on both sides
@@ -87,33 +90,23 @@ double Locality(const TermSpan& a, const TermSpan& b) {
 }
 
 double CandidateScore(const TermSpan& r_span, const std::string& r_text, const TermSpan& s_span,
-                      const std::string& s_text, const FeatureStatsDb* db,
-                      MatchingStrategy strategy) {
+                      const std::string& s_text, const FeatureStatsDb* db) {
   const double coverage = static_cast<double>(r_span.len + s_span.len);
   const double locality = Locality(r_span, s_span);
   // Exact-text pairings are pure moves — always the best explanation.
   const double exact = r_text == s_text ? 1e9 : 0.0;
-  switch (strategy) {
-    case MatchingStrategy::kFirstMatch:
-      return 0.0;  // Order decides.
-    case MatchingStrategy::kPositionOnly:
-      return exact + coverage * 10.0 + locality;
-    case MatchingStrategy::kGreedyStats: {
-      double db_score = 0.0;
-      if (db != nullptr) {
-        const SignedKey key = RewriteKey(s_text, r_text);
-        const FeatureStat* stat = db->Find(key.key);
-        if (stat != nullptr) {
-          // Frequency dominates ("a more probable rewrite has a higher
-          // score"); decisiveness (|log odds|) refines.
-          db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
-                     1e2 * std::fabs(stat->LogOdds(db->smoothing()));
-        }
-      }
-      return exact + db_score + coverage * 10.0 + locality;
+  double db_score = 0.0;
+  if (db != nullptr) {
+    const SignedKey key = RewriteKey(s_text, r_text);
+    const FeatureStat* stat = db->Find(key.key);
+    if (stat != nullptr) {
+      // Frequency dominates ("a more probable rewrite has a higher
+      // score"); decisiveness (|log odds|) refines.
+      db_score = 1e4 * std::log1p(static_cast<double>(stat->total)) +
+                 1e2 * std::fabs(stat->LogOdds(db->smoothing()));
     }
   }
-  return 0.0;
+  return exact + db_score + coverage * 10.0 + locality;
 }
 
 /// Marks `span`'s tokens in `covered` (per-line bitmask); returns false if
@@ -209,27 +202,24 @@ std::vector<std::vector<char>> MakeCoverage(const Snippet& snippet) {
 
 }  // namespace
 
-PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
-                                const RewriteMatchOptions& options) {
+PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db) {
   PairDiff out;
   std::vector<DiffRegion> r_regions;
   std::vector<DiffRegion> s_regions;
   CollectDiffRegions(r, s, &r_regions, &s_regions);
   if (r_regions.empty() && s_regions.empty()) return out;
-  ExpandAndMergeRegions(r, options.context_expansion, &r_regions);
-  ExpandAndMergeRegions(s, options.context_expansion, &s_regions);
+  ExpandAndMergeRegions(r, kContextExpansion, &r_regions);
+  ExpandAndMergeRegions(s, kContextExpansion, &s_regions);
 
   // Enumerate candidate phrase pairs across all region combinations.
   std::vector<TermSpan> r_grams;
   for (const DiffRegion& region : r_regions) {
-    auto grams = ExtractNGramsInWindow(r, region.line, region.begin, region.count,
-                                       options.max_ngram);
+    auto grams = ExtractNGramsInWindow(r, region.line, region.begin, region.count, kMaxNgram);
     r_grams.insert(r_grams.end(), grams.begin(), grams.end());
   }
   std::vector<TermSpan> s_grams;
   for (const DiffRegion& region : s_regions) {
-    auto grams = ExtractNGramsInWindow(s, region.line, region.begin, region.count,
-                                       options.max_ngram);
+    auto grams = ExtractNGramsInWindow(s, region.line, region.begin, region.count, kMaxNgram);
     s_grams.insert(s_grams.end(), grams.begin(), grams.end());
   }
 
@@ -245,10 +235,8 @@ PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const Featur
       // shared context absorb the exact-match bonus and block real phrase
       // pairings.
       if (r_span == s_span && r_text == s_text) continue;
-      candidates.push_back(
-          Candidate{r_span, s_span,
-                    CandidateScore(r_span, r_text, s_span, s_text, db, options.strategy),
-                    order++});
+      candidates.push_back(Candidate{
+          r_span, s_span, CandidateScore(r_span, r_text, s_span, s_text, db), order++});
     }
   }
   std::stable_sort(candidates.begin(), candidates.end(),
@@ -277,9 +265,9 @@ PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const Featur
     out.rewrites.push_back(RewriteMatch{candidate.r_span, candidate.s_span});
   }
 
-  out.r_only = RegionTerms(r, r_regions, options.max_ngram);
-  out.s_only = RegionTerms(s, s_regions, options.max_ngram);
-  AppendShiftRewrites(r, s, r_covered, s_covered, options.max_ngram, &out.rewrites);
+  out.r_only = RegionTerms(r, r_regions, kMaxNgram);
+  out.s_only = RegionTerms(s, s_regions, kMaxNgram);
+  AppendShiftRewrites(r, s, r_covered, s_covered, kMaxNgram, &out.rewrites);
   return out;
 }
 

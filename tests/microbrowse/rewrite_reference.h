@@ -12,8 +12,7 @@
 namespace microbrowse {
 
 /// Same contract as MatchRewrites, computed the simple way.
-PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db,
-                                const RewriteMatchOptions& options = {});
+PairDiff ReferenceMatchRewrites(const Snippet& r, const Snippet& s, const FeatureStatsDb* db);
 
 }  // namespace microbrowse
 

@@ -4,13 +4,12 @@
 // PredictPairMargin must return exactly (==, not near) the margin of the
 // interning reference (scoring_reference.h) for every ordered sibling pair
 // of a seeded training corpus and of a held-out corpus (whose pairs carry
-// features the registries never saw), under the paper's six models and the
-// ablations that change the feature recipe, for bundles reloaded from TSV
-// and from mbpack artifacts, and for a model whose weight vectors are
-// shorter than its registries (features interned after training). Held-out
-// pairs reach T and P features the registries lack, so the scorer's
-// statistics fallbacks, including that of its per-pair position table, are
-// compared too.
+// features the registries never saw), under the paper's six models, for
+// bundles reloaded from TSV and from mbpack artifacts, and for a model
+// whose weight vectors are shorter than its registries (features interned
+// after training). Held-out pairs reach T and P features the registries
+// lack, so the scorer's statistics fallbacks, including that of its
+// per-pair position table, are compared too.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -122,18 +121,6 @@ std::vector<NamedConfig> Configs() {
   for (const ClassifierConfig& config : ClassifierConfig::AllPaperModels()) {
     configs.push_back({config.name, config});
   }
-  ClassifierConfig no_init = ClassifierConfig::M6();
-  no_init.init_from_stats = false;
-  configs.push_back({"M6_NoInitFromStats", no_init});
-  ClassifierConfig min_support = ClassifierConfig::M6();
-  min_support.rewrite_min_support = 3;
-  configs.push_back({"M6_RewriteMinSupport3", min_support});
-  ClassifierConfig drop_matched = ClassifierConfig::M6();
-  drop_matched.drop_matched_rewrites = true;
-  configs.push_back({"M6_DropMatchedRewrites", drop_matched});
-  ClassifierConfig diff_only = ClassifierConfig::M2();
-  diff_only.diff_terms_only = true;
-  configs.push_back({"M2_DiffTermsOnly", diff_only});
   return configs;
 }
 
@@ -218,8 +205,8 @@ TEST_P(ScorerDifferentialTest, MarginsEqualTheInterningReference) {
     }
     EXPECT_EQ(mismatches, 0u) << bundle.name << ", of " << compared << " pairs";
     EXPECT_TRUE(saw_unseen) << bundle.name;
-    // Position features come from rewrites and from diff-only terms.
-    if (config.use_position && (config.use_rewrite_features || config.diff_terms_only)) {
+    // Position features come from rewrites.
+    if (config.use_position && config.use_rewrite_features) {
       EXPECT_TRUE(saw_unseen_p) << bundle.name;
     }
   }

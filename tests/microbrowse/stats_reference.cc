@@ -52,9 +52,9 @@ std::string RewritePositionKeyPrintf(const PositionKey& r_pos, const PositionKey
 }
 
 /// Set of n-gram texts in a snippet.
-std::unordered_set<std::string> NGramTexts(const Snippet& snippet, int max_ngram) {
+std::unordered_set<std::string> NGramTexts(const Snippet& snippet) {
   std::unordered_set<std::string> texts;
-  for (const TermSpan& span : ExtractNGrams(snippet, max_ngram)) {
+  for (const TermSpan& span : ExtractNGrams(snippet)) {
     texts.insert(snippet.SpanText(span));
   }
   return texts;
@@ -63,10 +63,10 @@ std::unordered_set<std::string> NGramTexts(const Snippet& snippet, int max_ngram
 /// Records term and term-position-conjunction observations for every
 /// n-gram of `snippet` whose text is absent from `other_texts`.
 void ObserveUniqueTerms(const Snippet& snippet,
-                        const std::unordered_set<std::string>& other_texts, int max_ngram,
-                        int delta, FeatureStatsDb* out) {
+                        const std::unordered_set<std::string>& other_texts, int delta,
+                        FeatureStatsDb* out) {
   std::unordered_set<std::string> seen;
-  for (const TermSpan& span : ExtractNGrams(snippet, max_ngram)) {
+  for (const TermSpan& span : ExtractNGrams(snippet)) {
     const std::string text = snippet.SpanText(span);
     if (other_texts.count(text) != 0) continue;
     if (seen.insert(text).second) {
@@ -77,21 +77,17 @@ void ObserveUniqueTerms(const Snippet& snippet,
 }
 
 /// One accumulation pass over the whole corpus into `out`.
-void AccumulateAll(const PairCorpus& corpus, const BuildStatsOptions& options,
-                   const FeatureStatsDb* matching_db, FeatureStatsDb* out) {
-  RewriteMatchOptions match_options;
-  match_options.max_ngram = options.max_ngram;
-
+void AccumulateAll(const PairCorpus& corpus, const FeatureStatsDb* matching_db,
+                   FeatureStatsDb* out) {
   for (const SnippetPair& pair : corpus.pairs) {
     const int delta = pair.delta_sw();
 
-    const auto r_texts = NGramTexts(pair.r.snippet, options.max_ngram);
-    const auto s_texts = NGramTexts(pair.s.snippet, options.max_ngram);
-    ObserveUniqueTerms(pair.r.snippet, s_texts, options.max_ngram, delta, out);
-    ObserveUniqueTerms(pair.s.snippet, r_texts, options.max_ngram, -delta, out);
+    const auto r_texts = NGramTexts(pair.r.snippet);
+    const auto s_texts = NGramTexts(pair.s.snippet);
+    ObserveUniqueTerms(pair.r.snippet, s_texts, delta, out);
+    ObserveUniqueTerms(pair.s.snippet, r_texts, -delta, out);
 
-    const PairDiff diff =
-        ReferenceMatchRewrites(pair.r.snippet, pair.s.snippet, matching_db, match_options);
+    const PairDiff diff = ReferenceMatchRewrites(pair.r.snippet, pair.s.snippet, matching_db);
     for (const RewriteMatch& rewrite : diff.rewrites) {
       const SignedKey key = RewriteKeyPrintf(pair.s.snippet.SpanText(rewrite.s_span),
                                              pair.r.snippet.SpanText(rewrite.r_span));
@@ -116,17 +112,14 @@ void AccumulateAll(const PairCorpus& corpus, const BuildStatsOptions& options,
 
 FeatureStatsDb ReferenceBuildFeatureStats(const PairCorpus& corpus,
                                           const BuildStatsOptions& options) {
+  FeatureStatsDb first;
+  first.set_smoothing(options.smoothing);
+  first.set_min_count(options.min_count);
+  AccumulateAll(corpus, nullptr, &first);
   FeatureStatsDb db;
   db.set_smoothing(options.smoothing);
   db.set_min_count(options.min_count);
-  const int passes = options.matching_passes < 1 ? 1 : options.matching_passes;
-  for (int pass = 0; pass < passes; ++pass) {
-    FeatureStatsDb next;
-    next.set_smoothing(options.smoothing);
-    next.set_min_count(options.min_count);
-    AccumulateAll(corpus, options, pass == 0 ? nullptr : &db, &next);
-    db = std::move(next);
-  }
+  AccumulateAll(corpus, &first, &db);
   return db;
 }
 

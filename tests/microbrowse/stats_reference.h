@@ -12,7 +12,7 @@
 namespace microbrowse {
 
 /// Same contract as BuildFeatureStats, computed the simple way: one
-/// thread, and every matching pass records every key.
+/// thread, and both matching passes record every key.
 FeatureStatsDb ReferenceBuildFeatureStats(const PairCorpus& corpus,
                                           const BuildStatsOptions& options = {});
 

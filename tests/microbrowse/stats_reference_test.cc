@@ -2,10 +2,9 @@
 //
 // Differential test wall for the statistics build: BuildFeatureStats must
 // produce exactly the (key, positive, total) set of the serial all-keys
-// reference (stats_reference.h), for one to three matching passes, one and
-// four threads, and several seeded corpora.
-// Non-final production passes keep only rewrite keys, so a pass that lost
-// or miscounted one shows up as a different final database.
+// reference (stats_reference.h), for one and four threads and several
+// seeded corpora. The first production pass keeps only rewrite keys, so a
+// pass that lost or miscounted one shows up as a different final database.
 
 #include <gtest/gtest.h>
 
@@ -67,33 +66,27 @@ AdCorpus Corpus(uint64_t seed) {
   return generated.ok() ? generated->corpus : AdCorpus{};
 }
 
-/// The reference's entries for (seed, passes), computed once per process.
-const StatSet& ReferenceEntries(uint64_t seed, int passes) {
-  static std::map<std::pair<uint64_t, int>, StatSet> cache;
-  auto it = cache.find({seed, passes});
+/// The reference's entries for `seed`, computed once per process.
+const StatSet& ReferenceEntries(uint64_t seed) {
+  static std::map<uint64_t, StatSet> cache;
+  auto it = cache.find(seed);
   if (it == cache.end()) {
-    BuildStatsOptions options;
-    options.matching_passes = passes;
     const PairCorpus pairs = ExtractSignificantPairs(Corpus(seed), {});
-    it = cache.emplace(std::make_pair(seed, passes),
-                       Entries(ReferenceBuildFeatureStats(pairs, options)))
-             .first;
+    it = cache.emplace(seed, Entries(ReferenceBuildFeatureStats(pairs))).first;
   }
   return it->second;
 }
 
-class StatsReferenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int, int>> {};
+class StatsReferenceTest : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 
 TEST_P(StatsReferenceTest, BuildMatchesReference) {
-  const auto [seed, passes, threads] = GetParam();
+  const auto [seed, threads] = GetParam();
   const PairCorpus pairs = ExtractSignificantPairs(Corpus(seed), {});
   ASSERT_GE(pairs.pairs.size(), 256u) << "too few pairs to exercise the threaded build";
   BuildStatsOptions options;
-  options.matching_passes = passes;
   options.num_threads = threads;
   const FeatureStatsDb db = BuildFeatureStats(pairs, options);
-  const StatSet& want = ReferenceEntries(seed, passes);
+  const StatSet& want = ReferenceEntries(seed);
   const StatSet got = Entries(db);
   EXPECT_EQ(FirstDifference(want, got), "");
   EXPECT_TRUE(want == got);
@@ -101,16 +94,13 @@ TEST_P(StatsReferenceTest, BuildMatchesReference) {
   EXPECT_EQ(db.min_count(), options.min_count);
 }
 
-std::string ParamName(
-    const ::testing::TestParamInfo<std::tuple<uint64_t, int, int>>& info) {
-  return "seed" + std::to_string(std::get<0>(info.param)) + "_passes" +
-         std::to_string(std::get<1>(info.param)) + "_threads" +
-         std::to_string(std::get<2>(info.param));
+std::string ParamName(const ::testing::TestParamInfo<std::tuple<uint64_t, int>>& info) {
+  return "seed" + std::to_string(std::get<0>(info.param)) + "_threads" +
+         std::to_string(std::get<1>(info.param));
 }
 
-INSTANTIATE_TEST_SUITE_P(PassesAndThreads, StatsReferenceTest,
+INSTANTIATE_TEST_SUITE_P(SeedsAndThreads, StatsReferenceTest,
                          ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{23}),
-                                            ::testing::Values(1, 2, 3),
                                             ::testing::Values(1, 4)),
                          ParamName);
 
@@ -145,21 +135,18 @@ PairCorpus LowBytePairCorpus() {
 
 TEST(StatsReferenceLowByteTest, LowByteTokensBuildTheReferenceDatabase) {
   // Every rw: key and its sign come from comparing the spelled texts, and
-  // later passes match against those keys, so a key spelled in token order
-  // shows up as a missing or extra key.
+  // the second pass matches against those keys, so a key spelled in token
+  // order shows up as a missing or extra key.
   const PairCorpus pairs = LowBytePairCorpus();
-  for (int passes : {1, 2, 3}) {
-    BuildStatsOptions options;
-    options.matching_passes = passes;
-    options.min_count = 0;
-    const StatSet want = Entries(ReferenceBuildFeatureStats(pairs, options));
-    const StatSet got = Entries(BuildFeatureStats(pairs, options));
-    EXPECT_EQ(FirstDifference(want, got), "") << passes << " passes";
-    EXPECT_TRUE(want == got) << passes << " passes";
-    EXPECT_GT(std::count_if(want.begin(), want.end(),
-                            [](const auto& entry) { return entry.first.rfind("rw:", 0) == 0; }),
-              10);
-  }
+  BuildStatsOptions options;
+  options.min_count = 0;
+  const StatSet want = Entries(ReferenceBuildFeatureStats(pairs, options));
+  const StatSet got = Entries(BuildFeatureStats(pairs, options));
+  EXPECT_EQ(FirstDifference(want, got), "");
+  EXPECT_TRUE(want == got);
+  EXPECT_GT(std::count_if(want.begin(), want.end(),
+                          [](const auto& entry) { return entry.first.rfind("rw:", 0) == 0; }),
+            10);
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ double ReferenceCtrScore(const ModelBundle& bundle, const Snippet& snippet) {
   const FeatureRegistry& t_registry = bundle.classifier.t_registry;
   const FeatureRegistry& p_registry = bundle.classifier.p_registry;
   double score = 0.0;
-  for (const TermSpan& span : ExtractNGrams(snippet, bundle.config.max_ngram)) {
+  for (const TermSpan& span : ExtractNGrams(snippet)) {
     const std::vector<std::string>& tokens = snippet.line(span.line);
     const std::string text = Join(std::vector<std::string>(tokens.begin() + span.pos,
                                                            tokens.begin() + span.pos + span.len),
