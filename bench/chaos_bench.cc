@@ -2,14 +2,14 @@
 //
 // Chaos soak harness for the serving stack: a real Server on an ephemeral
 // port, scoring latency injected through the serve.score delay failpoint,
-// and a fleet of concurrent clients driving it through overload, tight
+// and a fleet of concurrent clients driving it through saturation, tight
 // deadlines, idle eviction, connection kills, a mid-run graceful drain
 // and a server restart. Two phases:
 //
 //   accounting — raw synchronous clients (no retries, nothing hidden).
 //     Every request must come back exactly once, and the server-side
 //     counters must account for every request read:
-//       sent == served + deadline_exceeded + rejected_overload + drained
+//       sent == served + deadline_exceeded + drained
 //     with idle_evicted matching the deliberate idle probes exactly, and
 //     round-trip p99 bounded by the roomy deadline.
 //
@@ -62,7 +62,6 @@ struct Tally {
   int64_t sent = 0;
   int64_t ok = 0;
   int64_t deadline_exceeded = 0;
-  int64_t overloaded = 0;
   int64_t draining = 0;
   int64_t other_error = 0;  ///< Unclassified — any of these fails the run.
   int64_t hangs = 0;        ///< Response never arrived within the timeout.
@@ -71,7 +70,6 @@ struct Tally {
     sent += other.sent;
     ok += other.ok;
     deadline_exceeded += other.deadline_exceeded;
-    overloaded += other.overloaded;
     draining += other.draining;
     other_error += other.other_error;
     hangs += other.hangs;
@@ -119,8 +117,6 @@ class RawClient {
       tally->ok++;
     } else if (response->Get("error") == "deadline_exceeded") {
       tally->deadline_exceeded++;
-    } else if (response->Get("error") == "overloaded") {
-      tally->overloaded++;
     } else if (response->Get("error") == "draining") {
       tally->draining++;
     } else {
@@ -155,8 +151,9 @@ int main() {
   const uint64_t seed = static_cast<uint64_t>(EnvInt("MB_CHAOS_SEED", 2026));
   const int phase_ms = total_seconds * 1000 / 2;
   constexpr int kIdleProbes = 4;
-  // Tight is chosen below the typical queue wait (a full 8-deep queue at
-  // ~10 ms scoring across 4 workers waits ~20 ms), roomy far above it.
+  // Tight is chosen below the typical wait behind earlier lines of the same
+  // reactor pass (~8 clients per reactor at ~10 ms scoring each), roomy
+  // far above it.
   constexpr int64_t kTightDeadlineMs = 5;
   constexpr int64_t kRoomyDeadlineMs = 5000;
 
@@ -185,8 +182,9 @@ int main() {
   serve::BundleRegistry registry;
   if (!registry.LoadInitial(paths).ok()) return Fail("bundle load");
 
-  // Inject a little scoring latency on every cache miss so queues actually
-  // form; salted snippets below keep every request a miss.
+  // Inject a little scoring latency on every cache miss so requests
+  // actually wait behind each other; salted snippets below keep every
+  // request a miss.
   failpoint::Spec delay;
   delay.mode = failpoint::Spec::Mode::kDelay;
   delay.delay_ms = 10;
@@ -215,7 +213,6 @@ int main() {
   serve::ServerOptions options_a;
   options_a.port = 0;
   options_a.num_threads = 4;
-  options_a.max_queue = 8;  // Small on purpose: overload must actually happen.
   options_a.idle_timeout_ms = 400;
   serve::ServiceOptions service_options;
   service_options.cache_capacity = 0;  // Every request does real work.
@@ -287,48 +284,39 @@ int main() {
     return total;
   }();
   const int64_t deadline_ctr = service_a.metrics().deadline_exceeded->Value();
-  const int64_t overload_ctr = service_a.metrics().rejected_overload->Value();
   const int64_t drained_ctr = service_a.metrics().drained->Value();
   const int64_t idle_ctr = service_a.metrics().idle_evicted->Value();
   const HistogramSnapshot latency = Histogram::SnapshotFrom(latency_acc);
 
   std::printf(
-      "  sent=%lld ok=%lld deadline=%lld overloaded=%lld draining=%lld "
-      "other=%lld hangs=%lld\n"
-      "  server: served=%lld deadline=%lld overloaded=%lld drained=%lld "
-      "idle_evicted=%lld\n"
+      "  sent=%lld ok=%lld deadline=%lld draining=%lld other=%lld hangs=%lld\n"
+      "  server: served=%lld deadline=%lld drained=%lld idle_evicted=%lld\n"
       "  latency p50=%.1fms p99=%.1fms\n",
       static_cast<long long>(phase_a.sent), static_cast<long long>(phase_a.ok),
       static_cast<long long>(phase_a.deadline_exceeded),
-      static_cast<long long>(phase_a.overloaded),
       static_cast<long long>(phase_a.draining),
       static_cast<long long>(phase_a.other_error),
       static_cast<long long>(phase_a.hangs), static_cast<long long>(served),
-      static_cast<long long>(deadline_ctr), static_cast<long long>(overload_ctr),
-      static_cast<long long>(drained_ctr), static_cast<long long>(idle_ctr),
+      static_cast<long long>(deadline_ctr), static_cast<long long>(drained_ctr), static_cast<long long>(idle_ctr),
       latency.p50 * 1e3, latency.p99 * 1e3);
 
   bool ok = true;
   if (phase_a.hangs != 0) ok = !Fail("phase A: a request went unanswered");
   if (phase_a.other_error != 0) ok = !Fail("phase A: unclassified error responses");
-  if (phase_a.ok + phase_a.deadline_exceeded + phase_a.overloaded + phase_a.draining +
-          phase_a.hangs !=
+  if (phase_a.ok + phase_a.deadline_exceeded + phase_a.draining + phase_a.hangs !=
       phase_a.sent) {
     ok = !Fail("phase A: client-side accounting does not sum");
   }
-  if (served + deadline_ctr + overload_ctr + drained_ctr != phase_a.sent) {
+  if (served + deadline_ctr + drained_ctr != phase_a.sent) {
     ok = !Fail("phase A: server counters do not account for every request");
   }
   if (deadline_ctr != phase_a.deadline_exceeded) {
     ok = !Fail("phase A: deadline_exceeded counter mismatch");
   }
-  if (overload_ctr != phase_a.overloaded) {
-    ok = !Fail("phase A: rejected_overload counter mismatch");
-  }
   if (idle_ctr != kIdleProbes) ok = !Fail("phase A: idle_evicted != idle probes");
   if (phase_a.ok == 0) ok = !Fail("phase A: nothing succeeded");
   if (phase_a.deadline_exceeded == 0) {
-    ok = !Fail("phase A: tight deadlines never tripped — no queue pressure");
+    ok = !Fail("phase A: tight deadlines never tripped — nothing waited");
   }
   // Every answer must arrive within the roomy deadline plus one scoring
   // pass and scheduler slack; far past it means deadlines are not bounding
@@ -344,7 +332,6 @@ int main() {
   serve::ServerOptions options_b;
   options_b.port = 0;
   options_b.num_threads = 4;
-  options_b.max_queue = 64;
   options_b.idle_timeout_ms = 2000;
   options_b.drain_deadline_ms = 500;
   serve::ScoringService service_b(&registry, service_options);
@@ -450,7 +437,6 @@ int main() {
   out << "{\n"
       << "  \"phase_a\": {\"sent\": " << phase_a.sent << ", \"ok\": " << phase_a.ok
       << ", \"deadline_exceeded\": " << phase_a.deadline_exceeded
-      << ", \"overloaded\": " << phase_a.overloaded
       << ", \"idle_evicted\": " << idle_ctr
       << ", \"latency_p50_ms\": " << StrFormat("%.3f", latency.p50 * 1e3)
       << ", \"latency_p99_ms\": " << StrFormat("%.3f", latency.p99 * 1e3) << "},\n"

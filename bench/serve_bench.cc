@@ -524,7 +524,7 @@ int main() {
 
   // c10k: a real server and 10k concurrent socket clients in
   // this one process. Pings keep the payload trivial, so the number is the
-  // transport's — event-loop scheduling, queue admission and outbox
+  // transport's — accept hand-off, event-loop scheduling and outbox
   // flushing at connection counts where thread-per-connection would need
   // 10k stacks.
   const int c10k_requested = static_cast<int>(EnvInt("MB_C10K_CONNS", 10'000, /*min_value=*/0));
@@ -560,9 +560,6 @@ int main() {
     serve::ServerOptions c10k_options;
     c10k_options.port = 0;
     c10k_options.num_threads = 4;
-    // Admission must fit a full sweep: every connection's ping can be
-    // queued at once.
-    c10k_options.max_queue = static_cast<size_t>(c10k_conns) + 1024;
     c10k_options.idle_timeout_ms = 120'000;
     c10k_options.listen_backlog = 4096;
     serve::ScoringService c10k_service(&registry);

@@ -22,6 +22,8 @@ namespace microbrowse {
 /// same type as "a deadline", so call sites need no optional wrapper.
 class Deadline {
  public:
+  using Clock = std::chrono::steady_clock;
+
   /// Never expires.
   Deadline() = default;
 
@@ -33,16 +35,19 @@ class Deadline {
   /// not given a free pass through an "infinite" sentinel). A budget past
   /// the end of the clock's range cannot expire, so it saturates to
   /// Infinite() instead of overflowing into the past.
-  static Deadline AfterMillis(int64_t ms) {
+  static Deadline AfterMillis(int64_t ms) { return AfterMillis(ms, Clock::now()); }
+
+  /// Expires `ms` milliseconds after `start` (a request's arrival, say),
+  /// with AfterMillis's rules for non-positive and out-of-range budgets.
+  static Deadline AfterMillis(int64_t ms, Clock::time_point start) {
     using std::chrono::milliseconds;
-    const Clock::time_point now = Clock::now();
-    if (ms >= std::chrono::duration_cast<milliseconds>(Clock::time_point::max() - now)
+    if (ms >= std::chrono::duration_cast<milliseconds>(Clock::time_point::max() - start)
                   .count()) {
       return Infinite();
     }
     Deadline deadline;
     deadline.infinite_ = false;
-    deadline.at_ = now + milliseconds(std::max<int64_t>(ms, 0));
+    deadline.at_ = start + milliseconds(std::max<int64_t>(ms, 0));
     return deadline;
   }
 
@@ -70,7 +75,6 @@ class Deadline {
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
   bool infinite_ = true;
   Clock::time_point at_{};
 };

@@ -44,15 +44,35 @@
 
 namespace microbrowse {
 
-/// Monotonic event counter. Updates are one relaxed atomic add.
+/// Monotonic event counter. Updates are one relaxed atomic add into the
+/// calling thread's cache-line slot, so threads counting the same event
+/// (the serving reactors, say) never contend on one line; reads sum the
+/// slots.
 class Counter {
  public:
-  void Increment(int64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Increment(int64_t delta = 1) {
+    slots_[ThreadSlot()].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+  int64_t Value() const {
+    int64_t total = 0;
+    for (const Slot& slot : slots_) total += slot.value.load(std::memory_order_relaxed);
+    return total;
+  }
+  void Reset() {
+    for (Slot& slot : slots_) slot.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<int64_t> value_{0};
+  static constexpr unsigned kSlots = 8;
+  struct alignas(64) Slot {
+    std::atomic<int64_t> value{0};
+  };
+  static unsigned ThreadSlot() {
+    static std::atomic<unsigned> next{0};
+    thread_local const unsigned slot = next.fetch_add(1, std::memory_order_relaxed) % kSlots;
+    return slot;
+  }
+  std::array<Slot, kSlots> slots_;
 };
 
 /// Last-write-wins instantaneous value.

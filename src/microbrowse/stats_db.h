@@ -182,13 +182,6 @@ class FeatureStatsDb {
   }
   const FeatureStat* Find(std::string_view key) const { return Find(pack::HashedKey(key)); }
 
-  /// Number of observations of `key` (0 when unseen).
-  int64_t Count(const pack::HashedKey& key) const {
-    const FeatureStat* stat = Find(key);
-    return stat != nullptr ? stat->total : 0;
-  }
-  int64_t Count(std::string_view key) const { return Count(pack::HashedKey(key)); }
-
   /// Warm-start weight: log odds of `key`; 0 (neutral) for unseen features
   /// and for features below the min-count support threshold.
   double LogOdds(const pack::HashedKey& key) const {

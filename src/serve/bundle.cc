@@ -96,6 +96,27 @@ Result<std::shared_ptr<const ModelBundle>> LoadBundle(const BundlePaths& paths,
   return std::shared_ptr<const ModelBundle>(std::move(bundle));
 }
 
+BundleRegistry::BundleRegistry() : id_([] {
+  static std::atomic<uint64_t> next_id{1};
+  return next_id.fetch_add(1, std::memory_order_relaxed);
+}()) {}
+
+const ModelBundle* BundleRegistry::CurrentOnThisThread() const {
+  struct View {
+    uint64_t registry = 0;
+    uint64_t version = 0;
+    std::shared_ptr<const ModelBundle> bundle;
+  };
+  thread_local View view;
+  const uint64_t version = version_.load(std::memory_order_acquire);
+  if (view.registry != id_ || view.version != version) {
+    view.bundle = current_.load(std::memory_order_acquire);
+    view.registry = id_;
+    view.version = version;
+  }
+  return view.bundle.get();
+}
+
 Status BundleRegistry::LoadInitial(const BundlePaths& paths) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   if (current_.load(std::memory_order_acquire) != nullptr) {
@@ -104,6 +125,7 @@ Status BundleRegistry::LoadInitial(const BundlePaths& paths) {
   auto bundle = LoadBundle(paths, /*generation=*/1);
   if (!bundle.ok()) return bundle.status();
   current_.store(*std::move(bundle), std::memory_order_release);
+  version_.fetch_add(1, std::memory_order_release);
   return Status::OK();
 }
 
@@ -136,6 +158,7 @@ Status BundleRegistry::Reload(bool force) {
     return bundle.status();
   }
   current_.store(*std::move(bundle), std::memory_order_release);
+  version_.fetch_add(1, std::memory_order_release);
   reloads_.fetch_add(1, std::memory_order_relaxed);
   last_reload_failed_.store(false, std::memory_order_relaxed);
   MB_LOG(kInfo) << "reloaded model bundle: generation " << current->generation << " -> "

@@ -81,7 +81,7 @@ Result<std::shared_ptr<const ModelBundle>> LoadBundle(const BundlePaths& paths,
 /// Holds the current serving bundle and performs atomic hot reloads.
 class BundleRegistry {
  public:
-  BundleRegistry() = default;
+  BundleRegistry();
 
   /// Loads the initial generation (generation 1). Must be called once,
   /// before Current().
@@ -103,6 +103,16 @@ class BundleRegistry {
   std::shared_ptr<const ModelBundle> Current() const {
     return current_.load(std::memory_order_acquire);
   }
+
+  /// Current() for the serving hot path, without writing a shared cache
+  /// line: the calling thread keeps its own reference to the bundle it
+  /// last saw and swaps it only once a reload has published a new one, so
+  /// concurrent serving threads do not contend on the reference count. The
+  /// pointer stays valid until the calling thread's next call (on any
+  /// registry); null before LoadInitial. The reference keeps that bundle
+  /// alive until the thread's next call or its exit, so a long-lived thread
+  /// should call again when idle (the server's reactors do on every tick).
+  const ModelBundle* CurrentOnThisThread() const;
 
   /// Generation of the current bundle (0 before LoadInitial).
   uint64_t generation() const {
@@ -132,6 +142,9 @@ class BundleRegistry {
 
  private:
   std::atomic<std::shared_ptr<const ModelBundle>> current_;
+  /// Bumped after every store to current_: what CurrentOnThisThread checks.
+  std::atomic<uint64_t> version_{0};
+  const uint64_t id_;  ///< Process-unique, for CurrentOnThisThread's cache.
   std::mutex reload_mu_;  ///< Serializes Reload; never held on the read path.
   std::atomic<int64_t> reloads_{0};
   std::atomic<int64_t> skipped_reloads_{0};

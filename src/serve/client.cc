@@ -115,7 +115,7 @@ Result<Request> ResilientClient::RoundTripOnce(const std::string& line) {
   if (response->Get("ok") == "true") return response;
   // The connection survives a refusal; only the request was rejected.
   const std::string error(response->Get("error", "(no detail)"));
-  if (error == "overloaded" || error == "draining") {
+  if (error == "draining") {
     last_retry_after_ms_ = ParseInt64(response->Get("retry_after_ms"), 0);
     return Status::Unavailable("server refused: " + error);
   }

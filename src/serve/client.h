@@ -4,9 +4,8 @@
 // --server mode, the resilience tests and the chaos soak harness. One
 // request is in flight at a time (responses therefore arrive in order; no
 // id matching needed), and every transient failure — connect refusal, a
-// dropped connection, an "overloaded" shed or a "draining" refusal — is
-// retried with exponential backoff and full jitter, reconnecting as
-// needed. A "draining" refusal's retry_after_ms is honoured as the floor
+// dropped connection or a "draining" refusal — is retried with
+// exponential backoff and full jitter, reconnecting as needed. A "draining" refusal's retry_after_ms is honoured as the floor
 // of the next delay: the server names the earliest useful retry time, and
 // hammering a draining server any sooner is wasted work on both sides.
 //

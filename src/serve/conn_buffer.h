@@ -3,9 +3,8 @@
 // Per-connection input buffering for the epoll reactor: the kernel writes
 // straight into the buffer's tail (ReserveTail/CommitTail — no intermediate
 // chunk copy), and complete lines come back as string_views into the same
-// storage (NextLine — no per-line allocation). Only a request that is
-// actually admitted to the scoring queue is ever copied; refusals, HTTP
-// headers and health probes are parsed in place.
+// storage (NextLine — no per-line allocation). Every line is parsed in
+// place: nothing on the request path copies it.
 //
 // Consumed bytes are reclaimed by offset, not erase: when every buffered
 // byte has been consumed the buffer resets to empty for free (the common
@@ -75,7 +74,8 @@ class ConnBuffer {
  public:
   /// `pool` may be null (tests); storage is then plain-allocated. A partial
   /// line longer than `max_line_bytes` flips overlong() permanently — the
-  /// caller evicts the connection.
+  /// caller evicts the connection. Complete lines not yet consumed do not
+  /// count: a reader may buffer several reads before framing them.
   explicit ConnBuffer(size_t max_line_bytes, BufferPool* pool = nullptr)
       : max_line_bytes_(max_line_bytes), pool_(pool) {
     if (pool_ != nullptr) data_ = pool_->Acquire();
@@ -97,9 +97,13 @@ class ConnBuffer {
 
   /// Publishes `n` bytes the kernel wrote into ReserveTail's span.
   void CommitTail(size_t n) {
+    const char* fresh = data_.data() + size_;
+    if (const void* newline = ::memrchr(fresh, '\n', n)) {
+      partial_start_ = size_ + static_cast<size_t>(static_cast<const char*>(newline) - fresh) + 1;
+    }
     size_ += n;
     total_bytes_ += n;
-    if (size_ - start_ > max_line_bytes_) overlong_ = true;
+    if (size_ - partial_start_ > max_line_bytes_) overlong_ = true;
   }
 
   /// Next complete line as a view into the buffer ('\n' stripped, a '\r'
@@ -137,9 +141,11 @@ class ConnBuffer {
       // well-formed traffic, so the buffer almost never memmoves.
       start_ = 0;
       size_ = 0;
+      partial_start_ = 0;
     } else if (start_ > 64 * 1024 && start_ * 2 > size_) {
       std::memmove(data_.data(), data_.data() + start_, size_ - start_);
       size_ -= start_;
+      partial_start_ -= start_;
       start_ = 0;
     }
   }
@@ -149,6 +155,7 @@ class ConnBuffer {
   std::vector<char> data_;
   size_t start_ = 0;  ///< First unconsumed byte.
   size_t size_ = 0;   ///< One past the last committed byte.
+  size_t partial_start_ = 0;  ///< First byte after the last committed '\n'.
   uint64_t total_bytes_ = 0;
   bool overlong_ = false;
 };

@@ -132,13 +132,15 @@ class ShardedLruCache {
     uint64_t key;
     Value value;
   };
-  struct Shard {
+  /// Cache-line aligned, with the lookup counters on the mutex's line: a
+  /// counted lookup touches one line of shard state besides the entry.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::list<Entry> order;  ///< Front = most recent.
-    std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index;
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
     std::atomic<int64_t> evictions{0};
+    std::list<Entry> order;  ///< Front = most recent.
+    std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index;
   };
 
   Shard& ShardFor(uint64_t key) { return shards_[(key >> 48) & mask_]; }

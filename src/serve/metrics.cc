@@ -51,8 +51,7 @@ std::array<EndpointMetrics, kNumEndpoints> MakeEndpoints(MetricRegistry* registr
 }  // namespace
 
 ServerMetrics::ServerMetrics(MetricRegistry* registry)
-    : rejected_overload(registry->GetCounter("mb.serve.rejected_overload")),
-      deadline_exceeded(registry->GetCounter("mb.serve.deadline_exceeded")),
+    : deadline_exceeded(registry->GetCounter("mb.serve.deadline_exceeded")),
       drained(registry->GetCounter("mb.serve.drained")),
       idle_evicted(registry->GetCounter("mb.serve.idle_evicted")),
       write_timeout(registry->GetCounter("mb.serve.write_timeout")),
@@ -76,7 +75,6 @@ std::string ServerMetrics::RenderStatszJson() const {
         .Number("latency_mean_ms", latency.mean() * 1e3);
     top.Raw(kNames[i], entry.Finish());
   }
-  top.Int("rejected_overload", rejected_overload->Value());
   top.Int("deadline_exceeded", deadline_exceeded->Value());
   top.Int("drained", drained->Value());
   top.Int("idle_evicted", idle_evicted->Value());

@@ -2,18 +2,18 @@
 //
 // Per-endpoint serving metrics backed by the process-wide metric registry
 // (common/metrics.h): request/error counters, a sharded latency histogram
-// (p50/p95/p99) and cache hit counters, plus server-level counters (queue
-// rejections) and a batch-size histogram. Everything on the request path
-// is an atomic increment; statsz and /metricsz aggregate on demand.
+// (p50/p95/p99) and cache hit counters, plus server-level counters
+// (refusals, evictions) and a batch-size histogram. Everything on the
+// request path is an atomic increment; statsz and /metricsz aggregate on
+// demand.
 //
 // Metric names follow the mb.<subsystem>.<name> scheme:
 // mb.serve.<endpoint>.{requests,errors,cache_hits,cache_misses,latency}
-// plus the server-level counters mb.serve.rejected_overload,
-// mb.serve.deadline_exceeded, mb.serve.drained, mb.serve.idle_evicted,
-// mb.serve.write_timeout and the mb.serve.batch_size histogram. The four
-// refusal counters plus per-endpoint ok responses exactly account for every
-// request the server ever read — the invariant the chaos soak harness
-// asserts.
+// plus the server-level counters mb.serve.deadline_exceeded,
+// mb.serve.drained, mb.serve.idle_evicted, mb.serve.write_timeout and the
+// mb.serve.batch_size histogram. The two refusal counters plus
+// per-endpoint requests exactly account for every request the server ever
+// read — the invariant the chaos soak harness asserts.
 
 #ifndef MICROBROWSE_SERVE_METRICS_H_
 #define MICROBROWSE_SERVE_METRICS_H_
@@ -90,11 +90,8 @@ class ServerMetrics {
     return endpoints_[static_cast<int>(endpoint)];
   }
 
-  /// Requests rejected by admission control (queue full or the
-  /// per-connection in-flight cap).
-  Counter* rejected_overload;
-  /// Requests refused because their deadline budget was spent before a
-  /// worker reached them.
+  /// Requests refused because their deadline budget was spent, counted
+  /// from their read, before their reactor reached them.
   Counter* deadline_exceeded;
   /// Requests refused with "draining" after the server began its drain.
   Counter* drained;
@@ -106,12 +103,13 @@ class ServerMetrics {
   /// may be dropped on such a connection — eviction is connection-scoped,
   /// so this counter sits outside the request accounting invariant.
   Counter* write_timeout;
-  /// Batch-size distribution of the scoring pool's worker drain loop.
+  /// Responses written per dispatched read chunk: one connection's lines
+  /// answered in one reactor pass.
   ShardedHistogram* batch_size;
 
   /// Renders the nested statsz JSON object (cache stats are appended by
   /// the service, which owns the caches): {"score_pair":{"requests":...},
-  /// ...,"rejected_overload":N}.
+  /// ...,"deadline_exceeded":N,...}.
   std::string RenderStatszJson() const;
 
  private:

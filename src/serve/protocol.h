@@ -22,21 +22,20 @@
 // statsz's per-endpoint maps) — emitted via JsonWriter::Raw, never parsed
 // back by this codec.
 //
-// Deadlines: any request may carry "deadline_ms":N, the client's queue-wait
+// Deadlines: any request may carry "deadline_ms":N, the client's wait
 // budget measured from the moment the server reads the line (monotonic
-// clock; never wall time). A request still queued when its budget runs out
-// is answered {"ok":false,"error":"deadline_exceeded"} without being
-// scored. A cached result is answered as its line is read, so only a
-// budget already spent then (deadline_ms <= 0) refuses it. Servers may also impose a default via --default-deadline-ms for
-// requests that carry no deadline of their own.
+// clock; never wall time). A request whose budget runs out while earlier
+// lines of the same read are answered is refused
+// {"ok":false,"error":"deadline_exceeded"} without being scored; a budget
+// already spent at the read (deadline_ms <= 0) always is. Servers may also
+// impose a default via --default-deadline-ms for requests that carry no
+// deadline of their own.
 //
 // Refusal vocabulary — the closed set of "error" values a client must be
 // prepared to handle on any request:
 //
-//   "deadline_exceeded" — queue wait exhausted the deadline budget.
-//   "overloaded"        — shed at admission (queue full, or the connection
-//                         is over its pipelined in-flight cap). Retry with
-//                         backoff.
+//   "deadline_exceeded" — the wait from the request's read to its turn
+//                         exhausted the deadline budget.
 //   "draining"          — the server is shutting down gracefully and admits
 //                         no new work; carries "retry_after_ms":N as the
 //                         suggested floor before retrying elsewhere/again.
@@ -128,7 +127,7 @@ void JsonEscapeTo(std::string_view text, std::string* out);
 
 /// Builds one response line. Fields appear in insertion order; Raw splices
 /// pre-serialized JSON (arrays / objects) under a key. Reset() clears the
-/// writer while keeping its buffer capacity, so a per-worker writer builds
+/// writer while keeping its buffer capacity, so a per-thread writer builds
 /// responses with zero steady-state allocations.
 class JsonWriter {
  public:

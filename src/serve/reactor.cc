@@ -2,9 +2,6 @@
 
 #include "serve/reactor.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -25,21 +22,24 @@ namespace {
 /// recv(2) chunk size per read.
 constexpr size_t kReadChunkBytes = 16 * 1024;
 
-/// The starvation bound: recv calls one connection may consume per wakeup
+/// The starvation bound: recv calls one connection may consume per pass
 /// before being re-queued behind the other ready connections.
-constexpr int kMaxReadsPerEvent = 8;
+constexpr int kMaxReadsPerPass = 8;
 
 /// Interest set of an idle connection. Edge-triggered, so a readiness event
 /// must be drained until EAGAIN (the kernel will not re-notify), in return
 /// for fewer epoll_wait wakeups per request at saturation.
 constexpr uint32_t kReadEvents = EPOLLIN | EPOLLET;
 
-/// The connection whose read burst this thread is dispatching: set only on
-/// the reactor thread, for the duration of one chunk's handler callbacks.
-thread_local const ReactorConn* tls_dispatching = nullptr;
-
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
+}
+
+/// Adds `delta` to a counter that only the calling reactor thread writes:
+/// a plain load and store, no locked read-modify-write.
+template <typename T>
+void AddOwned(std::atomic<T>& counter, T delta) {
+  counter.store(counter.load(std::memory_order_relaxed) + delta, std::memory_order_release);
 }
 
 }  // namespace
@@ -48,110 +48,27 @@ Status Errno(const char* what) {
 // ReactorConn
 // ---------------------------------------------------------------------------
 
-bool ReactorConn::AppendLocked(std::string_view bytes, bool raw) {
-  if (!alive.load(std::memory_order_acquire) || overflowed_ || write_error_) return false;
-  outbox_.append(bytes.data(), bytes.size());
+void ReactorConn::Write(std::string_view payload, bool raw) {
+  if (killed_ || closed_) return;
+  outbox_.append(payload.data(), payload.size());
   if (!raw) outbox_.push_back('\n');
-  reactor_->pending_out_bytes_.fetch_add(static_cast<int64_t>(bytes.size() + (raw ? 0 : 1)),
-                                         std::memory_order_acq_rel);
-  return true;
+  ++writes_;
 }
 
-void ReactorConn::SendLocked() {
-  TryFlushLocked();
-  if (PendingLocked() > max_outbox_bytes_) {
-    // The peer is not reading: buffering its backlog without bound would
-    // let one stalled client consume arbitrary memory. Mark it for
-    // eviction; the reactor maps this onto mb.serve.write_timeout.
-    overflowed_ = true;
-  }
-}
-
-bool ReactorConn::TryFlushLocked() {
+void ReactorConn::TryFlush() {
   while (out_start_ < outbox_.size()) {
     Result<size_t> sent = SendSome(
         socket_, std::string_view(outbox_.data() + out_start_, outbox_.size() - out_start_));
     if (!sent.ok()) {
       write_error_ = true;
-      return false;
+      return;
     }
-    if (*sent == 0) return false;  // Kernel buffer full — wait for EPOLLOUT.
+    if (*sent == 0) return;  // Kernel buffer full — wait for EPOLLOUT.
     out_start_ += *sent;
     total_flushed_ += *sent;
-    reactor_->pending_out_bytes_.fetch_sub(static_cast<int64_t>(*sent),
-                                           std::memory_order_acq_rel);
   }
   outbox_.clear();
   out_start_ = 0;
-  return true;
-}
-
-void ReactorConn::Kill() {
-  // Only mark and wake: the reactor thread alone releases the fd, so a
-  // worker's Kill can never race a close into a recycled descriptor.
-  if (alive.exchange(false, std::memory_order_acq_rel)) {
-    reactor_->RequestFlush(shared_from_this());
-  }
-}
-
-void ReactorConn::WriteSeq(uint64_t seq, std::string_view payload, bool raw) {
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lock(seq_mu_);
-    if (seq != next_flush_) {
-      // Early completion: park a copy, reusing a retired buffer when one is
-      // available so steady-state holds allocate nothing.
-      HeldResponse held;
-      if (!spare_payloads_.empty()) {
-        held.payload = std::move(spare_payloads_.back());
-        spare_payloads_.pop_back();
-      }
-      held.seq = seq;
-      held.raw = raw;
-      held.payload.assign(payload);
-      held_.push_back(std::move(held));
-      return;
-    }
-    std::lock_guard<std::mutex> out_lock(out_mu_);
-    // Dead connections still advance the cursor (AppendLocked drops the
-    // bytes) so SeqDrained converges and successors release.
-    bool appended = AppendLocked(payload, raw);
-    ++next_flush_;
-    // Append any parked successors that are now in line, so one send
-    // carries them all.
-    bool progressed = true;
-    while (progressed && !held_.empty()) {
-      progressed = false;
-      for (size_t i = 0; i < held_.size(); ++i) {
-        if (held_[i].seq != next_flush_) continue;
-        appended = AppendLocked(held_[i].payload, held_[i].raw) || appended;
-        ++next_flush_;
-        if (spare_payloads_.size() < kMaxSparePayloads &&
-            held_[i].payload.capacity() <= kMaxSparePayloadBytes) {
-          held_[i].payload.clear();
-          spare_payloads_.push_back(std::move(held_[i].payload));
-        }
-        held_[i] = std::move(held_.back());
-        held_.pop_back();
-        progressed = true;
-        break;
-      }
-    }
-    // The reactor thread dispatching this connection's read burst only
-    // appends: it sends the whole burst's responses once the burst ends.
-    if (!appended || tls_dispatching == this) return;
-    SendLocked();
-    if ((PendingLocked() > 0 || write_error_ || overflowed_) && !flush_requested_) {
-      flush_requested_ = true;
-      need_wake = true;
-    }
-  }
-  if (need_wake) reactor_->RequestFlush(shared_from_this());
-}
-
-bool ReactorConn::SeqDrained() {
-  std::lock_guard<std::mutex> lock(seq_mu_);
-  return next_flush_ == next_seq_assign_.load(std::memory_order_acquire);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,17 +83,11 @@ Reactor::~Reactor() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
-Status Reactor::Init(int listener_fd) {
+Status Reactor::Init() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return Errno("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) return Errno("eventfd");
-
-  listener_fd_ = listener_fd;
-  const int flags = ::fcntl(listener_fd_, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(listener_fd_, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return Errno("fcntl(listener O_NONBLOCK)");
-  }
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -184,11 +95,6 @@ Status Reactor::Init(int listener_fd) {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
     return Errno("epoll_ctl(ADD wakeup)");
   }
-  ev.data.fd = listener_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_fd_, &ev) != 0) {
-    return Errno("epoll_ctl(ADD listener)");
-  }
-  listener_registered_ = true;
   return Status::OK();
 }
 
@@ -198,14 +104,9 @@ void Reactor::Run() {
   Deadline next_tick = Deadline::AfterMillis(options_.tick_ms);
 
   while (!stop_.load(std::memory_order_acquire)) {
-    if (stop_accepting_.load(std::memory_order_acquire) && listener_registered_) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_fd_, nullptr);
-      listener_registered_ = false;
-    }
-
-    // Connections still owed a read pass must not wait for the next
-    // kernel event (none may come — the edge already fired): poll
-    // without blocking until the backlog clears.
+    // Connections still owed a read must not wait for the next kernel
+    // event (none may come — the edge already fired): poll without
+    // blocking until the backlog clears.
     const int64_t wait_ms =
         pending_reads_.empty()
             ? std::min<int64_t>(options_.tick_ms, next_tick.remaining_millis())
@@ -217,6 +118,10 @@ void Reactor::Run() {
       break;  // The epoll set itself failed; nothing recoverable remains.
     }
 
+    // Read phase: every ready connection, before any line is dispatched.
+    std::vector<std::shared_ptr<ReactorConn>> backlog;
+    backlog.swap(pending_reads_);
+    for (const auto& conn : backlog) conn->read_pending_ = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const uint32_t ev = events[i].events;
@@ -224,60 +129,52 @@ void Reactor::Run() {
         uint64_t count = 0;
         while (::read(wake_fd_, &count, sizeof(count)) > 0) {
         }
-        continue;
-      }
-      if (fd == listener_fd_) {
-        HandleAccept();
+        AdoptQueued();
         continue;
       }
       // Look the connection up by fd: an event for a connection closed
-      // earlier in this same batch simply misses (its fd is still held
-      // open in deferred_close_, so the kernel cannot have recycled it
-      // into a new connection yet).
+      // earlier in this pass simply misses (its fd is still held open in
+      // deferred_close_, so the kernel cannot have recycled it yet).
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
-      std::shared_ptr<ReactorConn> conn = it->second;
-      if (ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) HandleReadable(conn);
-      if ((ev & EPOLLOUT) && !conn->closed_) HandleWritable(conn);
+      ReactorConn& conn = *it->second;
+      if (ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) ReadConn(conn);
+      if ((ev & EPOLLOUT) && !conn.closed_) Flush(conn);
+    }
+    // The read backlog gets one more budgeted read per pass, interleaved
+    // with fresh events so one firehose cannot starve the others.
+    for (const auto& conn : backlog) {
+      if (!conn->closed_ && !conn->dispatch_pending_) ReadConn(*conn);
     }
 
-    DrainWakeups();
-
-    // Service the read backlog: one more budgeted pass per connection per
-    // loop iteration, interleaved with fresh events so a drain-until-EAGAIN
-    // on one firehose cannot starve the others.
-    if (!pending_reads_.empty()) {
-      std::vector<std::shared_ptr<ReactorConn>> again;
-      again.swap(pending_reads_);
-      for (const auto& conn : again) {
-        conn->read_pending_ = false;
-        if (!conn->closed_) HandleReadable(conn);
-      }
-    }
+    // Dispatch phase: each read connection's lines, in read order.
+    for (ReactorConn* conn : ready_) DispatchConn(*conn);
+    ready_.clear();
 
     if (next_tick.expired()) {
       HandleTick();
       next_tick = Deadline::AfterMillis(options_.tick_ms);
     }
 
-    deferred_close_.clear();  // Now the batch is over, released fds may close.
+    deferred_close_.clear();  // Now the pass is over, released fds may close.
+    AddOwned<uint64_t>(passes_, 1);
   }
 
-  // Shutdown: every remaining connection leaves through the same door.
+  // Shutdown: every remaining connection leaves through the same door, and
+  // a socket adopted too late to be served is closed unanswered.
+  {
+    std::lock_guard<std::mutex> lock(adopt_mu_);
+    adopt_queue_.clear();
+  }
   std::vector<std::shared_ptr<ReactorConn>> remaining;
   remaining.reserve(conns_.size());
   for (auto& entry : conns_) remaining.push_back(entry.second);
-  for (auto& conn : remaining) CloseConn(conn, CloseReason::kServerStop);
+  for (auto& conn : remaining) CloseConn(*conn, CloseReason::kServerStop);
   deferred_close_.clear();
 }
 
 void Reactor::Stop() {
   stop_.store(true, std::memory_order_release);
-  Wake();
-}
-
-void Reactor::StopAccepting() {
-  stop_accepting_.store(true, std::memory_order_release);
   Wake();
 }
 
@@ -287,266 +184,216 @@ void Reactor::Wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void Reactor::RequestFlush(std::shared_ptr<ReactorConn> conn) {
+void Reactor::Adopt(Socket socket) {
   {
-    std::lock_guard<std::mutex> lock(wakeup_mu_);
-    flush_queue_.push_back(std::move(conn));
+    std::lock_guard<std::mutex> lock(adopt_mu_);
+    adopt_queue_.push_back(std::move(socket));
   }
   Wake();
 }
 
-void Reactor::DrainWakeups() {
-  std::vector<std::shared_ptr<ReactorConn>> pending;
+void Reactor::AdoptQueued() {
+  std::vector<Socket> adopted;
   {
-    std::lock_guard<std::mutex> lock(wakeup_mu_);
-    pending.swap(flush_queue_);
+    std::lock_guard<std::mutex> lock(adopt_mu_);
+    adopted.swap(adopt_queue_);
   }
-  for (const auto& conn : pending) {
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu_);
-      conn->flush_requested_ = false;
-      if (!conn->closed_) conn->TryFlushLocked();
-    }
-    if (!conn->closed_) UpdateWriteInterest(conn);
-  }
+  for (Socket& socket : adopted) AddConn(std::move(socket));
 }
 
-void Reactor::HandleAccept() {
-  for (;;) {
-    const int fd = ::accept4(listener_fd_, nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // EAGAIN: backlog dry. Other errors: wait for the next event.
-    }
-    Socket socket(fd);
-    if (stop_accepting_.load(std::memory_order_acquire)) continue;  // Drop it.
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.sndbuf_bytes > 0) {
-      (void)SetSendBufferBytes(socket, options_.sndbuf_bytes);
-    }
-
-    auto conn =
-        std::make_shared<ReactorConn>(std::move(socket), this, options_, &buffer_pool_);
-    if (options_.idle_timeout_ms > 0) {
-      conn->idle_ = Deadline::AfterMillis(options_.idle_timeout_ms);
-    }
-
-    epoll_event ev{};
-    ev.events = kReadEvents;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) continue;  // Dtor closes.
-    conns_.emplace(fd, std::move(conn));
-    active_connections_.fetch_add(1, std::memory_order_acq_rel);
+void Reactor::AddConn(Socket socket) {
+  const int fd = socket.fd();
+  auto conn = std::make_shared<ReactorConn>(std::move(socket), options_.max_line_bytes,
+                                            &buffer_pool_);
+  if (options_.idle_timeout_ms > 0) {
+    conn->idle_ = Deadline::AfterMillis(options_.idle_timeout_ms);
   }
+  epoll_event ev{};
+  ev.events = kReadEvents;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return;  // Dtor closes.
+  conns_.emplace(fd, std::move(conn));
+  AddOwned<size_t>(active_connections_, 1);
 }
 
-void Reactor::HandleReadable(const std::shared_ptr<ReactorConn>& conn) {
-  if (conn->closed_) return;
+void Reactor::ReadConn(ReactorConn& conn) {
+  // A connection that will answer no further line is not read: what its
+  // peer sends waits in the kernel, bounded by the TCP window, instead of
+  // in the read buffer. Dispatch leaves only the partial line behind, so
+  // a read buffer holds at most max_line_bytes plus one pass's budget.
+  if (conn.closed_ || conn.eof_ || conn.killed_ || conn.close_after_flush_) return;
 
   // Drain until EAGAIN (the edge will not re-arm), but stop after
-  // kMaxReadsPerEvent recvs so one firehose connection cannot starve the
+  // kMaxReadsPerPass recvs so one firehose connection cannot starve the
   // rest of the set — a budget-exhausted connection is re-queued via
-  // pending_reads_.
+  // pending_reads_. Nothing is dispatched yet: the buffer holds every
+  // line read until the dispatch phase.
+  bool read_any = false;
   bool maybe_more = false;
-  for (int read_count = 0; read_count < kMaxReadsPerEvent; ++read_count) {
-    char* tail = conn->in_.ReserveTail(kReadChunkBytes);
-    const ssize_t n = ::recv(conn->socket_.fd(), tail, kReadChunkBytes, 0);
+  for (int read_count = 0; read_count < kMaxReadsPerPass; ++read_count) {
+    char* tail = conn.in_.ReserveTail(kReadChunkBytes);
+    const ssize_t n = ::recv(conn.socket_.fd(), tail, kReadChunkBytes, 0);
     if (n == 0) {
-      CloseConn(conn, conn->in_.pending_bytes() > 0 ? CloseReason::kError
-                                                    : CloseReason::kEof);
-      return;
+      conn.eof_ = true;  // Answer what was read, then close.
+      maybe_more = false;
+      break;
     }
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        maybe_more = false;
+        maybe_more = errno == EINTR;
         break;
       }
       CloseConn(conn, CloseReason::kError);
       return;
     }
-    conn->in_.CommitTail(static_cast<size_t>(n));
-    if (conn->in_.overlong()) {
+    conn.in_.CommitTail(static_cast<size_t>(n));
+    if (conn.in_.overlong()) {
       CloseConn(conn, CloseReason::kOverlongLine);
       return;
     }
+    read_any = true;
     // The budget may expire with bytes still buffered in the kernel; only
     // a short read proves the socket drained at this instant.
     maybe_more = static_cast<size_t>(n) == kReadChunkBytes;
-
-    // Dispatch every complete line this chunk finished: pipelined requests
-    // already buffered dispatch without further syscalls. Responses the
-    // handler writes meanwhile only append to the outbox; the chunk's
-    // burst then leaves in one send.
-    std::string_view line;
-    tls_dispatching = conn.get();
-    while (!conn->closed_ && !conn->close_after_flush_ &&
-           conn->alive.load(std::memory_order_acquire) && conn->in_.NextLine(&line)) {
-      handler_->OnLine(conn, line);
-    }
-    tls_dispatching = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu_);
-      if (conn->PendingLocked() > 0) conn->SendLocked();
-    }
-    if (conn->closed_) return;
-    if (conn->close_after_flush_ ||
-        !conn->alive.load(std::memory_order_acquire)) {
-      maybe_more = false;
-      break;
-    }
     if (!maybe_more) break;
   }
-  if (maybe_more && !conn->closed_ && !conn->read_pending_) {
-    conn->read_pending_ = true;
-    pending_reads_.push_back(conn);
+  if (read_any || conn.eof_) {
+    conn.read_at_ = std::chrono::steady_clock::now();
+    if (!conn.dispatch_pending_) {
+      conn.dispatch_pending_ = true;
+      ready_.push_back(&conn);
+    }
   }
-  if (!conn->closed_) UpdateWriteInterest(conn);
+  if (maybe_more && !conn.read_pending_) {
+    conn.read_pending_ = true;
+    pending_reads_.push_back(conns_.at(conn.socket_.fd()));
+  }
 }
 
-void Reactor::HandleWritable(const std::shared_ptr<ReactorConn>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu_);
-    conn->TryFlushLocked();
+void Reactor::DispatchConn(ReactorConn& conn) {
+  conn.dispatch_pending_ = false;
+  if (conn.closed_) return;
+  // Every complete line, answered in read order before the next; the
+  // handler's responses only append, and the burst leaves in one send.
+  const uint64_t writes_before = conn.writes_;
+  std::string_view line;
+  while (!conn.killed_ && !conn.close_after_flush_ && conn.in_.NextLine(&line)) {
+    handler_->OnLine(conn, line);
   }
-  UpdateWriteInterest(conn);
+  if (options_.batch_size != nullptr && conn.writes_ > writes_before) {
+    options_.batch_size->Record(static_cast<double>(conn.writes_ - writes_before));
+  }
+  if (conn.eof_ && !conn.killed_) {
+    conn.TryFlush();
+    CloseConn(conn, conn.in_.pending_bytes() > 0 ? CloseReason::kError : CloseReason::kEof);
+    return;
+  }
+  Flush(conn);
 }
 
-void Reactor::UpdateWriteInterest(const std::shared_ptr<ReactorConn>& conn) {
-  if (conn->closed_) return;
-  bool error = false;
-  bool overflowed = false;
-  size_t pending = 0;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu_);
-    error = conn->write_error_;
-    overflowed = conn->overflowed_;
-    pending = conn->PendingLocked();
-  }
-  if (error) {
-    CloseConn(conn, CloseReason::kError);
-    return;
-  }
-  if (overflowed) {
-    CloseConn(conn, CloseReason::kWriteTimeout);
-    return;
-  }
-  if (!conn->alive.load(std::memory_order_acquire)) {
+void Reactor::Flush(ReactorConn& conn) {
+  if (conn.closed_) return;
+  if (conn.killed_) {
     CloseConn(conn, CloseReason::kHandler);
     return;
   }
-  if (pending == 0) {
-    // close_after_flush waits for SeqDrained too: an empty outbox with a
-    // response still parked in the sequencer (an HTTP close racing owed
-    // pipelined responses) is not yet flushed. SeqDrained is checked
-    // outside out_mu_ — seq_mu_ orders before the transport lock.
-    if (conn->close_after_flush_ && conn->SeqDrained()) {
-      CloseConn(conn, CloseReason::kHandler);
-      return;
-    }
-    if (conn->want_write_) {
-      epoll_event ev{};
-      ev.events = kReadEvents;
-      ev.data.fd = conn->socket_.fd();
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->socket_.fd(), &ev);
-      conn->want_write_ = false;
-    }
-  } else if (!conn->want_write_) {
-    epoll_event ev{};
-    ev.events = kReadEvents | EPOLLOUT;
-    ev.data.fd = conn->socket_.fd();
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->socket_.fd(), &ev);
-    conn->want_write_ = true;
+  if (conn.pending() > 0) conn.TryFlush();
+  if (conn.write_error_) {
+    CloseConn(conn, CloseReason::kError);
+    return;
   }
+  const size_t pending = conn.pending();
+  if (pending > options_.max_outbox_bytes) {
+    // The peer is not reading: buffering its backlog without bound would
+    // let one stalled client consume arbitrary memory. The handler maps
+    // this onto mb.serve.write_timeout.
+    CloseConn(conn, CloseReason::kWriteTimeout);
+    return;
+  }
+  if (pending == 0 && conn.close_after_flush_) {
+    CloseConn(conn, CloseReason::kHandler);
+    return;
+  }
+  SetWriteInterest(conn, pending > 0);
+}
+
+void Reactor::SetWriteInterest(ReactorConn& conn, bool want) {
+  if (conn.want_write_ == want) return;
+  epoll_event ev{};
+  ev.events = want ? kReadEvents | EPOLLOUT : kReadEvents;
+  ev.data.fd = conn.socket_.fd();
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.socket_.fd(), &ev);
+  conn.want_write_ = want;
+  AddOwned<int64_t>(unflushed_connections_, want ? 1 : -1);
 }
 
 void Reactor::HandleTick() {
+  handler_->OnTick();
   std::vector<std::shared_ptr<ReactorConn>> snapshot;
   snapshot.reserve(conns_.size());
   for (auto& entry : conns_) snapshot.push_back(entry.second);
 
-  for (const auto& conn : snapshot) {
-    if (conn->closed_) continue;
+  for (const auto& owned : snapshot) {
+    ReactorConn& conn = *owned;
+    if (conn.closed_) continue;
 
-    const uint64_t bytes = conn->in_.total_bytes();
-    const bool quiet = bytes == conn->quiet_bytes_mark_;
-    conn->quiet_bytes_mark_ = bytes;
-    if (quiet) {
-      handler_->OnQuietTick(conn);
-      if (conn->closed_) continue;
-    }
-
-    size_t pending = 0;
-    uint64_t flushed = 0;
-    bool overflowed = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu_);
-      pending = conn->PendingLocked();
-      flushed = conn->total_flushed_;
-      overflowed = conn->overflowed_;
-    }
-    if (overflowed) {
-      CloseConn(conn, CloseReason::kWriteTimeout);
-      continue;
-    }
+    const uint64_t bytes = conn.in_.total_bytes();
+    const bool quiet = bytes == conn.quiet_bytes_mark_;
+    conn.quiet_bytes_mark_ = bytes;
+    if (quiet) handler_->OnQuietTick(conn);
 
     // Write-stall detection: pending output that makes no flush progress
     // across write_timeout_ms means the peer stopped reading. Progress is
     // measured by ever-flushed bytes, so a trickling reader that still
     // absorbs data keeps its connection.
+    const size_t pending = conn.pending();
     if (pending == 0) {
-      conn->write_stall_ = Deadline::Infinite();
+      conn.write_stall_ = Deadline::Infinite();
     } else if (options_.write_timeout_ms > 0) {
-      if (conn->write_stall_.infinite() || flushed != conn->write_stall_mark_) {
-        conn->write_stall_mark_ = flushed;
-        conn->write_stall_ = Deadline::AfterMillis(options_.write_timeout_ms);
-      } else if (conn->write_stall_.expired()) {
+      if (conn.write_stall_.infinite() || conn.total_flushed_ != conn.write_stall_mark_) {
+        conn.write_stall_mark_ = conn.total_flushed_;
+        conn.write_stall_ = Deadline::AfterMillis(options_.write_timeout_ms);
+      } else if (conn.write_stall_.expired()) {
         CloseConn(conn, CloseReason::kWriteTimeout);
         continue;
       }
     }
 
     // Idle eviction: byte movement (not complete requests) resets the
-    // clock, and a connection still owed a response (inflight > 0 or
-    // unflushed output) is busy, not idle.
+    // clock, and a connection still owed unsent output is busy, not idle.
+    // No line of this reactor is being scored while its tick runs.
     if (options_.idle_timeout_ms > 0) {
-      if (bytes != conn->idle_bytes_mark_) {
-        conn->idle_bytes_mark_ = bytes;
-        conn->idle_ = Deadline::AfterMillis(options_.idle_timeout_ms);
-      } else if (conn->idle_.expired() &&
-                 conn->inflight.load(std::memory_order_acquire) == 0 &&
-                 pending == 0) {
+      if (bytes != conn.idle_bytes_mark_) {
+        conn.idle_bytes_mark_ = bytes;
+        conn.idle_ = Deadline::AfterMillis(options_.idle_timeout_ms);
+      } else if (conn.idle_.expired() && pending == 0) {
         CloseConn(conn, CloseReason::kIdle);
         continue;
       }
     }
 
-    UpdateWriteInterest(conn);  // A quiet-tick HTTP response may be pending.
+    Flush(conn);  // A quiet-tick HTTP response may be pending.
   }
 }
 
-void Reactor::CloseConn(const std::shared_ptr<ReactorConn>& conn, CloseReason reason) {
-  if (conn->closed_) return;
-  conn->closed_ = true;
-  {
-    // Flip alive under out_mu_ so no WriteSeq can add bytes after the
-    // pending-out accounting settles below.
-    std::lock_guard<std::mutex> lock(conn->out_mu_);
-    conn->alive.store(false, std::memory_order_release);
-    pending_out_bytes_.fetch_sub(static_cast<int64_t>(conn->PendingLocked()),
-                                 std::memory_order_acq_rel);
-    conn->outbox_.clear();
-    conn->out_start_ = 0;
+void Reactor::CloseConn(ReactorConn& conn, CloseReason reason) {
+  if (conn.closed_) return;
+  conn.closed_ = true;
+  if (conn.want_write_) {
+    conn.want_write_ = false;
+    AddOwned<int64_t>(unflushed_connections_, -1);
   }
+  conn.outbox_.clear();
+  conn.out_start_ = 0;
   handler_->OnClose(conn, reason);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->socket_.fd(), nullptr);
-  conn->socket_.Shutdown();
-  conns_.erase(conn->socket_.fd());
-  active_connections_.fetch_sub(1, std::memory_order_acq_rel);
-  // The fd itself closes when the last reference drops — after this batch
-  // at the earliest (deferred_close_), later if a worker still owes the
-  // connection a (now dropped) response.
-  deferred_close_.push_back(conn);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.socket_.fd(), nullptr);
+  conn.socket_.Shutdown();
+  // The fd itself closes when the last reference drops — after this pass
+  // at the earliest (deferred_close_).
+  auto it = conns_.find(conn.socket_.fd());
+  deferred_close_.push_back(std::move(it->second));
+  conns_.erase(it);
+  AddOwned<size_t>(active_connections_, static_cast<size_t>(-1));
 }
 
 }  // namespace serve

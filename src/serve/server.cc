@@ -2,7 +2,13 @@
 
 #include "serve/server.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <utility>
@@ -16,7 +22,7 @@ namespace serve {
 
 namespace {
 
-/// Tick cadence for the quiet-connection scans: the reactor's epoll_wait
+/// Tick cadence for the quiet-connection scans: each reactor's epoll_wait
 /// bound. The tick bounds how long a silent peer goes unexamined, which is
 /// what makes both the idle reaper and Stop() prompt; it must divide the
 /// idle timeout a few times over so eviction lands near the configured
@@ -33,20 +39,11 @@ bool ServedDuringDrain(std::string_view type) {
          type == "metricsz" || type == "ping";
 }
 
-/// Per-thread scratch for the server's own parses (deadline extraction,
-/// id echo in refusals): the arena-backed Request is reused across
-/// requests, so intake-side parsing allocates nothing steady-state.
-Request& ScratchRequest() {
-  thread_local Request request;
-  return request;
-}
-
 }  // namespace
 
 Server::Server(ScoringService* service, ServerOptions options)
     : service_(service), options_(options) {
   if (options_.num_threads < 1) options_.num_threads = 1;
-  if (options_.max_queue < 1) options_.max_queue = 1;
 }
 
 Server::~Server() {
@@ -68,26 +65,26 @@ Result<uint16_t> Server::Start() {
   health_.retry_after_ms.store(options_.drain_retry_after_ms,
                                std::memory_order_relaxed);
   service_->AttachHealth(&health_);
-  ScoringPool::Options pool_options;
-  pool_options.num_workers = options_.num_threads;
-  pool_options.max_queue = options_.max_queue;
-  pool_options.batch_size = service_->metrics().batch_size;
-  pool_ = std::make_unique<ScoringPool>(
-      pool_options, [this](std::vector<ScoringTask>& batch) { ProcessBatch(batch); });
   ReactorOptions reactor_options;
   reactor_options.tick_ms = ReadTickMs(options_.idle_timeout_ms);
   reactor_options.max_line_bytes = options_.max_line_bytes;
   reactor_options.max_outbox_bytes = options_.max_outbox_bytes;
   reactor_options.write_timeout_ms = options_.write_timeout_ms;
   reactor_options.idle_timeout_ms = options_.idle_timeout_ms;
-  reactor_options.sndbuf_bytes = options_.sndbuf_bytes;
-  reactor_ = std::make_unique<Reactor>(static_cast<ReactorHandler*>(this), reactor_options);
-  const Status init = reactor_->Init(listener_.fd());
-  if (!init.ok()) {
-    reactor_.reset();
-    return init;
+  reactor_options.batch_size = service_->metrics().batch_size;
+  for (int i = 0; i < options_.num_threads; ++i) {
+    reactors_.push_back(
+        std::make_unique<Reactor>(static_cast<ReactorHandler*>(this), reactor_options));
+    const Status init = reactors_.back()->Init();
+    if (!init.ok()) {
+      reactors_.clear();
+      return init;
+    }
   }
-  reactor_thread_ = std::thread([this] { reactor_->Run(); });
+  for (const auto& reactor : reactors_) {
+    threads_.emplace_back([r = reactor.get()] { r->Run(); });
+  }
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_ = true;
   return port_;
 }
@@ -102,39 +99,40 @@ Status Server::Drain() {
   // Flip the health surface first so probes see "draining" before (not
   // after) requests start being refused.
   health_.draining.store(true, std::memory_order_release);
-  // Refuse new connections. The reactor stops polling the listener; the
-  // shutdown additionally makes in-progress connects fail at the TCP
-  // level. Only shut the listener down — the fd stays open until Stop()
-  // has joined the reactor thread.
-  if (reactor_ != nullptr) reactor_->StopAccepting();
+  // Refuse new connections: the shutdown wakes the accept thread, which
+  // sees the drain and returns, and makes in-progress connects fail at the
+  // TCP level. Only shut the listener down — the fd stays open until
+  // Stop() has joined the accept thread.
   listener_.Shutdown();
-  MB_LOG(kInfo) << "drain started: waiting for "
-                << inflight_total_.load(std::memory_order_acquire)
-                << " in-flight requests (deadline " << options_.drain_deadline_ms
-                << " ms)";
+  MB_LOG(kInfo) << "drain started (deadline " << options_.drain_deadline_ms << " ms)";
   const Deadline deadline = options_.drain_deadline_ms > 0
                                 ? Deadline::AfterMillis(options_.drain_deadline_ms)
                                 : Deadline::Infinite();
-  bool drained = false;
+  // A reactor has answered everything it read before the drain once it
+  // completes a pass that started after now, which the second pass from
+  // here is; a drained server has also *delivered* those answers, so no
+  // connection may still wait on write-readiness.
+  std::vector<uint64_t> marks;
+  for (const auto& reactor : reactors_) marks.push_back(reactor->passes());
+  size_t busy = reactors_.size();
   for (;;) {
-    // A drained server has *delivered* its in-flight answers: a finished
-    // request may still sit in a connection outbox, so wait for those
-    // bytes to flush too.
-    if (inflight_total_.load(std::memory_order_acquire) == 0 &&
-        (reactor_ == nullptr || reactor_->pending_out_bytes() == 0)) {
-      drained = true;
-      break;
+    busy = 0;
+    for (size_t i = 0; i < reactors_.size(); ++i) {
+      if (reactors_[i]->passes() < marks[i] + 2 ||
+          reactors_[i]->unflushed_connections() > 0) {
+        ++busy;
+        reactors_[i]->Wake();
+      }
     }
-    if (deadline.expired()) break;
+    if (busy == 0 || deadline.expired()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const int64_t abandoned = inflight_total_.load(std::memory_order_acquire);
   Stop();
-  if (!drained) {
-    return Status::DeadlineExceeded(
-        StrFormat("drain deadline (%lld ms) exceeded; %lld requests abandoned",
-                  static_cast<long long>(options_.drain_deadline_ms),
-                  static_cast<long long>(abandoned)));
+  if (busy > 0) {
+    return Status::DeadlineExceeded(StrFormat(
+        "drain deadline (%lld ms) exceeded; what %zu of %zu reactors had not "
+        "answered or flushed was abandoned",
+        static_cast<long long>(options_.drain_deadline_ms), busy, reactors_.size()));
   }
   MB_LOG(kInfo) << "drain complete";
   return Status::OK();
@@ -147,37 +145,53 @@ void Server::Stop() {
   if (!started_ || state_.exchange(kStopped, std::memory_order_acq_rel) == kStopped) {
     return;
   }
-  // The listener fd must stay open until the reactor thread has joined,
-  // or the loop could race the close (and, with fd reuse, poll an
-  // unrelated descriptor); the shutdown alone refuses connects meanwhile.
-  // Run() closes every connection before it returns.
+  // The listener fd must stay open until the accept thread has joined, or
+  // its accept could race the close (and, with fd reuse, take from an
+  // unrelated descriptor); the shutdown wakes it and refuses connects
+  // meanwhile. Joining it first means no socket is adopted by a reactor
+  // that has stopped; Run() closes every connection before it returns.
   listener_.Shutdown();
-  if (reactor_ != nullptr) {
-    reactor_->Stop();
-    if (reactor_thread_.joinable()) reactor_thread_.join();
-  }
+  if (accept_thread_.joinable()) accept_thread_.join();
+  for (const auto& reactor : reactors_) reactor->Stop();
+  for (std::thread& thread : threads_) thread.join();
   listener_.Close();
+}
 
-  // Drain the scheduler: queued work still runs (its writes drop on the
-  // dead connections), then the workers exit.
-  if (pool_ != nullptr) {
-    pool_->Stop();
-    pool_.reset();
+void Server::AcceptLoop() {
+  uint64_t accepted = 0;
+  for (;;) {
+    const int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (state_.load(std::memory_order_acquire) != kServing) {
+      if (fd >= 0) ::close(fd);  // Accepted as the drain began: refuse it.
+      return;
+    }
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      // Out of descriptors or buffers: retry once some are released,
+      // rather than spin on the pending connection.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    Socket socket(fd);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (options_.sndbuf_bytes > 0) (void)SetSendBufferBytes(socket, options_.sndbuf_bytes);
+    reactors_[accepted++ % reactors_.size()]->Adopt(std::move(socket));
   }
-  // The workers are gone, so no connection can reach into the reactor any
-  // more; only now may its wakeup plumbing be torn down.
-  reactor_.reset();
 }
 
 size_t Server::active_connections() {
-  return reactor_ != nullptr ? reactor_->active_connections() : 0;
+  size_t total = 0;
+  for (const auto& reactor : reactors_) total += reactor->active_connections();
+  return total;
 }
 
 // ---------------------------------------------------------------------------
 // Request path
 // ---------------------------------------------------------------------------
 
-Deadline Server::RequestDeadline(const Request* request) const {
+Deadline Server::RequestDeadline(const Request* request,
+                                 std::chrono::steady_clock::time_point read_at) const {
   if (request != nullptr && request->Has("deadline_ms")) {
     const std::string_view value = request->Get("deadline_ms");
     int64_t ms = 0;
@@ -185,141 +199,57 @@ Deadline Server::RequestDeadline(const Request* request) const {
     if (ec == std::errc() && end == value.data() + value.size()) {
       // Non-positive budgets are legal and already expired — the request
       // is answered deadline_exceeded without scoring.
-      return Deadline::AfterMillis(ms);
+      return Deadline::AfterMillis(ms, read_at);
     }
     // Malformed deadline_ms falls through to the server default.
   }
   return options_.default_deadline_ms > 0
-             ? Deadline::AfterMillis(options_.default_deadline_ms)
+             ? Deadline::AfterMillis(options_.default_deadline_ms, read_at)
              : Deadline::Infinite();
 }
 
-void Server::HandleRequestLine(const std::shared_ptr<ReactorConn>& connection,
-                               std::string_view line) {
+void Server::HandleRequestLine(ReactorConn& connection, std::string_view line) {
   const int state = state_.load(std::memory_order_acquire);
   if (state == kStopped) {
-    connection->Kill();
+    connection.Kill();
     return;
   }
-  // Stamp the response slot on the intake thread, in read order: every
-  // path below (served, refused, drained) answers exactly once through
-  // WriteSeq, which is what keeps pipelined responses in request order.
-  const uint64_t seq = connection->AssignSeq();
-  if (state == kDraining) {
-    HandleLineDuringDrain(*connection, line, seq);
-    return;
-  }
-
-  const size_t per_connection_cap = options_.max_inflight_per_connection;
-  if (per_connection_cap > 0 &&
-      connection->inflight.load(std::memory_order_acquire) >=
-          static_cast<int64_t>(per_connection_cap)) {
-    // One pipelining client may not monopolise the queue; the cap is a
-    // per-connection slice of admission control, so it reports as the
-    // same "overloaded" refusal as a full queue.
-    service_->metrics().rejected_overload->Increment(1);
-    WriteRefusal(*connection, line, "overloaded", -1, seq);
-    return;
-  }
-
-  // Parse once here: the deadline and the cache probe both read it. A
-  // line that does not parse takes the worker path, which answers the
-  // parse error.
+  // Parse once: the deadline, the drain check and the service all read it.
   const WallTimer started;
-  Request& request = ScratchRequest();
-  const bool parsed = ParseRequestInto(line, &request).ok();
-  const Deadline request_deadline = RequestDeadline(parsed ? &request : nullptr);
-  if (parsed) {
-    const CacheProbe probe = service_->ProbeCache(request);
-    if (probe.hit()) {
-      // A cache hit costs less than handing it to a worker: answer it here.
-      // WriteSeq parks it behind any miss still in flight on this
-      // connection. An expired budget is refused as a worker would.
-      if (request_deadline.expired()) {
-        service_->metrics().deadline_exceeded->Increment(1);
-        WriteRefusal(*connection, line, "deadline_exceeded", -1, seq);
-        return;
-      }
-      thread_local std::string response;
-      service_->Respond(request, probe, started, &response);
-      connection->WriteSeq(seq, response);
+  thread_local Request request;
+  const Status parsed = ParseRequestInto(line, &request);
+  const Request* fields = parsed.ok() ? &request : nullptr;
+  thread_local std::string response;
+  if (state == kDraining) {
+    // A drain must stay observable (health probes, metric scrapes) right
+    // up to the hard stop; everything else is refused with a retry hint.
+    if (fields == nullptr || !ServedDuringDrain(request.Get("type"))) {
+      service_->metrics().drained->Increment(1);
+      WriteRefusal(connection, fields, "draining",
+                   health_.retry_after_ms.load(std::memory_order_relaxed));
       return;
     }
-  }
-
-  // Account the request in flight before Submit so a worker that claims
-  // it instantly still decrements a non-zero count; undone below when
-  // admission refuses it.
-  connection->inflight.fetch_add(1, std::memory_order_acq_rel);
-  inflight_total_.fetch_add(1, std::memory_order_acq_rel);
-  if (pool_->Submit(connection, line, request_deadline, seq)) return;
-  connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
-  inflight_total_.fetch_sub(1, std::memory_order_acq_rel);
-  if (state_.load(std::memory_order_acquire) == kDraining) {
-    // The drain began after the state check above.
-    HandleLineDuringDrain(*connection, line, seq);
+  } else if (RequestDeadline(fields, connection.read_at()).expired()) {
+    // The budget was spent at the read, or while earlier lines of the pass
+    // were answered: refuse without spending scoring work on it.
+    service_->metrics().deadline_exceeded->Increment(1);
+    WriteRefusal(connection, fields, "deadline_exceeded", -1);
     return;
   }
-  // Admission control: reject instead of queueing unboundedly. The
-  // response still echoes the id (when parseable) so pipelined clients
-  // can account for the shed request.
-  service_->metrics().rejected_overload->Increment(1);
-  WriteRefusal(*connection, line, "overloaded", -1, seq);
+  service_->Respond(parsed, request, started, &response);
+  connection.Write(response);
 }
 
-void Server::HandleLineDuringDrain(ReactorConn& connection, std::string_view line,
-                                   uint64_t seq) {
-  Request& request = ScratchRequest();
-  const bool parsed = ParseRequestInto(line, &request).ok();
-  const std::string_view type = parsed ? request.Get("type") : std::string_view();
-  if (ServedDuringDrain(type)) {
-    thread_local std::string response;
-    service_->HandleLineTo(line, &response);
-    connection.WriteSeq(seq, response);
-    return;
-  }
-  service_->metrics().drained->Increment(1);
-  WriteRefusal(connection, line, "draining",
-               health_.retry_after_ms.load(std::memory_order_relaxed), seq);
-}
-
-void Server::WriteRefusal(ReactorConn& connection, std::string_view line,
-                          std::string_view error, int64_t retry_after_ms,
-                          uint64_t seq) {
+void Server::WriteRefusal(ReactorConn& connection, const Request* request,
+                          std::string_view error, int64_t retry_after_ms) {
   thread_local JsonWriter response;
   response.Reset();
-  Request& request = ScratchRequest();
-  if (ParseRequestInto(line, &request).ok() && request.Has("id")) {
-    response.String("id", request.Get("id"));
-  }
+  if (request != nullptr && request->Has("id")) response.String("id", request->Get("id"));
   response.Bool("ok", false).String("error", error);
   if (retry_after_ms >= 0) response.Int("retry_after_ms", retry_after_ms);
   thread_local std::string rendered;
   response.FinishTo(&rendered);
-  connection.WriteSeq(seq, rendered);
-}
-
-void Server::ProcessBatch(std::vector<ScoringTask>& batch) {
-  // The pool records batch_size itself.
-  thread_local std::string response;
-  for (ScoringTask& task : batch) {
-    // Deadline check sits immediately before scoring: a request whose
-    // budget died in the queue is answered without spending scoring work on
-    // it. The deadline covers queue wait, not scoring — a request that
-    // starts in time finishes and is delivered.
-    if (task.deadline.expired()) {
-      service_->metrics().deadline_exceeded->Increment(1);
-      WriteRefusal(*task.connection, task.line, "deadline_exceeded", -1, task.seq);
-    } else {
-      service_->HandleLineTo(task.line, &response);
-      task.connection->WriteSeq(task.seq, response);
-    }
-    // Deliver before the decrements: when inflight_total_ reaches zero
-    // during a drain, every admitted response has already been handed to
-    // its transport.
-    task.connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    inflight_total_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  connection.Write(rendered);
 }
 
 std::string Server::BuildHttpResponse(std::string_view request_line) {
@@ -372,8 +302,8 @@ std::string Server::BuildHttpResponse(std::string_view request_line) {
 // Reactor callbacks (ReactorHandler)
 // ---------------------------------------------------------------------------
 
-void Server::OnLine(const std::shared_ptr<ReactorConn>& conn, std::string_view line) {
-  if (conn->http_pending) {
+void Server::OnLine(ReactorConn& conn, std::string_view line) {
+  if (conn.http_pending) {
     // An HTTP request's header lines; their content is irrelevant for a
     // scrape. The blank line ends them and triggers the response.
     if (line.empty()) FinishHttp(conn);
@@ -383,33 +313,37 @@ void Server::OnLine(const std::shared_ptr<ReactorConn>& conn, std::string_view l
   if (StartsWith(line, "GET ")) {
     // Plain-HTTP fast path so `curl http://host:port/metricsz` (and
     // /healthz, /readyz) works without speaking the newline-JSON
-    // protocol. One response, then close (HTTP/1.0 semantics). The GET
-    // takes a response slot like any other line, so its response cannot
-    // outrun still-owed pipelined protocol responses.
-    conn->http_pending = true;
-    conn->http_seq = conn->AssignSeq();
-    conn->http_request_line.assign(line.data(), line.size());
+    // protocol. One response, then close (HTTP/1.0 semantics). Every
+    // earlier line of the connection is already answered, so the response
+    // cannot outrun them.
+    conn.http_pending = true;
+    conn.http_request_line.assign(line.data(), line.size());
     return;
   }
   HandleRequestLine(conn, line);
 }
 
-void Server::FinishHttp(const std::shared_ptr<ReactorConn>& conn) {
-  conn->http_pending = false;
-  conn->WriteSeq(conn->http_seq, BuildHttpResponse(conn->http_request_line),
-                 /*raw=*/true);
-  conn->CloseAfterFlush();
+void Server::FinishHttp(ReactorConn& conn) {
+  conn.http_pending = false;
+  conn.Write(BuildHttpResponse(conn.http_request_line), /*raw=*/true);
+  conn.CloseAfterFlush();
 }
 
-void Server::OnQuietTick(const std::shared_ptr<ReactorConn>& conn) {
-  if (conn->http_pending) {
+void Server::OnTick() {
+  // An idle reactor would otherwise keep the generation it last scored on
+  // alive after a reload, doubling model memory until it scores again.
+  service_->FollowReloadsOnThisThread();
+}
+
+void Server::OnQuietTick(ReactorConn& conn) {
+  if (conn.http_pending) {
     // Slow-loris backstop: a GET whose headers never finish is answered
     // after the first quiet tick.
     FinishHttp(conn);
   }
 }
 
-void Server::OnClose(const std::shared_ptr<ReactorConn>& conn, CloseReason reason) {
+void Server::OnClose(ReactorConn& conn, CloseReason reason) {
   (void)conn;
   switch (reason) {
     case CloseReason::kIdle:

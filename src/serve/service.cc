@@ -68,15 +68,7 @@ void ScoringService::HandleLineTo(std::string_view line, std::string* out) {
   // performs no heap allocations for cached/refused/ping traffic.
   thread_local Request request;
   const Status parsed = ParseRequestInto(line, &request);
-  if (!parsed.ok()) {
-    thread_local JsonWriter response;
-    response.Reset();
-    response.Bool("ok", false).String("error", parsed.message());
-    metrics_.endpoint(Endpoint::kOther).RecordRequest(timer.ElapsedSeconds(), false);
-    response.FinishTo(out);
-    return;
-  }
-  Respond(request, ProbeCache(request), timer, out);
+  Respond(parsed, request, timer, out);
 }
 
 CacheProbe ScoringService::ProbeCache(const Request& request) {
@@ -86,14 +78,14 @@ CacheProbe ScoringService::ProbeCache(const Request& request) {
     const std::string_view a_text = request.Get("a");
     const std::string_view b_text = request.Get("b");
     if (a_text.empty() || b_text.empty()) return probe;
-    probe.bundle = registry_->Current();
+    probe.bundle = registry_->CurrentOnThisThread();
     if (probe.bundle == nullptr) return probe;
     probe.key = HashCombine(ContentKey(probe.bundle->generation, "pair:a", a_text), b_text);
     probe.cached = pair_cache_.Peek(probe.key);
   } else if (probe.endpoint == Endpoint::kPredictCtr) {
     const std::string_view text = request.Get("snippet");
     if (text.empty()) return probe;
-    probe.bundle = registry_->Current();
+    probe.bundle = registry_->CurrentOnThisThread();
     if (probe.bundle == nullptr) return probe;
     probe.key = ContentKey(probe.bundle->generation, "point", text);
     probe.cached = point_cache_.Peek(probe.key);
@@ -101,10 +93,17 @@ CacheProbe ScoringService::ProbeCache(const Request& request) {
   return probe;
 }
 
-void ScoringService::Respond(const Request& request, const CacheProbe& probe,
+void ScoringService::Respond(const Status& parsed, const Request& request,
                              const WallTimer& started, std::string* out) {
   thread_local JsonWriter response;
   response.Reset();
+  if (!parsed.ok()) {
+    response.Bool("ok", false).String("error", parsed.message());
+    metrics_.endpoint(Endpoint::kOther).RecordRequest(started.ElapsedSeconds(), false);
+    response.FinishTo(out);
+    return;
+  }
+  const CacheProbe probe = ProbeCache(request);
   if (request.Has("id")) response.String("id", request.Get("id"));
   bool ok = false;
   Dispatch(request, probe, response, &ok);
@@ -172,7 +171,7 @@ Status ScoringService::HandleScorePair(const Request& request, const CacheProbe&
   if (a_text.empty() || b_text.empty()) {
     return Status::InvalidArgument("score_pair needs non-empty 'a' and 'b' fields");
   }
-  const ModelBundle* bundle = probe.bundle.get();
+  const ModelBundle* bundle = probe.bundle;
   if (bundle == nullptr) return Status::FailedPrecondition("no model bundle loaded");
 
   const bool hit = probe.hit();
@@ -207,7 +206,7 @@ Status ScoringService::HandlePredictCtr(const Request& request, const CacheProbe
   if (text.empty()) {
     return Status::InvalidArgument("predict_ctr needs a non-empty 'snippet' field");
   }
-  const ModelBundle* bundle = probe.bundle.get();
+  const ModelBundle* bundle = probe.bundle;
   if (bundle == nullptr) return Status::FailedPrecondition("no model bundle loaded");
 
   const bool hit = probe.hit();

@@ -41,7 +41,7 @@ struct ServiceOptions {
   size_t cache_capacity = 1 << 16;
   size_t cache_shards = 16;
   /// Honour {"type":"debug_sleep","ms":N} requests — a test/bench hook for
-  /// making worker occupancy deterministic. Never enable in production.
+  /// holding a reactor thread for a known time. Never enable in production.
   bool allow_debug_sleep = false;
   /// Registry the serve metrics live in. mbserved passes
   /// &MetricRegistry::Global() so /metricsz also exports pipeline-stage
@@ -51,14 +51,13 @@ struct ServiceOptions {
 };
 
 /// One parsed request resolved against the current bundle and the result
-/// cache, with nothing counted yet: the probe half of HandleLineTo, and all
-/// the server's reactor thread does for a scoring line before deciding
-/// whether to answer it inline.
+/// cache, with nothing counted yet.
 struct CacheProbe {
   Endpoint endpoint = Endpoint::kOther;
-  /// The generation a score_pair / predict_ctr request scores on; null for
-  /// other types, empty scoring fields or no loaded bundle.
-  std::shared_ptr<const ModelBundle> bundle;
+  /// The generation a score_pair / predict_ctr request scores on, borrowed
+  /// for this request (BundleRegistry::CurrentOnThisThread); null for other
+  /// types, empty scoring fields or no loaded bundle.
+  const ModelBundle* bundle = nullptr;
   /// The result-cache key (meaningful only with a bundle).
   uint64_t key = 0;
   /// The cached result, when the probe hit.
@@ -79,21 +78,18 @@ class ScoringService {
 
   /// Allocation-free variant for the serving hot path: parses into a
   /// per-thread scratch Request (arena-backed) and builds the response into
-  /// `*response` (cleared first), so a warm worker thread handles a cached
+  /// `*response` (cleared first), so a warm serving thread handles a cached
   /// request with zero heap allocations. Byte-identical output to
   /// HandleLine.
   void HandleLineTo(std::string_view line, std::string* response);
 
-  /// HandleLineTo's two halves after the parse. ProbeCache classifies a
-  /// parsed request and looks a scoring request up in the result cache; it
-  /// counts nothing. Respond builds the response for `request` into
-  /// `*response` (a hit from the probe's value, anything else by scoring or
-  /// dispatching as HandleLineTo does) and counts the request exactly once:
-  /// one cache hit or miss for a scoring request, and one endpoint request
-  /// whose latency runs from `started`. The server answers cache hits on its
-  /// reactor thread with these two calls.
-  CacheProbe ProbeCache(const Request& request);
-  void Respond(const Request& request, const CacheProbe& probe, const WallTimer& started,
+  /// HandleLineTo after its parse: builds the response to `request` into
+  /// `*response` — or, when `parsed` is not OK, the parse error, without
+  /// reading `request` — and counts the request exactly once: one cache
+  /// hit or miss for a scoring request, and one endpoint request whose
+  /// latency runs from `started`. The server parses each line once itself
+  /// (it reads the deadline from the parse) and answers through this.
+  void Respond(const Status& parsed, const Request& request, const WallTimer& started,
                std::string* response);
 
   /// Attaches the server's drain-state bits so healthz/readyz can report
@@ -104,6 +100,11 @@ class ScoringService {
   void AttachHealth(const HealthState* health) {
     health_.store(health, std::memory_order_release);
   }
+
+  /// Moves the calling thread's bundle reference to the current generation
+  /// (BundleRegistry::CurrentOnThisThread), releasing a reloaded-away one.
+  /// Serving threads call it when idle; scoring does it as a side effect.
+  void FollowReloadsOnThisThread() const { (void)registry_->CurrentOnThisThread(); }
 
   ServerMetrics& metrics() { return metrics_; }
   const ServerMetrics& metrics() const { return metrics_; }
@@ -117,6 +118,9 @@ class ScoringService {
   CacheStats point_cache_stats() const { return point_cache_.Stats(); }
 
  private:
+  /// Classifies a parsed request and looks a scoring request up in the
+  /// result cache; counts nothing.
+  CacheProbe ProbeCache(const Request& request);
   void Dispatch(const Request& request, const CacheProbe& probe, JsonWriter& response,
                 bool* ok);
   Status HandleScorePair(const Request& request, const CacheProbe& probe,

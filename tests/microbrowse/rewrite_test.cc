@@ -194,8 +194,7 @@ TEST(StatsDbTest, ObservationsAccumulate) {
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(stat->positive, 2);
   EXPECT_EQ(stat->total, 3);
-  EXPECT_EQ(db.Count("t:x"), 3);
-  EXPECT_EQ(db.Count("t:y"), 0);
+  EXPECT_EQ(db.Find("t:y"), nullptr);
 }
 
 TEST(StatsDbTest, SmoothedStatisticsAndOdds) {

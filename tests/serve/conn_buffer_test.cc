@@ -85,6 +85,23 @@ TEST(ConnBufferTest, ConsumedLinesDoNotCountTowardTheLineBound) {
   EXPECT_FALSE(buffer.overlong());
 }
 
+TEST(ConnBufferTest, CompleteLinesNotYetFramedDoNotCountTowardTheLineBound) {
+  ConnBuffer buffer(16);
+  // A reader may buffer several reads before framing any line: only the
+  // trailing partial line is held to the bound.
+  for (int i = 0; i < 10; ++i) Feed(buffer, "0123456789\n");
+  Feed(buffer, "0123456789abcdef");  // 16 bytes pending: at the bound.
+  EXPECT_FALSE(buffer.overlong());
+  std::string_view line;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(buffer.NextLine(&line));
+    EXPECT_EQ(line, "0123456789");
+  }
+  EXPECT_FALSE(buffer.NextLine(&line));
+  Feed(buffer, "g");  // 17 bytes without a newline: past it.
+  EXPECT_TRUE(buffer.overlong());
+}
+
 TEST(ConnBufferTest, TotalBytesCountsEverythingEverCommitted) {
   ConnBuffer buffer(1024);
   EXPECT_EQ(buffer.total_bytes(), 0u);

@@ -3,7 +3,7 @@
 // Concurrency stress for the epoll reactor core, built to run under
 // ThreadSanitizer (ctest -L concurrency): pipelining clients, an HTTP
 // scraper, a slow consumer that triggers write-timeout eviction, and a
-// mid-traffic drain all hammer the reactor at once. The assertions are
+// mid-traffic drain all hammer four reactors at once. The assertions are
 // deliberately loose — the payload here is the interleaving coverage, and
 // TSan turning any data race into a hard failure.
 
@@ -65,8 +65,8 @@ TEST(ReactorStressTest, ConcurrentPipelinesScrapesEvictionsAndDrain) {
   std::atomic<int64_t> responses_seen{0};
 
   // Pipelining protocol clients: connect, burst, read everything back,
-  // reconnect — connection churn and in-order intake race the tick, the
-  // flush wakeups and each other.
+  // reconnect — connection churn and the accept hand-off race the ticks,
+  // the drain and each other.
   std::vector<std::thread> clients;
   for (int t = 0; t < 6; ++t) {
     clients.emplace_back([&, t] {
@@ -133,10 +133,10 @@ TEST(ReactorStressTest, ConcurrentPipelinesScrapesEvictionsAndDrain) {
               drained.code() == StatusCode::kFailedPrecondition)
       << drained.ToString();
   EXPECT_GT(responses_seen.load(), 0) << "no traffic was actually served";
-  // The request-accounting invariant must survive the storm: nothing is
-  // left marked in flight once the drain (or hard stop) completed.
-  EXPECT_EQ(server.inflight_requests(), 0);
+  // The connection accounting must survive the storm: once the drain (or
+  // hard stop) completed, every connection has left its reactor.
   server.Stop();
+  EXPECT_EQ(server.active_connections(), 0u);
 }
 
 }  // namespace

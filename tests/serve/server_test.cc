@@ -1,8 +1,9 @@
 // Copyright 2026 The Microbrowse Authors
 //
 // End-to-end TCP tests for the mbserved front end: real sockets against an
-// ephemeral port, pipelined out-of-order responses matched by id echo, and
-// intake-side admission control shedding load with "overloaded".
+// ephemeral port, pipelined responses matched by id echo, slow consumers,
+// and one reactor's slow scoring leaving another reactor's connections and
+// new connections unaffected.
 
 #include "serve/server.h"
 
@@ -196,8 +197,7 @@ TEST_F(ServerTest, PipelinedRequestsMatchedByIdEcho) {
         .String("b", "gamma line|delta");
     burst += request.Finish() + "\n";
   }
-  // One write, many requests: the batching workers may *complete* them out
-  // of order, but the per-connection sequencer delivers responses in
+  // One write, many requests: the connection's reactor answers them in
   // request order; the id echo remains the client-visible contract.
   ASSERT_TRUE(client->SendRaw(burst).ok());
   std::map<std::string, std::string> margin_by_id;
@@ -214,9 +214,9 @@ TEST_F(ServerTest, PipelinedRequestsMatchedByIdEcho) {
 }
 
 TEST_F(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
-  // The scheduler's observability surface: after traffic has flowed through
-  // the scoring pool, a /metricsz scrape must expose the batch-size summary
-  // under its Prometheus names.
+  // The reactors' observability surface: after traffic has been answered, a
+  // /metricsz scrape must expose the batch-size summary (responses per
+  // dispatched read) under its Prometheus names.
   ScoringService service(&registry_);
   Server server(&service, BaseOptions());
   auto port = server.Start();
@@ -237,46 +237,140 @@ TEST_F(ServerTest, SchedulerMetricsRenderInPrometheusScrape) {
   server.Stop();
 }
 
-TEST_F(ServerTest, OverloadShedsWithErrorNotQueueing) {
+TEST_F(ServerTest, SlowScoringOnOneReactorDoesNotDelayAnother) {
   ServiceOptions service_options;
   service_options.allow_debug_sleep = true;
   ScoringService service(&registry_, service_options);
   ServerOptions options = BaseOptions();
-  options.num_threads = 1;  // One worker, so a sleep stalls the pipeline...
-  options.max_queue = 1;    // ...and the queue saturates immediately.
+  options.num_threads = 2;
   Server server(&service, options);
   auto port = server.Start();
   ASSERT_TRUE(port.ok());
 
-  auto client = TestClient::ConnectTo(*port);
-  ASSERT_NE(client, nullptr);
-  ASSERT_TRUE(client->Send(R"({"type":"debug_sleep","ms":400,"id":"sleep"})").ok());
-  // Give the lone worker time to start the sleep before the burst.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  constexpr int kPings = 20;
-  std::string burst;
-  for (int i = 0; i < kPings; ++i) {
-    burst += R"({"type":"ping","id":"q)" + std::to_string(i) + "\"}\n";
-  }
-  ASSERT_TRUE(client->SendRaw(burst).ok());
+  // Accepted sockets are placed round robin: connection 0 on reactor 0,
+  // connection 1 on reactor 1. A ping on each proves both are placed
+  // before reactor 0 goes to sleep.
+  auto sleeper = TestClient::ConnectTo(*port);
+  ASSERT_NE(sleeper, nullptr);
+  ASSERT_TRUE(sleeper->Send(R"({"type":"ping","id":"s0"})").ok());
+  EXPECT_EQ(sleeper->ReadResponse().Get("id"), "s0");
+  auto other = TestClient::ConnectTo(*port);
+  ASSERT_NE(other, nullptr);
+  ASSERT_TRUE(other->Send(R"({"type":"ping","id":"o0"})").ok());
+  EXPECT_EQ(other->ReadResponse().Get("id"), "o0");
 
-  int ok_count = 0;
-  int overloaded = 0;
-  for (int i = 0; i < kPings + 1; ++i) {
-    const Request response = client->ReadResponse();
-    if (response.Get("ok") == "true") {
-      ++ok_count;
-    } else {
-      EXPECT_EQ(response.Get("error"), "overloaded");
-      EXPECT_FALSE(response.Get("id").empty());  // Shed requests echo ids too.
-      ++overloaded;
-    }
+  ASSERT_TRUE(sleeper->Send(R"({"type":"debug_sleep","ms":500,"id":"sleep"})").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(other->Send(R"({"type":"ping","id":"o1"})").ok());
+  EXPECT_EQ(other->ReadResponse().Get("id"), "o1");
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(waited.count(), 250) << "a ping waited on another reactor's scoring";
+  EXPECT_EQ(sleeper->ReadResponse().Get("id"), "sleep");
+  server.Stop();
+}
+
+TEST_F(ServerTest, BusyReactorDoesNotDelayNewConnections) {
+  // Load balancers probe /healthz and /readyz on a fresh connection each
+  // time: a reactor busy scoring must not hold up accepting one.
+  ServiceOptions service_options;
+  service_options.allow_debug_sleep = true;
+  ScoringService service(&registry_, service_options);
+  ServerOptions options = BaseOptions();
+  options.num_threads = 2;
+  Server server(&service, options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  auto sleeper = TestClient::ConnectTo(*port);  // Connection 0: reactor 0.
+  ASSERT_NE(sleeper, nullptr);
+  ASSERT_TRUE(sleeper->Send(R"({"type":"ping","id":"s0"})").ok());
+  EXPECT_EQ(sleeper->ReadResponse().Get("id"), "s0");
+  ASSERT_TRUE(sleeper->Send(R"({"type":"debug_sleep","ms":500,"id":"sleep"})").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto start = std::chrono::steady_clock::now();
+  auto fresh = TestClient::ConnectTo(*port);  // Connection 1: reactor 1.
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_TRUE(fresh->Send(R"({"type":"ping","id":"f0"})").ok());
+  EXPECT_EQ(fresh->ReadResponse().Get("id"), "f0");
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(waited.count(), 250) << "a new connection waited on a busy reactor";
+  EXPECT_EQ(sleeper->ReadResponse().Get("id"), "sleep");
+  server.Stop();
+}
+
+TEST_F(ServerTest, ClosingConnectionStopsReadingItsPeer) {
+  // A connection whose HTTP response waits on a peer that does not read is
+  // closing: the server must stop reading it, so TCP flow control - not
+  // the server's memory - holds whatever the peer streams after the GET.
+  // No write timeout, so nothing else would ever end the connection.
+  ScoringService service(&registry_);
+  ServerOptions options = BaseOptions();
+  options.sndbuf_bytes = 4096;
+  options.write_timeout_ms = 0;
+  Server server(&service, options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  Socket stalled = ConnectTinyRcvBuf(*port);
+  ASSERT_TRUE(stalled.valid());
+  const int sndbuf = 64 * 1024;
+  ::setsockopt(stalled.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  // Answers the client never reads keep the outbox from flushing, then the
+  // GET is answered and the connection waits to close.
+  std::string burst;
+  for (int i = 0; i < 3000; ++i) {
+    burst += R"({"type":"ping","id":"s)" + std::to_string(i) + "\"}\n";
   }
-  // The sleep and the one queued ping succeed; the rest of the burst is
-  // shed at constant latency instead of queueing behind the stalled worker.
-  EXPECT_GE(ok_count, 2);
-  EXPECT_GE(overloaded, 1);
-  EXPECT_GE(service.metrics().rejected_overload->Value(), static_cast<int64_t>(overloaded));
+  burst += "GET /healthz HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(SendAllTimed(stalled, burst, 5000).ok());
+
+  // Stream complete lines until the sends stall for 300 ms.
+  std::string chunk;
+  while (chunk.size() < 256 * 1024) chunk += R"({"type":"ping","id":"flood"})" "\n";
+  constexpr size_t kCap = 64u << 20;
+  size_t streamed = 0;
+  while (streamed < kCap && SendAllTimed(stalled, chunk, 300).ok()) streamed += chunk.size();
+  EXPECT_LT(streamed, 16u << 20) << "the server kept reading a closing connection";
+
+  // The server still answers a well-behaved client.
+  auto next = TestClient::ConnectTo(*port);
+  ASSERT_NE(next, nullptr);
+  ASSERT_TRUE(next->Send(R"({"type":"ping","id":"after"})").ok());
+  EXPECT_EQ(next->ReadResponse().Get("id"), "after");
+  server.Stop();
+}
+
+TEST_F(ServerTest, IdleReactorReleasesAReloadedBundle) {
+  // Each reactor keeps a reference to the generation it last scored on; an
+  // idle one must still let go of it after a reload, or model memory stays
+  // doubled until it scores again.
+  ScoringService service(&registry_);
+  ServerOptions options = BaseOptions();
+  options.num_threads = 2;
+  options.idle_timeout_ms = 400;  // 100 ms ticks.
+  Server server(&service, options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < 2; ++i) {  // One connection, and one score, per reactor.
+    clients.push_back(TestClient::ConnectTo(*port));
+    ASSERT_NE(clients.back(), nullptr);
+    ASSERT_TRUE(clients.back()
+                    ->Send(R"({"type":"score_pair","a":"cheap flights|book now","b":"flights"})")
+                    .ok());
+    EXPECT_EQ(clients.back()->ReadResponse().Get("ok"), "true");
+  }
+  const std::weak_ptr<const ModelBundle> first = registry_.Current();
+  ASSERT_TRUE(registry_.Reload(/*force=*/true).ok());
+  for (int i = 0; i < 300 && !first.expired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(first.expired()) << "an idle reactor still holds the reloaded-away bundle";
   server.Stop();
 }
 
@@ -401,9 +495,9 @@ TEST_F(ServerTest, SlowConsumerIsEvictedNotPinned) {
 
   Socket stalled = ConnectTinyRcvBuf(*port);
   ASSERT_TRUE(stalled.valid());
-  // Enough pings that their responses (and the "overloaded" refusals past
-  // the in-flight cap) overrun the ~12 KB of combined socket buffering
-  // many times over. The client never reads a byte of them.
+  // Enough pings that their responses overrun the ~12 KB of combined
+  // socket buffering many times over. The client never reads a byte of
+  // them.
   std::string burst;
   for (int i = 0; i < 3000; ++i) {
     burst += R"({"type":"ping","id":"s)" + std::to_string(i) + "\"}\n";
@@ -425,7 +519,7 @@ TEST_F(ServerTest, SlowConsumerIsEvictedNotPinned) {
                        << service.metrics().write_timeout->Value()
                        << " active=" << server.active_connections();
 
-  // No worker is pinned: the server still answers a well-behaved client.
+  // No reactor is pinned: the server still answers a well-behaved client.
   auto next = TestClient::ConnectTo(*port);
   ASSERT_NE(next, nullptr);
   ASSERT_TRUE(next->Send(R"({"type":"ping","id":"after"})").ok());

@@ -424,6 +424,32 @@ TEST_F(ServiceTest, ReloadBumpsGenerationAndFlushesCaches) {
   EXPECT_EQ(after.Get("margin"), before.Get("margin"));
 }
 
+TEST_F(ServiceTest, ThreadBorrowedBundleFollowsReloadsAndRegistries) {
+  // The serving threads borrow the bundle without touching its shared
+  // reference count; the borrowed pointer must still follow every
+  // published generation, and a thread alternating between registries must
+  // never see one registry's bundle through the other.
+  const ModelBundle* first = registry_.CurrentOnThisThread();
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first, registry_.Current().get());
+  EXPECT_EQ(first->generation, 1u);
+  ASSERT_TRUE(registry_.Reload(/*force=*/true).ok());
+  const ModelBundle* second = registry_.CurrentOnThisThread();
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second, registry_.Current().get());
+  EXPECT_EQ(second->generation, 2u);
+
+  BundleRegistry other;
+  EXPECT_EQ(other.CurrentOnThisThread(), nullptr);  // Nothing loaded yet.
+  ASSERT_TRUE(other.LoadInitial(*pack_paths_).ok());
+  EXPECT_EQ(other.CurrentOnThisThread(), other.Current().get());
+  EXPECT_EQ(registry_.CurrentOnThisThread(), registry_.Current().get());
+  EXPECT_EQ(other.CurrentOnThisThread(), other.Current().get());
+  std::thread([&] {
+    EXPECT_EQ(registry_.CurrentOnThisThread(), registry_.Current().get());
+  }).join();
+}
+
 TEST_F(ServiceTest, StatszReportsEndpointsAndCaches) {
   ScoringService service(&registry_);
   HandleOk(service, ScorePairLine((*fields_)[0], (*fields_)[1]));

@@ -6,8 +6,8 @@
 //   - every deterministic protocol response equals what
 //     ScoringService::HandleLine answers for the same line on a separate
 //     in-process service over the same bundle registry;
-//   - the server's own refusals (overloaded, deadline_exceeded, draining
-//     with retry_after_ms), drain-time health answers and the plain-HTTP
+//   - the server's own refusals (deadline_exceeded, draining with
+//     retry_after_ms), drain-time health answers and the plain-HTTP
 //     exchanges equal literal expected bytes.
 //
 // Pipelined responses must arrive in request order, overlong lines close
@@ -211,39 +211,10 @@ TEST_F(WireContractTest, PipelinedBurstKeepsOrderWithOneWorker) {
   }
 }
 
-TEST_F(WireContractTest, OverloadRefusalMatchesExpectedBytes) {
-  ServiceOptions service_options;
-  service_options.allow_debug_sleep = true;
-  ServerOptions options;
-  options.num_threads = 1;  // One worker occupied by the sleep...
-  options.max_queue = 1;    // ...and room for exactly one queued request.
-  ServerUnderTest served(&registry_, options, service_options);
-
-  Client client(served.port());
-  ASSERT_TRUE(client.ok());
-  const std::string sleep = R"({"type":"debug_sleep","ms":600,"id":"z"})";
-  ASSERT_TRUE(client.SendLine(sleep).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  // q0 takes the queue slot; q1 must be shed. Same connection, so the
-  // intake order is deterministic. The refusal is produced inline by the
-  // intake path but *delivered* in request order — the sequencer holds it
-  // until the sleeper's response and q0's pong have flushed.
-  ASSERT_TRUE(client.SendLine(PingLine(0)).ok());
-  ASSERT_TRUE(client.SendLine(PingLine(1)).ok());
-  const std::string z = client.ReadLine();
-  const std::string q0 = client.ReadLine();
-  const std::string q1 = client.ReadLine();
-  ScoringService reference(&registry_, service_options);
-  EXPECT_EQ(z, reference.HandleLine(sleep));
-  EXPECT_EQ(q0, reference.HandleLine(PingLine(0)));
-  EXPECT_EQ(q1, R"({"id":"q1","ok":false,"error":"overloaded"})");
-}
-
 TEST_F(WireContractTest, PipelinedBurstKeepsOrderWithManyWorkers) {
-  // Many workers finish pipelined requests out of order — the first
-  // request sleeps while the pings behind it complete instantly — but the
-  // per-connection sequencer must still deliver responses in request
-  // order.
+  // Several reactor threads, and the first request sleeps while the pings
+  // behind it would complete instantly: responses must still arrive in
+  // request order.
   ServiceOptions service_options;
   service_options.allow_debug_sleep = true;
   ServerOptions options;
@@ -268,7 +239,7 @@ TEST_F(WireContractTest, DrainTimeHealthMatchesExpectedBytes) {
   ServiceOptions service_options;
   service_options.allow_debug_sleep = true;
   ServerOptions options;
-  options.num_threads = 1;
+  options.num_threads = 2;  // The sleeper on reactor 0, the probe on reactor 1.
   options.drain_deadline_ms = 5000;
   ServerUnderTest served(&registry_, options, service_options);
 
@@ -302,7 +273,7 @@ TEST_F(WireContractTest, ScoringRefusalDuringDrainMatchesExpectedBytes) {
   ServiceOptions service_options;
   service_options.allow_debug_sleep = true;
   ServerOptions options;
-  options.num_threads = 1;
+  options.num_threads = 2;  // The sleeper on reactor 0, the probe on reactor 1.
   options.drain_deadline_ms = 5000;
   options.drain_retry_after_ms = 250;
   ServerUnderTest served(&registry_, options, service_options);

@@ -180,7 +180,7 @@ Status WriteMarginRows(const std::vector<PairRow>& rows, const std::vector<doubl
 
 /// Builds the resilient serve client (serve/client.h) from predict's
 /// --server, --retries and --deadline-ms flags. Transient failures —
-/// connect refusal, "overloaded" sheds, "draining" refusals — are retried
+/// connect refusal, dropped connections, "draining" refusals — are retried
 /// with jittered backoff inside the client, so a rolling mbserved restart
 /// looks like a brief stall, not a failed batch job.
 Result<std::unique_ptr<serve::ResilientClient>> MakeServeClient(const Flags& flags) {
