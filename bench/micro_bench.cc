@@ -148,11 +148,10 @@ void MatchRewritesLoop(benchmark::State& state, const PairCorpus& pairs,
 }
 
 /// Every key of one accumulation pass matched without a database, with
-/// the build's default smoothing and min-count and its rewrite index.
+/// the build's smoothing and default min-count and its rewrite index.
 FeatureStatsDb OnePassStats(const PairCorpus& pairs) {
   const BuildStatsOptions defaults;
   FeatureStatsDb db = AccumulateFeatureStats(pairs, {}, nullptr, StatsScope::kAllKeys);
-  db.set_smoothing(defaults.smoothing);
   db.set_min_count(defaults.min_count);
   db.BuildRewriteIndex();
   return db;
@@ -280,26 +279,27 @@ void BM_CtrPredictorScorePack(benchmark::State& state) {
 BENCHMARK(BM_CtrPredictorScorePack);
 
 void BM_LogisticRegressionEpoch(benchmark::State& state) {
-  // A synthetic sparse dataset: 20 features per example from a pool of 5k.
-  Dataset data;
+  // A synthetic sparse dataset in the solver's CSR layout: 20 entries per
+  // example from a pool of 5k features.
+  CsrDataset data;
   data.num_features = 5000;
+  data.row_offsets.push_back(0);
   Rng rng(9);
   for (int i = 0; i < 5000; ++i) {
-    Example example;
     double signal = 0.0;
     for (int f = 0; f < 20; ++f) {
       const FeatureId id = static_cast<FeatureId>(rng.NextIndex(5000));
       const double value = rng.Bernoulli(0.5) ? 1.0 : -1.0;
-      example.features.Add(id, value);
+      data.ids.push_back(id);
+      data.values.push_back(value);
       signal += (id % 2 == 0 ? 1.0 : -1.0) * value;
     }
-    example.features.Finish();
-    example.label = signal > 0 ? 1.0 : 0.0;
-    data.examples.push_back(std::move(example));
+    data.row_offsets.push_back(data.ids.size());
+    data.labels.push_back(signal > 0 ? 1.0 : 0.0);
+    data.offsets.push_back(0.0);
   }
   LrOptions options;
   options.epochs = 1;
-  options.tolerance = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(TrainLogisticRegression(data, options));
   }

@@ -43,23 +43,10 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(Task{[fn = std::move(task)] {
-                            fn();
-                            return Status::OK();
-                          },
-                          /*fallible=*/false});
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::SubmitFallible(std::function<Status()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(Task{std::move(task), /*fallible=*/true});
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   work_available_.notify_one();
@@ -74,13 +61,6 @@ Status ThreadPool::Wait() {
   return status;
 }
 
-Status ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn) {
-  for (size_t i = 0; i < count; ++i) {
-    Submit([&fn, i] { fn(i); });
-  }
-  return Wait();
-}
-
 Status ThreadPool::ParallelForFallible(size_t count,
                                        const std::function<Status(size_t)>& fn) {
   for (size_t i = 0; i < count; ++i) {
@@ -92,9 +72,10 @@ Status ThreadPool::ParallelForFallible(size_t count,
 void ThreadPool::ParallelForAll(size_t count, const std::function<void(size_t)>& fn) {
   std::vector<char> done(count, 0);
   // The Status only says that some task failed; `done` says which.
-  (void)ParallelFor(count, [&](size_t i) {
+  (void)ParallelForFallible(count, [&](size_t i) {
     fn(i);
     done[i] = 1;
+    return Status::OK();
   });
   for (size_t i = 0; i < count; ++i) {
     if (!done[i]) fn(i);
@@ -110,7 +91,7 @@ void ThreadPool::RecordFailure(const Status& status) {
 
 void ThreadPool::WorkerLoop() {
   while (true) {
-    Task task;
+    std::function<Status()> task;
     bool skip = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -118,16 +99,15 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // shutting_down_ with a drained queue.
       task = std::move(queue_.front());
       queue_.pop_front();
-      // Graceful drain: once one fallible task failed, the remaining
-      // fallible queue is discarded unrun — its results would be thrown
-      // away by the caller anyway. Infallible tasks still run (their side
-      // effects were unconditionally requested).
-      skip = task.fallible && has_failure_;
+      // Graceful drain: once one task failed, the remaining queue is
+      // discarded unrun — its results would be thrown away by the caller
+      // anyway.
+      skip = has_failure_;
     }
     if (!skip) {
       // Injection point for rehearsing worker faults without a crafted task.
       Status status = failpoint::Check("threadpool.task");
-      if (status.ok()) status = RunGuarded(task.fn);
+      if (status.ok()) status = RunGuarded(task);
       if (!status.ok()) {
         std::unique_lock<std::mutex> lock(mu_);
         RecordFailure(status);

@@ -4,11 +4,11 @@
 // chunks are embarrassingly parallel; the pool keeps that parallelism explicit and
 // bounded. On single-core hosts a pool of one thread degenerates gracefully.
 //
-// Error handling: tasks may return Status (SubmitFallible / the fallible
-// ParallelFor), and a failing task no longer takes the process down — the
-// pool records the first failure, skips still-queued fallible tasks (the
-// queue drains gracefully), and Wait() surfaces that first Status to the
-// caller. Exceptions escaping a task are captured as kInternal.
+// Error handling: every task returns Status, and a failing task does not
+// take the process down — the pool records the first failure, skips the
+// tasks still queued (the queue drains gracefully), and Wait() surfaces
+// that first Status to the caller. Exceptions escaping a task are
+// captured as kInternal.
 
 #ifndef MICROBROWSE_COMMON_THREAD_POOL_H_
 #define MICROBROWSE_COMMON_THREAD_POOL_H_
@@ -25,7 +25,7 @@
 
 namespace microbrowse {
 
-/// Fixed-size worker pool executing std::function tasks FIFO.
+/// Fixed-size worker pool executing Status-returning tasks FIFO.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (clamped to at least one).
@@ -37,14 +37,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task` for execution. Must not be called after destruction
-  /// began. Infallible tasks always run, even after another task failed.
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a fallible task. The first non-OK return (or escaped
-  /// exception) is recorded and reported by the next Wait(); once a failure
-  /// is recorded, fallible tasks still in the queue are drained without
-  /// running (their work would be discarded anyway).
+  /// Enqueues `task`. Must not be called after destruction began. The
+  /// first non-OK return (or escaped exception) is recorded and reported by
+  /// the next Wait(); once a failure is recorded, tasks still in the queue
+  /// are drained without running (their work would be discarded anyway).
   void SubmitFallible(std::function<Status()> task);
 
   /// Blocks until every submitted task has finished or been drained, then
@@ -55,37 +51,27 @@ class ThreadPool {
   /// Number of worker threads.
   size_t size() const { return workers_.size(); }
 
-  /// Runs `fn(i)` for i in [0, count) across the pool and waits. `fn` must
-  /// be safe to invoke concurrently for distinct indices. The returned
-  /// Status reports failures from previously submitted fallible tasks (the
-  /// infallible `fn` itself cannot fail).
-  Status ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Fallible variant: runs `fn(i)` for i in [0, count), waits, and returns
+  /// Runs `fn(i)` for i in [0, count) across the pool, waits, and returns
   /// the first failure. After a failure, not-yet-started indices are
-  /// skipped. (Distinct name: a Status-returning lambda would otherwise be
-  /// ambiguous against the infallible overload.)
+  /// skipped. `fn` must be safe to invoke concurrently for distinct
+  /// indices.
   Status ParallelForFallible(size_t count, const std::function<Status(size_t)>& fn);
 
   /// Runs `fn(i)` for every i in [0, count): across the pool first, then
   /// on the calling thread for each index whose task did not finish. A
   /// pool task can fail without running `fn` (a worker fault) or part way
-  /// through it (an escaped exception), and ParallelFor's Status does not
-  /// say which index failed; here none is lost. `fn` must start each index
-  /// afresh, since a rerun may follow a partial run.
+  /// through it (an escaped exception), which also skips the indices still
+  /// queued, and ParallelForFallible's Status does not say which index
+  /// failed; here none is lost. `fn` must start each index afresh, since a
+  /// rerun may follow a partial run.
   void ParallelForAll(size_t count, const std::function<void(size_t)>& fn);
 
  private:
-  struct Task {
-    std::function<Status()> fn;
-    bool fallible = false;
-  };
-
   void WorkerLoop();
   void RecordFailure(const Status& status);
 
   std::vector<std::thread> workers_;
-  std::deque<Task> queue_;
+  std::deque<std::function<Status()>> queue_;
   std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;

@@ -11,10 +11,35 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "corpus/phrase_pool.h"
 
 namespace microbrowse {
 
 namespace {
+
+/// Log-normal spread of the impressions around base_impressions.
+constexpr double kImpressionSigma = 0.5;
+/// Query-intent CTR scale for TOP placement; RHS is scaled down (weaker
+/// examination and lower base).
+constexpr double kBaseCtr = 0.16;
+/// Log-normal spread of the per-adgroup CTR level.
+constexpr double kAdgroupCtrSigma = 0.25;
+/// Compression of within-slot appeal differences toward the slot-pool
+/// mean: effective_appeal = mean + c * (appeal - mean). Real creative
+/// rewrites move CTR by small amounts; *where* text sits (examination)
+/// dominates *which* near-synonymous phrase is used — the regime in which
+/// the paper's position features pay off.
+constexpr double kAppealCompression = 0.45;
+/// Most mutations one sibling creative carries.
+constexpr int kMaxMutations = 4;
+/// Probability a sibling creative re-samples its glue tokens (connector
+/// words between slots) instead of inheriting the base creative's.
+constexpr double kProbGlueResample = 0.5;
+/// Mutations follow a Zipf-weighted per-phrase rewrite graph (advertisers
+/// reuse popular substitutions) with this probability; otherwise the
+/// replacement phrase is uniform. Concentrated rewrite traffic is what
+/// makes the rewrite statistics database informative.
+constexpr double kRewriteGraphBias = 0.9;
 
 /// Content blocks a creative is assembled from. The ACTION_OBJECT block
 /// carries the keyword; QUALITY / OFFER / CTA are decorations. Blocks are
@@ -231,11 +256,11 @@ class RewriteGraph {
   }
 
   /// Samples a replacement for `from`: a preferred target with probability
-  /// `bias`, otherwise uniform (always != from).
+  /// kRewriteGraphBias, otherwise uniform (always != from).
   Result<size_t> SampleTarget(const PhrasePool& pool, SlotType slot, size_t from,
-                              double bias, Rng* rng) const {
+                              Rng* rng) const {
     const auto& edges = prefs_[static_cast<int>(slot)][from];
-    if (!edges.empty() && rng->Bernoulli(bias)) {
+    if (!edges.empty() && rng->Bernoulli(kRewriteGraphBias)) {
       std::vector<double> weights;
       weights.reserve(edges.size());
       for (const auto& [target, weight] : edges) weights.push_back(weight);
@@ -260,7 +285,7 @@ class RewriteGraph {
 /// Applies one random mutation; move mutations are drawn with weight
 /// `move_weight` against rewrites.
 Status ApplyMutation(const PhrasePool& pool, const RewriteGraph& graph, double move_weight,
-                     double graph_bias, Blueprint* bp, Rng* rng) {
+                     Blueprint* bp, Rng* rng) {
   std::vector<Mutation> candidates;
   std::vector<double> weights;
   const double rewrite_weight = 1.0 - move_weight;
@@ -273,27 +298,26 @@ Status ApplyMutation(const PhrasePool& pool, const RewriteGraph& graph, double m
   add(Mutation::kRewriteOffer, rewrite_weight);
   if (bp->has_cta) add(Mutation::kRewriteCta, rewrite_weight * 0.5);
   add(Mutation::kMoveLayout, move_weight * 3.0);
-  (void)rng;
 
   switch (candidates[rng->Categorical(weights)]) {
     case Mutation::kRewriteAction: {
-      MB_ASSIGN_OR_RETURN(
-          bp->action, graph.SampleTarget(pool, SlotType::kAction, bp->action, graph_bias, rng));
+      MB_ASSIGN_OR_RETURN(bp->action,
+                          graph.SampleTarget(pool, SlotType::kAction, bp->action, rng));
       break;
     }
     case Mutation::kRewriteQuality: {
-      MB_ASSIGN_OR_RETURN(bp->quality, graph.SampleTarget(pool, SlotType::kQuality,
-                                                          bp->quality, graph_bias, rng));
+      MB_ASSIGN_OR_RETURN(bp->quality,
+                          graph.SampleTarget(pool, SlotType::kQuality, bp->quality, rng));
       break;
     }
     case Mutation::kRewriteOffer: {
-      MB_ASSIGN_OR_RETURN(
-          bp->offer, graph.SampleTarget(pool, SlotType::kOffer, bp->offer, graph_bias, rng));
+      MB_ASSIGN_OR_RETURN(bp->offer,
+                          graph.SampleTarget(pool, SlotType::kOffer, bp->offer, rng));
       break;
     }
     case Mutation::kRewriteCta: {
-      MB_ASSIGN_OR_RETURN(bp->cta, graph.SampleTarget(pool, SlotType::kCallToAction, bp->cta,
-                                                      graph_bias, rng));
+      MB_ASSIGN_OR_RETURN(bp->cta,
+                          graph.SampleTarget(pool, SlotType::kCallToAction, bp->cta, rng));
       break;
     }
     case Mutation::kMoveLayout:
@@ -304,7 +328,7 @@ Status ApplyMutation(const PhrasePool& pool, const RewriteGraph& graph, double m
 }
 
 /// Compresses within-slot appeal spread toward each slot's mean by factor
-/// `c` (see AdCorpusOptions::appeal_compression).
+/// `c` (see kAppealCompression).
 PhrasePool CompressAppeals(const PhrasePool& pool, double c) {
   PhrasePool out;
   for (int s = 0; s < kNumSlotTypes; ++s) {
@@ -376,26 +400,17 @@ Result<GeneratedCorpus> GenerateAdCorpus(const AdCorpusOptions& options) {
   if (options.min_creatives < 2 || options.max_creatives < options.min_creatives) {
     return Status::InvalidArgument("GenerateAdCorpus: need 2 <= min_creatives <= max_creatives");
   }
-  std::vector<PhrasePool> pools = options.pools;
-  if (pools.empty()) {
-    pools = {PhrasePool::Travel(), PhrasePool::Shopping(), PhrasePool::Finance()};
-  }
-  if (options.appeal_compression != 1.0) {
-    for (auto& pool : pools) pool = CompressAppeals(pool, options.appeal_compression);
-  }
-  for (int s = 0; s < kNumSlotTypes; ++s) {
-    for (const auto& pool : pools) {
-      if (pool.PhrasesFor(static_cast<SlotType>(s)).size() < 2) {
-        return Status::InvalidArgument("GenerateAdCorpus: every slot needs >= 2 phrases");
-      }
-    }
+  std::vector<PhrasePool> pools;
+  for (const PhrasePool& pool :
+       {PhrasePool::Travel(), PhrasePool::Shopping(), PhrasePool::Finance()}) {
+    pools.push_back(CompressAppeals(pool, kAppealCompression));
   }
 
   Rng rng(options.seed);
   const bool rhs = options.placement == Placement::kRhs;
   const ExaminationCurve curve =
       rhs ? ExaminationCurve::RhsPlacement() : ExaminationCurve::TopPlacement();
-  const double placement_ctr = options.base_ctr * (rhs ? 0.45 : 1.0);
+  const double placement_ctr = kBaseCtr * (rhs ? 0.45 : 1.0);
   const double impression_scale = rhs ? 0.6 : 1.0;
 
   GeneratedCorpus out;
@@ -437,16 +452,13 @@ Result<GeneratedCorpus> GenerateAdCorpus(const AdCorpusOptions& options) {
       for (int attempt = 0; attempt < 8; ++attempt) {
         sibling = base;
         MB_RETURN_IF_ERROR(ApplyMutation(pool, rewrite_graphs[vertical],
-                                         options.move_mutation_weight,
-                                         options.rewrite_graph_bias, &sibling, &rng));
-        for (int m = 1; m < options.max_mutations &&
-                        rng.Bernoulli(options.mutation_continue_prob);
+                                         options.move_mutation_weight, &sibling, &rng));
+        for (int m = 1; m < kMaxMutations && rng.Bernoulli(options.mutation_continue_prob);
              ++m) {
           MB_RETURN_IF_ERROR(ApplyMutation(pool, rewrite_graphs[vertical],
-                                           options.move_mutation_weight,
-                                           options.rewrite_graph_bias, &sibling, &rng));
+                                           options.move_mutation_weight, &sibling, &rng));
         }
-        if (rng.Bernoulli(options.prob_glue_resample)) SampleGlue(&sibling, &rng);
+        if (rng.Bernoulli(kProbGlueResample)) SampleGlue(&sibling, &rng);
         if (std::find(blueprints.begin(), blueprints.end(), sibling) == blueprints.end()) break;
       }
       if (std::find(blueprints.begin(), blueprints.end(), sibling) != blueprints.end()) {
@@ -458,7 +470,7 @@ Result<GeneratedCorpus> GenerateAdCorpus(const AdCorpusOptions& options) {
 
     // Per-adgroup CTR level (query intent, advertiser quality, ...).
     const double adgroup_level =
-        placement_ctr * std::exp(options.adgroup_ctr_sigma * rng.Gaussian());
+        placement_ctr * std::exp(kAdgroupCtrSigma * rng.Gaussian());
 
     for (const Blueprint& bp : blueprints) {
       Creative creative;
@@ -474,7 +486,7 @@ Result<GeneratedCorpus> GenerateAdCorpus(const AdCorpusOptions& options) {
                                      1e-5, 0.9);
       const double impressions_draw = static_cast<double>(options.base_impressions) *
                                       impression_scale *
-                                      std::exp(options.impression_sigma * rng.Gaussian());
+                                      std::exp(kImpressionSigma * rng.Gaussian());
       creative.impressions = std::max<int64_t>(200, static_cast<int64_t>(impressions_draw));
       creative.clicks = rng.Binomial(creative.impressions, creative.true_ctr);
       group.creatives.push_back(std::move(creative));

@@ -9,62 +9,46 @@
 #define MICROBROWSE_CORPUS_GENERATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
 #include "corpus/ad.h"
-#include "corpus/phrase_pool.h"
 #include "corpus/pool_relevance.h"
 #include "microbrowse/model.h"
 
 namespace microbrowse {
 
 /// Generator configuration. Defaults produce a TOP-placement corpus sized
-/// for a ~1 minute experiment run on one core.
+/// for a ~1 minute experiment run on one core. Adgroups come from the
+/// three built-in verticals (PhrasePool::Travel / Shopping / Finance); the
+/// generator's other constants sit beside it in generator.cc.
 struct AdCorpusOptions {
   int num_adgroups = 8000;
   int min_creatives = 2;
   int max_creatives = 4;
-  /// Geometric mean impressions per creative; log-normal spread sigma.
+  /// Geometric mean impressions per creative (log-normal spread).
   /// Sponsored-search corpora have enormous statistical power (the paper's
   /// ADCORPUS aggregates months of serving), so even small true CTR
   /// differences are significant — the default reflects that.
   int64_t base_impressions = 400000;
-  double impression_sigma = 0.5;
   Placement placement = Placement::kTop;
-  /// Query-intent CTR scale for TOP placement; RHS is scaled down
-  /// internally (weaker examination and lower base).
-  double base_ctr = 0.16;
-  /// Log-normal spread of the per-adgroup CTR level.
-  double adgroup_ctr_sigma = 0.25;
   /// Log-normal spread of a per-creative CTR multiplier modelling factors
   /// *outside* the creative text (landing page, extensions, serving-time
   /// mix). This is the irreducible noise that caps every classifier's
   /// accuracy, as the proprietary ADCORPUS does in the paper.
   double creative_noise_sigma = 0.05;
-  /// Compression of within-slot appeal differences toward the slot-pool
-  /// mean: effective_appeal = mean + c * (appeal - mean). Real creative
-  /// rewrites move CTR by small amounts; *where* text sits (examination)
-  /// dominates *which* near-synonymous phrase is used — the regime in
-  /// which the paper's position features pay off. 1 = pools as authored.
-  double appeal_compression = 0.45;
   /// Per-(keyword, token) relevance jitter: half-width of the uniform
   /// perturbation applied to logit(r) (see PoolRelevance).
   double relevance_jitter = 0.4;
-  /// Sibling creatives carry 1..max_mutations mutations; after each one,
-  /// another is applied with probability mutation_continue_prob. More
-  /// mutations per sibling means pairs differ in more places, so the net
-  /// CTR difference becomes a visibility-weighted sum of conflicting
+  /// Sibling creatives carry one or more mutations (at most four); after
+  /// each one, another is applied with probability mutation_continue_prob.
+  /// More mutations per sibling means pairs differ in more places, so the
+  /// net CTR difference becomes a visibility-weighted sum of conflicting
   /// deltas — the regime where position information pays off.
   double mutation_continue_prob = 0.65;
-  int max_mutations = 4;
   /// Probability that a mutation is a pure phrase *move* (position change
   /// with identical text) rather than a rewrite.
   double move_mutation_weight = 0.30;
-  /// Probability a sibling creative re-samples its glue tokens (connector
-  /// words between slots) instead of inheriting the base creative's.
-  double prob_glue_resample = 0.5;
   /// Within-snippet attention cascade: after examining a phrase the user
   /// stops reading with probability absorb * p_examined * r — "once the
   /// user sees these words ... she may decide to click without examining
@@ -72,14 +56,7 @@ struct AdCorpusOptions {
   /// snippet gate examination of everything after them, which is the
   /// paper's core micro-browsing effect. 0 disables the cascade.
   double attention_absorb = 0.40;
-  /// Mutations follow a Zipf-weighted per-phrase rewrite graph (advertisers
-  /// reuse popular substitutions), with this probability; otherwise the
-  /// replacement phrase is uniform. Concentrated rewrite traffic is what
-  /// makes the rewrite statistics database informative.
-  double rewrite_graph_bias = 0.9;
   uint64_t seed = 42;
-  /// Verticals to draw adgroups from; empty selects the three built-ins.
-  std::vector<PhrasePool> pools;
 };
 
 /// The ground truth behind a generated corpus — available to tests and
@@ -87,7 +64,7 @@ struct AdCorpusOptions {
 struct CorpusGroundTruth {
   ExaminationCurve curve;
   PoolRelevance relevance;
-  double top_level_ctr = 0.0;  ///< base_ctr after placement scaling.
+  double top_level_ctr = 0.0;  ///< The base CTR after placement scaling.
 };
 
 /// A generated corpus plus its ground truth.

@@ -34,7 +34,7 @@ LrOptions DefaultTLr() {
 LrOptions DefaultPLr() {
   LrOptions options;
   // The P phase trains the *delta* against the stats-database init (see
-  // BuildPDataset), so regularisation pulls toward the init, not zero:
+  // BuildPCsr), so regularisation pulls toward the init, not zero:
   // no L1 (the position space is tiny and dense), moderate L2.
   options.l1 = 0.0;
   options.l2 = 0.02;
@@ -358,10 +358,17 @@ double SnippetClassifierModel::ScoreRow(const CoupledCsr& csr, size_t row) const
 
 namespace {
 
-/// Finishes one accumulated row into `out`, replicating
-/// SparseVector::Finish exactly (sort by id, sum duplicate runs in sorted
-/// order, drop zero sums) so phase datasets built here are numerically
-/// identical to the historical SparseVector path.
+/// One accumulated (feature, value) contribution to a phase row.
+struct FeatureEntry {
+  FeatureId id = 0;
+  double value = 0.0;
+};
+
+/// Finishes one accumulated row into `out`: sorts the entries by id, sums
+/// each run of equal ids in that order, and keeps only the non-zero sums,
+/// so a row holds each feature at most once and never with value zero.
+/// The sums run in a fixed order, so a phase row is a function of the
+/// occurrences alone.
 void FinishRowInto(std::vector<FeatureEntry>* scratch, CsrDataset* out) {
   std::sort(scratch->begin(), scratch->end(),
             [](const FeatureEntry& a, const FeatureEntry& b) { return a.id < b.id; });
@@ -399,7 +406,6 @@ CsrDataset BuildTCsr(const CoupledCsr& coupled, const std::vector<size_t>& indic
       scratch.push_back(FeatureEntry{coupled.t_ids[k], coupled.signs[k] * p});
     }
     data.labels.push_back(coupled.labels[idx]);
-    data.weights.push_back(1.0);
     data.offsets.push_back(0.0);
     FinishRowInto(&scratch, &data);
   }
@@ -436,7 +442,6 @@ CsrDataset BuildPCsr(const CoupledCsr& coupled, const std::vector<size_t>& indic
       }
     }
     data.labels.push_back(coupled.labels[idx]);
-    data.weights.push_back(1.0);
     data.offsets.push_back(offset);
     FinishRowInto(&scratch, &data);
   }
@@ -474,8 +479,8 @@ Result<SnippetClassifierModel> TrainSnippetClassifier(const CoupledCsr& csr,
     const CsrDataset t_data = BuildTCsr(csr, indices, model.p_weights);
     auto trained = TrainLogisticRegression(t_data, DefaultTLr(), &model.t_weights);
     if (!trained.ok()) return trained.status();
-    model.t_weights = trained->weights();
-    model.bias = trained->bias();
+    model.t_weights = trained->weights;
+    model.bias = trained->bias;
     return model;
   }
 
@@ -490,15 +495,15 @@ Result<SnippetClassifierModel> TrainSnippetClassifier(const CoupledCsr& csr,
     std::vector<double> p_delta(p_init.size(), 0.0);
     auto p_trained = TrainLogisticRegression(p_data, DefaultPLr(), &p_delta);
     if (!p_trained.ok()) return p_trained.status();
-    p_delta = p_trained->weights();
+    p_delta = p_trained->weights;
     for (size_t j = 0; j < p_init.size(); ++j) model.p_weights[j] = p_init[j] + p_delta[j];
   }
 
   const CsrDataset t_data = BuildTCsr(csr, indices, model.p_weights);
   auto t_trained = TrainLogisticRegression(t_data, DefaultTLr(), &model.t_weights);
   if (!t_trained.ok()) return t_trained.status();
-  model.t_weights = t_trained->weights();
-  model.bias = t_trained->bias();
+  model.t_weights = t_trained->weights;
+  model.bias = t_trained->bias;
   return model;
 }
 

@@ -26,7 +26,6 @@
 #include "microbrowse/pair.h"
 #include "microbrowse/rewrite.h"
 #include "microbrowse/stats_db.h"
-#include "ml/dataset.h"
 #include "ml/feature_registry.h"
 
 namespace microbrowse {

@@ -275,11 +275,11 @@ FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStats
 
 FeatureStatsDb BuildFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options) {
   TraceSpan span("mb.stats.build");
-  // Each pass's database gets the options' settings and its rewrite index.
+  // Each pass's database gets the options' min-count and its rewrite
+  // index; its smoothing is the new-database default, kStatsSmoothing.
   auto pass = [&](const FeatureStatsDb* matching_db, StatsScope scope) {
     TraceSpan pass_span("mb.stats.pass");
     FeatureStatsDb db = AccumulateFeatureStats(corpus, options, matching_db, scope);
-    db.set_smoothing(options.smoothing);
     db.set_min_count(options.min_count);
     db.BuildRewriteIndex();
     return db;

@@ -123,6 +123,10 @@ class RewritePartnerIndex {
   std::vector<uint32_t> partners_;     ///< Side numbers.
 };
 
+/// Laplace smoothing pseudo-count of a new database, and so of every
+/// database BuildFeatureStats builds; a loaded artifact carries its own.
+inline constexpr double kStatsSmoothing = 1.0;
+
 /// Keyed store of feature statistics. Keys come from feature_keys.h, so
 /// term / rewrite / position statistics share one namespace-prefixed map.
 ///
@@ -269,7 +273,7 @@ class FeatureStatsDb {
   size_t base_size() const { return base_total_; }
 
  private:
-  double smoothing_ = 1.0;
+  double smoothing_ = kStatsSmoothing;
   int64_t min_count_ = 0;
   KeyTable<FeatureStat> stats_;
   std::shared_ptr<const pack::PackReader> pack_;
@@ -280,7 +284,6 @@ class FeatureStatsDb {
 
 /// Statistics-builder configuration.
 struct BuildStatsOptions {
-  double smoothing = 1.0;
   /// Support threshold installed on the database (see
   /// FeatureStatsDb::set_min_count).
   int64_t min_count = 6;
@@ -310,9 +313,9 @@ enum class StatsScope {
 /// One accumulation pass of BuildFeatureStats over `corpus`, as a fresh
 /// database: BuildFeatureStats runs it with (nullptr, kRewritesOnly), then
 /// against that pass's indexed database with kAllKeys. Leaves the
-/// smoothing / min-count settings at their defaults, builds no rewrite
-/// index and records no metrics; callers wanting a usable database should
-/// prefer BuildFeatureStats.
+/// min-count setting at its default, builds no rewrite index and records
+/// no metrics; callers wanting a usable database should prefer
+/// BuildFeatureStats.
 FeatureStatsDb AccumulateFeatureStats(const PairCorpus& corpus, const BuildStatsOptions& options,
                                       const FeatureStatsDb* matching_db, StatsScope scope);
 

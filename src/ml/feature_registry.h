@@ -29,16 +29,19 @@
 #define MICROBROWSE_ML_FEATURE_REGISTRY_H_
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "common/key_table.h"
-#include "ml/sparse_vector.h"
 #include "pack/hash_index.h"
 #include "pack/pack_reader.h"
 
 namespace microbrowse {
+
+/// Dense feature index, handed out by FeatureRegistry in interning order.
+using FeatureId = uint32_t;
 
 /// Sentinel for features absent from the registry.
 inline constexpr FeatureId kInvalidFeatureId = static_cast<FeatureId>(-1);

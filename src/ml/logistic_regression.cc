@@ -3,38 +3,26 @@
 #include "ml/logistic_regression.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
 #include "common/math_util.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "common/trace.h"
 
 namespace microbrowse {
 
-double LogisticModel::PredictProbability(const SparseVector& features) const {
-  return Sigmoid(Score(features));
-}
-
-size_t LogisticModel::num_zero_weights() const {
-  size_t n = 0;
-  for (double w : weights_) n += w == 0.0 ? 1 : 0;
-  return n;
-}
-
-double LogisticModel::MeanLogLoss(const Dataset& data) const {
-  if (data.empty()) return 0.0;
-  double total = 0.0;
-  double weight_sum = 0.0;
-  for (const auto& example : data.examples) {
-    const double predicted = Sigmoid(Score(example.features) + example.offset);
-    total += example.weight * LogLoss(example.label, predicted);
-    weight_sum += example.weight;
-  }
-  return weight_sum > 0.0 ? total / weight_sum : 0.0;
-}
-
 namespace {
+
+/// Every solver run shuffles with this seed, so training is a function of
+/// the data and the options alone.
+constexpr uint64_t kShuffleSeed = 7;
+
+/// Training stops once an epoch improves the mean log-loss by less than
+/// this.
+constexpr double kTolerance = 1e-6;
 
 /// Adds `n` completed epochs to the process-wide training counter. One
 /// aggregate add per solver run; the epoch count depends only on the data
@@ -60,18 +48,16 @@ LogisticModel TrainAdaGrad(const CsrDataset& data, const LrOptions& options,
 
   std::vector<size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
-  Rng rng(options.seed);
+  Rng rng(kShuffleSeed);
   double prev_loss = std::numeric_limits<double>::infinity();
 
   // AdaGrad is inherently sequential — each step reads the weights the
-  // previous step wrote; the CSR layout removes the per-example vector
-  // indirection.
+  // previous step wrote.
   int epochs_run = 0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     ++epochs_run;
-    if (options.shuffle_each_epoch) rng.Shuffle(order);
+    rng.Shuffle(order);
     double loss_sum = 0.0;
-    double weight_sum = 0.0;
     for (size_t idx : order) {
       const size_t begin = data.row_offsets[idx];
       const size_t end = data.row_offsets[idx + 1];
@@ -80,9 +66,8 @@ LogisticModel TrainAdaGrad(const CsrDataset& data, const LrOptions& options,
         if (data.ids[k] < n_features) score += data.values[k] * weights[data.ids[k]];
       }
       const double predicted = Sigmoid(score);
-      loss_sum += data.weights[idx] * LogLoss(data.labels[idx], predicted);
-      weight_sum += data.weights[idx];
-      const double gradient_scale = data.weights[idx] * (predicted - data.labels[idx]);
+      loss_sum += LogLoss(data.labels[idx], predicted);
+      const double gradient_scale = predicted - data.labels[idx];
 
       for (size_t k = begin; k < end; ++k) {
         const FeatureId id = data.ids[k];
@@ -101,12 +86,12 @@ LogisticModel TrainAdaGrad(const CsrDataset& data, const LrOptions& options,
         bias -= options.learning_rate / std::sqrt(bias_grad_sq) * g;
       }
     }
-    const double mean_loss = weight_sum > 0.0 ? loss_sum / weight_sum : 0.0;
-    if (options.tolerance > 0.0 && prev_loss - mean_loss < options.tolerance) break;
+    const double mean_loss = loss_sum / static_cast<double>(order.size());
+    if (prev_loss - mean_loss < kTolerance) break;
     prev_loss = mean_loss;
   }
   CountEpochs(epochs_run);
-  return LogisticModel(std::move(weights), bias);
+  return LogisticModel{std::move(weights), bias};
 }
 
 }  // namespace
@@ -132,11 +117,6 @@ Result<LogisticModel> TrainLogisticRegression(const CsrDataset& data, const LrOp
   runs_counter->Increment(1);
   examples_counter->Increment(static_cast<int64_t>(data.size()));
   return TrainAdaGrad(data, options, std::move(weights));
-}
-
-Result<LogisticModel> TrainLogisticRegression(const Dataset& data, const LrOptions& options,
-                                              const std::vector<double>* initial_weights) {
-  return TrainLogisticRegression(FlattenDataset(data), options, initial_weights);
 }
 
 }  // namespace microbrowse

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
-#include "common/math_util.h"
 #include "common/thread_pool.h"
 
 namespace microbrowse {
@@ -149,13 +147,6 @@ double ComputeAuc(const std::vector<ScoredLabel>& scored, int num_threads) {
   const double u = positive_rank_sum - static_cast<double>(positives) *
                                            (static_cast<double>(positives) + 1.0) / 2.0;
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
-}
-
-double ComputeMeanLogLoss(const std::vector<ScoredLabel>& scored) {
-  if (scored.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& s : scored) total += LogLoss(s.label ? 1.0 : 0.0, s.score);
-  return total / static_cast<double>(scored.size());
 }
 
 }  // namespace microbrowse

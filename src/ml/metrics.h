@@ -51,9 +51,6 @@ BinaryMetrics MergeMetrics(const BinaryMetrics& a, const BinaryMetrics& b);
 /// identical for any thread count.
 double ComputeAuc(const std::vector<ScoredLabel>& scored, int num_threads = 1);
 
-/// Mean binary cross-entropy; `scored.score` must be a probability here.
-double ComputeMeanLogLoss(const std::vector<ScoredLabel>& scored);
-
 }  // namespace microbrowse
 
 #endif  // MICROBROWSE_ML_METRICS_H_

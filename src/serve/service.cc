@@ -20,6 +20,9 @@ namespace serve {
 
 namespace {
 
+/// Lock shards of each result cache.
+constexpr size_t kCacheShards = 16;
+
 /// Longest snippet field parsed into a handler's per-thread storage.
 constexpr size_t kMaxKeptFieldBytes = 4096;
 
@@ -52,8 +55,8 @@ ScoringService::ScoringService(BundleRegistry* registry, ServiceOptions options)
       metrics_(metric_registry_),
       reload_success_(metric_registry_->GetCounter("mb.serve.reload_success")),
       reload_failure_(metric_registry_->GetCounter("mb.serve.reload_failure")),
-      pair_cache_(options.cache_capacity, options.cache_shards),
-      point_cache_(options.cache_capacity, options.cache_shards) {}
+      pair_cache_(options.cache_capacity, kCacheShards),
+      point_cache_(options.cache_capacity, kCacheShards) {}
 
 std::string ScoringService::HandleLine(std::string_view line) {
   std::string response;

@@ -37,9 +37,9 @@ namespace serve {
 /// Service configuration.
 struct ServiceOptions {
   /// Total cached entries per cache (pair margins and pointwise scores are
-  /// cached separately). 0 disables caching.
+  /// cached separately), each cache split into 16 lock shards. 0
+  /// disables caching.
   size_t cache_capacity = 1 << 16;
-  size_t cache_shards = 16;
   /// Honour {"type":"debug_sleep","ms":N} requests — a test/bench hook for
   /// holding a reactor thread for a known time. Never enable in production.
   bool allow_debug_sleep = false;

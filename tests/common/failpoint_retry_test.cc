@@ -302,7 +302,7 @@ TEST(ThreadPoolErrorTest, FailingTaskSurfacesThroughWait) {
 
 TEST(ThreadPoolErrorTest, ExceptionBecomesInternalStatusNotAbort) {
   ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
+  pool.SubmitFallible([]() -> Status { throw std::runtime_error("boom"); });
   const Status status = pool.Wait();
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("boom"), std::string::npos);
@@ -324,15 +324,6 @@ TEST(ThreadPoolErrorTest, QueuedFallibleTasksDrainAfterFailure) {
   EXPECT_EQ(ran.load(), 0);
 }
 
-TEST(ThreadPoolErrorTest, InfallibleTasksStillRunAfterFailure) {
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  pool.SubmitFallible([] { return Status::IOError("fails"); });
-  pool.Submit([&ran] { ++ran; });
-  EXPECT_FALSE(pool.Wait().ok());
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST(ThreadPoolErrorTest, ParallelForFalliblePropagatesFirstFailure) {
   ThreadPool pool(4);
   const Status status = pool.ParallelForFallible(64, [](size_t i) {
@@ -348,7 +339,7 @@ TEST(ThreadPoolErrorTest, TaskFailpointInjectsIntoPool) {
   spec.nth = 2;
   failpoint::Activate("threadpool.task", spec);
   ThreadPool pool(1);
-  const Status status = pool.ParallelFor(4, [](size_t) {});
+  const Status status = pool.ParallelForFallible(4, [](size_t) { return Status::OK(); });
   EXPECT_EQ(status.code(), StatusCode::kIOError);
   failpoint::DeactivateAll();
 }

@@ -148,16 +148,22 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.SubmitFallible([&counter] {
+      counter.fetch_add(1);
+      return Status::OK();
+    });
   }
-  pool.Wait();
+  EXPECT_TRUE(pool.Wait().ok());
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(64);
-  pool.ParallelFor(64, [&hits](size_t i) { hits[i].fetch_add(1); });
+  EXPECT_TRUE(pool.ParallelForFallible(64, [&hits](size_t i) {
+                    hits[i].fetch_add(1);
+                    return Status::OK();
+                  }).ok());
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -165,8 +171,11 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
+  pool.SubmitFallible([&counter] {
+    counter.fetch_add(1);
+    return Status::OK();
+  });
+  EXPECT_TRUE(pool.Wait().ok());
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -180,7 +189,10 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   {
     ThreadPool pool(1);
     for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.SubmitFallible([&counter] {
+        counter.fetch_add(1);
+        return Status::OK();
+      });
     }
   }
   EXPECT_EQ(counter.load(), 10);

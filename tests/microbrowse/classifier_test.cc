@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "corpus/generator.h"
 #include "microbrowse/feature_keys.h"
@@ -224,6 +226,60 @@ TEST(TrainSnippetClassifierTest, TrainOnSubsetOnly) {
   auto model = TrainSnippetClassifier(dataset, config, train);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->t_weights.size(), dataset.t_registry.size());
+}
+
+/// A positionless CoupledCsr over three T features with a non-zero warm
+/// start; row 0 holds `first_row` (t id, sign) occurrences, rows 1-3 fixed
+/// ones.
+CoupledCsr RowFinishingCsr(const std::vector<std::pair<FeatureId, double>>& first_row) {
+  CoupledCsr csr;
+  csr.t_init = {0.3, -0.2, 0.1};
+  csr.row_offsets.push_back(0);
+  const auto add_row = [&csr](const std::vector<std::pair<FeatureId, double>>& row,
+                              double label) {
+    for (const auto& [t_id, sign] : row) {
+      csr.t_ids.push_back(t_id);
+      csr.p_ids.push_back(kInvalidFeatureId);
+      csr.signs.push_back(sign);
+    }
+    csr.labels.push_back(label);
+    csr.row_offsets.push_back(csr.t_ids.size());
+  };
+  add_row(first_row, 1.0);
+  add_row({{2, 1.0}}, 0.0);
+  add_row({{1, -1.0}, {0, 1.0}}, 0.0);
+  add_row({{1, 1.0}}, 1.0);
+  return csr;
+}
+
+void ExpectSameModel(const SnippetClassifierModel& a, const SnippetClassifierModel& b) {
+  EXPECT_EQ(a.t_weights, b.t_weights);
+  EXPECT_EQ(a.p_weights, b.p_weights);
+  EXPECT_EQ(a.bias, b.bias);
+}
+
+// A phase row holds each feature once, with its occurrences summed, and
+// never with value zero: a cancelled feature would still take an L1/L2
+// step away from its warm start, and two occurrences stepped one by one
+// would differ from one step of their sum.
+TEST(ClassifierTest, RowFinishingDropsZeroSumsAndMergesDuplicates) {
+  const ClassifierConfig config = ClassifierConfig::M1();
+  auto train = [&config](const std::vector<std::pair<FeatureId, double>>& first_row) {
+    auto model = TrainSnippetClassifier(RowFinishingCsr(first_row), config);
+    EXPECT_TRUE(model.ok());
+    return model.ok() ? *model : SnippetClassifierModel{};
+  };
+
+  {
+    SCOPED_TRACE("t0 with signs +1 and -1");
+    const SnippetClassifierModel cancelled = train({{0, 1.0}, {1, 1.0}, {0, -1.0}, {2, -1.0}});
+    const SnippetClassifierModel without = train({{1, 1.0}, {2, -1.0}});
+    ExpectSameModel(cancelled, without);
+  }
+  SCOPED_TRACE("t0 twice with sign +1");
+  const SnippetClassifierModel duplicated = train({{0, 1.0}, {1, 1.0}, {0, 1.0}});
+  const SnippetClassifierModel merged = train({{0, 2.0}, {1, 1.0}});
+  ExpectSameModel(duplicated, merged);
 }
 
 TEST(BuildClassifierDatasetTest, LabelsAreBalancedByRandomSwap) {

@@ -113,11 +113,11 @@ void AccumulateAll(const PairCorpus& corpus, const FeatureStatsDb* matching_db,
 FeatureStatsDb ReferenceBuildFeatureStats(const PairCorpus& corpus,
                                           const BuildStatsOptions& options) {
   FeatureStatsDb first;
-  first.set_smoothing(options.smoothing);
+  first.set_smoothing(kStatsSmoothing);
   first.set_min_count(options.min_count);
   AccumulateAll(corpus, nullptr, &first);
   FeatureStatsDb db;
-  db.set_smoothing(options.smoothing);
+  db.set_smoothing(kStatsSmoothing);
   db.set_min_count(options.min_count);
   AccumulateAll(corpus, &first, &db);
   return db;

@@ -90,7 +90,7 @@ TEST_P(StatsReferenceTest, BuildMatchesReference) {
   const StatSet got = Entries(db);
   EXPECT_EQ(FirstDifference(want, got), "");
   EXPECT_TRUE(want == got);
-  EXPECT_EQ(db.smoothing(), options.smoothing);
+  EXPECT_EQ(db.smoothing(), kStatsSmoothing);
   EXPECT_EQ(db.min_count(), options.min_count);
 }
 

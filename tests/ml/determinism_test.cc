@@ -21,65 +21,10 @@
 #include "corpus/pair_extraction.h"
 #include "microbrowse/pipeline.h"
 #include "microbrowse/stats_db.h"
-#include "ml/csr.h"
-#include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 
 namespace microbrowse {
 namespace {
-
-/// Synthetic sparse CSR problem with a planted logistic truth model.
-CsrDataset MakePlantedCorpus(size_t n, size_t n_features, size_t nnz, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> truth(n_features);
-  for (double& w : truth) w = rng.Gaussian(0.0, 0.5);
-  CsrDataset data;
-  data.num_features = n_features;
-  data.weights.assign(n, 1.0);
-  data.offsets.assign(n, 0.0);
-  data.row_offsets.push_back(0);
-  for (size_t i = 0; i < n; ++i) {
-    double score = 0.0;
-    for (size_t k = 0; k < nnz; ++k) {
-      const FeatureId id = static_cast<FeatureId>(rng.NextIndex(n_features));
-      const double value = rng.Uniform(0.5, 1.5);
-      data.ids.push_back(id);
-      data.values.push_back(value);
-      score += value * truth[id];
-    }
-    data.labels.push_back(rng.Bernoulli(Sigmoid(score)) ? 1.0 : 0.0);
-    data.row_offsets.push_back(data.ids.size());
-  }
-  return data;
-}
-
-TEST(TrainingDeterminismTest, DatasetOverloadMatchesCsrOverload) {
-  // The Dataset entry point flattens and delegates; a warm start plus an
-  // offset column exercises the full option surface through both paths.
-  const CsrDataset csr = MakePlantedCorpus(1024, 64, 6, 7);
-  Dataset data;
-  data.num_features = csr.num_features;
-  for (size_t i = 0; i < csr.size(); ++i) {
-    Example example;
-    for (size_t k = csr.row_offsets[i]; k < csr.row_offsets[i + 1]; ++k) {
-      example.features.Add(csr.ids[k], csr.values[k]);
-    }
-    example.features.Finish();
-    example.label = csr.labels[i];
-    data.examples.push_back(std::move(example));
-  }
-  const std::vector<double> warm(csr.num_features, 0.05);
-  LrOptions options;
-  options.epochs = 6;
-  auto via_dataset = TrainLogisticRegression(data, options, &warm);
-  // The flattened Dataset merges duplicate ids per row (SparseVector
-  // semantics), so compare against its own flattening, not the raw csr.
-  auto via_csr = TrainLogisticRegression(FlattenDataset(data), options, &warm);
-  ASSERT_TRUE(via_dataset.ok());
-  ASSERT_TRUE(via_csr.ok());
-  EXPECT_EQ(via_dataset->weights(), via_csr->weights());
-  EXPECT_EQ(via_dataset->bias(), via_csr->bias());
-}
 
 TEST(TrainingDeterminismTest, MetricsAndAucThreadInvariant) {
   Rng rng(13);

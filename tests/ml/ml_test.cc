@@ -1,7 +1,7 @@
 // Copyright 2026 The Microbrowse Authors
 //
-// Tests for the ML substrate: sparse vectors, the feature registry,
-// logistic regression, metrics and cross-validation.
+// Tests for the ML substrate: the feature registry, logistic regression
+// on CSR rows, metrics and cross-validation.
 
 #include <gtest/gtest.h>
 
@@ -10,69 +10,19 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/random.h"
 #include "ml/cross_validation.h"
 #include "ml/csr.h"
-#include "ml/dataset.h"
 #include "ml/feature_registry.h"
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
-#include "ml/sparse_vector.h"
 
 namespace microbrowse {
 namespace {
-
-// --- SparseVector
-
-TEST(SparseVectorTest, FinishSortsAndMerges) {
-  SparseVector v;
-  v.Add(3, 1.0);
-  v.Add(1, 2.0);
-  v.Add(3, 0.5);
-  v.Finish();
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v.entries()[0], (FeatureEntry{1, 2.0}));
-  EXPECT_EQ(v.entries()[1], (FeatureEntry{3, 1.5}));
-}
-
-TEST(SparseVectorTest, CancellingContributionsVanish) {
-  SparseVector v;
-  v.Add(5, 1.0);
-  v.Add(5, -1.0);
-  v.Add(6, 2.0);
-  v.Finish();
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_EQ(v.entries()[0].id, 6u);
-}
-
-TEST(SparseVectorTest, DotProduct) {
-  SparseVector v;
-  v.Add(0, 2.0);
-  v.Add(2, -1.0);
-  v.Finish();
-  EXPECT_DOUBLE_EQ(v.Dot({1.0, 10.0, 3.0}), 2.0 - 3.0);
-  // Ids beyond the weight vector contribute zero.
-  EXPECT_DOUBLE_EQ(v.Dot({1.0}), 2.0);
-  EXPECT_DOUBLE_EQ(v.Dot({}), 0.0);
-}
-
-TEST(SparseVectorTest, SquaredNorm) {
-  SparseVector v;
-  v.Add(0, 3.0);
-  v.Add(1, 4.0);
-  v.Finish();
-  EXPECT_DOUBLE_EQ(v.SquaredNorm(), 25.0);
-}
-
-TEST(SparseVectorTest, FinishIsIdempotent) {
-  SparseVector v;
-  v.Add(1, 1.0);
-  v.Finish();
-  v.Finish();
-  EXPECT_EQ(v.size(), 1u);
-}
 
 // --- FeatureRegistry
 
@@ -150,54 +100,87 @@ TEST(FeatureRegistryTest, SetInitialWeight) {
 
 // --- LogisticRegression
 
+/// A dataset of `num_features` features and no rows yet.
+CsrDataset EmptyRows(size_t num_features) {
+  CsrDataset data;
+  data.num_features = num_features;
+  data.row_offsets.push_back(0);
+  return data;
+}
+
+/// Appends one row holding `entries` (distinct ids, ascending).
+void AddRow(CsrDataset* data, const std::vector<std::pair<FeatureId, double>>& entries,
+            double label, double offset = 0.0) {
+  for (const auto& [id, value] : entries) {
+    data->ids.push_back(id);
+    data->values.push_back(value);
+  }
+  data->row_offsets.push_back(data->ids.size());
+  data->labels.push_back(label);
+  data->offsets.push_back(offset);
+}
+
 /// A linearly separable 2-feature dataset: label = (x0 > x1).
-Dataset MakeSeparableDataset(int n, uint64_t seed) {
-  Dataset data;
-  data.num_features = 2;
+CsrDataset MakeSeparableDataset(int n, uint64_t seed) {
+  CsrDataset data = EmptyRows(2);
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
-    Example example;
     const double x0 = rng.Uniform(-1.0, 1.0);
     const double x1 = rng.Uniform(-1.0, 1.0);
-    example.features.Add(0, x0);
-    example.features.Add(1, x1);
-    example.features.Finish();
-    example.label = x0 > x1 ? 1.0 : 0.0;
-    data.examples.push_back(std::move(example));
+    AddRow(&data, {{0, x0}, {1, x1}}, x0 > x1 ? 1.0 : 0.0);
   }
   return data;
 }
 
-double Accuracy(const LogisticModel& model, const Dataset& data) {
+/// Linear score of row `i` under `model`: bias + offset + w.x.
+double Score(const LogisticModel& model, const CsrDataset& data, size_t i) {
+  double score = model.bias + data.offsets[i];
+  for (size_t k = data.row_offsets[i]; k < data.row_offsets[i + 1]; ++k) {
+    score += data.values[k] * model.weights[data.ids[k]];
+  }
+  return score;
+}
+
+double Accuracy(const LogisticModel& model, const CsrDataset& data) {
   int correct = 0;
-  for (const auto& example : data.examples) {
-    correct += (model.PredictLabel(example.features) == (example.label > 0.5)) ? 1 : 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    correct += ((Score(model, data, i) >= 0.0) == (data.labels[i] > 0.5)) ? 1 : 0;
   }
   return static_cast<double>(correct) / data.size();
 }
 
+double MeanLogLoss(const LogisticModel& model, const CsrDataset& data) {
+  double total = 0.0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    total += LogLoss(data.labels[i], Sigmoid(Score(model, data, i)));
+  }
+  return total / data.size();
+}
+
 TEST(LogisticRegressionTest, LearnsSeparableProblem) {
-  const Dataset data = MakeSeparableDataset(2000, 5);
+  const CsrDataset data = MakeSeparableDataset(2000, 5);
   LrOptions options;
   options.epochs = 60;
   options.l1 = 1e-5;
-  options.tolerance = 0.0;
   auto model = TrainLogisticRegression(data, options);
   ASSERT_TRUE(model.ok());
   EXPECT_GT(Accuracy(*model, data), 0.95);
   // Weight signs match the generating rule.
-  EXPECT_GT(model->weights()[0], 0.0);
-  EXPECT_LT(model->weights()[1], 0.0);
+  EXPECT_GT(model->weights[0], 0.0);
+  EXPECT_LT(model->weights[1], 0.0);
 }
 
 TEST(LogisticRegressionTest, StrongL1ZeroesIrrelevantFeatures) {
-  Dataset data = MakeSeparableDataset(2000, 9);
-  data.num_features = 4;
+  const CsrDataset separable = MakeSeparableDataset(2000, 9);
+  CsrDataset data = EmptyRows(4);
   Rng rng(10);
-  for (auto& example : data.examples) {
-    example.features.Add(2, rng.Uniform(-1.0, 1.0));  // Pure noise features.
-    example.features.Add(3, rng.Uniform(-1.0, 1.0));
-    example.features.Finish();
+  for (size_t i = 0; i < separable.size(); ++i) {
+    const double noise2 = rng.Uniform(-1.0, 1.0);  // Pure noise features.
+    const double noise3 = rng.Uniform(-1.0, 1.0);
+    AddRow(&data,
+           {{0, separable.values[2 * i]}, {1, separable.values[2 * i + 1]}, {2, noise2},
+            {3, noise3}},
+           separable.labels[i]);
   }
   LrOptions options;
   options.epochs = 40;
@@ -205,53 +188,45 @@ TEST(LogisticRegressionTest, StrongL1ZeroesIrrelevantFeatures) {
   auto model = TrainLogisticRegression(data, options);
   ASSERT_TRUE(model.ok());
   // The informative weights survive the penalty; noise weights are tiny.
-  EXPECT_GT(std::fabs(model->weights()[0]), 5.0 * std::fabs(model->weights()[2]));
-  EXPECT_GT(std::fabs(model->weights()[1]), 5.0 * std::fabs(model->weights()[3]));
+  EXPECT_GT(std::fabs(model->weights[0]), 5.0 * std::fabs(model->weights[2]));
+  EXPECT_GT(std::fabs(model->weights[1]), 5.0 * std::fabs(model->weights[3]));
 }
 
 TEST(LogisticRegressionTest, WarmStartIsUsedWithZeroEpochs) {
-  const Dataset data = MakeSeparableDataset(100, 5);
+  const CsrDataset data = MakeSeparableDataset(100, 5);
   LrOptions options;
   options.epochs = 0;
   const std::vector<double> init = {3.0, -3.0};
   auto model = TrainLogisticRegression(data, options, &init);
   ASSERT_TRUE(model.ok());
-  EXPECT_EQ(model->weights(), init);
+  EXPECT_EQ(model->weights, init);
   EXPECT_GT(Accuracy(*model, data), 0.95);
 }
 
 TEST(LogisticRegressionTest, RejectsEmptyDataset) {
-  EXPECT_FALSE(TrainLogisticRegression(Dataset{}, LrOptions{}).ok());
+  EXPECT_FALSE(TrainLogisticRegression(EmptyRows(0), LrOptions{}).ok());
 }
 
 TEST(LogisticRegressionTest, RejectsBadLabels) {
-  Dataset data;
-  data.num_features = 1;
-  Example example;
-  example.features.Add(0, 1.0);
-  example.features.Finish();
-  example.label = 0.5;
-  data.examples.push_back(example);
+  CsrDataset data = EmptyRows(1);
+  AddRow(&data, {{0, 1.0}}, 0.5);
   EXPECT_EQ(TrainLogisticRegression(data, LrOptions{}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(LogisticRegressionTest, RejectsMismatchedWarmStart) {
-  const Dataset data = MakeSeparableDataset(10, 1);
-  const std::vector<double> init = {1.0};  // Dataset has 2 features.
+  const CsrDataset data = MakeSeparableDataset(10, 1);
+  const std::vector<double> init = {1.0};  // The rows have 2 features.
   EXPECT_FALSE(TrainLogisticRegression(data, LrOptions{}, &init).ok());
 }
 
 TEST(LogisticRegressionTest, OffsetShiftsDecision) {
   // Featureless examples whose labels are determined by the offset.
-  Dataset data;
-  data.num_features = 0;
+  CsrDataset data = EmptyRows(0);
   Rng rng(3);
   for (int i = 0; i < 600; ++i) {
-    Example example;
-    example.offset = rng.Bernoulli(0.5) ? 2.5 : -2.5;
-    example.label = example.offset > 0 ? 1.0 : 0.0;
-    data.examples.push_back(example);
+    const double offset = rng.Bernoulli(0.5) ? 2.5 : -2.5;
+    AddRow(&data, {}, offset > 0 ? 1.0 : 0.0, offset);
   }
   LrOptions options;
   options.epochs = 15;
@@ -259,24 +234,7 @@ TEST(LogisticRegressionTest, OffsetShiftsDecision) {
   ASSERT_TRUE(model.ok());
   // With offsets explaining the labels the bias stays small and the
   // training loss is far below chance level (log 2).
-  EXPECT_LT(model->MeanLogLoss(data), 0.3);
-}
-
-TEST(LogisticRegressionTest, PredictProbabilityIsCalibratedShape) {
-  LogisticModel model({1.0}, 0.0);
-  SparseVector positive;
-  positive.Add(0, 5.0);
-  positive.Finish();
-  SparseVector negative;
-  negative.Add(0, -5.0);
-  negative.Finish();
-  EXPECT_GT(model.PredictProbability(positive), 0.99);
-  EXPECT_LT(model.PredictProbability(negative), 0.01);
-}
-
-TEST(LogisticRegressionTest, NumZeroWeights) {
-  LogisticModel model({0.0, 1.0, 0.0}, 0.2);
-  EXPECT_EQ(model.num_zero_weights(), 2u);
+  EXPECT_LT(MeanLogLoss(*model, data), 0.3);
 }
 
 // --- Metrics
@@ -347,12 +305,6 @@ TEST(MetricsTest, AucOrderingProperty) {
   std::vector<ScoredLabel> reversed;
   for (auto s : scored) reversed.push_back({-s.score, s.label});
   EXPECT_NEAR(ComputeAuc(scored) + ComputeAuc(reversed), 1.0, 1e-12);
-}
-
-TEST(MetricsTest, MeanLogLoss) {
-  EXPECT_NEAR(ComputeMeanLogLoss({{0.5, true}, {0.5, false}}), std::log(2.0), 1e-12);
-  EXPECT_NEAR(ComputeMeanLogLoss({{1.0, true}}), 0.0, 1e-9);
-  EXPECT_EQ(ComputeMeanLogLoss({}), 0.0);
 }
 
 // --- Cross-validation
@@ -433,85 +385,6 @@ TEST(CrossValidationTest, DeterministicForSeed) {
     seed_matters |= (*a)[f].test_indices != (*other_seed)[f].test_indices;
   }
   EXPECT_TRUE(seed_matters);
-}
-
-// --- Dataset helpers
-
-TEST(DatasetTest, SubsetCopiesSelected) {
-  Dataset data;
-  data.num_features = 1;
-  for (int i = 0; i < 5; ++i) {
-    Example example;
-    example.label = i % 2;
-    data.examples.push_back(example);
-  }
-  const Dataset subset = data.Subset({0, 2, 4});
-  EXPECT_EQ(subset.size(), 3u);
-  EXPECT_EQ(subset.num_features, 1u);
-  EXPECT_EQ(subset.num_positives(), 0u);
-  EXPECT_EQ(data.Subset({1, 3}).num_positives(), 2u);
-}
-
-// --- CSR layout
-
-TEST(CsrTest, FlattenDatasetRoundTrip) {
-  Dataset data;
-  data.num_features = 5;
-  {
-    Example example;
-    example.features.Add(3, 1.5);
-    example.features.Add(0, -2.0);
-    example.features.Finish();
-    example.label = 1.0;
-    example.weight = 2.0;
-    example.offset = 0.25;
-    data.examples.push_back(std::move(example));
-  }
-  {
-    Example example;  // Empty row: no features.
-    example.label = 0.0;
-    data.examples.push_back(std::move(example));
-  }
-  {
-    Example example;
-    example.features.Add(4, 3.0);
-    example.features.Finish();
-    example.label = 1.0;
-    data.examples.push_back(std::move(example));
-  }
-
-  const CsrDataset csr = FlattenDataset(data);
-  ASSERT_EQ(csr.size(), 3u);
-  EXPECT_EQ(csr.num_features, 5u);
-  EXPECT_EQ(csr.num_entries(), 3u);
-  ASSERT_EQ(csr.row_offsets, (std::vector<size_t>{0, 2, 2, 3}));
-  EXPECT_EQ(csr.ids, (std::vector<FeatureId>{0, 3, 4}));
-  EXPECT_EQ(csr.values, (std::vector<double>{-2.0, 1.5, 3.0}));
-  EXPECT_EQ(csr.labels, (std::vector<double>{1.0, 0.0, 1.0}));
-  EXPECT_EQ(csr.weights, (std::vector<double>{2.0, 1.0, 1.0}));
-  EXPECT_EQ(csr.offsets, (std::vector<double>{0.25, 0.0, 0.0}));
-
-  // RowScore must agree exactly with the SparseVector path.
-  const std::vector<double> weights = {0.5, 0.0, 0.0, -1.0, 2.0};
-  for (size_t i = 0; i < data.size(); ++i) {
-    const double expected =
-        data.examples[i].features.Dot(weights) + data.examples[i].offset + 0.125;
-    EXPECT_EQ(csr.RowScore(i, weights, 0.125), expected) << "row " << i;
-  }
-  // Ids beyond the weight vector contribute zero, matching SparseVector::Dot.
-  EXPECT_EQ(csr.RowScore(2, {}, 0.0), 0.0);
-}
-
-TEST(CsrTest, CsrTrainingMatchesDatasetTraining) {
-  const Dataset data = MakeSeparableDataset(500, 17);
-  LrOptions options;
-  options.epochs = 20;
-  auto via_dataset = TrainLogisticRegression(data, options);
-  auto via_csr = TrainLogisticRegression(FlattenDataset(data), options);
-  ASSERT_TRUE(via_dataset.ok());
-  ASSERT_TRUE(via_csr.ok());
-  EXPECT_EQ(via_dataset->weights(), via_csr->weights());
-  EXPECT_EQ(via_dataset->bias(), via_csr->bias());
 }
 
 }  // namespace
